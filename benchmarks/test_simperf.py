@@ -23,7 +23,10 @@ semantics, with a recorded timeline) is several times slower. Emitted to ``BENCH
    runs the shrunk grid against the same file's ``smoke`` entries. The
    ``admission`` point (the columnar grid under an admit-all deadline,
    where per-request routing math dominates) gates the cluster
-   admission fast paths the same way, on requests/sec.
+   admission fast paths the same way, on requests/sec. The
+   ``steal_default`` point (``ServeConfig(num_nodes=8)`` defaults:
+   overlap nodes, steal + online replication, traced, so the reference
+   drain) gates the steal path's per-event queries the same way.
 
 The node policy is ``affinity``, not ``overlap``: overlap's prefetch
 decisions interleave with the queue, so the columnar drain falls back
@@ -46,6 +49,7 @@ import pytest
 
 from benchmarks.conftest import print_table
 from repro.bench.sweep import SweepPoint, run_sweep
+from repro.coe.api import ServeConfig, serve
 from repro.coe.cluster_engine import run_cluster
 from repro.coe.engine import zipf_request_stream
 from repro.coe.expert import build_samba_coe_library
@@ -88,6 +92,7 @@ POINTS = [
     {"run": "grid", "mode": "batched"},
     {"run": "grid", "mode": "columnar"},
     {"run": "admission", "mode": "columnar"},
+    {"run": "steal", "mode": "default"},
     {"run": "headline", "mode": "batched"},
     {"run": "headline", "mode": "columnar"},
 ]
@@ -108,7 +113,9 @@ def _simperf_point(point: SweepPoint) -> dict:
     ``admission`` run is the columnar grid with deadline admission on:
     per-request routing math dominates that profile, so it gates the
     admission fast paths (single-owner routing, the memoized per-group
-    exec estimate) specifically.
+    exec estimate) specifically. The ``steal`` run serves the grid
+    through ``repro.serve`` with the ``ServeConfig`` defaults, the
+    configuration users get with no flags.
     """
     num_requests = (HEADLINE_REQUESTS if point["run"] == "headline"
                     else GRID_REQUESTS)
@@ -120,12 +127,16 @@ def _simperf_point(point: SweepPoint) -> dict:
         output_tokens=OUTPUT_TOKENS,
     )
     start = time.perf_counter()
-    report = run_cluster(
-        sn40l_platform, library, requests, num_nodes=NUM_NODES,
-        policy=POLICY, node_policy=NODE_POLICY,
-        drain_mode=point["mode"], record_timeline=reference,
-        deadline_s=ADMIT_ALL_DEADLINE_S if admission else None,
-    )
+    if point["run"] == "steal":
+        report = serve(sn40l_platform, library, requests,
+                       ServeConfig(num_nodes=NUM_NODES))
+    else:
+        report = run_cluster(
+            sn40l_platform, library, requests, num_nodes=NUM_NODES,
+            policy=POLICY, node_policy=NODE_POLICY,
+            drain_mode=point["mode"], record_timeline=reference,
+            deadline_s=ADMIT_ALL_DEADLINE_S if admission else None,
+        )
     wall_s = time.perf_counter() - start
     return {
         "run": point["run"],
@@ -258,6 +269,22 @@ def test_admission_requests_per_sec_vs_committed_baseline(simperf_results,
     )
 
 
+def test_steal_default_requests_per_sec_vs_committed_baseline(
+        simperf_results, baseline):
+    """Gate on the steal path's per-event queries (memoized backlog
+    sums, steal pre-checks, the prefetch short-circuit): the
+    ``ServeConfig`` defaults run every one of them per event."""
+    point = simperf_results["steal_default"]
+    assert point["completed"] == point["requests"]
+    current = point["requests_per_s"]
+    committed = baseline["steal_requests_per_s"]
+    floor = BASELINE_RETENTION * committed
+    assert current >= floor, (
+        f"steal_default requests/sec regressed: {current:,.0f} < "
+        f"{floor:,.0f} (70% of committed {committed:,})"
+    )
+
+
 def test_emit_bench_json(simperf_results, baseline, pr6_baseline):
     payload = {
         "workload": {
@@ -288,6 +315,7 @@ def test_emit_bench_json(simperf_results, baseline, pr6_baseline):
             },
         },
         "admission": simperf_results["admission_columnar"],
+        "steal_default": simperf_results["steal_default"],
         "headline": {
             "batched": simperf_results["headline_batched"],
             "columnar": simperf_results["headline_columnar"],
@@ -296,6 +324,7 @@ def test_emit_bench_json(simperf_results, baseline, pr6_baseline):
             "batched_events_per_s": baseline["batched_events_per_s"],
             "columnar_events_per_s": baseline["columnar_events_per_s"],
             "admission_requests_per_s": baseline["admission_requests_per_s"],
+            "steal_requests_per_s": baseline["steal_requests_per_s"],
             "retention_floor": BASELINE_RETENTION,
             "pr6_fast_events_per_s": pr6_baseline["fast_events_per_s"],
             "columnar_acceptance_multiple": COLUMNAR_ACCEPTANCE_MULTIPLE,

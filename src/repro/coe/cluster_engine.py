@@ -579,9 +579,13 @@ class ClusterEngine:
     def _steal_into(self, node: _Node) -> bool:
         """Pull one queued group this node can serve off the deepest queue."""
         hosted = node.hosted
+        # A victim queueing none of this node's experts has nothing to
+        # steal; dropping it before the (stable) sort leaves the other
+        # victims in the same order.
         victims = sorted(
             (v for v in self.nodes
-             if v is not node and v.alive and v.engine.queue_depth >= 2),
+             if v is not node and v.alive and v.engine.queue_depth >= 2
+             and v.engine.has_queued(hosted)),
             key=lambda v: -v.engine.estimated_backlog_s(),
         )
         for victim in victims:
@@ -630,10 +634,8 @@ class ClusterEngine:
                 # Move roughly half the victim's queued groups of this
                 # expert; the owner keeps the rest so both replicas work.
                 move = max(1, counts[name] // 2)
-                for _ in range(move):
-                    group = victim.engine.steal(lambda e: e.name == name)
-                    if group is None:
-                        break
+                for group in victim.engine.steal_many(
+                        lambda e: e.name == name, move):
                     self.steals += 1
                     node.steals_in += 1
                     node.engine.submit(group)

@@ -50,8 +50,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter
 from typing import (
-    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    AbstractSet, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+    Union,
 )
 
 from repro.coe.cache import CachePolicyLike, LookaheadPolicy, PredictivePolicy
@@ -87,6 +90,9 @@ POLICIES = NodePolicy.values()
 #: simulator use the same tag, so back-to-back drains (e.g. every node's
 #: t=0 drain in a cluster) merge into a single batched handler call.
 DRAIN_EVENT_KIND = "coe-drain"
+
+_PHASE_KEY = attrgetter("phase_key")
+_EXPERT_NAME = attrgetter("expert.name")
 
 
 class EngineReentryError(RuntimeError):
@@ -423,6 +429,11 @@ class ServingEngine:
         #: Transient straggler multiplier (>= 1.0) applied to the phase
         #: times of every group *started* while it is raised.
         self.slow_factor = 1.0
+        #: phase_key -> :meth:`_group_exec_time` at ``_exec_memo_factor``;
+        #: :meth:`estimated_backlog_s` clears it when ``slow_factor``
+        #: has changed since it was filled.
+        self._exec_memo: Dict[Tuple[str, int, int, int], float] = {}
+        self._exec_memo_factor = 1.0
         #: Armed DDR->HBM copy failures: the next N demand copies fail
         #: once each and are retried on the DMA clock.
         self._copy_faults_armed = 0
@@ -479,11 +490,34 @@ class ServingEngine:
             counts[group.expert.name] = counts.get(group.expert.name, 0) + 1
         return counts
 
+    def has_queued(self, names: AbstractSet[str]) -> bool:
+        """Whether any queued group's expert is named in ``names``."""
+        return not names.isdisjoint(map(_EXPERT_NAME, self._queue))
+
     def estimated_backlog_s(self) -> float:
-        """Closed-form estimate of queued + in-flight work (routing cost)."""
+        """Closed-form estimate of queued + in-flight work (routing cost).
+
+        Each queued group's exec time comes from a memo keyed by its
+        ``phase_key`` at the current ``slow_factor``: the same floats
+        :meth:`_group_exec_time` returns, summed in the same order from
+        the same int 0, so the result is bitwise the fresh sum.
+        """
         now = self._sim.now if self._sim is not None else 0.0
         total = max(0.0, self._busy_until_s - now) if self._busy else 0.0
-        return total + sum(self._group_exec_time(g) for g in self._queue)
+        memo = self._exec_memo
+        if self._exec_memo_factor != self.slow_factor:
+            memo.clear()
+            self._exec_memo_factor = self.slow_factor
+        queue = self._queue
+        try:
+            queued = sum(map(memo.__getitem__, map(_PHASE_KEY, queue)))
+        except KeyError:
+            # A shape not yet seen at this factor: fill in, then re-sum.
+            for group in queue:
+                if group.phase_key not in memo:
+                    memo[group.phase_key] = self._group_exec_time(group)
+            queued = sum(map(memo.__getitem__, map(_PHASE_KEY, queue)))
+        return total + queued
 
     def submit(self, group: RequestGroup) -> None:
         """Enqueue one group; starts it immediately if the engine is idle."""
@@ -500,13 +534,29 @@ class ServingEngine:
         head is only up for grabs while the engine is busy executing —
         when idle, the head's begin event is already on the clock.
         """
+        taken = self.steal_many(wanted, 1)
+        return taken[0] if taken else None
+
+    def steal_many(
+        self, wanted: Callable[[ExpertProfile], bool], count: int
+    ) -> List[RequestGroup]:
+        """Remove and return up to ``count`` groups whose expert satisfies
+        ``wanted``: the groups, in the order, that ``count`` successive
+        :meth:`steal` calls would return, found in one tail-to-head pass.
+        """
+        queue = self._queue
         floor = 0 if self._busy else 1
-        for i in range(len(self._queue) - 1, floor - 1, -1):
-            if wanted(self._queue[i].expert):
-                group = self._queue[i]
-                del self._queue[i]
-                return group
-        return None
+        taken: List[int] = []
+        for i in range(len(queue) - 1, floor - 1, -1):
+            if len(taken) == count:
+                break
+            if wanted(queue[i].expert):
+                taken.append(i)
+        groups = [queue[i] for i in taken]
+        # Descending indices: each deletion leaves the later ones in place.
+        for i in taken:
+            del queue[i]
+        return groups
 
     def host(self, expert: ExpertProfile) -> None:
         """Add a replicated expert to this node's library."""
@@ -522,7 +572,7 @@ class ServingEngine:
         runtime = self.server.runtime
         if runtime.is_resident(expert):
             return self._sim.now
-        needed = {g.expert.name for g in list(self._queue)[:2]}
+        needed = {g.expert.name for g in islice(self._queue, 2)}
         if not needed.isdisjoint(runtime.would_evict(expert)):
             return None
         return self._demand_copy(expert, speculative=True)
@@ -878,13 +928,18 @@ class ServingEngine:
             # non-resident guess. A speculative copy may evict cold LRU
             # tails but must never displace the experts the pipeline
             # still needs (the one executing and the one up next).
-            protected = {nxt.name, protected_name}
-            guess = next(
-                (c for c in self._predictor.iter_candidates()
-                 if not runtime.is_resident(c)
-                 and protected.isdisjoint(runtime.would_evict(c))),
-                None,
-            )
+            # A guess must be non-resident: when every expert the
+            # predictor knows is resident there is none, so skip the
+            # ranking (iter_candidates and would_evict are pure).
+            guess = None
+            if not self._predictor.known_names <= runtime.resident_map.keys():
+                protected = {nxt.name, protected_name}
+                guess = next(
+                    (c for c in self._predictor.iter_candidates()
+                     if not runtime.is_resident(c)
+                     and protected.isdisjoint(runtime.would_evict(c))),
+                    None,
+                )
             if guess is not None:
                 event = runtime.activate(guess, span=False, speculative=True)
                 self._spec_open.append(

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from functools import cached_property
+from typing import Dict, Iterator, KeysView, List, Optional, Sequence
 
 from repro.coe.expert import ExpertProfile
 from repro.coe.policies import SchedulerName
@@ -177,29 +178,26 @@ class RequestGroup:
     def batch(self) -> int:
         return len(self.requests)
 
-    @property
+    @cached_property
     def phase_key(self) -> tuple:
         """Everything the group's phase times depend on, cached.
 
         Requests in a group may differ in lengths; the batch pads to the
         longest prompt and generation (standard static-batching cost).
-        Computed once per group — the serving engine keys its phase memo
-        on this from several hot paths (routing, admission, the drain
-        loop), and the max() scans over the requests dominate when
-        recomputed each time. The cache slot lives in ``__dict__`` only,
-        so the generated ``__eq__``/``__hash__``/``repr`` (fields only)
+        Computed once per group, on first read — the serving engine keys
+        its phase memo on this from several hot paths (routing,
+        admission, the drain loop, backlog estimates), and later reads
+        hit the instance ``__dict__``. Lazy because a group of plain
+        :class:`Request` objects has no token fields. The cached value
+        is not a field, so the generated ``__eq__``/``__hash__``/``repr``
         are unaffected.
         """
-        key = self.__dict__.get("_phase_key")
-        if key is None:
-            key = (
-                self.expert.name,
-                len(self.requests),
-                max(r.prompt_tokens for r in self.requests),
-                max(r.output_tokens for r in self.requests),
-            )
-            object.__setattr__(self, "_phase_key", key)
-        return key
+        return (
+            self.expert.name,
+            len(self.requests),
+            max(r.prompt_tokens for r in self.requests),
+            max(r.output_tokens for r in self.requests),
+        )
 
 
 def coalesce_groups(
@@ -428,6 +426,12 @@ class ExpertPredictor:
                     bucket = transitions[prev] = Counter()
                 bucket[nxt] += count
         self._prev = names[-1]
+
+    @property
+    def known_names(self) -> KeysView[str]:
+        """Names of every expert observed so far: the candidate set
+        :meth:`iter_candidates` ranks (a live read-only view)."""
+        return self._experts.keys()
 
     def _iter_ranked_names(self) -> Iterator[str]:
         """Yield expert names most-likely-next first, lazily.
