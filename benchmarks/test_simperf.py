@@ -26,7 +26,11 @@ semantics, with a recorded timeline) is several times slower. Emitted to ``BENCH
    admission fast paths the same way, on requests/sec. The
    ``steal_default`` point (``ServeConfig(num_nodes=8)`` defaults:
    overlap nodes, steal + online replication, traced, so the reference
-   drain) gates the steal path's per-event queries the same way.
+   drain) gates the steal path's per-event queries the same way. The
+   ``memwall`` point (one node at 0.5x HBM / 0.35x DDR with lookahead
+   eviction, expert reorder and pipelined NVMe promotions — the
+   constrained-memory headline) gates the tier-decision path (victim
+   ranking, DDR demotion planning, promotion pricing) the same way.
 
 The node policy is ``affinity``, not ``overlap``: overlap's prefetch
 decisions interleave with the queue, so the columnar drain falls back
@@ -67,6 +71,14 @@ SEED = 1234
 POLICY = "affinity"
 NODE_POLICY = "affinity"  # overlap would fall back to the batched drain
 
+#: The ``memwall`` point: one node serving a small library through a
+#: constrained hierarchy, with tier budgets as fractions of the library's
+#: working set (DDR clamped up to HBM: the hierarchy is inclusive).
+MEMWALL_EXPERTS = 40
+MEMWALL_REQUESTS = 20_000 if SMOKE else 200_000
+MEMWALL_HBM_FRAC = 0.5
+MEMWALL_DDR_FRAC = 0.35
+
 #: Columnar vs reference events/sec floor on the same grid. The
 #: original 10x bound dated from when the reference paid a quadratic
 #: per-route backlog scan at admission; the admission fast paths
@@ -93,6 +105,7 @@ POINTS = [
     {"run": "grid", "mode": "columnar"},
     {"run": "admission", "mode": "columnar"},
     {"run": "steal", "mode": "default"},
+    {"run": "memwall", "mode": "tiered"},
     {"run": "headline", "mode": "batched"},
     {"run": "headline", "mode": "columnar"},
 ]
@@ -101,6 +114,23 @@ POINTS = [
 #: the full admission arithmetic (route + backlog ETA + deadline
 #: verdict) for every group without shedding any work.
 ADMIT_ALL_DEADLINE_S = 1e9
+
+
+def _memwall_config(library) -> ServeConfig:
+    working_set = sum(e.weight_bytes for e in library.experts)
+    biggest = max(e.weight_bytes for e in library.experts)
+    hbm = max(int(MEMWALL_HBM_FRAC * working_set), biggest)
+    return ServeConfig(
+        policy="fifo",
+        cache_policy="lookahead",
+        scheduler="expert_reorder",
+        pipeline_promotions=True,
+        max_batch=4,
+        tier_capacities={
+            "hbm": hbm,
+            "ddr": max(int(MEMWALL_DDR_FRAC * working_set), hbm),
+        },
+    )
 
 
 def _simperf_point(point: SweepPoint) -> dict:
@@ -115,13 +145,17 @@ def _simperf_point(point: SweepPoint) -> dict:
     admission fast paths (single-owner routing, the memoized per-group
     exec estimate) specifically. The ``steal`` run serves the grid
     through ``repro.serve`` with the ``ServeConfig`` defaults, the
-    configuration users get with no flags.
+    configuration users get with no flags. The ``memwall`` run serves
+    one node through the constrained three-tier hierarchy.
     """
-    num_requests = (HEADLINE_REQUESTS if point["run"] == "headline"
-                    else GRID_REQUESTS)
+    num_requests = {"headline": HEADLINE_REQUESTS,
+                    "memwall": MEMWALL_REQUESTS}.get(point["run"],
+                                                     GRID_REQUESTS)
     reference = point["mode"] == "reference"
     admission = point["run"] == "admission"
-    library = build_samba_coe_library(NUM_EXPERTS)
+    library = build_samba_coe_library(
+        MEMWALL_EXPERTS if point["run"] == "memwall" else NUM_EXPERTS
+    )
     requests = zipf_request_stream(
         library, num_requests, alpha=ZIPF_ALPHA, seed=SEED,
         output_tokens=OUTPUT_TOKENS,
@@ -130,6 +164,9 @@ def _simperf_point(point: SweepPoint) -> dict:
     if point["run"] == "steal":
         report = serve(sn40l_platform, library, requests,
                        ServeConfig(num_nodes=NUM_NODES))
+    elif point["run"] == "memwall":
+        report = serve(sn40l_platform, library, requests,
+                       _memwall_config(library))
     else:
         report = run_cluster(
             sn40l_platform, library, requests, num_nodes=NUM_NODES,
@@ -148,7 +185,8 @@ def _simperf_point(point: SweepPoint) -> dict:
         "requests_per_s": num_requests / wall_s if wall_s > 0 else 0.0,
         "makespan_s": report.makespan_s,
         "tokens_per_second": report.tokens_per_second,
-        "completed": report.requests - report.rejected,
+        # A single-node EngineReport has no admission, so nothing is shed.
+        "completed": report.requests - getattr(report, "rejected", 0),
     }
 
 
@@ -285,6 +323,23 @@ def test_steal_default_requests_per_sec_vs_committed_baseline(
     )
 
 
+def test_memwall_requests_per_sec_vs_committed_baseline(
+        simperf_results, baseline):
+    """Gate on the tier-decision path: every miss ranks victims by
+    backlog distance and every promotion plans DDR demotions, so a
+    regression in the lookahead scan, expert sizing or promotion
+    pricing shows up here."""
+    point = simperf_results["memwall_tiered"]
+    assert point["completed"] == point["requests"]
+    current = point["requests_per_s"]
+    committed = baseline["memwall_requests_per_s"]
+    floor = BASELINE_RETENTION * committed
+    assert current >= floor, (
+        f"memwall requests/sec regressed: {current:,.0f} < "
+        f"{floor:,.0f} (70% of committed {committed:,})"
+    )
+
+
 def test_emit_bench_json(simperf_results, baseline, pr6_baseline):
     payload = {
         "workload": {
@@ -292,6 +347,8 @@ def test_emit_bench_json(simperf_results, baseline, pr6_baseline):
             "nodes": NUM_NODES,
             "grid_requests": GRID_REQUESTS,
             "headline_requests": HEADLINE_REQUESTS,
+            "memwall_experts": MEMWALL_EXPERTS,
+            "memwall_requests": MEMWALL_REQUESTS,
             "output_tokens": OUTPUT_TOKENS,
             "zipf_alpha": ZIPF_ALPHA,
             "seed": SEED,
@@ -316,6 +373,7 @@ def test_emit_bench_json(simperf_results, baseline, pr6_baseline):
         },
         "admission": simperf_results["admission_columnar"],
         "steal_default": simperf_results["steal_default"],
+        "memwall": simperf_results["memwall_tiered"],
         "headline": {
             "batched": simperf_results["headline_batched"],
             "columnar": simperf_results["headline_columnar"],
@@ -325,6 +383,7 @@ def test_emit_bench_json(simperf_results, baseline, pr6_baseline):
             "columnar_events_per_s": baseline["columnar_events_per_s"],
             "admission_requests_per_s": baseline["admission_requests_per_s"],
             "steal_requests_per_s": baseline["steal_requests_per_s"],
+            "memwall_requests_per_s": baseline["memwall_requests_per_s"],
             "retention_floor": BASELINE_RETENTION,
             "pr6_fast_events_per_s": pr6_baseline["fast_events_per_s"],
             "columnar_acceptance_multiple": COLUMNAR_ACCEPTANCE_MULTIPLE,

@@ -46,7 +46,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from itertools import islice
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional,
+    Sequence, Union,
+)
 
 from repro.coe.expert import ExpertProfile
 from repro.coe.policies import CachePolicyName
@@ -350,14 +354,23 @@ class LookaheadPolicy(CachePolicy):
         if horizon <= 0:
             raise ValueError(f"lookahead horizon must be positive: {horizon}")
         self.horizon = horizon
-        self._backlog: Optional[Callable[[], Sequence[str]]] = None
+        self._backlog: Optional[Callable[[], Iterable[str]]] = None
+        #: The most recent ranking and its first-use distances, which
+        #: :meth:`why` reads back for the residents that ranking ranked.
+        self._ranked: List[str] = []
+        self._ranked_distances: Dict[str, int] = {}
 
-    def bind_backlog(self, supplier: Callable[[], Sequence[str]]) -> None:
-        """Attach the engine's backlog view: a zero-arg callable yielding
-        upcoming expert names in scheduled order (soonest first)."""
+    def bind_backlog(self, supplier: Callable[[], Iterable[str]]) -> None:
+        """Attach the engine's backlog view: a zero-arg callable returning
+        an iterable (typically a fresh iterator) of upcoming expert names
+        in scheduled order (soonest first)."""
         self._backlog = supplier
 
-    def _distances(self) -> Dict[str, int]:
+    def _distances(self, wanted: Iterable[str]) -> Dict[str, int]:
+        """Backlog index of the first use of each ``wanted`` name within
+        the horizon, in first-use order. The scan stops as soon as every
+        wanted name has been seen: later entries cannot change a
+        first-use distance."""
         if self._backlog is None:
             raise LookaheadUnboundError(
                 "the lookahead policy needs a scheduler backlog: serving "
@@ -365,27 +378,42 @@ class LookaheadPolicy(CachePolicy):
                 "CoERuntime cannot rank victims by next-use distance"
             )
         distances: Dict[str, int] = {}
-        for index, name in enumerate(self._backlog()):
-            if index >= self.horizon:
-                break
-            if name not in distances:
+        pending = set(wanted)
+        if not pending:
+            return distances
+        for index, name in enumerate(islice(self._backlog(), self.horizon)):
+            if name in pending:
+                pending.remove(name)
                 distances[name] = index
+                if not pending:
+                    break
         return distances
 
     def eviction_order(self, resident: Mapping[str, ExpertProfile]) -> List[str]:
-        distances = self._distances()
-        beyond = self.horizon + 1
-        return sorted(
-            resident,
-            key=lambda n: (
-                -distances.get(n, beyond), self._recency(n), n
-            ),
+        # Residents unused within the horizon lead, least-recent first;
+        # the rest follow farthest-first, which is the reverse of the
+        # order the scan found them in (their distances are distinct).
+        distances = self._distances(resident)
+        last_access = self._last_access
+        order = sorted(
+            (n for n in resident if n not in distances),
+            key=lambda n: (last_access.get(n, 0), n),
         )
+        order += reversed(distances)
+        self._ranked = order
+        self._ranked_distances = distances
+        return order
 
     def why(self, name: str) -> str:
+        """Explains ``name``'s place in the most recent ranking when that
+        ranking included it (the runtime asks right after ranking, before
+        the backlog can move); otherwise scans the backlog afresh."""
         if self._backlog is None:
             return "lookahead: no backlog bound"
-        distance = self._distances().get(name)
+        if name in self._ranked:
+            distance = self._ranked_distances.get(name)
+        else:
+            distance = self._distances((name,)).get(name)
         if distance is None:
             return f"lookahead: unused within horizon {self.horizon}"
         return f"lookahead: next use {distance} groups ahead"

@@ -352,7 +352,7 @@ class ServingEngine:
         self._lookahead = isinstance(runtime_policy, LookaheadPolicy)
         if self._lookahead:
             runtime_policy.bind_backlog(
-                lambda: (g.expert.name for g in self._queue)
+                lambda: map(_EXPERT_NAME, self._queue)
             )
         self.cache_policy = runtime_policy.name
         #: Whether the CoServe-style promotion pipeline is live: it needs

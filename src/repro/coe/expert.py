@@ -49,10 +49,14 @@ class ExpertProfile:
                 f"{self.name}: mutable_fraction must be in [0,1], "
                 f"got {self.mutable_fraction}"
             )
+        # Sized once: the model is frozen, and the cache, tier and cost
+        # paths read this on every decision. Set here rather than lazily
+        # so every profile's instance dict keeps the same key layout.
+        object.__setattr__(self, "_weight_bytes", self.model.weight_bytes)
 
     @property
     def weight_bytes(self) -> int:
-        return self.model.weight_bytes
+        return self._weight_bytes
 
     @property
     def copyback_bytes(self) -> int:

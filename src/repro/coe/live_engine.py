@@ -50,6 +50,7 @@ from repro.coe.cache import LookaheadPolicy, PredictivePolicy
 from repro.coe.decisions import DecisionLog
 from repro.coe.dispatch import admission_eta, choose_node, deadline_admits
 from repro.coe.engine import (
+    _EXPERT_NAME,
     CompletedRequest,
     EngineRequest,
     group_phase_times,
@@ -341,7 +342,7 @@ class LiveEngine:
                 # lookahead policy, so eviction decisions stay
                 # byte-identical across backends.
                 runtime_policy.bind_backlog(
-                    lambda n=node: (g.expert.name for g in n.pending)
+                    lambda n=node: map(_EXPERT_NAME, n.pending)
                 )
             if decision_log is not None:
                 server.runtime.attach_decisions(decision_log, node.name)

@@ -21,7 +21,7 @@ derives its hidden-switch fraction instead of keeping ad-hoc counters.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -188,20 +188,54 @@ class Timeline:
     ) -> float:
         """Total time both lanes are simultaneously occupied.
 
-        Two-pointer sweep over the (disjoint, sorted) interval lists;
-        O(n + m). This is the primitive behind every hidden-time stat.
+        A two-pointer sweep over the (disjoint, sorted) interval lists
+        that bisects a lagging pointer past every span ending before the
+        other lane's current span starts, so the cost follows the shorter
+        lane and the overlapping pairs, not the longer lane. Skipped pairs
+        are exactly the zero terms the plain sweep would add, so the sum
+        is bitwise the same. This is the primitive behind every
+        hidden-time stat.
         """
-        a = self.spans(lane_a, category_a)
-        b = self.spans(lane_b, category_b)
+        a, a_starts = self._indexed(lane_a, category_a)
+        b, b_starts = self._indexed(lane_b, category_b)
         total = 0.0
         i = j = 0
         while i < len(a) and j < len(b):
-            total += a[i].overlap_s(b[j])
-            if a[i].end_s <= b[j].end_s:
-                i += 1
+            x, y = a[i], b[j]
+            if x.end_s <= y.start_s:
+                i = max(i + 1, bisect_left(
+                    a_starts, self._skip_below(y.start_s), i + 1) - 1)
+            elif y.end_s < x.start_s:
+                j = max(j + 1, bisect_left(
+                    b_starts, self._skip_below(x.start_s), j + 1) - 1)
             else:
-                j += 1
+                total += x.overlap_s(y)
+                if x.end_s <= y.end_s:
+                    i += 1
+                else:
+                    j += 1
         return total
+
+    def _indexed(
+        self, lane: str, category: Optional[str]
+    ) -> Tuple[List[Span], List[float]]:
+        """A lane's spans (optionally filtered) and their start times."""
+        spans = self._lanes.get(lane, [])
+        if category is None:
+            return spans, self._starts.get(lane, [])
+        spans = [s for s in spans if s.category == category]
+        return spans, [s.start_s for s in spans]
+
+    def _skip_below(self, t: float) -> float:
+        """A start-time bound: a span whose lane successor starts below it
+        ends strictly before ``t``.
+
+        record() lets a span end at most ``tolerance_s`` past its
+        successor's start (plus rounding in that check), so the bound
+        sits one tolerance and a relative margin far wider than any
+        rounding error below ``t``.
+        """
+        return t - self.tolerance_s - 1e-9 * (abs(t) + self.tolerance_s)
 
     def hidden_fraction(self, lane: str, behind_lane: str) -> float:
         """Fraction of ``lane``'s busy time overlapped by ``behind_lane``.

@@ -1,9 +1,17 @@
 """Expert library."""
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.coe.expert import ExpertLibrary, ExpertProfile, build_samba_coe_library
-from repro.models.catalog import LLAMA2_7B
+from repro.coe.expert import (
+    ExpertLibrary,
+    ExpertProfile,
+    build_heterogeneous_library,
+    build_samba_coe_library,
+)
+from repro.models.catalog import CATALOG, LLAMA2_7B, LLAMA2_13B
 
 
 class TestExpertProfile:
@@ -18,6 +26,49 @@ class TestExpertProfile:
     def test_bad_mutable_fraction_rejected(self):
         with pytest.raises(ValueError):
             ExpertProfile("e0", "code", mutable_fraction=1.5)
+
+
+class TestSizedOnce:
+    """``weight_bytes`` is computed at construction; nothing else about
+    the profile may change with it."""
+
+    @pytest.mark.parametrize("model", sorted(CATALOG))
+    def test_weight_bytes_match_every_catalog_model(self, model):
+        config = CATALOG[model]
+        assert ExpertProfile("e", "code", model=config).weight_bytes == (
+            config.weight_bytes
+        )
+
+    def test_weight_bytes_match_heterogeneous_library(self):
+        library = build_heterogeneous_library()
+        assert len({e.model for e in library.experts}) == 3
+        for expert in library.experts:
+            assert expert.weight_bytes == expert.model.weight_bytes
+
+    def test_eq_hash_repr_see_fields_only(self):
+        a = ExpertProfile("e0", "code")
+        b = ExpertProfile("e0", "code")
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == (
+            f"ExpertProfile(name='e0', domain='code', model={LLAMA2_7B!r}, "
+            "mutable_fraction=0.02)"
+        )
+        assert a != ExpertProfile("e0", "code", model=LLAMA2_13B)
+
+    def test_replace_resizes(self):
+        big = dataclasses.replace(ExpertProfile("e0", "code"), model=LLAMA2_13B)
+        assert big.weight_bytes == LLAMA2_13B.weight_bytes
+        assert big == ExpertProfile("e0", "code", model=LLAMA2_13B)
+
+    def test_pickle_round_trip(self):
+        expert = ExpertProfile("e0", "code", model=LLAMA2_13B)
+        clone = pickle.loads(pickle.dumps(expert))
+        assert clone == expert and hash(clone) == hash(expert)
+        assert clone.weight_bytes == LLAMA2_13B.weight_bytes
+
+    def test_still_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExpertProfile("e0", "code").name = "e1"
 
 
 class TestSambaCoELibrary:
