@@ -17,32 +17,50 @@ Invariants, enforced at record time:
 Concurrency lives *across* lanes, which is exactly what the overlap
 queries measure: :meth:`Timeline.overlap_s` is how the serving engine
 derives its hidden-switch fraction instead of keeping ad-hoc counters.
+
+Recording is the hot path (one call per simulated phase), so a lane
+stores its spans as parallel columns — names, categories, starts, ends,
+args — and the numeric queries read the float columns directly.
+:class:`Span` records are built only when a caller asks for spans.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from functools import partial
+from itertools import chain, compress, repeat
+from operator import eq, itemgetter, sub
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+
+_new_tuple = tuple.__new__
+_NO_ARGS: Mapping = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class Span:
-    """One named interval on one lane of a timeline."""
-
+class _SpanFields(NamedTuple):
     name: str
     lane: str
     category: str
     start_s: float
     end_s: float
     #: Free-form annotations (bytes copied, batch size, counter deltas...).
-    args: Mapping = field(default_factory=dict)
+    args: Mapping = _NO_ARGS
 
-    def __post_init__(self) -> None:
-        if self.end_s < self.start_s:
-            raise ValueError(
-                f"span {self.name!r}: end {self.end_s} < start {self.start_s}"
-            )
+
+class Span(_SpanFields):
+    """One named interval on one lane of a timeline.
+
+    An immutable tuple record: a timeline stores its spans as per-lane
+    columns and builds these only when a query or export asks for them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, lane: str, category: str, start_s: float,
+                end_s: float, args: Mapping = _NO_ARGS) -> "Span":
+        if end_s < start_s:
+            raise ValueError(f"span {name!r}: end {end_s} < start {start_s}")
+        return _new_tuple(cls, (name, lane, category, start_s, end_s, args))
 
     @property
     def duration_s(self) -> float:
@@ -53,6 +71,20 @@ class Span:
         return max(
             0.0, min(self.end_s, other.end_s) - max(self.start_s, other.start_s)
         )
+
+
+class _Lane(NamedTuple):
+    """One lane's spans as parallel columns, sorted by start time."""
+
+    names: List[str]
+    categories: List[str]
+    starts: List[float]
+    ends: List[float]
+    args: List[Dict]
+
+
+_as_span = partial(_new_tuple, Span)
+_START_END = itemgetter(3, 4)
 
 
 class Timeline:
@@ -66,12 +98,9 @@ class Timeline:
         if tolerance_s < 0:
             raise ValueError(f"negative tolerance: {tolerance_s}")
         self.tolerance_s = tolerance_s
-        #: lane -> spans sorted by start time (disjoint by invariant).
-        self._lanes: "Dict[str, List[Span]]" = {}
-        #: lane -> start times, parallel to ``_lanes``: the bisect key
-        #: for record(), maintained incrementally so recording N spans
-        #: is O(N log N + inserts), not O(N^2) key-list rebuilds.
-        self._starts: "Dict[str, List[float]]" = {}
+        #: lane -> its spans' columns, sorted by start (disjoint by
+        #: invariant). A lane exists only once a span landed on it.
+        self._lanes: "Dict[str, _Lane]" = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -85,37 +114,54 @@ class Timeline:
         end_s: float,
         args: Optional[Mapping] = None,
     ) -> Span:
-        """Record one span; raises if it overlaps its lane's spans."""
-        span = Span(
-            name=name,
-            lane=lane,
-            category=category,
-            start_s=start_s,
-            end_s=end_s,
-            args=dict(args or {}),
+        """Record one span; raises if it overlaps its lane's spans.
+
+        Spans mostly arrive in start order, so the common case appends
+        to the lane's columns; an earlier start bisects into them.
+        Nothing is stored until every check has passed.
+        """
+        if end_s < start_s:
+            raise ValueError(f"span {name!r}: end {end_s} < start {start_s}")
+        args = dict(args or {})
+        columns = self._lanes.get(lane)
+        if columns is None:
+            self._lanes[lane] = _Lane(
+                [name], [category], [start_s], [end_s], [args]
+            )
+        else:
+            names, categories, starts, ends, lane_args = columns
+            tolerance = self.tolerance_s
+            if start_s >= starts[-1]:
+                if start_s < ends[-1] - tolerance:
+                    raise self._overlap(lane, name, start_s, end_s, -1)
+                names.append(name)
+                categories.append(category)
+                starts.append(start_s)
+                ends.append(end_s)
+                lane_args.append(args)
+            else:
+                index = bisect_right(starts, start_s)
+                if index > 0 and start_s < ends[index - 1] - tolerance:
+                    raise self._overlap(lane, name, start_s, end_s, index - 1)
+                # index == len(starts) only for a NaN start.
+                if index < len(starts) and end_s > starts[index] + tolerance:
+                    raise self._overlap(lane, name, start_s, end_s, index)
+                names.insert(index, name)
+                categories.insert(index, category)
+                starts.insert(index, start_s)
+                ends.insert(index, end_s)
+                lane_args.insert(index, args)
+        return _as_span((name, lane, category, start_s, end_s, args))
+
+    def _overlap(self, lane: str, name: str, start_s: float, end_s: float,
+                 index: int) -> ValueError:
+        """The error for a span overlapping the lane's ``index``-th span."""
+        columns = self._lanes[lane]
+        return ValueError(
+            f"lane {lane!r}: span {name!r} [{start_s}, {end_s}] overlaps "
+            f"{columns.names[index]!r} "
+            f"[{columns.starts[index]}, {columns.ends[index]}]"
         )
-        spans = self._lanes.setdefault(lane, [])
-        starts = self._starts.setdefault(lane, [])
-        index = bisect_right(starts, span.start_s)
-        if index > 0:
-            prev = spans[index - 1]
-            if span.start_s < prev.end_s - self.tolerance_s:
-                raise ValueError(
-                    f"lane {lane!r}: span {span.name!r} "
-                    f"[{span.start_s}, {span.end_s}] overlaps "
-                    f"{prev.name!r} [{prev.start_s}, {prev.end_s}]"
-                )
-        if index < len(spans):
-            nxt = spans[index]
-            if span.end_s > nxt.start_s + self.tolerance_s:
-                raise ValueError(
-                    f"lane {lane!r}: span {span.name!r} "
-                    f"[{span.start_s}, {span.end_s}] overlaps "
-                    f"{nxt.name!r} [{nxt.start_s}, {nxt.end_s}]"
-                )
-        spans.insert(index, span)
-        starts.insert(index, span.start_s)
-        return span
 
     # ------------------------------------------------------------------
     # Introspection
@@ -128,20 +174,23 @@ class Timeline:
     def spans(
         self, lane: Optional[str] = None, category: Optional[str] = None
     ) -> List[Span]:
-        """Spans (optionally filtered), sorted by start time."""
+        """Spans (optionally filtered), sorted by start time.
+
+        Across lanes the order is by (start, end), ties in lane order.
+        """
         if lane is not None:
-            selected = list(self._lanes.get(lane, ()))
-        else:
-            selected = sorted(
-                (s for spans in self._lanes.values() for s in spans),
-                key=lambda s: (s.start_s, s.end_s),
-            )
-        if category is not None:
-            selected = [s for s in selected if s.category == category]
+            columns = self._lanes.get(lane)
+            return [] if columns is None else _lane_spans(
+                lane, columns, category)
+        selected = [
+            span for name, columns in self._lanes.items()
+            for span in _lane_spans(name, columns, category)
+        ]
+        selected.sort(key=_START_END)
         return selected
 
     def __len__(self) -> int:
-        return sum(len(spans) for spans in self._lanes.values())
+        return sum(len(columns.starts) for columns in self._lanes.values())
 
     def __iter__(self) -> Iterator[Span]:
         return iter(self.spans())
@@ -151,15 +200,14 @@ class Timeline:
         """Earliest span start (0.0 when empty)."""
         if not self._lanes:
             return 0.0
-        return min(spans[0].start_s for spans in self._lanes.values() if spans)
+        return min(columns.starts[0] for columns in self._lanes.values())
 
     @property
     def end_s(self) -> float:
         """Latest span end (0.0 when empty)."""
-        if not self._lanes:
-            return 0.0
         return max(
-            (s.end_s for spans in self._lanes.values() for s in spans),
+            chain.from_iterable(
+                columns.ends for columns in self._lanes.values()),
             default=0.0,
         )
 
@@ -171,8 +219,10 @@ class Timeline:
     # Queries
     # ------------------------------------------------------------------
     def busy_s(self, lane: str, category: Optional[str] = None) -> float:
-        """Total occupied time on a lane (spans are disjoint, so a sum)."""
-        return sum(s.duration_s for s in self.spans(lane, category))
+        """Total occupied time on a lane (spans are disjoint, so a sum
+        of durations in start order)."""
+        starts, ends = self._indexed(lane, category)
+        return sum(map(sub, ends, starts))
 
     def busy_fraction(self, lane: str) -> float:
         """Occupied fraction of the whole timeline's duration."""
@@ -196,21 +246,22 @@ class Timeline:
         is bitwise the same. This is the primitive behind every
         hidden-time stat.
         """
-        a, a_starts = self._indexed(lane_a, category_a)
-        b, b_starts = self._indexed(lane_b, category_b)
+        a_starts, a_ends = self._indexed(lane_a, category_a)
+        b_starts, b_ends = self._indexed(lane_b, category_b)
         total = 0.0
         i = j = 0
-        while i < len(a) and j < len(b):
-            x, y = a[i], b[j]
-            if x.end_s <= y.start_s:
+        while i < len(a_starts) and j < len(b_starts):
+            x_start, x_end = a_starts[i], a_ends[i]
+            y_start, y_end = b_starts[j], b_ends[j]
+            if x_end <= y_start:
                 i = max(i + 1, bisect_left(
-                    a_starts, self._skip_below(y.start_s), i + 1) - 1)
-            elif y.end_s < x.start_s:
+                    a_starts, self._skip_below(y_start), i + 1) - 1)
+            elif y_end < x_start:
                 j = max(j + 1, bisect_left(
-                    b_starts, self._skip_below(x.start_s), j + 1) - 1)
+                    b_starts, self._skip_below(x_start), j + 1) - 1)
             else:
-                total += x.overlap_s(y)
-                if x.end_s <= y.end_s:
+                total += max(0.0, min(x_end, y_end) - max(x_start, y_start))
+                if x_end <= y_end:
                     i += 1
                 else:
                     j += 1
@@ -218,13 +269,16 @@ class Timeline:
 
     def _indexed(
         self, lane: str, category: Optional[str]
-    ) -> Tuple[List[Span], List[float]]:
-        """A lane's spans (optionally filtered) and their start times."""
-        spans = self._lanes.get(lane, [])
+    ) -> Tuple[List[float], List[float]]:
+        """A lane's start and end columns (optionally filtered)."""
+        columns = self._lanes.get(lane)
+        if columns is None:
+            return [], []
         if category is None:
-            return spans, self._starts.get(lane, [])
-        spans = [s for s in spans if s.category == category]
-        return spans, [s.start_s for s in spans]
+            return columns.starts, columns.ends
+        keep = list(map(eq, columns.categories, repeat(category)))
+        return (list(compress(columns.starts, keep)),
+                list(compress(columns.ends, keep)))
 
     def _skip_below(self, t: float) -> float:
         """A start-time bound: a span whose lane successor starts below it
@@ -248,9 +302,20 @@ class Timeline:
 
     def gaps(self, lane: str) -> List[Tuple[float, float]]:
         """Idle intervals between consecutive spans of one lane."""
-        spans = self.spans(lane)
+        starts, ends = self._indexed(lane, None)
         return [
-            (prev.end_s, nxt.start_s)
-            for prev, nxt in zip(spans, spans[1:])
-            if nxt.start_s > prev.end_s
+            (end, start)
+            for end, start in zip(ends, starts[1:])
+            if start > end
         ]
+
+
+def _lane_spans(
+    lane: str, columns: _Lane, category: Optional[str]
+) -> List[Span]:
+    """One lane's spans, built from its columns in start order."""
+    rows = zip(columns.names, repeat(lane), columns.categories,
+               columns.starts, columns.ends, columns.args)
+    if category is not None:
+        rows = compress(rows, map(eq, columns.categories, repeat(category)))
+    return list(map(_as_span, rows))

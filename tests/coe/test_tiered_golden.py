@@ -12,6 +12,10 @@ Each covers:
   carry the eviction victims, their ``evicted_why`` reasons and the DDR
   demotions.
 
+A second digest per setup pins the whole recorded timeline, every lane
+and category included (see
+:func:`tests.coe.test_steal_golden.timeline_digest`).
+
 Two setups are pinned: the constrained-memory headline on one node
 (lookahead eviction + expert reorder + pipelined NVMe promotions at 0.5x
 HBM / 0.35x DDR, traced) and a 4-node ``steal`` cluster with lookahead
@@ -27,6 +31,7 @@ from repro.coe.decisions import DecisionLog
 from repro.coe.engine import zipf_request_stream
 from repro.coe.expert import build_samba_coe_library
 from repro.systems.platforms import sn40l_platform
+from tests.coe.test_steal_golden import timeline_digest
 
 SEED = 11
 
@@ -54,15 +59,17 @@ def _steal_config(library):
 
 
 #: name -> (experts, requests, config builder, report field the setup
-#: must exercise, sha256 of the run).
+#: must exercise, sha256 of the run, sha256 of its whole timeline).
 GOLDEN = {
     "memwall_1node": (
         40, 4_000, _memwall_config, "pipelined_promotions",
         "5ca8d9b0a69571d83113235d0c7041307f315f0c9c051a0abca48fd24ea332bf",
+        "b163f8dc1143eccfb1607343193eb1d455cb8e797aa56f6dec49478f2ad35a37",
     ),
     "steal_4node": (
         48, 3_000, _steal_config, "steals",
         "007042aa4db64e2a8da4f9758118343d76d680b0f175c25b4f39ced218dabb6c",
+        "2f39aa923b71fd0e7fc9b045764ff3222760c8d8302a21d5ee0e583e5a326073",
     ),
 }
 
@@ -98,7 +105,9 @@ def run_digest(num_experts, num_requests, make_config):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_tiered_decision_digest(name):
-    num_experts, num_requests, make_config, exercised, digest = GOLDEN[name]
+    (num_experts, num_requests, make_config, exercised, digest,
+     spans_digest) = GOLDEN[name]
     got, report = run_digest(num_experts, num_requests, make_config)
     assert getattr(report, exercised) > 0
     assert got == digest
+    assert timeline_digest(report.timeline) == spans_digest

@@ -14,6 +14,21 @@ class TestSpan:
         span = Span("x", "lane", "cat", start_s=1.0, end_s=1.0)
         assert span.duration_s == 0.0
 
+    def test_record_returns_the_span(self):
+        timeline = Timeline()
+        args = {"bytes": 8}
+        span = timeline.record("x", "l", "c", 1.0, 3.0, args)
+        assert span == Span("x", "l", "c", 1.0, 3.0, {"bytes": 8})
+        assert span.duration_s == 2.0
+        args["bytes"] = 9  # the timeline copied the args at record time
+        assert timeline.spans("l")[0].args == {"bytes": 8}
+
+    def test_span_is_immutable(self):
+        span = Span("x", "lane", "cat", 0.0, 1.0)
+        with pytest.raises(AttributeError):
+            span.end_s = 2.0
+        assert dict(span.args) == {}
+
     def test_overlap_between_spans(self):
         a = Span("a", "l", "c", 0.0, 2.0)
         b = Span("b", "m", "c", 1.0, 3.0)
@@ -58,6 +73,45 @@ class TestLaneInvariants:
         timeline.record("a", "l", "c", 0.0, 1.0)
         timeline.record("b", "l", "c", 1.0 - 1e-10, 2.0)
         assert len(timeline) == 2
+
+
+class TestRejectedRecord:
+    """A rejected record leaves the timeline exactly as it was: no span,
+    no new (empty) lane, and the bounds queries still work."""
+
+    @pytest.fixture()
+    def timeline(self):
+        t = Timeline()
+        t.record("a", "dma", "copy", 1.0, 2.0)
+        t.record("b", "dma", "copy", 4.0, 5.0)
+        return t
+
+    @pytest.mark.parametrize("lane, start, end", [
+        ("dma", 1.5, 3.0),    # overlaps its predecessor, mid-lane
+        ("dma", 3.0, 4.5),    # overlaps its successor, mid-lane
+        ("dma", 4.5, 6.0),    # overlaps the last span (the append path)
+        ("dma", 0.0, 10.0),   # contains both
+        ("dma", 6.0, 5.5),    # ends before it starts, existing lane
+        ("new", 6.0, 5.5),    # ends before it starts, new lane
+    ])
+    def test_timeline_unchanged(self, timeline, lane, start, end):
+        before = timeline.spans()
+        with pytest.raises(ValueError):
+            timeline.record("bad", lane, "copy", start, end)
+        assert len(timeline) == 2
+        assert timeline.lanes == ["dma"]
+        assert timeline.spans() == before
+        assert (timeline.start_s, timeline.end_s) == (1.0, 5.0)
+        assert timeline.spans("new") == []
+        assert timeline.busy_s("dma") == 2.0
+
+    def test_rejected_first_span_creates_no_lane(self):
+        timeline = Timeline()
+        with pytest.raises(ValueError):
+            timeline.record("bad", "l", "c", 1.0, 0.0)
+        assert timeline.lanes == []
+        assert len(timeline) == 0
+        assert (timeline.start_s, timeline.end_s) == (0.0, 0.0)
 
 
 class TestQueries:
