@@ -91,6 +91,7 @@ from repro.coe.scheduling import (
     SchedulerLike,
     affinity_schedule,
     coalesce_groups,
+    distinct_shapes,
     make_scheduler,
 )
 from repro.obs import Timeline
@@ -521,17 +522,16 @@ class ClusterEngine:
         """
         node = self._route(group)
         decisions = self._decisions
-        # The per-group exec estimate is the same memoized float for the
-        # deadline ETA and the admission-backlog increment; compute it
-        # lazily and at most once per dispatch (it used to be evaluated
-        # twice, dominating the admission profile alongside routing).
+        # The deadline ETA and the admission-backlog increment price the
+        # group with the same float, read from the node engine's
+        # exec-time memo at most once per dispatch.
         exec_s: Optional[float] = None
         label = (
             f"{group.expert.name}x{group.batch}"
             if decisions is not None else ""
         )
         if self.deadline_s is not None:
-            exec_s = node.engine._group_exec_time(group)
+            exec_s = node.engine._memo_exec_time(group)
             eta = admission_eta(now, self._backlog_s(node), exec_s)
             admitted = deadline_admits(eta, self.deadline_s)
             if decisions is not None:
@@ -550,7 +550,7 @@ class ClusterEngine:
         node.engine.submit(group)
         if self._admission_backlog is not None:
             if exec_s is None:
-                exec_s = node.engine._group_exec_time(group)
+                exec_s = node.engine._memo_exec_time(group)
             self._admission_backlog[node.index] += exec_s
         return True
 
@@ -834,12 +834,15 @@ class ClusterEngine:
         # hosts), and track the admission backlog incrementally; both
         # turn admission from the sweep's dominant cost (a fresh
         # O(queue) sum per routed group) into a linear pass, with
-        # bitwise-identical routing decisions.
+        # bitwise-identical routing decisions. The precompute needs one
+        # group per distinct phase_key (keys in first-seen order), so
+        # the backlog is walked once, not once per node.
         if self._fast_admission:
+            shapes = distinct_shapes(admit)
             for node in self.nodes:
                 hosted = node.hosted
                 node.engine.precompute_phases(
-                    [g for g in admit if g.expert.name in hosted]
+                    [g for key, g in shapes.items() if key[0] in hosted]
                 )
             self._admission_backlog = {n.index: 0.0 for n in self.nodes}
         try:

@@ -43,6 +43,8 @@ float64 arrays is elementwise-bitwise-equal to the scalar property).
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import Iterator, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -59,6 +61,14 @@ __all__ = [
     "lower_queue",
     "token_total",
 ]
+
+_PHASE_KEY = attrgetter("phase_key")
+_EXPERT = attrgetter("expert")
+_REQUESTS = attrgetter("requests")
+_NAME = attrgetter("name")
+_REQUEST_ID = attrgetter("request_id")
+_ARRIVAL = attrgetter("arrival_s")
+_OUTPUT_TOKENS = attrgetter("output_tokens")
 
 
 def _completed_request_type():
@@ -231,21 +241,25 @@ class GroupColumns:
     """A queued backlog, lowered to parallel arrays (one row per group)."""
 
     __slots__ = (
-        "groups", "experts", "names", "phases", "flat", "sizes", "offsets",
-        "req_ids", "arrivals", "tokens",
+        "groups", "experts", "names", "table", "rows", "flat", "sizes",
+        "offsets", "req_ids", "arrivals", "tokens",
     )
 
-    def __init__(self, groups, experts, names, phases, flat, sizes, offsets,
-                 req_ids, arrivals, tokens):
+    def __init__(self, groups, experts, names, table, rows, flat, sizes,
+                 offsets, req_ids, arrivals, tokens):
         self.groups = groups
         self.experts = experts
         self.names = names
-        #: Python-float phase triples — the decision path computes its
-        #: timestamps from these in pure Python so no ``np.float64``
-        #: ever leaks into engine state or completion records.
-        self.phases = phases
-        #: The same triples as an (n, 3) float64 array (exact values:
-        #: float -> float64 is an identity conversion) for the cumsum.
+        #: Python-float phase triples, one per distinct shape — the
+        #: decision path computes its timestamps from ``table[rows[i]]``
+        #: in pure Python so no ``np.float64`` ever leaks into engine
+        #: state or completion records.
+        self.table = table
+        #: Group ``i``'s row of :attr:`table`.
+        self.rows = rows
+        #: Every group's triple as an (n, 3) float64 array (exact
+        #: values: float -> float64 is an identity conversion) for the
+        #: cumsum.
         self.flat = flat
         self.sizes = sizes
         #: Request-column offsets: group ``i`` owns rows
@@ -266,51 +280,54 @@ def lower_queue(
 
     Phase triples come from the engine's phase memo (seeded in bulk by
     the vectorized ``precompute_phases``; any cold shape falls through
-    the same memoized scalar path the batched drain uses). The slow
-    factor is applied here once — it cannot change inside a drain event,
-    and ``x * 1.0`` is skipped exactly as the batched loop skips it.
+    the same memoized scalar path the batched drain uses), looked up
+    once per distinct ``phase_key`` into a small per-shape table whose
+    rows each group then gathers. The slow factor is applied here once
+    per shape — it cannot change inside a drain event, and ``x * 1.0``
+    is skipped exactly as the batched loop skips it.
     """
+    n = len(groups)
+    keys = list(map(_PHASE_KEY, groups))
+    # distinct_shapes(groups), over the keys already read.
+    shapes = dict(zip(keys, groups))
     base_of = engine._base_phase_times
     cache = engine._phase_cache
-    # The drain seeds the memo via precompute_phases first, so the direct
-    # lookup hits for every group; cold shapes (callers that skipped the
-    # precompute) fall through the memoized scalar path.
-    base = [cache.get(g.phase_key) for g in groups]
-    if None in base:
-        base = [
-            b if b is not None else base_of(g) for b, g in zip(base, groups)
-        ]
     factor = engine.slow_factor
-    if factor != 1.0:
-        phases = [
-            (b[0] * factor, b[1] * factor, b[2] * factor) for b in base
-        ]
-    else:
-        phases = base
-    experts = [g.expert for g in groups]
-    sizes = np.asarray([len(g.requests) for g in groups], dtype=np.int64)
-    offsets = np.empty(len(groups) + 1, dtype=np.int64)
+    table = []
+    for key, group in shapes.items():
+        base = cache.get(key)
+        if base is None:
+            base = base_of(group)
+        if factor != 1.0:
+            base = (base[0] * factor, base[1] * factor, base[2] * factor)
+        table.append(base)
+    row_of = dict(zip(shapes, range(len(table))))
+    rows = np.fromiter(map(row_of.__getitem__, keys), dtype=np.intp, count=n)
+    experts = list(map(_EXPERT, groups))
+    requests = list(map(_REQUESTS, groups))
+    sizes = np.fromiter(map(len, requests), dtype=np.int64, count=n)
+    offsets = np.empty(n + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(sizes, out=offsets[1:])
+    flat_requests = list(chain.from_iterable(requests))
+    m = len(flat_requests)
     return GroupColumns(
         groups=list(groups),
         experts=experts,
-        names=[e.name for e in experts],
-        phases=phases,
-        flat=np.asarray(phases, dtype=np.float64).reshape(len(groups), 3),
+        names=list(map(_NAME, experts)),
+        table=table,
+        rows=rows,
+        flat=np.asarray(table, dtype=np.float64).reshape(-1, 3)[rows],
         sizes=sizes,
         offsets=offsets,
-        req_ids=np.asarray(
-            [r.request_id for g in groups for r in g.requests],
-            dtype=np.int64,
+        req_ids=np.fromiter(
+            map(_REQUEST_ID, flat_requests), dtype=np.int64, count=m
         ),
-        arrivals=np.asarray(
-            [r.arrival_s for g in groups for r in g.requests],
-            dtype=np.float64,
+        arrivals=np.fromiter(
+            map(_ARRIVAL, flat_requests), dtype=np.float64, count=m
         ),
-        tokens=np.asarray(
-            [r.output_tokens for g in groups for r in g.requests],
-            dtype=np.int64,
+        tokens=np.fromiter(
+            map(_OUTPUT_TOKENS, flat_requests), dtype=np.int64, count=m
         ),
     )
 
@@ -340,7 +357,8 @@ def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float
     log = engine.completed
     names = cols.names
     experts = cols.experts
-    phases = cols.phases
+    table = cols.table
+    rows = cols.rows
     flat = cols.flat
     offsets = cols.offsets
     n = len(names)
@@ -394,7 +412,7 @@ def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float
             exec_start = now if done is None or done <= now else done
         else:
             exec_start = engine._demand_copy(expert, now=now)
-        base = phases[pos]
+        base = table[rows[pos]]
         end = exec_start + base[0] + base[1] + base[2]
         batch = len(group.requests)
         append = log.append

@@ -74,6 +74,7 @@ from repro.coe.scheduling import (
     SchedulerLike,
     affinity_schedule,
     coalesce_groups,
+    distinct_shapes,
     make_scheduler,
 )
 from repro.coe.serving import ExpertServer
@@ -504,20 +505,35 @@ class ServingEngine:
         """
         now = self._sim.now if self._sim is not None else 0.0
         total = max(0.0, self._busy_until_s - now) if self._busy else 0.0
-        memo = self._exec_memo
-        if self._exec_memo_factor != self.slow_factor:
-            memo.clear()
-            self._exec_memo_factor = self.slow_factor
+        memo = self._current_exec_memo()
         queue = self._queue
         try:
             queued = sum(map(memo.__getitem__, map(_PHASE_KEY, queue)))
         except KeyError:
             # A shape not yet seen at this factor: fill in, then re-sum.
             for group in queue:
-                if group.phase_key not in memo:
-                    memo[group.phase_key] = self._group_exec_time(group)
+                self._memo_exec_time(group)
             queued = sum(map(memo.__getitem__, map(_PHASE_KEY, queue)))
         return total + queued
+
+    def _current_exec_memo(self) -> Dict[Tuple[str, int, int, int], float]:
+        """The exec-time memo, emptied first if ``slow_factor`` has
+        changed since it was filled."""
+        if self._exec_memo_factor != self.slow_factor:
+            self._exec_memo.clear()
+            self._exec_memo_factor = self.slow_factor
+        return self._exec_memo
+
+    def _memo_exec_time(self, group: RequestGroup) -> float:
+        """:meth:`_group_exec_time` of ``group``, read from the memo
+        :meth:`estimated_backlog_s` sums (filled on a miss): the same
+        float, at the cost of one dict probe per known shape."""
+        memo = self._current_exec_memo()
+        key = group.phase_key
+        exec_s = memo.get(key)
+        if exec_s is None:
+            exec_s = memo[key] = self._group_exec_time(group)
+        return exec_s
 
     def submit(self, group: RequestGroup) -> None:
         """Enqueue one group; starts it immediately if the engine is idle."""
@@ -663,11 +679,10 @@ class ServingEngine:
         scalar ones, so seeding the memo this way cannot change a single
         simulated timestamp. Returns the number of shapes computed.
         """
-        pending: Dict[Tuple[str, int, int, int], RequestGroup] = {}
-        for group in groups:
-            key = group.phase_key
-            if key not in self._phase_cache and key not in pending:
-                pending[key] = group
+        pending = {
+            key: group for key, group in distinct_shapes(groups).items()
+            if key not in self._phase_cache
+        }
         if not pending:
             return 0
         platform = self.server.platform

@@ -21,12 +21,15 @@ extensions its architecture enables):
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, Iterator, KeysView, List, Optional, Sequence
+from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
+from typing import (
+    Dict, Iterator, KeysView, List, Optional, Sequence, Union,
+)
 
 from repro.coe.expert import ExpertProfile
-from repro.coe.policies import SchedulerName
+from repro.coe.policies import NodePolicy, SchedulerName
 from repro.coe.serving import ExpertServer
 
 
@@ -167,37 +170,87 @@ def make_scheduler(spec: SchedulerLike = None) -> Scheduler:
     )
 
 
+_PROMPT_TOKENS = attrgetter("prompt_tokens")
+_OUTPUT_TOKENS = attrgetter("output_tokens")
+_EXPERT_NAME = attrgetter("expert.name")
+_PHASE_KEY = attrgetter("phase_key")
+
+
 @dataclass(frozen=True)
 class RequestGroup:
-    """A run of same-expert requests served as one batched generation."""
+    """A run of same-expert requests served as one batched generation.
+
+    ``phase_key`` is everything the group's phase times depend on:
+    ``(expert name, batch, longest prompt, longest output)`` — requests
+    in a group may differ in lengths, and the batch pads to the longest
+    prompt and generation (standard static-batching cost). The
+    constructor computes it once, into a slot, so the serving engine's
+    hot paths (routing, admission, lowering, the drain loop, backlog
+    estimates) read a plain attribute. It is not a field: the generated
+    ``__eq__``/``__hash__``/``repr`` compare and show ``expert`` and
+    ``requests`` only. A group of plain :class:`Request` objects (or an
+    empty one) has no shape; it constructs, and reading its
+    ``phase_key`` raises the error computing the key raises.
+    """
+
+    __slots__ = ("expert", "requests", "phase_key")
 
     expert: ExpertProfile
     requests: tuple
+
+    def __init__(self, expert: ExpertProfile, requests: tuple) -> None:
+        # Frozen: every slot is written through object.__setattr__.
+        _set = object.__setattr__
+        _set(self, "expert", expert)
+        _set(self, "requests", requests)
+        try:
+            key = _phase_key(expert, requests)
+        except (AttributeError, ValueError):
+            return
+        _set(self, "phase_key", key)
+
+    def __getattr__(self, name: str):
+        # Only reached for an unset slot or a missing name: a shapeless
+        # group's key read re-raises the error of computing it.
+        if name == "phase_key":
+            return _phase_key(self.expert, self.requests)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def __reduce__(self):
+        # Slots of a frozen class cannot be restored by attribute
+        # assignment; rebuild through the constructor instead.
+        return type(self), (self.expert, self.requests)
 
     @property
     def batch(self) -> int:
         return len(self.requests)
 
-    @cached_property
-    def phase_key(self) -> tuple:
-        """Everything the group's phase times depend on, cached.
 
-        Requests in a group may differ in lengths; the batch pads to the
-        longest prompt and generation (standard static-batching cost).
-        Computed once per group, on first read — the serving engine keys
-        its phase memo on this from several hot paths (routing,
-        admission, the drain loop, backlog estimates), and later reads
-        hit the instance ``__dict__``. Lazy because a group of plain
-        :class:`Request` objects has no token fields. The cached value
-        is not a field, so the generated ``__eq__``/``__hash__``/``repr``
-        are unaffected.
-        """
-        return (
-            self.expert.name,
-            len(self.requests),
-            max(r.prompt_tokens for r in self.requests),
-            max(r.output_tokens for r in self.requests),
-        )
+def _phase_key(expert: ExpertProfile, requests: tuple) -> tuple:
+    if len(requests) == 1:
+        # Most groups hold one request; skip the two max() scans.
+        only = requests[0]
+        return (expert.name, 1, only.prompt_tokens, only.output_tokens)
+    return (
+        expert.name,
+        len(requests),
+        max(map(_PROMPT_TOKENS, requests)),
+        max(map(_OUTPUT_TOKENS, requests)),
+    )
+
+
+def distinct_shapes(
+    groups: Sequence[RequestGroup],
+) -> Dict[tuple, RequestGroup]:
+    """One group per distinct ``phase_key``, keys in first-seen order.
+
+    One C-level pass: a repeated key keeps its first slot and takes the
+    later group as its value, which has the same shape, so it prices
+    the same.
+    """
+    return dict(zip(map(_PHASE_KEY, groups), groups))
 
 
 def coalesce_groups(
@@ -209,20 +262,21 @@ def coalesce_groups(
     instead of ``batch`` batch-of-one generations. Only adjacent requests
     merge (reordering is the scheduler's job — see
     :func:`affinity_schedule`), and groups are capped at ``max_batch`` so
-    the batched roofline stays within the platform's calibrated regime.
+    the batched roofline stays within the platform's calibrated regime:
+    each maximal same-expert run splits into ``max_batch``-sized groups.
     """
     if max_batch < 1:
         raise ValueError(f"max_batch must be >= 1, got {max_batch}")
     groups: List[RequestGroup] = []
-    run: List[Request] = []
-    for request in schedule:
-        if run and (request.expert.name != run[0].expert.name
-                    or len(run) >= max_batch):
-            groups.append(RequestGroup(expert=run[0].expert, requests=tuple(run)))
-            run = []
-        run.append(request)
-    if run:
-        groups.append(RequestGroup(expert=run[0].expert, requests=tuple(run)))
+    append = groups.append
+    for _, same in groupby(schedule, _EXPERT_NAME):
+        run = tuple(same)
+        if len(run) <= max_batch:  # the common case: one group
+            append(RequestGroup(run[0].expert, run))
+            continue
+        for start in range(0, len(run), max_batch):
+            chunk = run[start:start + max_batch]
+            append(RequestGroup(chunk[0].expert, chunk))
     return groups
 
 
@@ -243,19 +297,22 @@ class GroupAssembler:
     tests assert, and the reason sim and live backends see the same
     group sequence for the same arrivals.
 
-    ``policy`` is a :class:`repro.coe.policies.NodePolicy` value;
-    ``fifo`` skips the window reorder entirely (matching
-    ``ServingEngine._order``).
+    ``policy`` is a :class:`repro.coe.policies.NodePolicy` member or
+    value (anything else raises ``ValueError``); ``fifo`` skips the
+    window reorder entirely (matching ``ServingEngine._order``).
     """
 
     def __init__(
-        self, policy: str = "affinity", window: int = 16, max_batch: int = 8
+        self,
+        policy: Union[str, NodePolicy] = "affinity",
+        window: int = 16,
+        max_batch: int = 8,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.policy = policy
+        self.policy = NodePolicy.coerce(policy).value
         self.window = window
         self.max_batch = max_batch
         #: The partially-filled reordering window (non-fifo only).
@@ -264,8 +321,7 @@ class GroupAssembler:
         self._run: List[Request] = []
 
     def _close_run(self) -> RequestGroup:
-        group = RequestGroup(expert=self._run[0].expert,
-                             requests=tuple(self._run))
+        group = RequestGroup(self._run[0].expert, tuple(self._run))
         self._run = []
         return group
 

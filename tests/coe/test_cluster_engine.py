@@ -1,6 +1,8 @@
 """The cluster serving engine: shared-clock dispatch, stealing, replication."""
 
+import dataclasses
 import json
+import random
 
 import pytest
 
@@ -166,6 +168,54 @@ class TestStealingAndReplication:
         assert a.makespan_s == b.makespan_s
         assert a.steals == b.steals
         assert a.replications == b.replications
+
+
+class TestAdmissionPhaseMemo:
+    def test_each_node_memo_holds_exactly_its_admitted_shapes(self, library):
+        """Admission seeds every node's phase memo from the distinct
+        shapes it hosts; a missing shape would fall back to scalar cost
+        calls, an extra one would be wasted cost math. ``least_loaded``
+        never replicates, so no shape can arrive after admission."""
+        rng = random.Random(3)
+        requests = [
+            dataclasses.replace(
+                r,
+                prompt_tokens=rng.choice((128, 256)),
+                output_tokens=rng.choice((10, 20)),
+            )
+            for r in zipf_request_stream(library, 400, seed=3)
+        ]
+        cluster = ClusterEngine(
+            sn40l_platform, library, 4, policy="least_loaded",
+            node_policy="affinity",
+        )
+        admitted = []
+        seeded = {}
+        for node in cluster.nodes:
+            engine = node.engine
+
+            def submit(group, inner=engine.submit):
+                admitted.append(group)
+                inner(group)
+
+            def precompute(groups, inner=engine.precompute_phases,
+                           engine=engine):
+                computed = inner(groups)
+                seeded[engine] = set(engine._phase_cache)
+                return computed
+
+            engine.submit = submit
+            engine.precompute_phases = precompute
+        report = cluster.serve(requests)
+        assert report.replications == 0 and report.steals == 0
+        assert sum(len(g.requests) for g in admitted) == len(requests)
+        for node in cluster.nodes:
+            hosted = {g.phase_key for g in admitted
+                      if g.expert.name in node.hosted}
+            assert len(hosted) > 1
+            # Seeded before the first dispatch, and nothing added since.
+            assert seeded[node.engine] == hosted
+            assert set(node.engine._phase_cache) == hosted
 
 
 class TestReporting:

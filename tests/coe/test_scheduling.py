@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.coe.engine import EngineRequest
 from repro.coe.expert import build_samba_coe_library
+from repro.coe.policies import NodePolicy
 from repro.coe.scheduling import (
     ExpertPredictor,
     GroupAssembler,
@@ -180,7 +182,7 @@ class TestSpeculativePrefetch:
 class TestGroupAssembler:
     """The streaming/batch equivalence property behind sim/live parity."""
 
-    def _streams(self, library, seed):
+    def _streams(self, library, seed, tokens=True):
         import random
 
         rng = random.Random(seed)
@@ -188,13 +190,31 @@ class TestGroupAssembler:
         reqs = []
         rid = 0
         # A mix of runs and churn: the shapes that stress both the
-        # window reorder and the run coalescer.
+        # window reorder and the run coalescer. With tokens, lengths
+        # vary per request, so a group mixes prompt and output lengths.
         while rid < 120:
             expert = rng.choice(experts)
             for _ in range(rng.randint(1, 5)):
-                reqs.append(Request(rid, expert))
+                if tokens:
+                    reqs.append(EngineRequest(
+                        rid, expert,
+                        prompt_tokens=rng.choice((64, 128, 256, 512)),
+                        output_tokens=rng.choice((1, 8, 20, 64)),
+                    ))
+                else:
+                    reqs.append(Request(rid, expert))
                 rid += 1
         return reqs
+
+    @staticmethod
+    def _assert_phase_keys(groups):
+        for g in groups:
+            assert g.phase_key == (
+                g.expert.name,
+                len(g.requests),
+                max(r.prompt_tokens for r in g.requests),
+                max(r.output_tokens for r in g.requests),
+            )
 
     @pytest.mark.parametrize("window,max_batch", [
         (1, 1), (2, 8), (4, 2), (5, 3), (16, 8), (32, 4), (300, 8),
@@ -217,6 +237,43 @@ class TestGroupAssembler:
                 (g.expert.name, tuple(r.request_id for r in g.requests))
                 for g in batch
             ], (window, max_batch, seed)
+            # Both builders key every group by its own requests: single
+            # requests, mixed lengths and max_batch splits alike.
+            self._assert_phase_keys(batch)
+            self._assert_phase_keys(streamed)
+
+    @pytest.mark.parametrize("policy", ["fifo", "affinity"])
+    def test_phase_keys_of_singles_mixed_lengths_and_splits(
+        self, library, policy
+    ):
+        a, b = library.experts[:2]
+        reqs = [
+            EngineRequest(0, a, prompt_tokens=64, output_tokens=8),
+            EngineRequest(1, a, prompt_tokens=512, output_tokens=1),
+            EngineRequest(2, a, prompt_tokens=128, output_tokens=64),
+            EngineRequest(3, b, prompt_tokens=256, output_tokens=20),
+        ]
+        batch = coalesce_groups(reqs, max_batch=2)
+        assembler = GroupAssembler(policy=policy, window=4, max_batch=2)
+        streamed = [g for r in reqs for g in assembler.push(r)]
+        streamed += assembler.flush()
+        # a's run of three splits at max_batch into a mixed-length pair
+        # and a single; b is a single.
+        expected = [(a.name, 2, 512, 8), (a.name, 1, 128, 64),
+                    (b.name, 1, 256, 20)]
+        assert [g.phase_key for g in batch] == expected
+        assert [g.phase_key for g in streamed] == expected
+
+    def test_token_less_groups_fail_on_phase_key(self, library):
+        reqs = self._streams(library, 5, tokens=False)
+        batch = coalesce_groups(affinity_schedule(reqs, window=4), max_batch=3)
+        assembler = GroupAssembler(policy="affinity", window=4, max_batch=3)
+        streamed = [g for r in reqs for g in assembler.push(r)]
+        streamed += assembler.flush()
+        assert {len(g.requests) for g in batch} == {1, 2, 3}
+        for group in batch + streamed:
+            with pytest.raises(AttributeError, match="prompt_tokens"):
+                group.phase_key
 
     @pytest.mark.parametrize("max_batch", [1, 3, 8])
     def test_fifo_streaming_equals_batch_pipeline(self, library, max_batch):
@@ -244,3 +301,9 @@ class TestGroupAssembler:
             GroupAssembler(window=0)
         with pytest.raises(ValueError, match="max_batch"):
             GroupAssembler(max_batch=0)
+
+    def test_policy_is_coerced_at_construction(self):
+        with pytest.raises(ValueError, match="unknown NodePolicy 'overlapp'"):
+            GroupAssembler(policy="overlapp")
+        assert GroupAssembler(policy=NodePolicy.FIFO).policy == "fifo"
+        assert GroupAssembler(policy="overlap").policy == "overlap"

@@ -2,9 +2,11 @@
 
 :meth:`ServingEngine.estimated_backlog_s` sums memoized exec times,
 :meth:`ServingEngine.steal_many` moves several groups in one pass and
-:attr:`RequestGroup.phase_key` is a cached property. Each is checked
+:attr:`RequestGroup.phase_key` is stored at construction. Each is checked
 here against the plain computation it replaces.
 """
+
+import pickle
 
 from repro.coe.api import ServeConfig, build_server
 from repro.coe.engine import EngineRequest, ServingEngine, zipf_request_stream
@@ -76,6 +78,13 @@ class TestRequestGroup:
             f"RequestGroup(expert={expert!r}, "
             f"requests={self._requests(expert)!r})"
         )
+
+    def test_pickle_round_trip_keeps_the_key(self):
+        expert = build_samba_coe_library(2).experts[0]
+        group = RequestGroup(expert, self._requests(expert))
+        clone = pickle.loads(pickle.dumps(group))
+        assert clone == group
+        assert clone.phase_key == group.phase_key
 
     def test_plain_request_groups_construct(self):
         expert = build_samba_coe_library(2).experts[0]
