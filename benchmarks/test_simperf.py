@@ -1,4 +1,4 @@
-"""Sim-core performance benchmark: columnar and batched drains vs reference.
+"""Sim-core performance benchmark: the columnar drain vs the reference.
 
 The tentpole claim of the drain fast paths is that cluster-scale sweeps
 stop being the bottleneck: a 1M-request, 8-node cluster sim completes in
@@ -6,19 +6,19 @@ seconds on the columnar drain, where the event-by-event reference
 configuration (``drain_mode="reference"`` — the pre-batching seed
 semantics, with a recorded timeline) is several times slower. Emitted to ``BENCH_simperf.json`` at the repo root:
 
-1. **Same-grid comparison** — the identical workload run through all
-   three drain modes. The runs must agree on every simulated metric
+1. **Same-grid comparison** — the identical workload run through both
+   drain modes. The runs must agree on every simulated metric
    (makespan, events, tokens/s, completions — the byte-level proof
    lives in ``tests/coe/test_batched_equivalence.py``), and the
    columnar drain must clear ``MIN_SPEEDUP`` x the reference's
    events/sec (see the constant's note: the admission fast paths are
    shared by all drain modes, which shrank the reference's deficit).
-2. **Headline** — the 1M-request, 8-node run per fast mode: wall-clock,
-   events/sec, simulated makespan. The headline columnar run must also
-   clear 3x the events/sec floor committed when the batched drain
-   landed (PR 6) — the acceptance bound of the columnar PR.
-3. **Regression gate** — batched and columnar events/sec must each stay
-   within 30% of their committed baselines
+2. **Headline** — the 1M-request, 8-node columnar run: wall-clock,
+   events/sec, simulated makespan. It must also clear 3x the events/sec
+   floor committed when the first whole-queue drain landed (PR 6) — the
+   acceptance bound of the columnar PR.
+3. **Regression gate** — columnar events/sec must stay within 30% of
+   its committed baseline
    (``benchmarks/simperf_baseline.json``); the CI ``simperf-smoke`` job
    runs the shrunk grid against the same file's ``smoke`` entries. The
    ``admission`` point (the columnar grid under an admit-all deadline,
@@ -32,10 +32,10 @@ semantics, with a recorded timeline) is several times slower. Emitted to ``BENCH
    constrained-memory headline) gates the tier-decision path (victim
    ranking, DDR demotion planning, promotion pricing) the same way.
 
-The node policy is ``affinity``, not ``overlap``: overlap's prefetch
-decisions interleave with the queue, so the columnar drain falls back
-to the batched loop there and the benchmark would never exercise the
-columnar core (the fallback equivalence is pinned in the test suite).
+The node policy is ``affinity``, not ``overlap``: overlap takes the
+columnar drain too, but its prefetch decision at every group begin
+makes every group a scalar decision point, so the grid would never
+exercise the vectorized runs.
 
 Timing points run serially (``processes=1``): wall-clock measurements
 must not contend with each other, so this module uses the sweep runner
@@ -69,7 +69,7 @@ OUTPUT_TOKENS = 20
 ZIPF_ALPHA = 1.1
 SEED = 1234
 POLICY = "affinity"
-NODE_POLICY = "affinity"  # overlap would fall back to the batched drain
+NODE_POLICY = "affinity"  # overlap makes every group a decision point
 
 #: The ``memwall`` point: one node serving a small library through a
 #: constrained hierarchy, with tier budgets as fractions of the library's
@@ -93,20 +93,18 @@ BASELINE_PATH = Path(__file__).resolve().parent / "simperf_baseline.json"
 BASELINE_RETENTION = 0.70
 
 #: Columnar-PR acceptance: the headline columnar run must clear this
-#: multiple of the events/sec floor committed when the batched drain
-#: landed (the ``pr6`` entry of the baseline file).
+#: multiple of the events/sec floor committed when the first whole-queue
+#: drain landed (the ``pr6`` entry of the baseline file).
 COLUMNAR_ACCEPTANCE_MULTIPLE = 3.0
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_simperf.json"
 
 POINTS = [
     {"run": "grid", "mode": "reference"},
-    {"run": "grid", "mode": "batched"},
     {"run": "grid", "mode": "columnar"},
     {"run": "admission", "mode": "columnar"},
     {"run": "steal", "mode": "default"},
     {"run": "memwall", "mode": "tiered"},
-    {"run": "headline", "mode": "batched"},
     {"run": "headline", "mode": "columnar"},
 ]
 
@@ -138,8 +136,8 @@ def _simperf_point(point: SweepPoint) -> dict:
 
     ``reference`` is the seed-equivalent configuration: one heap event
     per step, a recorded timeline, and fresh per-route backlog sums.
-    ``batched`` and ``columnar`` are the fast drains with tracing off —
-    what a sweep that only wants the report should use. The
+    ``columnar`` is the fast drain with tracing off — what a sweep that
+    only wants the report should use. The
     ``admission`` run is the columnar grid with deadline admission on:
     per-request routing math dominates that profile, so it gates the
     admission fast paths (single-owner routing, the memoized per-group
@@ -232,12 +230,11 @@ def test_simperf_report(benchmark, simperf_results):
 def test_same_grid_simulated_metrics_identical(simperf_results):
     """Drain modes must change wall-clock only, never the simulation."""
     ref = simperf_results["grid_reference"]
-    for mode in ("batched", "columnar"):
-        fast = simperf_results[f"grid_{mode}"]
-        assert ref["events_run"] == fast["events_run"], mode
-        assert ref["makespan_s"] == fast["makespan_s"], mode
-        assert ref["tokens_per_second"] == fast["tokens_per_second"], mode
-        assert ref["completed"] == fast["completed"], mode
+    fast = simperf_results["grid_columnar"]
+    assert ref["events_run"] == fast["events_run"]
+    assert ref["makespan_s"] == fast["makespan_s"]
+    assert ref["tokens_per_second"] == fast["tokens_per_second"]
+    assert ref["completed"] == fast["completed"]
 
 
 @pytest.mark.skipif(SMOKE, reason="speedup bound calibrated at full size")
@@ -263,16 +260,15 @@ def test_columnar_headline_clears_pr6_acceptance(simperf_results,
 
 @pytest.mark.skipif(SMOKE, reason="headline runs at full size only")
 def test_headline_million_requests_in_seconds(simperf_results):
-    for mode in ("batched", "columnar"):
-        headline = simperf_results[f"headline_{mode}"]
-        assert headline["requests"] == 1_000_000, mode
-        assert headline["completed"] == 1_000_000, mode
-        assert headline["wall_s"] < 120.0, (
-            f"1M-request {mode} sim took {headline['wall_s']:.0f}s"
-        )
+    headline = simperf_results["headline_columnar"]
+    assert headline["requests"] == 1_000_000
+    assert headline["completed"] == 1_000_000
+    assert headline["wall_s"] < 120.0, (
+        f"1M-request columnar sim took {headline['wall_s']:.0f}s"
+    )
 
 
-@pytest.mark.parametrize("mode", ["batched", "columnar"])
+@pytest.mark.parametrize("mode", ["columnar"])
 def test_events_per_sec_vs_committed_baseline(simperf_results, baseline,
                                               mode):
     """The CI regression gate: >30% below baseline fails the job."""
@@ -358,13 +354,8 @@ def test_emit_bench_json(simperf_results, baseline, pr6_baseline):
         },
         "same_grid": {
             "reference": simperf_results["grid_reference"],
-            "batched": simperf_results["grid_batched"],
             "columnar": simperf_results["grid_columnar"],
             "speedup_events_per_s": {
-                "batched_vs_reference": (
-                    simperf_results["grid_batched"]["events_per_s"]
-                    / simperf_results["grid_reference"]["events_per_s"]
-                ),
                 "columnar_vs_reference": (
                     simperf_results["grid_columnar"]["events_per_s"]
                     / simperf_results["grid_reference"]["events_per_s"]
@@ -375,11 +366,9 @@ def test_emit_bench_json(simperf_results, baseline, pr6_baseline):
         "steal_default": simperf_results["steal_default"],
         "memwall": simperf_results["memwall_tiered"],
         "headline": {
-            "batched": simperf_results["headline_batched"],
             "columnar": simperf_results["headline_columnar"],
         },
         "baseline": {
-            "batched_events_per_s": baseline["batched_events_per_s"],
             "columnar_events_per_s": baseline["columnar_events_per_s"],
             "admission_requests_per_s": baseline["admission_requests_per_s"],
             "steal_requests_per_s": baseline["steal_requests_per_s"],

@@ -225,7 +225,7 @@ class ClusterReport:
     deadline_s: Optional[float] = None
     nodes: Tuple[NodeSummary, ...] = ()
     #: ``None`` when the run was traced with ``record_timeline=False``;
-    #: excluded from equality so batched and reference runs compare by
+    #: excluded from equality so columnar and reference runs compare by
     #: their simulated metrics (lane dict order differs — compare lanes
     #: explicitly via :meth:`repro.obs.Timeline.spans` when needed).
     timeline: Optional[Timeline] = field(repr=False, compare=False, default=None)
@@ -449,7 +449,7 @@ class ClusterEngine:
                 # Only the steal policy reacts to these hooks
                 # (:meth:`_node_idle` is a no-op otherwise); leaving them
                 # uninstalled lets the other policies' engines take the
-                # batched-drain fast path.
+                # columnar-drain fast path.
                 engine.on_idle = lambda _eng, n=node: self._node_idle(n)
                 engine.on_group_done = (
                     lambda _eng, _group, n=node: self._node_idle(n)
@@ -851,7 +851,7 @@ class ClusterEngine:
         finally:
             self._admission_backlog = None
         end_clock = self.sim.run()
-        # Batched drains finish their work on local clocks past the last
+        # Whole-queue drains finish their work on local clocks past the last
         # shared-clock event; the cluster end is the latest of both.
         end_clock = max(
             [end_clock] + [n.engine._drained_until for n in self.nodes]

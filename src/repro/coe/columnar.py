@@ -1,22 +1,19 @@
 """Columnar (structure-of-arrays) drain core for the serving engines.
 
-The PR 6 batched drain (:meth:`ServingEngine._drain_batched`) replaced
-per-group simulator events with one Python loop iteration per group.
-On a million-request run that loop *is* the cost: a dict probe, a
-predictor observation, a cache activation, a float add chain and one
-``CompletedRequest`` NamedTuple per request — all interpreter work.
-
-This module vectorizes the loop itself. A queued backlog is *lowered*
-once into parallel arrays (:func:`lower_queue`): per-group expert names,
-phase-time triples (read from the engine's phase memo, which
+A whole-queue drain replaces the reference path's begin/finish event
+pair per group with work on a local clock; on a million-request run the
+per-group Python work *is* the cost. This module vectorizes it. A
+queued backlog is *lowered* once into parallel arrays
+(:func:`lower_queue`): per-group expert names, phase-time triples (read
+from the engine's phase memo, which
 :meth:`ServingEngine.precompute_phases` seeds through the vectorized
 ``perf.kernel_cost`` batch entry points), batch sizes, and per-request
-request-id/arrival/output-token columns. The drain (:func:`drain`) then
-segments the queue into **runs**:
+arrival/output-token columns. The drain (:func:`drain`) then segments
+the queue into **runs**:
 
     a run is a maximal stretch of groups whose experts are all
     HBM-resident with no pending copy-done barrier — so no eviction,
-    no DMA wait, no prefetch decision can occur inside it, and every
+    no DMA wait and no demand copy can occur inside it, and every
     timestamp in the run is a pure prefix sum over phase durations.
 
 Run timestamps come from one ``numpy.cumsum`` over the interleaved
@@ -27,25 +24,29 @@ identical, not merely close (pinned by ``tests/coe/test_columnar.py``).
 Cache/predictor bookkeeping for a run goes through the batch APIs
 (:meth:`CoERuntime.touch_run`, :meth:`CachePolicy.on_access_run`,
 :meth:`ExpertPredictor.observe_run`), each an order-equivalent bulk form
-of its scalar path. Only *decision points* — a cache miss (victim
-selection + demand copy), or a hit gated on a pending copy barrier —
-drop back to the exact scalar code of the batched drain, preserving
-``CoERuntime.activate`` as the single cache-decision choke point the
-sim/live cross-check relies on.
+of its scalar path. A traced run records its phase spans with one
+:meth:`Timeline.record_run`. Only *decision points* run the scalar
+group step: a cache miss (victim selection + demand copy), and under
+the ``overlap`` policy every group, since a prefetch decision happens
+at each group begin. That keeps ``CoERuntime.activate`` the single
+cache-decision choke point the sim/live cross-check relies on.
+Pipelined promotions happen at run ends, and a ``lookahead`` policy
+reads the unconsumed tail of the lowered names (docs/PERFORMANCE.md,
+section 10).
 
 Completions land in a :class:`CompletedLog`: run segments append whole
-column blocks (no per-request allocation), decision points append scalar
+blocks (no per-request allocation), decision points append scalar
 ``CompletedRequest`` records, and materialization back to the exact
-NamedTuples today's report/consumer code sees is lazy. Latency and
-token aggregation read the columns directly (``finish - arrival`` over
-float64 arrays is elementwise-bitwise-equal to the scalar property).
+NamedTuples the report/consumer code sees is lazy. Latency and token
+aggregation read the columns directly (``finish - arrival`` over float64
+arrays is elementwise-bitwise-equal to the scalar property).
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress, islice
 from operator import attrgetter
-from typing import Iterator, List, Optional, Sequence, TYPE_CHECKING
+from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -66,7 +67,6 @@ _PHASE_KEY = attrgetter("phase_key")
 _EXPERT = attrgetter("expert")
 _REQUESTS = attrgetter("requests")
 _NAME = attrgetter("name")
-_REQUEST_ID = attrgetter("request_id")
 _ARRIVAL = attrgetter("arrival_s")
 _OUTPUT_TOKENS = attrgetter("output_tokens")
 
@@ -78,48 +78,47 @@ def _completed_request_type():
 
 
 class _Block:
-    """One drained run, as columns. Per-group arrays (``names``,
-    ``sizes``, ``start``, ``end``) plus per-request arrays aligned with
-    ``sizes`` expansion (``req_ids``, ``arrivals``, ``tokens``)."""
+    """One drained run: its groups and expert names, each group's start
+    and end (``bounds[k]`` and ``bounds[k + 1]`` of a float64 array),
+    and the run's per-request ``arrivals``/``tokens`` columns aligned
+    with the expansion of ``sizes``."""
 
     __slots__ = (
-        "names", "sizes", "start", "end", "req_ids", "arrivals", "tokens",
+        "groups", "names", "bounds", "sizes", "arrivals", "tokens",
         "num_requests",
     )
 
-    def __init__(self, names, sizes, start, end, req_ids, arrivals, tokens):
+    def __init__(self, groups, names, bounds, sizes, arrivals, tokens):
+        self.groups = groups
         self.names = names
+        self.bounds = bounds
         self.sizes = sizes
-        self.start = start
-        self.end = end
-        self.req_ids = req_ids
         self.arrivals = arrivals
         self.tokens = tokens
-        self.num_requests = len(req_ids)
+        self.num_requests = len(arrivals)
 
     def materialize(self) -> List["CompletedRequest"]:
         """Expand back to per-request records, in completion order.
 
-        ``.tolist()`` converts every ``float64``/``int64`` back to the
-        native Python scalar — exactly (no rounding) — so the records
-        are indistinguishable from ones the scalar path appended.
+        Each record takes its fields from the group's own request
+        objects and shares the group's start and end floats (``tolist``
+        converts float64 to float exactly), as the scalar path does, so
+        no per-request number is allocated.
         """
         CompletedRequest = _completed_request_type()
-        sizes = self.sizes.tolist()
-        names = [n for n, b in zip(self.names, sizes) for _ in range(b)]
-        batches = [b for b in sizes for _ in range(b)]
-        starts = np.repeat(self.start, self.sizes).tolist()
-        ends = np.repeat(self.end, self.sizes).tolist()
+        bounds = self.bounds.tolist()
         return [
-            CompletedRequest(*fields)
-            for fields in zip(
-                self.req_ids.tolist(), names, batches,
-                self.arrivals.tolist(), starts, ends, self.tokens.tolist(),
+            CompletedRequest(
+                req.request_id, name, len(group.requests), req.arrival_s,
+                start, end, req.output_tokens,
             )
+            for group, name, start, end in zip(
+                self.groups, self.names, bounds, islice(bounds, 1, None))
+            for req in group.requests
         ]
 
     def latency_values(self) -> List[float]:
-        finish = np.repeat(self.end, self.sizes)
+        finish = np.repeat(self.bounds[1:], self.sizes)
         return (finish - self.arrivals).tolist()
 
     def token_total(self) -> int:
@@ -130,32 +129,37 @@ class CompletedLog:
     """Completion store mixing scalar records and column blocks.
 
     Ordered segments: plain ``CompletedRequest`` lists (decision points,
-    and any fallback drain that appends record by record) interleaved
-    with :class:`_Block` columns (vectorized runs). :attr:`append` is
-    the *bound* ``list.append`` of the current tail segment — the scalar
-    paths pay zero dispatch overhead over appending to a bare list.
+    which append record by record) interleaved with :class:`_Block`
+    runs. :attr:`append` is the *bound* ``list.append`` of the current
+    tail segment — the scalar paths pay zero dispatch overhead over
+    appending to a bare list. ``len()`` is the running count of the
+    closed segments plus the tail's length.
 
     Iteration, indexing and ``materialize()`` present the exact
     per-request NamedTuples, in completion order, that a plain list
     would hold; the result is cached until the log grows.
     """
 
-    __slots__ = ("_segments", "_tail", "append", "_cache", "_cache_len")
+    __slots__ = ("_segments", "_tail", "append", "_closed", "_cache",
+                 "_cache_len")
 
     def __init__(self) -> None:
         self._tail: List["CompletedRequest"] = []
         self._segments: List[object] = [self._tail]
         #: Bound tail-list append; rebound whenever a block closes the tail.
         self.append = self._tail.append
+        #: Requests in every segment but the tail.
+        self._closed = 0
         self._cache: Optional[List["CompletedRequest"]] = None
         self._cache_len = -1
 
-    def extend_block(
-        self, names, sizes, start, end, req_ids, arrivals, tokens
-    ) -> None:
-        """Append one drained run as columns (see :class:`_Block`)."""
-        block = _Block(names, sizes, start, end, req_ids, arrivals, tokens)
+    def extend_block(self, groups, names, bounds, sizes, arrivals,
+                     tokens) -> None:
+        """Append one drained run (see :class:`_Block`)."""
+        block = _Block(groups, names, bounds, sizes, arrivals, tokens)
+        self._closed += block.num_requests
         if self._tail:
+            self._closed += len(self._tail)
             self._segments.append(block)
             self._tail = []
             self._segments.append(self._tail)
@@ -166,10 +170,7 @@ class CompletedLog:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(
-            seg.num_requests if isinstance(seg, _Block) else len(seg)
-            for seg in self._segments
-        )
+        return self._closed + len(self._tail)
 
     def __iter__(self) -> Iterator["CompletedRequest"]:
         return iter(self.materialize())
@@ -242,11 +243,11 @@ class GroupColumns:
 
     __slots__ = (
         "groups", "experts", "names", "table", "rows", "flat", "sizes",
-        "offsets", "req_ids", "arrivals", "tokens",
+        "offsets", "arrivals", "tokens",
     )
 
     def __init__(self, groups, experts, names, table, rows, flat, sizes,
-                 offsets, req_ids, arrivals, tokens):
+                 offsets, arrivals, tokens):
         self.groups = groups
         self.experts = experts
         self.names = names
@@ -265,7 +266,6 @@ class GroupColumns:
         #: Request-column offsets: group ``i`` owns rows
         #: ``offsets[i]:offsets[i+1]`` of the per-request arrays.
         self.offsets = offsets
-        self.req_ids = req_ids
         self.arrivals = arrivals
         self.tokens = tokens
 
@@ -280,11 +280,11 @@ def lower_queue(
 
     Phase triples come from the engine's phase memo (seeded in bulk by
     the vectorized ``precompute_phases``; any cold shape falls through
-    the same memoized scalar path the batched drain uses), looked up
+    the same memoized scalar path the reference drain uses), looked up
     once per distinct ``phase_key`` into a small per-shape table whose
     rows each group then gathers. The slow factor is applied here once
-    per shape — it cannot change inside a drain event, and ``x * 1.0``
-    is skipped exactly as the batched loop skips it.
+    per shape — it cannot change inside a drain event — and the no-op
+    stretch is skipped, since ``x * 1.0`` is bitwise ``x``.
     """
     n = len(groups)
     keys = list(map(_PHASE_KEY, groups))
@@ -320,9 +320,6 @@ def lower_queue(
         flat=np.asarray(table, dtype=np.float64).reshape(-1, 3)[rows],
         sizes=sizes,
         offsets=offsets,
-        req_ids=np.fromiter(
-            map(_REQUEST_ID, flat_requests), dtype=np.int64, count=m
-        ),
         arrivals=np.fromiter(
             map(_ARRIVAL, flat_requests), dtype=np.float64, count=m
         ),
@@ -332,21 +329,27 @@ def lower_queue(
     )
 
 
-def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float:
-    """Drain lowered columns on a local clock; returns the end time.
+#: The compute phases of a group, in execution order.
+_PHASES = ("router", "prefill", "decode")
 
-    The array-parallel form of :meth:`ServingEngine._drain_batched` for
-    the non-``overlap``, untraced case (the caller guarantees both).
-    Runs of resident-expert groups are timestamped by one cumsum and
-    their cache/predictor bookkeeping applied through the batch APIs;
-    each decision point executes the batched loop's scalar code
-    verbatim. The segmentation is conservative — a group is only
+
+def drain(
+    engine: "ServingEngine", cols: GroupColumns, start_at: float
+) -> Tuple[float, int]:
+    """Drain lowered columns on a local clock.
+
+    Returns the end time and the number of prefetches deferred to their
+    group's exec start (each one is an extra event on the reference
+    path). Runs of resident-expert groups are timestamped by one cumsum
+    and their cache/predictor bookkeeping applied through the batch
+    APIs; each decision point executes the reference path's group step
+    in scalar code. The segmentation is conservative — a group is only
     admitted to a run if its expert is resident *and* any pending copy
     completed by the run's start — and a group it excludes is simply
     re-examined (scalar) at its true start time, where the identical
     hit/barrier/miss arithmetic applies. State mutations therefore
-    happen in the same order with the same values as the batched loop,
-    which the three-way equivalence grid asserts byte-for-byte.
+    happen in the same order with the same values as the reference
+    path, which the equivalence grid asserts byte-for-byte.
     """
     CompletedRequest = _completed_request_type()
     runtime = engine.server.runtime
@@ -355,6 +358,10 @@ def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float
     predictor = engine._predictor
     observe = predictor.observe
     log = engine.completed
+    timeline = engine._sim.timeline
+    overlap = engine.policy == "overlap"
+    pipelining = engine._pipeline_active
+    groups = cols.groups
     names = cols.names
     experts = cols.experts
     table = cols.table
@@ -362,12 +369,25 @@ def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float
     flat = cols.flat
     offsets = cols.offsets
     n = len(names)
+    first_index = engine._groups_started
+    if timeline is not None:
+        lane = engine.lane("compute")
+        span_names = {
+            name: tuple(f"{phase}:{name}" for phase in _PHASES)
+            for name in set(names)
+        }
+    # Under ``overlap`` every group begin is a prefetch decision, so no
+    # group joins a run.
+    scan_end = 0 if overlap else n
+    # The lookahead backlog view reads names[engine._drain_pos:].
+    engine._drain_names = names
+    deferred = 0
     now = start_at
     pos = 0
     while pos < n:
         # --- scan the maximal run of barrier-free resident hits -------
         run_end = pos
-        while run_end < n:
+        while run_end < scan_end:
             name = names[run_end]
             if name not in resident:
                 break
@@ -380,53 +400,96 @@ def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float
             # One prefix sum over [now, r0, p0, d0, r1, ...]: acc[3k] is
             # group k's exec start, acc[3k+3] its end — each partial sum
             # adds the same floats in the same order as the scalar loop.
+            durations = flat[pos:run_end]
             acc = np.empty(3 * m + 1, dtype=np.float64)
             acc[0] = now
-            acc[1:] = flat[pos:run_end].reshape(-1)
+            acc[1:] = durations.reshape(-1)
             np.cumsum(acc, out=acc)
             run_experts = experts[pos:run_end]
             predictor.observe_run(run_experts)
             runtime.touch_run(run_experts)
+            run_names = names[pos:run_end]
+            if timeline is not None:
+                times = acc.tolist()
+                sizes = cols.sizes[pos:run_end].tolist()
+                keep = (durations > 0).reshape(-1).tolist()
+                timeline.record_run(
+                    lane,
+                    list(compress(chain.from_iterable(
+                        map(span_names.__getitem__, run_names)), keep)),
+                    list(compress(_PHASES * m, keep)),
+                    list(compress(times, keep)),
+                    list(compress(islice(times, 1, None), keep)),
+                    list(compress(
+                        ({"group": index, "batch": batch}
+                         for index, batch in zip(
+                             range(first_index + pos, first_index + run_end),
+                             sizes)
+                         for _ in _PHASES),
+                        keep)),
+                )
+            if pipelining and run_end < n:
+                # Only the run's last group can promote (its successor
+                # is not a resident hit), at its begin time. Recording
+                # its spans first cannot reorder lane creation: HBM
+                # starts empty, so a decision point precedes any run.
+                engine._drain_pos = run_end
+                engine._promote_next(experts[run_end], float(acc[-4]))
             lo = offsets[pos]
             hi = offsets[run_end]
             log.extend_block(
-                names[pos:run_end],
+                groups[pos:run_end],
+                run_names,
+                acc[::3].copy(),
                 cols.sizes[pos:run_end],
-                acc[0 : 3 * m : 3].copy(),
-                acc[3::3].copy(),
-                cols.req_ids[lo:hi],
                 cols.arrivals[lo:hi],
                 cols.tokens[lo:hi],
             )
             now = float(acc[-1])
             pos = run_end
-            continue
-        # --- decision point: the batched loop's scalar code -----------
-        group = cols.groups[pos]
-        expert = experts[pos]
-        expert_name = names[pos]
-        observe(expert)
-        if expert_name in resident:
-            runtime.activate(expert)  # hit: free recency refresh
-            done = copy_done.get(expert_name)
-            exec_start = now if done is None or done <= now else done
         else:
-            exec_start = engine._demand_copy(expert, now=now)
-        base = table[rows[pos]]
-        end = exec_start + base[0] + base[1] + base[2]
-        batch = len(group.requests)
-        append = log.append
-        for req in group.requests:
-            append(CompletedRequest(
-                req.request_id, expert_name, batch, req.arrival_s,
-                exec_start, end, req.output_tokens,
-            ))
-        now = end
-        pos += 1
+            # --- decision point: the reference path's group step ------
+            group = groups[pos]
+            expert = experts[pos]
+            expert_name = names[pos]
+            base = table[rows[pos]]
+            index = first_index + pos
+            pos += 1
+            engine._drain_pos = pos
+            observe(expert)
+            if expert_name in resident:
+                runtime.activate(expert)  # hit: free recency refresh
+                done = copy_done.get(expert_name)
+                exec_start = now if done is None or done <= now else done
+            else:
+                exec_start = engine._demand_copy(expert, now=now)
+            if pos < n:
+                nxt = experts[pos]
+                if pipelining:
+                    engine._promote_next(nxt, now)
+                if overlap:
+                    # The reference path prefetches at exec_start, in an
+                    # event of its own when the group waits for a copy;
+                    # nothing else of this engine runs in between.
+                    deferred += exec_start > now
+                    engine._prefetch(nxt, expert_name, exec_start)
+            end = exec_start + base[0] + base[1] + base[2]
+            if timeline is not None:
+                engine._record_phases(group, exec_start, base, index)
+            batch = len(group.requests)
+            append = log.append
+            for req in group.requests:
+                append(CompletedRequest(
+                    req.request_id, expert_name, batch, req.arrival_s,
+                    exec_start, end, req.output_tokens,
+                ))
+            now = end
         if pos < n:
+            # The next group begins once its expert's pending copy lands.
             head_name = names[pos]
             done = copy_done.get(head_name)
             if done is not None and done > now and head_name in resident:
                 now = done
+    engine._drain_names = None
     engine._busy_until_s = now
-    return now
+    return now, deferred

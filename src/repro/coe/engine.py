@@ -53,8 +53,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter
 from typing import (
-    AbstractSet, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
-    Union,
+    AbstractSet, Callable, Dict, Iterator, List, NamedTuple, Optional,
+    Sequence, Tuple, Union,
 )
 
 from repro.coe.cache import CachePolicyLike, LookaheadPolicy, PredictivePolicy
@@ -310,7 +310,7 @@ class ServingEngine:
         self.max_batch = max_batch
         self.window = window
         self.lane_prefix = lane_prefix
-        #: How queued groups execute (:class:`DrainMode`) — all modes
+        #: How queued groups execute (:class:`DrainMode`) — both modes
         #: byte-identical, see docs/PERFORMANCE.md. An explicit
         #: ``drain_mode`` wins; otherwise the legacy ``event_batching``
         #: flag maps True -> columnar (the full fast path) and
@@ -347,14 +347,10 @@ class ServingEngine:
         if (isinstance(runtime_policy, PredictivePolicy)
                 and runtime_policy.predictor is None):
             runtime_policy.predictor = self._predictor
-        #: A lookahead policy reads this engine's remaining queue as its
-        #: backlog window: the queue holds exactly the groups not yet
-        #: begun, in scheduled order, at every eviction decision point.
-        self._lookahead = isinstance(runtime_policy, LookaheadPolicy)
-        if self._lookahead:
-            runtime_policy.bind_backlog(
-                lambda: map(_EXPERT_NAME, self._queue)
-            )
+        #: A lookahead policy reads the groups not yet begun, in
+        #: scheduled order, as its backlog window (:meth:`_backlog`).
+        if isinstance(runtime_policy, LookaheadPolicy):
+            runtime_policy.bind_backlog(self._backlog)
         self.cache_policy = runtime_policy.name
         #: Whether the CoServe-style promotion pipeline is live: it needs
         #: a bounded DDR tier (otherwise there is nothing to promote).
@@ -415,11 +411,11 @@ class ServingEngine:
         self.groups_done = 0
         self.speculative_prefetches = 0
         #: Completion store. Columnar mode uses a :class:`CompletedLog`
-        #: so vectorized runs append whole column blocks; its bound
-        #: ``append`` keeps the scalar paths (decision points, the
-        #: batched fallback) as cheap as appending to the plain list the
-        #: other modes keep. Either way consumers see per-request
-        #: :class:`CompletedRequest` records in completion order.
+        #: so vectorized runs append whole blocks; its bound ``append``
+        #: keeps decision points as cheap as appending to the plain list
+        #: the reference mode keeps. Either way consumers see
+        #: per-request :class:`CompletedRequest` records in completion
+        #: order.
         self.completed: "Union[List[CompletedRequest], CompletedLog]" = (
             CompletedLog() if self.drain_mode == DrainMode.COLUMNAR.value
             else []
@@ -444,11 +440,16 @@ class ServingEngine:
         #: from RuntimeStats.switch_time_s, whose contract is that
         #: failures contribute no bytes and no copy time.
         self.retry_dma_s = 0.0
-        #: End of the last group completed by a batched drain. Drains run
+        #: End of the last group completed by a whole-queue drain. Drains run
         #: on a local clock and never advance a (possibly shared)
         #: simulator clock, so the makespan is
         #: ``max(sim.run(), drained_until)`` across engines.
         self._drained_until = 0.0
+        #: While a columnar drain runs: its lowered expert names, of
+        #: which those from ``_drain_pos`` on are not yet begun (the
+        #: queue itself was cleared when the drain started).
+        self._drain_names: Optional[List[str]] = None
+        self._drain_pos = 0
 
     def bind(self, simulator: EventSource) -> None:
         """Attach to a (possibly shared) event source, resetting state.
@@ -490,6 +491,15 @@ class ServingEngine:
         for group in self._queue:
             counts[group.expert.name] = counts.get(group.expert.name, 0) + 1
         return counts
+
+    def _backlog(self) -> Iterator[str]:
+        """Expert names of the groups not yet begun, soonest first: the
+        lookahead policy's window at every eviction decision point."""
+        names = self._drain_names
+        if names is None:
+            return map(_EXPERT_NAME, self._queue)
+        # Not islice(names, pos, None): each ranking would re-skip pos.
+        return map(names.__getitem__, range(self._drain_pos, len(names)))
 
     def has_queued(self, names: AbstractSet[str]) -> bool:
         """Whether any queued group's expert is named in ``names``."""
@@ -768,7 +778,7 @@ class ServingEngine:
         """
         sim = self._sim
         if now is None:
-            now = sim.now  # event path; batched drains pass a local clock
+            now = sim.now  # event path; drains pass a local clock
         self.flush_speculation(now)
         start = max(now, self._dma_free_s)
         event = self.server.runtime.activate(
@@ -804,25 +814,22 @@ class ServingEngine:
         self._copy_done[expert.name] = done
         return done
 
-    def _pipeline_promote(self, now: float) -> None:
-        """Start the queue head's NVMe->DDR promotion behind this group.
+    def _promote_next(self, nxt: ExpertProfile, now: float) -> None:
+        """Start the next group's NVMe->DDR promotion behind this group.
 
         The CoServe pipelining trick: called right after the current
-        group's activation on every drain path, it peeks the scheduler's
-        reordered backlog and, if the next group's expert is still
-        NVMe-resident, commits its promotion
+        group's activation on every drain path, with the next group's
+        expert from the scheduler's reordered backlog. If that expert is
+        still NVMe-resident, it commits its promotion
         (:meth:`CoERuntime.promote_to_ddr`) and books the DMA occupancy
         on the prefetch lane starting at the DMA's next free slot — so
         the copy overlaps this group's compute and the upcoming demand
         miss pays only the DDR->HBM hop. Pure bookkeeping on the local
-        clock (no new simulator events), so the reference and batched
+        clock (no new simulator events), so the reference and columnar
         drains stay bitwise-identical; promotions are never recorded in
         the decision log (prefetcher traffic, not a policy decision), so
         sim/live cross-check streams are unchanged.
         """
-        if not self._pipeline_active or not self._queue:
-            return
-        nxt = self._queue[0].expert
         runtime = self.server.runtime
         if runtime.tier_of(nxt.name) != "nvme":
             return
@@ -905,7 +912,8 @@ class ServingEngine:
             )
         else:
             exec_start = self._demand_copy(group.expert)
-        self._pipeline_promote(sim.now)
+        if self._pipeline_active and self._queue:
+            self._promote_next(self._queue[0].expert, sim.now)
         if self.policy == "overlap" and self._queue:
             # While this group executes, the DMA engines prefetch the
             # next queued expert (or speculate when it is already here).
@@ -924,16 +932,17 @@ class ServingEngine:
         self._busy_until_s = end
         sim.schedule_at(end, self._finish_group)
 
-    def _prefetch_next(
-        self, protected_name: str, now: Optional[float] = None
-    ) -> None:
-        """Warm the queue head's expert on the otherwise-idle DMA engines."""
+    def _prefetch_next(self, protected_name: str) -> None:
+        """Event-path :meth:`_prefetch` for the queue head."""
         if self._halted or not self._queue:
             return
-        if now is None:
-            now = self._sim.now  # event path; drains pass a local clock
+        self._prefetch(self._queue[0].expert, protected_name, self._sim.now)
+
+    def _prefetch(
+        self, nxt: ExpertProfile, protected_name: str, now: float
+    ) -> None:
+        """Warm the next group's expert on the otherwise-idle DMA engines."""
         runtime = self.server.runtime
-        nxt = self._queue[0].expert
         if runtime.is_resident(nxt):
             self.flush_speculation(now)
             # Recency refresh, free hit — speculative: the demand access
@@ -964,57 +973,45 @@ class ServingEngine:
         else:
             self._demand_copy(nxt, speculative=True, now=now)
 
-    def _complete_group(
+    def _record_phases(
         self,
         group: RequestGroup,
         exec_started: float,
         phase_times: Tuple[float, float, float],
         index: int,
-        finish_s: float,
     ) -> None:
-        """Record one finished group: phase spans + completion records.
-
-        Shared by the event path (``finish_s`` is the clock at the finish
-        event) and the batched drain (``finish_s`` is the local clock);
-        both pass ``exec_started + sum(phase_times)``, so the records are
-        bitwise-identical either way.
-        """
-        sim = self._sim
-        if sim.timeline is not None:
-            end = exec_started
-            for category, duration in zip(("router", "prefill", "decode"),
-                                          phase_times):
-                if duration > 0:
-                    sim.record_span(
-                        f"{category}:{group.expert.name}",
-                        self.lane("compute"), category,
-                        start_s=end, end_s=end + duration,
-                        args={"group": index, "batch": group.batch},
-                    )
-                end += duration
-        expert_name = group.expert.name
-        batch = group.batch
-        append = self.completed.append
-        for req in group.requests:
-            append(CompletedRequest(
-                request_id=req.request_id,
-                expert=expert_name,
-                batch=batch,
-                arrival_s=req.arrival_s,
-                start_s=exec_started,
-                finish_s=finish_s,
-                output_tokens=req.output_tokens,
-            ))
-        self.groups_done += 1
+        """Record one group's router/prefill/decode spans on the compute
+        lane, skipping zero-length phases."""
+        end = exec_started
+        for category, duration in zip(("router", "prefill", "decode"),
+                                      phase_times):
+            if duration > 0:
+                self._sim.record_span(
+                    f"{category}:{group.expert.name}",
+                    self.lane("compute"), category,
+                    start_s=end, end_s=end + duration,
+                    args={"group": index, "batch": group.batch},
+                )
+            end += duration
 
     def _finish_group(self) -> None:
+        """Record the executing group: phase spans + completion records."""
         if self._halted or self._current is None:
             return
         group, exec_started, phase_times, index = self._current
         self._current = None
-        self._complete_group(
-            group, exec_started, phase_times, index, finish_s=self._sim.now
-        )
+        if self._sim.timeline is not None:
+            self._record_phases(group, exec_started, phase_times, index)
+        expert_name = group.expert.name
+        batch = group.batch
+        finish_s = self._sim.now
+        append = self.completed.append
+        for req in group.requests:
+            append(CompletedRequest(
+                req.request_id, expert_name, batch, req.arrival_s,
+                exec_started, finish_s, req.output_tokens,
+            ))
+        self.groups_done += 1
         self._busy = False
         if self.on_group_done is not None:
             self.on_group_done(self, group)
@@ -1024,37 +1021,21 @@ class ServingEngine:
             self._notify_idle()
 
     def _drain_queue(self, start_at: float) -> None:
-        """One whole-queue drain event: pick the fastest equivalent path.
-
-        ``columnar`` mode vectorizes the drain whenever no per-group
-        Python decision is inherent to the configuration; otherwise —
-        the speculative ``overlap`` policy (a prefetch decision per
-        group), a span-traced run (a timeline record per phase),
-        pipelined NVMe promotions (a tier peek per group), or a
-        lookahead cache policy (whose backlog window is the live queue
-        the columnar path clears up front) — it falls back to the
-        batched loop *for this drain*. Both paths are byte-identical in
-        every simulated output, so the fallback is a pure implementation
-        choice, invisible in reports.
-        """
-        if (self.drain_mode == "columnar" and self.policy != "overlap"
-                and not self._pipeline_active and not self._lookahead
-                and self._sim.timeline is None):
-            self._drain_columnar(start_at)
-        else:
-            self._drain_batched(start_at)
-
-    def _drain_columnar(self, start_at: float) -> None:
-        """Drain the whole queue through the columnar (SoA) core.
+        """One whole-queue drain event, through the columnar core.
 
         Lowers the queue to parallel arrays and hands them to
         :func:`repro.coe.columnar.drain`, which timestamps maximal
-        resident-hit runs with one cumsum each and replays the batched
-        loop's scalar code at cache-decision points. Event crediting and
-        end-of-drain bookkeeping mirror :meth:`_drain_batched`: two
-        logical events per group (begin + finish; no overlap prefetch
-        exists on this path by construction), the drain event itself
-        already counted by the simulator.
+        resident-hit runs with one cumsum each and runs the reference
+        path's group step at decision points. Every configuration a
+        whole-queue drain may serve takes this path: traced, ``overlap``,
+        pipelined and ``lookahead`` runs included. The logical event
+        count is the reference path's: a begin and a finish per group,
+        plus one per prefetch deferred to its group's exec start, less
+        the drain event the simulator already counted. The shared clock
+        is never advanced — a later-scheduled drain of another engine on
+        the same simulator must still see its own scheduled time — so
+        the run end is published via :attr:`_drained_until` and folded
+        into the makespan as ``max(sim.run(), drained_until)``.
         """
         if self._halted:
             return
@@ -1067,117 +1048,12 @@ class ServingEngine:
         groups = list(self._queue)
         self._queue.clear()
         cols = lower_queue(self, groups)
-        end = _columnar_drain(self, cols, start_at)
+        end, deferred = _columnar_drain(self, cols, start_at)
         n = len(groups)
         self._groups_started += n
         self.groups_done += n
         self._drained_until = max(self._drained_until, end)
-        self._sim.count_events(max(0, 2 * n - 1))
-        self._notify_idle()
-
-    def _drain_batched(self, start_at: float) -> None:
-        """Drain the whole queue in one simulator event on a local clock.
-
-        Replays exactly the begin -> (deferred prefetch) -> finish event
-        chain of the reference path, group by group, threading an
-        explicit ``now`` instead of reading the shared clock. State
-        mutations (predictor observations, runtime activations, DMA
-        bookkeeping, spans, completion records) happen in the identical
-        order with the identical timestamps, which is what the
-        batched-equivalence property test asserts. The shared clock is
-        never advanced — a later-scheduled drain of another engine on the
-        same simulator must still see its own scheduled time — so the run
-        end is published via :attr:`_drained_until` and folded into the
-        makespan as ``max(sim.run(), drained_until)``.
-        """
-        if self._halted:
-            return
-        self._begin_scheduled = False
-        if self._busy:
-            return
-        if not self._queue:
-            self._notify_idle()
-            return
-        # Everything touched per iteration is hoisted to a local — this
-        # loop replaces the whole event pipeline on million-group runs.
-        sim = self._sim
-        runtime = self.server.runtime
-        is_resident = runtime.is_resident
-        activate = runtime.activate
-        observe = self._predictor.observe
-        copy_done = self._copy_done
-        phase_cache = self._phase_cache
-        queue = self._queue
-        popleft = queue.popleft
-        completed_append = self.completed.append
-        overlap = self.policy == "overlap"
-        pipelining = self._pipeline_active
-        tracing = sim.timeline is not None
-        index = self._groups_started
-        groups_done = 0
-        now = start_at
-        #: Events the reference path would have run for this same work:
-        #: a begin + a finish per group, plus one per deferred prefetch.
-        logical = 0
-        while queue:
-            group = popleft()
-            expert = group.expert
-            expert_name = expert.name
-            base = phase_cache.get(group.phase_key)
-            if base is None:
-                base = self._base_phase_times(group)
-            factor = self.slow_factor
-            if factor != 1.0:
-                # x * 1.0 is bitwise x, so skipping the common no-op
-                # stretch cannot change a timestamp.
-                base = (base[0] * factor, base[1] * factor,
-                        base[2] * factor)
-            observe(expert)
-            if is_resident(expert):
-                activate(expert)  # hit: free recency refresh
-                done = copy_done.get(expert_name)
-                exec_start = now if done is None or done <= now else done
-            else:
-                exec_start = self._demand_copy(expert, now=now)
-            if pipelining:
-                self._pipeline_promote(now)
-            if overlap and queue:
-                if exec_start > now:
-                    # The reference path defers this to its own event at
-                    # exec_start; nothing else of this engine runs in
-                    # between, so replaying it inline at that time is
-                    # the same interleaving.
-                    logical += 1
-                    self._prefetch_next(expert_name, now=exec_start)
-                else:
-                    self._prefetch_next(expert_name, now=now)
-            end = exec_start + base[0] + base[1] + base[2]
-            self._busy_until_s = end
-            if tracing:
-                self._complete_group(group, exec_start, base, index,
-                                     finish_s=end)
-            else:
-                batch = len(group.requests)
-                for req in group.requests:
-                    completed_append(CompletedRequest(
-                        req.request_id, expert_name, batch, req.arrival_s,
-                        exec_start, end, req.output_tokens,
-                    ))
-                groups_done += 1
-            index += 1
-            logical += 2
-            now = end
-            if queue:
-                head_name = queue[0].expert.name
-                done = copy_done.get(head_name)
-                if done is not None and done > now and is_resident(
-                        queue[0].expert):
-                    now = done
-        self._groups_started = index
-        self.groups_done += groups_done
-        self._drained_until = max(self._drained_until, now)
-        # The drain event itself was already counted by the simulator.
-        sim.count_events(max(0, logical - 1))
+        self._sim.count_events(max(0, 2 * n + deferred - 1))
         self._notify_idle()
 
     def _notify_idle(self) -> None:

@@ -549,7 +549,7 @@ class LiveEngine:
     def _pipeline_promote(self, node: _LiveNode) -> None:
         """Start the pending head's NVMe->DDR promotion behind this group.
 
-        The live twin of :meth:`ServingEngine._pipeline_promote`: right
+        The live twin of :meth:`ServingEngine._promote_next`: right
         after the current group's activation, peek the node's pending
         mirror and, if the next group's expert is still NVMe-resident,
         commit its promotion and book the DMA occupancy from the DMA's

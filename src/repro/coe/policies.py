@@ -87,26 +87,23 @@ class ServeMode(PolicyEnum):
 class DrainMode(PolicyEnum):
     """How a :class:`ServingEngine` executes its queued groups.
 
-    All three modes are byte-identical in every simulated output (the
+    Both modes are byte-identical in every simulated output (the
     equivalence grid in ``tests/coe/test_batched_equivalence.py`` pins
     it); they differ only in how much Python runs per group:
 
     - ``REFERENCE`` — one begin/finish simulator event pair per group,
       the seed-equivalent event-by-event execution.
-    - ``BATCHED`` — the PR 6 fast path: the whole queue drains in one
-      simulator event on a local clock, one Python loop iteration per
-      group.
-    - ``COLUMNAR`` — the default: the queue is lowered to parallel
+    - ``COLUMNAR`` — the default: the whole queue drains in one
+      simulator event on a local clock. The queue is lowered to parallel
       arrays (:mod:`repro.coe.columnar`) and maximal runs of resident-
       expert groups are timestamped with one ``numpy`` cumsum instead of
-      a Python iteration each; only cache-decision points drop back to
-      Python. Falls back to ``BATCHED`` per drain whenever per-group
-      Python decisions are inherent (the speculative ``overlap`` policy,
-      span-traced runs) — see docs/PERFORMANCE.md.
+      a Python iteration each; only decision points (cache misses, and
+      every group under ``overlap``) run the scalar group step. Traced,
+      pipelined and ``lookahead`` runs take it too — see
+      docs/PERFORMANCE.md.
     """
 
     REFERENCE = "reference"
-    BATCHED = "batched"
     COLUMNAR = "columnar"
 
 

@@ -9,7 +9,7 @@ cross-lane overlap and exportable to Perfetto.
 
 Invariants, enforced at record time:
 
-- a span's end never precedes its start,
+- a span's end never precedes its start (and neither is NaN),
 - spans within one lane never overlap (lanes model serial resources:
   a compute pipeline, a DMA engine, an orchestration sequencer);
   touching endpoints are fine.
@@ -21,15 +21,18 @@ derives its hidden-switch fraction instead of keeping ad-hoc counters.
 Recording is the hot path (one call per simulated phase), so a lane
 stores its spans as parallel columns — names, categories, starts, ends,
 args — and the numeric queries read the float columns directly.
-:class:`Span` records are built only when a caller asks for spans.
+:meth:`Timeline.record_run` appends a whole run of spans with one
+``extend`` per column. :class:`Span` records are built only when a
+caller asks for spans.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import partial
-from itertools import chain, compress, repeat
-from operator import eq, itemgetter, sub
+from itertools import chain, compress, islice, repeat
+from math import inf
+from operator import eq, ge, itemgetter, le, sub
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -58,7 +61,7 @@ class Span(_SpanFields):
 
     def __new__(cls, name: str, lane: str, category: str, start_s: float,
                 end_s: float, args: Mapping = _NO_ARGS) -> "Span":
-        if end_s < start_s:
+        if not start_s <= end_s:  # one comparison also rejects NaN
             raise ValueError(f"span {name!r}: end {end_s} < start {start_s}")
         return _new_tuple(cls, (name, lane, category, start_s, end_s, args))
 
@@ -120,7 +123,7 @@ class Timeline:
         to the lane's columns; an earlier start bisects into them.
         Nothing is stored until every check has passed.
         """
-        if end_s < start_s:
+        if not start_s <= end_s:  # one comparison also rejects NaN
             raise ValueError(f"span {name!r}: end {end_s} < start {start_s}")
         args = dict(args or {})
         columns = self._lanes.get(lane)
@@ -143,8 +146,7 @@ class Timeline:
                 index = bisect_right(starts, start_s)
                 if index > 0 and start_s < ends[index - 1] - tolerance:
                     raise self._overlap(lane, name, start_s, end_s, index - 1)
-                # index == len(starts) only for a NaN start.
-                if index < len(starts) and end_s > starts[index] + tolerance:
+                if end_s > starts[index] + tolerance:
                     raise self._overlap(lane, name, start_s, end_s, index)
                 names.insert(index, name)
                 categories.insert(index, category)
@@ -152,6 +154,46 @@ class Timeline:
                 ends.insert(index, end_s)
                 lane_args.insert(index, args)
         return _as_span((name, lane, category, start_s, end_s, args))
+
+    def record_run(
+        self,
+        lane: str,
+        names: List[str],
+        categories: List[str],
+        starts: List[float],
+        ends: List[float],
+        args: List[Dict],
+    ) -> None:
+        """Record a run of spans on one lane: one :meth:`record` per span,
+        in bulk.
+
+        When the run is in start order, starts at or after the lane's
+        last span and passes :meth:`record`'s checks — every span ends
+        no earlier than it starts (a NaN fails that comparison), and no
+        span overlaps the lane's last span or the run's previous one —
+        each lane column is extended once and no :class:`Span` is
+        built. The timeline keeps the ``args`` dicts as given. Any other
+        run goes through :meth:`record` span by span, which orders it
+        and raises at the first span it rejects.
+        """
+        columns = self._lanes.get(lane)
+        last_end = -inf if columns is None else columns.ends[-1]
+        if (starts and (columns is None or starts[0] >= columns.starts[-1])
+                and all(map(le, starts, islice(starts, 1, None)))
+                and all(map(le, starts, ends))
+                and all(map(ge, starts, map(sub, chain((last_end,), ends),
+                                             repeat(self.tolerance_s))))):
+            if columns is None:
+                columns = self._lanes[lane] = _Lane([], [], [], [], [])
+            columns.names.extend(names)
+            columns.categories.extend(categories)
+            columns.starts.extend(starts)
+            columns.ends.extend(ends)
+            columns.args.extend(args)
+            return
+        for name, category, start_s, end_s, span_args in zip(
+                names, categories, starts, ends, args):
+            self.record(name, lane, category, start_s, end_s, span_args)
 
     def _overlap(self, lane: str, name: str, start_s: float, end_s: float,
                  index: int) -> ValueError:

@@ -16,7 +16,7 @@ same policies run on either backend:
   cross-check (:mod:`repro.coe.crosscheck`) possible.
 - :class:`EventSource` — a :class:`Clock` that also *owns* the arrow of
   time: callbacks can be scheduled on it (``schedule``/``schedule_at``)
-  and batched drains account through it (``count_events`` /
+  and whole-queue drains account through it (``count_events`` /
   ``advance_to`` / ``peek_next_time``). The serving engines bind to an
   :class:`EventSource`; only the backend *driver* (``ServingEngine.run``,
   ``ClusterEngine.serve``) may additionally pump a concrete

@@ -1,17 +1,20 @@
-"""Property test: the batched fast path IS the event-by-event reference.
+"""Property test: the columnar fast drain IS the event-by-event reference.
 
-``event_batching=True`` (the default) drains a node's whole queue in
-one simulator event with a local clock; ``event_batching=False`` is the
+``event_batching=True`` (the default, ``drain_mode="columnar"``) drains
+a node's whole queue in one simulator event with a local clock;
+``event_batching=False`` (``drain_mode="reference"``) is the
 seed-equivalent reference — one begin/finish event pair per group, the
 heap popped one event at a time. The two must be indistinguishable in
 every observable: report stats (including the logical ``events_run``
-count), completed-request records, and the byte-level timeline — across
-scheduling policies, cache policies, and randomized workloads.
+count), completed-request records, the byte-level timeline and the
+cache DecisionLog — across scheduling policies, cache policies, traced
+and untraced runs, the memory hierarchy, pipelined promotions,
+``lookahead`` eviction, ``overlap`` prefetching and randomized
+workloads.
 
-Timelines are compared per lane over sorted lane names: the batched
-path may *create* lanes in a different order (spans for a whole drain
-are recorded together), which is an artifact of dict insertion order,
-not of the simulation.
+Timelines are compared per lane over sorted lane names: a whole-queue
+drain may *create* lanes in a different order than the event path,
+which is an artifact of dict insertion order, not of the simulation.
 """
 
 import random
@@ -24,7 +27,7 @@ from repro.coe.engine import ServingEngine, zipf_request_stream
 from repro.coe.expert import build_samba_coe_library
 from repro.systems.platforms import sn40l_platform
 
-DRAIN_MODES = ("reference", "batched", "columnar")
+DRAIN_MODES = ("reference", "columnar")
 
 
 def _timeline_lanes(timeline):
@@ -158,12 +161,11 @@ def test_cluster_untraced_batched_matches_traced_reference_metrics():
 @pytest.mark.parametrize("cache_policy", ["lru", "lfu", "gdsf"])
 @pytest.mark.parametrize("record", [True, False], ids=["traced", "untraced"])
 def test_engine_three_way_equivalence(policy, cache_policy, record):
-    """reference == batched == columnar, byte for byte.
+    """reference == columnar, byte for byte.
 
     Reports, completion records, event counts, timelines, and the cache
-    DecisionLog must all agree. ``traced`` pins the columnar fallback
-    (timelines force the batched drain internally); ``untraced`` with a
-    non-overlap policy exercises the real columnar core.
+    DecisionLog must all agree, traced and untraced, under every node
+    policy (``overlap`` makes every group a decision point).
     """
     rng = random.Random(f"threeway:{policy}:{cache_policy}:{record}")
     library, requests = _random_workload(rng)
@@ -181,25 +183,24 @@ def test_engine_three_way_equivalence(policy, cache_policy, record):
         return report, log
 
     reference, reference_log = run("reference")
-    for mode in ("batched", "columnar"):
-        report, log = run(mode)
-        assert report.to_dict() == reference.to_dict(), mode
-        assert report.completed == reference.completed, mode
-        assert report.events_run == reference.events_run, mode
-        assert _timeline_lanes(report.timeline) == _timeline_lanes(
-            reference.timeline
-        ), mode
-        assert log == reference_log, (mode, log.diff(reference_log))
+    report, log = run("columnar")
+    assert report.to_dict() == reference.to_dict()
+    assert report.completed == reference.completed
+    assert report.events_run == reference.events_run
+    assert _timeline_lanes(report.timeline) == _timeline_lanes(
+        reference.timeline
+    )
+    assert log == reference_log, log.diff(reference_log)
 
 
 @pytest.mark.parametrize("policy", ["least_loaded", "affinity", "steal"])
 @pytest.mark.parametrize("record", [True, False], ids=["traced", "untraced"])
 def test_cluster_three_way_equivalence(policy, record):
-    """Cluster-level three-way identity, decision log included.
+    """Cluster-level reference == columnar identity, decision log
+    included.
 
     ``steal`` forces the reference drain internally, so that axis pins
-    the fallback gate; the others exercise batched and columnar drains
-    per node.
+    the gate; the others exercise the columnar drain per node.
     """
     rng = random.Random(f"cluster3:{policy}:{record}")
     library, requests = _random_workload(rng)
@@ -215,24 +216,23 @@ def test_cluster_three_way_equivalence(policy, record):
 
     reference, reference_log = run("reference")
     skip = {"nodes", "timeline", "load_imbalance"}
-    for mode in ("batched", "columnar"):
-        report, log = run(mode)
-        if record:
-            assert report.to_dict() == reference.to_dict(), mode
-            assert _timeline_lanes(report.timeline) == _timeline_lanes(
-                reference.timeline
-            ), mode
-        else:
-            got = {k: v for k, v in report.to_dict().items() if k not in skip}
-            want = {k: v for k, v in reference.to_dict().items()
-                    if k not in skip}
-            assert got == want, mode
-        assert report.events_run == reference.events_run, mode
-        assert log == reference_log, (mode, log.diff(reference_log))
+    report, log = run("columnar")
+    if record:
+        assert report.to_dict() == reference.to_dict()
+        assert _timeline_lanes(report.timeline) == _timeline_lanes(
+            reference.timeline
+        )
+    else:
+        got = {k: v for k, v in report.to_dict().items() if k not in skip}
+        want = {k: v for k, v in reference.to_dict().items()
+                if k not in skip}
+        assert got == want
+    assert report.events_run == reference.events_run
+    assert log == reference_log, log.diff(reference_log)
 
 
 def test_randomized_drain_mode_fuzz():
-    """Seeded fuzz over the three-way config space beyond the fixed grid."""
+    """Seeded fuzz over the drain-mode config space beyond the fixed grid."""
     rng = random.Random(20260809)
     for trial in range(6):
         policy = rng.choice(["fifo", "affinity", "overlap"])
@@ -246,14 +246,12 @@ def test_randomized_drain_mode_fuzz():
                 drain_mode=mode, record_timeline=record,
             ).run(requests)
         key = (trial, policy, cache, record)
-        for mode in ("batched", "columnar"):
-            assert reports[mode].to_dict() == reports["reference"].to_dict(), (
-                key, mode)
-            assert reports[mode].completed == reports["reference"].completed, (
-                key, mode)
-            assert _timeline_lanes(reports[mode].timeline) == _timeline_lanes(
-                reports["reference"].timeline
-            ), (key, mode)
+        fast, reference = reports["columnar"], reports["reference"]
+        assert fast.to_dict() == reference.to_dict(), key
+        assert fast.completed == reference.completed, key
+        assert _timeline_lanes(fast.timeline) == _timeline_lanes(
+            reference.timeline
+        ), key
 
 
 def _tier_caps(library, hbm_frac=0.5, ddr_frac=0.75):
@@ -266,9 +264,9 @@ def _tier_caps(library, hbm_frac=0.5, ddr_frac=0.75):
 
 @pytest.mark.parametrize("cache_policy", ["lru", "lfu", "gdsf"])
 def test_engine_three_way_equivalence_tiered(cache_policy):
-    """The three-way identity holds with the full memory hierarchy on:
-    a 3-tier capacity ladder (NVMe promotions in play) and the
-    expert-reorder admission scheduler."""
+    """The reference == columnar identity holds with the full memory
+    hierarchy on: a 3-tier capacity ladder (NVMe promotions in play) and
+    the expert-reorder admission scheduler."""
     rng = random.Random(f"tiered:{cache_policy}")
     library, requests = _random_workload(rng)
     caps = _tier_caps(library)
@@ -285,21 +283,21 @@ def test_engine_three_way_equivalence_tiered(cache_policy):
 
     reference, reference_log = run("reference")
     assert reference.scheduler == "expert_reorder"
-    for mode in ("batched", "columnar"):
-        report, log = run(mode)
-        assert report.to_dict() == reference.to_dict(), mode
-        assert report.completed == reference.completed, mode
-        assert _timeline_lanes(report.timeline) == _timeline_lanes(
-            reference.timeline
-        ), mode
-        assert log == reference_log, (mode, log.diff(reference_log))
+    report, log = run("columnar")
+    assert report.to_dict() == reference.to_dict()
+    assert report.completed == reference.completed
+    assert _timeline_lanes(report.timeline) == _timeline_lanes(
+        reference.timeline
+    )
+    assert log == reference_log, log.diff(reference_log)
 
 
 @pytest.mark.parametrize("cache_policy", ["gdsf", "lookahead"])
 def test_engine_three_way_equivalence_pipelined(cache_policy):
-    """The three-way identity holds with pipelined NVMe->DDR promotions
-    on (and with the lookahead policy, which — like pipelining — forces
-    the columnar mode's per-drain fallback to the batched path)."""
+    """The reference == columnar identity holds with pipelined NVMe->DDR
+    promotions on, traced (promotions happen at run boundaries), and
+    with the lookahead policy (its backlog window is the unconsumed tail
+    of the lowered queue)."""
     rng = random.Random(f"pipelined:{cache_policy}")
     library, requests = _random_workload(rng)
     caps = _tier_caps(library, hbm_frac=0.4, ddr_frac=0.55)
@@ -316,14 +314,13 @@ def test_engine_three_way_equivalence_pipelined(cache_policy):
 
     reference, reference_log = run("reference")
     assert reference.pipelined_promotions > 0
-    for mode in ("batched", "columnar"):
-        report, log = run(mode)
-        assert report.to_dict() == reference.to_dict(), mode
-        assert report.completed == reference.completed, mode
-        assert _timeline_lanes(report.timeline) == _timeline_lanes(
-            reference.timeline
-        ), mode
-        assert log == reference_log, (mode, log.diff(reference_log))
+    report, log = run("columnar")
+    assert report.to_dict() == reference.to_dict()
+    assert report.completed == reference.completed
+    assert _timeline_lanes(report.timeline) == _timeline_lanes(
+        reference.timeline
+    )
+    assert log == reference_log, log.diff(reference_log)
 
 
 @pytest.mark.parametrize("policy", ["least_loaded", "affinity"])
@@ -343,14 +340,13 @@ def test_cluster_three_way_equivalence_tiered(policy):
 
     reference, reference_log = run("reference")
     assert reference.scheduler == "expert_reorder"
-    for mode in ("batched", "columnar"):
-        report, log = run(mode)
-        assert report.to_dict() == reference.to_dict(), mode
-        assert report.events_run == reference.events_run, mode
-        assert _timeline_lanes(report.timeline) == _timeline_lanes(
-            reference.timeline
-        ), mode
-        assert log == reference_log, (mode, log.diff(reference_log))
+    report, log = run("columnar")
+    assert report.to_dict() == reference.to_dict()
+    assert report.events_run == reference.events_run
+    assert _timeline_lanes(report.timeline) == _timeline_lanes(
+        reference.timeline
+    )
+    assert log == reference_log, log.diff(reference_log)
 
 
 def test_randomized_tiered_drain_fuzz():
@@ -370,11 +366,9 @@ def test_randomized_tiered_drain_fuzz():
                 tier_capacities=caps,
             ).run(requests)
         key = (trial, cache, scheduler)
-        for mode in ("batched", "columnar"):
-            assert reports[mode].to_dict() == reports["reference"].to_dict(), (
-                key, mode)
-            assert reports[mode].completed == reports["reference"].completed, (
-                key, mode)
+        fast, reference = reports["columnar"], reports["reference"]
+        assert fast.to_dict() == reference.to_dict(), key
+        assert fast.completed == reference.completed, key
 
 
 def test_sim_live_cross_check_with_hierarchy_and_scheduler():

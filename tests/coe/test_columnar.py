@@ -1,9 +1,9 @@
 """Unit pins for the columnar drain core's building blocks.
 
-The three-way report identity lives in ``test_batched_equivalence.py``;
-this file pins the individual equivalences the columnar drain is built
-from, so a future regression points at the broken piece rather than at
-"some report byte differs":
+The reference == columnar report identity lives in
+``test_batched_equivalence.py``; this file pins the individual
+equivalences the columnar drain is built from, so a future regression
+points at the broken piece rather than at "some report byte differs":
 
 - the cumsum timestamp chain is *bitwise* the scalar accumulation loop,
 - ``CompletedLog`` presents exactly the records a plain list would,
@@ -11,6 +11,8 @@ from, so a future regression points at the broken piece rather than at
 - ``CoERuntime.touch_run`` equals sequential hit ``activate`` calls,
 - ``ExpertPredictor.observe_run`` equals sequential ``observe`` calls,
 - ``summarize_latencies`` equals the scalar ``percentile`` oracle,
+- traced, pipelined, ``lookahead`` and ``overlap`` single-node runs
+  send every group through the columnar drain (no fallback loop),
 - engines reject re-entry instead of leaking prior run state.
 """
 
@@ -24,9 +26,11 @@ from repro.coe.cache import BeladyPolicy, make_policy
 from repro.coe.cluster_engine import ClusterEngine
 from repro.coe.columnar import CompletedLog, latency_values, token_total
 from repro.coe.decisions import DecisionLog
+from repro.coe import engine as engine_module
 from repro.coe.engine import (
     CompletedRequest,
     EngineReentryError,
+    EngineRequest,
     ServingEngine,
     zipf_request_stream,
 )
@@ -34,7 +38,7 @@ from repro.coe.expert import build_samba_coe_library
 from repro.coe.metrics import percentile, summarize_latencies
 from repro.coe.policies import DrainMode
 from repro.coe.runtime import CoERuntime
-from repro.coe.scheduling import ExpertPredictor
+from repro.coe.scheduling import ExpertPredictor, RequestGroup
 from repro.systems.platforms import sn40l_platform
 
 
@@ -79,31 +83,38 @@ def _record(i, expert="e0", batch=1, arrival=0.0, start=1.0, end=2.0, tok=3):
     return CompletedRequest(i, expert, batch, arrival, start, end, tok)
 
 
+#: Materialized records take their expert name from the block's names
+#: column; the groups' expert only has to be a real profile.
+_BLOCK_EXPERT = build_samba_coe_library(1).experts[0]
+
+
 def _block_records(first_id, names_sizes, start0):
     """Build extend_block arguments plus the equivalent scalar records."""
     names = [n for n, _ in names_sizes]
     sizes = [s for _, s in names_sizes]
-    starts, ends, cursor = [], [], start0
+    bounds, cursor = [start0], start0
     for _ in names:
-        starts.append(cursor)
         cursor += 1.5
-        ends.append(cursor)
-    req_ids, arrivals, tokens, records = [], [], [], []
+        bounds.append(cursor)
+    groups, arrivals, tokens, records = [], [], [], []
     rid = first_id
-    for name, size, start, end in zip(names, sizes, starts, ends):
+    for k, (name, size) in enumerate(zip(names, sizes)):
+        requests = []
         for _ in range(size):
-            req_ids.append(rid)
+            requests.append(EngineRequest(
+                request_id=rid, expert=_BLOCK_EXPERT,
+                output_tokens=rid + 10, arrival_s=0.25 * rid,
+            ))
             arrivals.append(0.25 * rid)
             tokens.append(rid + 10)
             records.append(
-                CompletedRequest(rid, name, size, 0.25 * rid, start, end,
-                                 rid + 10))
+                CompletedRequest(rid, name, size, 0.25 * rid, bounds[k],
+                                 bounds[k + 1], rid + 10))
             rid += 1
+        groups.append(RequestGroup(_BLOCK_EXPERT, tuple(requests)))
     columns = (
-        names, np.asarray(sizes, dtype=np.int64),
-        np.asarray(starts), np.asarray(ends),
-        np.asarray(req_ids, dtype=np.int64), np.asarray(arrivals),
-        np.asarray(tokens, dtype=np.int64),
+        groups, names, np.asarray(bounds), np.asarray(sizes, dtype=np.int64),
+        np.asarray(arrivals), np.asarray(tokens, dtype=np.int64),
     )
     return columns, records
 
@@ -138,6 +149,34 @@ def test_completed_log_block_first_keeps_append_bound():
     log.extend_block(*columns)
     log.append(_record(99))
     assert list(log) == records + [_record(99)]
+
+
+def test_completed_log_len_counts_every_segment():
+    """``len`` is a running count; it must agree with the records after
+    appends to an open tail, blocks that close it, and back to back
+    blocks on an empty tail."""
+    log = CompletedLog()
+    expected = []
+    assert len(log) == 0
+    columns, records = _block_records(0, [("a", 2)], start0=0.0)
+    log.extend_block(*columns)
+    expected.extend(records)
+    assert len(log) == len(expected) == 2
+    columns, records = _block_records(2, [("b", 1), ("c", 3)], start0=3.0)
+    log.extend_block(*columns)
+    expected.extend(records)
+    assert len(log) == len(expected) == 6
+    for rid in (6, 7):
+        log.append(_record(rid))
+        expected.append(_record(rid))
+        assert len(log) == len(expected)
+    columns, records = _block_records(8, [("d", 4)], start0=9.0)
+    log.extend_block(*columns)
+    expected.extend(records)
+    log.append(_record(12))
+    expected.append(_record(12))
+    assert len(log) == len(expected) == 13
+    assert list(log) == expected
 
 
 def test_completed_log_materialize_caches_until_grown():
@@ -289,13 +328,16 @@ def test_drain_mode_resolution_and_back_compat():
     library, _ = _small_workload()
     assert ServingEngine(sn40l_platform(), library).drain_mode == "columnar"
     assert ServingEngine(
+        sn40l_platform(), library, event_batching=True
+    ).drain_mode == "columnar"
+    assert ServingEngine(
         sn40l_platform(), library, event_batching=False
     ).drain_mode == "reference"
     engine = ServingEngine(
         sn40l_platform(), library, event_batching=False,
-        drain_mode=DrainMode.BATCHED,
+        drain_mode=DrainMode.COLUMNAR,
     )
-    assert engine.drain_mode == "batched"  # explicit mode wins
+    assert engine.drain_mode == "columnar"  # explicit mode wins
     assert engine.event_batching is True
 
 
@@ -303,6 +345,73 @@ def test_drain_mode_rejects_unknown_names():
     library, _ = _small_workload()
     with pytest.raises(ValueError):
         ServingEngine(sn40l_platform(), library, drain_mode="bogus")
+
+
+@pytest.mark.parametrize("engine_type", ["single", "cluster"])
+def test_batched_drain_mode_is_gone(engine_type):
+    """The batched loop was folded into the columnar drain: asking for
+    it is a typed error that lists the modes that exist."""
+    library, _ = _small_workload()
+    with pytest.raises(ValueError) as excinfo:
+        if engine_type == "single":
+            ServingEngine(sn40l_platform(), library, drain_mode="batched")
+        else:
+            ClusterEngine(sn40l_platform, library, num_nodes=2,
+                          drain_mode="batched")
+    message = str(excinfo.value)
+    assert "unknown DrainMode 'batched'" in message
+    assert "'reference', 'columnar'" in message
+    assert DrainMode.values() == ("reference", "columnar")
+
+
+def _spy_columnar_drain(monkeypatch):
+    """Wrap the engine's columnar drain; returns the list of each call's
+    group count."""
+    calls = []
+    real = engine_module._columnar_drain
+
+    def spy(engine, cols, start_at):
+        calls.append(len(cols))
+        return real(engine, cols, start_at)
+
+    monkeypatch.setattr(engine_module, "_columnar_drain", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "config", ["traced", "pipeline_promotions", "lookahead", "overlap"]
+)
+def test_every_single_node_drain_is_columnar(monkeypatch, config):
+    """Zero fallbacks: each configuration that once dropped to a second
+    drain loop sends every group through the columnar drain."""
+    library = build_samba_coe_library(24)
+    requests = zipf_request_stream(library, 300, seed=5)
+    working_set = sum(e.weight_bytes for e in library.experts)
+    biggest = max(e.weight_bytes for e in library.experts)
+    hbm = max(int(0.4 * working_set), biggest)
+    caps = {"hbm": hbm, "ddr": max(int(0.55 * working_set), hbm)}
+    kwargs = {
+        "traced": dict(record_timeline=True),
+        "pipeline_promotions": dict(
+            record_timeline=False, tier_capacities=caps,
+            pipeline_promotions=True,
+        ),
+        "lookahead": dict(
+            record_timeline=False, tier_capacities=caps,
+            cache_policy="lookahead",
+        ),
+        "overlap": dict(record_timeline=False, policy="overlap"),
+    }[config]
+    kwargs.setdefault("policy", "affinity")
+    calls = _spy_columnar_drain(monkeypatch)
+    report = ServingEngine(sn40l_platform(), library, **kwargs).run(requests)
+    assert calls, "no drain went through the columnar core"
+    assert sum(calls) == report.groups
+    assert report.requests == len(requests)
+    if config == "pipeline_promotions":
+        assert report.pipelined_promotions > 0
+    if config == "lookahead":
+        assert report.demand_hit_rate < 1.0  # evictions were ranked
 
 
 def test_serving_engine_rejects_reentry():

@@ -105,6 +105,22 @@ class TestRejectedRecord:
         assert timeline.spans("new") == []
         assert timeline.busy_s("dma") == 2.0
 
+    @pytest.mark.parametrize("start, end", [
+        (1.0, float("nan")),            # NaN end
+        (float("nan"), 1.0),            # NaN start
+    ])
+    @pytest.mark.parametrize("lane", ["dma", "new"])
+    def test_nan_timestamps_rejected(self, timeline, lane, start, end):
+        before = timeline.spans()
+        with pytest.raises(ValueError):
+            timeline.record("bad", lane, "copy", start, end)
+        with pytest.raises(ValueError):
+            Span("bad", lane, "copy", start, end)
+        assert timeline.lanes == ["dma"]
+        assert timeline.spans() == before
+        assert timeline.busy_s("dma") == 2.0
+        assert timeline.busy_s(lane) == (2.0 if lane == "dma" else 0.0)
+
     def test_rejected_first_span_creates_no_lane(self):
         timeline = Timeline()
         with pytest.raises(ValueError):
@@ -188,3 +204,114 @@ class TestRecordScaling:
         # Overlap detection still works against the maintained index.
         with pytest.raises(ValueError):
             timeline.record("bad", "lane", "c", 50.2, 50.4)
+
+
+class TestRecordRun:
+    """record_run() stores exactly what one record() per span would, and
+    raises where that sequence would raise."""
+
+    RUN = (
+        ["r", "p", "d"], ["router", "prefill", "decode"],
+        [3.0, 3.5, 4.0], [3.5, 4.0, 6.0],
+    )
+
+    @staticmethod
+    def _args():
+        return [{"group": 0}, {"group": 0}, {"group": 1}]
+
+    @staticmethod
+    def _timeline():
+        timeline = Timeline()
+        timeline.record("a", "l", "c", 1.0, 2.0)
+        return timeline
+
+    @staticmethod
+    def _sequential(timeline, lane, names, categories, starts, ends, args):
+        for row in zip(names, categories, starts, ends, args):
+            timeline.record(row[0], lane, row[1], row[2], row[3], row[4])
+
+    @pytest.mark.parametrize("lane", ["l", "new"])
+    def test_equals_sequential_record(self, lane):
+        want, got = self._timeline(), self._timeline()
+        self._sequential(want, lane, *self.RUN, self._args())
+        got.record_run(lane, *self.RUN, self._args())
+        assert got.lanes == want.lanes
+        assert got.spans() == want.spans()
+        assert got.busy_s(lane) == want.busy_s(lane)
+
+    def test_empty_run_is_a_noop(self):
+        timeline = self._timeline()
+        timeline.record_run("new", [], [], [], [], [])
+        assert timeline.lanes == ["l"]
+
+    def test_touching_and_tolerated_slop_allowed(self):
+        timeline = Timeline(tolerance_s=1e-9)
+        timeline.record("a", "l", "c", 0.0, 1.0)
+        timeline.record_run("l", ["b", "c"], ["c", "c"],
+                            [1.0 - 1e-10, 2.0], [2.0, 2.0], [{}, {}])
+        assert [s.name for s in timeline.spans("l")] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("lane, starts, ends", [
+        ("l", [1.5, 3.0], [2.5, 4.0]),     # overlaps the lane's last span
+        ("l", [3.0, 3.5], [4.0, 5.0]),     # overlaps the run's previous span
+        ("new", [3.0, 3.5], [4.0, 5.0]),
+        ("l", [3.0, 4.0], [4.0, 3.5]),     # ends before it starts
+        ("new", [3.0, 4.0], [3.0, 3.5]),
+        ("l", [3.0, 4.0], [float("nan"), 5.0]),   # NaN end
+        ("new", [3.0, 4.0], [4.0, float("nan")]),
+        ("l", [float("nan"), 4.0], [4.0, 5.0]),   # NaN start
+        ("new", [3.0, float("nan")], [4.0, 5.0]),
+    ])
+    def test_rejected_run_matches_sequential_record(self, lane, starts,
+                                                    ends):
+        want, got = self._timeline(), self._timeline()
+        run = (["x", "y"], ["c", "c"], starts, ends)
+        with pytest.raises(ValueError) as expected:
+            self._sequential(want, lane, *run, [{}, {}])
+        with pytest.raises(ValueError) as raised:
+            got.record_run(lane, *run, [{}, {}])
+        assert str(raised.value) == str(expected.value)
+        assert got.lanes == want.lanes
+        assert got.spans() == want.spans()
+
+    @pytest.mark.parametrize("names, starts, ends", [
+        # Starts inside the tolerance before the lane's zero-length last
+        # span: record() inserts it ahead of that span.
+        (["x"], [1.0 - 5e-13], [1.0 - 5e-13]),
+        # The run's own second span starts inside the tolerance before
+        # its zero-length first span.
+        (["x", "y"], [3.0, 3.0 - 5e-13], [3.0, 3.0 - 5e-13]),
+    ])
+    def test_sub_tolerance_reorder_matches_sequential_record(
+            self, names, starts, ends):
+        want, got = Timeline(), Timeline()
+        for timeline in (want, got):
+            timeline.record("a", "l", "c", 1.0, 1.0)
+        run = (names, ["c"] * len(names), starts, ends)
+        self._sequential(want, "l", *run, [{} for _ in names])
+        got.record_run("l", *run, [{} for _ in names])
+        assert [s.name for s in got.spans("l")] == [
+            s.name for s in want.spans("l")]
+        assert got.spans() == want.spans()
+
+    def test_nan_only_run_leaves_the_timeline_unchanged(self):
+        timeline = self._timeline()
+        for start, end in ((1.0, float("nan")), (float("nan"), 1.0)):
+            with pytest.raises(ValueError):
+                timeline.record_run("l", ["x"], ["c"], [start], [end], [{}])
+        assert timeline.spans() == [Span("a", "l", "c", 1.0, 2.0)]
+
+    def test_run_before_the_lane_tail_is_ordered_like_record(self):
+        timeline = Timeline()
+        timeline.record("late", "l", "c", 10.0, 11.0)
+        timeline.record_run("l", ["x", "y"], ["c", "c"], [1.0, 2.0],
+                            [2.0, 3.0], [{}, {}])
+        assert [s.name for s in timeline.spans("l")] == ["x", "y", "late"]
+        with pytest.raises(ValueError):
+            timeline.record_run("l", ["z"], ["c"], [10.5], [12.0], [{}])
+
+    def test_out_of_order_run_is_ordered_like_record(self):
+        timeline = self._timeline()
+        timeline.record_run("l", ["y", "x"], ["c", "c"], [5.0, 3.0],
+                            [6.0, 4.0], [{}, {}])
+        assert [s.name for s in timeline.spans("l")] == ["a", "x", "y"]
