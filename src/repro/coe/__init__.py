@@ -72,7 +72,6 @@ from repro.coe.policies import (
     ServeMode,
 )
 from repro.coe.serving import (
-    CoEServer,
     ExpertServer,
     RequestLatency,
     ServeResult,
@@ -97,7 +96,7 @@ from repro.coe.crosscheck import CrossCheckResult, cross_check
 __all__ = [
     "DEFAULT_DOMAINS", "ExpertLibrary", "ExpertProfile",
     "build_samba_coe_library", "build_heterogeneous_library", "Router", "RoutingDecision", "embed_text",
-    "CoERuntime", "RuntimeStats", "SwitchEvent", "CoEServer", "ExpertServer",
+    "CoERuntime", "RuntimeStats", "SwitchEvent", "ExpertServer",
     "RequestLatency", "ServeResult", "ExpertPredictor", "Request",
     "affinity_schedule", "fifo_schedule", "serve_schedule",
     "serve_with_prefetch", "ServingMetrics", "compute_metrics", "metrics_of",

@@ -1,7 +1,7 @@
 """The unified serving facade: one config, one entry point, two engines.
 
 Historically each serving layer had its own front door — the latency
-path's ``CoEServer`` (now :class:`repro.coe.serving.ExpertServer`), the
+path's :class:`repro.coe.serving.ExpertServer`, the
 single-node :class:`repro.coe.engine.ServingEngine`, and the scale-out
 :class:`repro.coe.cluster_engine.ClusterEngine` — with overlapping but
 differently-spelled knobs. This module is the one surface callers use:
@@ -22,10 +22,9 @@ runs on :class:`ClusterEngine`; otherwise the leaner single-node
 :class:`ServingEngine`. ``platform`` may be an instance or a zero-arg
 factory — a cluster builds one platform per node either way.
 
-Migration from ``CoEServer``: its latency-breakdown types
-(:class:`RequestLatency`, :class:`ServeResult`) are re-exported here and
-:class:`ExpertServer` remains available for the batch-of-one latency
-path; see ``docs/SERVING_API.md``.
+The latency path's breakdown types (:class:`RequestLatency`,
+:class:`ServeResult`) are re-exported here, and :class:`ExpertServer`
+serves the batch-of-one latency path; see ``docs/SERVING_API.md``.
 """
 
 from __future__ import annotations

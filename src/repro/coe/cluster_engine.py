@@ -311,10 +311,9 @@ class ClusterEngine:
         heartbeat_s: float = 0.05,
         deadline_s: Optional[float] = None,
         cache_policy: CachePolicyLike = None,
-        event_batching: bool = True,
         record_timeline: bool = True,
         decision_log: Optional[DecisionLog] = None,
-        drain_mode: "Union[str, DrainMode, None]" = None,
+        drain_mode: Union[str, DrainMode] = DrainMode.COLUMNAR,
         scheduler: SchedulerLike = None,
         tier_capacities: Optional[Dict[str, int]] = None,
         pipeline_promotions: bool = False,
@@ -363,15 +362,7 @@ class ClusterEngine:
         self.sim = Simulator(timeline=self.timeline)
         self.sim.set_batch_handler(DRAIN_EVENT_KIND, _run_drain_batch)
         self.faults = _coerce_faults(faults)
-        #: Requested drain mode: an explicit ``drain_mode`` wins, else
-        #: the legacy ``event_batching`` flag maps True -> columnar and
-        #: False -> reference (see :class:`DrainMode`).
-        if drain_mode is None:
-            requested = (
-                DrainMode.COLUMNAR if event_batching else DrainMode.REFERENCE
-            )
-        else:
-            requested = DrainMode.coerce(drain_mode)
+        requested = DrainMode.coerce(drain_mode)
         #: Whole-queue drains are only equivalent when nothing can
         #: interleave with a node's queue mid-run: the steal policy's
         #: hooks and every fault path (crash/slow/copy-fault events land
@@ -381,7 +372,6 @@ class ClusterEngine:
         else:
             effective = requested
         self.drain_mode = effective.value
-        self.event_batching = effective is not DrainMode.REFERENCE
         #: The fast-path feature set follows the *requested* mode, not
         #: the policy/fault-gated one: incremental admission backlog and
         #: bulk phase precompute are bitwise-identical to the reference
@@ -715,7 +705,7 @@ class ClusterEngine:
     def _on_copy_fault(self, fault: CopyFault) -> None:
         node = self.nodes[fault.node]
         if node.alive:
-            node.engine.inject_copy_faults(fault.count)
+            node.engine.state.inject_copy_faults(fault.count)
 
     def _heartbeat(self) -> None:
         """Periodic liveness sweep: a dead node is noticed on the first
@@ -858,7 +848,7 @@ class ClusterEngine:
         )
         for node in self.nodes:
             if not node.engine.halted:
-                node.engine.flush_speculation(end_clock)
+                node.engine.state.flush_speculation(end_clock)
         completed = sum(len(n.engine.completed) for n in self.nodes)
         if completed + len(self.rejected) != len(requests):
             raise RuntimeError(
@@ -985,9 +975,8 @@ def run_cluster(
     heartbeat_s: float = 0.05,
     deadline_s: Optional[float] = None,
     cache_policy: CachePolicyLike = None,
-    event_batching: bool = True,
     record_timeline: bool = True,
-    drain_mode: "Union[str, DrainMode, None]" = None,
+    drain_mode: Union[str, DrainMode] = DrainMode.COLUMNAR,
     scheduler: SchedulerLike = None,
     tier_capacities: Optional[Dict[str, int]] = None,
     pipeline_promotions: bool = False,
@@ -1006,7 +995,6 @@ def run_cluster(
         heartbeat_s=heartbeat_s,
         deadline_s=deadline_s,
         cache_policy=cache_policy,
-        event_batching=event_batching,
         record_timeline=record_timeline,
         drain_mode=drain_mode,
         scheduler=scheduler,

@@ -25,14 +25,15 @@ Cache/predictor bookkeeping for a run goes through the batch APIs
 (:meth:`CoERuntime.touch_run`, :meth:`CachePolicy.on_access_run`,
 :meth:`ExpertPredictor.observe_run`), each an order-equivalent bulk form
 of its scalar path. A traced run records its phase spans with one
-:meth:`Timeline.record_run`. Only *decision points* run the scalar
-group step: a cache miss (victim selection + demand copy), and under
-the ``overlap`` policy every group, since a prefetch decision happens
-at each group begin. That keeps ``CoERuntime.activate`` the single
-cache-decision choke point the sim/live cross-check relies on.
-Pipelined promotions happen at run ends, and a ``lookahead`` policy
-reads the unconsumed tail of the lowered names (docs/PERFORMANCE.md,
-section 10).
+:meth:`Timeline.record_run`. Only *decision points* run the per-group
+step, :meth:`repro.coe.node.NodeState.begin` — the same call the
+reference drain and the live worker make for every group: a cache miss
+(victim selection + demand copy), and under the ``overlap`` policy
+every group, since a prefetch decision happens at each group begin.
+That keeps ``CoERuntime.activate`` the single cache-decision choke
+point the sim/live cross-check relies on. Pipelined promotions happen
+at run ends, and a ``lookahead`` policy reads the unconsumed tail of
+the lowered names (docs/PERFORMANCE.md, section 10).
 
 Completions land in a :class:`CompletedLog`: run segments append whole
 blocks (no per-request allocation), decision points append scalar
@@ -290,8 +291,8 @@ def lower_queue(
     keys = list(map(_PHASE_KEY, groups))
     # distinct_shapes(groups), over the keys already read.
     shapes = dict(zip(keys, groups))
-    base_of = engine._base_phase_times
-    cache = engine._phase_cache
+    base_of = engine.state.phase_times
+    cache = engine.state.phase_cache
     factor = engine.slow_factor
     table = []
     for key, group in shapes.items():
@@ -342,25 +343,25 @@ def drain(
     group's exec start (each one is an extra event on the reference
     path). Runs of resident-expert groups are timestamped by one cumsum
     and their cache/predictor bookkeeping applied through the batch
-    APIs; each decision point executes the reference path's group step
-    in scalar code. The segmentation is conservative — a group is only
-    admitted to a run if its expert is resident *and* any pending copy
-    completed by the run's start — and a group it excludes is simply
-    re-examined (scalar) at its true start time, where the identical
-    hit/barrier/miss arithmetic applies. State mutations therefore
-    happen in the same order with the same values as the reference
-    path, which the equivalence grid asserts byte-for-byte.
+    APIs; each decision point runs the node's group step
+    (:meth:`NodeState.begin`). The segmentation is conservative — a
+    group is only admitted to a run if its expert is resident *and* any
+    pending copy completed by the run's start — and a group it excludes
+    is simply re-examined (scalar) at its true start time, where the
+    identical hit/barrier/miss arithmetic applies. State mutations
+    therefore happen in the same order with the same values as the
+    reference path, which the equivalence grid asserts byte-for-byte.
     """
     CompletedRequest = _completed_request_type()
-    runtime = engine.server.runtime
+    state = engine.state
+    runtime = state.server.runtime
     resident = runtime.resident_map
-    copy_done = engine._copy_done
-    predictor = engine._predictor
-    observe = predictor.observe
+    copy_done = state.copy_done
+    predictor = state.predictor
     log = engine.completed
     timeline = engine._sim.timeline
     overlap = engine.policy == "overlap"
-    pipelining = engine._pipeline_active
+    pipelining = state.pipeline_active
     groups = cols.groups
     names = cols.names
     experts = cols.experts
@@ -434,7 +435,7 @@ def drain(
                 # its spans first cannot reorder lane creation: HBM
                 # starts empty, so a decision point precedes any run.
                 engine._drain_pos = run_end
-                engine._promote_next(experts[run_end], float(acc[-4]))
+                state.promote_next(experts[run_end], float(acc[-4]))
             lo = offsets[pos]
             hi = offsets[run_end]
             log.extend_block(
@@ -448,31 +449,21 @@ def drain(
             now = float(acc[-1])
             pos = run_end
         else:
-            # --- decision point: the reference path's group step ------
+            # --- decision point: the node's group step ---------------
             group = groups[pos]
-            expert = experts[pos]
             expert_name = names[pos]
             base = table[rows[pos]]
             index = first_index + pos
             pos += 1
             engine._drain_pos = pos
-            observe(expert)
-            if expert_name in resident:
-                runtime.activate(expert)  # hit: free recency refresh
-                done = copy_done.get(expert_name)
-                exec_start = now if done is None or done <= now else done
-            else:
-                exec_start = engine._demand_copy(expert, now=now)
-            if pos < n:
-                nxt = experts[pos]
-                if pipelining:
-                    engine._promote_next(nxt, now)
-                if overlap:
-                    # The reference path prefetches at exec_start, in an
-                    # event of its own when the group waits for a copy;
-                    # nothing else of this engine runs in between.
-                    deferred += exec_start > now
-                    engine._prefetch(nxt, expert_name, exec_start)
+            nxt = experts[pos] if pos < n else None
+            exec_start = state.begin(group, nxt, now)
+            if overlap and nxt is not None:
+                # The reference path prefetches at exec_start, in an
+                # event of its own when the group waits for a copy;
+                # nothing else of this engine runs in between.
+                deferred += exec_start > now
+                engine._prefetch(nxt, expert_name, exec_start)
             end = exec_start + base[0] + base[1] + base[2]
             if timeline is not None:
                 engine._record_phases(group, exec_start, base, index)

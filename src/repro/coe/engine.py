@@ -57,7 +57,7 @@ from typing import (
     Sequence, Tuple, Union,
 )
 
-from repro.coe.cache import CachePolicyLike, LookaheadPolicy, PredictivePolicy
+from repro.coe.cache import CachePolicyLike
 from repro.coe.columnar import (
     CompletedLog,
     drain as _columnar_drain,
@@ -67,9 +67,9 @@ from repro.coe.columnar import (
 from repro.coe.decisions import DecisionLog
 from repro.coe.expert import ExpertLibrary, ExpertProfile
 from repro.coe.metrics import summarize_latencies
+from repro.coe.node import NodeState
 from repro.coe.policies import DrainMode, NodePolicy
 from repro.coe.scheduling import (
-    ExpertPredictor,
     RequestGroup,
     SchedulerLike,
     affinity_schedule,
@@ -77,7 +77,6 @@ from repro.coe.scheduling import (
     distinct_shapes,
     make_scheduler,
 )
-from repro.coe.serving import ExpertServer
 from repro.obs import Timeline
 from repro.sim.clock import EventSource
 from repro.sim.engine import Simulator
@@ -108,34 +107,6 @@ class EngineReentryError(RuntimeError):
     leak a prior run's makespan into ``max(sim.run(), _drained_until)``).
     Construct a fresh engine per run instead.
     """
-
-
-def group_phase_times(
-    server: ExpertServer,
-    group: RequestGroup,
-    cache: Dict[Tuple[str, int, int, int], Tuple[float, float, float]],
-) -> Tuple[float, float, float]:
-    """Base (router_s, prefill_s, decode_s) of one group, memoized.
-
-    The module-level form of the engine's phase memo, shared with the
-    live backend (:mod:`repro.coe.live_engine`): both backends compute
-    a group's execution time through this one function over the same
-    :class:`ExpertServer` cost model, so every float that feeds a
-    dispatch or admission decision is bitwise-identical across clocks.
-    The memo key is cheap (a name and three ints) where the platform
-    ``lru_cache``\\ s hash whole model configs per call.
-    """
-    key = group.phase_key
-    base = cache.get(key)
-    if base is None:
-        _, batch, prompt, output = key
-        router = server.router_time(batch=batch, prompt_tokens=prompt)
-        prefill, decode = server.expert_time(
-            group.expert, output, prompt, batch=batch
-        )
-        base = (router, prefill, decode)
-        cache[key] = base
-    return base
 
 
 def _run_drain_batch(batch) -> None:
@@ -286,10 +257,9 @@ class ServingEngine:
         simulator: Optional[EventSource] = None,
         lane_prefix: str = "",
         cache_policy: CachePolicyLike = None,
-        event_batching: bool = True,
         record_timeline: bool = True,
         decision_log: Optional[DecisionLog] = None,
-        drain_mode: "Union[str, DrainMode, None]" = None,
+        drain_mode: Union[str, DrainMode] = DrainMode.COLUMNAR,
         scheduler: SchedulerLike = None,
         tier_capacities: Optional[Dict[str, int]] = None,
         pipeline_promotions: bool = False,
@@ -311,60 +281,24 @@ class ServingEngine:
         self.window = window
         self.lane_prefix = lane_prefix
         #: How queued groups execute (:class:`DrainMode`) — both modes
-        #: byte-identical, see docs/PERFORMANCE.md. An explicit
-        #: ``drain_mode`` wins; otherwise the legacy ``event_batching``
-        #: flag maps True -> columnar (the full fast path) and
-        #: False -> reference, preserving every existing call site's
-        #: meaning of "fast" and "event-by-event seed-equivalent".
-        if drain_mode is None:
-            mode = DrainMode.COLUMNAR if event_batching else DrainMode.REFERENCE
-        else:
-            mode = DrainMode.coerce(drain_mode)
-        self.drain_mode = mode.value
-        #: Fast path: drain the whole queue in one simulator event with a
-        #: local clock instead of one begin/finish event pair per group.
-        #: Equivalent by construction (same state mutations, same order,
-        #: same timestamps — see docs/PERFORMANCE.md) and automatically
-        #: suppressed whenever an external party could interleave with
-        #: the queue mid-run (cluster steal hooks, fault injection).
-        self.event_batching = mode is not DrainMode.REFERENCE
+        #: byte-identical, see docs/PERFORMANCE.md.
+        self.drain_mode = DrainMode.coerce(drain_mode).value
         #: ``False`` skips building a span timeline in :meth:`run` — the
         #: report's timeline-derived switch stats then read 0.0.
         self.record_timeline = record_timeline
-        #: (expert name, batch, prompt, output) -> base (router_s,
-        #: prefill_s, decode_s) with no slow factor applied. Seeded in
-        #: bulk by :meth:`precompute_phases`, filled lazily otherwise.
-        self._phase_cache: Dict[Tuple[str, int, int, int],
-                                Tuple[float, float, float]] = {}
-        self.server = ExpertServer(
-            platform, library, reserved_hbm_bytes=reserved_hbm_bytes,
-            cache_policy=cache_policy, tier_capacities=tier_capacities,
+        #: The node's server, predictor, phase memo (seeded in bulk by
+        #: :meth:`precompute_phases`) and DMA state. A lookahead
+        #: policy reads the groups not yet begun, in scheduled order, as
+        #: its backlog window (:meth:`_backlog`).
+        self.state = NodeState(
+            platform, library, self._backlog, lane_prefix=lane_prefix,
+            reserved_hbm_bytes=reserved_hbm_bytes, cache_policy=cache_policy,
+            tier_capacities=tier_capacities,
+            pipeline_promotions=pipeline_promotions, decision_log=decision_log,
         )
-        self._predictor = ExpertPredictor()
-        # A predictive cache policy without its own predictor reads the
-        # engine's — the same Markov model the overlap prefetcher uses.
-        runtime_policy = self.server.runtime.policy
-        if (isinstance(runtime_policy, PredictivePolicy)
-                and runtime_policy.predictor is None):
-            runtime_policy.predictor = self._predictor
-        #: A lookahead policy reads the groups not yet begun, in
-        #: scheduled order, as its backlog window (:meth:`_backlog`).
-        if isinstance(runtime_policy, LookaheadPolicy):
-            runtime_policy.bind_backlog(self._backlog)
-        self.cache_policy = runtime_policy.name
-        #: Whether the CoServe-style promotion pipeline is live: it needs
-        #: a bounded DDR tier (otherwise there is nothing to promote).
+        self.server = self.state.server
+        self.cache_policy = self.server.runtime.policy.name
         self.pipeline_promotions = bool(pipeline_promotions)
-        self._pipeline_active = (
-            self.pipeline_promotions
-            and self.server.runtime.ddr_budget_bytes is not None
-        )
-        if decision_log is not None:
-            # The node's demand cache decisions (hit / miss+victims)
-            # stream under its node name — ``"node0"`` standalone,
-            # matching what the live backend records for the same node.
-            stream = lane_prefix.rstrip("/") or "node0"
-            self.server.runtime.attach_decisions(decision_log, stream)
         #: Hooks a cluster-level scheduler installs: ``on_idle(engine)``
         #: fires when the queue drains, ``on_group_done(engine, group)``
         #: after every completed group. Both run on the simulator clock.
@@ -394,14 +328,6 @@ class ServingEngine:
         self._busy = False
         self._begin_scheduled = False
         self._busy_until_s = 0.0
-        #: When the (single) DMA path last frees up: demand copies queue
-        #: behind each other so the switch lane stays physically serial.
-        self._dma_free_s = 0.0
-        #: Expert name -> completion time of its most recent demand copy;
-        #: execution of a freshly copied expert waits for this.
-        self._copy_done: Dict[str, float] = {}
-        #: At most one in-flight speculative copy: (name, start_s, copy_s).
-        self._spec_open: List[tuple] = []
         #: The executing group: (group, exec_start, phase times, index).
         #: Compute spans are recorded retrospectively at group finish so a
         #: crashed node's partial work truncates at the crash instead of
@@ -431,15 +357,6 @@ class ServingEngine:
         #: has changed since it was filled.
         self._exec_memo: Dict[Tuple[str, int, int, int], float] = {}
         self._exec_memo_factor = 1.0
-        #: Armed DDR->HBM copy failures: the next N demand copies fail
-        #: once each and are retried on the DMA clock.
-        self._copy_faults_armed = 0
-        self.copy_retries = 0
-        #: Extra DMA occupancy paid by injected-fault retries: the failed
-        #: attempt's transfer ran and was discarded. Explicitly separate
-        #: from RuntimeStats.switch_time_s, whose contract is that
-        #: failures contribute no bytes and no copy time.
-        self.retry_dma_s = 0.0
         #: End of the last group completed by a whole-queue drain. Drains run
         #: on a local clock and never advance a (possibly shared)
         #: simulator clock, so the makespan is
@@ -465,6 +382,7 @@ class ServingEngine:
         """
         self._sim = simulator
         self._reset_run_state()
+        self.state.reset(simulator.record_span)
 
     def unbind(self) -> None:
         self._sim = None
@@ -601,7 +519,7 @@ class ServingEngine:
         needed = {g.expert.name for g in islice(self._queue, 2)}
         if not needed.isdisjoint(runtime.would_evict(expert)):
             return None
-        return self._demand_copy(expert, speculative=True)
+        return self.state.demand_copy(expert, self._sim.now, speculative=True)
 
     # ------------------------------------------------------------------
     # Fault surface (driven by the cluster's FaultInjector)
@@ -625,7 +543,7 @@ class ServingEngine:
         self._halted = True
         now = self._sim.now if self._sim is not None else 0.0
         if self._sim is not None:
-            self.flush_speculation(now)
+            self.state.flush_speculation(now)
         if self._current is not None:
             _, exec_start, _, _ = self._current
             if self._sim is not None and now > exec_start:
@@ -651,29 +569,15 @@ class ServingEngine:
         self._queue.clear()
         return orphans
 
-    def inject_copy_faults(self, count: int = 1) -> None:
-        """Arm ``count`` one-shot DDR->HBM demand-copy failures."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        self._copy_faults_armed += count
-
     # ------------------------------------------------------------------
     def _order(self, requests: Sequence[EngineRequest]) -> List[EngineRequest]:
         if self.policy == "fifo":
             return list(requests)
         return affinity_schedule(requests, window=self.window)
 
-    def _base_phase_times(self, group: RequestGroup) -> Tuple[float, float, float]:
-        """Un-stretched (router_s, prefill_s, decode_s), memoized.
-
-        Delegates to the shared :func:`group_phase_times` so the live
-        backend computes the identical floats from the same memo shape.
-        """
-        return group_phase_times(self.server, group, self._phase_cache)
-
     def _group_phase_times(self, group: RequestGroup) -> Tuple[float, float, float]:
         """(router_s, prefill_s, decode_s) of one batched group."""
-        router, prefill, decode = self._base_phase_times(group)
+        router, prefill, decode = self.state.phase_times(group)
         # A straggler window stretches every phase of a group started
         # inside it (thermal throttling, a noisy neighbour, a flaky link).
         factor = self.slow_factor
@@ -691,7 +595,7 @@ class ServingEngine:
         """
         pending = {
             key: group for key, group in distinct_shapes(groups).items()
-            if key not in self._phase_cache
+            if key not in self.state.phase_cache
         }
         if not pending:
             return 0
@@ -725,7 +629,7 @@ class ServingEngine:
                 prefill_s[i] = float(pre[j])
                 decode_s[i] = float(dec[j])
         for i, key in enumerate(keys):
-            self._phase_cache[key] = (
+            self.state.phase_cache[key] = (
                 float(router_s[i]), prefill_s[i], decode_s[i]
             )
         return len(keys)
@@ -738,118 +642,6 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # The event pipeline
     # ------------------------------------------------------------------
-    def flush_speculation(self, now: float) -> None:
-        """Close any in-flight speculative copy span at ``now``.
-
-        A new DMA transfer aborts an in-flight speculative copy; its span
-        ends at min(natural completion, abort time). Call once at end of
-        run to close a copy the makespan cut short.
-        """
-        while self._spec_open:
-            name, start, copy_s = self._spec_open.pop()
-            end = min(start + copy_s, now)
-            self._sim.record_span(
-                name, self.lane("prefetch"), "prefetch",
-                start_s=start, end_s=end,
-                args={"copy_s": copy_s, "abandoned": end < start + copy_s},
-            )
-
-    def _demand_copy(
-        self,
-        expert: ExpertProfile,
-        *,
-        speculative: bool = False,
-        now: Optional[float] = None,
-    ) -> float:
-        """Activate a non-resident expert; the copy takes the DMA's next
-        free slot and its span lands on this engine's switch lane.
-
-        An armed copy fault makes the first attempt fail after consuming
-        its full DMA window (the transfer ran and was discarded); the
-        retry immediately follows, so one injected fault costs exactly
-        one extra copy duration and shows up as a ``fault`` span. That
-        extra DMA time is accounted in :attr:`retry_dma_s` — never in
-        ``RuntimeStats``: the runtime's copy succeeded, so booking a
-        ``failures`` tick there would violate its contract that failures
-        contribute no bytes and no switch time.
-
-        ``speculative=True`` marks prefetcher/replication warms so the
-        runtime books them apart from demand traffic.
-        """
-        sim = self._sim
-        if now is None:
-            now = sim.now  # event path; drains pass a local clock
-        self.flush_speculation(now)
-        start = max(now, self._dma_free_s)
-        event = self.server.runtime.activate(
-            expert, span=False, speculative=speculative
-        )
-        if self._copy_faults_armed > 0 and event.time_s > 0:
-            self._copy_faults_armed -= 1
-            self.copy_retries += 1
-            self.retry_dma_s += event.time_s
-            sim.record_span(
-                f"copy-failed:{expert.name}", self.lane("switch"), "fault",
-                start_s=start, end_s=start + event.time_s,
-                args={"bytes_up": event.bytes_up, "failed": True,
-                      "retried": True},
-            )
-            start += event.time_s
-        done = start + event.time_s
-        if event.time_s > 0:
-            sim.record_span(
-                f"copy:{expert.name}", self.lane("switch"), "switch",
-                start_s=start, end_s=done,
-                args={
-                    "hit": False,
-                    "speculative": speculative,
-                    "policy": event.policy,
-                    "bytes_up": event.bytes_up,
-                    "bytes_down": event.bytes_down,
-                    "evicted": list(event.evicted),
-                    "evicted_why": list(event.evicted_why),
-                },
-            )
-        self._dma_free_s = done
-        self._copy_done[expert.name] = done
-        return done
-
-    def _promote_next(self, nxt: ExpertProfile, now: float) -> None:
-        """Start the next group's NVMe->DDR promotion behind this group.
-
-        The CoServe pipelining trick: called right after the current
-        group's activation on every drain path, with the next group's
-        expert from the scheduler's reordered backlog. If that expert is
-        still NVMe-resident, it commits its promotion
-        (:meth:`CoERuntime.promote_to_ddr`) and books the DMA occupancy
-        on the prefetch lane starting at the DMA's next free slot — so
-        the copy overlaps this group's compute and the upcoming demand
-        miss pays only the DDR->HBM hop. Pure bookkeeping on the local
-        clock (no new simulator events), so the reference and columnar
-        drains stay bitwise-identical; promotions are never recorded in
-        the decision log (prefetcher traffic, not a policy decision), so
-        sim/live cross-check streams are unchanged.
-        """
-        runtime = self.server.runtime
-        if runtime.tier_of(nxt.name) != "nvme":
-            return
-        promo = runtime.promote_to_ddr(nxt)
-        if promo.time_s <= 0:
-            return
-        start = max(now, self._dma_free_s)
-        done = start + promo.time_s
-        self._dma_free_s = done
-        self._sim.record_span(
-            f"promote:{nxt.name}", self.lane("prefetch"), "promote",
-            start_s=start, end_s=done,
-            args={
-                "pipelined": True,
-                "bytes_read": promo.bytes_read,
-                "bytes_written": promo.bytes_written,
-                "demoted": list(promo.demoted),
-            },
-        )
-
     def _batch_ok(self) -> bool:
         """Whether draining the whole queue in one event is equivalent.
 
@@ -859,8 +651,8 @@ class ServingEngine:
         hooks observe real intermediate states. Fault schedules disable
         batching at construction time (see :class:`ClusterEngine`).
         """
-        return (self.event_batching and self.on_idle is None
-                and self.on_group_done is None)
+        return (self.drain_mode == DrainMode.COLUMNAR.value
+                and self.on_idle is None and self.on_group_done is None)
 
     def _kick(self) -> None:
         """Schedule the queue head's begin event if the engine is idle."""
@@ -871,7 +663,8 @@ class ServingEngine:
         head = self._queue[0].expert
         start_at = sim.now
         if self.server.runtime.is_resident(head):
-            start_at = max(start_at, self._copy_done.get(head.name, start_at))
+            done = self.state.copy_done.get(head.name, start_at)
+            start_at = max(start_at, done)
         self._begin_scheduled = True
         if self._batch_ok():
             # One tagged event drains the whole queue on a local clock;
@@ -896,24 +689,14 @@ class ServingEngine:
             self._notify_idle()
             return
         sim = self._sim
-        runtime = self.server.runtime
         group = self._queue.popleft()
         self._busy = True
         index = self._groups_started
         self._groups_started += 1
         router_s, prefill_s, decode_s = self._group_phase_times(group)
-        # The predictor always observes the demand stream: a predictive
-        # cache policy needs it even when the overlap prefetcher is off.
-        self._predictor.observe(group.expert)
-        if runtime.is_resident(group.expert):
-            runtime.activate(group.expert)  # hit: free recency refresh
-            exec_start = max(
-                sim.now, self._copy_done.get(group.expert.name, sim.now)
-            )
-        else:
-            exec_start = self._demand_copy(group.expert)
-        if self._pipeline_active and self._queue:
-            self._promote_next(self._queue[0].expert, sim.now)
+        exec_start = self.state.begin(
+            group, self._queue[0].expert if self._queue else None, sim.now
+        )
         if self.policy == "overlap" and self._queue:
             # While this group executes, the DMA engines prefetch the
             # next queued expert (or speculate when it is already here).
@@ -942,9 +725,10 @@ class ServingEngine:
         self, nxt: ExpertProfile, protected_name: str, now: float
     ) -> None:
         """Warm the next group's expert on the otherwise-idle DMA engines."""
+        state = self.state
         runtime = self.server.runtime
         if runtime.is_resident(nxt):
-            self.flush_speculation(now)
+            state.flush_speculation(now)
             # Recency refresh, free hit — speculative: the demand access
             # happens when the group actually begins.
             runtime.activate(nxt, speculative=True)
@@ -956,22 +740,22 @@ class ServingEngine:
             # predictor knows is resident there is none, so skip the
             # ranking (iter_candidates and would_evict are pure).
             guess = None
-            if not self._predictor.known_names <= runtime.resident_map.keys():
+            if not state.predictor.known_names <= runtime.resident_map.keys():
                 protected = {nxt.name, protected_name}
                 guess = next(
-                    (c for c in self._predictor.iter_candidates()
+                    (c for c in state.predictor.iter_candidates()
                      if not runtime.is_resident(c)
                      and protected.isdisjoint(runtime.would_evict(c))),
                     None,
                 )
             if guess is not None:
                 event = runtime.activate(guess, span=False, speculative=True)
-                self._spec_open.append(
+                state.spec_open.append(
                     (f"copy:{guess.name}", now, event.time_s)
                 )
                 self.speculative_prefetches += 1
         else:
-            self._demand_copy(nxt, speculative=True, now=now)
+            state.demand_copy(nxt, now, speculative=True)
 
     def _record_phases(
         self,
@@ -1090,7 +874,7 @@ class ServingEngine:
             self._queue.extend(groups)
             self._kick()
             makespan = max(sim.run(), self._drained_until)
-            self.flush_speculation(makespan)
+            self.state.flush_speculation(makespan)
             # A halted engine can finish with zero completions; the
             # summary handles the empty sample (zeros, no div-by-zero).
             latencies = latency_values(self.completed)

@@ -14,12 +14,16 @@ decisions** to the sim backend for the same request stream:
 - Node choice and deadline admission go through the pure decision core
   (:mod:`repro.coe.dispatch`) over a mirror of the sim's
   admission-logical state: monotone per-node backlog sums and queue-tail
-  experts, fed by the same :func:`repro.coe.engine.group_phase_times`
+  experts, fed by the same :meth:`repro.coe.node.NodeState.phase_times`
   floats. Like the sim (where every request is backlogged at t=0),
   admission evaluates ETAs at logical ``now = 0.0`` — so the arithmetic
   is bitwise-identical even though wall arrivals are spread in time.
-- Cache decisions happen inside :meth:`repro.coe.runtime.CoERuntime
-  .activate`, the single choke point both backends share.
+- Every group goes through :meth:`repro.coe.node.NodeState.begin`,
+  the group step the sim's drains call too: predictor observe, the
+  cache decision inside :meth:`repro.coe.runtime.CoERuntime.activate`,
+  the demand copy on the node's DMA cursor and the pipelined-promotion
+  peek. The worker only sleeps to the step's planned exec start and
+  streams tokens.
 
 The cross-check (:mod:`repro.coe.crosscheck`) runs both backends over a
 recorded trace and diffs their :class:`~repro.coe.decisions.DecisionLog`
@@ -41,29 +45,23 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Set,
-    TYPE_CHECKING, Tuple,
+    TYPE_CHECKING,
 )
 
-from repro.coe.cache import LookaheadPolicy, PredictivePolicy
 from repro.coe.decisions import DecisionLog
 from repro.coe.dispatch import admission_eta, choose_node, deadline_admits
 from repro.coe.engine import (
     _EXPERT_NAME,
     CompletedRequest,
     EngineRequest,
-    group_phase_times,
 )
 from repro.coe.expert import ExpertLibrary
 from repro.coe.metrics import summarize_latencies
-from repro.coe.scheduling import (
-    ExpertPredictor,
-    GroupAssembler,
-    RequestGroup,
-    make_scheduler,
-)
-from repro.coe.serving import ExpertServer
+from repro.coe.node import NodeState
+from repro.coe.scheduling import GroupAssembler, RequestGroup, make_scheduler
 from repro.obs import Timeline
 from repro.sim.clock import WallClock
 from repro.systems.cluster import partition_experts
@@ -110,39 +108,30 @@ class TokenEvent(NamedTuple):
 
 @dataclass
 class _LiveNode:
-    """One live node: cost model + cache + its worker's queue."""
+    """One live node: its :class:`NodeState` and its worker's queue."""
 
     index: int
     name: str
-    server: ExpertServer
-    predictor: ExpertPredictor
+    state: NodeState
     hosted: Set[str]
-    #: Shared-shape phase memo (see :func:`group_phase_times`).
-    phase_cache: Dict[Tuple[str, int, int, int], Tuple[float, float, float]] = (
-        field(default_factory=dict)
-    )
+    #: Mirror of the not-yet-begun groups in this node's queue, in
+    #: admission order — what the sim engine's ``_queue`` deque holds at
+    #: every group step. A lookahead cache policy reads it as its
+    #: backlog window, and the pipelined-promotion peek reads its head;
+    #: the worker pops it at group *begin*.
+    pending: Deque[RequestGroup]
     #: Admission-logical backlog: running sum of admitted groups'
     #: execution times, the mirror of the sim's ``_admission_backlog``.
     backlog_s: float = 0.0
     #: Expert of the last admitted group (the sim's queue-tail expert).
     tail: Optional[str] = None
     queue: Optional[asyncio.Queue] = None
-    #: Mirror of the not-yet-begun groups in this node's queue, in
-    #: admission order — the live twin of the sim engine's ``_queue``
-    #: deque. A lookahead cache policy reads it as its backlog window,
-    #: and the pipelined-promotion peek reads its head; the worker pops
-    #: it at group *begin* so its contents match what the sim's queue
-    #: holds at every decision point.
-    pending: Deque[RequestGroup] = field(default_factory=deque)
-    #: Model-time point when this node's (single) DMA path frees up:
-    #: pipelined NVMe->DDR promotions and demand copies serialize
-    #: through it, mirroring the sim engine's ``_dma_free_s``.
-    dma_free_s: float = 0.0
+    #: Copy spans the group step booked, as (name, lane, category,
+    #: start_s, end_s, args); the worker records them once it has slept
+    #: to the group's exec start.
+    booked: List[tuple] = field(default_factory=list)
     completed: List[CompletedRequest] = field(default_factory=list)
     groups_done: int = 0
-
-    def lane(self, base: str) -> str:
-        return f"{self.name}/{base}"
 
 
 @dataclass(frozen=True)
@@ -312,51 +301,34 @@ class LiveEngine:
         else:
             shards = [list(library.experts)]
         for idx, shard in enumerate(shards):
-            server = ExpertServer(
+            pending: Deque[RequestGroup] = deque()
+            state = NodeState(
                 factory(),
                 ExpertLibrary(experts=list(shard))
                 if config.wants_cluster else library,
+                lambda p=pending: map(_EXPERT_NAME, p),
+                lane_prefix=f"node{idx}/",
                 reserved_hbm_bytes=(
                     None if config.wants_cluster
                     else config.reserved_hbm_bytes
                 ),
                 cache_policy=config.cache_policy.value,
                 tier_capacities=config.tier_capacities,
+                pipeline_promotions=config.pipeline_promotions,
+                decision_log=decision_log,
             )
-            predictor = ExpertPredictor()
-            runtime_policy = server.runtime.policy
-            if (isinstance(runtime_policy, PredictivePolicy)
-                    and runtime_policy.predictor is None):
-                runtime_policy.predictor = predictor
             node = _LiveNode(
                 index=idx,
                 name=f"node{idx}",
-                server=server,
-                predictor=predictor,
+                state=state,
                 hosted={e.name for e in shard},
+                pending=pending,
             )
-            if isinstance(runtime_policy, LookaheadPolicy):
-                # The live backlog window: this node's pending mirror
-                # holds exactly the groups not yet begun, in admission
-                # order — the same view the sim engine's queue gives its
-                # lookahead policy, so eviction decisions stay
-                # byte-identical across backends.
-                runtime_policy.bind_backlog(
-                    lambda n=node: map(_EXPERT_NAME, n.pending)
-                )
-            if decision_log is not None:
-                server.runtime.attach_decisions(decision_log, node.name)
+            state.reset(partial(self._book, node))
             self.nodes.append(node)
             for expert in shard:
                 self._owners.setdefault(expert.name, []).append(idx)
-        self.cache_policy = self.nodes[0].server.runtime.policy.name
-        #: CoServe-style promotion pipelining, wall-clocked: active only
-        #: with a bounded DDR tier, exactly like the sim engine.
-        self.pipeline_promotions = bool(config.pipeline_promotions)
-        self._pipeline_active = (
-            self.pipeline_promotions
-            and self.nodes[0].server.runtime.ddr_budget_bytes is not None
-        )
+        self.cache_policy = self.nodes[0].state.server.runtime.policy.name
 
     @property
     def num_nodes(self) -> int:
@@ -366,9 +338,7 @@ class LiveEngine:
     # Admission (the dispatcher task)
     # ------------------------------------------------------------------
     def _group_exec_time(self, node: _LiveNode, group: RequestGroup) -> float:
-        router, prefill, decode = group_phase_times(
-            node.server, group, node.phase_cache
-        )
+        router, prefill, decode = node.state.phase_times(group)
         return router + prefill + decode
 
     def _shed(self, group: RequestGroup, reason: str) -> None:
@@ -450,48 +420,22 @@ class LiveEngine:
     # Execution (one worker task per node)
     # ------------------------------------------------------------------
     async def _run_group(self, node: _LiveNode, group: RequestGroup) -> None:
+        """Run one group: the node's group step plans it, and the worker
+        sleeps to the plan's exec start, then streams its tokens."""
         clock = self.clock
-        server = node.server
-        runtime = server.runtime
         expert = group.expert
         # This group begins: drop it off the pending mirror so the
         # lookahead backlog window and the pipelining peek see only the
         # not-yet-begun groups, exactly like the sim's popped queue.
-        if node.pending:
-            node.pending.popleft()
-        # The predictor always observes the demand stream (it feeds a
-        # predictive cache policy), exactly as the sim engine does at
-        # group begin.
-        node.predictor.observe(expert)
-        router_s, prefill_s, decode_s = group_phase_times(
-            server, group, node.phase_cache
-        )
-        if runtime.is_resident(expert):
-            runtime.activate(expert)  # hit: free recency refresh
-        else:
-            event = runtime.activate(expert, span=False)
-            # Demand copies queue behind any in-flight pipelined
-            # promotion on the node's single DMA path (the sim's
-            # ``_dma_free_s`` serialization); with pipelining off the
-            # cursor stays 0.0 and this is exactly the old sleep.
-            start = max(clock.now, node.dma_free_s)
-            done = start + event.time_s
-            node.dma_free_s = done
-            await clock.sleep_until(done)
+        node.pending.popleft()
+        nxt = node.pending[0].expert if node.pending else None
+        router_s, prefill_s, decode_s = node.state.phase_times(group)
+        await clock.sleep_until(node.state.begin(group, nxt, clock.now))
+        for name, lane, category, start, end, args in node.booked:
             clock.record_span(
-                f"copy:{expert.name}", node.lane("switch"), "switch",
-                start_s=start, end_s=done,
-                args={
-                    "hit": False,
-                    "speculative": False,
-                    "policy": event.policy,
-                    "bytes_up": event.bytes_up,
-                    "bytes_down": event.bytes_down,
-                    "evicted": list(event.evicted),
-                    "evicted_why": list(event.evicted_why),
-                },
+                name, lane, category, start_s=start, end_s=end, args=args
             )
-        self._pipeline_promote(node)
+        node.booked.clear()
         exec_start = clock.now
         await clock.sleep(router_s + prefill_s)
         callback = self._token_callback
@@ -527,7 +471,7 @@ class LiveEngine:
         ):
             if duration > 0:
                 clock.record_span(
-                    f"{category}:{expert.name}", node.lane("compute"),
+                    f"{category}:{expert.name}", node.state.lane("compute"),
                     category, start_s=end, end_s=end + duration,
                     args={"group": node.groups_done, "batch": group.batch},
                 )
@@ -546,42 +490,20 @@ class LiveEngine:
             ))
         node.groups_done += 1
 
-    def _pipeline_promote(self, node: _LiveNode) -> None:
-        """Start the pending head's NVMe->DDR promotion behind this group.
+    def _book(self, node: _LiveNode, name, lane, category, *, start_s,
+              end_s, args) -> None:
+        """Span sink of ``node``'s group step.
 
-        The live twin of :meth:`ServingEngine._promote_next`: right
-        after the current group's activation, peek the node's pending
-        mirror and, if the next group's expert is still NVMe-resident,
-        commit its promotion and book the DMA occupancy from the DMA's
-        next free slot. Spans are *deferred* to shutdown rather than
-        recorded inline: a promotion whose copy window would outlive the
-        run is clipped at the makespan (the wall-clock-legal analogue of
-        the sim's speculation flush), so a cancelled drain never paints
-        DMA activity past the moment the engine stopped. Promotions are
-        never recorded in the decision log — prefetcher traffic, not a
-        policy decision — so cross-check streams are unchanged.
+        A copy span waits in ``node.booked`` until the worker has slept
+        to its end. Promotion spans are deferred to shutdown, where
+        :meth:`aserve` clips them at the makespan, so a cancelled drain
+        never paints DMA activity past the moment the engine stopped.
         """
-        if not self._pipeline_active or not node.pending:
-            return
-        nxt = node.pending[0].expert
-        runtime = node.server.runtime
-        if runtime.tier_of(nxt.name) != "nvme":
-            return
-        promo = runtime.promote_to_ddr(nxt)
-        if promo.time_s <= 0:
-            return
-        start = max(self.clock.now, node.dma_free_s)
-        done = start + promo.time_s
-        node.dma_free_s = done
-        self._promo_spans.append((
-            f"promote:{nxt.name}", node.lane("prefetch"), start, done,
-            {
-                "pipelined": True,
-                "bytes_read": promo.bytes_read,
-                "bytes_written": promo.bytes_written,
-                "demoted": list(promo.demoted),
-            },
-        ))
+        span = (name, lane, category, start_s, end_s, args)
+        if category == "promote":
+            self._promo_spans.append(span)
+        else:
+            node.booked.append(span)
 
     async def _worker(self, node: _LiveNode) -> None:
         while True:
@@ -605,7 +527,7 @@ class LiveEngine:
         # live group stream matches the sim's exactly.
         requests = self.scheduler.order(list(requests))
         self._tokens_streamed = 0
-        self._promo_spans: List[Tuple[str, str, float, float, dict]] = []
+        self._promo_spans: List[tuple] = []
         self.clock.start()
         for node in self.nodes:
             node.queue = asyncio.Queue(maxsize=self.max_queue)
@@ -639,11 +561,11 @@ class LiveEngine:
         # instant the engine stopped, and one that never got to start is
         # dropped — the cancellation is visible in the trace instead of
         # painting phantom DMA activity past shutdown.
-        for name, lane, start, done, args in self._promo_spans:
+        for name, lane, category, start, done, args in self._promo_spans:
             if start >= makespan:
                 continue
             self.clock.record_span(
-                name, lane, "promote",
+                name, lane, category,
                 start_s=start, end_s=min(done, makespan), args=args,
             )
         completed = [c for node in self.nodes for c in node.completed]
@@ -655,8 +577,9 @@ class LiveEngine:
         # sorted first so mean_s accumulates in the same order as before the
         # summarize_latencies migration (fp addition is order-sensitive)
         latency_summary = summarize_latencies(sorted(c.latency_s for c in completed))
-        hits = sum(n.server.runtime.stats.hits for n in self.nodes)
-        demand = sum(n.server.runtime.stats.requests for n in self.nodes)
+        stats = [n.state.server.runtime.stats for n in self.nodes]
+        hits = sum(s.hits for s in stats)
+        demand = sum(s.requests for s in stats)
         shed_deadline = sum(1 for s in self.shed if s.reason == "deadline")
         shed_backpressure = len(self.shed) - shed_deadline
         return LiveReport(
@@ -680,10 +603,7 @@ class LiveEngine:
             mean_s=latency_summary.mean_s,
             drained=drained,
             demand_hit_rate=(hits / demand if demand else 0.0),
-            pipelined_promotions=sum(
-                n.server.runtime.stats.pipelined_promotions
-                for n in self.nodes
-            ),
+            pipelined_promotions=sum(s.pipelined_promotions for s in stats),
             completed=tuple(completed),
             shed=tuple(self.shed),
             timeline=self.timeline,

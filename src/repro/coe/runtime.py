@@ -25,7 +25,6 @@ access sequence the Belady oracle replays.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
@@ -259,26 +258,6 @@ class CoERuntime:
     ) -> float:
         """Edge-based copy cost between two tiers of the hierarchy."""
         return self.hierarchy.transfer_time(src_tier, dst_tier, num_bytes)
-
-    def upgrade_time(self, num_bytes: int) -> float:
-        """Deprecated: use ``transfer_time("ddr", "hbm", num_bytes)``."""
-        warnings.warn(
-            "CoERuntime.upgrade_time is deprecated; use "
-            "transfer_time('ddr', 'hbm', num_bytes)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.hierarchy.transfer_time("ddr", "hbm", num_bytes)
-
-    def downgrade_time(self, num_bytes: int) -> float:
-        """Deprecated: use ``transfer_time("hbm", "ddr", num_bytes)``."""
-        warnings.warn(
-            "CoERuntime.downgrade_time is deprecated; use "
-            "transfer_time('hbm', 'ddr', num_bytes)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.hierarchy.transfer_time("hbm", "ddr", num_bytes)
 
     # ------------------------------------------------------------------
     def attach_timeline(

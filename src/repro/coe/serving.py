@@ -12,15 +12,13 @@ exactly the paper's Figure 1 decomposition.
 
 :class:`ExpertServer` is this latency path's cost model; the throughput
 engines (:mod:`repro.coe.engine`, :mod:`repro.coe.cluster_engine`) embed
-one per node for phase timings and the LRU runtime. The old public name
-``CoEServer`` is a deprecated alias kept for back-compat — new code goes
+one per node for phase timings and the LRU runtime. Serving itself goes
 through the unified facade, :func:`repro.serve` (see
 :mod:`repro.coe.api` and ``docs/SERVING_API.md``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -282,26 +280,4 @@ class ExpertServer:
         return result
 
 
-class CoEServer(ExpertServer):
-    """Deprecated alias of :class:`ExpertServer`.
-
-    Serving entry points moved to the unified facade: build a
-    :class:`repro.coe.api.ServeConfig` and call :func:`repro.serve`
-    (single node or cluster, with fault tolerance), or use
-    :class:`ExpertServer` directly for the batch-of-one latency path.
-    ``RequestLatency`` and ``ServeResult`` stay importable both from
-    here and from :mod:`repro.coe.api`.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "CoEServer is deprecated; use repro.serve(...) with a "
-            "ServeConfig (see docs/SERVING_API.md), or ExpertServer for "
-            "the batch-of-one latency path",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
-
-
-__all__ = ["CoEServer", "ExpertServer", "RequestLatency", "ServeResult"]
+__all__ = ["ExpertServer", "RequestLatency", "ServeResult"]

@@ -17,7 +17,7 @@ from repro.coe.cluster_engine import ClusterEngine, ClusterReport
 from repro.coe.engine import EngineReport, ServingEngine, zipf_request_stream
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.policies import ClusterPolicy, NodePolicy, PolicyEnum, ServeMode
-from repro.coe.serving import CoEServer, ExpertServer
+from repro.coe.serving import ExpertServer
 from repro.load import ArrivalSpec
 from repro.sim.faults import FaultSchedule, NodeCrash
 from repro.systems.platforms import sn40l_platform
@@ -380,14 +380,6 @@ class TestServe:
 
 
 class TestDeprecationShim:
-    def test_coeserver_warns_and_still_works(self, library):
-        with pytest.warns(DeprecationWarning, match="repro.serve"):
-            server = CoEServer(sn40l_platform(), library)
-        assert isinstance(server, ExpertServer)
-        expert = library.experts[0]
-        result = server.serve_experts([expert])
-        assert result.total_s > 0
-
     def test_expert_server_does_not_warn(self, library):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

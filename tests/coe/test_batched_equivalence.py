@@ -1,9 +1,8 @@
 """Property test: the columnar fast drain IS the event-by-event reference.
 
-``event_batching=True`` (the default, ``drain_mode="columnar"``) drains
-a node's whole queue in one simulator event with a local clock;
-``event_batching=False`` (``drain_mode="reference"``) is the
-seed-equivalent reference — one begin/finish event pair per group, the
+``drain_mode="columnar"`` (the default) drains a node's whole queue in
+one simulator event with a local clock; ``drain_mode="reference"`` is
+the seed-equivalent reference — one begin/finish event pair per group, the
 heap popped one event at a time. The two must be indistinguishable in
 every observable: report stats (including the logical ``events_run``
 count), completed-request records, the byte-level timeline and the
@@ -62,17 +61,17 @@ def test_engine_batched_equals_reference(policy, cache_policy):
     rng = random.Random(f"engine:{policy}:{cache_policy}")
     library, requests = _random_workload(rng)
 
-    def run(batching):
+    def run(drain_mode):
         engine = ServingEngine(
             sn40l_platform(), library, policy=policy,
             max_batch=rng_max_batch, window=rng_window,
-            cache_policy=cache_policy, event_batching=batching,
+            cache_policy=cache_policy, drain_mode=drain_mode,
         )
         return engine.run(requests)
 
     rng_max_batch = rng.randrange(1, 12)
     rng_window = rng.randrange(1, 32)
-    fast, reference = run(True), run(False)
+    fast, reference = run("columnar"), run("reference")
 
     assert fast.to_dict() == reference.to_dict()
     assert fast.events_run == reference.events_run
@@ -85,20 +84,20 @@ def test_engine_batched_equals_reference(policy, cache_policy):
 @pytest.mark.parametrize("policy", ["least_loaded", "affinity", "steal"])
 @pytest.mark.parametrize("num_nodes", [2, 4])
 def test_cluster_batched_equals_reference(policy, num_nodes):
-    # ``steal`` disables batching internally (its hooks interleave with
-    # the queues), so that axis pins the gate itself: asking for
-    # batching under steal must still reproduce the reference exactly.
+    # ``steal`` forces the reference drain internally (its hooks
+    # interleave with the queues), so that axis pins the gate itself:
+    # asking for columnar under steal must still reproduce the reference.
     rng = random.Random(f"cluster:{policy}:{num_nodes}")
     library, requests = _random_workload(rng)
 
-    def run(batching):
+    def run(drain_mode):
         return run_cluster(
             sn40l_platform, library, requests, num_nodes=num_nodes,
             policy=policy, online_replication=policy == "steal",
-            event_batching=batching,
+            drain_mode=drain_mode,
         )
 
-    fast, reference = run(True), run(False)
+    fast, reference = run("columnar"), run("reference")
 
     assert fast.to_dict() == reference.to_dict()
     assert fast.events_run == reference.events_run
@@ -115,14 +114,14 @@ def test_cluster_deadline_shedding_batched_equals_reference():
         policy="least_loaded",
     ).makespan_s
 
-    def run(batching):
+    def run(drain_mode):
         return run_cluster(
             sn40l_platform, library, requests, num_nodes=2,
             policy="least_loaded", deadline_s=0.5 * makespan,
-            event_batching=batching,
+            drain_mode=drain_mode,
         )
 
-    fast, reference = run(True), run(False)
+    fast, reference = run("columnar"), run("reference")
     assert fast.rejected > 0
     assert fast.to_dict() == reference.to_dict()
     assert _timeline_lanes(fast.timeline) == _timeline_lanes(
@@ -137,14 +136,14 @@ def test_cluster_untraced_batched_matches_traced_reference_metrics():
     rng = random.Random("untraced")
     library, requests = _random_workload(rng)
 
-    def run(batching, record):
+    def run(drain_mode, record):
         return run_cluster(
             sn40l_platform, library, requests, num_nodes=4,
-            policy="affinity", event_batching=batching,
+            policy="affinity", drain_mode=drain_mode,
             record_timeline=record,
         )
 
-    fast, reference = run(True, False), run(False, True)
+    fast, reference = run("columnar", False), run("reference", True)
     assert fast.timeline is None
     assert fast.events_run == reference.events_run
     assert fast.makespan_s == reference.makespan_s
@@ -400,11 +399,11 @@ def test_randomized_seeds_sweep():
         library, requests = _random_workload(rng)
         fast = ServingEngine(
             sn40l_platform(), library, policy=policy, cache_policy=cache,
-            event_batching=True,
+            drain_mode="columnar",
         ).run(requests)
         reference = ServingEngine(
             sn40l_platform(), library, policy=policy, cache_policy=cache,
-            event_batching=False,
+            drain_mode="reference",
         ).run(requests)
         assert fast.to_dict() == reference.to_dict(), (trial, policy, cache)
         assert fast.completed == reference.completed, (trial, policy, cache)

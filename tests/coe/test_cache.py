@@ -184,7 +184,7 @@ class TestPredictive:
         )
         policy = engine.server.runtime.policy
         assert isinstance(policy, PredictivePolicy)
-        assert policy.predictor is engine._predictor
+        assert policy.predictor is engine.state.predictor
         assert engine.cache_policy == "predictive"
 
     def test_unpredicted_residents_evicted_first(self):

@@ -201,7 +201,7 @@ class TestAdmissionPhaseMemo:
             def precompute(groups, inner=engine.precompute_phases,
                            engine=engine):
                 computed = inner(groups)
-                seeded[engine] = set(engine._phase_cache)
+                seeded[engine] = set(engine.state.phase_cache)
                 return computed
 
             engine.submit = submit
@@ -215,7 +215,7 @@ class TestAdmissionPhaseMemo:
             assert len(hosted) > 1
             # Seeded before the first dispatch, and nothing added since.
             assert seeded[node.engine] == hosted
-            assert set(node.engine._phase_cache) == hosted
+            assert set(node.engine.state.phase_cache) == hosted
 
 
 class TestReporting:

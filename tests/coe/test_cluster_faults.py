@@ -163,8 +163,8 @@ class TestSlowAndCopyFaults:
         assert fault_spans
         node0 = engine.nodes[0].engine
         assert node0.server.runtime.stats.failures == 0
-        assert node0.copy_retries == len(fault_spans)
-        assert node0.retry_dma_s == pytest.approx(
+        assert node0.state.copy_retries == len(fault_spans)
+        assert node0.state.retry_dma_s == pytest.approx(
             sum(s.duration_s for s in fault_spans)
         )
 

@@ -328,17 +328,11 @@ def test_drain_mode_resolution_and_back_compat():
     library, _ = _small_workload()
     assert ServingEngine(sn40l_platform(), library).drain_mode == "columnar"
     assert ServingEngine(
-        sn40l_platform(), library, event_batching=True
-    ).drain_mode == "columnar"
-    assert ServingEngine(
-        sn40l_platform(), library, event_batching=False
+        sn40l_platform(), library, drain_mode="reference"
     ).drain_mode == "reference"
-    engine = ServingEngine(
-        sn40l_platform(), library, event_batching=False,
-        drain_mode=DrainMode.COLUMNAR,
-    )
-    assert engine.drain_mode == "columnar"  # explicit mode wins
-    assert engine.event_batching is True
+    assert ServingEngine(
+        sn40l_platform(), library, drain_mode=DrainMode.COLUMNAR
+    ).drain_mode == "columnar"
 
 
 def test_drain_mode_rejects_unknown_names():

@@ -296,7 +296,7 @@ class TestReportEdgeCases:
         # Fault paths run event-by-event (batching is disabled under
         # faults), so simulate the crash on the reference path.
         engine = ServingEngine(
-            sn40l_platform(), library, policy="fifo", event_batching=False
+            sn40l_platform(), library, policy="fifo", drain_mode="reference"
         )
         engine._begin_next = engine.halt  # fail-stop before the first group
         report = engine.run(stream)

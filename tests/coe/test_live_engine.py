@@ -6,7 +6,8 @@ from collections import defaultdict
 import pytest
 
 from repro.coe.api import ServeConfig, ServeModeError, build_server
-from repro.coe.engine import EngineRequest
+from repro.coe.crosscheck import CHECK_TIME_SCALE
+from repro.coe.engine import EngineRequest, ServingEngine
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.live_engine import (
     DEFAULT_MAX_QUEUE,
@@ -15,6 +16,9 @@ from repro.coe.live_engine import (
     ShedRequest,
     TokenEvent,
 )
+from repro.coe.node import NodeState
+from repro.coe.runtime import CoERuntime
+from repro.load import ArrivalSpec, generate_trace
 from repro.systems.platforms import sn40l_platform
 
 #: Fast-forward: one model second in a millisecond of wall time.
@@ -251,3 +255,127 @@ class TestClusterLive:
         lanes = {span.lane for span in report.timeline.spans()}
         assert any(lane.startswith("node0/") for lane in lanes)
         assert any(lane.startswith("node1/") for lane in lanes)
+
+
+def tiered_caps(library):
+    """HBM at half and DDR at 0.35x the working set: the CoServe split
+    the sim/live cross-check uses, with part of the library on NVMe."""
+    working_set = sum(e.weight_bytes for e in library.experts)
+    biggest = max(e.weight_bytes for e in library.experts)
+    hbm = max(int(0.5 * working_set), biggest)
+    return {"hbm": hbm, "ddr": max(int(0.35 * working_set), hbm)}
+
+
+class TestPipelinedPromotions:
+    def test_promote_spans_end_by_the_makespan(self, platform, library):
+        engine = LiveEngine(
+            platform, library,
+            live_config(tier_capacities=tiered_caps(library),
+                        pipeline_promotions=True),
+        )
+        report = engine.serve(backlog(library, 16))
+        promotes = report.timeline.spans(category="promote")
+        assert report.drained and promotes
+        assert len(promotes) == report.pipelined_promotions
+        assert all(s.end_s <= report.makespan_s for s in promotes)
+
+    def test_drain_timeout_clips_an_inflight_promotion(
+        self, platform, library
+    ):
+        # The first group copies a DDR-resident expert in and starts the
+        # second group's ~1.9 s NVMe->DDR promotion behind it, then
+        # decodes for ~2.2 s; a 0.3 s drain budget stops the run while
+        # the promotion is still on the DMA.
+        runtime = LiveEngine(
+            platform, library,
+            live_config(tier_capacities=tiered_caps(library)),
+        ).nodes[0].state.server.runtime
+        ddr = next(
+            e for e in library.experts if runtime.tier_of(e.name) == "ddr"
+        )
+        nvme = next(
+            e for e in library.experts if runtime.tier_of(e.name) == "nvme"
+        )
+        engine = LiveEngine(
+            platform, library,
+            live_config(tier_capacities=tiered_caps(library),
+                        pipeline_promotions=True, max_batch=1,
+                        time_scale=1.0, drain_timeout_s=0.3),
+        )
+        report = engine.serve([
+            EngineRequest(0, ddr, output_tokens=2000),
+            EngineRequest(1, nvme, output_tokens=2000),
+        ])
+        assert not report.drained
+        (promote,) = report.timeline.spans(category="promote")
+        assert promote.name == f"promote:{nvme.name}"
+        assert promote.start_s < report.makespan_s
+        assert promote.end_s == report.makespan_s
+
+
+class TestOneGroupStep:
+    def test_every_serving_path_runs_the_node_group_step(self, monkeypatch):
+        # The sim/live cross-check's lookahead + pipelined + tiered
+        # config: every group begins through NodeState.begin on the
+        # reference drain and in the live worker; the columnar drain
+        # calls it at each decision point and batches the rest.
+        library = build_samba_coe_library(12)
+        spec = ArrivalSpec(rate_rps=40.0, duration_s=4.0, zipf_alpha=1.1,
+                           seed=7)
+        requests = generate_trace(spec, library).to_requests(library)
+        config = ServeConfig(
+            mode="live", policy="fifo", num_nodes=1,
+            cache_policy="lookahead", scheduler="expert_reorder",
+            tier_capacities=tiered_caps(library), pipeline_promotions=True,
+            max_queue=len(requests) + 1, time_scale=CHECK_TIME_SCALE,
+        )
+        calls = []
+        begin = NodeState.begin
+
+        def spy(state, group, next_expert, now):
+            calls.append((state, group))
+            return begin(state, group, next_expert, now)
+
+        touched = []
+        touch_run = CoERuntime.touch_run
+
+        def touch_spy(runtime, experts):
+            touched.append(len(experts))
+            return touch_run(runtime, experts)
+
+        monkeypatch.setattr(NodeState, "begin", spy)
+        monkeypatch.setattr(CoERuntime, "touch_run", touch_spy)
+
+        def sim(drain_mode):
+            calls.clear()
+            touched.clear()
+            engine = ServingEngine(
+                sn40l_platform(), library, policy="fifo",
+                max_batch=config.max_batch, window=config.window,
+                cache_policy="lookahead", scheduler="expert_reorder",
+                tier_capacities=config.tier_capacities,
+                pipeline_promotions=True, drain_mode=drain_mode,
+            )
+            report = engine.run(requests)
+            assert {id(state) for state, _ in calls} == {id(engine.state)}
+            return report, [group for _, group in calls]
+
+        report, reference = sim("reference")
+        assert len(reference) == report.groups
+        assert len({id(g) for g in reference}) == report.groups
+        assert not touched
+
+        report, decisions = sim("columnar")
+        assert decisions and touched
+        assert len(decisions) + sum(touched) == report.groups
+        assert len({id(g) for g in decisions}) == len(decisions)
+
+        calls.clear()
+        engine = LiveEngine(sn40l_platform, library, config)
+        live_report = engine.serve(requests)
+        (node,) = engine.nodes
+        assert {id(state) for state, _ in calls} == {id(node.state)}
+        assert len(calls) == node.groups_done
+        assert live_report.pipelined_promotions == report.pipelined_promotions
+        assert ([g.expert.name for _, g in calls]
+                == [g.expert.name for g in reference])

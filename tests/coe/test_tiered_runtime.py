@@ -81,19 +81,6 @@ class TestConstruction:
 
 
 class TestDeprecatedShims:
-    def test_upgrade_time_warns_and_prices_ddr_to_hbm(self):
-        rt = CoERuntime(hbm_budget_bytes=EXPERT_BYTES,
-                        upgrade_time=lambda b: b / 1e9)
-        with pytest.warns(DeprecationWarning, match="upgrade_time"):
-            assert rt.upgrade_time(1000) == 1000 / 1e9
-
-    def test_downgrade_time_warns_and_prices_hbm_to_ddr(self):
-        rt = CoERuntime(hbm_budget_bytes=EXPERT_BYTES,
-                        upgrade_time=lambda b: b / 1e9,
-                        downgrade_time=lambda b: b / 5e8)
-        with pytest.warns(DeprecationWarning, match="downgrade_time"):
-            assert rt.downgrade_time(1000) == 1000 / 5e8
-
     def test_transfer_time_does_not_warn(self, recwarn):
         rt = _tiered()
         assert rt.transfer_time("ddr", "hbm", 1000) == 1000 / 1e9
