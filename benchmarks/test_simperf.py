@@ -25,17 +25,19 @@ semantics, with a recorded timeline) is several times slower. Emitted to ``BENCH
    where per-request routing math dominates) gates the cluster
    admission fast paths the same way, on requests/sec. The
    ``steal_default`` point (``ServeConfig(num_nodes=8)`` defaults:
-   overlap nodes, steal + online replication, traced, so the reference
-   drain) gates the steal path's per-event queries the same way. The
+   overlap nodes, steal + online replication, traced: the columnar
+   drain up to the first instant a steal could act, the event path
+   after it) gates the horizon drain and the steal path's per-event
+   queries the same way. The
    ``memwall`` point (one node at 0.5x HBM / 0.35x DDR with lookahead
    eviction, expert reorder and pipelined NVMe promotions — the
    constrained-memory headline) gates the tier-decision path (victim
    ranking, DDR demotion planning, promotion pricing) the same way.
 
-The node policy is ``affinity``, not ``overlap``: overlap takes the
-columnar drain too, but its prefetch decision at every group begin
-makes every group a scalar decision point, so the grid would never
-exercise the vectorized runs.
+The grid's node policy is ``affinity``, the policy its committed
+floors were measured on. ``overlap`` groups join the same vectorized
+runs whenever their prefetch is a plain recency refresh, and the
+``steal_default`` point times them.
 
 Timing points run serially (``processes=1``): wall-clock measurements
 must not contend with each other, so this module uses the sweep runner
@@ -69,7 +71,7 @@ OUTPUT_TOKENS = 20
 ZIPF_ALPHA = 1.1
 SEED = 1234
 POLICY = "affinity"
-NODE_POLICY = "affinity"  # overlap makes every group a decision point
+NODE_POLICY = "affinity"  # the policy the grid's floors were measured on
 
 #: The ``memwall`` point: one node serving a small library through a
 #: constrained hierarchy, with tier budgets as fractions of the library's
@@ -305,9 +307,10 @@ def test_admission_requests_per_sec_vs_committed_baseline(simperf_results,
 
 def test_steal_default_requests_per_sec_vs_committed_baseline(
         simperf_results, baseline):
-    """Gate on the steal path's per-event queries (memoized backlog
-    sums, steal pre-checks, the prefetch short-circuit): the
-    ``ServeConfig`` defaults run every one of them per event."""
+    """Gate on the ``ServeConfig`` defaults: the horizon-bounded t=0
+    drain (``overlap`` runs included) and, after it, the steal path's
+    per-event queries (memoized backlog sums, steal pre-checks, the
+    prefetch short-circuit)."""
     point = simperf_results["steal_default"]
     assert point["completed"] == point["requests"]
     current = point["requests_per_s"]

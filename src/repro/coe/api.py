@@ -32,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Protocol, Sequence, Union, runtime_checkable
 
-from repro.coe.cluster_engine import ClusterEngine, ClusterReport, _coerce_faults
+from repro.coe.cluster_engine import (
+    ClusterEngine, ClusterReport, _check_cluster_limits, _coerce_faults,
+)
 from repro.coe.decisions import DecisionLog
 from repro.coe.engine import EngineReport, EngineRequest, ServingEngine
 from repro.coe.expert import ExpertLibrary
@@ -199,18 +201,10 @@ class ServeConfig:
             raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.max_batch < 1 or self.window < 1:
             raise ValueError("max_batch and window must be >= 1")
-        if self.replication_depth < 1:
-            raise ValueError(
-                f"replication_depth must be >= 1, got {self.replication_depth}"
-            )
-        if self.heartbeat_s <= 0:
-            raise ValueError(
-                f"heartbeat_s must be > 0, got {self.heartbeat_s}"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(
-                f"deadline_s must be > 0, got {self.deadline_s}"
-            )
+        _check_cluster_limits(
+            self.replication_depth, self.max_replicas, self.heartbeat_s,
+            self.deadline_s,
+        )
         object.__setattr__(self, "mode", ServeMode.coerce(self.mode))
         if self.load is not None and not isinstance(self.load, ArrivalSpec):
             object.__setattr__(

@@ -88,21 +88,28 @@ class CachePolicy:
         self._seq += 1
         self._last_access[expert.name] = self._seq
 
-    def on_access_run(self, experts: Sequence[ExpertProfile]) -> None:
-        """Bulk ``on_access(expert, hit=True)`` for a run of demand hits.
+    def on_access_run(
+        self,
+        experts: Sequence[ExpertProfile],
+        demand: Optional[Sequence[ExpertProfile]] = None,
+    ) -> None:
+        """Bulk ``on_access(expert, hit=True)`` for a run of hits.
 
         The columnar drain's batch path: valid **only** for a stretch of
-        demand accesses that are all hits (no eviction decision can fall
+        accesses that are all hits (no eviction decision can fall
         between them, so no intermediate state is ever observed — the
-        run-segmentation invariant of :mod:`repro.coe.columnar`). Must
-        leave the policy in exactly the state the equivalent scalar call
-        sequence would; subclasses that override :meth:`on_access` must
-        override this too (order-equivalence is pinned per policy in
-        ``tests/coe/test_columnar.py``).
+        run-segmentation invariant of :mod:`repro.coe.columnar`).
+        ``experts`` is every access in order; ``demand`` is its demand
+        subsequence, the rest being speculative refreshes (unset: all
+        demand). Must leave the policy in exactly the state the
+        equivalent scalar call sequence would; subclasses that override
+        :meth:`on_access` must override this too (order-equivalence is
+        pinned per policy in ``tests/coe/test_columnar.py``).
 
-        The base form assigns consecutive sequence numbers in run order;
-        on duplicate names ``dict.update`` keeps the last pair, exactly
-        as repeated scalar assignments would.
+        The base form assigns consecutive sequence numbers in access
+        order, speculative ones included; on duplicate names
+        ``dict.update`` keeps the last pair, exactly as repeated scalar
+        assignments would.
         """
         seq = self._seq
         names = [e.name for e in experts]
@@ -170,14 +177,19 @@ class LFUPolicy(CachePolicy):
         if not speculative:
             self._freq[expert.name] = self._freq.get(expert.name, 0) + 1
 
-    def on_access_run(self, experts: Sequence[ExpertProfile]) -> None:
-        # Demand hits only (the run contract): every access counts.
-        # Summing each name's occurrences lands on the same final
-        # frequencies as n scalar increments; the intermediates are
-        # unobservable inside a hit run (no eviction_order call).
+    def on_access_run(
+        self,
+        experts: Sequence[ExpertProfile],
+        demand: Optional[Sequence[ExpertProfile]] = None,
+    ) -> None:
+        # Only demand accesses count. Summing each name's occurrences
+        # lands on the same final frequencies as the scalar increments;
+        # the intermediates are unobservable inside a hit run (no
+        # eviction_order call).
         super().on_access_run(experts)
         freq = self._freq
-        for name, count in Counter(e.name for e in experts).items():
+        counted = experts if demand is None else demand
+        for name, count in Counter(e.name for e in counted).items():
             freq[name] = freq.get(name, 0) + count
 
     def eviction_order(self, resident: Mapping[str, ExpertProfile]) -> List[str]:
@@ -231,18 +243,24 @@ class GDSFPolicy(CachePolicy):
             self._freq[expert.name] = self._freq.get(expert.name, 0) + 1
             self._reprice(expert)
 
-    def on_access_run(self, experts: Sequence[ExpertProfile]) -> None:
-        # Frequencies bulk-sum like LFU; repricing once per distinct
-        # expert with its *final* run frequency writes the same priority
-        # the last scalar _reprice of the run would (the formula reads
-        # only the current frequency, inflation never moves on a hit,
-        # and intermediate priorities are unobservable inside a run).
+    def on_access_run(
+        self,
+        experts: Sequence[ExpertProfile],
+        demand: Optional[Sequence[ExpertProfile]] = None,
+    ) -> None:
+        # Demand frequencies bulk-sum like LFU; repricing once per
+        # distinct demanded expert with its *final* run frequency writes
+        # the same priority the last scalar _reprice of the run would
+        # (the formula reads only the current frequency, inflation never
+        # moves on a hit, and intermediate priorities are unobservable
+        # inside a run).
         super().on_access_run(experts)
         freq = self._freq
+        counted = experts if demand is None else demand
         distinct: Dict[str, ExpertProfile] = {}
-        for expert in experts:
+        for expert in counted:
             distinct[expert.name] = expert
-        for name, count in Counter(e.name for e in experts).items():
+        for name, count in Counter(e.name for e in counted).items():
             freq[name] = freq.get(name, 0) + count
         for expert in distinct.values():
             self._reprice(expert)
@@ -453,11 +471,15 @@ class BeladyPolicy(CachePolicy):
         if not speculative:
             self._cursor += 1
 
-    def on_access_run(self, experts: Sequence[ExpertProfile]) -> None:
-        # A run is all demand accesses: the replay cursor advances once
-        # per access, exactly as the scalar path would step it.
+    def on_access_run(
+        self,
+        experts: Sequence[ExpertProfile],
+        demand: Optional[Sequence[ExpertProfile]] = None,
+    ) -> None:
+        # The replay cursor advances once per demand access, exactly as
+        # the scalar path would step it.
         super().on_access_run(experts)
-        self._cursor += len(experts)
+        self._cursor += len(experts if demand is None else demand)
 
     def _next_use(self, name: str) -> int:
         positions = self._positions.get(name)

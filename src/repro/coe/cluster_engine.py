@@ -65,13 +65,15 @@ and latency percentiles from the same record the trace exports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 from repro.coe.cache import CachePolicy, CachePolicyLike
-from repro.coe.columnar import latency_values, token_total
+from repro.coe.columnar import latency_values, lower_queue, token_total
 from repro.coe.decisions import DecisionLog
 from repro.coe.dispatch import admission_eta, choose_node, deadline_admits
 from repro.coe.engine import (
@@ -121,6 +123,50 @@ def cluster_lanes(num_nodes: int) -> List[str]:
     return [
         f"node{idx}/{base}" for idx in range(num_nodes) for base in NODE_LANES
     ]
+
+
+def _tie_key(
+    times: List[float], rank: int, time: float, parent: int, sub: int
+) -> tuple:
+    """Where the reference path runs a node's event among equal-time ones.
+
+    The simulator breaks a tie by scheduling order, and a node's events
+    form one chain (root begin -> finish -> begin ...), so two events at
+    the same time run in the order their parents ran: compare the
+    parents' times, then the grandparents', and so on back to the root
+    (``times[parent]``, ``times[parent - 1]``, ... — the drained chain).
+    A root, scheduled at admission, precedes every event scheduled
+    during the run (``-inf``); roots keep the node's ``rank`` in
+    dispatch order; and a begin schedules its prefetch (``sub`` 0)
+    before its finish (1).
+    """
+    return (time, *reversed(times[:parent + 1]), -math.inf, rank, sub)
+
+
+def _check_cluster_limits(
+    replication_depth: int,
+    max_replicas: Optional[int],
+    heartbeat_s: float,
+    deadline_s: Optional[float],
+) -> None:
+    """Raise ``ValueError`` for a cluster setting no run can honour.
+
+    A NaN deadline would shed every request and a zero replica cap
+    would silently disable replication, so both fail here, at
+    construction, as a non-finite heartbeat period does.
+    """
+    if replication_depth < 1:
+        raise ValueError(
+            f"replication_depth must be >= 1, got {replication_depth}"
+        )
+    if max_replicas is not None and max_replicas < 1:
+        raise ValueError(f"max_replicas must be >= 1, got {max_replicas}")
+    if not (math.isfinite(heartbeat_s) and heartbeat_s > 0):
+        raise ValueError(
+            f"heartbeat_s must be finite and > 0, got {heartbeat_s}"
+        )
+    if deadline_s is not None and not deadline_s > 0:  # NaN fails too
+        raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
 
 
 def _coerce_faults(faults: Optional[FaultsLike]) -> FaultSchedule:
@@ -337,14 +383,9 @@ class ClusterEngine:
             )
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-        if replication_depth < 1:
-            raise ValueError(
-                f"replication_depth must be >= 1, got {replication_depth}"
-            )
-        if heartbeat_s <= 0:
-            raise ValueError(f"heartbeat_s must be > 0, got {heartbeat_s}")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
+        _check_cluster_limits(
+            replication_depth, max_replicas, heartbeat_s, deadline_s
+        )
         self.library = library
         self.max_batch = max_batch
         self.window = window
@@ -364,10 +405,13 @@ class ClusterEngine:
         self.faults = _coerce_faults(faults)
         requested = DrainMode.coerce(drain_mode)
         #: Whole-queue drains are only equivalent when nothing can
-        #: interleave with a node's queue mid-run: the steal policy's
-        #: hooks and every fault path (crash/slow/copy-fault events land
-        #: between a node's begin/finish events) force event-by-event.
-        if self.policy == "steal" or self.faults:
+        #: interleave with a node's queue mid-run. Every fault path
+        #: (crash/slow/copy-fault events land between a node's
+        #: begin/finish events) forces event-by-event. The ``steal``
+        #: hooks act only once some node's queue runs dry, so a steal
+        #: cluster drains on the columnar core up to that horizon and
+        #: runs on events after it (:meth:`_drain_to_horizon`).
+        if self.faults:
             effective = DrainMode.REFERENCE
         else:
             effective = requested
@@ -781,6 +825,77 @@ class ClusterEngine:
         )
 
     # ------------------------------------------------------------------
+    # The ``steal`` cluster's t=0 drain
+    # ------------------------------------------------------------------
+    def _drain_to_horizon(self, admitted: Sequence[RequestGroup]) -> None:
+        """Drain every node on the columnar core up to the first instant
+        a steal hook could act, then hand the rest to the event path.
+
+        The hooks look at other nodes only at a finish that leaves a
+        node's queue empty, and no node gets there before the no-wait
+        end of its whole queue (:meth:`GroupColumns.no_wait_end`). Up
+        to the earliest such end — the horizon, capped by the next
+        pending event — the nodes are independent, so each drains every
+        event strictly before it (:meth:`ServingEngine._drain_before`).
+        The events they hand off are scheduled in the order the
+        reference path would have scheduled them, and the lanes the
+        drains created are put in the order the reference created them
+        (docs/PERFORMANCE.md, section 11).
+        """
+        sim = self.sim
+        for node in self.nodes:
+            node.engine._begin_scheduled = False
+        # Roots: the nodes in the order they received their first group.
+        heads = {
+            id(node.engine._queue[0]): node
+            for node in self.nodes if node.engine.queue_depth
+        }
+        roots: List[_Node] = []
+        for group in admitted:
+            node = heads.pop(id(group), None)
+            if node is not None:
+                roots.append(node)
+                if not heads:
+                    break
+        starts = [node.engine._head_start() for node in roots]
+        lowered = [
+            lower_queue(node.engine, list(node.engine._queue))
+            for node in roots
+        ]
+        horizon = min(
+            cols.no_wait_end(start) for cols, start in zip(lowered, starts)
+        )
+        pending = sim.peek_next_time()
+        if pending is not None:
+            horizon = min(horizon, pending)
+        handoffs: List[tuple] = []
+        lanes: List[tuple] = []
+        drained = 0
+        for rank, (node, cols, start) in enumerate(zip(roots, lowered, starts)):
+            times: List[float] = []
+            created = [] if self.timeline is not None else None
+            events, count = node.engine._drain_before(
+                cols, start, horizon, times, created
+            )
+            drained += count
+            last = len(times) - 1
+            handoffs.extend(
+                (_tie_key(times, rank, time, last, sub), time, callback)
+                for time, callback, sub in events
+            )
+            lanes.extend(
+                (_tie_key(times, rank, time, parent, sub), lane)
+                for lane, time, parent, sub in created or ()
+            )
+        handoffs.sort(key=itemgetter(0))
+        sim.schedule_many((time, callback) for _, time, callback in handoffs)
+        # This event stands for one of the drained ones.
+        sim.count_events(max(0, drained - 1))
+        if lanes:
+            lanes.sort(key=itemgetter(0))
+            self.timeline.reorder_lanes([lane for _, lane in lanes])
+
+    # ------------------------------------------------------------------
     def serve(self, requests: Sequence[EngineRequest]) -> ClusterReport:
         """Drain the whole backlog across the cluster; one shared clock.
 
@@ -835,11 +950,22 @@ class ClusterEngine:
                     [g for key, g in shapes.items() if key[0] in hosted]
                 )
             self._admission_backlog = {n.index: 0.0 for n in self.nodes}
+        # A columnar ``steal`` cluster begins every node in one t=0 drain
+        # bounded by the steal horizon, so admission schedules no begin.
+        horizon_drain = (self.policy == "steal"
+                         and self.drain_mode == DrainMode.COLUMNAR.value)
+        if horizon_drain:
+            for node in self.nodes:
+                node.engine._begin_scheduled = True
         try:
             for group in admit:
                 self._dispatch(group, now=0.0)
         finally:
             self._admission_backlog = None
+        if horizon_drain and any(n.engine.queue_depth for n in self.nodes):
+            self.sim.schedule_at(
+                self.sim.now, lambda: self._drain_to_horizon(admit)
+            )
         end_clock = self.sim.run()
         # Whole-queue drains finish their work on local clocks past the last
         # shared-clock event; the cluster end is the latest of both.

@@ -28,12 +28,18 @@ of its scalar path. A traced run records its phase spans with one
 :meth:`Timeline.record_run`. Only *decision points* run the per-group
 step, :meth:`repro.coe.node.NodeState.begin` — the same call the
 reference drain and the live worker make for every group: a cache miss
-(victim selection + demand copy), and under the ``overlap`` policy
-every group, since a prefetch decision happens at each group begin.
-That keeps ``CoERuntime.activate`` the single cache-decision choke
-point the sim/live cross-check relies on. Pipelined promotions happen
-at run ends, and a ``lookahead`` policy reads the unconsumed tail of
-the lowered names (docs/PERFORMANCE.md, section 10).
+(victim selection + demand copy), a pending copy barrier, and under
+the ``overlap`` policy a group whose prefetch is more than a
+speculative recency refresh of a resident successor. That keeps
+``CoERuntime.activate`` the single cache-decision choke point the
+sim/live cross-check relies on. Pipelined promotions happen at run
+ends, and a ``lookahead`` policy reads the unconsumed tail of the
+lowered names (docs/PERFORMANCE.md, section 10).
+
+A drain may also stop at a horizon, leaving the group that straddles
+it in flight: a ``steal`` cluster drains each node that way up to the
+first instant a steal hook could act, then hands the rest to the event
+path (docs/PERFORMANCE.md, section 11).
 
 Completions land in a :class:`CompletedLog`: run segments append whole
 blocks (no per-request allocation), decision points append scalar
@@ -45,9 +51,12 @@ arrays is elementwise-bitwise-equal to the scalar property).
 
 from __future__ import annotations
 
+import math
 from itertools import chain, compress, islice
 from operator import attrgetter
-from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Iterator, List, NamedTuple, Optional, Sequence, TYPE_CHECKING,
+)
 
 import numpy as np
 
@@ -57,6 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
 
 __all__ = [
     "CompletedLog",
+    "DrainStop",
     "GroupColumns",
     "drain",
     "latency_values",
@@ -273,6 +283,19 @@ class GroupColumns:
     def __len__(self) -> int:
         return len(self.groups)
 
+    def no_wait_end(self, start_at: float) -> float:
+        """When the last group would finish if none waited for a copy.
+
+        One left-to-right cumsum of every phase from ``start_at``: the
+        float additions :func:`drain` makes. A copy wait only raises a
+        begin time and IEEE addition is monotone, so the drained end is
+        never earlier.
+        """
+        acc = np.empty(self.flat.size + 1, dtype=np.float64)
+        acc[0] = start_at
+        acc[1:] = self.flat.reshape(-1)
+        return float(np.cumsum(acc)[-1])
+
 
 def lower_queue(
     engine: "ServingEngine", groups: Sequence["RequestGroup"]
@@ -334,16 +357,38 @@ def lower_queue(
 _PHASES = ("router", "prefill", "decode")
 
 
+class DrainStop(NamedTuple):
+    """Where :func:`drain` stopped: the end of the queue or its horizon."""
+
+    #: Groups begun, an in-flight one included.
+    begun: int
+    #: Prefetches run at their group's exec start, after its begin (each
+    #: one is an extra event on the reference path).
+    deferred: int
+    #: The local clock where the drain stopped: the end of the last
+    #: group, or the begin of the group in flight or due at or after
+    #: the horizon.
+    now: float
+    #: The group begun before the horizon that finishes at or after it,
+    #: as ``(group, exec_start, phase_times, index)``, else None.
+    current: Optional[tuple]
+    #: Whether ``current``'s prefetch is still due, at its exec start.
+    prefetch_due: bool
+
+
 def drain(
-    engine: "ServingEngine", cols: GroupColumns, start_at: float
-) -> Tuple[float, int]:
+    engine: "ServingEngine",
+    cols: GroupColumns,
+    start_at: float,
+    horizon: float = math.inf,
+    times: Optional[List[float]] = None,
+    created: Optional[List[tuple]] = None,
+) -> DrainStop:
     """Drain lowered columns on a local clock.
 
-    Returns the end time and the number of prefetches deferred to their
-    group's exec start (each one is an extra event on the reference
-    path). Runs of resident-expert groups are timestamped by one cumsum
-    and their cache/predictor bookkeeping applied through the batch
-    APIs; each decision point runs the node's group step
+    Runs of resident-expert groups are timestamped by one cumsum and
+    their cache/predictor bookkeeping applied through the batch APIs;
+    each decision point runs the node's group step
     (:meth:`NodeState.begin`). The segmentation is conservative — a
     group is only admitted to a run if its expert is resident *and* any
     pending copy completed by the run's start — and a group it excludes
@@ -351,6 +396,23 @@ def drain(
     identical hit/barrier/miss arithmetic applies. State mutations
     therefore happen in the same order with the same values as the
     reference path, which the equivalence grid asserts byte-for-byte.
+
+    Under ``overlap`` a group's begin is also a prefetch decision. It is
+    a plain speculative recency refresh — so the group may join a run —
+    while no speculative copy is open, every expert the predictor knows
+    is resident (no guess to rank) and the group up next is resident;
+    :meth:`CoERuntime.touch_run` books the run's demand hits and
+    refreshes in their scalar order.
+
+    The drain runs every event strictly before ``horizon`` and nothing
+    at or after it: a group begun before the horizon that finishes at or
+    after it is returned in flight (:attr:`DrainStop.current`), and the
+    drain stops before a group that would begin at or after it.
+    ``times``, when given, collects the time of every begin and finish
+    drained, in order; ``created`` gets ``(lane, time, parent, sub)``
+    for each timeline lane an event created: the event's time, the
+    index in ``times`` of the event that scheduled it, and 0 for a
+    deferred prefetch, 1 otherwise (docs/PERFORMANCE.md, section 11).
     """
     CompletedRequest = _completed_request_type()
     state = engine.state
@@ -377,77 +439,125 @@ def drain(
             name: tuple(f"{phase}:{name}" for phase in _PHASES)
             for name in set(names)
         }
-    # Under ``overlap`` every group begin is a prefetch decision, so no
-    # group joins a run.
-    scan_end = 0 if overlap else n
+    track = created is not None and timeline is not None
+    known = len(timeline.lanes) if track else 0
+
+    def note(event: int, prefetch_at: Optional[float] = None) -> None:
+        """Attribute the lanes created since the last note to the begin
+        or finish ``times[event]`` or, given ``prefetch_at``, to the
+        deferred prefetch that begin scheduled."""
+        nonlocal known
+        lanes = timeline.lanes
+        if prefetch_at is None:
+            key = (times[event], event - 1, 1)
+        else:
+            key = (prefetch_at, event, 0)
+        created.extend((new, *key) for new in lanes[known:])
+        known = len(lanes)
+
     # The lookahead backlog view reads names[engine._drain_pos:].
     engine._drain_names = names
     deferred = 0
     now = start_at
     pos = 0
-    while pos < n:
+    current = None
+    prefetch_due = False
+    while pos < n and now < horizon:
         # --- scan the maximal run of barrier-free resident hits -------
         run_end = pos
-        while run_end < scan_end:
-            name = names[run_end]
-            if name not in resident:
-                break
-            done = copy_done.get(name)
-            if done is not None and done > now:
-                break
-            run_end += 1
+        if not overlap or (not state.spec_open
+                           and predictor.known_names <= resident.keys()):
+            while run_end < n:
+                name = names[run_end]
+                if name not in resident:
+                    break
+                done = copy_done.get(name)
+                if done is not None and done > now:
+                    break
+                run_end += 1
+            if (overlap and pos < run_end < n
+                    and names[run_end] not in resident):
+                # The last group's prefetch would copy its successor in.
+                run_end -= 1
         if run_end > pos:
             m = run_end - pos
             # One prefix sum over [now, r0, p0, d0, r1, ...]: acc[3k] is
             # group k's exec start, acc[3k+3] its end — each partial sum
             # adds the same floats in the same order as the scalar loop.
-            durations = flat[pos:run_end]
             acc = np.empty(3 * m + 1, dtype=np.float64)
             acc[0] = now
-            acc[1:] = durations.reshape(-1)
+            acc[1:] = flat[pos:run_end].reshape(-1)
             np.cumsum(acc, out=acc)
+            # c groups complete; the first to finish at or after the
+            # horizon stays in flight and none after it begins.
+            c = m
+            if acc[-1] >= horizon:
+                c = int(np.searchsorted(acc[3::3], horizon))
+                m = c + 1
+                run_end = pos + m
             run_experts = experts[pos:run_end]
             predictor.observe_run(run_experts)
-            runtime.touch_run(run_experts)
-            run_names = names[pos:run_end]
-            if timeline is not None:
-                times = acc.tolist()
-                sizes = cols.sizes[pos:run_end].tolist()
+            if overlap:
+                runtime.touch_run(run_experts, experts[pos + 1:run_end + 1])
+            else:
+                runtime.touch_run(run_experts)
+            if times is not None:
+                # Each group's begin and finish; an in-flight group's
+                # finish is not drained.
+                base_event = len(times)
+                events = np.repeat(acc[:3 * m + 1:3], 2)[1:2 * m + 1]
+                times.extend(events[:2 * m - (c < m)].tolist())
+            run_names = names[pos:pos + c]
+            if timeline is not None and c:
+                durations = flat[pos:pos + c]
+                times_c = acc[:3 * c + 1].tolist()
+                sizes = cols.sizes[pos:pos + c].tolist()
                 keep = (durations > 0).reshape(-1).tolist()
                 timeline.record_run(
                     lane,
                     list(compress(chain.from_iterable(
                         map(span_names.__getitem__, run_names)), keep)),
-                    list(compress(_PHASES * m, keep)),
-                    list(compress(times, keep)),
-                    list(compress(islice(times, 1, None), keep)),
+                    list(compress(_PHASES * c, keep)),
+                    list(compress(times_c, keep)),
+                    list(compress(islice(times_c, 1, None), keep)),
                     list(compress(
                         ({"group": index, "batch": batch}
                          for index, batch in zip(
-                             range(first_index + pos, first_index + run_end),
+                             range(first_index + pos, first_index + pos + c),
                              sizes)
                          for _ in _PHASES),
                         keep)),
                 )
+                if track and True in keep:
+                    # Spans are recorded at a group's finish.
+                    note(base_event + 2 * (keep.index(True) // 3) + 1)
             if pipelining and run_end < n:
                 # Only the run's last group can promote (its successor
                 # is not a resident hit), at its begin time. Recording
                 # its spans first cannot reorder lane creation: HBM
                 # starts empty, so a decision point precedes any run.
                 engine._drain_pos = run_end
-                state.promote_next(experts[run_end], float(acc[-4]))
-            lo = offsets[pos]
-            hi = offsets[run_end]
-            log.extend_block(
-                groups[pos:run_end],
-                run_names,
-                acc[::3].copy(),
-                cols.sizes[pos:run_end],
-                cols.arrivals[lo:hi],
-                cols.tokens[lo:hi],
-            )
-            now = float(acc[-1])
+                state.promote_next(experts[run_end], float(acc[3 * m - 3]))
+                if track:
+                    note(base_event + 2 * m - 2)
+            if c:
+                lo = offsets[pos]
+                hi = offsets[pos + c]
+                log.extend_block(
+                    groups[pos:pos + c],
+                    run_names,
+                    acc[:3 * c + 1:3].copy(),
+                    cols.sizes[pos:pos + c],
+                    cols.arrivals[lo:hi],
+                    cols.tokens[lo:hi],
+                )
             pos = run_end
+            if c < m:
+                i = pos - 1
+                now = float(acc[3 * c])
+                current = (groups[i], now, table[rows[i]], first_index + i)
+                break
+            now = float(acc[-1])
         else:
             # --- decision point: the node's group step ---------------
             group = groups[pos]
@@ -457,14 +567,28 @@ def drain(
             pos += 1
             engine._drain_pos = pos
             nxt = experts[pos] if pos < n else None
+            if times is not None:
+                times.append(now)
+                begin_event = len(times) - 1
             exec_start = state.begin(group, nxt, now)
+            if track:
+                note(begin_event)
             if overlap and nxt is not None:
-                # The reference path prefetches at exec_start, in an
-                # event of its own when the group waits for a copy;
-                # nothing else of this engine runs in between.
-                deferred += exec_start > now
-                engine._prefetch(nxt, expert_name, exec_start)
+                if exec_start < horizon:
+                    # The reference path prefetches at exec_start, in an
+                    # event of its own when the group waits for a copy;
+                    # nothing else of this engine runs in between.
+                    deferred += exec_start > now
+                    engine._prefetch(nxt, expert_name, exec_start)
+                    if track:
+                        note(begin_event,
+                             exec_start if exec_start > now else None)
+                else:
+                    prefetch_due = True
             end = exec_start + base[0] + base[1] + base[2]
+            if end >= horizon:
+                current = (group, exec_start, base, index)
+                break
             if timeline is not None:
                 engine._record_phases(group, exec_start, base, index)
             batch = len(group.requests)
@@ -474,6 +598,10 @@ def drain(
                     req.request_id, expert_name, batch, req.arrival_s,
                     exec_start, end, req.output_tokens,
                 ))
+            if times is not None:
+                times.append(end)
+                if track:
+                    note(begin_event + 1)
             now = end
         if pos < n:
             # The next group begins once its expert's pending copy lands.
@@ -483,4 +611,4 @@ def drain(
                 now = done
     engine._drain_names = None
     engine._busy_until_s = now
-    return now, deferred
+    return DrainStop(pos, deferred, now, current, prefetch_due)

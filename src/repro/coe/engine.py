@@ -60,6 +60,7 @@ from typing import (
 from repro.coe.cache import CachePolicyLike
 from repro.coe.columnar import (
     CompletedLog,
+    GroupColumns,
     drain as _columnar_drain,
     latency_values,
     lower_queue,
@@ -647,9 +648,12 @@ class ServingEngine:
 
         Hooks are the cluster scheduler's surface for interleaving with
         this queue mid-run (stealing, replication); with any installed,
-        every group must go through its own begin/finish events so the
-        hooks observe real intermediate states. Fault schedules disable
-        batching at construction time (see :class:`ClusterEngine`).
+        a drain may only run up to the first instant a hook could act,
+        so the cluster drains its ``steal`` nodes once, to a horizon
+        (:meth:`_drain_before`), and every later group goes through its
+        own begin/finish events so the hooks observe real intermediate
+        states. Fault schedules disable batching at construction time
+        (see :class:`ClusterEngine`).
         """
         return (self.drain_mode == DrainMode.COLUMNAR.value
                 and self.on_idle is None and self.on_group_done is None)
@@ -660,11 +664,7 @@ class ServingEngine:
                 or self._begin_scheduled or not self._queue):
             return
         sim = self._sim
-        head = self._queue[0].expert
-        start_at = sim.now
-        if self.server.runtime.is_resident(head):
-            done = self.state.copy_done.get(head.name, start_at)
-            start_at = max(start_at, done)
+        start_at = self._head_start()
         self._begin_scheduled = True
         if self._batch_ok():
             # One tagged event drains the whole queue on a local clock;
@@ -678,6 +678,15 @@ class ServingEngine:
             )
         else:
             sim.schedule_at(start_at, self._begin_next)
+
+    def _head_start(self) -> float:
+        """When the queue head can begin: now, or once the pending copy
+        of its resident expert lands."""
+        now = self._sim.now
+        head = self._queue[0].expert
+        if self.server.runtime.is_resident(head):
+            return max(now, self.state.copy_done.get(head.name, now))
+        return now
 
     def _begin_next(self) -> None:
         if self._halted:
@@ -832,13 +841,59 @@ class ServingEngine:
         groups = list(self._queue)
         self._queue.clear()
         cols = lower_queue(self, groups)
-        end, deferred = _columnar_drain(self, cols, start_at)
+        stop = _columnar_drain(self, cols, start_at)
         n = len(groups)
         self._groups_started += n
         self.groups_done += n
-        self._drained_until = max(self._drained_until, end)
-        self._sim.count_events(max(0, 2 * n + deferred - 1))
+        self._drained_until = max(self._drained_until, stop.now)
+        self._sim.count_events(max(0, 2 * n + stop.deferred - 1))
         self._notify_idle()
+
+    def _drain_before(
+        self,
+        cols: GroupColumns,
+        start_at: float,
+        horizon: float,
+        times: List[float],
+        created: Optional[List[tuple]],
+    ) -> Tuple[List[tuple], int]:
+        """Drain the lowered queue from ``start_at`` up to ``horizon``,
+        then hand the rest to the event path.
+
+        The cluster's one-shot t=0 drain of a ``steal`` node
+        (:meth:`ClusterEngine._drain_to_horizon`): every event strictly
+        before the horizon runs on the columnar core, and the node is
+        left exactly as the reference path leaves it there — the
+        unbegun groups queued, and either a group in flight (its finish
+        and, when its exec start is at or after the horizon, its
+        deferred prefetch still to run) or the next begin due. Returns
+        those ``(time, callback, sub)`` events, ``sub`` 0 for the
+        prefetch a begin schedules before its finish, and the number of
+        reference events drained. ``times`` and ``created`` are
+        :func:`repro.coe.columnar.drain`'s.
+        """
+        self._queue.clear()
+        stop = _columnar_drain(self, cols, start_at, horizon, times, created)
+        self._queue.extend(islice(cols.groups, stop.begun, None))
+        self._groups_started += stop.begun
+        done = stop.begun - (stop.current is not None)
+        self.groups_done += done
+        events: List[tuple] = []
+        if stop.current is None:
+            self._begin_scheduled = True
+            events.append((stop.now, self._begin_next, 1))
+        else:
+            group, exec_start, (router, prefill, decode), _ = stop.current
+            self._current = stop.current
+            self._busy = True
+            self._busy_until_s = exec_start + router + prefill + decode
+            if stop.prefetch_due:
+                protect = group.expert.name
+                events.append(
+                    (exec_start, lambda: self._prefetch_next(protect), 0)
+                )
+            events.append((self._busy_until_s, self._finish_group, 1))
+        return events, stop.begun + done + stop.deferred
 
     def _notify_idle(self) -> None:
         if self.on_idle is not None:

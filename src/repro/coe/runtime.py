@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from repro.coe.cache import CachePolicy, CachePolicyLike, make_policy
@@ -648,8 +649,12 @@ class CoERuntime:
             demoted=demoted,
         )
 
-    def touch_run(self, experts: Sequence[ExpertProfile]) -> None:
-        """Bulk demand-hit path: ``activate`` a run of resident experts.
+    def touch_run(
+        self,
+        experts: Sequence[ExpertProfile],
+        prefetched: Sequence[ExpertProfile] = (),
+    ) -> None:
+        """Bulk hit path: ``activate`` a run of resident experts.
 
         The columnar drain's batch form of n consecutive hit
         ``activate`` calls (:mod:`repro.coe.columnar`); every expert
@@ -664,26 +669,39 @@ class CoERuntime:
         Demand decisions are still recorded one per access — the
         decision stream is the sim/live cross-check's evidence and must
         stay record-for-record identical.
+
+        ``prefetched`` is the ``overlap`` form: demand hit
+        ``experts[k]`` is followed by a speculative hit refresh
+        (``activate(prefetched[k], speculative=True)``) for every ``k``
+        it covers — the prefetcher warming the group up next when that
+        expert is already resident.
         """
         resident = self._resident
         names = [e.name for e in experts]
-        if not all(map(resident.__contains__, names)):
-            missing = [n for n in names if n not in resident]
+        accesses, access_names = experts, names
+        if prefetched:
+            accesses = list(chain.from_iterable(zip(experts, prefetched)))
+            accesses += experts[len(prefetched):]
+            access_names = [e.name for e in accesses]
+        if not all(map(resident.__contains__, access_names)):
+            missing = [n for n in access_names if n not in resident]
             raise ValueError(
                 f"touch_run requires resident experts; missing {missing!r}"
             )
         n = len(names)
         self.stats.requests += n
         self.stats.hits += n
+        self.stats.speculative_requests += len(prefetched)
+        self.stats.speculative_hits += len(prefetched)
         self.demand_trace.extend(names)
-        self.policy.on_access_run(experts)
-        if n == 1:
-            resident.move_to_end(names[0])
+        self.policy.on_access_run(accesses, experts)
+        if len(access_names) == 1:
+            resident.move_to_end(access_names[0])
         else:
             seen = set()
             add = seen.add
             distinct_rev = [
-                name for name in reversed(names)
+                name for name in reversed(access_names)
                 if not (name in seen or add(name))
             ]
             move = resident.move_to_end

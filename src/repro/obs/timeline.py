@@ -34,7 +34,9 @@ from itertools import chain, compress, islice, repeat
 from math import inf
 from operator import eq, ge, itemgetter, le, sub
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 _new_tuple = tuple.__new__
 _NO_ARGS: Mapping = MappingProxyType({})
@@ -205,12 +207,27 @@ class Timeline:
             f"[{columns.starts[index]}, {columns.ends[index]}]"
         )
 
+    def reorder_lanes(self, lanes: Sequence[str]) -> None:
+        """Put the lanes in the order ``lanes`` lists them.
+
+        ``lanes`` must name every lane once. Lane order is what
+        cross-lane ties in :meth:`spans` and exporters' track ids
+        follow, so a recorder that created lanes out of their true
+        order (a drain replaying many nodes one by one) restores it.
+        """
+        if len(lanes) != len(self._lanes) or set(lanes) != set(self._lanes):
+            raise ValueError(
+                f"reorder_lanes needs every lane once: got {list(lanes)!r} "
+                f"for {list(self._lanes)!r}"
+            )
+        self._lanes = {lane: self._lanes[lane] for lane in lanes}
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def lanes(self) -> List[str]:
-        """Lane names in first-recorded order."""
+        """Lane names in first-recorded order (or as last reordered)."""
         return list(self._lanes)
 
     def spans(

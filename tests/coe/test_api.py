@@ -98,6 +98,19 @@ class TestServeConfig:
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        # A NaN deadline passes ``<= 0`` and would shed every request.
+        ({"deadline_s": float("nan")}, "deadline_s"),
+        ({"heartbeat_s": float("nan")}, "heartbeat_s"),
+        ({"heartbeat_s": float("inf")}, "heartbeat_s"),
+        # A cap below one replica would silently disable replication.
+        ({"max_replicas": 0}, "max_replicas"),
+        ({"max_replicas": -1}, "max_replicas"),
+    ])
+    def test_non_finite_and_empty_limits_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ServeConfig(num_nodes=2, **kwargs)
+
     def test_wants_cluster_on_nodes_faults_or_deadline(self):
         assert ServeConfig(num_nodes=2).wants_cluster
         assert ServeConfig(faults=["node0:1.0"], num_nodes=2).wants_cluster

@@ -20,10 +20,16 @@ import random
 
 import pytest
 
+from repro.coe import engine as engine_module
 from repro.coe.cluster_engine import ClusterEngine, run_cluster
 from repro.coe.decisions import DecisionLog
-from repro.coe.engine import ServingEngine, zipf_request_stream
-from repro.coe.expert import build_samba_coe_library
+from repro.coe.engine import EngineRequest, ServingEngine, zipf_request_stream
+from repro.coe.expert import (
+    build_heterogeneous_library,
+    build_samba_coe_library,
+)
+from repro.models.catalog import LLAMA2_7B, LLAMA2_13B
+from repro.obs import to_chrome_events
 from repro.systems.platforms import sn40l_platform
 
 DRAIN_MODES = ("reference", "columnar")
@@ -84,9 +90,9 @@ def test_engine_batched_equals_reference(policy, cache_policy):
 @pytest.mark.parametrize("policy", ["least_loaded", "affinity", "steal"])
 @pytest.mark.parametrize("num_nodes", [2, 4])
 def test_cluster_batched_equals_reference(policy, num_nodes):
-    # ``steal`` forces the reference drain internally (its hooks
-    # interleave with the queues), so that axis pins the gate itself:
-    # asking for columnar under steal must still reproduce the reference.
+    # ``steal`` drains each node on the columnar core only up to the
+    # first instant a steal hook could act, then runs the hooks on the
+    # event path; that axis pins the handoff between the two.
     rng = random.Random(f"cluster:{policy}:{num_nodes}")
     library, requests = _random_workload(rng)
 
@@ -198,8 +204,9 @@ def test_cluster_three_way_equivalence(policy, record):
     """Cluster-level reference == columnar identity, decision log
     included.
 
-    ``steal`` forces the reference drain internally, so that axis pins
-    the gate; the others exercise the columnar drain per node.
+    ``steal`` drains to its horizon on the columnar core and hands the
+    steal tail to the event path, so that axis pins the handoff; the
+    others exercise the whole-queue columnar drain per node.
     """
     rng = random.Random(f"cluster3:{policy}:{record}")
     library, requests = _random_workload(rng)
@@ -228,6 +235,154 @@ def test_cluster_three_way_equivalence(policy, record):
         assert got == want
     assert report.events_run == reference.events_run
     assert log == reference_log, log.diff(reference_log)
+
+
+def _steal_pair(monkeypatch, library, requests, **kwargs):
+    """The same ``steal`` cluster run columnar and reference, each with
+    its engine, report and DecisionLog; also returns the columnar run's
+    per-node ``DrainStop`` records."""
+    stops = []
+    real = engine_module._columnar_drain
+
+    def spy(engine, cols, start_at, *horizon_args):
+        stop = real(engine, cols, start_at, *horizon_args)
+        stops.append(stop)
+        return stop
+
+    monkeypatch.setattr(engine_module, "_columnar_drain", spy)
+    runs = {}
+    for mode in DRAIN_MODES:
+        log = DecisionLog()
+        cluster = ClusterEngine(
+            sn40l_platform, library, policy="steal", drain_mode=mode,
+            decision_log=log, **kwargs,
+        )
+        runs[mode] = (cluster, cluster.serve(requests), log)
+    return runs["columnar"], runs["reference"], stops
+
+
+def _drained(stops):
+    """Groups the columnar run completed before its horizon."""
+    return sum(stop.begun - (stop.current is not None) for stop in stops)
+
+
+def _assert_same_run(fast, reference):
+    """Every observable of two cluster runs, lane order included."""
+    (fast_cluster, fast_report, fast_log) = fast
+    (ref_cluster, ref_report, ref_log) = reference
+    assert fast_report.to_dict() == ref_report.to_dict()
+    assert fast_report.events_run == ref_report.events_run
+    assert fast_cluster.completed_requests() == \
+        ref_cluster.completed_requests()
+    assert fast_log == ref_log, fast_log.diff(ref_log)
+    if ref_report.timeline is None:
+        assert fast_report.timeline is None
+        return
+    # Stricter than _timeline_lanes: lane order is what cross-lane ties
+    # in spans() and the Chrome trace's thread ids follow.
+    assert fast_report.timeline.lanes == ref_report.timeline.lanes
+    assert fast_report.timeline.spans() == ref_report.timeline.spans()
+    assert to_chrome_events(fast_report.timeline) == \
+        to_chrome_events(ref_report.timeline)
+
+
+def _mixed_workload(rng):
+    """Mixed expert sizes and request lengths: groups of very different
+    durations, so steals fire while other nodes are mid-group."""
+    library = build_heterogeneous_library(
+        ((LLAMA2_7B, rng.randrange(8, 24)), (LLAMA2_13B, rng.randrange(2, 8)))
+    )
+    experts = library.experts
+    alpha = rng.uniform(0.8, 1.4)
+    weights = [1.0 / (rank + 1) ** alpha for rank in range(len(experts))]
+    requests = [
+        EngineRequest(i, expert, output_tokens=rng.choice((4, 20, 200)))
+        for i, expert in enumerate(
+            rng.choices(experts, weights, k=rng.randrange(150, 400)))
+    ]
+    return library, requests
+
+
+@pytest.mark.parametrize("node_policy", ["fifo", "affinity", "overlap"])
+@pytest.mark.parametrize("cache_policy", ["lru", "lfu", "gdsf", "predictive"])
+@pytest.mark.parametrize("record", [True, False], ids=["traced", "untraced"])
+def test_steal_horizon_drain_fuzz(monkeypatch, node_policy, cache_policy,
+                                  record):
+    """A ``steal`` cluster's t=0 horizon drain plus its event-path tail
+    is the reference run, across node and cache policies, traced and
+    untraced, on 2-4 nodes with seeded workloads."""
+    rng = random.Random(f"steal:{node_policy}:{cache_policy}:{record}")
+    library, requests = _mixed_workload(rng)
+    fast, reference, stops = _steal_pair(
+        monkeypatch, library, requests,
+        num_nodes=rng.randrange(2, 5), node_policy=node_policy,
+        cache_policy=cache_policy, record_timeline=record,
+        max_batch=rng.randrange(1, 12), window=rng.randrange(1, 32),
+    )
+    assert _drained(stops) > 0, "no group went through the columnar core"
+    _assert_same_run(fast, reference)
+
+
+def test_steal_horizon_tie_across_nodes(monkeypatch):
+    """Two nodes serving equal-shape groups tie at every instant: their
+    last groups finish at the same float time, at or after the horizon,
+    so the handed-off finishes and the lanes must fall back on dispatch
+    order exactly as the reference's scheduling order does."""
+    library = build_samba_coe_library(2)
+    requests = [
+        EngineRequest(request_id=i, expert=library.experts[i % 2])
+        for i in range(96)
+    ]
+    fast, reference, stops = _steal_pair(
+        monkeypatch, library, requests, num_nodes=2,
+    )
+    ref_cluster = reference[0]
+    last_finish = [
+        max(c.finish_s for c in node.engine.completed)
+        for node in ref_cluster.nodes
+    ]
+    assert last_finish[0] == last_finish[1], "the crafted tie did not occur"
+    assert _drained(stops) > 0
+    _assert_same_run(fast, reference)
+
+
+def test_steal_horizon_before_a_copy_lands(monkeypatch):
+    """A node holding one tiny group puts the horizon before the other
+    node's first expert copy lands: that node's first group is handed
+    off mid-copy, its deferred prefetch still due at its exec start."""
+    library = build_samba_coe_library(2)
+    tiny, busy = library.experts
+    requests = [EngineRequest(0, tiny, prompt_tokens=1, output_tokens=1)]
+    requests += [EngineRequest(i, busy) for i in range(1, 80)]
+    fast, reference, stops = _steal_pair(
+        monkeypatch, library, requests, num_nodes=2, max_batch=4,
+    )
+    assert any(stop.prefetch_due for stop in stops)
+    _assert_same_run(fast, reference)
+
+
+def test_steal_while_a_handed_off_group_runs(monkeypatch):
+    """One node's long first group is still running, handed off in
+    flight, when another node runs dry: the victim ranking must see it
+    busy, with its remaining time in its backlog estimate."""
+    library = build_samba_coe_library(3)
+    short, long_, deep = library.experts
+    requests = [
+        EngineRequest(0, short, output_tokens=4),
+        EngineRequest(1, long_, output_tokens=4000),
+        EngineRequest(2, short, output_tokens=4),
+    ]
+    requests += [EngineRequest(10 + i, long_, output_tokens=4)
+                 for i in range(5)]
+    requests += [EngineRequest(20 + i, deep, output_tokens=4)
+                 for i in range(9)]
+    fast, reference, stops = _steal_pair(
+        monkeypatch, library, requests, num_nodes=3, max_batch=1,
+    )
+    assert any(stop.current is not None and stop.current[0].requests[0]
+               .output_tokens == 4000 for stop in stops)
+    assert reference[1].replications > 0
+    _assert_same_run(fast, reference)
 
 
 def test_randomized_drain_mode_fuzz():
@@ -322,7 +477,7 @@ def test_engine_three_way_equivalence_pipelined(cache_policy):
     assert log == reference_log, log.diff(reference_log)
 
 
-@pytest.mark.parametrize("policy", ["least_loaded", "affinity"])
+@pytest.mark.parametrize("policy", ["least_loaded", "affinity", "steal"])
 def test_cluster_three_way_equivalence_tiered(policy):
     rng = random.Random(f"cluster-tiered:{policy}")
     library, requests = _random_workload(rng)

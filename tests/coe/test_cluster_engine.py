@@ -9,6 +9,7 @@ import pytest
 from repro.coe.cluster_engine import (
     CLUSTER_POLICIES,
     ClusterEngine,
+    _tie_key,
     cluster_lanes,
     run_cluster,
     scaling_sweep,
@@ -47,6 +48,18 @@ class TestConstruction:
     def test_rejects_bad_replication_depth(self, library):
         with pytest.raises(ValueError, match="replication_depth"):
             ClusterEngine(sn40l_platform, library, 2, replication_depth=0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"deadline_s": float("nan")}, "deadline_s"),
+        ({"heartbeat_s": float("nan")}, "heartbeat_s"),
+        ({"heartbeat_s": float("inf")}, "heartbeat_s"),
+        ({"max_replicas": 0}, "max_replicas"),
+        ({"max_replicas": -1}, "max_replicas"),
+    ])
+    def test_rejects_non_finite_and_empty_limits(self, library, kwargs,
+                                                 match):
+        with pytest.raises(ValueError, match=match):
+            ClusterEngine(sn40l_platform, library, 2, **kwargs)
 
     def test_rejects_empty_backlog(self, library):
         engine = ClusterEngine(sn40l_platform, library, 2)
@@ -168,6 +181,34 @@ class TestStealingAndReplication:
         assert a.makespan_s == b.makespan_s
         assert a.steals == b.steals
         assert a.replications == b.replications
+
+
+class TestHorizonTieOrder:
+    """``_tie_key`` orders a steal cluster's handed-off events and drained
+    lanes as the simulator's scheduling order would: ``times`` is a
+    node's drained begin/finish chain, ``parent`` the index of the event
+    that scheduled the one keyed."""
+
+    def test_earlier_parent_wins_a_tie(self):
+        late_parent = _tie_key([0.0, 1.5], 0, 2.0, 1, 1)
+        early_parent = _tie_key([0.0, 1.0], 1, 2.0, 1, 1)
+        assert early_parent < late_parent
+
+    def test_equal_parents_defer_to_grandparents(self):
+        assert (_tie_key([0.0, 0.5, 1.0], 1, 2.0, 2, 1)
+                < _tie_key([0.0, 0.7, 1.0], 0, 2.0, 2, 1))
+
+    def test_admission_root_precedes_run_scheduled_event(self):
+        root = _tie_key([], 1, 0.0, -1, 1)
+        scheduled_at_zero = _tie_key([0.0], 0, 0.0, 0, 1)
+        assert root < scheduled_at_zero
+
+    def test_equal_chains_keep_dispatch_order(self):
+        assert (_tie_key([0.0, 1.0], 0, 2.0, 1, 1)
+                < _tie_key([0.0, 1.0], 1, 2.0, 1, 1))
+
+    def test_begin_schedules_prefetch_before_finish(self):
+        assert _tie_key([0.0], 0, 1.0, 0, 0) < _tie_key([0.0], 0, 1.0, 0, 1)
 
 
 class TestAdmissionPhaseMemo:

@@ -8,11 +8,15 @@ points at the broken piece rather than at "some report byte differs":
 - the cumsum timestamp chain is *bitwise* the scalar accumulation loop,
 - ``CompletedLog`` presents exactly the records a plain list would,
 - each cache policy's ``on_access_run`` equals its scalar hit sequence,
-- ``CoERuntime.touch_run`` equals sequential hit ``activate`` calls,
+- ``CoERuntime.touch_run`` equals sequential hit ``activate`` calls, and
+  its ``overlap`` form the demand hit + speculative refresh sequence,
 - ``ExpertPredictor.observe_run`` equals sequential ``observe`` calls,
 - ``summarize_latencies`` equals the scalar ``percentile`` oracle,
 - traced, pipelined, ``lookahead`` and ``overlap`` single-node runs
   send every group through the columnar drain (no fallback loop),
+- ``overlap`` groups join runs, but only while their prefetch is a plain
+  recency refresh,
+- a drain stops strictly before its horizon,
 - engines reject re-entry instead of leaking prior run state.
 """
 
@@ -24,7 +28,13 @@ import pytest
 
 from repro.coe.cache import BeladyPolicy, make_policy
 from repro.coe.cluster_engine import ClusterEngine
-from repro.coe.columnar import CompletedLog, latency_values, token_total
+from repro.coe.columnar import (
+    CompletedLog,
+    drain as columnar_drain,
+    latency_values,
+    lower_queue,
+    token_total,
+)
 from repro.coe.decisions import DecisionLog
 from repro.coe import engine as engine_module
 from repro.coe.engine import (
@@ -36,9 +46,11 @@ from repro.coe.engine import (
 )
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.metrics import percentile, summarize_latencies
+from repro.coe.node import NodeState
 from repro.coe.policies import DrainMode
 from repro.coe.runtime import CoERuntime
-from repro.coe.scheduling import ExpertPredictor, RequestGroup
+from repro.coe.scheduling import ExpertPredictor, RequestGroup, coalesce_groups
+from repro.sim.engine import Simulator
 from repro.systems.platforms import sn40l_platform
 
 
@@ -249,6 +261,76 @@ def test_touch_run_equals_sequential_hit_activates(cache_policy):
         assert scalar_log == batched_log, batched_log.diff(scalar_log)
 
 
+def _overlap_policy(name, trace):
+    """A fresh policy by name; Belady replays ``trace`` and lookahead
+    reads it as its backlog, so both can rank victims."""
+    if name == "belady":
+        return BeladyPolicy(trace)
+    policy = make_policy(name)
+    if name == "lookahead":
+        policy.bind_backlog(lambda: iter(trace))
+    return policy
+
+
+def _policy_state(policy):
+    """A policy's bookkeeping: sequence numbers, last accesses,
+    frequencies, priorities, replay cursor (no bound collaborators)."""
+    return {
+        key: value for key, value in vars(policy).items()
+        if key not in ("_runtime", "_backlog", "predictor", "trace",
+                       "_positions")
+    }
+
+
+@pytest.mark.parametrize(
+    "cache_policy", ["lru", "lfu", "gdsf", "predictive", "lookahead", "belady"]
+)
+def test_touch_run_with_prefetches_equals_scalar_overlap_sequence(
+        cache_policy):
+    """The ``overlap`` run form: ``touch_run(run, prefetched)`` leaves
+    runtime and policy exactly as demand ``activate(run[k])`` followed by
+    speculative ``activate(prefetched[k], speculative=True)`` would —
+    only demand accesses count towards frequencies and Belady's cursor,
+    every access towards sequence numbers and recency."""
+    rng = random.Random(f"touch-overlap:{cache_policy}")
+    library = build_samba_coe_library(12)
+    experts = list(library.experts)
+    trace = [rng.choice(experts).name for _ in range(400)]
+    budget = sum(e.weight_bytes for e in experts) * 2
+    scalar, batched = (
+        CoERuntime(budget, lambda b: b * 1e-9,
+                   policy=_overlap_policy(cache_policy, trace))
+        for _ in range(2)
+    )
+    scalar_log, batched_log = DecisionLog(), DecisionLog()
+    scalar.attach_decisions(scalar_log, "node0")
+    batched.attach_decisions(batched_log, "node0")
+    for runtime in (scalar, batched):
+        for expert in experts:
+            runtime.activate(expert)
+
+    for trial in range(20):
+        run = _hit_run(rng, experts, rng.randrange(1, 15))
+        # Each group prefetches the one up next; the last group of the
+        # queue has none.
+        prefetched = run[1:] + _hit_run(rng, experts, rng.randrange(2))
+        for k, expert in enumerate(run):
+            scalar.activate(expert)
+            if k < len(prefetched):
+                scalar.activate(prefetched[k], speculative=True)
+        batched.touch_run(run, prefetched)
+
+        assert list(scalar.resident_map) == list(batched.resident_map), trial
+        assert scalar.stats == batched.stats, trial
+        assert batched.stats.speculative_hits > 0, trial
+        assert scalar.demand_trace == batched.demand_trace, trial
+        assert _policy_state(scalar.policy) == \
+            _policy_state(batched.policy), trial
+        assert scalar.policy.eviction_order(scalar.resident_map) == \
+            batched.policy.eviction_order(batched.resident_map), trial
+        assert scalar_log == batched_log, batched_log.diff(scalar_log)
+
+
 def test_touch_run_rejects_non_resident_experts():
     library = build_samba_coe_library(4)
     runtime = _fresh_runtime(library, "lru")
@@ -406,6 +488,87 @@ def test_every_single_node_drain_is_columnar(monkeypatch, config):
         assert report.pipelined_promotions > 0
     if config == "lookahead":
         assert report.demand_hit_rate < 1.0  # evictions were ranked
+
+
+def _overlap_spies(monkeypatch, engine):
+    """Record, at every group step and every run, whether an ``overlap``
+    group could be a plain recency refresh: no speculative copy open
+    and every expert the predictor knows resident."""
+    state = engine.state
+
+    def refresh_only():
+        resident = state.server.runtime.resident_map
+        return (not state.spec_open
+                and state.predictor.known_names <= resident.keys())
+
+    steps, runs = [], []
+    begin, touch_run = NodeState.begin, CoERuntime.touch_run
+
+    def spy_begin(self, group, next_expert, now):
+        steps.append(refresh_only())
+        return begin(self, group, next_expert, now)
+
+    def spy_touch_run(self, experts, prefetched=()):
+        runs.append((refresh_only(), len(experts), len(prefetched)))
+        return touch_run(self, experts, prefetched)
+
+    monkeypatch.setattr(NodeState, "begin", spy_begin)
+    monkeypatch.setattr(CoERuntime, "touch_run", spy_touch_run)
+    return steps, runs
+
+
+def test_overlap_groups_join_runs(monkeypatch):
+    """A one-node ``overlap`` engine whose experts fit forms runs: fewer
+    group steps than groups, every run booking its prefetches."""
+    library = build_samba_coe_library(24)
+    requests = zipf_request_stream(library, 600, seed=11)
+    engine = ServingEngine(sn40l_platform(), library, policy="overlap")
+    steps, runs = _overlap_spies(monkeypatch, engine)
+    report = engine.run(requests)
+    assert runs and len(steps) < report.groups
+    assert sum(length for _, length, _ in runs) + len(steps) == report.groups
+    assert all(prefetched >= length - 1 for _, length, prefetched in runs)
+
+
+def test_overlap_runs_wait_for_speculation_to_settle(monkeypatch):
+    """With HBM too small for the library the predictor knows evicted
+    experts and speculative copies open; no run forms while either
+    holds: those groups go through the group step one by one."""
+    library = build_samba_coe_library(24)
+    requests = zipf_request_stream(library, 600, alpha=0.8, seed=11)
+    working_set = sum(e.weight_bytes for e in library.experts)
+    engine = ServingEngine(
+        sn40l_platform(), library, policy="overlap",
+        tier_capacities={"hbm": int(0.4 * working_set)},
+    )
+    steps, runs = _overlap_spies(monkeypatch, engine)
+    report = engine.run(requests)
+    assert report.speculative_prefetches > 0
+    assert not all(steps), "speculation never blocked a run"
+    assert all(refresh_only for refresh_only, _, _ in runs)
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+def test_drain_stops_strictly_before_its_horizon(which):
+    """Every event strictly before the horizon runs and none at or after
+    it: with the horizon at a group's exact finish (the first group's, a
+    decision point, or the last group's) that group is left in flight
+    and nothing after it begins."""
+    library, requests = _small_workload()
+    finished = ServingEngine(
+        sn40l_platform(), library, policy="affinity"
+    ).run(requests).completed
+    ends = sorted({c.finish_s for c in finished})
+    horizon = ends[0] if which == "first" else ends[-1]
+    engine = ServingEngine(sn40l_platform(), library, policy="affinity",
+                           simulator=Simulator())
+    groups = coalesce_groups(engine._order(requests), engine.max_batch)
+    engine.precompute_phases(groups)
+    stop = columnar_drain(engine, lower_queue(engine, groups), 0.0, horizon)
+    index = 0 if which == "first" else len(groups) - 1
+    assert stop.begun == index + 1
+    assert stop.current[0] is groups[index]
+    assert len(engine.completed) == sum(len(g.requests) for g in groups[:index])
 
 
 def test_serving_engine_rejects_reentry():
