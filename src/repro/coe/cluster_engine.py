@@ -67,22 +67,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 from repro.coe.cache import CachePolicy, CachePolicyLike
-from repro.coe.columnar import latency_values, lower_queue, token_total
+from repro.coe.columnar import latency_values, token_total
 from repro.coe.decisions import DecisionLog
 from repro.coe.dispatch import admission_eta, choose_node, deadline_admits
 from repro.coe.engine import (
-    DRAIN_EVENT_KIND,
     CompletedRequest,
     EngineReentryError,
     EngineRequest,
     ServingEngine,
-    _run_drain_batch,
+    _drain_to_horizon,
     zipf_request_stream,
 )
 from repro.coe.expert import ExpertLibrary, ExpertProfile
@@ -123,24 +121,6 @@ def cluster_lanes(num_nodes: int) -> List[str]:
     return [
         f"node{idx}/{base}" for idx in range(num_nodes) for base in NODE_LANES
     ]
-
-
-def _tie_key(
-    times: List[float], rank: int, time: float, parent: int, sub: int
-) -> tuple:
-    """Where the reference path runs a node's event among equal-time ones.
-
-    The simulator breaks a tie by scheduling order, and a node's events
-    form one chain (root begin -> finish -> begin ...), so two events at
-    the same time run in the order their parents ran: compare the
-    parents' times, then the grandparents', and so on back to the root
-    (``times[parent]``, ``times[parent - 1]``, ... — the drained chain).
-    A root, scheduled at admission, precedes every event scheduled
-    during the run (``-inf``); roots keep the node's ``rank`` in
-    dispatch order; and a begin schedules its prefetch (``sub`` 0)
-    before its finish (1).
-    """
-    return (time, *reversed(times[:parent + 1]), -math.inf, rank, sub)
 
 
 def _check_cluster_limits(
@@ -401,16 +381,16 @@ class ClusterEngine:
             Timeline() if record_timeline else None
         )
         self.sim = Simulator(timeline=self.timeline)
-        self.sim.set_batch_handler(DRAIN_EVENT_KIND, _run_drain_batch)
         self.faults = _coerce_faults(faults)
         requested = DrainMode.coerce(drain_mode)
-        #: Whole-queue drains are only equivalent when nothing can
-        #: interleave with a node's queue mid-run. Every fault path
+        #: The columnar drain is only equivalent while nothing can
+        #: interleave with a node's queue. Every fault path
         #: (crash/slow/copy-fault events land between a node's
         #: begin/finish events) forces event-by-event. The ``steal``
         #: hooks act only once some node's queue runs dry, so a steal
         #: cluster drains on the columnar core up to that horizon and
-        #: runs on events after it (:meth:`_drain_to_horizon`).
+        #: runs on events after it; the other policies drain dry
+        #: (:func:`repro.coe.engine._drain_to_horizon`).
         if self.faults:
             effective = DrainMode.REFERENCE
         else:
@@ -437,9 +417,9 @@ class ClusterEngine:
         #: its own ``"nodeN"`` stream (attached below).
         self._decisions = decision_log
         #: One-shot guard for :meth:`serve` (see EngineReentryError):
-        #: node caches, ``_drained_until`` markers and the shared
-        #: simulator's event count all survive a serve, so a second call
-        #: would fold a prior run's makespan and events into its report.
+        #: node caches and the shared simulator's clock and event count
+        #: all survive a serve, so a second call would start warm and
+        #: fold a prior run's events into its report.
         self._served = False
         self.steals = 0
         self.replications = 0
@@ -482,8 +462,8 @@ class ClusterEngine:
             if self.policy == "steal":
                 # Only the steal policy reacts to these hooks
                 # (:meth:`_node_idle` is a no-op otherwise); leaving them
-                # uninstalled lets the other policies' engines take the
-                # columnar-drain fast path.
+                # uninstalled lets the other policies' nodes drain dry
+                # in the t=0 drain.
                 engine.on_idle = lambda _eng, n=node: self._node_idle(n)
                 engine.on_group_done = (
                     lambda _eng, _group, n=node: self._node_idle(n)
@@ -825,92 +805,45 @@ class ClusterEngine:
         )
 
     # ------------------------------------------------------------------
-    # The ``steal`` cluster's t=0 drain
-    # ------------------------------------------------------------------
-    def _drain_to_horizon(self, admitted: Sequence[RequestGroup]) -> None:
-        """Drain every node on the columnar core up to the first instant
-        a steal hook could act, then hand the rest to the event path.
-
-        The hooks look at other nodes only at a finish that leaves a
-        node's queue empty, and no node gets there before the no-wait
-        end of its whole queue (:meth:`GroupColumns.no_wait_end`). Up
-        to the earliest such end — the horizon, capped by the next
-        pending event — the nodes are independent, so each drains every
-        event strictly before it (:meth:`ServingEngine._drain_before`).
-        The events they hand off are scheduled in the order the
-        reference path would have scheduled them, and the lanes the
-        drains created are put in the order the reference created them
-        (docs/PERFORMANCE.md, section 11).
-        """
-        sim = self.sim
-        for node in self.nodes:
-            node.engine._begin_scheduled = False
-        # Roots: the nodes in the order they received their first group.
+    def _first_dispatched(
+        self, admitted: Sequence[RequestGroup]
+    ) -> List[ServingEngine]:
+        """The engines holding queued work, in the order they received
+        their first group at admission."""
         heads = {
-            id(node.engine._queue[0]): node
+            id(node.engine._queue[0]): node.engine
             for node in self.nodes if node.engine.queue_depth
         }
-        roots: List[_Node] = []
+        roots: List[ServingEngine] = []
         for group in admitted:
-            node = heads.pop(id(group), None)
-            if node is not None:
-                roots.append(node)
-                if not heads:
-                    break
-        starts = [node.engine._head_start() for node in roots]
-        lowered = [
-            lower_queue(node.engine, list(node.engine._queue))
-            for node in roots
-        ]
-        horizon = min(
-            cols.no_wait_end(start) for cols, start in zip(lowered, starts)
-        )
-        pending = sim.peek_next_time()
-        if pending is not None:
-            horizon = min(horizon, pending)
-        handoffs: List[tuple] = []
-        lanes: List[tuple] = []
-        drained = 0
-        for rank, (node, cols, start) in enumerate(zip(roots, lowered, starts)):
-            times: List[float] = []
-            created = [] if self.timeline is not None else None
-            events, count = node.engine._drain_before(
-                cols, start, horizon, times, created
-            )
-            drained += count
-            last = len(times) - 1
-            handoffs.extend(
-                (_tie_key(times, rank, time, last, sub), time, callback)
-                for time, callback, sub in events
-            )
-            lanes.extend(
-                (_tie_key(times, rank, time, parent, sub), lane)
-                for lane, time, parent, sub in created or ()
-            )
-        handoffs.sort(key=itemgetter(0))
-        sim.schedule_many((time, callback) for _, time, callback in handoffs)
-        # This event stands for one of the drained ones.
-        sim.count_events(max(0, drained - 1))
-        if lanes:
-            lanes.sort(key=itemgetter(0))
-            self.timeline.reorder_lanes([lane for _, lane in lanes])
+            if not heads:
+                break
+            engine = heads.pop(id(group), None)
+            if engine is not None:
+                roots.append(engine)
+        return roots
 
-    # ------------------------------------------------------------------
     def serve(self, requests: Sequence[EngineRequest]) -> ClusterReport:
         """Drain the whole backlog across the cluster; one shared clock.
 
+        Admission dispatches every group at t=0. A columnar cluster then
+        starts in one t=0 drain over the nodes, in the order they
+        received their first group
+        (:func:`repro.coe.engine._drain_to_horizon`); a reference one
+        begins each node's queue head on its own event. Either way the
+        shared clock ends at the last finish.
+
         Single-use, like :meth:`ServingEngine.run`: a second call raises
-        :class:`EngineReentryError` — node cache/predictor state, each
-        engine's ``_drained_until`` and the shared simulator's event
-        count persist, so a reused cluster would leak a prior run's
-        makespan into ``max(sim.run(), drained_until)`` and double-count
-        events. Construct a fresh :class:`ClusterEngine` per run.
+        :class:`EngineReentryError` — node cache/predictor state and the
+        shared simulator's clock and event count persist, so a reused
+        cluster would start warm and double-count events. Construct a
+        fresh :class:`ClusterEngine` per run.
         """
         if self._served:
             raise EngineReentryError(
-                "this ClusterEngine already served a backlog; node caches, "
-                "drained-until markers and the shared simulator's event "
-                "count persist — construct a fresh ClusterEngine per run"
+                "this ClusterEngine already served a backlog; node caches "
+                "and the shared simulator's clock and event count "
+                "persist — construct a fresh ClusterEngine per run"
             )
         self._served = True
         if not requests:
@@ -950,11 +883,10 @@ class ClusterEngine:
                     [g for key, g in shapes.items() if key[0] in hosted]
                 )
             self._admission_backlog = {n.index: 0.0 for n in self.nodes}
-        # A columnar ``steal`` cluster begins every node in one t=0 drain
-        # bounded by the steal horizon, so admission schedules no begin.
-        horizon_drain = (self.policy == "steal"
-                         and self.drain_mode == DrainMode.COLUMNAR.value)
-        if horizon_drain:
+        # A columnar cluster begins every node in one t=0 drain, so
+        # admission schedules no begin.
+        columnar = self.drain_mode == DrainMode.COLUMNAR.value
+        if columnar:
             for node in self.nodes:
                 node.engine._begin_scheduled = True
         try:
@@ -962,16 +894,12 @@ class ClusterEngine:
                 self._dispatch(group, now=0.0)
         finally:
             self._admission_backlog = None
-        if horizon_drain and any(n.engine.queue_depth for n in self.nodes):
+        roots = self._first_dispatched(admit) if columnar else []
+        if roots:
             self.sim.schedule_at(
-                self.sim.now, lambda: self._drain_to_horizon(admit)
+                self.sim.now, lambda: _drain_to_horizon(roots)
             )
         end_clock = self.sim.run()
-        # Whole-queue drains finish their work on local clocks past the last
-        # shared-clock event; the cluster end is the latest of both.
-        end_clock = max(
-            [end_clock] + [n.engine._drained_until for n in self.nodes]
-        )
         for node in self.nodes:
             if not node.engine.halted:
                 node.engine.state.flush_speculation(end_clock)

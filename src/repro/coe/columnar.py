@@ -230,18 +230,14 @@ class CompletedLog:
         return total
 
 
-def latency_values(completed) -> List[float]:
-    """Per-request latencies of any completion store (list or log)."""
-    if isinstance(completed, CompletedLog):
-        return completed.latency_values()
-    return [c.latency_s for c in completed]
+def latency_values(completed: CompletedLog) -> List[float]:
+    """Per-request latencies of an engine's completion store."""
+    return completed.latency_values()
 
 
-def token_total(completed) -> int:
-    """Total output tokens of any completion store (list or log)."""
-    if isinstance(completed, CompletedLog):
-        return completed.token_total()
-    return sum(c.output_tokens for c in completed)
+def token_total(completed: CompletedLog) -> int:
+    """Total output tokens of an engine's completion store."""
+    return completed.token_total()
 
 
 # ----------------------------------------------------------------------

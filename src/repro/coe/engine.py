@@ -48,10 +48,11 @@ which is what cluster-level work stealing and online replication drive.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import (
     AbstractSet, Callable, Dict, Iterator, List, NamedTuple, Optional,
     Sequence, Tuple, Union,
@@ -87,11 +88,6 @@ from repro.systems.platforms import Platform
 #: the typed source of truth and coerces these (kept for back-compat).
 POLICIES = NodePolicy.values()
 
-#: Event kind tag of a whole-queue drain. All engines sharing one
-#: simulator use the same tag, so back-to-back drains (e.g. every node's
-#: t=0 drain in a cluster) merge into a single batched handler call.
-DRAIN_EVENT_KIND = "coe-drain"
-
 _PHASE_KEY = attrgetter("phase_key")
 _EXPERT_NAME = attrgetter("expert.name")
 
@@ -104,21 +100,8 @@ class EngineReentryError(RuntimeError):
     its policy bookkeeping, the predictor's transition counts and the
     runtime stats all deliberately survive — so a second run on the
     same instance would start warm and report numbers no fresh run can
-    reproduce (and before this guard, a stale ``_drained_until`` could
-    leak a prior run's makespan into ``max(sim.run(), _drained_until)``).
-    Construct a fresh engine per run instead.
+    reproduce. Construct a fresh engine per run instead.
     """
-
-
-def _run_drain_batch(batch) -> None:
-    """Batch handler for :data:`DRAIN_EVENT_KIND` events.
-
-    Each callback replays its own engine's queue on a local clock and
-    never touches the shared one, so running them back-to-back is
-    exactly the event-by-event execution order.
-    """
-    for _, callback in batch:
-        callback()
 
 
 @dataclass(frozen=True)
@@ -303,6 +286,9 @@ class ServingEngine:
         #: Hooks a cluster-level scheduler installs: ``on_idle(engine)``
         #: fires when the queue drains, ``on_group_done(engine, group)``
         #: after every completed group. Both run on the simulator clock.
+        #: A columnar run drains up to the first instant ``on_idle``
+        #: could fire (:func:`_drain_to_horizon`); ``on_group_done`` is
+        #: not called for the groups it completes.
         self.on_idle: Optional[Callable[["ServingEngine"], None]] = None
         self.on_group_done: Optional[
             Callable[["ServingEngine", RequestGroup], None]
@@ -337,16 +323,12 @@ class ServingEngine:
         self._groups_started = 0
         self.groups_done = 0
         self.speculative_prefetches = 0
-        #: Completion store. Columnar mode uses a :class:`CompletedLog`
-        #: so vectorized runs append whole blocks; its bound ``append``
-        #: keeps decision points as cheap as appending to the plain list
-        #: the reference mode keeps. Either way consumers see
-        #: per-request :class:`CompletedRequest` records in completion
-        #: order.
-        self.completed: "Union[List[CompletedRequest], CompletedLog]" = (
-            CompletedLog() if self.drain_mode == DrainMode.COLUMNAR.value
-            else []
-        )
+        #: Completion store: columnar runs append whole blocks, and its
+        #: bound ``append`` keeps every scalar finish (decision points,
+        #: the event path) as cheap as appending to a plain list.
+        #: Consumers see per-request :class:`CompletedRequest` records in
+        #: completion order.
+        self.completed = CompletedLog()
         #: Fail-stop flag: a halted engine ignores every already-scheduled
         #: simulator callback (crash semantics — see ``halt``).
         self._halted = False
@@ -358,11 +340,6 @@ class ServingEngine:
         #: has changed since it was filled.
         self._exec_memo: Dict[Tuple[str, int, int, int], float] = {}
         self._exec_memo_factor = 1.0
-        #: End of the last group completed by a whole-queue drain. Drains run
-        #: on a local clock and never advance a (possibly shared)
-        #: simulator clock, so the makespan is
-        #: ``max(sim.run(), drained_until)`` across engines.
-        self._drained_until = 0.0
         #: While a columnar drain runs: its lowered expert names, of
         #: which those from ``_drain_pos`` on are not yet begun (the
         #: queue itself was cleared when the drain started).
@@ -374,7 +351,7 @@ class ServingEngine:
 
         The engine only ever uses the narrow
         :class:`repro.sim.clock.EventSource` surface — ``now``,
-        ``schedule``/``schedule_at``, ``record_span``, the batching
+        ``schedule``/``schedule_at``, ``record_span``, the drain's event
         accounting — never the concrete simulator, which is what keeps
         every decision this engine makes clock-agnostic. (The
         :class:`~repro.sim.engine.Simulator` satisfies the protocol
@@ -643,41 +620,13 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # The event pipeline
     # ------------------------------------------------------------------
-    def _batch_ok(self) -> bool:
-        """Whether draining the whole queue in one event is equivalent.
-
-        Hooks are the cluster scheduler's surface for interleaving with
-        this queue mid-run (stealing, replication); with any installed,
-        a drain may only run up to the first instant a hook could act,
-        so the cluster drains its ``steal`` nodes once, to a horizon
-        (:meth:`_drain_before`), and every later group goes through its
-        own begin/finish events so the hooks observe real intermediate
-        states. Fault schedules disable batching at construction time
-        (see :class:`ClusterEngine`).
-        """
-        return (self.drain_mode == DrainMode.COLUMNAR.value
-                and self.on_idle is None and self.on_group_done is None)
-
     def _kick(self) -> None:
         """Schedule the queue head's begin event if the engine is idle."""
         if (self._sim is None or self._halted or self._busy
                 or self._begin_scheduled or not self._queue):
             return
-        sim = self._sim
-        start_at = self._head_start()
         self._begin_scheduled = True
-        if self._batch_ok():
-            # One tagged event drains the whole queue on a local clock;
-            # consecutive drains (one per node at t=0 in a cluster) merge
-            # into a single handler call via the simulator's batch-drain
-            # machinery.
-            sim.schedule_at(
-                start_at,
-                lambda: self._drain_queue(start_at),
-                kind=DRAIN_EVENT_KIND,
-            )
-        else:
-            sim.schedule_at(start_at, self._begin_next)
+        self._sim.schedule_at(self._head_start(), self._begin_next)
 
     def _head_start(self) -> float:
         """When the queue head can begin: now, or once the pending copy
@@ -813,64 +762,27 @@ class ServingEngine:
         else:
             self._notify_idle()
 
-    def _drain_queue(self, start_at: float) -> None:
-        """One whole-queue drain event, through the columnar core.
-
-        Lowers the queue to parallel arrays and hands them to
-        :func:`repro.coe.columnar.drain`, which timestamps maximal
-        resident-hit runs with one cumsum each and runs the reference
-        path's group step at decision points. Every configuration a
-        whole-queue drain may serve takes this path: traced, ``overlap``,
-        pipelined and ``lookahead`` runs included. The logical event
-        count is the reference path's: a begin and a finish per group,
-        plus one per prefetch deferred to its group's exec start, less
-        the drain event the simulator already counted. The shared clock
-        is never advanced — a later-scheduled drain of another engine on
-        the same simulator must still see its own scheduled time — so
-        the run end is published via :attr:`_drained_until` and folded
-        into the makespan as ``max(sim.run(), drained_until)``.
-        """
-        if self._halted:
-            return
-        self._begin_scheduled = False
-        if self._busy:
-            return
-        if not self._queue:
-            self._notify_idle()
-            return
-        groups = list(self._queue)
-        self._queue.clear()
-        cols = lower_queue(self, groups)
-        stop = _columnar_drain(self, cols, start_at)
-        n = len(groups)
-        self._groups_started += n
-        self.groups_done += n
-        self._drained_until = max(self._drained_until, stop.now)
-        self._sim.count_events(max(0, 2 * n + stop.deferred - 1))
-        self._notify_idle()
-
     def _drain_before(
         self,
         cols: GroupColumns,
         start_at: float,
         horizon: float,
-        times: List[float],
+        times: Optional[List[float]],
         created: Optional[List[tuple]],
     ) -> Tuple[List[tuple], int]:
         """Drain the lowered queue from ``start_at`` up to ``horizon``,
         then hand the rest to the event path.
 
-        The cluster's one-shot t=0 drain of a ``steal`` node
-        (:meth:`ClusterEngine._drain_to_horizon`): every event strictly
-        before the horizon runs on the columnar core, and the node is
-        left exactly as the reference path leaves it there — the
-        unbegun groups queued, and either a group in flight (its finish
-        and, when its exec start is at or after the horizon, its
-        deferred prefetch still to run) or the next begin due. Returns
-        those ``(time, callback, sub)`` events, ``sub`` 0 for the
-        prefetch a begin schedules before its finish, and the number of
-        reference events drained. ``times`` and ``created`` are
-        :func:`repro.coe.columnar.drain`'s.
+        This node's share of the t=0 drain (:func:`_drain_to_horizon`):
+        every event strictly before the horizon runs on the columnar
+        core, and the node is left exactly as the reference path leaves
+        it there — the unbegun groups queued, and either a group in
+        flight (its finish and, when its exec start is at or after the
+        horizon, its deferred prefetch still to run) or the next begin
+        due. Returns those ``(time, callback, sub)`` events, ``sub`` 0
+        for the prefetch a begin schedules before its finish, and the
+        number of reference events they stand for. ``times`` and
+        ``created`` are :func:`repro.coe.columnar.drain`'s.
         """
         self._queue.clear()
         stop = _columnar_drain(self, cols, start_at, horizon, times, created)
@@ -893,7 +805,13 @@ class ServingEngine:
                     (exec_start, lambda: self._prefetch_next(protect), 0)
                 )
             events.append((self._busy_until_s, self._finish_group, 1))
-        return events, stop.begun + done + stop.deferred
+        count = stop.begun + done + stop.deferred
+        if stop.current is None and not self._queue:
+            # Drained dry: the handed-off begin only replays the last
+            # finish's idle notification, and lands the shared clock on
+            # this node's end; it is no reference event of its own.
+            count -= 1
+        return events, count
 
     def _notify_idle(self) -> None:
         if self.on_idle is not None:
@@ -924,11 +842,13 @@ class ServingEngine:
         sim = Simulator(timeline=timeline)
         self.bind(sim)
         try:
-            sim.set_batch_handler(DRAIN_EVENT_KIND, _run_drain_batch)
             self.precompute_phases(groups)
             self._queue.extend(groups)
-            self._kick()
-            makespan = max(sim.run(), self._drained_until)
+            if self.drain_mode == DrainMode.COLUMNAR.value:
+                sim.schedule_at(0.0, lambda: _drain_to_horizon([self]))
+            else:
+                self._kick()
+            makespan = sim.run()
             self.state.flush_speculation(makespan)
             # A halted engine can finish with zero completions; the
             # summary handles the empty sample (zeros, no div-by-zero).
@@ -968,6 +888,98 @@ class ServingEngine:
     def serve(self, requests: Sequence[EngineRequest]) -> EngineReport:
         """Alias of :meth:`run` satisfying :class:`repro.coe.api.Server`."""
         return self.run(requests)
+
+
+def _tie_key(
+    times: List[float], rank: int, time: float, parent: int, sub: int
+) -> tuple:
+    """Where the reference path runs a node's event among equal-time ones.
+
+    The simulator breaks a tie by scheduling order, and a node's events
+    form one chain (root begin -> finish -> begin ...), so two events at
+    the same time run in the order their parents ran: compare the
+    parents' times, then the grandparents', and so on back to the root
+    (``times[parent]``, ``times[parent - 1]``, ... — the drained chain).
+    A root, scheduled at admission, precedes every event scheduled
+    during the run (``-inf``); roots keep the node's ``rank`` in
+    dispatch order; and a begin schedules its prefetch (``sub`` 0)
+    before its finish (1).
+    """
+    return (time, *reversed(times[:parent + 1]), -math.inf, rank, sub)
+
+
+def _lower(engine: ServingEngine) -> Tuple[float, GroupColumns]:
+    """When ``engine``'s queue head can begin, and its lowered queue."""
+    return engine._head_start(), lower_queue(engine, list(engine._queue))
+
+
+def _drain_to_horizon(engines: Sequence[ServingEngine]) -> None:
+    """Start a columnar run: drain every engine on the columnar core up
+    to a horizon, then hand the rest to the event path.
+
+    ``engines`` share one clock, each with a queued backlog and no begin
+    scheduled, in the order they received their first group. With no
+    ``on_idle`` hook installed nothing can interleave with a queue, so
+    the horizon is infinite and every engine drains dry. A ``steal``
+    cluster's hooks look at other nodes only at a finish that leaves a
+    node's queue empty, and no node gets there before the no-wait end of
+    its whole queue (:meth:`GroupColumns.no_wait_end`); the earliest such
+    end is the horizon. Either way it is capped by the next pending
+    event. Each engine drains every event strictly before it
+    (:meth:`ServingEngine._drain_before`). The events they hand off are
+    scheduled in the order the reference path would have scheduled them,
+    and the lanes the drains created are put in the order the reference
+    created them (docs/PERFORMANCE.md, section 11) — work done only when
+    there is an order to restore: a finite horizon, or a traced run of
+    two or more engines.
+    """
+    sim = engines[0]._sim
+    lowered: Optional[List[Tuple[float, GroupColumns]]] = None
+    horizon = math.inf
+    if any(engine.on_idle is not None for engine in engines):
+        # The horizon needs every queue lowered up front; without it each
+        # engine lowers its queue just before draining it, so one lowered
+        # queue at a time is alive.
+        lowered = [_lower(engine) for engine in engines]
+        horizon = min(cols.no_wait_end(start) for start, cols in lowered)
+    pending = sim.peek_next_time()
+    if pending is not None:
+        horizon = min(horizon, pending)
+    traced = sim.timeline is not None
+    ordered = horizon < math.inf or (traced and len(engines) > 1)
+    handoffs: List[tuple] = []
+    lanes: List[tuple] = []
+    drained = 0
+    for rank, engine in enumerate(engines):
+        start, cols = lowered[rank] if lowered else _lower(engine)
+        engine._begin_scheduled = False
+        times: Optional[List[float]] = [] if ordered else None
+        created: Optional[List[tuple]] = [] if ordered and traced else None
+        events, count = engine._drain_before(
+            cols, start, horizon, times, created
+        )
+        drained += count
+        if not ordered:
+            # Nothing to order: keyed by rank, the stable sort keeps each
+            # engine's events in their own order.
+            handoffs.extend((rank, time, call) for time, call, _ in events)
+            continue
+        last = len(times) - 1
+        handoffs.extend(
+            (_tie_key(times, rank, time, last, sub), time, callback)
+            for time, callback, sub in events
+        )
+        lanes.extend(
+            (_tie_key(times, rank, time, parent, sub), lane)
+            for lane, time, parent, sub in created or ()
+        )
+    handoffs.sort(key=itemgetter(0))
+    sim.schedule_many((time, callback) for _, time, callback in handoffs)
+    # This event stands for one of the drained ones.
+    sim.count_events(max(0, drained - 1))
+    if lanes:
+        lanes.sort(key=itemgetter(0))
+        sim.timeline.reorder_lanes([lane for _, lane in lanes])
 
 
 # ----------------------------------------------------------------------

@@ -15,12 +15,14 @@ same policies run on either backend:
   from a live one, which is precisely what makes the sim/live decision
   cross-check (:mod:`repro.coe.crosscheck`) possible.
 - :class:`EventSource` — a :class:`Clock` that also *owns* the arrow of
-  time: callbacks can be scheduled on it (``schedule``/``schedule_at``)
-  and whole-queue drains account through it (``count_events`` /
-  ``advance_to`` / ``peek_next_time``). The serving engines bind to an
-  :class:`EventSource`; only the backend *driver* (``ServingEngine.run``,
-  ``ClusterEngine.serve``) may additionally pump a concrete
-  :class:`~repro.sim.engine.Simulator`'s ``run()`` loop.
+  time: callbacks can be scheduled on it (``schedule``/``schedule_at``,
+  or many at once with ``schedule_many``), and the serving engines'
+  t=0 columnar drain reads how far it may run (``peek_next_time``) and
+  credits the events it replays (``count_events``). The serving engines
+  bind to an :class:`EventSource`; only the backend *driver*
+  (``ServingEngine.run``, ``ClusterEngine.serve``) may additionally
+  pump a concrete :class:`~repro.sim.engine.Simulator`'s ``run()``
+  loop.
 - :class:`WallClock` — the asyncio wall-clock :class:`Clock`
   implementation behind live serving (:mod:`repro.coe.live_engine`).
   Time is reported in **model seconds**: one model second occupies
@@ -37,7 +39,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Callable, Mapping, Optional, Protocol, runtime_checkable
+from typing import (
+    Callable, Iterable, Mapping, Optional, Protocol, Tuple, runtime_checkable,
+)
 
 from repro.obs import Span, Timeline
 
@@ -100,19 +104,17 @@ class EventSource(Protocol):
         args: Optional[Mapping] = None,
     ) -> Optional[Span]: ...
 
-    def schedule(
-        self, delay: float, callback: Callable[[], None],
-        kind: Optional[str] = None,
-    ) -> None: ...
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None: ...
 
     def schedule_at(
-        self, time: float, callback: Callable[[], None],
-        kind: Optional[str] = None,
+        self, time: float, callback: Callable[[], None]
     ) -> None: ...
 
-    def count_events(self, n: int) -> None: ...
+    def schedule_many(
+        self, events: Iterable[Tuple[float, Callable[[], None]]]
+    ) -> int: ...
 
-    def advance_to(self, time: float) -> None: ...
+    def count_events(self, n: int) -> None: ...
 
     def peek_next_time(self) -> Optional[float]: ...
 

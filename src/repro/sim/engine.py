@@ -6,35 +6,29 @@ control) at event granularity, validating the analytic bottleneck model in
 callbacks scheduled at absolute times, executed in time order with a
 deterministic tie-break.
 
-Batched event execution
------------------------
+Bulk scheduling and logical events
+----------------------------------
 
-Two extensions let models amortize the per-event overhead that dominates
+Two hooks let models amortize the per-event overhead that dominates
 large simulations (see ``docs/PERFORMANCE.md``):
 
 - :meth:`Simulator.schedule_many` bulk-inserts a whole batch of events
   with **one** heapify instead of one ``heappush`` per event.
-- Events may carry a ``kind`` tag. When a :func:`batch handler
-  <Simulator.set_batch_handler>` is registered for a kind, ``run()``
-  drains each maximal run of *consecutive* same-kind events (consecutive
-  in time/tie-break order — i.e. no other event is interleaved between
-  them, so nothing else could have observed intermediate state) through
-  the handler in one step instead of one ``heappop`` + callback per
-  event. A handler that replays many logical events in one call reports
-  them via :meth:`Simulator.count_events` so ``events_run`` and the
-  livelock budget stay meaningful.
+- :meth:`Simulator.count_events` credits the logical events an event
+  replays in a loop of its own (the serving engines' columnar drain),
+  so ``events_run`` and the livelock budget stay meaningful.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.obs import Span, Timeline
 
-#: One queued event: (time, tie-break counter, kind tag, callback).
-_Event = Tuple[float, int, Optional[str], Callable[[], None]]
+#: One queued event: (time, tie-break counter, callback).
+_Event = Tuple[float, int, Callable[[], None]]
 
 
 class Simulator:
@@ -50,11 +44,9 @@ class Simulator:
         self._counter = itertools.count()
         self.now = 0.0
         self._events_run = 0
-        #: Per-``run()``-call event budget consumption; a batched drain
-        #: credits its logical events here via :meth:`count_events`.
+        #: Per-``run()``-call event budget consumption; an event that
+        #: replays many logical ones credits them via :meth:`count_events`.
         self._events_this_call = 0
-        #: kind -> handler draining a homogeneous run of events at once.
-        self._batch_handlers: dict = {}
         self.timeline = timeline
 
     def attach_timeline(self, timeline: Optional[Timeline]) -> None:
@@ -94,88 +86,46 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        kind: Optional[str] = None,
-    ) -> None:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         heapq.heappush(
-            self._queue, (self.now + delay, next(self._counter), kind, callback)
+            self._queue, (self.now + delay, next(self._counter), callback)
         )
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        kind: Optional[str] = None,
-    ) -> None:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute simulated time ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # NaN fails too
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
-        heapq.heappush(
-            self._queue, (time, next(self._counter), kind, callback)
-        )
+        heapq.heappush(self._queue, (time, next(self._counter), callback))
 
     def schedule_many(
-        self,
-        events: Iterable[Sequence],
+        self, events: Iterable[Tuple[float, Callable[[], None]]]
     ) -> int:
-        """Bulk-schedule ``(time, callback)`` or ``(time, callback, kind)``
-        tuples, heapifying **once**.
+        """Bulk-schedule ``(time, callback)`` pairs, heapifying **once**.
 
         Returns the number of events inserted. Tie-break order among the
         batch follows iteration order, exactly as if each event had been
         :meth:`schedule_at`-ed in sequence; a single ``heapify`` over the
         extended queue replaces N ``heappush`` sift-ups, which is the
-        cheaper path whenever N is comparable to the queue size.
+        cheaper path whenever N is comparable to the queue size. A
+        rejected time schedules none of the batch.
         """
-        added = 0
-        for event in events:
-            if len(event) == 2:
-                time, callback = event
-                kind: Optional[str] = None
-            else:
-                time, callback, kind = event
-            if time < self.now:
+        batch: List[_Event] = []
+        for time, callback in events:
+            if not time >= self.now:  # NaN fails too
                 raise ValueError(
                     f"cannot schedule at {time} < now {self.now}"
                 )
-            self._queue.append((time, next(self._counter), kind, callback))
-            added += 1
-        if added:
+            batch.append((time, next(self._counter), callback))
+        if batch:
+            self._queue.extend(batch)
             heapq.heapify(self._queue)
-        return added
-
-    # ------------------------------------------------------------------
-    # Batched draining
-    # ------------------------------------------------------------------
-    def set_batch_handler(
-        self,
-        kind: str,
-        handler: Optional[Callable[[List[Tuple[float, Callable[[], None]]]], None]],
-    ) -> None:
-        """Register (or with ``None``, remove) a drain handler for a kind.
-
-        When the queue head is a ``kind``-tagged event, ``run()`` pops the
-        maximal run of consecutive same-kind events and calls
-        ``handler([(time, callback), ...])`` once, with the clock at the
-        first event's time; the clock lands on the last event's time when
-        the handler returns (a handler may advance it further via
-        :meth:`advance_to`). The run is homogeneous by construction: no
-        other event sits between its members, so no interleaved state
-        dependency is skipped.
-        """
-        if handler is None:
-            self._batch_handlers.pop(kind, None)
-        else:
-            self._batch_handlers[kind] = handler
+        return len(batch)
 
     def count_events(self, n: int) -> None:
-        """Credit ``n`` logical events executed inside a batched drain.
+        """Credit ``n`` logical events executed inside one event.
 
         Keeps :attr:`events_run` and the per-call livelock budget honest
         when one popped event replays many logical events in a loop.
@@ -184,15 +134,6 @@ class Simulator:
             raise ValueError(f"cannot credit {n} events")
         self._events_run += n
         self._events_this_call += n
-
-    def advance_to(self, time: float) -> None:
-        """Advance the clock to ``time`` (monotonic; earlier is a no-op).
-
-        Batched drains that execute work at explicitly-computed times use
-        this to leave the clock at the end of the work they replayed.
-        """
-        if time > self.now:
-            self.now = time
 
     # ------------------------------------------------------------------
     # Running
@@ -225,20 +166,10 @@ class Simulator:
                     f"pending_events={self.pending_events}, "
                     f"lifetime events_run={self.events_run}"
                 )
-            time, _, kind, callback = self._queue[0]
+            time, _, callback = self._queue[0]
             if until is not None and time > until:
                 self.now = until
                 return self.now
-            handler = (
-                self._batch_handlers.get(kind) if kind is not None else None
-            )
-            if handler is not None:
-                batch = self._drain_same_kind(kind, until)
-                self.now = batch[0][0]
-                self.count_events(len(batch))
-                handler(batch)
-                self.advance_to(batch[-1][0])
-                continue
             heapq.heappop(self._queue)
             self.now = time
             self._events_run += 1
@@ -247,21 +178,6 @@ class Simulator:
         if until is not None and until > self.now:
             self.now = until
         return self.now
-
-    def _drain_same_kind(
-        self, kind: str, until: Optional[float]
-    ) -> List[Tuple[float, Callable[[], None]]]:
-        """Pop the maximal run of consecutive ``kind`` events off the head."""
-        batch: List[Tuple[float, Callable[[], None]]] = []
-        while self._queue:
-            time, _, event_kind, callback = self._queue[0]
-            if event_kind != kind:
-                break
-            if until is not None and time > until:
-                break
-            heapq.heappop(self._queue)
-            batch.append((time, callback))
-        return batch
 
     @property
     def events_run(self) -> int:

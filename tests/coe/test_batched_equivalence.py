@@ -1,7 +1,9 @@
 """Property test: the columnar fast drain IS the event-by-event reference.
 
-``drain_mode="columnar"`` (the default) drains a node's whole queue in
-one simulator event with a local clock; ``drain_mode="reference"`` is
+``drain_mode="columnar"`` (the default) starts every run in one t=0
+simulator event that drains each node's queue on a local clock up to a
+horizon (infinite unless ``steal`` hooks are installed) and hands the
+rest to the event path; ``drain_mode="reference"`` is
 the seed-equivalent reference — one begin/finish event pair per group, the
 heap popped one event at a time. The two must be indistinguishable in
 every observable: report stats (including the logical ``events_run``
@@ -11,9 +13,10 @@ and untraced runs, the memory hierarchy, pipelined promotions,
 ``lookahead`` eviction, ``overlap`` prefetching and randomized
 workloads.
 
-Timelines are compared per lane over sorted lane names: a whole-queue
-drain may *create* lanes in a different order than the event path,
-which is an artifact of dict insertion order, not of the simulation.
+Most timelines are compared per lane over sorted lane names
+(:func:`_timeline_lanes`); the cluster runs through
+:func:`_assert_same_run` also pin lane order, which cross-lane ties in
+``spans()`` and the Chrome trace's thread ids follow.
 """
 
 import random
@@ -237,9 +240,9 @@ def test_cluster_three_way_equivalence(policy, record):
     assert log == reference_log, log.diff(reference_log)
 
 
-def _steal_pair(monkeypatch, library, requests, **kwargs):
-    """The same ``steal`` cluster run columnar and reference, each with
-    its engine, report and DecisionLog; also returns the columnar run's
+def _cluster_pair(monkeypatch, library, requests, policy="steal", **kwargs):
+    """The same cluster run columnar and reference, each with its
+    engine, report and DecisionLog; also returns the columnar run's
     per-node ``DrainStop`` records."""
     stops = []
     real = engine_module._columnar_drain
@@ -254,7 +257,7 @@ def _steal_pair(monkeypatch, library, requests, **kwargs):
     for mode in DRAIN_MODES:
         log = DecisionLog()
         cluster = ClusterEngine(
-            sn40l_platform, library, policy="steal", drain_mode=mode,
+            sn40l_platform, library, policy=policy, drain_mode=mode,
             decision_log=log, **kwargs,
         )
         runs[mode] = (cluster, cluster.serve(requests), log)
@@ -303,6 +306,22 @@ def _mixed_workload(rng):
     return library, requests
 
 
+def _cluster_fuzz(monkeypatch, policy, node_policy, cache_policy, record):
+    """One seeded cluster workload, columnar against reference; returns
+    the columnar run's ``DrainStop`` records."""
+    rng = random.Random(f"{policy}:{node_policy}:{cache_policy}:{record}")
+    library, requests = _mixed_workload(rng)
+    fast, reference, stops = _cluster_pair(
+        monkeypatch, library, requests, policy=policy,
+        num_nodes=rng.randrange(2, 5), node_policy=node_policy,
+        cache_policy=cache_policy, record_timeline=record,
+        max_batch=rng.randrange(1, 12), window=rng.randrange(1, 32),
+    )
+    assert _drained(stops) > 0, "no group went through the columnar core"
+    _assert_same_run(fast, reference)
+    return stops
+
+
 @pytest.mark.parametrize("node_policy", ["fifo", "affinity", "overlap"])
 @pytest.mark.parametrize("cache_policy", ["lru", "lfu", "gdsf", "predictive"])
 @pytest.mark.parametrize("record", [True, False], ids=["traced", "untraced"])
@@ -311,15 +330,37 @@ def test_steal_horizon_drain_fuzz(monkeypatch, node_policy, cache_policy,
     """A ``steal`` cluster's t=0 horizon drain plus its event-path tail
     is the reference run, across node and cache policies, traced and
     untraced, on 2-4 nodes with seeded workloads."""
-    rng = random.Random(f"steal:{node_policy}:{cache_policy}:{record}")
-    library, requests = _mixed_workload(rng)
-    fast, reference, stops = _steal_pair(
-        monkeypatch, library, requests,
-        num_nodes=rng.randrange(2, 5), node_policy=node_policy,
-        cache_policy=cache_policy, record_timeline=record,
-        max_batch=rng.randrange(1, 12), window=rng.randrange(1, 32),
+    _cluster_fuzz(monkeypatch, "steal", node_policy, cache_policy, record)
+
+
+@pytest.mark.parametrize("policy", ["least_loaded", "affinity"])
+@pytest.mark.parametrize("node_policy", ["fifo", "affinity", "overlap"])
+@pytest.mark.parametrize("cache_policy", ["lru", "lfu", "gdsf", "predictive"])
+@pytest.mark.parametrize("record", [True, False], ids=["traced", "untraced"])
+def test_hookless_cluster_drain_fuzz(monkeypatch, policy, node_policy,
+                                     cache_policy, record):
+    """The other cluster policies install no hook, so their t=0 drain
+    has an infinite horizon: every node drains dry on the columnar core,
+    and the run — lane order and Chrome thread ids included — is still
+    the reference's."""
+    stops = _cluster_fuzz(monkeypatch, policy, node_policy, cache_policy,
+                          record)
+    assert all(stop.current is None for stop in stops)
+
+
+@pytest.mark.parametrize("policy", ["least_loaded", "affinity"])
+def test_hookless_cluster_lane_order(monkeypatch, policy):
+    """A traced 4-node cluster's drains create their lanes node by node;
+    the t=0 drain puts them back in the order the reference's
+    interleaved events created them."""
+    library = build_samba_coe_library(32)
+    requests = zipf_request_stream(library, 400, seed=11)
+    fast, reference, _ = _cluster_pair(
+        monkeypatch, library, requests, policy=policy, num_nodes=4,
     )
-    assert _drained(stops) > 0, "no group went through the columnar core"
+    nodes = [lane.split("/")[0] for lane in reference[1].timeline.lanes]
+    changes = sum(a != b for a, b in zip(nodes, nodes[1:]))
+    assert changes > len(set(nodes)) - 1, "lane creation never interleaved"
     _assert_same_run(fast, reference)
 
 
@@ -333,7 +374,7 @@ def test_steal_horizon_tie_across_nodes(monkeypatch):
         EngineRequest(request_id=i, expert=library.experts[i % 2])
         for i in range(96)
     ]
-    fast, reference, stops = _steal_pair(
+    fast, reference, stops = _cluster_pair(
         monkeypatch, library, requests, num_nodes=2,
     )
     ref_cluster = reference[0]
@@ -354,7 +395,7 @@ def test_steal_horizon_before_a_copy_lands(monkeypatch):
     tiny, busy = library.experts
     requests = [EngineRequest(0, tiny, prompt_tokens=1, output_tokens=1)]
     requests += [EngineRequest(i, busy) for i in range(1, 80)]
-    fast, reference, stops = _steal_pair(
+    fast, reference, stops = _cluster_pair(
         monkeypatch, library, requests, num_nodes=2, max_batch=4,
     )
     assert any(stop.prefetch_due for stop in stops)
@@ -376,7 +417,7 @@ def test_steal_while_a_handed_off_group_runs(monkeypatch):
                  for i in range(5)]
     requests += [EngineRequest(20 + i, deep, output_tokens=4)
                  for i in range(9)]
-    fast, reference, stops = _steal_pair(
+    fast, reference, stops = _cluster_pair(
         monkeypatch, library, requests, num_nodes=3, max_batch=1,
     )
     assert any(stop.current is not None and stop.current[0].requests[0]

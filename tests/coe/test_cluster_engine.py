@@ -9,12 +9,11 @@ import pytest
 from repro.coe.cluster_engine import (
     CLUSTER_POLICIES,
     ClusterEngine,
-    _tie_key,
     cluster_lanes,
     run_cluster,
     scaling_sweep,
 )
-from repro.coe.engine import ServingEngine, zipf_request_stream
+from repro.coe.engine import ServingEngine, _tie_key, zipf_request_stream
 from repro.coe.expert import build_samba_coe_library
 from repro.systems.platforms import sn40l_platform
 
@@ -184,7 +183,7 @@ class TestStealingAndReplication:
 
 
 class TestHorizonTieOrder:
-    """``_tie_key`` orders a steal cluster's handed-off events and drained
+    """``_tie_key`` orders a t=0 drain's handed-off events and drained
     lanes as the simulator's scheduling order would: ``times`` is a
     node's drained begin/finish chain, ``parent`` the index of the event
     that scheduled the one keyed."""

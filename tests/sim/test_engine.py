@@ -52,6 +52,19 @@ class TestSimulator:
         with pytest.raises(ValueError):
             sim.schedule_at(0.5, lambda: None)
 
+    def test_nan_times_rejected(self):
+        sim = Simulator()
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_at(nan, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_many([(1.0, lambda: None), (nan, lambda: None)])
+        # A rejected batch schedules none of its events.
+        assert sim.pending_events == 0
+        assert sim.run() == 0.0
+
     def test_event_exactly_at_deadline_runs(self):
         sim = Simulator()
         log = []
@@ -155,111 +168,17 @@ class TestScheduleMany:
         assert sim.schedule_many([]) == 0
         assert sim.pending_events == 0
 
-    def test_three_tuples_carry_kinds(self):
-        sim = Simulator()
-        seen = []
-        sim.set_batch_handler("k", lambda batch: seen.append(len(batch)))
-        sim.schedule_many([
-            (1.0, lambda: None, "k"),
-            (1.5, lambda: None, "k"),
-        ])
-        sim.run()
-        assert seen == [2]
-
-
-class TestBatchDraining:
-    def test_consecutive_same_kind_events_drain_in_one_call(self):
-        sim = Simulator()
-        calls = []
-        sim.set_batch_handler(
-            "decode", lambda batch: calls.append([t for t, _ in batch])
-        )
-        for t in (1.0, 2.0, 3.0):
-            sim.schedule_at(t, lambda: None, kind="decode")
-        sim.run()
-        assert calls == [[1.0, 2.0, 3.0]]
-        assert sim.events_run == 3
-
-    def test_interleaved_other_kind_splits_the_run(self):
-        sim = Simulator()
-        calls = []
-        log = []
-        sim.set_batch_handler(
-            "decode", lambda batch: calls.append([t for t, _ in batch])
-        )
-        sim.schedule_at(1.0, lambda: None, kind="decode")
-        sim.schedule_at(2.0, lambda: log.append("other"))
-        sim.schedule_at(3.0, lambda: None, kind="decode")
-        sim.run()
-        assert calls == [[1.0], [3.0]]
-        assert log == ["other"]
-
-    def test_untagged_events_never_batch(self):
-        sim = Simulator()
-        sim.set_batch_handler("k", lambda batch: pytest.fail("no tag"))
-        log = []
-        sim.schedule_at(1.0, lambda: log.append("a"))
-        sim.run()
-        assert log == ["a"]
-
-    def test_unregistered_kind_runs_event_by_event(self):
-        sim = Simulator()
-        log = []
-        sim.schedule_at(1.0, lambda: log.append("a"), kind="unhandled")
-        sim.schedule_at(2.0, lambda: log.append("b"), kind="unhandled")
-        sim.run()
-        assert log == ["a", "b"]
-        assert sim.events_run == 2
-
-    def test_clock_lands_on_last_event_of_the_batch(self):
-        sim = Simulator()
-        sim.set_batch_handler("k", lambda batch: None)
-        sim.schedule_at(1.0, lambda: None, kind="k")
-        sim.schedule_at(4.0, lambda: None, kind="k")
-        assert sim.run() == 4.0
-
-    def test_handler_sees_clock_at_first_event(self):
-        sim = Simulator()
-        seen = []
-        sim.set_batch_handler("k", lambda batch: seen.append(sim.now))
-        sim.schedule_at(2.0, lambda: None, kind="k")
-        sim.schedule_at(5.0, lambda: None, kind="k")
-        sim.run()
-        assert seen == [2.0]
-
-    def test_until_truncates_the_batch(self):
-        sim = Simulator()
-        calls = []
-        sim.set_batch_handler(
-            "k", lambda batch: calls.append([t for t, _ in batch])
-        )
-        sim.schedule_at(1.0, lambda: None, kind="k")
-        sim.schedule_at(2.0, lambda: None, kind="k")
-        sim.schedule_at(9.0, lambda: None, kind="k")
-        assert sim.run(until=5.0) == 5.0
-        assert calls == [[1.0, 2.0]]
-        assert sim.pending_events == 1
-
-    def test_removing_the_handler_restores_event_by_event(self):
-        sim = Simulator()
-        log = []
-        sim.set_batch_handler("k", lambda batch: None)
-        sim.set_batch_handler("k", None)
-        sim.schedule_at(1.0, lambda: log.append("ran"), kind="k")
-        sim.run()
-        assert log == ["ran"]
-
+class TestCountEvents:
     def test_count_events_credits_lifetime_and_budget(self):
         sim = Simulator()
 
-        def drain(batch):
+        def replay():
             sim.count_events(500)  # logical events replayed inside
 
-        sim.set_batch_handler("k", drain)
-        sim.schedule_at(1.0, lambda: None, kind="k")
+        sim.schedule_at(1.0, replay)
         sim.run()
         assert sim.events_run == 501  # 1 popped + 500 credited
-        sim.schedule_at(2.0, lambda: None, kind="k")
+        sim.schedule_at(2.0, replay)
         sim.schedule_at(3.0, lambda: None)  # budget is checked before this
         with pytest.raises(RuntimeError):
             sim.run(max_events=100)  # the credit trips the per-call budget
@@ -279,13 +198,6 @@ class TestClockAccessors:
         assert sim.peek_next_time() == 1.0
         sim.run()
         assert sim.peek_next_time() is None
-
-    def test_advance_to_is_monotonic(self):
-        sim = Simulator()
-        sim.advance_to(5.0)
-        assert sim.now == 5.0
-        sim.advance_to(3.0)  # earlier: no-op
-        assert sim.now == 5.0
 
     def test_livelock_message_reports_queue_state(self):
         sim = Simulator()
