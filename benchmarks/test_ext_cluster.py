@@ -1,8 +1,11 @@
 """Extension: scaling a CoE beyond one node.
 
 The paper notes that multi-machine serving "introduces load balancing
-challenges" (Section III-B). This extension quantifies them: sharded
-dispatch under skewed expert popularity vs hot-expert replication.
+challenges" (Section III-B). This extension quantifies them on the
+cluster engine (:class:`repro.coe.cluster_engine.ClusterEngine`), one
+request per group on FIFO nodes: sharded least-loaded dispatch under
+skewed expert popularity vs work stealing with online replication of the
+hot experts.
 """
 
 import random
@@ -10,8 +13,9 @@ import random
 import pytest
 
 from benchmarks.conftest import print_table
+from repro.coe.cluster_engine import ClusterEngine
+from repro.coe.engine import EngineRequest
 from repro.coe.expert import build_samba_coe_library
-from repro.systems.cluster import Cluster, replicate_hot_experts
 from repro.systems.platforms import sn40l_platform
 
 NUM_NODES = 4
@@ -21,29 +25,31 @@ REQUESTS = 80
 def _zipf_stream(library, rng):
     weights = [1.0 / (rank + 1) for rank in range(len(library))]
     return [
-        rng.choices(library.experts, weights=weights, k=1)[0]
-        for _ in range(REQUESTS)
+        EngineRequest(
+            rid, rng.choices(library.experts, weights=weights, k=1)[0],
+            output_tokens=10,
+        )
+        for rid in range(REQUESTS)
     ]
 
 
 def run_cluster():
     library = build_samba_coe_library(40)
-    rng = random.Random(11)
-    stream = _zipf_stream(library, rng)
-    counts = {}
-    for expert in stream:
-        counts[expert.name] = counts.get(expert.name, 0) + 1
-
-    sharded = Cluster(sn40l_platform, library, num_nodes=NUM_NODES)
-    sharded.dispatch(stream, output_tokens=10)
-
-    replicated = Cluster(sn40l_platform, library, num_nodes=NUM_NODES)
-    replicate_hot_experts(replicated, counts, top_n=4)
-    replicated.dispatch(stream, output_tokens=10)
-
+    stream = _zipf_stream(library, random.Random(11))
+    reports = {
+        name: ClusterEngine(
+            sn40l_platform, library, NUM_NODES, node_policy="fifo",
+            max_batch=1, **kwargs,
+        ).serve(stream)
+        for name, kwargs in (
+            ("sharded", {"policy": "least_loaded",
+                         "online_replication": False}),
+            ("replicated", {"policy": "steal"}),
+        )
+    }
     return {
-        "sharded": (sharded.makespan_s(), sharded.load_imbalance()),
-        "replicated": (replicated.makespan_s(), replicated.load_imbalance()),
+        name: (report.makespan_s, report.load_imbalance)
+        for name, report in reports.items()
     }
 
 

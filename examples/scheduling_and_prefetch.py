@@ -2,38 +2,41 @@
 """Serving-layer optimisations on top of the three-tier memory system.
 
 The paper's CoE runtime serves requests FIFO with an LRU expert cache.
-This example layers on the two optimisations the architecture enables
-(see repro.coe.scheduling):
+This example runs the serving engine one request per group and layers on
+the two optimisations the architecture enables (see
+repro.coe.scheduling):
 
-1. expert-affinity batching — interleaved user sessions thrash an LRU
-   cache; regrouping same-expert requests inside a bounded window turns
-   the thrash into runs of HBM hits,
-2. speculative prefetch — conversational traffic repeats the same expert
-   in bursts, so a recency/frequency predictor can start the DDR->HBM
-   copy during the router's forward pass and hide the switch.
+1. expert-affinity batching (the ``affinity`` node policy) — interleaved
+   user sessions thrash an LRU cache; regrouping same-expert requests
+   inside a bounded window turns the thrash into runs of HBM hits,
+2. speculative prefetch (the ``overlap`` node policy) — workflow traffic
+   chains the same experts, so a transition predictor can start the
+   DDR->HBM copy of the next expert while the current one runs and hide
+   the switch.
 
 Run:  python examples/scheduling_and_prefetch.py
 """
 
 import random
 
-from repro.coe import ExpertServer, build_samba_coe_library
-from repro.coe.scheduling import (
-    Request,
-    affinity_schedule,
-    fifo_schedule,
-    serve_schedule,
-    serve_with_prefetch,
-)
+from repro.coe import EngineRequest, ServingEngine, build_samba_coe_library
 from repro.systems import sn40l_platform
 from repro.units import GiB
 
 
-def make_server(library, cache_slots: int) -> ExpertServer:
+def make_engine(library, cache_slots: int, policy: str,
+                window: int = 16) -> ServingEngine:
     platform = sn40l_platform()
     budget = cache_slots * library.experts[0].weight_bytes + 1 * GiB
-    return ExpertServer(platform, library,
-                     reserved_hbm_bytes=platform.hbm_capacity_bytes - budget)
+    return ServingEngine(
+        platform, library, policy=policy, max_batch=1, window=window,
+        reserved_hbm_bytes=platform.hbm_capacity_bytes - budget,
+    )
+
+
+def as_requests(experts):
+    return [EngineRequest(rid, expert, output_tokens=10)
+            for rid, expert in enumerate(experts)]
 
 
 def main() -> None:
@@ -42,24 +45,21 @@ def main() -> None:
     # Twelve concurrent user sessions, each pinned to one expert, arriving
     # round-robin — the worst case for an 8-slot LRU cache.
     sessions = [library.experts[i * 6] for i in range(12)]
-    requests = [
-        Request(turn * len(sessions) + user, expert)
-        for turn in range(10)
-        for user, expert in enumerate(sessions)
-    ]
+    requests = as_requests([expert for _ in range(10) for expert in sessions])
 
     print("12 interleaved sessions, 8-expert HBM cache, 120 requests:")
-    for name, schedule in (
-        ("fifo", fifo_schedule(requests)),
-        ("affinity (window=24)", affinity_schedule(requests, window=24)),
-        ("affinity (window=60)", affinity_schedule(requests, window=60)),
+    for name, policy, window in (
+        ("fifo", "fifo", 16),
+        ("affinity (window=24)", "affinity", 24),
+        ("affinity (window=60)", "affinity", 60),
     ):
-        server = make_server(library, cache_slots=8)
-        outcome = serve_schedule(server, schedule, name, output_tokens=10)
+        engine = make_engine(library, 8, policy, window)
+        report = engine.run(requests)
+        stats = engine.server.runtime.stats
         print(
-            f"  {name:<22s}: {outcome.total_s:6.2f} s total, "
-            f"{outcome.switches:3d} switches, "
-            f"{100 * outcome.hit_rate:4.1f}% HBM hit rate"
+            f"  {name:<22s}: {report.makespan_s:6.2f} s makespan, "
+            f"{stats.misses:3d} misses, "
+            f"{100 * stats.hit_rate:4.1f}% HBM hit rate"
         )
 
     # Multi-stage expert workflows: "outputs from one expert determine
@@ -76,14 +76,16 @@ def main() -> None:
             stream.extend(rng.choice(chains))
         else:
             stream.append(rng.choice(library.experts[:20]))
-    stream = stream[:120]
+    chained = as_requests(stream[:120])
 
-    print("\nSpeculative prefetch on workflow-chained traffic:")
-    server = make_server(library, cache_slots=2)
-    outcome = serve_with_prefetch(server, stream, output_tokens=10)
-    print(f"  predictor accuracy : {100 * outcome.predictor_accuracy:.1f}%")
-    print(f"  switch time hidden : {outcome.hidden_switch_s * 1e3:.0f} ms")
-    print(f"  end-to-end speedup : {outcome.speedup:.3f}x over sequential")
+    # window=1 keeps arrival order: overlap differs from fifo only by
+    # its speculative prefetch.
+    print("\nSpeculative prefetch on workflow-chained traffic (2-slot cache):")
+    fifo = make_engine(library, 2, "fifo", window=1).run(chained)
+    overlap = make_engine(library, 2, "overlap", window=1).run(chained)
+    print(f"  switch time hidden : {overlap.hidden_switch_s * 1e3:.0f} ms")
+    print(f"  end-to-end speedup : "
+          f"{fifo.makespan_s / overlap.makespan_s:.3f}x over fifo")
 
 
 if __name__ == "__main__":

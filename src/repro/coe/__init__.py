@@ -29,8 +29,6 @@ from repro.coe.scheduling import (
     coalesce_groups,
     fifo_schedule,
     make_scheduler,
-    serve_schedule,
-    serve_with_prefetch,
 )
 from repro.coe.engine import (
     POLICIES,
@@ -98,8 +96,8 @@ __all__ = [
     "build_samba_coe_library", "build_heterogeneous_library", "Router", "RoutingDecision", "embed_text",
     "CoERuntime", "RuntimeStats", "SwitchEvent", "ExpertServer",
     "RequestLatency", "ServeResult", "ExpertPredictor", "Request",
-    "affinity_schedule", "fifo_schedule", "serve_schedule",
-    "serve_with_prefetch", "ServingMetrics", "compute_metrics", "metrics_of",
+    "affinity_schedule", "fifo_schedule",
+    "ServingMetrics", "compute_metrics", "metrics_of",
     "RequestGroup", "coalesce_groups", "POLICIES", "CompletedRequest",
     "CompletedLog", "LatencySummary", "summarize_latencies",
     "EngineReentryError", "EngineReport", "EngineRequest", "ServingEngine",

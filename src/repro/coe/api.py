@@ -36,7 +36,9 @@ from repro.coe.cluster_engine import (
     ClusterEngine, ClusterReport, _check_cluster_limits, _coerce_faults,
 )
 from repro.coe.decisions import DecisionLog
-from repro.coe.engine import EngineReport, EngineRequest, ServingEngine
+from repro.coe.engine import (
+    EngineReport, EngineRequest, ServingEngine, check_count,
+)
 from repro.coe.expert import ExpertLibrary
 from repro.coe.policies import (
     CachePolicyName,
@@ -197,13 +199,11 @@ class ServeConfig:
                 "of DMA occupancy, so sharing the prefetch lane with "
                 "pipelined NVMe promotions would double-book the DMA"
             )
-        if self.num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
-        if self.max_batch < 1 or self.window < 1:
-            raise ValueError("max_batch and window must be >= 1")
+        check_count("max_batch", self.max_batch)
+        check_count("window", self.window)
         _check_cluster_limits(
-            self.replication_depth, self.max_replicas, self.heartbeat_s,
-            self.deadline_s,
+            self.num_nodes, self.replication_depth, self.max_replicas,
+            self.heartbeat_s, self.deadline_s,
         )
         object.__setattr__(self, "mode", ServeMode.coerce(self.mode))
         if self.load is not None and not isinstance(self.load, ArrivalSpec):

@@ -81,6 +81,7 @@ from repro.coe.engine import (
     EngineRequest,
     ServingEngine,
     _drain_to_horizon,
+    check_count,
     zipf_request_stream,
 )
 from repro.coe.expert import ExpertLibrary, ExpertProfile
@@ -124,6 +125,7 @@ def cluster_lanes(num_nodes: int) -> List[str]:
 
 
 def _check_cluster_limits(
+    num_nodes: int,
     replication_depth: int,
     max_replicas: Optional[int],
     heartbeat_s: float,
@@ -131,16 +133,15 @@ def _check_cluster_limits(
 ) -> None:
     """Raise ``ValueError`` for a cluster setting no run can honour.
 
-    A NaN deadline would shed every request and a zero replica cap
-    would silently disable replication, so both fail here, at
-    construction, as a non-finite heartbeat period does.
+    Counts must be integers >= 1 (:func:`check_count`). A NaN deadline
+    would shed every request and a zero replica cap would silently
+    disable replication, so both fail here, at construction, as a
+    non-finite heartbeat period does.
     """
-    if replication_depth < 1:
-        raise ValueError(
-            f"replication_depth must be >= 1, got {replication_depth}"
-        )
-    if max_replicas is not None and max_replicas < 1:
-        raise ValueError(f"max_replicas must be >= 1, got {max_replicas}")
+    check_count("num_nodes", num_nodes)
+    check_count("replication_depth", replication_depth)
+    if max_replicas is not None:
+        check_count("max_replicas", max_replicas)
     if not (math.isfinite(heartbeat_s) and heartbeat_s > 0):
         raise ValueError(
             f"heartbeat_s must be finite and > 0, got {heartbeat_s}"
@@ -344,6 +345,10 @@ class ClusterEngine:
         tier_capacities: Optional[Dict[str, int]] = None,
         pipeline_promotions: bool = False,
     ) -> None:
+        _check_cluster_limits(
+            num_nodes, replication_depth, max_replicas, heartbeat_s,
+            deadline_s,
+        )
         self.policy = ClusterPolicy.coerce(policy).value
         self.node_policy = NodePolicy.coerce(node_policy).value
         #: Admission-time backlog reordering, applied once in
@@ -361,11 +366,6 @@ class ClusterEngine:
                 "instance) when num_nodes > 1: each node needs its own "
                 "stateful policy object"
             )
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-        _check_cluster_limits(
-            replication_depth, max_replicas, heartbeat_s, deadline_s
-        )
         self.library = library
         self.max_batch = max_batch
         self.window = window

@@ -49,6 +49,7 @@ which is what cluster-level work stealing and online replication drive.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -90,6 +91,28 @@ POLICIES = NodePolicy.values()
 
 _PHASE_KEY = attrgetter("phase_key")
 _EXPERT_NAME = attrgetter("expert.name")
+
+
+def check_count(name: str, value: object) -> int:
+    """Return ``value`` as an ``int`` count, or raise ``ValueError``.
+
+    A count (nodes, batch size, window, replicas) must be an integer of
+    at least 1. ``bool`` is refused even though it is an ``int``
+    (``num_nodes=True`` would quietly mean one node), as is anything
+    :func:`operator.index` refuses (``2.5``, ``"2"``); numpy integers
+    pass.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return count
 
 
 class EngineReentryError(RuntimeError):
@@ -248,8 +271,8 @@ class ServingEngine:
         tier_capacities: Optional[Dict[str, int]] = None,
         pipeline_promotions: bool = False,
     ) -> None:
-        if max_batch < 1 or window < 1:
-            raise ValueError("max_batch and window must be >= 1")
+        max_batch = check_count("max_batch", max_batch)
+        window = check_count("window", window)
         self.policy = NodePolicy.coerce(policy).value
         if pipeline_promotions and self.policy == "overlap":
             raise ValueError(

@@ -1,21 +1,20 @@
-"""Request scheduling and speculative prefetch for CoE serving.
+"""Request scheduling and expert prediction for CoE serving.
 
-Two serving-layer optimisations that build on the paper's runtime design
-(the paper's Section V-B runtime is FIFO; these are the natural
-extensions its architecture enables):
+The building blocks of the serving engines' schedules (the paper's
+Section V-B runtime is FIFO; these are the natural extensions its
+architecture enables):
 
 - **Expert-affinity batching** — within a bounded reordering window,
   group requests that need the same expert so one DDR->HBM copy serves
   several generations. The three-tier design makes switches cheap, but a
   hit is still free; affinity turns random arrival streams into runs of
-  hits.
-- **Speculative prefetch** — the router takes a full model forward pass
-  to pick the expert, during which the DMA engines are idle. A Markov
-  transition predictor over past routing decisions starts copying its
-  best non-resident guess *during* routing; a correct guess hides the
-  switch behind the router pass, a wrong guess costs nothing over the
-  baseline (the mispredicted copy is abandoned; the bandwidth was
-  otherwise idle).
+  hits. :func:`affinity_schedule`, :func:`coalesce_groups` and the
+  streaming :class:`GroupAssembler` build the groups the engines run.
+- **Expert prediction** — :class:`ExpertPredictor` ranks the experts
+  most likely to be routed next. Speculative prefetch itself is the
+  engines' ``overlap`` node policy
+  (:class:`repro.coe.engine.ServingEngine`): it copies the best
+  non-resident guess while the DMA engines would otherwise sit idle.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import (
 
 from repro.coe.expert import ExpertProfile
 from repro.coe.policies import NodePolicy, SchedulerName
-from repro.coe.serving import ExpertServer
 
 
 @dataclass(frozen=True)
@@ -365,50 +363,6 @@ class GroupAssembler:
         return out
 
 
-@dataclass
-class ScheduleOutcome:
-    """Timing and cache behaviour of one served schedule."""
-
-    policy: str
-    total_s: float
-    switch_s: float
-    switches: int
-    hits: int
-
-    @property
-    def requests(self) -> int:
-        return self.switches + self.hits
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
-
-
-def serve_schedule(
-    server: ExpertServer,
-    schedule: Sequence[Request],
-    policy_name: str,
-    output_tokens: int = 20,
-    prompt_tokens: int = 256,
-) -> ScheduleOutcome:
-    """Serve a schedule through a server, collecting timing totals."""
-    if not schedule:
-        raise ValueError("empty schedule")
-    result = server.serve_experts(
-        [r.expert for r in schedule],
-        output_tokens=output_tokens,
-        prompt_tokens=prompt_tokens,
-    )
-    switches = sum(1 for r in result.requests if r.switch_s > 0)
-    return ScheduleOutcome(
-        policy=policy_name,
-        total_s=result.total_s,
-        switch_s=result.switch_s,
-        switches=switches,
-        hits=len(result.requests) - switches,
-    )
-
-
 # ----------------------------------------------------------------------
 # Speculative prefetch
 # ----------------------------------------------------------------------
@@ -433,8 +387,6 @@ class ExpertPredictor:
         self._clock = 0
         self._prev: Optional[str] = None
         self._experts: Dict[str, ExpertProfile] = {}
-        self.predictions = 0
-        self.correct = 0
 
     def observe(self, expert: ExpertProfile) -> None:
         """Record one routing decision (and the transition into it)."""
@@ -533,85 +485,3 @@ class ExpertPredictor:
         demand — the cheap path for consumers that stop at the first
         acceptable candidate."""
         return (self._experts[name] for name in self._iter_ranked_names())
-
-    def score(self, actual: ExpertProfile, predicted: Optional[ExpertProfile]) -> bool:
-        """Record prediction accuracy; returns whether it was correct.
-
-        A ``None`` prediction (no history yet) is still a prediction the
-        caller acted on — it counts as a miss, so ``accuracy`` is hits
-        over *all* scored predictions, not just the confident ones.
-        """
-        self.predictions += 1
-        hit = predicted is not None and predicted.name == actual.name
-        if hit:
-            self.correct += 1
-        return hit
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.predictions if self.predictions else 0.0
-
-
-@dataclass
-class PrefetchOutcome:
-    """Timing of a speculatively-prefetched request stream."""
-
-    total_s: float
-    baseline_s: float
-    hidden_switch_s: float
-    predictor_accuracy: float
-
-    @property
-    def speedup(self) -> float:
-        return self.baseline_s / self.total_s if self.total_s > 0 else 1.0
-
-
-def serve_with_prefetch(
-    server: ExpertServer,
-    experts: Sequence[ExpertProfile],
-    output_tokens: int = 20,
-    prompt_tokens: int = 256,
-    predictor: Optional[ExpertPredictor] = None,
-) -> PrefetchOutcome:
-    """Serve a request stream with speculative prefetch during routing.
-
-    For each request: the predictor guesses an expert and the copy starts
-    concurrently with the router's forward pass. If the guess matches the
-    router's decision, the switch overlaps the router time (only the
-    excess beyond router time remains visible). A wrong guess falls back
-    to the sequential baseline; an abandoned speculative copy consumes
-    otherwise-idle DMA bandwidth and is not charged.
-    """
-    if not experts:
-        raise ValueError("empty request stream")
-    predictor = predictor or ExpertPredictor()
-    router_s = server.router_time(batch=1, prompt_tokens=prompt_tokens)
-    total = 0.0
-    baseline = 0.0
-    hidden = 0.0
-    for expert in experts:
-        # Prefetch the most likely *non-resident* expert: a resident guess
-        # would have nothing to copy, so it can never hide a switch.
-        guess = next(
-            (c for c in predictor.iter_candidates()
-             if not server.runtime.is_resident(c)),
-            None,
-        )
-        correct = predictor.score(expert, guess)
-        switch = server.runtime.activate(expert)
-        prefill, decode = server.expert_time(expert, output_tokens, prompt_tokens)
-        sequential = router_s + switch.time_s + prefill + decode
-        baseline += sequential
-        if correct and switch.time_s > 0:
-            overlapped = max(router_s, switch.time_s) + prefill + decode
-            hidden += sequential - overlapped
-            total += overlapped
-        else:
-            total += sequential
-        predictor.observe(expert)
-    return PrefetchOutcome(
-        total_s=total,
-        baseline_s=baseline,
-        hidden_switch_s=hidden,
-        predictor_accuracy=predictor.accuracy,
-    )

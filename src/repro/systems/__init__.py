@@ -1,11 +1,6 @@
 """Deployment platforms and system-footprint analysis."""
 
-from repro.systems.cluster import (
-    Cluster,
-    DispatchRecord,
-    partition_experts,
-    replicate_hot_experts,
-)
+from repro.systems.cluster import partition_experts
 from repro.systems.footprint import (
     FootprintPoint,
     dgx_nodes_required,
@@ -30,8 +25,7 @@ from repro.systems.platforms import (
 )
 
 __all__ = [
-    "Cluster", "DispatchRecord", "partition_experts",
-    "replicate_hot_experts",
+    "partition_experts",
     "FootprintPoint", "dgx_nodes_required", "footprint_sweep",
     "max_experts_single_node", "sn40l_nodes_required", "Platform",
     "dgx_a100_platform", "dgx_h100_platform", "gh200_capacity_bytes",

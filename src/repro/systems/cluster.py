@@ -1,38 +1,26 @@
-"""Multi-node CoE serving: placement and load balancing across nodes.
+"""Multi-node CoE serving: sharding an expert library across nodes.
 
 The paper motivates the single-node SN40L deployment by the pain of the
 alternative: "using more machines for HBM capacity ... increases costs,
 complicates deployment, and introduces load balancing challenges"
-(Section III-B). This module makes those challenges concrete — and shows
-how a CoE scales *beyond* one node when it must:
-
-- :func:`partition_experts` — shard an expert library across nodes,
-  either contiguously or balanced by per-expert weight bytes,
-- :class:`Cluster` — a set of serving nodes with an expert->node map;
-  requests route to the owning node, and per-node queueing skew is the
-  load-balancing cost the paper alludes to,
-- :func:`replicate_hot_experts` — the classic mitigation: replicate the
-  most-requested experts on every node so dispatch can pick the least
-  loaded replica.
-
-:meth:`Cluster.dispatch` is the *analytic baseline*: one request at a
-time, serial switches, independent node clocks. The event-driven path —
-batched engines on a shared simulator clock, work stealing, and online
-replication that pays its DDR->HBM copy — lives in
-:mod:`repro.coe.cluster_engine` and is what the scaling benchmarks run.
+(Section III-B). :func:`partition_experts` is the placement half of that
+alternative: it shards a library across nodes, either contiguously or
+balanced by per-expert weight bytes. Dispatch, work stealing and online
+replication of hot experts (the classic load-balancing mitigation, which
+pays its DDR->HBM copy on the shared clock) live in
+:class:`repro.coe.cluster_engine.ClusterEngine`, and the live engine
+shards the same way.
 """
 
 from __future__ import annotations
 
 import heapq
 import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 if TYPE_CHECKING:  # the coe package imports systems.platforms, so cluster
-    # defers its coe imports to call time to keep the layering acyclic.
+    # keeps its coe imports type-only to keep the layering acyclic.
     from repro.coe.expert import ExpertLibrary, ExpertProfile
-    from repro.coe.serving import ExpertServer
 
 
 def partition_experts(
@@ -72,141 +60,3 @@ def partition_experts(
         shards[target].append(expert)
         heapq.heappush(heap, (load + expert.weight_bytes, target))
     return shards
-
-
-@dataclass
-class NodeState:
-    """One serving node: its server plus a work-completion clock."""
-
-    name: str
-    server: "ExpertServer"
-    busy_until_s: float = 0.0
-    requests_served: int = 0
-
-
-@dataclass(frozen=True)
-class DispatchRecord:
-    """Where one request went and when it finished."""
-
-    expert: str
-    node: str
-    start_s: float
-    finish_s: float
-
-    @property
-    def latency_s(self) -> float:
-        return self.finish_s - self.start_s
-
-
-class Cluster:
-    """A multi-node CoE deployment with expert-ownership dispatch."""
-
-    def __init__(
-        self,
-        platform_factory,
-        library: "ExpertLibrary",
-        num_nodes: int,
-        balanced: bool = True,
-    ) -> None:
-        from repro.coe.expert import ExpertLibrary
-        from repro.coe.serving import ExpertServer
-
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-        self.library = library
-        shards = partition_experts(library, num_nodes, balanced=balanced)
-        self.nodes: List[NodeState] = []
-        self._owners: Dict[str, List[int]] = {}
-        for shard in shards:
-            if not shard:
-                continue
-            shard_library = ExpertLibrary(experts=list(shard))
-            # Node names stay dense even when empty shards were dropped.
-            node_index = len(self.nodes)
-            node = NodeState(
-                name=f"node{node_index}",
-                server=ExpertServer(platform_factory(), shard_library),
-            )
-            self.nodes.append(node)
-            for expert in shard:
-                self._owners.setdefault(expert.name, []).append(node_index)
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    def owners_of(self, expert: "ExpertProfile") -> List[NodeState]:
-        try:
-            return [self.nodes[i] for i in self._owners[expert.name]]
-        except KeyError:
-            raise KeyError(f"no node hosts expert {expert.name!r}") from None
-
-    def replicate(self, expert: "ExpertProfile") -> None:
-        """Host ``expert`` on every node (hot-expert mitigation)."""
-        for idx, node in enumerate(self.nodes):
-            if idx in self._owners.get(expert.name, []):
-                continue
-            node.server.library.add(expert)
-            self._owners.setdefault(expert.name, []).append(idx)
-
-    def dispatch(
-        self,
-        experts: Sequence["ExpertProfile"],
-        output_tokens: int = 20,
-        prompt_tokens: int = 256,
-    ) -> List[DispatchRecord]:
-        """Serve a request stream, one request at a time (analytic baseline).
-
-        Each request goes to the least-loaded node hosting its expert
-        (ties resolve to the lowest node index, deterministically); node
-        clocks advance independently, so skewed expert popularity shows
-        up directly as queueing delay on the hot node. For the batched,
-        overlapped, shared-clock path use
-        :class:`repro.coe.cluster_engine.ClusterEngine`.
-        """
-        records: List[DispatchRecord] = []
-        for expert in experts:
-            owners = self.owners_of(expert)
-            node = min(owners, key=lambda n: n.busy_until_s)
-            result = node.server.serve_experts(
-                [expert], output_tokens=output_tokens, prompt_tokens=prompt_tokens
-            )
-            start = node.busy_until_s
-            finish = start + result.total_s
-            node.busy_until_s = finish
-            node.requests_served += 1
-            records.append(
-                DispatchRecord(
-                    expert=expert.name, node=node.name,
-                    start_s=start, finish_s=finish,
-                )
-            )
-        return records
-
-    def makespan_s(self) -> float:
-        """When the busiest node finishes its queue."""
-        return max((n.busy_until_s for n in self.nodes), default=0.0)
-
-    def load_imbalance(self) -> float:
-        """Busiest-to-average node busy-time ratio (1.0 = perfect)."""
-        times = [n.busy_until_s for n in self.nodes]
-        mean = sum(times) / len(times) if times else 0.0
-        if mean == 0.0:
-            return 1.0
-        return max(times) / mean
-
-
-def replicate_hot_experts(
-    cluster: Cluster, request_counts: Dict[str, int], top_n: int = 1
-) -> List[str]:
-    """Replicate the ``top_n`` most-requested experts on every node.
-
-    Returns the replicated expert names. This is the standard mitigation
-    for the load-balancing problem of sharded multi-node serving.
-    """
-    if top_n < 0:
-        raise ValueError(f"top_n must be >= 0, got {top_n}")
-    hot = sorted(request_counts, key=lambda n: -request_counts[n])[:top_n]
-    for name in hot:
-        cluster.replicate(cluster.library[name])
-    return hot

@@ -93,6 +93,14 @@ class TestServeConfig:
         {"replication_depth": 0},
         {"heartbeat_s": 0.0},
         {"deadline_s": 0.0},
+        # Counts are integers: a bool or a non-integral value is refused.
+        {"num_nodes": 2.5},
+        {"num_nodes": "2"},
+        {"num_nodes": True},
+        {"max_batch": 2.5},
+        {"window": True},
+        {"replication_depth": 2.5},
+        {"max_replicas": 1.5},
     ])
     def test_bad_numbers_rejected(self, kwargs):
         with pytest.raises(ValueError):

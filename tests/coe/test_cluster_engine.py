@@ -13,8 +13,13 @@ from repro.coe.cluster_engine import (
     run_cluster,
     scaling_sweep,
 )
-from repro.coe.engine import ServingEngine, _tie_key, zipf_request_stream
-from repro.coe.expert import build_samba_coe_library
+from repro.coe.engine import (
+    EngineRequest,
+    ServingEngine,
+    _tie_key,
+    zipf_request_stream,
+)
+from repro.coe.expert import ExpertProfile, build_samba_coe_library
 from repro.systems.platforms import sn40l_platform
 
 
@@ -41,12 +46,16 @@ class TestConstruction:
             ClusterEngine(sn40l_platform, library, 2, policy="random")
 
     def test_rejects_bad_node_count(self, library):
-        with pytest.raises(ValueError, match="num_nodes"):
-            ClusterEngine(sn40l_platform, library, 0)
+        # A bool or a non-integral count is a typo, not a node count.
+        for bad in (0, 2.5, "2", True):
+            with pytest.raises(ValueError, match="num_nodes"):
+                ClusterEngine(sn40l_platform, library, bad)
 
     def test_rejects_bad_replication_depth(self, library):
-        with pytest.raises(ValueError, match="replication_depth"):
-            ClusterEngine(sn40l_platform, library, 2, replication_depth=0)
+        for bad in (0, 2.5):
+            with pytest.raises(ValueError, match="replication_depth"):
+                ClusterEngine(sn40l_platform, library, 2,
+                              replication_depth=bad)
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"deadline_s": float("nan")}, "deadline_s"),
@@ -54,6 +63,9 @@ class TestConstruction:
         ({"heartbeat_s": float("inf")}, "heartbeat_s"),
         ({"max_replicas": 0}, "max_replicas"),
         ({"max_replicas": -1}, "max_replicas"),
+        ({"max_replicas": True}, "max_replicas"),
+        ({"max_batch": 2.5}, "max_batch"),
+        ({"window": True}, "window"),
     ])
     def test_rejects_non_finite_and_empty_limits(self, library, kwargs,
                                                  match):
@@ -65,10 +77,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match="empty"):
             engine.serve([])
 
+    def test_rejects_an_expert_no_node_hosts(self, library):
+        engine = ClusterEngine(sn40l_platform, library, 2)
+        ghost = ExpertProfile("ghost", "chat")
+        with pytest.raises(KeyError, match="no node hosts expert 'ghost'"):
+            engine.serve([EngineRequest(0, ghost)])
+
     def test_empty_shards_dropped_names_dense(self):
         small = build_samba_coe_library(3)
         engine = ClusterEngine(sn40l_platform, small, 3)
         assert [n.name for n in engine.nodes] == ["node0", "node1", "node2"]
+        # More nodes than experts: the empty shards are dropped, the
+        # names stay dense, and every owner index is a live node.
+        with pytest.warns(UserWarning, match="exceeds the library size"):
+            engine = ClusterEngine(sn40l_platform, small, 6)
+        assert engine.num_nodes == 3
+        assert [n.name for n in engine.nodes] == ["node0", "node1", "node2"]
+        for expert in small.experts:
+            (owner,) = engine._owner_nodes(expert)
+            assert owner in engine.nodes
 
     def test_nodes_share_one_simulator(self, library):
         engine = ClusterEngine(sn40l_platform, library, 4)

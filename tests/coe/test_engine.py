@@ -71,6 +71,18 @@ class TestEngineBasics:
         with pytest.raises(ValueError):
             ServingEngine(sn40l_platform(), library, policy="lifo")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_batch": 0},
+        {"window": 0},
+        {"max_batch": 2.5},
+        {"max_batch": "8"},
+        {"window": True},
+    ])
+    def test_bad_counts_rejected(self, library, kwargs):
+        name, = kwargs
+        with pytest.raises(ValueError, match=name):
+            ServingEngine(sn40l_platform(), library, **kwargs)
+
     def test_runs_event_driven(self, library, stream):
         report = ServingEngine(sn40l_platform(), library, policy="overlap").run(
             stream
@@ -128,6 +140,27 @@ class TestPolicyOrdering:
         assert reports["fifo"].hidden_switch_s == 0.0
         assert reports["affinity"].hidden_switch_s == 0.0
 
+    def test_affinity_strictly_beats_fifo_on_interleaved_sessions(
+        self, library
+    ):
+        """HBM holds ~37 experts: a stream cycling through 50 experts
+        misses on every FIFO request, while one window holding the whole
+        stream turns each expert's repeats into hits."""
+        reqs = [
+            EngineRequest(i, library.experts[i % 50], output_tokens=5)
+            for i in range(150)
+        ]
+        misses, makespans = {}, {}
+        for policy, window in (("fifo", 16), ("affinity", 150)):
+            engine = ServingEngine(
+                sn40l_platform(), library, policy=policy, max_batch=1,
+                window=window,
+            )
+            makespans[policy] = engine.run(reqs).makespan_s
+            misses[policy] = engine.server.runtime.stats.misses
+        assert misses == {"fifo": 150, "affinity": 50}
+        assert makespans["affinity"] < makespans["fifo"]
+
     def test_affinity_reordering_is_window_bounded(self, library):
         """No request may be displaced by a full window or more."""
         stream = zipf_request_stream(library, 64, alpha=1.0, seed=3)
@@ -158,6 +191,26 @@ class TestSpeculativePrefetch:
             reserved_hbm_bytes=reserved,
         ).run(reqs)
         assert report.speculative_prefetches > 0
+
+    def test_overlap_hides_switches_on_a_workflow_chain(self, library):
+        """A repeating a -> b -> c workflow through a one-slot cache
+        switches on every request; overlap copies the next group's
+        expert while the current one runs. ``window=1`` keeps arrival
+        order, so only the prefetch differs from fifo."""
+        a, b, c = library.experts[:3]
+        reqs = [EngineRequest(i, e, output_tokens=5)
+                for i, e in enumerate([a, b, c] * 6)]
+        platform = sn40l_platform()
+        reserved = platform.hbm_capacity_bytes - int(1.5 * a.weight_bytes)
+        reports = {
+            policy: ServingEngine(
+                sn40l_platform(), library, policy=policy, max_batch=1,
+                window=1, reserved_hbm_bytes=reserved,
+            ).run(reqs)
+            for policy in ("fifo", "overlap")
+        }
+        assert reports["overlap"].hidden_switch_s > 0
+        assert reports["overlap"].makespan_s < reports["fifo"].makespan_s
 
 
 class TestReportSerialization:

@@ -1,4 +1,4 @@
-"""Affinity batching and speculative prefetch."""
+"""Affinity batching, group assembly and expert prediction."""
 
 import pytest
 
@@ -12,11 +12,7 @@ from repro.coe.scheduling import (
     affinity_schedule,
     coalesce_groups,
     fifo_schedule,
-    serve_schedule,
-    serve_with_prefetch,
 )
-from repro.coe.serving import ExpertServer
-from repro.systems.platforms import sn40l_platform
 
 
 @pytest.fixture(scope="module")
@@ -65,36 +61,6 @@ class TestSchedules:
             affinity_schedule([], window=0)
 
 
-class TestServeSchedule:
-    def test_affinity_reduces_switches(self, library):
-        # HBM holds ~37 experts; an interleaved stream over 50 experts
-        # thrashes FIFO but affinity groups repeats into hits.
-        reqs = _interleaved_requests(library, copies=3, experts=50)
-        fifo_server = ExpertServer(sn40l_platform(), library)
-        affinity_server = ExpertServer(sn40l_platform(), library)
-        fifo = serve_schedule(fifo_server, fifo_schedule(reqs), "fifo",
-                              output_tokens=5)
-        grouped = serve_schedule(
-            affinity_server, affinity_schedule(reqs, window=150), "affinity",
-            output_tokens=5,
-        )
-        assert grouped.switches < fifo.switches
-        assert grouped.total_s < fifo.total_s
-
-    def test_outcome_accounting(self, library):
-        server = ExpertServer(sn40l_platform(), library)
-        reqs = _interleaved_requests(library, copies=2, experts=2)
-        outcome = serve_schedule(server, reqs, "fifo", output_tokens=5)
-        assert outcome.requests == 4
-        assert outcome.switches == 2
-        assert outcome.hit_rate == pytest.approx(0.5)
-
-    def test_empty_schedule_rejected(self, library):
-        server = ExpertServer(sn40l_platform(), library)
-        with pytest.raises(ValueError):
-            serve_schedule(server, [], "fifo")
-
-
 class TestPredictor:
     def test_learns_transitions(self, library):
         p = ExpertPredictor()
@@ -122,61 +88,6 @@ class TestPredictor:
     def test_no_history_no_prediction(self):
         assert ExpertPredictor().predict() is None
         assert ExpertPredictor().candidates() == []
-
-    def test_accuracy_tracking(self, library):
-        p = ExpertPredictor()
-        a, b = library.experts[0], library.experts[1]
-        p.observe(a)
-        p.observe(b)
-        p.observe(a)  # transition b->a and a->b each seen once
-        assert p.score(b, p.predict())
-        assert p.accuracy == 1.0
-
-    def test_none_prediction_scores_as_a_miss(self, library):
-        """A None prediction was still acted on (nothing prefetched);
-        skipping it would overstate accuracy."""
-        p = ExpertPredictor()
-        a = library.experts[0]
-        assert not p.score(a, None)
-        assert p.predictions == 1
-        assert p.correct == 0
-        assert p.accuracy == 0.0
-
-    def test_accuracy_averages_over_none_predictions(self, library):
-        p = ExpertPredictor()
-        a, b = library.experts[0], library.experts[1]
-        p.score(a, None)   # cold start: miss
-        p.score(a, a)      # hit
-        assert p.predictions == 2
-        assert p.accuracy == 0.5
-
-
-class TestSpeculativePrefetch:
-    def test_workflow_chain_hides_switches(self, library):
-        # A repeating expert workflow (the paper's "outputs from one
-        # expert determine which expert to execute next"): transitions
-        # are predictable, and a one-slot cache forces a switch per step.
-        a, b, c = library.experts[:3]
-        stream = [a, b, c] * 6
-        platform = sn40l_platform()
-        one_slot = int(1.5 * a.weight_bytes)
-        server = ExpertServer(platform, library,
-                           reserved_hbm_bytes=platform.hbm_capacity_bytes - one_slot)
-        outcome = serve_with_prefetch(server, stream, output_tokens=5)
-        assert outcome.predictor_accuracy > 0.5
-        assert outcome.hidden_switch_s > 0
-        assert outcome.speedup > 1.0
-
-    def test_never_slower_than_baseline(self, library):
-        stream = [library.experts[i % 7] for i in range(20)]
-        server = ExpertServer(sn40l_platform(), library)
-        outcome = serve_with_prefetch(server, stream, output_tokens=5)
-        assert outcome.total_s <= outcome.baseline_s + 1e-12
-
-    def test_empty_stream_rejected(self, library):
-        server = ExpertServer(sn40l_platform(), library)
-        with pytest.raises(ValueError):
-            serve_with_prefetch(server, [])
 
 
 class TestGroupAssembler:

@@ -1,13 +1,10 @@
-"""Multi-node CoE serving and load balancing."""
+"""Sharding an expert library across nodes, and mixed-size libraries."""
 
 import pytest
 
+from repro.coe.cluster_engine import ClusterEngine
 from repro.coe.expert import build_heterogeneous_library, build_samba_coe_library
-from repro.systems.cluster import (
-    Cluster,
-    partition_experts,
-    replicate_hot_experts,
-)
+from repro.systems.cluster import partition_experts
 from repro.systems.platforms import sn40l_platform
 
 
@@ -66,71 +63,6 @@ class TestPartitioning:
             ]
 
 
-class TestCluster:
-    def test_requests_route_to_owning_node(self, library):
-        cluster = Cluster(sn40l_platform, library, num_nodes=4)
-        expert = library.experts[0]
-        (owner,) = cluster.owners_of(expert)
-        records = cluster.dispatch([expert], output_tokens=5)
-        assert records[0].node == owner.name
-
-    def test_unknown_expert_rejected(self, library):
-        cluster = Cluster(sn40l_platform, library, num_nodes=2)
-        from repro.coe.expert import ExpertProfile
-
-        with pytest.raises(KeyError):
-            cluster.owners_of(ExpertProfile("ghost", "chat"))
-
-    def test_skewed_traffic_creates_imbalance(self, library):
-        cluster = Cluster(sn40l_platform, library, num_nodes=4)
-        hot = library.experts[0]
-        cluster.dispatch([hot] * 12, output_tokens=5)
-        assert cluster.load_imbalance() > 2.0  # one node does all the work
-
-    def test_uniform_traffic_balances(self, library):
-        cluster = Cluster(sn40l_platform, library, num_nodes=4)
-        cluster.dispatch(list(library.experts), output_tokens=5)
-        assert cluster.load_imbalance() < 1.3
-
-    def test_replication_fixes_the_hot_node(self, library):
-        hot = library.experts[0]
-        sharded = Cluster(sn40l_platform, library, num_nodes=4)
-        sharded.dispatch([hot] * 12, output_tokens=5)
-
-        replicated = Cluster(sn40l_platform, library, num_nodes=4)
-        replicate_hot_experts(replicated, {hot.name: 12}, top_n=1)
-        replicated.dispatch([hot] * 12, output_tokens=5)
-
-        assert replicated.makespan_s() < sharded.makespan_s()
-        assert len(replicated.owners_of(hot)) == 4
-
-    def test_bad_top_n_rejected(self, library):
-        cluster = Cluster(sn40l_platform, library, num_nodes=2)
-        with pytest.raises(ValueError):
-            replicate_hot_experts(cluster, {}, top_n=-1)
-
-    def test_dispatch_tie_breaking_is_deterministic(self, library):
-        """Under fully replicated experts every node has load 0 at the
-        first request; min() must keep picking the same (first) node."""
-        hot = library.experts[0]
-        runs = []
-        for _ in range(3):
-            cluster = Cluster(sn40l_platform, library, num_nodes=4)
-            cluster.replicate(hot)
-            records = cluster.dispatch([hot] * 8, output_tokens=5)
-            runs.append([r.node for r in records])
-        assert runs[0] == runs[1] == runs[2]
-        assert runs[0][0] == "node0"  # ties resolve to the lowest index
-
-    def test_replicate_hot_experts_top_n_beyond_library(self, library):
-        cluster = Cluster(sn40l_platform, library, num_nodes=4)
-        counts = {e.name: 1 for e in library.experts}
-        hot = replicate_hot_experts(cluster, counts, top_n=10 * len(library))
-        assert len(hot) == len(library)  # clamps to what exists
-        for expert in library.experts:
-            assert len(cluster.owners_of(expert)) == 4
-
-
 class TestHeterogeneousLibrary:
     def test_default_mix_has_three_architectures(self):
         library = build_heterogeneous_library()
@@ -181,25 +113,18 @@ class TestHeterogeneousLibrary:
 
 
 class TestReplicationIdempotence:
-    def test_replicating_twice_is_harmless(self, library):
-        cluster = Cluster(sn40l_platform, library, num_nodes=3)
-        hot = library.experts[0]
-        cluster.replicate(hot)
-        cluster.replicate(hot)
-        assert len(cluster.owners_of(hot)) == 3
-
     def test_more_nodes_than_experts(self):
         small = build_samba_coe_library(2)
         with pytest.warns(UserWarning, match="exceeds the library size"):
-            cluster = Cluster(sn40l_platform, small, num_nodes=5)
-        assert cluster.num_nodes == 2  # empty shards are dropped
+            engine = ClusterEngine(sn40l_platform, small, 5)
+        assert engine.num_nodes == 2  # empty shards are dropped
 
     def test_dropped_shards_keep_node_names_dense(self):
         small = build_samba_coe_library(3)
         with pytest.warns(UserWarning, match="exceeds the library size"):
-            cluster = Cluster(sn40l_platform, small, num_nodes=6)
-        assert [n.name for n in cluster.nodes] == ["node0", "node1", "node2"]
+            engine = ClusterEngine(sn40l_platform, small, 6)
+        assert [n.name for n in engine.nodes] == ["node0", "node1", "node2"]
         # Every expert's owner index points at a live node.
         for expert in small.experts:
-            (owner,) = cluster.owners_of(expert)
-            assert owner in cluster.nodes
+            (owner,) = engine._owner_nodes(expert)
+            assert owner in engine.nodes
