@@ -382,28 +382,19 @@ class ClusterEngine:
         )
         self.sim = Simulator(timeline=self.timeline)
         self.faults = _coerce_faults(faults)
-        requested = DrainMode.coerce(drain_mode)
-        #: The columnar drain is only equivalent while nothing can
-        #: interleave with a node's queue. Every fault path
-        #: (crash/slow/copy-fault events land between a node's
-        #: begin/finish events) forces event-by-event. The ``steal``
-        #: hooks act only once some node's queue runs dry, so a steal
-        #: cluster drains on the columnar core up to that horizon and
-        #: runs on events after it; the other policies drain dry
-        #: (:func:`repro.coe.engine._drain_to_horizon`).
-        if self.faults:
-            effective = DrainMode.REFERENCE
-        else:
-            effective = requested
-        self.drain_mode = effective.value
-        #: The fast-path feature set follows the *requested* mode, not
-        #: the policy/fault-gated one: incremental admission backlog and
-        #: bulk phase precompute are bitwise-identical to the reference
-        #: math, so they stay on for steal/fault runs too. Only an
-        #: explicitly requested reference configuration (the
-        #: seed-equivalent one the equivalence tests and perf benchmarks
-        #: compare against) reverts admission to fresh per-route sums.
-        self._fast_admission = requested is not DrainMode.REFERENCE
+        #: A columnar cluster starts in one t=0 drain of its nodes on the
+        #: columnar core, up to the next cluster event (a fault or a
+        #: heartbeat) or, under ``steal``, the first instant a steal hook
+        #: could act. Each cluster event that changes a queue or a cost
+        #: input (recovery, a slow window opening or closing, a copy
+        #: fault) drains the alive nodes again
+        #: (:func:`repro.coe.engine._drain_to_horizon`). The columnar mode
+        #: also tracks the admission backlog incrementally and precomputes
+        #: phases in bulk, bitwise-identical to the reference math; the
+        #: reference mode (the seed-equivalent configuration the
+        #: equivalence tests and perf benchmarks compare against) sums
+        #: fresh per route.
+        self.drain_mode = DrainMode.coerce(drain_mode).value
         #: During admission (before the clock runs) each engine's backlog
         #: is the running sum of what was submitted to it; this tracker
         #: keeps that sum incrementally — bitwise-identical to the fresh
@@ -429,6 +420,7 @@ class ClusterEngine:
         self.rejected: List[EngineRequest] = []
         self._injector: Optional[FaultInjector] = None
         self._crashes_pending = 0
+        #: Recovery copy ends, which the makespan covers.
         self._recovery_ends: List[float] = []
 
         shards = [
@@ -709,6 +701,7 @@ class ClusterEngine:
         for m in node.slow_stack:
             factor *= m
         node.engine.slow_factor = factor
+        self._redrain()
 
     def _on_slow_end(self, fault: SlowNode) -> None:
         node = self.nodes[fault.node]
@@ -725,24 +718,52 @@ class ClusterEngine:
             node, f"slow:{fault.multiplier:g}x", "slow", fault.at_s, end,
             args={"multiplier": fault.multiplier},
         )
+        self._redrain()
 
     def _on_copy_fault(self, fault: CopyFault) -> None:
         node = self.nodes[fault.node]
         if node.alive:
             node.engine.state.inject_copy_faults(fault.count)
+            self._redrain()
+
+    def _schedule_beat(self, beat: float) -> None:
+        """Schedule the heartbeat due at ``beat``, or, when the next
+        pending crash is later, the first beat at or after it.
+
+        A beat before that crash finds no dead node: it would be a
+        no-op event, and would bound every drain at one period. The
+        skipped beats are credited to the clock, so ``events_run``
+        counts them still; beat times accumulate exactly as one beat
+        scheduling the next does.
+        """
+        crashes = self.faults.crashes
+        next_crash = crashes[len(crashes) - self._crashes_pending].at_s
+        skipped = 0
+        while beat < next_crash:
+            beat += self.heartbeat_s
+            skipped += 1
+        self.sim.count_events(skipped)
+        self.sim.schedule_at(beat, self._heartbeat)
 
     def _heartbeat(self) -> None:
-        """Periodic liveness sweep: a dead node is noticed on the first
-        beat after its crash, bounding detection latency by the period."""
+        """Liveness sweep: a dead node is noticed on the first beat after
+        its crash, bounding detection latency by the period."""
         now = self.sim.now
-        for node in self.nodes:
-            if not node.alive and node.detected_at is None:
-                node.detected_at = now
-                self._recover(node, now)
-        if self._crashes_pending > 0 or any(
-            not n.alive and n.detected_at is None for n in self.nodes
-        ):
-            self.sim.schedule_at(now + self.heartbeat_s, self._heartbeat)
+        detected = [n for n in self.nodes
+                    if not n.alive and n.detected_at is None]
+        for node in detected:
+            node.detected_at = now
+            self._recover(node, now)
+        if self._crashes_pending > 0:
+            self._schedule_beat(now + self.heartbeat_s)
+        if detected:
+            self._redrain()
+
+    def _redrain(self) -> None:
+        """After a cluster event changed a queue or a cost input, drain
+        the alive nodes again, up to the next cluster event."""
+        if self.drain_mode == DrainMode.COLUMNAR.value:
+            _drain_to_horizon([n.engine for n in self.nodes])
 
     def _recover(self, node: _Node, now: float) -> None:
         """React to a detected crash: promote orphaned experts, then
@@ -767,11 +788,13 @@ class ClusterEngine:
         )
         needed = {g.expert.name for g in drained}
         placed: Dict[int, int] = {n.index: 0 for n in alive}
+        # Hosting and warming an expert leave every backlog as it is.
+        backlog = {n.index: n.engine.estimated_backlog_s() for n in alive}
         copy_ends: List[float] = []
         for name in orphaned:
             expert = self.library[name]
             target = min(alive, key=lambda n: (
-                n.engine.estimated_backlog_s(), placed[n.index], n.index
+                backlog[n.index], placed[n.index], n.index
             ))
             placed[target.index] += 1
             target.engine.host(expert)
@@ -794,7 +817,8 @@ class ClusterEngine:
                 self.redispatches += 1
         recovery_end = max(copy_ends, default=now)
         node.recovered_at = recovery_end
-        self._recovery_ends.append(recovery_end)
+        if copy_ends:
+            self._recovery_ends.append(recovery_end)
         self._record_fault_span(
             node, f"recovery:{node.name}", "recovery", now, recovery_end,
             args={
@@ -829,9 +853,10 @@ class ClusterEngine:
         Admission dispatches every group at t=0. A columnar cluster then
         starts in one t=0 drain over the nodes, in the order they
         received their first group
-        (:func:`repro.coe.engine._drain_to_horizon`); a reference one
-        begins each node's queue head on its own event. Either way the
-        shared clock ends at the last finish.
+        (:func:`repro.coe.engine._drain_to_horizon`), and drains again
+        after each recovery, slow window edge and copy fault; a
+        reference one begins each node's queue head on its own event.
+        Either way the shared clock ends at the last event.
 
         Single-use, like :meth:`ServingEngine.run`: a second call raises
         :class:`EngineReentryError` — node cache/predictor state and the
@@ -858,7 +883,7 @@ class ClusterEngine:
                 on_copy_fault=self._on_copy_fault,
             )
             if self.faults.crashes:
-                self.sim.schedule_at(self.heartbeat_s, self._heartbeat)
+                self._schedule_beat(self.heartbeat_s)
         admitted = self.scheduler.order(requests)
         if self.node_policy == "fifo":
             ordered = list(admitted)
@@ -875,7 +900,8 @@ class ClusterEngine:
         # bitwise-identical routing decisions. The precompute needs one
         # group per distinct phase_key (keys in first-seen order), so
         # the backlog is walked once, not once per node.
-        if self._fast_admission:
+        columnar = self.drain_mode == DrainMode.COLUMNAR.value
+        if columnar:
             shapes = distinct_shapes(admit)
             for node in self.nodes:
                 hosted = node.hosted
@@ -883,10 +909,8 @@ class ClusterEngine:
                     [g for key, g in shapes.items() if key[0] in hosted]
                 )
             self._admission_backlog = {n.index: 0.0 for n in self.nodes}
-        # A columnar cluster begins every node in one t=0 drain, so
-        # admission schedules no begin.
-        columnar = self.drain_mode == DrainMode.COLUMNAR.value
-        if columnar:
+            # A columnar cluster begins every node in one t=0 drain, so
+            # admission schedules no begin.
             for node in self.nodes:
                 node.engine._begin_scheduled = True
         try:
@@ -897,7 +921,7 @@ class ClusterEngine:
         roots = self._first_dispatched(admit) if columnar else []
         if roots:
             self.sim.schedule_at(
-                self.sim.now, lambda: _drain_to_horizon(roots)
+                self.sim.now, lambda: _drain_to_horizon(roots, held=True)
             )
         end_clock = self.sim.run()
         for node in self.nodes:
@@ -914,10 +938,8 @@ class ClusterEngine:
             # The raw clock runs to the last scheduled fault event even
             # when traffic drained earlier; the makespan is when *work*
             # (completions, recovery copies) actually ended.
-            work_end = max(
-                (c.finish_s for n in self.nodes for c in n.engine.completed),
-                default=0.0,
-            )
+            work_end = max(n.engine.completed.last_finish_s()
+                           for n in self.nodes)
             makespan = max([work_end] + self._recovery_ends)
         else:
             makespan = end_clock

@@ -229,6 +229,16 @@ class CompletedLog:
                 total += sum(c.output_tokens for c in seg)
         return total
 
+    def last_finish_s(self) -> float:
+        """When the last completion finished (0.0 if none), the latest
+        one: an engine completes its groups one after another."""
+        for seg in reversed(self._segments):
+            if isinstance(seg, _Block):
+                return float(seg.bounds[-1])
+            if seg:
+                return seg[-1].finish_s
+        return 0.0
+
 
 def latency_values(completed: CompletedLog) -> List[float]:
     """Per-request latencies of an engine's completion store."""

@@ -52,7 +52,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from typing import (
     AbstractSet, Callable, Dict, Iterator, List, NamedTuple, Optional,
@@ -649,12 +649,13 @@ class ServingEngine:
                 or self._begin_scheduled or not self._queue):
             return
         self._begin_scheduled = True
-        self._sim.schedule_at(self._head_start(), self._begin_next)
+        self._sim.schedule_at(
+            self._head_start(self._sim.now), self._begin_next
+        )
 
-    def _head_start(self) -> float:
-        """When the queue head can begin: now, or once the pending copy
-        of its resident expert lands."""
-        now = self._sim.now
+    def _head_start(self, now: float) -> float:
+        """When the queue head can begin: ``now``, or once the pending
+        copy of its resident expert lands."""
         head = self._queue[0].expert
         if self.server.runtime.is_resident(head):
             return max(now, self.state.copy_done.get(head.name, now))
@@ -681,13 +682,11 @@ class ServingEngine:
         if self.policy == "overlap" and self._queue:
             # While this group executes, the DMA engines prefetch the
             # next queued expert (or speculate when it is already here).
-            protect = group.expert.name
             if exec_start <= sim.now:
-                self._prefetch_next(protect)
+                self._prefetch(self._queue[0].expert, group.expert.name,
+                               sim.now)
             else:
-                sim.schedule_at(
-                    exec_start, lambda: self._prefetch_next(protect)
-                )
+                sim.schedule_at(exec_start, self._prefetch_next)
         end = exec_start + router_s + prefill_s + decode_s
         # Phase spans are recorded at finish time (see halt): the same
         # timestamps either way, but a crash truncates honestly.
@@ -696,11 +695,16 @@ class ServingEngine:
         self._busy_until_s = end
         sim.schedule_at(end, self._finish_group)
 
-    def _prefetch_next(self, protected_name: str) -> None:
-        """Event-path :meth:`_prefetch` for the queue head."""
+    def _prefetch_next(self, now: Optional[float] = None) -> None:
+        """The deferred :meth:`_prefetch` of the queue head, due at the
+        exec start of the group in flight (``now``, by default the
+        clock's)."""
         if self._halted or not self._queue:
             return
-        self._prefetch(self._queue[0].expert, protected_name, self._sim.now)
+        self._prefetch(
+            self._queue[0].expert, self._current[0].expert.name,
+            self._sim.now if now is None else now,
+        )
 
     def _prefetch(
         self, nxt: ExpertProfile, protected_name: str, now: float
@@ -760,16 +764,26 @@ class ServingEngine:
             end += duration
 
     def _finish_group(self) -> None:
-        """Record the executing group: phase spans + completion records."""
+        """Finish the executing group, then begin the next one."""
         if self._halted or self._current is None:
             return
+        group = self._complete_current(self._sim.now)
+        if self.on_group_done is not None:
+            self.on_group_done(self, group)
+        if self._queue:
+            self._kick()
+        else:
+            self._notify_idle()
+
+    def _complete_current(self, finish_s: float) -> RequestGroup:
+        """Record the executing group, finished at ``finish_s``: its
+        phase spans and completion records."""
         group, exec_started, phase_times, index = self._current
         self._current = None
         if self._sim.timeline is not None:
             self._record_phases(group, exec_started, phase_times, index)
         expert_name = group.expert.name
         batch = group.batch
-        finish_s = self._sim.now
         append = self.completed.append
         for req in group.requests:
             append(CompletedRequest(
@@ -778,37 +792,72 @@ class ServingEngine:
             ))
         self.groups_done += 1
         self._busy = False
-        if self.on_group_done is not None:
-            self.on_group_done(self, group)
-        if self._queue:
-            self._kick()
-        else:
-            self._notify_idle()
+        return group
 
     def _drain_before(
         self,
-        cols: GroupColumns,
-        start_at: float,
+        due: Sequence[tuple],
+        cols: Optional[GroupColumns],
         horizon: float,
-        times: Optional[List[float]],
-        created: Optional[List[tuple]],
-    ) -> Tuple[List[tuple], int]:
-        """Drain the lowered queue from ``start_at`` up to ``horizon``,
-        then hand the rest to the event path.
+        ordered: bool,
+    ) -> Tuple[List[tuple], List[tuple], int]:
+        """Run this node's events strictly before ``horizon`` on the
+        columnar core, then hand the rest to the event path.
 
-        This node's share of the t=0 drain (:func:`_drain_to_horizon`):
-        every event strictly before the horizon runs on the columnar
-        core, and the node is left exactly as the reference path leaves
-        it there — the unbegun groups queued, and either a group in
-        flight (its finish and, when its exec start is at or after the
-        horizon, its deferred prefetch still to run) or the next begin
-        due. Returns those ``(time, callback, sub)`` events, ``sub`` 0
-        for the prefetch a begin schedules before its finish, and the
-        number of reference events they stand for. ``times`` and
-        ``created`` are :func:`repro.coe.columnar.drain`'s.
+        This node's share of a drain (:func:`_drain_to_horizon`).
+        ``due`` holds its events that start the drain, in run order, as
+        ``(time, rank, callback)``: the begin of its queue head, or the
+        deferred prefetch and the finish of its group in flight. They
+        run first, then the lowered queue ``cols`` (lowered here when
+        None) from when its head can begin. The node is left exactly as
+        the reference path leaves it at the horizon: the unbegun groups
+        queued, and either a group in flight (its finish and, when its
+        exec start is at or after the horizon, its deferred prefetch
+        still to run) or the next begin due.
+
+        Returns the handed-off events as ``(key, time, callback)``, the
+        lanes the drained events created as ``(key, lane)``, and the
+        number of reference events the drained ones stand for. When
+        ``ordered`` the keys put both in the reference path's order
+        (:func:`_tie_key`); otherwise a key is just its chain's rank.
         """
+        timeline = self._sim.timeline
+        times: Optional[List[float]] = [] if ordered else None
+        track = ordered and timeline is not None
+        created: Optional[List[tuple]] = [] if track else None
+        lanes: List[tuple] = []
+        count = 0
+        start: Optional[float] = None
+        # The chain's root: the begin due, or the in-flight finish.
+        root = due[-1][1]
+        for time, rank, callback in due:
+            if callback == self._begin_next:
+                # Counted below, as the drain's first begin.
+                self._begin_scheduled = False
+                start = time
+                continue
+            known = len(timeline.lanes) if track else 0
+            count += 1
+            if callback == self._prefetch_next:
+                self._prefetch_next(time)
+                sub = 0
+            else:
+                self._complete_current(time)
+                if times is not None:
+                    times.append(time)
+                start = self._head_start(time) if self._queue else time
+                sub = 1
+            if track:
+                lanes.extend(((time, -math.inf, rank, sub), lane)
+                             for lane in timeline.lanes[known:])
+        if start is None:
+            # Only the prefetch was due; the finish is at or after the
+            # horizon and stays on the clock.
+            return [], lanes, count
+        if cols is None:
+            cols = lower_queue(self, list(self._queue))
         self._queue.clear()
-        stop = _columnar_drain(self, cols, start_at, horizon, times, created)
+        stop = _columnar_drain(self, cols, start, horizon, times, created)
         self._queue.extend(islice(cols.groups, stop.begun, None))
         self._groups_started += stop.begun
         done = stop.begun - (stop.current is not None)
@@ -818,23 +867,32 @@ class ServingEngine:
             self._begin_scheduled = True
             events.append((stop.now, self._begin_next, 1))
         else:
-            group, exec_start, (router, prefill, decode), _ = stop.current
+            exec_start, (router, prefill, decode) = stop.current[1:3]
             self._current = stop.current
             self._busy = True
             self._busy_until_s = exec_start + router + prefill + decode
             if stop.prefetch_due:
-                protect = group.expert.name
-                events.append(
-                    (exec_start, lambda: self._prefetch_next(protect), 0)
-                )
+                events.append((exec_start, self._prefetch_next, 0))
             events.append((self._busy_until_s, self._finish_group, 1))
-        count = stop.begun + done + stop.deferred
+        count += stop.begun + done + stop.deferred
         if stop.current is None and not self._queue:
             # Drained dry: the handed-off begin only replays the last
             # finish's idle notification, and lands the shared clock on
             # this node's end; it is no reference event of its own.
             count -= 1
-        return events, count
+        if not ordered:
+            keys = [(root,)] * len(events)
+        else:
+            last = len(times) - 1
+            keys = [_tie_key(times, root, time, last, sub)
+                    for time, _, sub in events]
+            lanes.extend(
+                (_tie_key(times, root, time, parent, sub), lane)
+                for lane, time, parent, sub in created or ()
+            )
+        handoffs = [(key, time, callback)
+                    for key, (time, callback, _) in zip(keys, events)]
+        return handoffs, lanes, count
 
     def _notify_idle(self) -> None:
         if self.on_idle is not None:
@@ -868,7 +926,9 @@ class ServingEngine:
             self.precompute_phases(groups)
             self._queue.extend(groups)
             if self.drain_mode == DrainMode.COLUMNAR.value:
-                sim.schedule_at(0.0, lambda: _drain_to_horizon([self]))
+                sim.schedule_at(
+                    0.0, lambda: _drain_to_horizon([self], held=True)
+                )
             else:
                 self._kick()
             makespan = sim.run()
@@ -923,86 +983,104 @@ def _tie_key(
     the same time run in the order their parents ran: compare the
     parents' times, then the grandparents', and so on back to the root
     (``times[parent]``, ``times[parent - 1]``, ... — the drained chain).
-    A root, scheduled at admission, precedes every event scheduled
-    during the run (``-inf``); roots keep the node's ``rank`` in
-    dispatch order; and a begin schedules its prefetch (``sub`` 0)
-    before its finish (1).
+    A root — a begin held at admission, or an event already pending on
+    the clock when the drain began — precedes every event scheduled
+    during the drain (``-inf``); roots keep their ``rank``, the order
+    they were scheduled in (dispatch order for held begins); and a
+    begin schedules its prefetch (``sub`` 0) before its finish (1).
     """
     return (time, *reversed(times[:parent + 1]), -math.inf, rank, sub)
 
 
-def _lower(engine: ServingEngine) -> Tuple[float, GroupColumns]:
-    """When ``engine``'s queue head can begin, and its lowered queue."""
-    return engine._head_start(), lower_queue(engine, list(engine._queue))
+def _drain_to_horizon(
+    engines: Sequence[ServingEngine], held: bool = False
+) -> None:
+    """Drain engines on the columnar core up to a horizon, then hand the
+    rest to the event path.
 
+    ``engines`` share one clock. A run's first drain is its one t=0
+    event, over the engines ``held`` at admission: each with a queued
+    backlog and its first begin held back (never scheduled), in the
+    order they received their first group. A cluster calls the drain
+    again after each cluster event that changes a queue or a cost input,
+    over all its engines, and each alive one starts from its events
+    pending on the clock: a begin due, or the finish (and perhaps the
+    deferred prefetch) of its group in flight. Halted engines are
+    skipped; their events are no-ops, a held begin too, which counts as
+    the event it is on the reference path.
 
-def _drain_to_horizon(engines: Sequence[ServingEngine]) -> None:
-    """Start a columnar run: drain every engine on the columnar core up
-    to a horizon, then hand the rest to the event path.
-
-    ``engines`` share one clock, each with a queued backlog and no begin
-    scheduled, in the order they received their first group. With no
-    ``on_idle`` hook installed nothing can interleave with a queue, so
-    the horizon is infinite and every engine drains dry. A ``steal``
-    cluster's hooks look at other nodes only at a finish that leaves a
-    node's queue empty, and no node gets there before the no-wait end of
-    its whole queue (:meth:`GroupColumns.no_wait_end`); the earliest such
-    end is the horizon. Either way it is capped by the next pending
-    event. Each engine drains every event strictly before it
-    (:meth:`ServingEngine._drain_before`). The events they hand off are
-    scheduled in the order the reference path would have scheduled them,
-    and the lanes the drains created are put in the order the reference
-    created them (docs/PERFORMANCE.md, section 11) — work done only when
-    there is an order to restore: a finite horizon, or a traced run of
-    two or more engines.
+    The horizon is the next pending event that is not these engines'
+    own: a cluster event (a fault or a heartbeat). With no ``on_idle``
+    hook installed nothing else interleaves with a queue. A ``steal``
+    cluster's hooks look at other nodes only when a node finds its
+    queue empty, at a finish or a begin, and no node gets there before
+    the no-wait end of its queue (:meth:`GroupColumns.no_wait_end`)
+    from its in-flight finish or its begin due; the horizon is capped by
+    the earliest such end. Each engine runs its events strictly before
+    the horizon (:meth:`ServingEngine._drain_before`). The events it
+    hands off are scheduled in the order the reference path would have
+    scheduled them, and the lanes the drains created are put in the
+    order the reference created them (docs/PERFORMANCE.md, section 11)
+    — work done only when there is an order to restore: a finite
+    horizon, or a traced run of two or more engines.
     """
     sim = engines[0]._sim
-    lowered: Optional[List[Tuple[float, GroupColumns]]] = None
+    drained = 0
+    due: Dict[ServingEngine, List[tuple]] = {}
+    if held:
+        for rank, engine in enumerate(engines):
+            if engine._halted:
+                drained += 1
+            else:
+                due[engine] = [
+                    (engine._head_start(sim.now), rank, engine._begin_next)
+                ]
     horizon = math.inf
-    if any(engine.on_idle is not None for engine in engines):
+    owner = {id(engine): engine for engine in engines}
+    for event in sim.pending():
+        engine = owner.get(id(getattr(event[2], "__self__", None)))
+        if engine is None:
+            horizon = min(horizon, event[0])
+        elif not engine._halted:
+            due.setdefault(engine, []).append(event)
+    lowered: Dict[ServingEngine, GroupColumns] = {}
+    if any(engine.on_idle is not None for engine in due):
         # The horizon needs every queue lowered up front; without it each
         # engine lowers its queue just before draining it, so one lowered
         # queue at a time is alive.
-        lowered = [_lower(engine) for engine in engines]
-        horizon = min(cols.no_wait_end(start) for start, cols in lowered)
-    pending = sim.peek_next_time()
-    if pending is not None:
-        horizon = min(horizon, pending)
-    traced = sim.timeline is not None
-    ordered = horizon < math.inf or (traced and len(engines) > 1)
+        for engine, events in due.items():
+            start = engine._busy_until_s if engine._busy else events[0][0]
+            cols = lowered[engine] = lower_queue(engine, list(engine._queue))
+            horizon = min(horizon, cols.no_wait_end(start))
+    if not held:
+        # Keep what starts at or after the horizon on the clock, and the
+        # begin of an engine with nothing queued (it only notifies idle).
+        for engine in list(due):
+            events = [e for e in due[engine] if e[0] < horizon]
+            if events and (engine._busy or engine._queue):
+                due[engine] = events
+            else:
+                del due[engine]
+        sim.cancel(chain.from_iterable(due.values()))
+    timeline = sim.timeline
+    ordered = horizon < math.inf or (timeline is not None and len(due) > 1)
+    before = timeline.lanes if timeline is not None else []
     handoffs: List[tuple] = []
     lanes: List[tuple] = []
-    drained = 0
-    for rank, engine in enumerate(engines):
-        start, cols = lowered[rank] if lowered else _lower(engine)
-        engine._begin_scheduled = False
-        times: Optional[List[float]] = [] if ordered else None
-        created: Optional[List[tuple]] = [] if ordered and traced else None
-        events, count = engine._drain_before(
-            cols, start, horizon, times, created
+    for engine, events in due.items():
+        events, created, count = engine._drain_before(
+            events, lowered.get(engine), horizon, ordered
         )
+        handoffs.extend(events)
+        lanes.extend(created)
         drained += count
-        if not ordered:
-            # Nothing to order: keyed by rank, the stable sort keeps each
-            # engine's events in their own order.
-            handoffs.extend((rank, time, call) for time, call, _ in events)
-            continue
-        last = len(times) - 1
-        handoffs.extend(
-            (_tie_key(times, rank, time, last, sub), time, callback)
-            for time, callback, sub in events
-        )
-        lanes.extend(
-            (_tie_key(times, rank, time, parent, sub), lane)
-            for lane, time, parent, sub in created or ()
-        )
     handoffs.sort(key=itemgetter(0))
     sim.schedule_many((time, callback) for _, time, callback in handoffs)
-    # This event stands for one of the drained ones.
-    sim.count_events(max(0, drained - 1))
+    # A held drain's own event stands for one of the drained ones.
+    sim.count_events(max(0, drained - 1) if held else drained)
     if lanes:
         lanes.sort(key=itemgetter(0))
-        sim.timeline.reorder_lanes([lane for _, lane in lanes])
+        timeline.reorder_lanes(before + [lane for _, lane in lanes])
 
 
 # ----------------------------------------------------------------------

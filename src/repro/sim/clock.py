@@ -17,12 +17,12 @@ same policies run on either backend:
 - :class:`EventSource` — a :class:`Clock` that also *owns* the arrow of
   time: callbacks can be scheduled on it (``schedule``/``schedule_at``,
   or many at once with ``schedule_many``), and the serving engines'
-  t=0 columnar drain reads how far it may run (``peek_next_time``) and
-  credits the events it replays (``count_events``). The serving engines
-  bind to an :class:`EventSource`; only the backend *driver*
-  (``ServingEngine.run``, ``ClusterEngine.serve``) may additionally
-  pump a concrete :class:`~repro.sim.engine.Simulator`'s ``run()``
-  loop.
+  columnar drain takes over their pending events (``pending``,
+  ``cancel``) and credits the events it replays (``count_events``).
+  The serving engines bind to an :class:`EventSource`; only the
+  backend *driver* (``ServingEngine.run``, ``ClusterEngine.serve``)
+  may additionally pump a concrete
+  :class:`~repro.sim.engine.Simulator`'s ``run()`` loop.
 - :class:`WallClock` — the asyncio wall-clock :class:`Clock`
   implementation behind live serving (:mod:`repro.coe.live_engine`).
   Time is reported in **model seconds**: one model second occupies
@@ -40,7 +40,8 @@ from __future__ import annotations
 import asyncio
 import time
 from typing import (
-    Callable, Iterable, Mapping, Optional, Protocol, Tuple, runtime_checkable,
+    Callable, Iterable, List, Mapping, Optional, Protocol, Tuple,
+    runtime_checkable,
 )
 
 from repro.obs import Span, Timeline
@@ -116,7 +117,11 @@ class EventSource(Protocol):
 
     def count_events(self, n: int) -> None: ...
 
-    def peek_next_time(self) -> Optional[float]: ...
+    def pending(self) -> List[Tuple[float, int, Callable[[], None]]]: ...
+
+    def cancel(
+        self, events: Iterable[Tuple[float, int, Callable[[], None]]]
+    ) -> None: ...
 
 
 class WallClock:

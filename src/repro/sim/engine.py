@@ -9,7 +9,7 @@ deterministic tie-break.
 Bulk scheduling and logical events
 ----------------------------------
 
-Two hooks let models amortize the per-event overhead that dominates
+Three hooks let models amortize the per-event overhead that dominates
 large simulations (see ``docs/PERFORMANCE.md``):
 
 - :meth:`Simulator.schedule_many` bulk-inserts a whole batch of events
@@ -17,6 +17,9 @@ large simulations (see ``docs/PERFORMANCE.md``):
 - :meth:`Simulator.count_events` credits the logical events an event
   replays in a loop of its own (the serving engines' columnar drain),
   so ``events_run`` and the livelock budget stay meaningful.
+- :meth:`Simulator.pending` and :meth:`Simulator.cancel` let such a
+  loop take over events already scheduled (a drain re-entered
+  mid-run), with the tie-break order they were scheduled in.
 """
 
 from __future__ import annotations
@@ -134,6 +137,19 @@ class Simulator:
             raise ValueError(f"cannot credit {n} events")
         self._events_run += n
         self._events_this_call += n
+
+    def pending(self) -> List[_Event]:
+        """The pending ``(time, seq, callback)`` events, in the order
+        they will run: of two at one time, the one scheduled first (the
+        smaller ``seq``) runs first."""
+        return sorted(self._queue)
+
+    def cancel(self, events: Iterable[_Event]) -> None:
+        """Remove pending events, as :meth:`pending` returned them."""
+        drop = {id(event) for event in events}
+        if drop:
+            self._queue = [e for e in self._queue if id(e) not in drop]
+            heapq.heapify(self._queue)
 
     # ------------------------------------------------------------------
     # Running

@@ -33,6 +33,7 @@ from repro.coe.expert import (
 )
 from repro.models.catalog import LLAMA2_7B, LLAMA2_13B
 from repro.obs import to_chrome_events
+from repro.sim.faults import random_schedule
 from repro.systems.platforms import sn40l_platform
 
 DRAIN_MODES = ("reference", "columnar")
@@ -240,14 +241,18 @@ def test_cluster_three_way_equivalence(policy, record):
     assert log == reference_log, log.diff(reference_log)
 
 
-def _cluster_pair(monkeypatch, library, requests, policy="steal", **kwargs):
+def _cluster_pair(monkeypatch, library, requests, policy="steal",
+                  clocks=None, **kwargs):
     """The same cluster run columnar and reference, each with its
     engine, report and DecisionLog; also returns the columnar run's
-    per-node ``DrainStop`` records."""
+    per-node ``DrainStop`` records. ``clocks``, when given, collects
+    the shared clock's time at each of those drains."""
     stops = []
     real = engine_module._columnar_drain
 
     def spy(engine, cols, start_at, *horizon_args):
+        if clocks is not None:
+            clocks.append(engine._sim.now)
         stop = real(engine, cols, start_at, *horizon_args)
         stops.append(stop)
         return stop
@@ -424,6 +429,129 @@ def test_steal_while_a_handed_off_group_runs(monkeypatch):
                .output_tokens == 4000 for stop in stops)
     assert reference[1].replications > 0
     _assert_same_run(fast, reference)
+
+
+def _fault_fuzz(monkeypatch, seed, policy, record):
+    """One seeded cluster workload under a random fault schedule (at
+    least one crash, maybe slow windows and copy faults), columnar
+    against reference; returns whether a drain re-entered at a crash's
+    recovery."""
+    rng = random.Random(f"faults:{seed}:{policy}:{record}")
+    library, requests = _mixed_workload(rng)
+    num_nodes = rng.randrange(2, 5)
+    kwargs = dict(
+        policy=policy, num_nodes=num_nodes,
+        node_policy=rng.choice(["fifo", "affinity", "overlap"]),
+        cache_policy=rng.choice(["lru", "lfu", "gdsf", "predictive"]),
+        max_batch=rng.randrange(1, 12), window=rng.randrange(1, 32),
+    )
+    clean = ClusterEngine(sn40l_platform, library, record_timeline=False,
+                          **kwargs).serve(requests)
+    faults = random_schedule(
+        num_nodes, clean.makespan_s, seed=rng.randrange(1 << 30),
+        crashes=rng.randrange(1, num_nodes), slow_nodes=rng.randrange(3),
+        copy_faults=rng.randrange(3), slow_multiplier=rng.choice((1.5, 3.0)),
+    )
+    clocks = []
+    fast, reference, stops = _cluster_pair(
+        monkeypatch, library, requests, clocks=clocks, faults=faults,
+        heartbeat_s=rng.choice((0.05, clean.makespan_s / 7)),
+        record_timeline=record, **kwargs,
+    )
+    assert _drained(stops) > 0, "no group went through the columnar core"
+    _assert_same_run(fast, reference)
+    recovered = {n.detected_at for n in fast[0].nodes} - {None}
+    return not recovered.isdisjoint(clocks)
+
+
+@pytest.mark.parametrize("policy", ["steal", "least_loaded", "affinity"])
+@pytest.mark.parametrize("record", [True, False], ids=["traced", "untraced"])
+def test_fault_schedule_drain_fuzz(monkeypatch, policy, record):
+    """Crashes, slow windows and copy faults on the columnar core: the
+    t=0 drain stops at the first cluster event, and each recovery, slow
+    window edge and copy fault drains the alive nodes again. Every
+    observable is the reference run's, and recoveries re-enter."""
+    reentered = [_fault_fuzz(monkeypatch, seed, policy, record)
+                 for seed in range(4)]
+    assert any(reentered), "no drain re-entered after a recovery"
+
+
+def _fault_pair(monkeypatch, faults, **kwargs):
+    """The 4-node ``steal`` cluster of ``test_every_fault_kind_at_t0``,
+    columnar against reference, with the drains' clock times."""
+    library = build_samba_coe_library(32)
+    requests = zipf_request_stream(library, 300, seed=5)
+    clocks = []
+    fast, reference, stops = _cluster_pair(
+        monkeypatch, library, requests, num_nodes=4, faults=faults,
+        clocks=clocks, **kwargs,
+    )
+    _assert_same_run(fast, reference)
+    return fast, reference, stops, clocks
+
+
+@pytest.mark.parametrize("fault", [
+    "crash:node1:0.0", "slow:node1:0.0:0.3:2.0", "copyfail:node1:0.0:2",
+])
+@pytest.mark.parametrize("policy", ["steal", "least_loaded"])
+def test_every_fault_kind_at_t0(monkeypatch, fault, policy):
+    """A fault at t=0 runs before the t=0 drain. A crashed node's held
+    begin is a no-op there, as on the reference path: the drain must
+    skip the halted engine, not serve a group on the dead node."""
+    fast, reference, stops, _ = _fault_pair(
+        monkeypatch, [fault], policy=policy,
+    )
+    assert _drained(stops) > 0
+    if fault.startswith("crash"):
+        node = fast[0].nodes[1]
+        assert node.crashed_at == 0.0 and not node.engine.completed
+
+
+def test_slow_window_opens_and_closes_mid_run(monkeypatch):
+    """Both edges of a straggler window re-enter the drain: groups begun
+    inside it are stretched, those begun after it are not."""
+    opens, closes = 0.4, 0.7
+    fast, reference, stops, clocks = _fault_pair(
+        monkeypatch, [f"slow:node0:{opens!r}:{closes - opens!r}:3.0"],
+    )
+    assert opens in clocks and closes in clocks
+    assert max(c.finish_s for c in reference[0].completed_requests()) > closes
+
+
+def test_crash_while_a_handed_off_group_runs(monkeypatch):
+    """The t=0 drain stops at the crash, handing a long group off in
+    flight; the crash cuts it short (a ``lost`` span) and recovery
+    re-dispatches it, then drains the survivors again."""
+    library = build_samba_coe_library(3)
+    short, long_, deep = library.experts
+    requests = [
+        EngineRequest(0, short, output_tokens=4),
+        EngineRequest(1, long_, output_tokens=4000),
+        EngineRequest(2, short, output_tokens=4),
+    ]
+    requests += [EngineRequest(10 + i, long_, output_tokens=4)
+                 for i in range(5)]
+    requests += [EngineRequest(20 + i, deep, output_tokens=4)
+                 for i in range(9)]
+    kwargs = dict(num_nodes=3, max_batch=1)
+    probe = ClusterEngine(sn40l_platform, library, **kwargs)
+    probe.serve(requests)
+    node, record = next(
+        (i, c) for i, n in enumerate(probe.nodes)
+        for c in n.engine.completed if c.output_tokens == 4000
+    )
+    crash_at = (record.start_s + record.finish_s) / 2
+    clocks = []
+    fast, reference, stops = _cluster_pair(
+        monkeypatch, library, requests, clocks=clocks,
+        faults=[f"crash:node{node}:{crash_at!r}"], **kwargs,
+    )
+    _assert_same_run(fast, reference)
+    assert any(stop.current is not None and stop.current[0].requests[0]
+               .output_tokens == 4000 for stop in stops)
+    lost = reference[1].timeline.spans(f"node{node}/compute", "lost")
+    assert [span.end_s for span in lost] == [crash_at]
+    assert fast[0].nodes[node].detected_at in clocks
 
 
 def test_randomized_drain_mode_fuzz():

@@ -7,6 +7,9 @@ explicit degradation (deadline shedding is reported, never silent), and
 observability (the outage is visible as spans on the faults lane).
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.coe.cluster_engine import ClusterEngine, run_cluster
@@ -238,3 +241,71 @@ class TestValidation:
                        for s in clean_report.timeline.spans())
         assert clean_report.crashes == 0
         assert clean_report.availability == 1.0
+
+
+def _report_digest(report) -> str:
+    payload = json.dumps(report.to_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def backlog_300(library):
+    return zipf_request_stream(library, 300, seed=5)
+
+
+class TestHeartbeat:
+    """Only beats that can detect a crash run as events. The skipped
+    ones are credited to ``events_run``, and a detection lands on the
+    same accumulated beat as when every beat ran; the pinned values are
+    those of a run that scheduled every beat."""
+
+    @pytest.mark.parametrize("faults, detected, events_run, digest", [
+        (["crash:node1:0.05"], {1: 0.05}, 362, "412eb68ab772b542"),
+        (["crash:node1:0.1"], {1: 0.1}, 363, "1b4ef606350fbf50"),
+        # 0.05 added six times is 0.3, just short of this crash.
+        (["crash:node1:0.30000000000000004"], {1: 0.35}, 368,
+         "de3d360900c3bf41"),
+        (["crash:node1:0.1", "crash:node2:0.1"], {1: 0.1, 2: 0.1}, 366,
+         "ff98d79138cfe626"),
+    ])
+    @pytest.mark.parametrize("drain_mode", ["reference", "columnar"])
+    def test_detection_and_events_unchanged(
+        self, library, backlog_300, faults, detected, events_run, digest,
+        drain_mode,
+    ):
+        engine = ClusterEngine(sn40l_platform, library, 4, faults=faults,
+                               drain_mode=drain_mode)
+        report = engine.serve(backlog_300)
+        assert {n.index: n.detected_at for n in engine.nodes
+                if n.detected_at is not None} == detected
+        assert report.events_run == events_run
+        assert _report_digest(report) == digest
+
+    def test_no_op_beats_are_not_events(self, library, backlog_300):
+        engine = ClusterEngine(sn40l_platform, library, 4,
+                               faults=["crash:node1:2000.0"])
+        beats = []
+        heartbeat = engine._heartbeat
+        engine._heartbeat = lambda: (beats.append(engine.sim.now),
+                                     heartbeat())
+        report = engine.serve(backlog_300)
+        assert beats == [engine.nodes[1].detected_at]
+        # 40,000 beats up to the crash, each once an event of its own.
+        assert report.events_run == 40360
+
+
+class TestCrashAfterTraffic:
+    def test_makespan_ends_with_the_work(self, library, backlog_300):
+        """A crash after the backlog drained copies nothing: recovery
+        still reports its instant, but the makespan (work only) and the
+        throughput are the clean run's."""
+        clean = run_cluster(sn40l_platform, library, backlog_300,
+                            num_nodes=4)
+        engine = ClusterEngine(sn40l_platform, library, 4,
+                               faults=["crash:node1:2000.0"])
+        report = engine.serve(backlog_300)
+        node = engine.nodes[1]
+        assert report.makespan_s == clean.makespan_s
+        assert report.requests_per_second == clean.requests_per_second
+        assert node.recovered_at == node.detected_at > 2000.0
+        assert report.recovery_s == node.recovered_at - 2000.0

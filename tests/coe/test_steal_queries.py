@@ -8,7 +8,7 @@ here against the plain computation it replaces.
 
 import pickle
 
-from repro.coe.api import ServeConfig, build_server
+from repro.coe.cluster_engine import ClusterEngine
 from repro.coe.engine import EngineRequest, ServingEngine, zipf_request_stream
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.scheduling import ExpertPredictor, Request, RequestGroup
@@ -23,11 +23,14 @@ def _oracle_backlog_s(engine: ServingEngine) -> float:
 
 
 def test_backlog_memo_matches_fresh_sum_across_slow_window():
+    # The reference drain runs every group on events, so the hook below
+    # sees every finish, those inside the slow window included; the
+    # columnar drain would run the window on its core, hook-free.
     library = build_samba_coe_library(48)
     requests = zipf_request_stream(library, 3_000, seed=7)
-    server = build_server(
-        sn40l_platform, library,
-        ServeConfig(num_nodes=4, faults=("slow:node1:2.0:4.0:3.0",)),
+    server = ClusterEngine(
+        sn40l_platform, library, 4, faults=("slow:node1:2.0:4.0:3.0",),
+        drain_mode="reference",
     )
     engines = [node.engine for node in server.nodes]
     factors = set()
