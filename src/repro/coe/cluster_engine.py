@@ -587,15 +587,14 @@ class ClusterEngine:
         hosted = node.hosted
         # A victim queueing none of this node's experts has nothing to
         # steal; dropping it before the (stable) sort leaves the other
-        # victims in the same order.
-        victims = sorted(
-            (v for v in self.nodes
-             if v is not node and v.alive and v.engine.queue_depth >= 2
-             and v.engine.has_queued(hosted)),
-            key=lambda v: -v.engine.estimated_backlog_s(),
-        )
+        # victims in the same order, and a lone victim needs no ranking.
+        victims = [v for v in self.nodes
+                   if v is not node and v.alive and v.engine.queue_depth >= 2
+                   and v.engine.has_queued(hosted)]
+        if len(victims) > 1:
+            victims.sort(key=lambda v: -v.engine.estimated_backlog_s())
         for victim in victims:
-            group = victim.engine.steal(lambda e: e.name in hosted)
+            group = victim.engine.steal(hosted)
             if group is not None:
                 self.steals += 1
                 node.steals_in += 1
@@ -640,8 +639,7 @@ class ClusterEngine:
                 # Move roughly half the victim's queued groups of this
                 # expert; the owner keeps the rest so both replicas work.
                 move = max(1, counts[name] // 2)
-                for group in victim.engine.steal_many(
-                        lambda e: e.name == name, move):
+                for group in victim.engine.steal_many({name}, move):
                     self.steals += 1
                     node.steals_in += 1
                     node.engine.submit(group)

@@ -50,9 +50,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from operator import attrgetter, itemgetter
 from typing import (
     AbstractSet, Callable, Dict, Iterator, List, NamedTuple, Optional,
@@ -335,6 +335,11 @@ class ServingEngine:
 
     def _reset_run_state(self) -> None:
         self._queue: "deque[RequestGroup]" = deque()
+        #: Expert name -> number of queued groups: the steal queries'
+        #: index. Built on the first query and kept in step with every
+        #: queue change after it, so an engine no steal hook asks never
+        #: pays for it; ``None`` until then and after a bulk change.
+        self._queued: Optional[Dict[str, int]] = None
         self._busy = False
         self._begin_scheduled = False
         self._busy_until_s = 0.0
@@ -406,10 +411,23 @@ class ServingEngine:
 
     def queued_expert_counts(self) -> Dict[str, int]:
         """Queued group count per expert name (replication signal)."""
-        counts: Dict[str, int] = {}
-        for group in self._queue:
-            counts[group.expert.name] = counts.get(group.expert.name, 0) + 1
-        return counts
+        return dict(self._queued_counts())
+
+    def _queued_counts(self) -> Dict[str, int]:
+        """The queue's index (``_queued``), built from the queue if absent."""
+        if self._queued is None:
+            self._queued = dict(Counter(map(_EXPERT_NAME, self._queue)))
+        return self._queued
+
+    def _unqueue(self, groups: Sequence[RequestGroup]) -> None:
+        """Take ``groups``, just removed from the queue, out of its index."""
+        counts = self._queued
+        for name in map(_EXPERT_NAME, groups):
+            left = counts[name] - 1
+            if left:
+                counts[name] = left
+            else:
+                del counts[name]
 
     def _backlog(self) -> Iterator[str]:
         """Expert names of the groups not yet begun, soonest first: the
@@ -422,7 +440,7 @@ class ServingEngine:
 
     def has_queued(self, names: AbstractSet[str]) -> bool:
         """Whether any queued group's expert is named in ``names``."""
-        return not names.isdisjoint(map(_EXPERT_NAME, self._queue))
+        return not self._queued_counts().keys().isdisjoint(names)
 
     def estimated_backlog_s(self) -> float:
         """Closed-form estimate of queued + in-flight work (routing cost).
@@ -469,38 +487,43 @@ class ServingEngine:
         if self._halted:
             raise RuntimeError("cannot submit to a halted (crashed) engine")
         self._queue.append(group)
+        counts = self._queued
+        if counts is not None:
+            name = group.expert.name
+            counts[name] = counts.get(name, 0) + 1
         self._kick()
 
-    def steal(self, wanted: Callable[[ExpertProfile], bool]) -> Optional[RequestGroup]:
-        """Remove and return the latest-queued group whose expert satisfies
-        ``wanted``, or None.
+    def steal(self, names: AbstractSet[str]) -> Optional[RequestGroup]:
+        """Remove and return the latest-queued group whose expert is named
+        in ``names``, or None.
 
         Scans from the tail (the work least likely to be prefetched). The
         head is only up for grabs while the engine is busy executing —
         when idle, the head's begin event is already on the clock.
         """
-        taken = self.steal_many(wanted, 1)
+        taken = self.steal_many(names, 1)
         return taken[0] if taken else None
 
     def steal_many(
-        self, wanted: Callable[[ExpertProfile], bool], count: int
+        self, names: AbstractSet[str], count: int
     ) -> List[RequestGroup]:
-        """Remove and return up to ``count`` groups whose expert satisfies
-        ``wanted``: the groups, in the order, that ``count`` successive
+        """Remove and return up to ``count`` groups whose expert is named
+        in ``names``: the groups, in the order, that ``count`` successive
         :meth:`steal` calls would return, found in one tail-to-head pass.
         """
         queue = self._queue
         floor = 0 if self._busy else 1
-        taken: List[int] = []
-        for i in range(len(queue) - 1, floor - 1, -1):
-            if len(taken) == count:
-                break
-            if wanted(queue[i].expert):
-                taken.append(i)
+        # Positions from the tail down to the floor, at C speed.
+        taken = list(islice(compress(
+            range(len(queue) - 1, floor - 1, -1),
+            map(names.__contains__, map(_EXPERT_NAME, reversed(queue))),
+        ), count))
         groups = [queue[i] for i in taken]
         # Descending indices: each deletion leaves the later ones in place.
         for i in taken:
             del queue[i]
+        if self._queued is not None:
+            self._unqueue(groups)
         return groups
 
     def host(self, expert: ExpertProfile) -> None:
@@ -568,6 +591,7 @@ class ServingEngine:
             self._current = None
         orphans.extend(self._queue)
         self._queue.clear()
+        self._queued = None
         return orphans
 
     # ------------------------------------------------------------------
@@ -672,6 +696,8 @@ class ServingEngine:
             return
         sim = self._sim
         group = self._queue.popleft()
+        if self._queued is not None:
+            self._unqueue((group,))
         self._busy = True
         index = self._groups_started
         self._groups_started += 1
@@ -750,18 +776,24 @@ class ServingEngine:
         index: int,
     ) -> None:
         """Record one group's router/prefill/decode spans on the compute
-        lane, skipping zero-length phases."""
-        end = exec_started
-        for category, duration in zip(("router", "prefill", "decode"),
-                                      phase_times):
-            if duration > 0:
-                self._sim.record_span(
-                    f"{category}:{group.expert.name}",
-                    self.lane("compute"), category,
-                    start_s=end, end_s=end + duration,
-                    args={"group": index, "batch": group.batch},
-                )
-            end += duration
+        lane with one :meth:`Timeline.record_run`, skipping zero-length
+        phases."""
+        name = group.expert.name
+        router, prefill, decode = phase_times
+        prefill_at = exec_started + router
+        decode_at = prefill_at + prefill
+        args = {"group": index, "batch": group.batch}
+        columns = (
+            [f"router:{name}", f"prefill:{name}", f"decode:{name}"],
+            ["router", "prefill", "decode"],
+            [exec_started, prefill_at, decode_at],
+            [prefill_at, decode_at, decode_at + decode],
+            [args, args.copy(), args.copy()],
+        )
+        if not (router > 0 and prefill > 0 and decode > 0):
+            keep = [router > 0, prefill > 0, decode > 0]
+            columns = [list(compress(column, keep)) for column in columns]
+        self._sim.timeline.record_run(self.lane("compute"), *columns)
 
     def _finish_group(self) -> None:
         """Finish the executing group, then begin the next one."""
@@ -857,6 +889,7 @@ class ServingEngine:
         if cols is None:
             cols = lower_queue(self, list(self._queue))
         self._queue.clear()
+        self._queued = None
         stop = _columnar_drain(self, cols, start, horizon, times, created)
         self._queue.extend(islice(cols.groups, stop.begun, None))
         self._groups_started += stop.begun

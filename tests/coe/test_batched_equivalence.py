@@ -20,6 +20,7 @@ Most timelines are compared per lane over sorted lane names
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -241,14 +242,32 @@ def test_cluster_three_way_equivalence(policy, record):
     assert log == reference_log, log.diff(reference_log)
 
 
+def _check_queue_index(cluster):
+    """Each engine's queue index, where built, is a fresh count of its
+    queue; returns how many engines had one."""
+    built = 0
+    for node in cluster.nodes:
+        engine = node.engine
+        if engine._queued is not None:
+            assert engine._queued == Counter(
+                group.expert.name for group in engine._queue)
+            built += 1
+    return built
+
+
 def _cluster_pair(monkeypatch, library, requests, policy="steal",
-                  clocks=None, **kwargs):
+                  clocks=None, indexed=None, **kwargs):
     """The same cluster run columnar and reference, each with its
     engine, report and DecisionLog; also returns the columnar run's
     per-node ``DrainStop`` records. ``clocks``, when given, collects
-    the shared clock's time at each of those drains."""
+    the shared clock's time at each of those drains.
+
+    Both runs check every engine's queue index around each steal hook
+    and after ``serve``; ``indexed``, when given, collects the drain
+    mode and clock time of each hook that found an index built."""
     stops = []
     real = engine_module._columnar_drain
+    real_idle = ClusterEngine._node_idle
 
     def spy(engine, cols, start_at, *horizon_args):
         if clocks is not None:
@@ -257,7 +276,15 @@ def _cluster_pair(monkeypatch, library, requests, policy="steal",
         stops.append(stop)
         return stop
 
+    def idle_spy(cluster, node):
+        built = _check_queue_index(cluster)
+        real_idle(cluster, node)
+        built += _check_queue_index(cluster)
+        if indexed is not None and built:
+            indexed.append((cluster.drain_mode, cluster.sim.now))
+
     monkeypatch.setattr(engine_module, "_columnar_drain", spy)
+    monkeypatch.setattr(ClusterEngine, "_node_idle", idle_spy)
     runs = {}
     for mode in DRAIN_MODES:
         log = DecisionLog()
@@ -266,6 +293,7 @@ def _cluster_pair(monkeypatch, library, requests, policy="steal",
             decision_log=log, **kwargs,
         )
         runs[mode] = (cluster, cluster.serve(requests), log)
+        _check_queue_index(cluster)
     return runs["columnar"], runs["reference"], stops
 
 
@@ -316,14 +344,18 @@ def _cluster_fuzz(monkeypatch, policy, node_policy, cache_policy, record):
     the columnar run's ``DrainStop`` records."""
     rng = random.Random(f"{policy}:{node_policy}:{cache_policy}:{record}")
     library, requests = _mixed_workload(rng)
+    indexed = []
     fast, reference, stops = _cluster_pair(
-        monkeypatch, library, requests, policy=policy,
+        monkeypatch, library, requests, policy=policy, indexed=indexed,
         num_nodes=rng.randrange(2, 5), node_policy=node_policy,
         cache_policy=cache_policy, record_timeline=record,
         max_batch=rng.randrange(1, 12), window=rng.randrange(1, 32),
     )
     assert _drained(stops) > 0, "no group went through the columnar core"
     _assert_same_run(fast, reference)
+    if policy == "steal":
+        assert {mode for mode, _ in indexed} == set(DRAIN_MODES), \
+            "a drain mode never checked a built queue index"
     return stops
 
 
@@ -488,6 +520,27 @@ def _fault_pair(monkeypatch, faults, **kwargs):
     )
     _assert_same_run(fast, reference)
     return fast, reference, stops, clocks
+
+
+def test_queue_index_across_a_recovery(monkeypatch):
+    """Node 1 crashes after the steal tail has built the queue indexes;
+    its recovery re-dispatches onto the survivors and re-enters the
+    drain, and the indexes stay fresh counts of their queues before the
+    crash and after the re-entry, in both drain modes."""
+    library = build_samba_coe_library(32)
+    requests = zipf_request_stream(library, 300, seed=5)
+    crash_at = 1.05
+    clocks, indexed = [], []
+    fast, reference, _ = _cluster_pair(
+        monkeypatch, library, requests, num_nodes=4, clocks=clocks,
+        indexed=indexed, faults=[f"crash:node1:{crash_at!r}"],
+    )
+    _assert_same_run(fast, reference)
+    detected = fast[0].nodes[1].detected_at
+    assert detected in clocks and fast[1].redispatched_groups > 0
+    for mode in DRAIN_MODES:
+        times = [time for checked, time in indexed if checked == mode]
+        assert min(times) < crash_at < detected < max(times)
 
 
 @pytest.mark.parametrize("fault", [

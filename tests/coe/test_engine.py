@@ -10,7 +10,9 @@ from repro.coe.engine import (
     zipf_request_stream,
 )
 from repro.coe.expert import build_samba_coe_library
-from repro.coe.scheduling import Request, coalesce_groups
+from repro.coe.scheduling import Request, RequestGroup, coalesce_groups
+from repro.obs import Timeline
+from repro.sim.engine import Simulator
 from repro.systems.platforms import (
     dgx_a100_platform,
     dgx_h100_platform,
@@ -341,6 +343,39 @@ class TestRunTimeline:
         prefetches = report.timeline.spans("prefetch")
         assert len(prefetches) == report.speculative_prefetches
         assert all(s.category == "prefetch" for s in prefetches)
+
+    @pytest.mark.parametrize("phase_times", [
+        (0.001, 0.002, 0.003), (0.0, 0.002, 0.003), (0.001, 0.0, 0.0),
+        (0.0, 0.0, 0.0), (0.1, 0.2, 0.7),
+    ])
+    def test_phase_spans_match_per_span_recording(self, library,
+                                                  phase_times):
+        """A group's phase spans go in with one ``record_run``: the spans
+        one ``record`` per non-zero phase makes, each with its own args."""
+        expert = library.experts[0]
+        group = RequestGroup(
+            expert, (EngineRequest(0, expert), EngineRequest(1, expert))
+        )
+        engine = ServingEngine(
+            sn40l_platform(), library, lane_prefix="node0/",
+            simulator=Simulator(timeline=Timeline()),
+        )
+        expected = Timeline()
+        for exec_started in (0.0, 2.0):
+            engine._record_phases(group, exec_started, phase_times, 7)
+            end = exec_started
+            for category, duration in zip(("router", "prefill", "decode"),
+                                          phase_times):
+                if duration > 0:
+                    expected.record(
+                        f"{category}:{expert.name}", "node0/compute",
+                        category, end, end + duration,
+                        {"group": 7, "batch": 2},
+                    )
+                end += duration
+        spans = engine._sim.timeline.spans()
+        assert spans == expected.spans()
+        assert len({id(span.args) for span in spans}) == len(spans)
 
 
 class TestReportEdgeCases:

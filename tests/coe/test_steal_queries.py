@@ -1,12 +1,15 @@
 """The steal path's per-event queries return exactly the fresh answers.
 
 :meth:`ServingEngine.estimated_backlog_s` sums memoized exec times,
-:meth:`ServingEngine.steal_many` moves several groups in one pass and
+:meth:`ServingEngine.steal_many` moves several groups in one pass,
+:meth:`ServingEngine.has_queued` reads a per-expert index of the queue and
 :attr:`RequestGroup.phase_key` is stored at construction. Each is checked
 here against the plain computation it replaces.
 """
 
 import pickle
+import random
+from collections import Counter
 
 from repro.coe.cluster_engine import ClusterEngine
 from repro.coe.engine import EngineRequest, ServingEngine, zipf_request_stream
@@ -111,6 +114,14 @@ def _ids(groups):
     return [g.requests[0].request_id for g in groups]
 
 
+def _assert_index_fresh(engine):
+    """The engine's queue index, when built, counts exactly its queue."""
+    fresh = Counter(g.expert.name for g in engine._queue)
+    if engine._queued is not None:
+        assert engine._queued == fresh
+    assert engine.queued_expert_counts() == fresh
+
+
 def test_steal_many_matches_repeated_steal():
     library = build_samba_coe_library(3)
     a, b, c = (e.name for e in library.experts)
@@ -118,7 +129,7 @@ def test_steal_many_matches_repeated_steal():
     for busy in (False, True):
         for count in range(1, 9):
             for target in (a, b, c):
-                wanted = lambda e, t=target: e.name == t
+                wanted = {target}
                 single = _engine_with_queue(library, names, busy)
                 repeated = _engine_with_queue(library, names, busy)
                 moved = single.steal_many(wanted, count)
@@ -140,6 +151,49 @@ def test_has_queued_sees_the_whole_queue():
     assert engine.has_queued({c, b})
     assert not engine.has_queued({c})
     assert not engine.has_queued(set())
+
+
+def _predicate_steal_many(queue, busy, wanted, count):
+    """The tail-first predicate scan ``steal_many`` used to run: the
+    queue positions it would take, latest-queued first."""
+    floor = 0 if busy else 1
+    taken = []
+    for i in range(len(queue) - 1, floor - 1, -1):
+        if len(taken) == count:
+            break
+        if wanted(queue[i].expert):
+            taken.append(i)
+    return taken
+
+
+def test_steal_many_matches_the_predicate_scan():
+    """Random queues x busy/idle x name sets x counts 1-8: the name-set
+    search takes the groups the predicate scan took, in its order, and
+    the index stays a fresh count of what is left."""
+    rng = random.Random(20261018)
+    library = build_samba_coe_library(6)
+    pool = [e.name for e in library.experts]
+    cases = 0
+    for _ in range(300):
+        names = rng.choices(pool, k=rng.randrange(0, 24))
+        busy = rng.random() < 0.5
+        wanted = set(rng.sample(pool, rng.randrange(0, 4)))
+        count = rng.randrange(1, 9)
+        engine = _engine_with_queue(library, names, busy)
+        expected = [
+            engine._queue[i].requests[0].request_id
+            for i in _predicate_steal_many(
+                engine._queue, busy, lambda e: e.name in wanted, count)
+        ]
+        assert engine.has_queued(wanted) == (not wanted.isdisjoint(names))
+        assert _ids(engine.steal_many(wanted, count)) == expected
+        _assert_index_fresh(engine)
+        # The index keeps step with later submits and steals as well.
+        if len(engine._queue) > 1:
+            engine.submit(engine.steal_many(set(pool), 1)[0])
+            _assert_index_fresh(engine)
+        cases += bool(expected)
+    assert cases > 100, "too few cases stole anything"
 
 
 def test_predictor_known_names_tracks_observations():
