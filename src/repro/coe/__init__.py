@@ -47,7 +47,6 @@ from repro.coe.cluster_engine import (
     NodeSummary,
     cluster_lanes,
     run_cluster,
-    scaling_sweep,
 )
 from repro.coe.runtime import CoERuntime, RuntimeStats, SwitchEvent
 from repro.coe.cache import (
@@ -104,7 +103,7 @@ __all__ = [
     "compare_policies",
     "zipf_request_stream", "CLUSTER_POLICIES", "ClusterEngine",
     "ClusterReport", "NodeSummary", "cluster_lanes", "run_cluster",
-    "scaling_sweep", "ClusterPolicy", "DrainMode", "NodePolicy", "PolicyEnum",
+    "ClusterPolicy", "DrainMode", "NodePolicy", "PolicyEnum",
     "CACHE_POLICIES", "BeladyPolicy", "CachePolicy", "CachePolicyName",
     "GDSFPolicy", "LFUPolicy", "LRUPolicy", "PredictivePolicy",
     "make_policy",

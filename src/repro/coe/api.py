@@ -29,6 +29,7 @@ serves the batch-of-one latency path; see ``docs/SERVING_API.md``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Protocol, Sequence, Union, runtime_checkable
 
@@ -210,15 +211,16 @@ class ServeConfig:
             object.__setattr__(
                 self, "load", ArrivalSpec.from_dict(dict(self.load))
             )
-        if self.max_queue is not None and self.max_queue < 1:
+        if self.max_queue is not None:
+            check_count("max_queue", self.max_queue)
+        # Both checks are written so that NaN fails them.
+        if self.time_scale is not None and not (
+            math.isfinite(self.time_scale) and self.time_scale > 0
+        ):
             raise ValueError(
-                f"max_queue must be >= 1, got {self.max_queue}"
+                f"time_scale must be finite and > 0, got {self.time_scale}"
             )
-        if self.time_scale is not None and self.time_scale <= 0:
-            raise ValueError(
-                f"time_scale must be > 0, got {self.time_scale}"
-            )
-        if self.drain_timeout_s is not None and self.drain_timeout_s <= 0:
+        if self.drain_timeout_s is not None and not self.drain_timeout_s > 0:
             raise ValueError(
                 f"drain_timeout_s must be > 0, got {self.drain_timeout_s}"
             )

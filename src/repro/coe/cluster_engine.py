@@ -74,7 +74,7 @@ from typing import (
 from repro.coe.cache import CachePolicy, CachePolicyLike
 from repro.coe.columnar import latency_values, token_total
 from repro.coe.decisions import DecisionLog
-from repro.coe.dispatch import admission_eta, choose_node, deadline_admits
+from repro.coe.dispatch import admit, choose_node, shard_experts
 from repro.coe.engine import (
     CompletedRequest,
     EngineReentryError,
@@ -90,10 +90,10 @@ from repro.coe.policies import ClusterPolicy, DrainMode, NodePolicy
 from repro.coe.scheduling import (
     RequestGroup,
     SchedulerLike,
-    affinity_schedule,
     coalesce_groups,
     distinct_shapes,
     make_scheduler,
+    node_order,
 )
 from repro.obs import Timeline
 from repro.sim.engine import Simulator
@@ -104,7 +104,6 @@ from repro.sim.faults import (
     NodeCrash,
     SlowNode,
 )
-from repro.systems.cluster import partition_experts
 
 #: Legacy value-string tuple; :class:`repro.coe.policies.ClusterPolicy`
 #: is the typed source of truth and coerces these (kept for back-compat).
@@ -423,13 +422,10 @@ class ClusterEngine:
         #: Recovery copy ends, which the makespan covers.
         self._recovery_ends: List[float] = []
 
-        shards = [
-            s for s in partition_experts(library, num_nodes, balanced=balanced)
-            if s
-        ]
-        self.nodes: List[_Node] = []
+        shards, owners = shard_experts(library, num_nodes, balanced)
         #: Expert name -> indices of nodes hosting a replica.
-        self._owners: Dict[str, List[int]] = {}
+        self._owners: Dict[str, List[int]] = owners
+        self.nodes: List[_Node] = []
         for idx, shard in enumerate(shards):
             engine = ServingEngine(
                 platform_factory(),
@@ -463,8 +459,6 @@ class ClusterEngine:
                     else None
                 )
             self.nodes.append(node)
-            for expert in shard:
-                self._owners.setdefault(expert.name, []).append(idx)
 
         self.faults.validate_for(len(self.nodes))
         self._crashes_pending = len(self.faults.crashes)
@@ -524,40 +518,30 @@ class ClusterEngine:
         backlog plus its own execution) would bust the deadline is shed
         instead of submitted: its requests land in :attr:`rejected`.
         Callers feed groups highest-priority first so degradation sheds
-        the lowest priorities.
+        the lowest priorities. The verdict and its decision records are
+        :func:`repro.coe.dispatch.admit`'s, the live engine's too; with
+        no deadline and no decision log there is nothing to decide or
+        record, and the group goes straight to its node.
         """
         node = self._route(group)
-        decisions = self._decisions
+        engine = node.engine
+        deadline_s = self.deadline_s
+        tracked = self._admission_backlog
         # The deadline ETA and the admission-backlog increment price the
         # group with the same float, read from the node engine's
         # exec-time memo at most once per dispatch.
-        exec_s: Optional[float] = None
-        label = (
-            f"{group.expert.name}x{group.batch}"
-            if decisions is not None else ""
-        )
-        if self.deadline_s is not None:
-            exec_s = node.engine._memo_exec_time(group)
-            eta = admission_eta(now, self._backlog_s(node), exec_s)
-            admitted = deadline_admits(eta, self.deadline_s)
-            if decisions is not None:
-                # repr(eta) carries full float precision: one different
-                # bit in either backend's backlog math fails the check.
-                decisions.record(
-                    "admission", "admit", label,
-                    "admit" if admitted else "shed",
-                    detail=(node.name, repr(eta)),
-                )
-            if not admitted:
+        exec_s = 0.0
+        if deadline_s is not None or tracked is not None:
+            exec_s = engine._memo_exec_time(group)
+        if deadline_s is not None or self._decisions is not None:
+            backlog_s = 0.0 if deadline_s is None else self._backlog_s(node)
+            if not admit(group, node.name, self._decisions, deadline_s, now,
+                         backlog_s, exec_s):
                 self.rejected.extend(group.requests)
                 return False
-        if decisions is not None:
-            decisions.record("admission", "dispatch", label, node.name)
-        node.engine.submit(group)
-        if self._admission_backlog is not None:
-            if exec_s is None:
-                exec_s = node.engine._memo_exec_time(group)
-            self._admission_backlog[node.index] += exec_s
+        engine.submit(group)
+        if tracked is not None:
+            tracked[node.index] += exec_s
         return True
 
     @staticmethod
@@ -882,12 +866,11 @@ class ClusterEngine:
             )
             if self.faults.crashes:
                 self._schedule_beat(self.heartbeat_s)
-        admitted = self.scheduler.order(requests)
-        if self.node_policy == "fifo":
-            ordered = list(admitted)
-        else:
-            ordered = affinity_schedule(admitted, window=self.window)
-        groups = coalesce_groups(ordered, self.max_batch)
+        groups = coalesce_groups(
+            node_order(self.scheduler.order(requests), self.node_policy,
+                       self.window),
+            self.max_batch,
+        )
         admit = (self._priority_order(groups) if self.deadline_s is not None
                  else groups)
         # Fast path: seed every node's phase memo with one vectorized
@@ -1078,32 +1061,6 @@ def run_cluster(
     return engine.serve(requests)
 
 
-def scaling_sweep(
-    platform_factory: Callable[[], object],
-    library: ExpertLibrary,
-    requests: Sequence[EngineRequest],
-    node_counts: Sequence[int] = (1, 2, 4, 8),
-    policy: Union[str, ClusterPolicy] = "steal",
-    node_policy: Union[str, NodePolicy] = "overlap",
-    max_batch: int = 8,
-    online_replication: bool = True,
-) -> Dict[int, ClusterReport]:
-    """The scaling curve: the same backlog at each node count."""
-    reports: Dict[int, ClusterReport] = {}
-    for n in node_counts:
-        reports[n] = run_cluster(
-            platform_factory,
-            library,
-            requests,
-            num_nodes=n,
-            policy=policy,
-            node_policy=node_policy,
-            max_batch=max_batch,
-            online_replication=online_replication,
-        )
-    return reports
-
-
 __all__ = [
     "CLUSTER_POLICIES",
     "NODE_LANES",
@@ -1112,6 +1069,5 @@ __all__ = [
     "NodeSummary",
     "cluster_lanes",
     "run_cluster",
-    "scaling_sweep",
     "zipf_request_stream",
 ]

@@ -41,10 +41,11 @@ it in flight: a ``steal`` cluster drains each node that way up to the
 first instant a steal hook could act, then hands the rest to the event
 path (docs/PERFORMANCE.md, section 11).
 
-Completions land in a :class:`CompletedLog`: run segments append whole
-blocks (no per-request allocation), decision points append scalar
-``CompletedRequest`` records, and materialization back to the exact
-NamedTuples the report/consumer code sees is lazy. Latency and token
+Completions land in the node's :class:`CompletedLog`: run segments
+append whole blocks (no per-request allocation), decision points finish
+through :meth:`repro.coe.node.NodeState.finish` (scalar
+:class:`CompletedRequest` records), and materialization back to the
+exact NamedTuples the report/consumer code sees is lazy. Latency and token
 aggregation read the columns directly (``finish - arrival`` over float64
 arrays is elementwise-bitwise-equal to the scalar property).
 """
@@ -61,11 +62,12 @@ from typing import (
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from repro.coe.engine import CompletedRequest, ServingEngine
+    from repro.coe.engine import ServingEngine
     from repro.coe.scheduling import RequestGroup
 
 __all__ = [
     "CompletedLog",
+    "CompletedRequest",
     "DrainStop",
     "GroupColumns",
     "drain",
@@ -82,10 +84,26 @@ _ARRIVAL = attrgetter("arrival_s")
 _OUTPUT_TOKENS = attrgetter("output_tokens")
 
 
-def _completed_request_type():
-    from repro.coe.engine import CompletedRequest
+class CompletedRequest(NamedTuple):
+    """Completion record of one request, with its group context.
 
-    return CompletedRequest
+    A NamedTuple rather than a dataclass: the engines materialize one of
+    these per request on the hottest loop of a million-request sim, and
+    tuple construction is several times cheaper than a frozen dataclass's
+    per-field ``object.__setattr__``.
+    """
+
+    request_id: int
+    expert: str
+    batch: int
+    arrival_s: float
+    start_s: float
+    finish_s: float
+    output_tokens: int = 0
+
+    @property
+    def latency_s(self) -> float:
+        return self.finish_s - self.arrival_s
 
 
 class _Block:
@@ -116,7 +134,6 @@ class _Block:
         converts float64 to float exactly), as the scalar path does, so
         no per-request number is allocated.
         """
-        CompletedRequest = _completed_request_type()
         bounds = self.bounds.tolist()
         return [
             CompletedRequest(
@@ -420,13 +437,12 @@ def drain(
     index in ``times`` of the event that scheduled it, and 0 for a
     deferred prefetch, 1 otherwise (docs/PERFORMANCE.md, section 11).
     """
-    CompletedRequest = _completed_request_type()
     state = engine.state
     runtime = state.server.runtime
     resident = runtime.resident_map
     copy_done = state.copy_done
     predictor = state.predictor
-    log = engine.completed
+    log = state.completed
     timeline = engine._sim.timeline
     overlap = engine.policy == "overlap"
     pipelining = state.pipeline_active
@@ -557,6 +573,7 @@ def drain(
                     cols.arrivals[lo:hi],
                     cols.tokens[lo:hi],
                 )
+                state.groups_done += c
             pos = run_end
             if c < m:
                 i = pos - 1
@@ -595,15 +612,7 @@ def drain(
             if end >= horizon:
                 current = (group, exec_start, base, index)
                 break
-            if timeline is not None:
-                engine._record_phases(group, exec_start, base, index)
-            batch = len(group.requests)
-            append = log.append
-            for req in group.requests:
-                append(CompletedRequest(
-                    req.request_id, expert_name, batch, req.arrival_s,
-                    exec_start, end, req.output_tokens,
-                ))
+            state.finish(group, exec_start, base, end, index)
             if times is not None:
                 times.append(end)
                 if track:

@@ -5,8 +5,11 @@
 **byte-identical** dispatch and admission decisions for the same group
 sequence — that is the contract the sim/live cross-check enforces. The
 only way to guarantee that is to make the decision math a pure function
-of explicitly-passed policy state, with no clock in sight; both engines
-call these functions with state they maintain by identical rules:
+of explicitly-passed policy state, with no clock in sight, kept in one
+copy: :func:`shard_experts` (placement and owner map), :func:`choose_node`
+(routing) and :func:`admit` (deadline verdict and ``admission``
+records). Both engines call them with state they maintain by identical
+rules:
 
 - ``backlog_of(i)`` — the admission-logical backlog of node ``i``: the
   running float sum of every previously admitted group's execution
@@ -22,7 +25,33 @@ both backends — so even the tie-breaks agree bit for bit.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
+
+from repro.systems.cluster import partition_experts
+
+if TYPE_CHECKING:
+    from repro.coe.decisions import DecisionLog
+    from repro.coe.expert import ExpertLibrary, ExpertProfile
+    from repro.coe.scheduling import RequestGroup
+
+
+def shard_experts(
+    library: "ExpertLibrary", num_nodes: int, balanced: bool = True
+) -> Tuple[List[List["ExpertProfile"]], Dict[str, List[int]]]:
+    """The non-empty shards of :func:`partition_experts` (node ``i``
+    serves shard ``i``) and the owner map: expert name -> indices of the
+    nodes hosting it."""
+    shards = [
+        shard for shard in partition_experts(library, num_nodes, balanced)
+        if shard
+    ]
+    owners: Dict[str, List[int]] = {}
+    for index, shard in enumerate(shards):
+        for expert in shard:
+            owners.setdefault(expert.name, []).append(index)
+    return shards, owners
 
 
 def choose_node(
@@ -65,4 +94,41 @@ def deadline_admits(eta: float, deadline_s: Optional[float]) -> bool:
     return deadline_s is None or eta <= deadline_s
 
 
-__all__ = ["admission_eta", "choose_node", "deadline_admits"]
+def admit(
+    group: "RequestGroup",
+    node: str,
+    decisions: Optional["DecisionLog"],
+    deadline_s: Optional[float],
+    now: float,
+    backlog_s: float,
+    exec_s: float,
+) -> bool:
+    """Whether ``group`` is admitted to the chosen ``node``.
+
+    With a ``deadline_s`` its ETA (``now`` + the node's ``backlog_s`` +
+    its ``exec_s``) must meet the deadline; without one those three are
+    not read. ``decisions`` gets the verdict on its ``admission``
+    stream: ``admit`` (admit/shed, detail ``(node, repr(eta))`` — full
+    float precision, so one different bit in either backend's backlog
+    math fails the cross-check) when there is a deadline, then
+    ``dispatch`` for an admitted group.
+    """
+    label = f"{group.expert.name}x{group.batch}"
+    if deadline_s is not None:
+        eta = admission_eta(now, backlog_s, exec_s)
+        admitted = deadline_admits(eta, deadline_s)
+        if decisions is not None:
+            decisions.record("admission", "admit", label,
+                             "admit" if admitted else "shed",
+                             detail=(node, repr(eta)))
+        if not admitted:
+            return False
+    if decisions is not None:
+        decisions.record("admission", "dispatch", label, node)
+    return True
+
+
+__all__ = [
+    "admission_eta", "admit", "choose_node", "deadline_admits",
+    "shard_experts",
+]

@@ -49,19 +49,19 @@ which is what cluster-level work stealing and online replication drive.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import attrgetter, itemgetter
 from typing import (
-    AbstractSet, Callable, Dict, Iterator, List, NamedTuple, Optional,
+    AbstractSet, Callable, Dict, Iterator, List, Optional,
     Sequence, Tuple, Union,
 )
 
 from repro.coe.cache import CachePolicyLike
 from repro.coe.columnar import (
     CompletedLog,
+    CompletedRequest,  # re-exported: callers import it from this module
     GroupColumns,
     drain as _columnar_drain,
     latency_values,
@@ -71,14 +71,14 @@ from repro.coe.decisions import DecisionLog
 from repro.coe.expert import ExpertLibrary, ExpertProfile
 from repro.coe.metrics import summarize_latencies
 from repro.coe.node import NodeState
-from repro.coe.policies import DrainMode, NodePolicy
+from repro.coe.policies import DrainMode, NodePolicy, check_count
 from repro.coe.scheduling import (
     RequestGroup,
     SchedulerLike,
-    affinity_schedule,
     coalesce_groups,
     distinct_shapes,
     make_scheduler,
+    node_order,
 )
 from repro.obs import Timeline
 from repro.sim.clock import EventSource
@@ -91,28 +91,6 @@ POLICIES = NodePolicy.values()
 
 _PHASE_KEY = attrgetter("phase_key")
 _EXPERT_NAME = attrgetter("expert.name")
-
-
-def check_count(name: str, value: object) -> int:
-    """Return ``value`` as an ``int`` count, or raise ``ValueError``.
-
-    A count (nodes, batch size, window, replicas) must be an integer of
-    at least 1. ``bool`` is refused even though it is an ``int``
-    (``num_nodes=True`` would quietly mean one node), as is anything
-    :func:`operator.index` refuses (``2.5``, ``"2"``); numpy integers
-    pass.
-    """
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(
-            f"{name} must be an integer, got {value!r}"
-        ) from None
-    if count < 1:
-        raise ValueError(f"{name} must be >= 1, got {count}")
-    return count
 
 
 class EngineReentryError(RuntimeError):
@@ -141,28 +119,6 @@ class EngineRequest:
     #: Admission-control rank: under deadline pressure (node loss, SLO
     #: shedding) lower-priority requests are shed first.
     priority: int = 0
-
-
-class CompletedRequest(NamedTuple):
-    """Completion record of one request, with its group context.
-
-    A NamedTuple rather than a dataclass: the engine materializes one of
-    these per request on the hottest loop of a million-request sim, and
-    tuple construction is several times cheaper than a frozen dataclass's
-    per-field ``object.__setattr__``.
-    """
-
-    request_id: int
-    expert: str
-    batch: int
-    arrival_s: float
-    start_s: float
-    finish_s: float
-    output_tokens: int = 0
-
-    @property
-    def latency_s(self) -> float:
-        return self.finish_s - self.arrival_s
 
 
 @dataclass(frozen=True)
@@ -349,14 +305,7 @@ class ServingEngine:
         #: painting phantom compute past its death.
         self._current: Optional[tuple] = None
         self._groups_started = 0
-        self.groups_done = 0
         self.speculative_prefetches = 0
-        #: Completion store: columnar runs append whole blocks, and its
-        #: bound ``append`` keeps every scalar finish (decision points,
-        #: the event path) as cheap as appending to a plain list.
-        #: Consumers see per-request :class:`CompletedRequest` records in
-        #: completion order.
-        self.completed = CompletedLog()
         #: Fail-stop flag: a halted engine ignores every already-scheduled
         #: simulator callback (crash semantics — see ``halt``).
         self._halted = False
@@ -388,7 +337,7 @@ class ServingEngine:
         """
         self._sim = simulator
         self._reset_run_state()
-        self.state.reset(simulator.record_span)
+        self.state.reset(simulator.record_span, simulator.timeline)
 
     def unbind(self) -> None:
         self._sim = None
@@ -403,6 +352,17 @@ class ServingEngine:
     @property
     def busy(self) -> bool:
         return self._busy
+
+    @property
+    def completed(self) -> CompletedLog:
+        """This node's per-request :class:`CompletedRequest` records, in
+        completion order (:attr:`NodeState.completed`)."""
+        return self.state.completed
+
+    @property
+    def groups_done(self) -> int:
+        """Groups this node has finished (:attr:`NodeState.groups_done`)."""
+        return self.state.groups_done
 
     @property
     def last_queued_expert(self) -> Optional[str]:
@@ -595,11 +555,6 @@ class ServingEngine:
         return orphans
 
     # ------------------------------------------------------------------
-    def _order(self, requests: Sequence[EngineRequest]) -> List[EngineRequest]:
-        if self.policy == "fifo":
-            return list(requests)
-        return affinity_schedule(requests, window=self.window)
-
     def _group_phase_times(self, group: RequestGroup) -> Tuple[float, float, float]:
         """(router_s, prefill_s, decode_s) of one batched group."""
         router, prefill, decode = self.state.phase_times(group)
@@ -768,33 +723,6 @@ class ServingEngine:
         else:
             state.demand_copy(nxt, now, speculative=True)
 
-    def _record_phases(
-        self,
-        group: RequestGroup,
-        exec_started: float,
-        phase_times: Tuple[float, float, float],
-        index: int,
-    ) -> None:
-        """Record one group's router/prefill/decode spans on the compute
-        lane with one :meth:`Timeline.record_run`, skipping zero-length
-        phases."""
-        name = group.expert.name
-        router, prefill, decode = phase_times
-        prefill_at = exec_started + router
-        decode_at = prefill_at + prefill
-        args = {"group": index, "batch": group.batch}
-        columns = (
-            [f"router:{name}", f"prefill:{name}", f"decode:{name}"],
-            ["router", "prefill", "decode"],
-            [exec_started, prefill_at, decode_at],
-            [prefill_at, decode_at, decode_at + decode],
-            [args, args.copy(), args.copy()],
-        )
-        if not (router > 0 and prefill > 0 and decode > 0):
-            keep = [router > 0, prefill > 0, decode > 0]
-            columns = [list(compress(column, keep)) for column in columns]
-        self._sim.timeline.record_run(self.lane("compute"), *columns)
-
     def _finish_group(self) -> None:
         """Finish the executing group, then begin the next one."""
         if self._halted or self._current is None:
@@ -808,21 +736,11 @@ class ServingEngine:
             self._notify_idle()
 
     def _complete_current(self, finish_s: float) -> RequestGroup:
-        """Record the executing group, finished at ``finish_s``: its
-        phase spans and completion records."""
+        """Finish the executing group at ``finish_s``
+        (:meth:`NodeState.finish`)."""
         group, exec_started, phase_times, index = self._current
         self._current = None
-        if self._sim.timeline is not None:
-            self._record_phases(group, exec_started, phase_times, index)
-        expert_name = group.expert.name
-        batch = group.batch
-        append = self.completed.append
-        for req in group.requests:
-            append(CompletedRequest(
-                req.request_id, expert_name, batch, req.arrival_s,
-                exec_started, finish_s, req.output_tokens,
-            ))
-        self.groups_done += 1
+        self.state.finish(group, exec_started, phase_times, finish_s, index)
         self._busy = False
         return group
 
@@ -894,7 +812,6 @@ class ServingEngine:
         self._queue.extend(islice(cols.groups, stop.begun, None))
         self._groups_started += stop.begun
         done = stop.begun - (stop.current is not None)
-        self.groups_done += done
         events: List[tuple] = []
         if stop.current is None:
             self._begin_scheduled = True
@@ -951,7 +868,9 @@ class ServingEngine:
         if not requests:
             raise ValueError("empty request backlog")
         admitted = self.scheduler.order(requests)
-        groups = coalesce_groups(self._order(admitted), self.max_batch)
+        groups = coalesce_groups(
+            node_order(admitted, self.policy, self.window), self.max_batch
+        )
         timeline = Timeline() if self.record_timeline else None
         sim = Simulator(timeline=timeline)
         self.bind(sim)

@@ -9,10 +9,13 @@ and a graceful drain on shutdown — while making **byte-identical policy
 decisions** to the sim backend for the same request stream:
 
 - Grouping goes through :class:`repro.coe.scheduling.GroupAssembler`,
-  the proven streaming equivalent of the batch pipeline's
-  ``coalesce_groups(affinity_schedule(...))``.
-- Node choice and deadline admission go through the pure decision core
-  (:mod:`repro.coe.dispatch`) over a mirror of the sim's
+  which closes each window through the sim's own
+  ``coalesce_groups(node_order(...))`` and releases a group as soon as
+  a later arrival closes it.
+- Sharding, node choice and deadline admission are the sim's own
+  functions (:func:`repro.coe.dispatch.shard_experts`,
+  :func:`~repro.coe.dispatch.choose_node`,
+  :func:`~repro.coe.dispatch.admit`), run over a mirror of the sim's
   admission-logical state: monotone per-node backlog sums and queue-tail
   experts, fed by the same :meth:`repro.coe.node.NodeState.phase_times`
   floats. Like the sim (where every request is backlogged at t=0),
@@ -23,7 +26,10 @@ decisions** to the sim backend for the same request stream:
   cache decision inside :meth:`repro.coe.runtime.CoERuntime.activate`,
   the demand copy on the node's DMA cursor and the pipelined-promotion
   peek. The worker only sleeps to the step's planned exec start and
-  streams tokens.
+  streams tokens, then ends the group with
+  :meth:`~repro.coe.node.NodeState.finish`, the sim's group end: phase
+  spans and completion records go into the node's state as the sim
+  writes them.
 
 The cross-check (:mod:`repro.coe.crosscheck`) runs both backends over a
 recorded trace and diffs their :class:`~repro.coe.decisions.DecisionLog`
@@ -47,24 +53,19 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
-    Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Set,
+    Callable, Deque, List, NamedTuple, Optional, Sequence, Set,
     TYPE_CHECKING,
 )
 
 from repro.coe.decisions import DecisionLog
-from repro.coe.dispatch import admission_eta, choose_node, deadline_admits
-from repro.coe.engine import (
-    _EXPERT_NAME,
-    CompletedRequest,
-    EngineRequest,
-)
+from repro.coe.dispatch import admit, choose_node, shard_experts
+from repro.coe.engine import _EXPERT_NAME, EngineRequest
 from repro.coe.expert import ExpertLibrary
 from repro.coe.metrics import summarize_latencies
 from repro.coe.node import NodeState
 from repro.coe.scheduling import GroupAssembler, RequestGroup, make_scheduler
 from repro.obs import Timeline
 from repro.sim.clock import WallClock
-from repro.systems.cluster import partition_experts
 
 if TYPE_CHECKING:  # avoid the api <-> live_engine import cycle
     from repro.coe.api import PlatformLike, ServeConfig
@@ -130,8 +131,6 @@ class _LiveNode:
     #: start_s, end_s, args); the worker records them once it has slept
     #: to the group's exec start.
     booked: List[tuple] = field(default_factory=list)
-    completed: List[CompletedRequest] = field(default_factory=list)
-    groups_done: int = 0
 
 
 @dataclass(frozen=True)
@@ -288,18 +287,9 @@ class LiveEngine:
 
         factory = platform if callable(platform) else (lambda: platform)
         self.nodes: List[_LiveNode] = []
-        #: Expert name -> indices of nodes hosting a replica.
-        self._owners: Dict[str, List[int]] = {}
-        if config.wants_cluster:
-            # Mirror ClusterEngine's sharding (and its ExpertServer
-            # defaults — reserved_hbm_bytes is a single-node-only knob).
-            shards = [
-                s for s in partition_experts(
-                    library, config.num_nodes, balanced=True
-                ) if s
-            ]
-        else:
-            shards = [list(library.experts)]
+        # ClusterEngine's sharding; a single node serves the library
+        # itself, with the single-node-only reserved_hbm_bytes knob.
+        shards, self._owners = shard_experts(library, config.num_nodes)
         for idx, shard in enumerate(shards):
             pending: Deque[RequestGroup] = deque()
             state = NodeState(
@@ -324,10 +314,8 @@ class LiveEngine:
                 hosted={e.name for e in shard},
                 pending=pending,
             )
-            state.reset(partial(self._book, node))
+            state.reset(partial(self._book, node), self.timeline)
             self.nodes.append(node)
-            for expert in shard:
-                self._owners.setdefault(expert.name, []).append(idx)
         self.cache_policy = self.nodes[0].state.server.runtime.policy.name
 
     @property
@@ -337,10 +325,6 @@ class LiveEngine:
     # ------------------------------------------------------------------
     # Admission (the dispatcher task)
     # ------------------------------------------------------------------
-    def _group_exec_time(self, node: _LiveNode, group: RequestGroup) -> float:
-        router, prefill, decode = node.state.phase_times(group)
-        return router + prefill + decode
-
     def _shed(self, group: RequestGroup, reason: str) -> None:
         name = group.expert.name
         for req in group.requests:
@@ -349,16 +333,18 @@ class LiveEngine:
             )
 
     def _admit(self, group: RequestGroup) -> None:
-        """Route one closed group — the sim's ``_dispatch``, re-clocked.
+        """Route and admit one closed group — the sim's ``_dispatch``,
+        re-clocked.
 
-        Same pure decision core, same logical state, same record shapes;
-        ETAs are evaluated at logical ``now = 0.0`` exactly like the
-        sim's all-backlogged-at-t0 admission, so ``repr(eta)`` matches
-        bit for bit. A full queue sheds with ``backpressure`` *after*
-        the dispatch decision and still advances the logical backlog and
-        tail — the decision stream stays sim-identical even under shed
-        (the cache streams cannot, which is why the cross-check pins
-        ``max_queue`` high enough to never shed).
+        Same functions (:func:`choose_node`, :func:`admit`), same
+        logical state; ETAs are evaluated at logical ``now = 0.0``
+        exactly like the sim's all-backlogged-at-t0 admission, so
+        ``repr(eta)`` matches bit for bit. A full queue sheds with
+        ``backpressure`` *after* the dispatch decision and still
+        advances the logical backlog and tail — the decision stream
+        stays sim-identical even under shed (the cache streams cannot,
+        which is why the cross-check pins ``max_queue`` high enough to
+        never shed).
         """
         name = group.expert.name
         owners = self._owners.get(name)
@@ -372,23 +358,15 @@ class LiveEngine:
             affinity=self.cluster_policy == "affinity",
         )
         node = self.nodes[index]
-        decisions = self._decisions if self._record_admission else None
-        label = f"{name}x{group.batch}"
-        exec_s = self._group_exec_time(node, group)
-        if self.deadline_s is not None:
-            eta = admission_eta(0.0, node.backlog_s, exec_s)
-            admitted = deadline_admits(eta, self.deadline_s)
-            if decisions is not None:
-                decisions.record(
-                    "admission", "admit", label,
-                    "admit" if admitted else "shed",
-                    detail=(node.name, repr(eta)),
-                )
-            if not admitted:
-                self._shed(group, "deadline")
-                return
-        if decisions is not None:
-            decisions.record("admission", "dispatch", label, node.name)
+        router, prefill, decode = node.state.phase_times(group)
+        exec_s = router + prefill + decode
+        if not admit(
+            group, node.name,
+            self._decisions if self._record_admission else None,
+            self.deadline_s, 0.0, node.backlog_s, exec_s,
+        ):
+            self._shed(group, "deadline")
+            return
         try:
             node.queue.put_nowait(group)
         except asyncio.QueueFull:
@@ -423,14 +401,15 @@ class LiveEngine:
         """Run one group: the node's group step plans it, and the worker
         sleeps to the plan's exec start, then streams its tokens."""
         clock = self.clock
-        expert = group.expert
         # This group begins: drop it off the pending mirror so the
         # lookahead backlog window and the pipelining peek see only the
         # not-yet-begun groups, exactly like the sim's popped queue.
         node.pending.popleft()
         nxt = node.pending[0].expert if node.pending else None
-        router_s, prefill_s, decode_s = node.state.phase_times(group)
-        await clock.sleep_until(node.state.begin(group, nxt, clock.now))
+        state = node.state
+        phase_times = state.phase_times(group)
+        router_s, prefill_s, decode_s = phase_times
+        await clock.sleep_until(state.begin(group, nxt, clock.now))
         for name, lane, category, start, end, args in node.booked:
             clock.record_span(
                 name, lane, category, start_s=start, end_s=end, args=args
@@ -450,7 +429,7 @@ class LiveEngine:
             step_s = decode_s / steps
             decode_start = clock.now
             node_name = node.name
-            expert_name = expert.name
+            expert_name = group.expert.name
             for step in range(steps):
                 await clock.sleep_until(decode_start + step_s * (step + 1))
                 now = clock.now
@@ -462,33 +441,12 @@ class LiveEngine:
                         self._tokens_streamed += 1
         else:
             await clock.sleep(decode_s)
-        finish = clock.now
         # Phase spans at their planned model durations, anchored at the
         # actual start — wall jitter shifts spans, never stretches them.
-        end = exec_start
-        for category, duration in zip(
-            ("router", "prefill", "decode"), (router_s, prefill_s, decode_s)
-        ):
-            if duration > 0:
-                clock.record_span(
-                    f"{category}:{expert.name}", node.state.lane("compute"),
-                    category, start_s=end, end_s=end + duration,
-                    args={"group": node.groups_done, "batch": group.batch},
-                )
-            end += duration
-        expert_name = expert.name
-        batch = group.batch
-        for req in group.requests:
-            node.completed.append(CompletedRequest(
-                request_id=req.request_id,
-                expert=expert_name,
-                batch=batch,
-                arrival_s=req.arrival_s,
-                start_s=exec_start,
-                finish_s=finish,
-                output_tokens=req.output_tokens,
-            ))
-        node.groups_done += 1
+        # A node runs its groups one at a time, so the count finished
+        # is this group's index, as the sim's begin count is.
+        state.finish(group, exec_start, phase_times, clock.now,
+                     state.groups_done)
 
     def _book(self, node: _LiveNode, name, lane, category, *, start_s,
               end_s, args) -> None:
@@ -568,7 +526,7 @@ class LiveEngine:
                 name, lane, category,
                 start_s=start, end_s=min(done, makespan), args=args,
             )
-        completed = [c for node in self.nodes for c in node.completed]
+        completed = [c for node in self.nodes for c in node.state.completed]
         if drained and len(completed) + len(self.shed) != len(requests):
             raise RuntimeError(
                 f"live engine lost requests: {len(completed)} completed + "

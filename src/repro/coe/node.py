@@ -1,37 +1,44 @@
-"""One serving node's cache and DMA state, shared by every serving path.
+"""One serving node's cache, DMA and completion state, shared by every
+serving path.
 
 Each expert group a node serves goes through the same sequence: route,
-switch the expert into HBM over the DDR->HBM DMA, then prefill and
-decode. :class:`NodeState` holds the cache-and-DMA half of it once for
-the reference drain (:meth:`repro.coe.engine.ServingEngine._begin_next`),
-the columnar drain's decision points (:mod:`repro.coe.columnar`) and the
-live worker (:mod:`repro.coe.live_engine`): the node's
-:class:`ExpertServer` (cost model + expert cache) with its phase-time
-memo, its :class:`ExpertPredictor`, and its single DMA path.
+switch the expert into HBM over the DDR->HBM DMA, prefill and decode,
+finish. :class:`NodeState` holds the per-node half of it once for the
+reference drain, the columnar drain's decision points
+(:mod:`repro.coe.columnar`) and the live worker
+(:mod:`repro.coe.live_engine`): the node's :class:`ExpertServer` (cost
+model + expert cache) with its phase-time memo, its
+:class:`ExpertPredictor`, its single DMA path and its completion log.
+:meth:`NodeState.begin` starts a group and :meth:`NodeState.finish`
+ends it; columnar run blocks are the log's one other writer.
 
 It never reads a clock. Every step takes ``now`` from its caller and
-books its spans through the sink the caller installs with
-:meth:`NodeState.reset` — a simulator's ``record_span``, or the live
-worker's buffer, which it records once wall time reaches the span.
+books its spans through what the caller installs with
+:meth:`NodeState.reset`: DMA spans through a simulator's
+``record_span`` or the live worker's buffer (recorded once wall time
+reaches the span), phase spans on the run's timeline.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.coe.cache import CachePolicyLike, LookaheadPolicy, PredictivePolicy
+from repro.coe.columnar import CompletedLog, CompletedRequest
 from repro.coe.decisions import DecisionLog
 from repro.coe.expert import ExpertLibrary, ExpertProfile
 from repro.coe.scheduling import ExpertPredictor, RequestGroup
 from repro.coe.serving import ExpertServer
+from repro.obs import Timeline
 from repro.systems.platforms import Platform
 
 __all__ = ["NodeState"]
 
 
 class NodeState:
-    """A node's server, predictor, phase memo and DMA state, and its
-    group step.
+    """A node's server, predictor, phase memo, DMA state and completion
+    log, and its group step.
 
     ``backlog`` supplies the expert names of the groups not yet begun,
     soonest first: a ``lookahead`` cache policy reads it as its window.
@@ -80,20 +87,31 @@ class NodeState:
             runtime.attach_decisions(
                 decision_log, lane_prefix.rstrip("/") or "node0"
             )
-        self.reset(None)
+        self.reset(None, None)
 
     def lane(self, base: str) -> str:
         """The timeline lane this node uses for ``base`` activity."""
         return f"{self.lane_prefix}{base}"
 
-    def reset(self, record_span: Optional[Callable[..., object]]) -> None:
-        """Clear the DMA state and book spans through ``record_span``.
+    def reset(
+        self,
+        record_span: Optional[Callable[..., object]],
+        timeline: Optional[Timeline],
+    ) -> None:
+        """Clear the DMA state and the completion log; book DMA spans
+        through ``record_span`` and phase spans on ``timeline`` (none
+        without one).
 
         The sink takes :meth:`repro.sim.engine.Simulator.record_span`'s
         arguments (always with ``start_s``, ``end_s`` and ``args``). The
         server's cache and the predictor are not reset.
         """
         self.record_span = record_span
+        self.timeline = timeline
+        #: Per-request completion records, in completion order.
+        self.completed = CompletedLog()
+        #: Groups finished, columnar run blocks included.
+        self.groups_done = 0
         #: When the (single) DMA path next frees up: demand copies and
         #: pipelined promotions queue behind each other on it.
         self.dma_free_s = 0.0
@@ -167,6 +185,47 @@ class NodeState:
         if self.pipeline_active and next_expert is not None:
             self.promote_next(next_expert, now)
         return exec_start
+
+    def finish(
+        self,
+        group: RequestGroup,
+        exec_start: float,
+        phase_times: Tuple[float, float, float],
+        finish_s: float,
+        index: int,
+    ) -> None:
+        """End the group: record its router/prefill/decode spans on the
+        compute lane with one :meth:`Timeline.record_run` (zero-length
+        phases skipped), then log one :class:`CompletedRequest` per
+        request, started at ``exec_start`` and finished at ``finish_s``.
+        """
+        name = group.expert.name
+        requests = group.requests
+        batch = len(requests)
+        timeline = self.timeline
+        if timeline is not None:
+            router, prefill, decode = phase_times
+            prefill_at = exec_start + router
+            decode_at = prefill_at + prefill
+            args = {"group": index, "batch": batch}
+            columns = (
+                [f"router:{name}", f"prefill:{name}", f"decode:{name}"],
+                ["router", "prefill", "decode"],
+                [exec_start, prefill_at, decode_at],
+                [prefill_at, decode_at, decode_at + decode],
+                [args, args.copy(), args.copy()],
+            )
+            if not (router > 0 and prefill > 0 and decode > 0):
+                keep = [router > 0, prefill > 0, decode > 0]
+                columns = [list(compress(column, keep)) for column in columns]
+            timeline.record_run(self.lane("compute"), *columns)
+        append = self.completed.append
+        for req in requests:
+            append(CompletedRequest(
+                req.request_id, name, batch, req.arrival_s,
+                exec_start, finish_s, req.output_tokens,
+            ))
+        self.groups_done += 1
 
     def flush_speculation(self, now: float) -> None:
         """Close any in-flight speculative copy span at ``now``.

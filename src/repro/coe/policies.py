@@ -18,6 +18,7 @@ are unchanged: engines store ``NodePolicy.coerce(p).value`` internally.
 from __future__ import annotations
 
 import enum
+import operator
 from typing import Union
 
 
@@ -150,7 +151,29 @@ class SchedulerName(PolicyEnum):
     EXPERT_REORDER = "expert_reorder"
 
 
+def check_count(name: str, value: object) -> int:
+    """Return ``value`` as an ``int`` count, or raise ``ValueError``.
+
+    A count (nodes, batch size, window, replicas) must be an integer of
+    at least 1. ``bool`` is refused even though it is an ``int``
+    (``num_nodes=True`` would quietly mean one node), as is anything
+    :func:`operator.index` refuses (``2.5``, ``"2"``); numpy integers
+    pass.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return count
+
+
 __all__ = [
     "CachePolicyName", "ClusterPolicy", "DrainMode", "NodePolicy",
-    "PolicyEnum", "SchedulerName", "ServeMode",
+    "PolicyEnum", "SchedulerName", "ServeMode", "check_count",
 ]

@@ -8,8 +8,10 @@ architecture enables):
   group requests that need the same expert so one DDR->HBM copy serves
   several generations. The three-tier design makes switches cheap, but a
   hit is still free; affinity turns random arrival streams into runs of
-  hits. :func:`affinity_schedule`, :func:`coalesce_groups` and the
-  streaming :class:`GroupAssembler` build the groups the engines run.
+  hits. :func:`node_order` (:func:`affinity_schedule` unless ``fifo``)
+  and :func:`coalesce_groups` build the groups the sim engines run; the
+  live engine's streaming :class:`GroupAssembler` builds the same
+  groups through the same two functions, one window at a time.
 - **Expert prediction** — :class:`ExpertPredictor` ranks the experts
   most likely to be routed next. Speculative prefetch itself is the
   engines' ``overlap`` node policy
@@ -28,7 +30,7 @@ from typing import (
 )
 
 from repro.coe.expert import ExpertProfile
-from repro.coe.policies import NodePolicy, SchedulerName
+from repro.coe.policies import NodePolicy, SchedulerName, check_count
 
 
 @dataclass(frozen=True)
@@ -278,26 +280,34 @@ def coalesce_groups(
     return groups
 
 
-class GroupAssembler:
-    """Streaming equivalent of ``coalesce_groups(affinity_schedule(...))``.
+def node_order(
+    requests: Sequence[Request], policy: Union[str, NodePolicy], window: int
+) -> List[Request]:
+    """The order a node policy serves ``requests`` in.
 
-    The batch pipeline needs the whole backlog up front; an open-loop
-    front end (the live serving engine, or the sim fed by an arrival
-    trace) sees requests one at a time. This assembler ingests requests
-    incrementally and emits exactly the groups the batch pipeline would
-    have built — provably, because both halves of that pipeline are
-    already streaming-shaped: :func:`affinity_schedule` is chunk-local
-    (it only ever reorders within one ``window``-sized chunk), and
-    :func:`coalesce_groups` is a single left-to-right scan whose only
-    state is the open run. So buffering one window, reordering it, and
-    feeding it through a persistent run-coalescer reproduces the batch
-    output group for group — the equivalence property the scheduling
-    tests assert, and the reason sim and live backends see the same
-    group sequence for the same arrivals.
+    Arrival order under ``fifo`` (:func:`affinity_schedule` with a
+    window of one, without building a chunk per request), else
+    :func:`affinity_schedule` over ``window``-sized chunks.
+    """
+    if NodePolicy.coerce(policy) is NodePolicy.FIFO:
+        return list(requests)
+    return affinity_schedule(requests, window=window)
+
+
+class GroupAssembler:
+    """Streaming form of ``coalesce_groups(node_order(...))``, for a
+    front end that sees requests one at a time (the live engine).
+
+    :func:`node_order` only reorders within one ``window``-sized chunk
+    and :func:`coalesce_groups` is a left-to-right scan whose only state
+    is the open run. So the assembler buffers one window (one request
+    under ``fifo``) and, when it fills, groups the open run plus the
+    window with those two functions: every group but the last is
+    closed, and the last, which may still grow, is the new open run.
+    The batch pipeline's groups come out, each once an arrival closes it.
 
     ``policy`` is a :class:`repro.coe.policies.NodePolicy` member or
-    value (anything else raises ``ValueError``); ``fifo`` skips the
-    window reorder entirely (matching ``ServingEngine._order``).
+    value (anything else raises ``ValueError``).
     """
 
     def __init__(
@@ -306,61 +316,32 @@ class GroupAssembler:
         window: int = 16,
         max_batch: int = 8,
     ) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.policy = NodePolicy.coerce(policy).value
-        self.window = window
-        self.max_batch = max_batch
-        #: The partially-filled reordering window (non-fifo only).
-        self._pending: List[Request] = []
-        #: The open same-expert run, possibly spanning window boundaries.
-        self._run: List[Request] = []
-
-    def _close_run(self) -> RequestGroup:
-        group = RequestGroup(self._run[0].expert, tuple(self._run))
-        self._run = []
-        return group
-
-    def _feed(self, request: Request, out: List[RequestGroup]) -> None:
-        """One step of the streaming coalescer (coalesce_groups' loop)."""
-        if self._run and (
-            request.expert.name != self._run[0].expert.name
-            or len(self._run) >= self.max_batch
-        ):
-            out.append(self._close_run())
-        self._run.append(request)
-
-    def _drain_window(self, out: List[RequestGroup]) -> None:
-        chunk = self._pending
-        self._pending = []
-        groups: "OrderedDict[str, List[Request]]" = OrderedDict()
-        for request in chunk:
-            groups.setdefault(request.expert.name, []).append(request)
-        for run in groups.values():
-            for request in run:
-                self._feed(request, out)
+        self.window = check_count("window", window)
+        self.max_batch = check_count("max_batch", max_batch)
+        #: Arrivals per release: fifo reorders nothing.
+        self._release_at = 1 if self.policy == "fifo" else window
+        self._pending: List[Request] = []  # the filling window
+        self._run: List[Request] = []  # the open run, maybe across windows
 
     def push(self, request: Request) -> List[RequestGroup]:
         """Ingest one request; returns the groups this arrival closed."""
-        out: List[RequestGroup] = []
-        if self.policy == "fifo":
-            self._feed(request, out)
-            return out
         self._pending.append(request)
-        if len(self._pending) >= self.window:
-            self._drain_window(out)
-        return out
+        if len(self._pending) < self._release_at:
+            return []
+        groups = self.flush()
+        self._run = list(groups.pop().requests)
+        return groups
 
     def flush(self) -> List[RequestGroup]:
-        """End of stream: close the partial window and the open run."""
-        out: List[RequestGroup] = []
-        if self._pending:
-            self._drain_window(out)
-        if self._run:
-            out.append(self._close_run())
-        return out
+        """End of stream: group the partial window and the open run."""
+        groups = coalesce_groups(
+            self._run + node_order(self._pending, self.policy, self.window),
+            self.max_batch,
+        )
+        self._pending = []
+        self._run = []
+        return groups
 
 
 # ----------------------------------------------------------------------

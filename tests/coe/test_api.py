@@ -309,6 +309,14 @@ class TestServeModeErrors:
         {"max_queue": 0},
         {"time_scale": 0.0},
         {"drain_timeout_s": 0.0},
+        # max_queue is a count: a bool or a non-integral value is refused.
+        pytest.param({"max_queue": 2.5}, id="max_queue-float"),
+        pytest.param({"max_queue": True}, id="max_queue-bool"),
+        # NaN passes ``<= 0``; an infinite time scale never wakes.
+        pytest.param({"time_scale": float("nan")}, id="time_scale-nan"),
+        pytest.param({"time_scale": float("inf")}, id="time_scale-inf"),
+        pytest.param({"drain_timeout_s": float("nan")},
+                     id="drain_timeout_s-nan"),
     ])
     def test_bad_live_values_rejected(self, kwargs):
         with pytest.raises(ValueError):

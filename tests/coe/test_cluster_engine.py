@@ -11,7 +11,6 @@ from repro.coe.cluster_engine import (
     ClusterEngine,
     cluster_lanes,
     run_cluster,
-    scaling_sweep,
 )
 from repro.coe.engine import (
     EngineRequest,
@@ -294,14 +293,6 @@ class TestReporting:
         assert payload["tokens_per_second"] == pytest.approx(
             steal_report.tokens_per_second
         )
-
-    def test_scaling_sweep_covers_counts(self, library, stream):
-        reports = scaling_sweep(
-            sn40l_platform, library, stream, node_counts=(1, 2)
-        )
-        assert set(reports) == {1, 2}
-        assert (reports[2].tokens_per_second
-                >= reports[1].tokens_per_second)
 
     def test_cluster_lanes_order(self):
         assert cluster_lanes(2) == [

@@ -49,7 +49,9 @@ from repro.coe.metrics import percentile, summarize_latencies
 from repro.coe.node import NodeState
 from repro.coe.policies import DrainMode
 from repro.coe.runtime import CoERuntime
-from repro.coe.scheduling import ExpertPredictor, RequestGroup, coalesce_groups
+from repro.coe.scheduling import (
+    ExpertPredictor, RequestGroup, coalesce_groups, node_order,
+)
 from repro.sim.engine import Simulator
 from repro.systems.platforms import sn40l_platform
 
@@ -561,7 +563,9 @@ def test_drain_stops_strictly_before_its_horizon(which):
     horizon = ends[0] if which == "first" else ends[-1]
     engine = ServingEngine(sn40l_platform(), library, policy="affinity",
                            simulator=Simulator())
-    groups = coalesce_groups(engine._order(requests), engine.max_batch)
+    groups = coalesce_groups(
+        node_order(requests, engine.policy, engine.window), engine.max_batch
+    )
     engine.precompute_phases(groups)
     stop = columnar_drain(engine, lower_queue(engine, groups), 0.0, horizon)
     index = 0 if which == "first" else len(groups) - 1

@@ -1,12 +1,15 @@
 """The correctness artifact: sim and live decide byte-identically."""
 
+import dataclasses
+
 import pytest
 
-from repro.coe.api import ServeConfig
-from repro.coe.crosscheck import CrossCheckResult, cross_check
+from repro.coe.api import ServeConfig, build_server
+from repro.coe.crosscheck import CHECK_TIME_SCALE, CrossCheckResult, cross_check
 from repro.coe.decisions import DecisionLog
 from repro.coe.engine import EngineRequest
 from repro.coe.expert import build_samba_coe_library
+from repro.coe.live_engine import LiveEngine
 from repro.load import ArrivalSpec, generate_trace
 from repro.systems.platforms import sn40l_platform
 
@@ -104,6 +107,45 @@ class TestDecisionParity:
         assert payload["match"] is True
         assert payload["decisions"] == result.decisions
         assert "sim_log" not in payload  # logs stay out of JSON summaries
+
+
+class TestWriterParity:
+    """Both clocks end a group through ``NodeState.finish``: the same
+    compute spans and completion records per node, not just the same
+    decisions."""
+
+    @pytest.mark.parametrize("at_t0", [True, False], ids=["t0", "spread"])
+    def test_spans_and_completions_match_per_node(
+        self, library, requests, at_t0
+    ):
+        if at_t0:
+            requests = [dataclasses.replace(r, arrival_s=0.0)
+                        for r in requests]
+        config = ServeConfig(policy="affinity", num_nodes=2,
+                             cluster_policy="least_loaded")
+        sim = build_server(sn40l_platform, library, config)
+        sim_report = sim.serve(requests)
+        live = LiveEngine(sn40l_platform, library, config.with_(
+            mode="live", max_queue=len(requests) + 1,
+            time_scale=CHECK_TIME_SCALE,
+        ))
+        live_report = live.serve(requests)
+        assert live_report.completed_requests == len(requests)
+        for index, (sim_node, live_node) in enumerate(
+                zip(sim.nodes, live.nodes)):
+            lane = f"node{index}/compute"
+            sim_spans = sim_report.timeline.spans(lane)
+            assert sim_spans
+            assert ([(s.name, s.category, s.args)
+                     for s in live_report.timeline.spans(lane)]
+                    == [(s.name, s.category, s.args) for s in sim_spans])
+            sim_done = list(sim_node.engine.completed)
+            assert sim_done
+            assert ([(c.request_id, c.expert, c.batch, c.arrival_s,
+                      c.output_tokens) for c in live_node.state.completed]
+                    == [(c.request_id, c.expert, c.batch, c.arrival_s,
+                         c.output_tokens) for c in sim_done])
+            assert live_node.state.groups_done == sim_node.engine.groups_done
 
 
 class TestPreconditions:

@@ -10,9 +10,11 @@ from repro.coe.engine import (
     zipf_request_stream,
 )
 from repro.coe.expert import build_samba_coe_library
-from repro.coe.scheduling import Request, RequestGroup, coalesce_groups
+from repro.coe.node import NodeState
+from repro.coe.scheduling import (
+    Request, RequestGroup, coalesce_groups, node_order,
+)
 from repro.obs import Timeline
-from repro.sim.engine import Simulator
 from repro.systems.platforms import (
     dgx_a100_platform,
     dgx_h100_platform,
@@ -169,7 +171,7 @@ class TestPolicyOrdering:
         engine = ServingEngine(
             sn40l_platform(), library, policy="affinity", window=16
         )
-        ordered = engine._order(stream)
+        ordered = node_order(stream, engine.policy, engine.window)
         for pos, req in enumerate(ordered):
             assert abs(pos - req.request_id) < 16
 
@@ -356,13 +358,14 @@ class TestRunTimeline:
         group = RequestGroup(
             expert, (EngineRequest(0, expert), EngineRequest(1, expert))
         )
-        engine = ServingEngine(
-            sn40l_platform(), library, lane_prefix="node0/",
-            simulator=Simulator(timeline=Timeline()),
+        state = NodeState(
+            sn40l_platform(), library, lambda: (), lane_prefix="node0/"
         )
+        state.reset(None, Timeline())
         expected = Timeline()
         for exec_started in (0.0, 2.0):
-            engine._record_phases(group, exec_started, phase_times, 7)
+            state.finish(group, exec_started, phase_times,
+                         exec_started + 1.0, 7)
             end = exec_started
             for category, duration in zip(("router", "prefill", "decode"),
                                           phase_times):
@@ -373,9 +376,16 @@ class TestRunTimeline:
                         {"group": 7, "batch": 2},
                     )
                 end += duration
-        spans = engine._sim.timeline.spans()
+        spans = state.timeline.spans()
         assert spans == expected.spans()
         assert len({id(span.args) for span in spans}) == len(spans)
+        # Each finish also logs the group's requests and counts it.
+        assert [(c.request_id, c.batch, c.start_s, c.finish_s)
+                for c in state.completed] == [
+            (0, 2, 0.0, 1.0), (1, 2, 0.0, 1.0),
+            (0, 2, 2.0, 3.0), (1, 2, 2.0, 3.0),
+        ]
+        assert state.groups_done == 2
 
 
 class TestReportEdgeCases:

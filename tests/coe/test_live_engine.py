@@ -245,7 +245,7 @@ class TestClusterLive:
         assert report.completed_requests == 16
         assert report.num_nodes == 4
         # Work actually lands on more than one node.
-        assert sum(1 for node in engine.nodes if node.completed) > 1
+        assert sum(1 for node in engine.nodes if node.state.completed) > 1
 
     def test_timeline_spans_use_node_lanes(self, platform, library):
         engine = LiveEngine(
@@ -375,7 +375,7 @@ class TestOneGroupStep:
         live_report = engine.serve(requests)
         (node,) = engine.nodes
         assert {id(state) for state, _ in calls} == {id(node.state)}
-        assert len(calls) == node.groups_done
+        assert len(calls) == node.state.groups_done
         assert live_report.pipelined_promotions == report.pipelined_promotions
         assert ([g.expert.name for _, g in calls]
                 == [g.expert.name for g in reference])

@@ -1,5 +1,8 @@
 """Affinity batching, group assembly and expert prediction."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.coe.engine import EngineRequest
@@ -9,9 +12,11 @@ from repro.coe.scheduling import (
     ExpertPredictor,
     GroupAssembler,
     Request,
+    RequestGroup,
     affinity_schedule,
     coalesce_groups,
     fifo_schedule,
+    node_order,
 )
 
 
@@ -88,6 +93,60 @@ class TestPredictor:
     def test_no_history_no_prediction(self):
         assert ExpertPredictor().predict() is None
         assert ExpertPredictor().candidates() == []
+
+
+class _OracleAssembler:
+    """The streaming assembler as it was written before it closed groups
+    through :func:`node_order` and :func:`coalesce_groups`: its own
+    window reorder and run coalescer, group by group."""
+
+    def __init__(self, policy, window, max_batch):
+        self.policy = NodePolicy.coerce(policy).value
+        self.window = window
+        self.max_batch = max_batch
+        self._pending = []
+        self._run = []
+
+    def _close_run(self):
+        group = RequestGroup(self._run[0].expert, tuple(self._run))
+        self._run = []
+        return group
+
+    def _feed(self, request, out):
+        if self._run and (
+            request.expert.name != self._run[0].expert.name
+            or len(self._run) >= self.max_batch
+        ):
+            out.append(self._close_run())
+        self._run.append(request)
+
+    def _drain_window(self, out):
+        chunk = self._pending
+        self._pending = []
+        groups = OrderedDict()
+        for request in chunk:
+            groups.setdefault(request.expert.name, []).append(request)
+        for run in groups.values():
+            for request in run:
+                self._feed(request, out)
+
+    def push(self, request):
+        out = []
+        if self.policy == "fifo":
+            self._feed(request, out)
+            return out
+        self._pending.append(request)
+        if len(self._pending) >= self.window:
+            self._drain_window(out)
+        return out
+
+    def flush(self):
+        out = []
+        if self._pending:
+            self._drain_window(out)
+        if self._run:
+            out.append(self._close_run())
+        return out
 
 
 class TestGroupAssembler:
@@ -207,11 +266,55 @@ class TestGroupAssembler:
         assert [len(g.requests) for g in flushed] == [5]
         assert assembler.flush() == []  # idempotent once drained
 
+    @pytest.mark.parametrize("policy", ["fifo", "affinity", "overlap"])
+    def test_every_push_matches_the_oracle(self, library, policy):
+        """Each push and flush releases the oracle's groups, in its order:
+        when a group is released is when live admission sees it."""
+        rng = random.Random(policy)
+        experts = library.experts[:7]
+        windows = (1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 64, 150, 300)
+        for trial in range(40):
+            reqs = []
+            size = rng.randint(1, 400)
+            while len(reqs) < size:
+                expert = rng.choice(experts)
+                for _ in range(rng.choice((1, 1, 2, 3, 6, 11))):
+                    reqs.append(EngineRequest(
+                        len(reqs), expert,
+                        prompt_tokens=rng.choice((64, 256)),
+                        output_tokens=rng.choice((1, 20)),
+                    ))
+            window = rng.choice(windows)
+            max_batch = rng.randint(1, 9)
+            assembler = GroupAssembler(policy, window, max_batch)
+            oracle = _OracleAssembler(policy, window, max_batch)
+            for request in reqs:
+                assert assembler.push(request) == oracle.push(request), (
+                    trial, window, max_batch, request.request_id)
+            assert assembler.flush() == oracle.flush(), (
+                trial, window, max_batch)
+            assert assembler.flush() == oracle.flush() == []
+
+    def test_node_order_is_affinity_unless_fifo(self, library):
+        reqs = self._streams(library, 2)
+        assert node_order(reqs, "fifo", 16) == fifo_schedule(reqs)
+        assert node_order(reqs, NodePolicy.FIFO, 16) == reqs
+        for policy in ("affinity", "overlap", NodePolicy.AFFINITY):
+            assert node_order(reqs, policy, 16) == affinity_schedule(
+                reqs, window=16)
+        # fifo is the affinity order with a window of one.
+        assert node_order(reqs, "fifo", 16) == affinity_schedule(
+            reqs, window=1)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="window"):
             GroupAssembler(window=0)
         with pytest.raises(ValueError, match="max_batch"):
             GroupAssembler(max_batch=0)
+        # Counts are integers, refused at construction, not at a push.
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="window must be an integer"):
+                GroupAssembler(window=bad)
 
     def test_policy_is_coerced_at_construction(self):
         with pytest.raises(ValueError, match="unknown NodePolicy 'overlapp'"):
