@@ -106,7 +106,7 @@ def test_live_serving_report(benchmark, live_report, deadline_report):
     rows = []
     for label, r in (("open", report), ("deadline", slo)):
         rows.append([
-            label, r.requests, r.completed_requests, r.shed_requests,
+            label, r.requests, r.completed_requests, r.rejected,
             f"{r.shed_rate * 100:.1f}%",
             f"{r.goodput_tokens_per_second:.1f}",
             fmt_ms(r.p50_s), fmt_ms(r.p99_s),
@@ -125,7 +125,7 @@ def test_open_loop_run_completes_everything(live_report, requests):
     report, streamed = live_report
     assert report.drained
     assert report.completed_requests == len(requests)
-    assert report.shed_requests == 0
+    assert report.rejected == 0
     assert report.goodput_tokens_per_second > 0
     assert 0 < report.p50_s <= report.p99_s
     # Every completed output token was delivered through the callback.
@@ -135,7 +135,7 @@ def test_open_loop_run_completes_everything(live_report, requests):
 def test_deadline_run_sheds_typed_and_conserves(deadline_report, requests):
     report = deadline_report
     assert report.drained
-    assert report.completed_requests + report.shed_requests == len(requests)
+    assert report.completed_requests + report.rejected == len(requests)
     assert report.shed_backpressure == 0  # default queue is deep enough
     # The SLO actually bites on this trace, but never starves it.
     assert 0 < report.shed_deadline < len(requests)

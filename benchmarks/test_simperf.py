@@ -185,8 +185,7 @@ def _simperf_point(point: SweepPoint) -> dict:
         "requests_per_s": num_requests / wall_s if wall_s > 0 else 0.0,
         "makespan_s": report.makespan_s,
         "tokens_per_second": report.tokens_per_second,
-        # A single-node EngineReport has no admission, so nothing is shed.
-        "completed": report.requests - getattr(report, "rejected", 0),
+        "completed": report.requests - report.rejected,
     }
 
 

@@ -39,19 +39,15 @@ def main() -> None:
         print(f"--- {policy} ---")
         base = None
         for n in NODE_COUNTS:
-            # n == 1 gets the single-node engine (an EngineReport with no
-            # cluster columns); n > 1 gets the cluster engine.
             config = repro.ServeConfig(num_nodes=n, cluster_policy=policy)
             report = repro.serve(sn40l_platform, library, requests, config)
             if base is None:
                 base = report.tokens_per_second
-            line = (f"  {n} node(s): {report.tokens_per_second:8.1f} tok/s "
-                    f"({report.tokens_per_second / base:4.2f}x vs 1 node)")
-            if n > 1:
-                line += (f"  imbalance {report.load_imbalance:4.2f}  "
-                         f"steals {report.steals:3d}  "
-                         f"replications {report.replications:2d}")
-            print(line)
+            print(f"  {n} node(s): {report.tokens_per_second:8.1f} tok/s "
+                  f"({report.tokens_per_second / base:4.2f}x vs 1 node)"
+                  f"  imbalance {report.load_imbalance:4.2f}  "
+                  f"steals {report.steals:3d}  "
+                  f"replications {report.replications:2d}")
         print()
 
     config = repro.ServeConfig(num_nodes=8, cluster_policy=ClusterPolicy.STEAL)

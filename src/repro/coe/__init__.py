@@ -34,7 +34,6 @@ from repro.coe.engine import (
     POLICIES,
     CompletedRequest,
     EngineReentryError,
-    EngineReport,
     EngineRequest,
     ServingEngine,
     compare_policies,
@@ -43,8 +42,6 @@ from repro.coe.engine import (
 from repro.coe.cluster_engine import (
     CLUSTER_POLICIES,
     ClusterEngine,
-    ClusterReport,
-    NodeSummary,
     cluster_lanes,
     run_cluster,
 )
@@ -82,12 +79,8 @@ from repro.coe.api import (
     build_server,
     serve,
 )
-from repro.coe.live_engine import (
-    LiveEngine,
-    LiveReport,
-    ShedRequest,
-    TokenEvent,
-)
+from repro.coe.live_engine import LiveEngine, TokenEvent
+from repro.coe.report import NodeSummary, ServeReport, ShedRequest
 from repro.coe.crosscheck import CrossCheckResult, cross_check
 
 __all__ = [
@@ -99,10 +92,10 @@ __all__ = [
     "ServingMetrics", "compute_metrics", "metrics_of",
     "RequestGroup", "coalesce_groups", "POLICIES", "CompletedRequest",
     "CompletedLog", "LatencySummary", "summarize_latencies",
-    "EngineReentryError", "EngineReport", "EngineRequest", "ServingEngine",
+    "EngineReentryError", "EngineRequest", "ServingEngine",
     "compare_policies",
     "zipf_request_stream", "CLUSTER_POLICIES", "ClusterEngine",
-    "ClusterReport", "NodeSummary", "cluster_lanes", "run_cluster",
+    "NodeSummary", "ServeReport", "cluster_lanes", "run_cluster",
     "ClusterPolicy", "DrainMode", "NodePolicy", "PolicyEnum",
     "CACHE_POLICIES", "BeladyPolicy", "CachePolicy", "CachePolicyName",
     "GDSFPolicy", "LFUPolicy", "LRUPolicy", "PredictivePolicy",
@@ -113,6 +106,6 @@ __all__ = [
     "ServeMode", "ServeModeError", "GroupAssembler",
     "Decision", "DecisionLog",
     "admission_eta", "choose_node", "deadline_admits",
-    "LiveEngine", "LiveReport", "ShedRequest", "TokenEvent",
+    "LiveEngine", "ShedRequest", "TokenEvent",
     "CrossCheckResult", "cross_check",
 ]

@@ -34,12 +34,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Protocol, Sequence, Union, runtime_checkable
 
 from repro.coe.cluster_engine import (
-    ClusterEngine, ClusterReport, _check_cluster_limits, _coerce_faults,
+    ClusterEngine, _check_cluster_limits, _coerce_faults,
 )
 from repro.coe.decisions import DecisionLog
-from repro.coe.engine import (
-    EngineReport, EngineRequest, ServingEngine, check_count,
-)
+from repro.coe.engine import EngineRequest, ServingEngine, check_count
 from repro.coe.expert import ExpertLibrary
 from repro.coe.policies import (
     CachePolicyName,
@@ -48,6 +46,7 @@ from repro.coe.policies import (
     SchedulerName,
     ServeMode,
 )
+from repro.coe.report import ServeReport
 from repro.coe.serving import (
     ExpertServer,
     RequestLatency,
@@ -61,9 +60,6 @@ from repro.systems.platforms import Platform
 #: A platform instance, or a zero-arg factory of them (cluster nodes
 #: each get their own instance when a factory is given).
 PlatformLike = Union[Platform, Callable[[], Platform]]
-
-#: What a :class:`Server` returns (``LiveReport`` when ``mode="live"``).
-ServeReport = Union[EngineReport, ClusterReport, "LiveReport"]
 
 
 class ServeModeError(ValueError):
@@ -79,10 +75,10 @@ class ServeModeError(ValueError):
 class Server(Protocol):
     """Anything that drains a backlog of pre-routed requests.
 
-    Implemented by :class:`ServingEngine` (single node) and
-    :class:`ClusterEngine` (scale-out with fault tolerance); both return
-    a report whose common core is requests/tokens/makespan plus a
-    :class:`repro.obs.Timeline` of what actually happened.
+    Implemented by :class:`ServingEngine` (single node),
+    :class:`ClusterEngine` (scale-out with fault tolerance) and the live
+    engine; each returns a :class:`ServeReport` whose
+    :class:`repro.obs.Timeline` records what actually happened.
     """
 
     def serve(self, requests: Sequence[EngineRequest]) -> ServeReport:
@@ -397,10 +393,9 @@ def serve(
 ) -> ServeReport:
     """Serve a backlog end to end — the library's single entry point.
 
-    Exposed as ``repro.serve``. Returns an :class:`EngineReport` (one
-    node), a :class:`ClusterReport` (cluster / faults / deadline), or a
-    :class:`repro.coe.live_engine.LiveReport` (``mode='live'``); all
-    carry the run's :class:`repro.obs.Timeline`.
+    Exposed as ``repro.serve``. Returns one :class:`ServeReport` whatever
+    engine ran (single node, cluster, or ``mode='live'``), with one
+    per-node row per node and the run's :class:`repro.obs.Timeline`.
 
     ``requests`` may be omitted when ``config.load`` carries an
     :class:`repro.load.ArrivalSpec`: the open-loop trace is then

@@ -59,8 +59,9 @@ are shed lowest-priority first and reported as ``rejected`` — degraded
 service is explicit, never a silent loss. The outage and the rebalance
 are first-class spans on each node's ``faults`` lane (``crash`` between
 death and detection, ``recovery`` while copies land, ``slow`` windows),
-and :class:`ClusterReport` derives availability, goodput, recovery time
-and latency percentiles from the same record the trace exports.
+and the run's :class:`repro.coe.report.ServeReport` derives availability,
+goodput, recovery time and latency percentiles from the same record the
+trace exports.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from typing import (
 )
 
 from repro.coe.cache import CachePolicy, CachePolicyLike
-from repro.coe.columnar import latency_values, token_total
 from repro.coe.decisions import DecisionLog
 from repro.coe.dispatch import admit, choose_node, shard_experts
 from repro.coe.engine import (
@@ -85,8 +85,8 @@ from repro.coe.engine import (
     zipf_request_stream,
 )
 from repro.coe.expert import ExpertLibrary, ExpertProfile
-from repro.coe.metrics import summarize_latencies
 from repro.coe.policies import ClusterPolicy, DrainMode, NodePolicy
+from repro.coe.report import ServeReport, ShedRequest, build_report
 from repro.coe.scheduling import (
     RequestGroup,
     SchedulerLike,
@@ -182,139 +182,8 @@ class _Node:
     slow_stack: List[float] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class NodeSummary:
-    """Per-node slice of a cluster run."""
-
-    name: str
-    requests: int
-    groups: int
-    output_tokens: int
-    busy_s: float
-    switch_s: float
-    hidden_switch_s: float
-    steals_in: int
-    replicas_hosted: int
-    tokens_per_second: float
-    alive: bool = True
-    crashed_at: Optional[float] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "requests": self.requests,
-            "groups": self.groups,
-            "output_tokens": self.output_tokens,
-            "busy_s": self.busy_s,
-            "switch_s": self.switch_s,
-            "hidden_switch_s": self.hidden_switch_s,
-            "steals_in": self.steals_in,
-            "replicas_hosted": self.replicas_hosted,
-            "tokens_per_second": self.tokens_per_second,
-            "alive": self.alive,
-            "crashed_at": self.crashed_at,
-        }
-
-
-@dataclass(frozen=True)
-class ClusterReport:
-    """Aggregate result of one cluster run, timeline-derived."""
-
-    policy: str
-    node_policy: str
-    cache_policy: str
-    num_nodes: int
-    requests: int
-    groups: int
-    output_tokens: int
-    makespan_s: float
-    steals: int
-    replications: int
-    events_run: int
-    #: Admission-time scheduler the backlog went through (SchedulerName).
-    scheduler: str = "fifo"
-    #: Fault-tolerance outcome. ``rejected`` counts requests shed by
-    #: deadline admission (never silently dropped), ``availability`` is
-    #: alive node-time over total node-time, ``recovery_s`` the worst
-    #: crash-to-recovered interval, and the percentiles cover completed
-    #: request latency (queueing included).
-    rejected: int = 0
-    rejected_tokens: int = 0
-    crashes: int = 0
-    promotions: int = 0
-    redispatched_groups: int = 0
-    availability: float = 1.0
-    recovery_s: float = 0.0
-    p50_s: float = 0.0
-    p99_s: float = 0.0
-    fault_specs: Tuple[str, ...] = ()
-    deadline_s: Optional[float] = None
-    nodes: Tuple[NodeSummary, ...] = ()
-    #: ``None`` when the run was traced with ``record_timeline=False``;
-    #: excluded from equality so columnar and reference runs compare by
-    #: their simulated metrics (lane dict order differs — compare lanes
-    #: explicitly via :meth:`repro.obs.Timeline.spans` when needed).
-    timeline: Optional[Timeline] = field(repr=False, compare=False, default=None)
-
-    @property
-    def tokens_per_second(self) -> float:
-        if self.makespan_s <= 0:
-            return 0.0
-        return self.output_tokens / self.makespan_s
-
-    @property
-    def goodput_tokens_per_second(self) -> float:
-        """Throughput of *useful* work: shed tokens don't count."""
-        if self.makespan_s <= 0:
-            return 0.0
-        return (self.output_tokens - self.rejected_tokens) / self.makespan_s
-
-    @property
-    def requests_per_second(self) -> float:
-        if self.makespan_s <= 0:
-            return 0.0
-        return self.requests / self.makespan_s
-
-    @property
-    def load_imbalance(self) -> float:
-        """Busiest-to-average node compute-busy ratio (1.0 = perfect)."""
-        times = [n.busy_s for n in self.nodes]
-        mean = sum(times) / len(times) if times else 0.0
-        if mean == 0.0:
-            return 1.0
-        return max(times) / mean
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "policy": self.policy,
-            "node_policy": self.node_policy,
-            "cache_policy": self.cache_policy,
-            "scheduler": self.scheduler,
-            "num_nodes": self.num_nodes,
-            "requests": self.requests,
-            "groups": self.groups,
-            "output_tokens": self.output_tokens,
-            "makespan_s": self.makespan_s,
-            "tokens_per_second": self.tokens_per_second,
-            "goodput_tokens_per_second": self.goodput_tokens_per_second,
-            "requests_per_second": self.requests_per_second,
-            "load_imbalance": self.load_imbalance,
-            "steals": self.steals,
-            "replications": self.replications,
-            "events_run": self.events_run,
-            "rejected": self.rejected,
-            "rejected_tokens": self.rejected_tokens,
-            "crashes": self.crashes,
-            "promotions": self.promotions,
-            "redispatched_groups": self.redispatched_groups,
-            "availability": self.availability,
-            "recovery_s": self.recovery_s,
-            "p50_s": self.p50_s,
-            "p99_s": self.p99_s,
-            "faults": list(self.fault_specs),
-            "deadline_s": self.deadline_s,
-            "nodes": [n.to_dict() for n in self.nodes],
-        }
+#: Old name of :class:`repro.coe.report.ServeReport`, kept for importers.
+ClusterReport = ServeReport
 
 
 class ClusterEngine:
@@ -829,7 +698,7 @@ class ClusterEngine:
                 roots.append(engine)
         return roots
 
-    def serve(self, requests: Sequence[EngineRequest]) -> ClusterReport:
+    def serve(self, requests: Sequence[EngineRequest]) -> ServeReport:
         """Drain the whole backlog across the cluster; one shared clock.
 
         Admission dispatches every group at t=0. A columnar cluster then
@@ -924,86 +793,39 @@ class ClusterEngine:
             makespan = max([work_end] + self._recovery_ends)
         else:
             makespan = end_clock
-        # Columnar nodes aggregate straight off their completion
-        # columns; list-backed nodes take the scalar path. The summary
-        # sorts the pooled sample once for both quantiles.
-        latencies: List[float] = []
-        for n in self.nodes:
-            latencies.extend(latency_values(n.engine.completed))
-        latency_summary = summarize_latencies(latencies)
-        crashed = [n for n in self.nodes if not n.alive]
-        alive_time = sum(
-            min(n.crashed_at, makespan) if n.crashed_at is not None
-            else makespan
-            for n in self.nodes
-        )
-        total_time = len(self.nodes) * makespan
-        recovery_s = max(
-            (
-                (n.recovered_at if n.recovered_at is not None else makespan)
-                - n.crashed_at
-                for n in crashed
-            ),
-            default=0.0,
-        )
-        summaries = []
-        for node in self.nodes:
-            tokens = token_total(node.engine.completed)
-            summaries.append(
-                NodeSummary(
-                    name=node.name,
-                    requests=len(node.engine.completed),
-                    groups=node.engine.groups_done,
-                    output_tokens=tokens,
-                    busy_s=(
-                        self.timeline.busy_s(node.engine.lane("compute"))
-                        if self.timeline is not None else 0.0
-                    ),
-                    switch_s=(
-                        self.timeline.busy_s(node.engine.lane("switch"))
-                        if self.timeline is not None else 0.0
-                    ),
-                    hidden_switch_s=(
-                        self.timeline.overlap_s(
-                            node.engine.lane("switch"),
-                            node.engine.lane("compute"),
-                        ) if self.timeline is not None else 0.0
-                    ),
-                    steals_in=node.steals_in,
-                    replicas_hosted=node.replicas_hosted,
-                    tokens_per_second=(
-                        tokens / makespan if makespan > 0 else 0.0
-                    ),
-                    alive=node.alive,
-                    crashed_at=node.crashed_at,
-                )
-            )
-        return ClusterReport(
-            policy=self.policy,
-            node_policy=self.node_policy,
-            cache_policy=self.nodes[0].engine.cache_policy,
+        return build_report(
+            [n.engine.state for n in self.nodes], self.timeline, requests,
+            makespan,
+            crashed_at=[n.crashed_at for n in self.nodes],
+            steals_in=[n.steals_in for n in self.nodes],
+            replicas_hosted=[n.replicas_hosted for n in self.nodes],
+            policy=self.node_policy,
+            cluster_policy=self.policy,
             scheduler=self.scheduler.name,
-            num_nodes=self.num_nodes,
-            requests=len(requests),
             groups=len(groups),
-            output_tokens=sum(r.output_tokens for r in requests),
-            makespan_s=makespan,
+            events_run=self.sim.events_run,
+            speculative_prefetches=sum(
+                n.engine.speculative_prefetches for n in self.nodes
+            ),
             steals=self.steals,
             replications=self.replications,
-            events_run=self.sim.events_run,
-            rejected=len(self.rejected),
-            rejected_tokens=sum(r.output_tokens for r in self.rejected),
-            crashes=len(crashed),
             promotions=self.promotions,
             redispatched_groups=self.redispatches,
-            availability=(alive_time / total_time if total_time > 0 else 1.0),
-            recovery_s=recovery_s,
-            p50_s=latency_summary.p50_s,
-            p99_s=latency_summary.p99_s,
-            fault_specs=tuple(self.faults.specs()),
+            recovery_s=max(
+                (
+                    (n.recovered_at if n.recovered_at is not None
+                     else makespan) - n.crashed_at
+                    for n in self.nodes if not n.alive
+                ),
+                default=0.0,
+            ),
+            faults=tuple(self.faults.specs()),
             deadline_s=self.deadline_s,
-            nodes=tuple(summaries),
-            timeline=self.timeline,
+            shed=tuple(
+                ShedRequest(r.request_id, r.expert.name, "deadline",
+                            r.output_tokens)
+                for r in self.rejected
+            ),
         )
 
     def completed_requests(self) -> List[CompletedRequest]:
@@ -1037,7 +859,7 @@ def run_cluster(
     scheduler: SchedulerLike = None,
     tier_capacities: Optional[Dict[str, int]] = None,
     pipeline_promotions: bool = False,
-) -> ClusterReport:
+) -> ServeReport:
     """One cluster run over a fresh engine (fresh timeline, fresh clock)."""
     engine = ClusterEngine(
         platform_factory,
@@ -1065,8 +887,6 @@ __all__ = [
     "CLUSTER_POLICIES",
     "NODE_LANES",
     "ClusterEngine",
-    "ClusterReport",
-    "NodeSummary",
     "cluster_lanes",
     "run_cluster",
     "zipf_request_stream",

@@ -23,7 +23,7 @@ The pipeline runs event-driven on :class:`repro.sim.engine.Simulator`:
 group-start, DMA-complete, and group-finish events chain through the
 queue, and the makespan is the simulator clock after the last completion.
 Per-request latency (queueing included — every request is backlogged at
-t=0) feeds the SLO percentiles via :func:`repro.coe.metrics.percentile`.
+t=0) feeds the report's SLO percentiles (:mod:`repro.coe.report`).
 
 Every run records a :class:`repro.obs.Timeline`: router/prefill/decode
 spans on the ``compute`` lane, demand DDR->HBM copies on the ``switch``
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress, islice
 from operator import attrgetter, itemgetter
 from typing import (
@@ -64,14 +64,13 @@ from repro.coe.columnar import (
     CompletedRequest,  # re-exported: callers import it from this module
     GroupColumns,
     drain as _columnar_drain,
-    latency_values,
     lower_queue,
 )
 from repro.coe.decisions import DecisionLog
 from repro.coe.expert import ExpertLibrary, ExpertProfile
-from repro.coe.metrics import summarize_latencies
 from repro.coe.node import NodeState
 from repro.coe.policies import DrainMode, NodePolicy, check_count
+from repro.coe.report import ServeReport, build_report
 from repro.coe.scheduling import (
     RequestGroup,
     SchedulerLike,
@@ -119,82 +118,6 @@ class EngineRequest:
     #: Admission-control rank: under deadline pressure (node loss, SLO
     #: shedding) lower-priority requests are shed first.
     priority: int = 0
-
-
-@dataclass(frozen=True)
-class EngineReport:
-    """Throughput and latency summary of one engine run."""
-
-    policy: str
-    platform: str
-    requests: int
-    groups: int
-    makespan_s: float
-    output_tokens: int
-    switch_s: float
-    hidden_switch_s: float
-    speculative_prefetches: int
-    p50_s: float
-    p95_s: float
-    p99_s: float
-    mean_s: float
-    events_run: int
-    #: HBM expert-cache policy of the run and its *demand* hit rate
-    #: (speculative prefetcher traffic excluded — see RuntimeStats).
-    cache_policy: str = "lru"
-    demand_hit_rate: float = 0.0
-    #: Admission-time scheduler the backlog went through (SchedulerName).
-    scheduler: str = "fifo"
-    #: NVMe->DDR promotions started ahead of demand by the pipelined
-    #: prefetch path (0 unless ``pipeline_promotions`` was enabled).
-    pipelined_promotions: int = 0
-    completed: tuple = field(repr=False, default=())
-    #: The run's full span record (compute / switch / prefetch lanes);
-    #: export via :func:`repro.obs.write_chrome_trace`.
-    timeline: Optional[Timeline] = field(repr=False, compare=False, default=None)
-
-    @property
-    def requests_per_second(self) -> float:
-        return self.requests / self.makespan_s if self.makespan_s > 0 else 0.0
-
-    @property
-    def tokens_per_second(self) -> float:
-        return self.output_tokens / self.makespan_s if self.makespan_s > 0 else 0.0
-
-    @property
-    def switch_hidden_fraction(self) -> float:
-        """Fraction of total switch time overlapped with execution."""
-        return self.hidden_switch_s / self.switch_s if self.switch_s > 0 else 0.0
-
-    @property
-    def mean_batch(self) -> float:
-        return self.requests / self.groups if self.groups else 0.0
-
-    def to_dict(self) -> dict:
-        """JSON-serializable summary (benchmark harness + CLI)."""
-        return {
-            "policy": self.policy,
-            "platform": self.platform,
-            "requests": self.requests,
-            "groups": self.groups,
-            "mean_batch": round(self.mean_batch, 3),
-            "makespan_s": self.makespan_s,
-            "requests_per_second": self.requests_per_second,
-            "tokens_per_second": self.tokens_per_second,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-            "mean_s": self.mean_s,
-            "switch_s": self.switch_s,
-            "hidden_switch_s": self.hidden_switch_s,
-            "switch_hidden_fraction": self.switch_hidden_fraction,
-            "speculative_prefetches": self.speculative_prefetches,
-            "events_run": self.events_run,
-            "cache_policy": self.cache_policy,
-            "demand_hit_rate": self.demand_hit_rate,
-            "scheduler": self.scheduler,
-            "pipelined_promotions": self.pipelined_promotions,
-        }
 
 
 class ServingEngine:
@@ -850,7 +773,7 @@ class ServingEngine:
         self._kick()  # the idle hook may have stolen work into the queue
 
     # ------------------------------------------------------------------
-    def run(self, requests: Sequence[EngineRequest]) -> EngineReport:
+    def run(self, requests: Sequence[EngineRequest]) -> ServeReport:
         """Serve a whole backlog on a private clock; returns the report.
 
         Engines are single-use: a second :meth:`run` raises
@@ -885,42 +808,19 @@ class ServingEngine:
                 self._kick()
             makespan = sim.run()
             self.state.flush_speculation(makespan)
-            # A halted engine can finish with zero completions; the
-            # summary handles the empty sample (zeros, no div-by-zero).
-            latencies = latency_values(self.completed)
-            summary = summarize_latencies(latencies)
-            report = EngineReport(
-                policy=self.policy,
-                platform=self.server.platform.name,
-                requests=len(self.completed),
-                groups=len(groups),
-                makespan_s=makespan,
-                output_tokens=sum(r.output_tokens for r in requests),
-                switch_s=(timeline.busy_s(self.lane("switch"))
-                          if timeline is not None else 0.0),
-                hidden_switch_s=(timeline.overlap_s(
-                    self.lane("switch"), self.lane("compute")
-                ) if timeline is not None else 0.0),
-                speculative_prefetches=self.speculative_prefetches,
-                p50_s=summary.p50_s,
-                p95_s=summary.p95_s,
-                p99_s=summary.p99_s,
-                mean_s=summary.mean_s,
-                events_run=sim.events_run,
-                cache_policy=self.cache_policy,
-                demand_hit_rate=self.server.runtime.stats.hit_rate,
-                scheduler=self.scheduler.name,
-                pipelined_promotions=(
-                    self.server.runtime.stats.pipelined_promotions
-                ),
-                completed=tuple(self.completed),
-                timeline=timeline,
-            )
         finally:
             self.unbind()
-        return report
+        return build_report(
+            [self.state], timeline, requests, makespan,
+            policy=self.policy,
+            cluster_policy=None,
+            scheduler=self.scheduler.name,
+            groups=len(groups),
+            events_run=sim.events_run,
+            speculative_prefetches=self.speculative_prefetches,
+        )
 
-    def serve(self, requests: Sequence[EngineRequest]) -> EngineReport:
+    def serve(self, requests: Sequence[EngineRequest]) -> ServeReport:
         """Alias of :meth:`run` satisfying :class:`repro.coe.api.Server`."""
         return self.run(requests)
 
@@ -1081,9 +981,9 @@ def compare_policies(
     policies: Sequence[str] = POLICIES,
     max_batch: int = 8,
     window: int = 16,
-) -> Dict[str, EngineReport]:
+) -> Dict[str, ServeReport]:
     """Run the same backlog under each policy on a fresh engine."""
-    reports: Dict[str, EngineReport] = {}
+    reports: Dict[str, ServeReport] = {}
     for policy in policies:
         engine = ServingEngine(
             platform, library, policy=policy, max_batch=max_batch, window=window

@@ -30,6 +30,10 @@ decisions** to the sim backend for the same request stream:
   :meth:`~repro.coe.node.NodeState.finish`, the sim's group end: phase
   spans and completion records go into the node's state as the sim
   writes them.
+- The report is the sim's too: :func:`repro.coe.report.build_report`
+  over the nodes' states, so a live run returns the same
+  :class:`~repro.coe.report.ServeReport` schema, with the live-only
+  fields (shed split, streamed tokens, wall seconds) filled in.
 
 The cross-check (:mod:`repro.coe.crosscheck`) runs both backends over a
 recorded trace and diffs their :class:`~repro.coe.decisions.DecisionLog`
@@ -61,8 +65,8 @@ from repro.coe.decisions import DecisionLog
 from repro.coe.dispatch import admit, choose_node, shard_experts
 from repro.coe.engine import _EXPERT_NAME, EngineRequest
 from repro.coe.expert import ExpertLibrary
-from repro.coe.metrics import summarize_latencies
 from repro.coe.node import NodeState
+from repro.coe.report import ServeReport, ShedRequest, build_report
 from repro.coe.scheduling import GroupAssembler, RequestGroup, make_scheduler
 from repro.obs import Timeline
 from repro.sim.clock import WallClock
@@ -78,21 +82,6 @@ DEFAULT_DRAIN_TIMEOUT_S = 30.0
 
 #: Shed reasons a :class:`ShedRequest` can carry.
 SHED_REASONS = ("deadline", "backpressure")
-
-
-class ShedRequest(NamedTuple):
-    """One request the live engine refused, and why.
-
-    ``deadline`` mirrors the sim's admission shedding (the ETA busts the
-    SLO); ``backpressure`` is live-only (the chosen node's bounded queue
-    was full at arrival). Shed work is reported, never silently dropped
-    — the same contract as :attr:`ClusterEngine.rejected`.
-    """
-
-    request_id: int
-    expert: str
-    reason: str
-    output_tokens: int
 
 
 class TokenEvent(NamedTuple):
@@ -131,101 +120,6 @@ class _LiveNode:
     #: start_s, end_s, args); the worker records them once it has slept
     #: to the group's exec start.
     booked: List[tuple] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class LiveReport:
-    """Result of one wall-clock serving run.
-
-    Latencies and the makespan are model seconds (finish minus arrival,
-    queueing and wall jitter included); ``wall_s`` is the raw wall-clock
-    duration of the run. ``drained`` is False only when graceful
-    shutdown hit ``drain_timeout_s`` and in-flight work was cancelled.
-    """
-
-    policy: str
-    cluster_policy: str
-    cache_policy: str
-    num_nodes: int
-    requests: int
-    completed_requests: int
-    shed_deadline: int
-    shed_backpressure: int
-    #: Output tokens of *completed* requests only.
-    output_tokens: int
-    #: Tokens actually delivered through the streaming callback.
-    tokens_streamed: int
-    makespan_s: float
-    wall_s: float
-    time_scale: float
-    p50_s: float
-    p95_s: float
-    p99_s: float
-    mean_s: float
-    drained: bool = True
-    demand_hit_rate: float = 0.0
-    #: Admission-time scheduler the backlog went through (SchedulerName).
-    scheduler: str = "fifo"
-    #: NVMe->DDR promotions started ahead of demand by the pipelined
-    #: prefetch path (0 unless ``pipeline_promotions`` was enabled).
-    pipelined_promotions: int = 0
-    completed: tuple = field(repr=False, default=())
-    shed: tuple = field(repr=False, default=())
-    timeline: Optional[Timeline] = field(repr=False, compare=False, default=None)
-
-    @property
-    def shed_requests(self) -> int:
-        return self.shed_deadline + self.shed_backpressure
-
-    @property
-    def shed_rate(self) -> float:
-        return self.shed_requests / self.requests if self.requests else 0.0
-
-    @property
-    def requests_per_second(self) -> float:
-        if self.makespan_s <= 0:
-            return 0.0
-        return self.completed_requests / self.makespan_s
-
-    @property
-    def tokens_per_second(self) -> float:
-        if self.makespan_s <= 0:
-            return 0.0
-        return self.output_tokens / self.makespan_s
-
-    @property
-    def goodput_tokens_per_second(self) -> float:
-        """Completed-work throughput; shed tokens never count."""
-        return self.tokens_per_second
-
-    def to_dict(self) -> dict:
-        """JSON-serializable summary (benchmark harness + CLI)."""
-        return {
-            "policy": self.policy,
-            "cluster_policy": self.cluster_policy,
-            "cache_policy": self.cache_policy,
-            "num_nodes": self.num_nodes,
-            "requests": self.requests,
-            "completed_requests": self.completed_requests,
-            "shed_deadline": self.shed_deadline,
-            "shed_backpressure": self.shed_backpressure,
-            "shed_rate": self.shed_rate,
-            "output_tokens": self.output_tokens,
-            "tokens_streamed": self.tokens_streamed,
-            "makespan_s": self.makespan_s,
-            "wall_s": self.wall_s,
-            "time_scale": self.time_scale,
-            "requests_per_second": self.requests_per_second,
-            "goodput_tokens_per_second": self.goodput_tokens_per_second,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-            "mean_s": self.mean_s,
-            "drained": self.drained,
-            "demand_hit_rate": self.demand_hit_rate,
-            "scheduler": self.scheduler,
-            "pipelined_promotions": self.pipelined_promotions,
-        }
 
 
 class LiveEngine:
@@ -346,6 +240,7 @@ class LiveEngine:
         which is why the cross-check pins ``max_queue`` high enough to
         never shed).
         """
+        self._groups += 1
         name = group.expert.name
         owners = self._owners.get(name)
         if not owners:
@@ -474,7 +369,7 @@ class LiveEngine:
                 node.queue.task_done()
 
     # ------------------------------------------------------------------
-    async def aserve(self, requests: Sequence[EngineRequest]) -> LiveReport:
+    async def aserve(self, requests: Sequence[EngineRequest]) -> ServeReport:
         """Serve the stream inside the caller's event loop."""
         if not requests:
             raise ValueError("empty request backlog")
@@ -485,6 +380,7 @@ class LiveEngine:
         # live group stream matches the sim's exactly.
         requests = self.scheduler.order(list(requests))
         self._tokens_streamed = 0
+        self._groups = 0
         self._promo_spans: List[tuple] = []
         self.clock.start()
         for node in self.nodes:
@@ -526,48 +422,28 @@ class LiveEngine:
                 name, lane, category,
                 start_s=start, end_s=min(done, makespan), args=args,
             )
-        completed = [c for node in self.nodes for c in node.state.completed]
-        if drained and len(completed) + len(self.shed) != len(requests):
+        states = [node.state for node in self.nodes]
+        completed = sum(len(state.completed) for state in states)
+        if drained and completed + len(self.shed) != len(requests):
             raise RuntimeError(
-                f"live engine lost requests: {len(completed)} completed + "
+                f"live engine lost requests: {completed} completed + "
                 f"{len(self.shed)} shed of {len(requests)} submitted"
             )
-        # sorted first so mean_s accumulates in the same order as before the
-        # summarize_latencies migration (fp addition is order-sensitive)
-        latency_summary = summarize_latencies(sorted(c.latency_s for c in completed))
-        stats = [n.state.server.runtime.stats for n in self.nodes]
-        hits = sum(s.hits for s in stats)
-        demand = sum(s.requests for s in stats)
-        shed_deadline = sum(1 for s in self.shed if s.reason == "deadline")
-        shed_backpressure = len(self.shed) - shed_deadline
-        return LiveReport(
+        return build_report(
+            states, self.timeline, requests, makespan,
             policy=self.policy,
             cluster_policy=self.cluster_policy,
-            cache_policy=self.cache_policy,
             scheduler=self.scheduler.name,
-            num_nodes=self.num_nodes,
-            requests=len(requests),
-            completed_requests=len(completed),
-            shed_deadline=shed_deadline,
-            shed_backpressure=shed_backpressure,
-            output_tokens=sum(c.output_tokens for c in completed),
+            groups=self._groups,
+            deadline_s=self.deadline_s,
+            shed=tuple(self.shed),
+            drained=drained,
             tokens_streamed=self._tokens_streamed,
-            makespan_s=makespan,
             wall_s=wall_s,
             time_scale=self.time_scale,
-            p50_s=latency_summary.p50_s,
-            p95_s=latency_summary.p95_s,
-            p99_s=latency_summary.p99_s,
-            mean_s=latency_summary.mean_s,
-            drained=drained,
-            demand_hit_rate=(hits / demand if demand else 0.0),
-            pipelined_promotions=sum(s.pipelined_promotions for s in stats),
-            completed=tuple(completed),
-            shed=tuple(self.shed),
-            timeline=self.timeline,
         )
 
-    def serve(self, requests: Sequence[EngineRequest]) -> LiveReport:
+    def serve(self, requests: Sequence[EngineRequest]) -> ServeReport:
         """Run the stream to completion on a private event loop."""
         return asyncio.run(self.aserve(requests))
 
@@ -577,7 +453,6 @@ __all__ = [
     "DEFAULT_MAX_QUEUE",
     "DEFAULT_TIME_SCALE",
     "LiveEngine",
-    "LiveReport",
     "SHED_REASONS",
     "ShedRequest",
     "TokenEvent",

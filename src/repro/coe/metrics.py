@@ -43,14 +43,15 @@ class LatencySummary(NamedTuple):
 def summarize_latencies(values: Sequence[float]) -> LatencySummary:
     """One-sort p50/p95/p99/mean of a latency sample.
 
-    The shared aggregation behind ``EngineReport``, ``ClusterReport``
-    and ``LiveReport``: the sample is sorted **once** and each quantile
-    is a nearest-rank index into that order — value-identical to three
-    separate :func:`percentile` calls (which re-sort per quantile; that
-    scalar form stays as the tested oracle). The mean is computed over
-    ``values`` exactly as passed, so a caller that fed ``sum()`` an
-    unsorted completion-order list before keeps the bitwise-identical
-    float. An empty sample summarizes to zeros (a halted engine can
+    The aggregation behind every :class:`repro.coe.report.ServeReport`
+    (its one caller in the engines is
+    :func:`~repro.coe.report.build_report`): the sample is sorted
+    **once** and each quantile is a nearest-rank index into that order —
+    value-identical to three separate :func:`percentile` calls (which
+    re-sort per quantile; that scalar form stays as the tested oracle).
+    The mean is computed over ``values`` exactly as passed (the report
+    passes the nodes' completion logs in node order, each in completion
+    order). An empty sample summarizes to zeros (a halted engine can
     finish with no completions; reports must not divide by zero).
     """
     if not values:

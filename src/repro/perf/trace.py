@@ -13,13 +13,12 @@ of being serialized after it.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.obs import Timeline, to_chrome_events
 from repro.perf.kernel_cost import PlanCost
 
 if TYPE_CHECKING:  # avoid a perf -> coe layering inversion at runtime
-    from repro.coe.engine import EngineReport
     from repro.coe.serving import ServeResult
 
 _US = 1e6  # chrome traces use microsecond timestamps
@@ -66,16 +65,12 @@ def serve_result_timeline(result: "ServeResult") -> Timeline:
     return timeline
 
 
-def serve_result_trace(
-    result: "Union[ServeResult, EngineReport]",
-) -> List[Dict]:
+def serve_result_trace(result) -> List[Dict]:
     """Trace a served CoE workload.
 
-    Accepts either a latency-path :class:`ServeResult` (serial phases on
-    router / switch / prefill / decode lanes) or a throughput-engine
-    :class:`EngineReport`, whose attached timeline carries the *actual*
-    simulated schedule — overlapped switches and speculative prefetches
-    included.
+    A latency-path :class:`ServeResult` traces as serial phases on
+    router / switch / prefill / decode lanes; a serving report traces
+    its own timeline.
     """
     timeline: Optional[Timeline] = getattr(result, "timeline", None)
     if timeline is not None:

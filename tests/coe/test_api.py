@@ -13,10 +13,11 @@ from repro.coe.api import (
     build_server,
     serve,
 )
-from repro.coe.cluster_engine import ClusterEngine, ClusterReport
-from repro.coe.engine import EngineReport, ServingEngine, zipf_request_stream
+from repro.coe.cluster_engine import ClusterEngine
+from repro.coe.engine import ServingEngine, zipf_request_stream
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.policies import ClusterPolicy, NodePolicy, PolicyEnum, ServeMode
+from repro.coe.report import ServeReport
 from repro.coe.serving import ExpertServer
 from repro.load import ArrivalSpec
 from repro.sim.faults import FaultSchedule, NodeCrash
@@ -370,14 +371,14 @@ class TestBuildServer:
 class TestServe:
     def test_single_node_returns_engine_report(self, library, stream):
         report = serve(sn40l_platform, library, stream)
-        assert isinstance(report, EngineReport)
+        assert isinstance(report, ServeReport)
         assert report.requests == len(stream)
 
     def test_cluster_returns_cluster_report(self, library, stream):
         report = serve(
             sn40l_platform, library, stream, ServeConfig(num_nodes=2)
         )
-        assert isinstance(report, ClusterReport)
+        assert isinstance(report, ServeReport)
         assert report.requests == len(stream)
 
     def test_exposed_at_top_level(self, library, stream):
@@ -392,7 +393,7 @@ class TestServe:
         spec = ArrivalSpec(rate_rps=40.0, duration_s=1.0, seed=5)
         report = serve(sn40l_platform, library,
                        config=ServeConfig(load=spec))
-        assert isinstance(report, EngineReport)
+        assert isinstance(report, ServeReport)
         assert report.requests > 0
 
     def test_requests_required_without_load(self, library):
@@ -406,6 +407,27 @@ class TestServe:
             sn40l_platform(), library, policy="overlap"
         ).run(stream)
         assert via_api.makespan_s == pytest.approx(direct.makespan_s)
+
+    @pytest.mark.parametrize("config", [
+        ServeConfig(),
+        ServeConfig(num_nodes=2),
+        ServeConfig(policy="affinity", cluster_policy="least_loaded",
+                    num_nodes=2, mode="live", time_scale=0.001),
+    ], ids=["single-node", "cluster", "live"])
+    def test_every_mode_reports_one_schema(self, library, stream, config):
+        import json
+
+        report = serve(sn40l_platform, library, stream, config)
+        payload = report.to_dict()
+        single = serve(sn40l_platform, library, stream).to_dict()
+        assert set(payload) == set(single)
+        assert json.loads(json.dumps(payload)) == payload
+        assert len(report.nodes) == report.num_nodes == config.num_nodes
+        completed_tokens = sum(c.output_tokens for c in report.completed)
+        assert completed_tokens > 0
+        assert report.goodput_tokens_per_second == (
+            completed_tokens / report.makespan_s
+        )
 
 
 class TestDeprecationShim:

@@ -10,6 +10,7 @@ from repro.coe.decisions import DecisionLog
 from repro.coe.engine import EngineRequest
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.live_engine import LiveEngine
+from repro.coe.report import ServeReport
 from repro.load import ArrivalSpec, generate_trace
 from repro.systems.platforms import sn40l_platform
 
@@ -55,6 +56,15 @@ class TestDecisionParity:
             expected.add("admission")
         assert set(result.streams) <= expected
         assert any(s.startswith("node") for s in result.streams)
+        # One report type on both clocks, agreeing on the work done.
+        sim, live = result.sim_report, result.live_report
+        assert isinstance(sim, ServeReport) and isinstance(live, ServeReport)
+        assert set(sim.to_dict()) == set(live.to_dict())
+        for name in ("requests", "completed_requests", "groups",
+                     "output_tokens"):
+            assert getattr(sim, name) == getattr(live, name), name
+        assert ([(n.requests, n.groups) for n in sim.nodes]
+                == [(n.requests, n.groups) for n in live.nodes])
 
     def test_lookahead_pipelined_tiered_parity(self, library, requests):
         # The CoServe scenario end to end: constrained HBM/DDR budgets,

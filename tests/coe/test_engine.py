@@ -228,7 +228,8 @@ class TestReportSerialization:
         assert payload["policy"] == "overlap"
         assert payload["requests"] == len(stream)
         assert payload["requests_per_second"] > 0
-        assert 0.0 <= payload["switch_hidden_fraction"] <= 1.0
+        (node,) = payload["nodes"]
+        assert 0.0 <= node["hidden_switch_s"] <= node["switch_s"]
 
 
 class TestZipfStream:
@@ -398,7 +399,7 @@ class TestReportEdgeCases:
         )
         engine._begin_next = engine.halt  # fail-stop before the first group
         report = engine.run(stream)
-        assert report.requests == 0
+        assert report.completed_requests == 0
         assert report.completed == ()
         assert report.mean_s == 0.0
         assert report.p50_s == report.p95_s == report.p99_s == 0.0

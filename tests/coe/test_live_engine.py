@@ -12,11 +12,11 @@ from repro.coe.expert import build_samba_coe_library
 from repro.coe.live_engine import (
     DEFAULT_MAX_QUEUE,
     LiveEngine,
-    LiveReport,
     ShedRequest,
     TokenEvent,
 )
 from repro.coe.node import NodeState
+from repro.coe.report import ServeReport
 from repro.coe.runtime import CoERuntime
 from repro.load import ArrivalSpec, generate_trace
 from repro.systems.platforms import sn40l_platform
@@ -59,9 +59,9 @@ class TestLiveServe:
     def test_serves_a_backlog_to_completion(self, platform, library):
         engine = LiveEngine(platform, library, live_config())
         report = engine.serve(backlog(library, 12))
-        assert isinstance(report, LiveReport)
+        assert isinstance(report, ServeReport)
         assert report.completed_requests == 12
-        assert report.shed_requests == 0
+        assert report.rejected == 0
         assert report.drained
         assert report.requests == 12
         assert report.makespan_s > 0
@@ -120,7 +120,7 @@ class TestBackpressure:
             assert shed.reason == "backpressure"
             assert shed.expert == experts[0].name
         # Conservation: nothing silently dropped.
-        assert report.completed_requests + report.shed_requests == 8
+        assert report.completed_requests + report.rejected == 8
 
     def test_deadline_sheds_before_queueing(self, platform, library):
         experts = library.experts
@@ -157,7 +157,7 @@ class TestGracefulShutdown:
         )
         assert not report.drained
         assert report.completed_requests == 0
-        assert report.shed_requests == 0
+        assert report.rejected == 0
 
     def test_no_task_leaks_after_aserve(self, platform, library):
         async def run():

@@ -72,3 +72,32 @@ class TestPlanAndTrace:
 
     def test_plan_unknown_model(self):
         assert main(["plan", "nope", "decode"]) == 2
+
+
+class TestOneNodeCluster:
+    """A one-node point in a cluster sweep reports like any other."""
+
+    def test_cluster_bench_includes_one_node(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "cluster.json"
+        assert main(["cluster-bench", "--num-nodes", "1,2",
+                     "--cluster-policy", "steal", "--experts", "16",
+                     "--requests", "64", "-o", str(path)]) == 0
+        rows = json.loads(path.read_text())["results"]
+        assert [row["num_nodes"] for row in rows] == [1, 2]
+        assert rows[0]["scaling_vs_one_node"] == 1.0
+        assert all(row["requests"] == 64 for row in rows)
+
+    def test_cluster_trace_of_one_node(self, tmp_path, capsys):
+        import json
+
+        trace = tmp_path / "trace.json"
+        summary = tmp_path / "summary.json"
+        assert main(["trace", "--cluster", "--num-nodes", "1",
+                     "--experts", "16", "--requests", "64",
+                     "-o", str(trace), "--summary", str(summary)]) == 0
+        assert "1 nodes" in capsys.readouterr().out
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert any(e["ph"] == "X" for e in events)
+        assert json.loads(summary.read_text())["num_spans"] > 0

@@ -73,7 +73,7 @@ class TestWriteTrace:
         assert total_duration_s([]) == 0.0
 
 
-class TestEngineReportTrace:
+class TestServeReportTrace:
     """Serving traces reflect real (overlapping) simulated time.
 
     Regression for the old export, which laid every phase end-to-end and
