@@ -354,6 +354,8 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
                       f"{report.goodput_tokens_per_second:.1f} tok/s")
             entry = report.to_dict()
             entry.pop("nodes", None)
+            # A one-node point reports no cluster policy; name its sweep's.
+            entry["sweep_cluster_policy"] = policy
             entry["scaling_vs_one_node"] = scaling
             results.append(entry)
     if args.output:
@@ -616,7 +618,7 @@ def _trace_serve(args: argparse.Namespace) -> int:
 def _trace_cluster(args: argparse.Namespace) -> int:
     """Trace a multi-node cluster run: per-node lanes, one shared clock."""
     from repro.coe.api import ServeConfig, serve
-    from repro.coe.cluster_engine import cluster_lanes
+    from repro.coe.cluster_engine import NODE_LANES, cluster_lanes
     from repro.obs import write_chrome_trace, write_summary
 
     if args.platform == "all" or args.policy == "all":
@@ -642,7 +644,10 @@ def _trace_cluster(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    lanes = cluster_lanes(report.num_nodes)
+    # Pin the lanes that hold spans: a single engine's have no prefix.
+    used = set(report.timeline.lanes)
+    lanes = [lane for lane in cluster_lanes(report.num_nodes)
+             + list(NODE_LANES) if lane in used]
     spans = write_chrome_trace(report.timeline, args.output, lanes=lanes)
     print(f"wrote {spans} spans ({fmt_time(report.makespan_s)} makespan) "
           f"to {args.output}")

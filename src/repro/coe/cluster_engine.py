@@ -73,6 +73,7 @@ from typing import (
 )
 
 from repro.coe.cache import CachePolicy, CachePolicyLike
+from repro.coe.columnar import admit_backlog
 from repro.coe.decisions import DecisionLog
 from repro.coe.dispatch import admit, choose_node, shard_experts
 from repro.coe.engine import (
@@ -91,7 +92,6 @@ from repro.coe.scheduling import (
     RequestGroup,
     SchedulerLike,
     coalesce_groups,
-    distinct_shapes,
     make_scheduler,
     node_order,
 )
@@ -250,27 +250,18 @@ class ClusterEngine:
         )
         self.sim = Simulator(timeline=self.timeline)
         self.faults = _coerce_faults(faults)
-        #: A columnar cluster starts in one t=0 drain of its nodes on the
-        #: columnar core, up to the next cluster event (a fault or a
-        #: heartbeat) or, under ``steal``, the first instant a steal hook
-        #: could act. Each cluster event that changes a queue or a cost
-        #: input (recovery, a slow window opening or closing, a copy
-        #: fault) drains the alive nodes again
-        #: (:func:`repro.coe.engine._drain_to_horizon`). The columnar mode
-        #: also tracks the admission backlog incrementally and precomputes
-        #: phases in bulk, bitwise-identical to the reference math; the
-        #: reference mode (the seed-equivalent configuration the
-        #: equivalence tests and perf benchmarks compare against) sums
-        #: fresh per route.
+        #: A columnar cluster admits the backlog in arrays
+        #: (:func:`repro.coe.columnar.admit_backlog`) and starts in one
+        #: t=0 drain of its nodes on the columnar core, up to the next
+        #: cluster event (a fault or a heartbeat) or, under ``steal``, the
+        #: first instant a steal hook could act. Each cluster event that
+        #: changes a queue or a cost input (recovery, a slow window
+        #: opening or closing, a copy fault) drains the alive nodes again
+        #: (:func:`repro.coe.engine._drain_to_horizon`). The reference
+        #: mode (the seed-equivalent configuration the equivalence tests
+        #: and perf benchmarks compare against) routes and submits group
+        #: by group, summing each node's queue fresh per route.
         self.drain_mode = DrainMode.coerce(drain_mode).value
-        #: During admission (before the clock runs) each engine's backlog
-        #: is the running sum of what was submitted to it; this tracker
-        #: keeps that sum incrementally — bitwise-identical to the fresh
-        #: left-to-right sum while queues are append-only — turning the
-        #: O(groups x queue) admission scan into O(groups). ``None``
-        #: outside admission: once the clock runs, queues pop and steal,
-        #: so routing falls back to the fresh estimate.
-        self._admission_backlog: Optional[Dict[int, float]] = None
         #: Cross-check evidence: dispatch/admission verdicts land on the
         #: ``"admission"`` stream, each node runtime's cache decisions on
         #: its own ``"nodeN"`` stream (attached below).
@@ -345,12 +336,6 @@ class ClusterEngine:
         except KeyError:
             raise KeyError(f"no node hosts expert {expert.name!r}") from None
 
-    def _backlog_s(self, node: _Node) -> float:
-        """Estimated backlog for routing; O(1) during admission."""
-        if self._admission_backlog is not None:
-            return self._admission_backlog[node.index]
-        return node.engine.estimated_backlog_s()
-
     def _route(self, group: RequestGroup) -> _Node:
         """Pick the owner node, through the shared pure dispatch core.
 
@@ -363,18 +348,12 @@ class ClusterEngine:
         if not owners:
             raise KeyError(f"no node hosts expert {name!r}")
         if len(owners) == 1:
-            # Single-owner fast path: with one replica there is no
-            # choice to make, and under single-owner sharding (the
-            # default partition with replication off) this is *every*
-            # route — skipping the per-call closure construction and the
-            # dispatch-core scan is the admission profile's biggest win.
-            # choose_node() over a one-element owner list returns the
-            # same index unconditionally, so decisions are unchanged.
+            # choose_node() over one owner returns it unconditionally.
             return self.nodes[owners[0]]
         index = choose_node(
             owners,
             name,
-            backlog_of=lambda i: self._backlog_s(self.nodes[i]),
+            backlog_of=lambda i: self.nodes[i].engine.estimated_backlog_s(),
             tail_of=lambda i: self.nodes[i].engine.last_queued_expert,
             affinity=self.policy == "affinity",
         )
@@ -395,22 +374,17 @@ class ClusterEngine:
         node = self._route(group)
         engine = node.engine
         deadline_s = self.deadline_s
-        tracked = self._admission_backlog
-        # The deadline ETA and the admission-backlog increment price the
-        # group with the same float, read from the node engine's
-        # exec-time memo at most once per dispatch.
-        exec_s = 0.0
-        if deadline_s is not None or tracked is not None:
-            exec_s = engine._memo_exec_time(group)
         if deadline_s is not None or self._decisions is not None:
-            backlog_s = 0.0 if deadline_s is None else self._backlog_s(node)
-            if not admit(group, node.name, self._decisions, deadline_s, now,
-                         backlog_s, exec_s):
+            exec_s = backlog_s = 0.0
+            if deadline_s is not None:
+                exec_s = engine._memo_exec_time(group)
+                backlog_s = engine.estimated_backlog_s()
+            if not admit(group.expert.name, group.batch, node.name,
+                         self._decisions, deadline_s, now, backlog_s,
+                         exec_s):
                 self.rejected.extend(group.requests)
                 return False
         engine.submit(group)
-        if tracked is not None:
-            tracked[node.index] += exec_s
         return True
 
     @staticmethod
@@ -680,34 +654,18 @@ class ClusterEngine:
         )
 
     # ------------------------------------------------------------------
-    def _first_dispatched(
-        self, admitted: Sequence[RequestGroup]
-    ) -> List[ServingEngine]:
-        """The engines holding queued work, in the order they received
-        their first group at admission."""
-        heads = {
-            id(node.engine._queue[0]): node.engine
-            for node in self.nodes if node.engine.queue_depth
-        }
-        roots: List[ServingEngine] = []
-        for group in admitted:
-            if not heads:
-                break
-            engine = heads.pop(id(group), None)
-            if engine is not None:
-                roots.append(engine)
-        return roots
-
     def serve(self, requests: Sequence[EngineRequest]) -> ServeReport:
         """Drain the whole backlog across the cluster; one shared clock.
 
-        Admission dispatches every group at t=0. A columnar cluster then
-        starts in one t=0 drain over the nodes, in the order they
-        received their first group
-        (:func:`repro.coe.engine._drain_to_horizon`), and drains again
-        after each recovery, slow window edge and copy fault; a
-        reference one begins each node's queue head on its own event.
-        Either way the shared clock ends at the last event.
+        Admission routes every group at t=0. A columnar cluster admits
+        the backlog in arrays, straight into each node's columns
+        (:func:`repro.coe.columnar.admit_backlog`), then starts in one
+        t=0 drain over the nodes, in the order they received their first
+        group (:func:`repro.coe.engine._drain_to_horizon`), and drains
+        again after each recovery, slow window edge and copy fault; a
+        reference one dispatches group by group and begins each node's
+        queue head on its own event. Either way the shared clock ends at
+        the last event.
 
         Single-use, like :meth:`ServingEngine.run`: a second call raises
         :class:`EngineReentryError` — node cache/predictor state and the
@@ -735,44 +693,32 @@ class ClusterEngine:
             )
             if self.faults.crashes:
                 self._schedule_beat(self.heartbeat_s)
-        groups = coalesce_groups(
-            node_order(self.scheduler.order(requests), self.node_policy,
-                       self.window),
-            self.max_batch,
-        )
-        admit = (self._priority_order(groups) if self.deadline_s is not None
-                 else groups)
-        # Fast path: seed every node's phase memo with one vectorized
-        # batch over the shapes it could be routed (the experts it
-        # hosts), and track the admission backlog incrementally; both
-        # turn admission from the sweep's dominant cost (a fresh
-        # O(queue) sum per routed group) into a linear pass, with
-        # bitwise-identical routing decisions. The precompute needs one
-        # group per distinct phase_key (keys in first-seen order), so
-        # the backlog is walked once, not once per node.
-        columnar = self.drain_mode == DrainMode.COLUMNAR.value
-        if columnar:
-            shapes = distinct_shapes(admit)
-            for node in self.nodes:
-                hosted = node.hosted
-                node.engine.precompute_phases(
-                    [g for key, g in shapes.items() if key[0] in hosted]
-                )
-            self._admission_backlog = {n.index: 0.0 for n in self.nodes}
-            # A columnar cluster begins every node in one t=0 drain, so
-            # admission schedules no begin.
-            for node in self.nodes:
-                node.engine._begin_scheduled = True
-        try:
-            for group in admit:
-                self._dispatch(group, now=0.0)
-        finally:
-            self._admission_backlog = None
-        roots = self._first_dispatched(admit) if columnar else []
-        if roots:
-            self.sim.schedule_at(
-                self.sim.now, lambda: _drain_to_horizon(roots, held=True)
+        ordered = self.scheduler.order(requests)
+        if self.drain_mode == DrainMode.COLUMNAR.value:
+            # Every expert has one owner until the clock runs.
+            roots, shed, num_groups = admit_backlog(
+                [n.engine for n in self.nodes], ordered, self.node_policy,
+                self.window, self.max_batch,
+                owner_of={name: owners[0]
+                          for name, owners in self._owners.items()},
+                deadline_s=self.deadline_s, decisions=self._decisions,
+                node_names=[n.name for n in self.nodes],
             )
+            self.rejected.extend(shed)
+            if roots:
+                self.sim.schedule_at(
+                    self.sim.now, lambda: _drain_to_horizon(roots, held=True)
+                )
+        else:
+            groups = coalesce_groups(
+                node_order(ordered, self.node_policy, self.window),
+                self.max_batch,
+            )
+            num_groups = len(groups)
+            if self.deadline_s is not None:
+                groups = self._priority_order(groups)
+            for group in groups:
+                self._dispatch(group, now=0.0)
         end_clock = self.sim.run()
         for node in self.nodes:
             if not node.engine.halted:
@@ -802,7 +748,7 @@ class ClusterEngine:
             policy=self.node_policy,
             cluster_policy=self.policy,
             scheduler=self.scheduler.name,
-            groups=len(groups),
+            groups=num_groups,
             events_run=self.sim.events_run,
             speculative_prefetches=sum(
                 n.engine.speculative_prefetches for n in self.nodes

@@ -3,13 +3,16 @@
 A whole-queue drain replaces the reference path's begin/finish event
 pair per group with work on a local clock; on a million-request run the
 per-group Python work *is* the cost. This module vectorizes it. A
-queued backlog is *lowered* once into parallel arrays
-(:func:`lower_queue`): per-group expert names, phase-time triples (read
-from the engine's phase memo, which
-:meth:`ServingEngine.precompute_phases` seeds through the vectorized
-``perf.kernel_cost`` batch entry points), batch sizes, and per-request
-arrival/output-token columns. The drain (:func:`drain`) then segments
-the queue into **runs**:
+backlog lives as :class:`GroupColumns`, parallel arrays over a request
+table: per-group expert names, phase-time triples (read from the
+engine's phase memo, which :meth:`ServingEngine.precompute_phases`
+seeds through the vectorized ``perf.kernel_cost`` batch entry points),
+batch sizes, and per-request arrival/output-token columns. The t=0
+backlog is grouped, routed and admitted straight into those columns
+(:func:`admit_backlog`), so no :class:`RequestGroup` exists until a
+group leaves them; a re-entered drain lowers its queued groups
+(:func:`lower_queue`). The drain (:func:`drain`) segments the queue
+into **runs**:
 
     a run is a maximal stretch of groups whose experts are all
     HBM-resident with no pending copy-done barrier — so no eviction,
@@ -42,7 +45,7 @@ first instant a steal hook could act, then hands the rest to the event
 path (docs/PERFORMANCE.md, section 11).
 
 Completions land in the node's :class:`CompletedLog`: run segments
-append whole blocks (no per-request allocation), decision points finish
+append whole blocks (row ranges of the request table), decision points finish
 through :meth:`repro.coe.node.NodeState.finish` (scalar
 :class:`CompletedRequest` records), and materialization back to the
 exact NamedTuples the report/consumer code sees is lazy. Latency and token
@@ -56,20 +59,28 @@ import math
 from itertools import chain, compress, islice
 from operator import attrgetter
 from typing import (
-    Iterator, List, NamedTuple, Optional, Sequence, TYPE_CHECKING,
+    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    TYPE_CHECKING,
 )
 
 import numpy as np
 
+from repro.coe.dispatch import admit
+from repro.coe.policies import NodePolicy
+from repro.coe.scheduling import (
+    RequestGroup, expert_codes, group_starts, take, window_order,
+)
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
+    from repro.coe.decisions import DecisionLog
     from repro.coe.engine import ServingEngine
-    from repro.coe.scheduling import RequestGroup
 
 __all__ = [
     "CompletedLog",
     "CompletedRequest",
     "DrainStop",
     "GroupColumns",
+    "admit_backlog",
     "drain",
     "latency_values",
     "lower_queue",
@@ -82,6 +93,8 @@ _REQUESTS = attrgetter("requests")
 _NAME = attrgetter("name")
 _ARRIVAL = attrgetter("arrival_s")
 _OUTPUT_TOKENS = attrgetter("output_tokens")
+_PROMPT = attrgetter("prompt_tokens")
+_PRIORITY = attrgetter("priority")
 
 
 class CompletedRequest(NamedTuple):
@@ -106,51 +119,49 @@ class CompletedRequest(NamedTuple):
         return self.finish_s - self.arrival_s
 
 
-class _Block:
-    """One drained run: its groups and expert names, each group's start
-    and end (``bounds[k]`` and ``bounds[k + 1]`` of a float64 array),
-    and the run's per-request ``arrivals``/``tokens`` columns aligned
-    with the expansion of ``sizes``."""
+class _Block(NamedTuple):
+    """One drained run: the node's request table (``requests`` with its
+    ``arrivals``/``tokens`` columns) and the row range ``lo:hi`` its
+    groups hold, in order, their expert names, starts and ends
+    (``bounds[k]`` and ``bounds[k + 1]`` of a float64 array) and batch
+    ``sizes``."""
 
-    __slots__ = (
-        "groups", "names", "bounds", "sizes", "arrivals", "tokens",
-        "num_requests",
-    )
-
-    def __init__(self, groups, names, bounds, sizes, arrivals, tokens):
-        self.groups = groups
-        self.names = names
-        self.bounds = bounds
-        self.sizes = sizes
-        self.arrivals = arrivals
-        self.tokens = tokens
-        self.num_requests = len(arrivals)
+    requests: list
+    arrivals: np.ndarray
+    tokens: np.ndarray
+    lo: int
+    hi: int
+    names: list
+    bounds: np.ndarray
+    sizes: np.ndarray
 
     def materialize(self) -> List["CompletedRequest"]:
         """Expand back to per-request records, in completion order.
 
-        Each record takes its fields from the group's own request
-        objects and shares the group's start and end floats (``tolist``
+        Each record takes its fields from the request objects of its
+        rows and shares the group's start and end floats (``tolist``
         converts float64 to float exactly), as the scalar path does, so
         no per-request number is allocated.
         """
         bounds = self.bounds.tolist()
+        rows = iter(self.requests[self.lo:self.hi])
         return [
             CompletedRequest(
-                req.request_id, name, len(group.requests), req.arrival_s,
-                start, end, req.output_tokens,
+                req.request_id, name, size, req.arrival_s, start, end,
+                req.output_tokens,
             )
-            for group, name, start, end in zip(
-                self.groups, self.names, bounds, islice(bounds, 1, None))
-            for req in group.requests
+            for name, size, start, end in zip(
+                self.names, self.sizes.tolist(), bounds,
+                islice(bounds, 1, None))
+            for req in islice(rows, size)
         ]
 
     def latency_values(self) -> List[float]:
         finish = np.repeat(self.bounds[1:], self.sizes)
-        return (finish - self.arrivals).tolist()
+        return (finish - self.arrivals[self.lo:self.hi]).tolist()
 
     def token_total(self) -> int:
-        return int(self.tokens.sum())
+        return int(self.tokens[self.lo:self.hi].sum())
 
 
 class CompletedLog:
@@ -181,11 +192,12 @@ class CompletedLog:
         self._cache: Optional[List["CompletedRequest"]] = None
         self._cache_len = -1
 
-    def extend_block(self, groups, names, bounds, sizes, arrivals,
-                     tokens) -> None:
+    def extend_block(self, requests, arrivals, tokens, lo, hi, names,
+                     bounds, sizes) -> None:
         """Append one drained run (see :class:`_Block`)."""
-        block = _Block(groups, names, bounds, sizes, arrivals, tokens)
-        self._closed += block.num_requests
+        block = _Block(requests, arrivals, tokens, lo, hi, names, bounds,
+                       sizes)
+        self._closed += hi - lo
         if self._tail:
             self._closed += len(self._tail)
             self._segments.append(block)
@@ -268,51 +280,79 @@ def token_total(completed: CompletedLog) -> int:
 
 
 # ----------------------------------------------------------------------
-# Lowering + the drain core
+# Admission, lowering + the drain core
 # ----------------------------------------------------------------------
 
 
 class GroupColumns:
-    """A queued backlog, lowered to parallel arrays (one row per group)."""
+    """A queued backlog as parallel arrays, one row per group, over a
+    request table: group ``i`` holds rows ``offsets[i]:offsets[i+1]`` of
+    :attr:`requests` and of their :attr:`arrivals`/:attr:`tokens`.
+    :meth:`group` builds a :class:`RequestGroup` only where one leaves
+    the columns, unless they were lowered from groups."""
 
     __slots__ = (
-        "groups", "experts", "names", "table", "rows", "flat", "sizes",
-        "offsets", "arrivals", "tokens",
+        "experts", "names", "base", "rows", "sizes", "offsets", "requests",
+        "arrivals", "tokens", "table", "flat", "_factor", "_groups",
     )
 
-    def __init__(self, groups, experts, names, table, rows, flat, sizes,
-                 offsets, arrivals, tokens):
-        self.groups = groups
+    def __init__(self, experts, names, base, rows, sizes, requests,
+                 arrivals, tokens, groups=None):
         self.experts = experts
         self.names = names
-        #: Python-float phase triples, one per distinct shape — the
-        #: decision path computes its timestamps from ``table[rows[i]]``
-        #: in pure Python so no ``np.float64`` ever leaks into engine
-        #: state or completion records.
-        self.table = table
-        #: Group ``i``'s row of :attr:`table`.
+        #: Base (router, prefill, decode) triples, no slow factor, one
+        #: per distinct shape; group ``i``'s is ``base[rows[i]]``.
+        self.base = base
         self.rows = rows
-        #: Every group's triple as an (n, 3) float64 array (exact
-        #: values: float -> float64 is an identity conversion) for the
-        #: cumsum.
-        self.flat = flat
         self.sizes = sizes
-        #: Request-column offsets: group ``i`` owns rows
-        #: ``offsets[i]:offsets[i+1]`` of the per-request arrays.
-        self.offsets = offsets
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.requests = requests
         self.arrivals = arrivals
         self.tokens = tokens
+        #: Set by :meth:`price`: :attr:`base` at the slow factor as
+        #: Python floats (the decision path computes its timestamps from
+        #: ``table[rows[i]]`` so no ``np.float64`` leaks into engine
+        #: state or records), and every group's triple as an (n, 3)
+        #: float64 array (float -> float64 is exact) for the cumsum.
+        self.table = self.flat = self._factor = None
+        self._groups = groups
 
     def __len__(self) -> int:
-        return len(self.groups)
+        return len(self.names)
+
+    def price(self, factor: float) -> None:
+        """Set :attr:`table` and :attr:`flat` at slow factor ``factor``:
+        when a drain starts, as a slow window can open between admission
+        and the t=0 drain (never inside a drain event)."""
+        if factor == self._factor:
+            return
+        table = self.base  # x * 1.0 is bitwise x
+        if factor != 1.0:
+            table = [(r * factor, p * factor, d * factor)
+                     for r, p, d in table]
+        self.table = table
+        self.flat = np.asarray(table, dtype=np.float64).reshape(-1, 3)[
+            self.rows]
+        self._factor = factor
+
+    def group(self, i: int) -> RequestGroup:
+        """Group ``i`` as a :class:`RequestGroup`."""
+        if self._groups is not None:
+            return self._groups[i]
+        lo, hi = self.offsets[i:i + 2].tolist()
+        return RequestGroup(self.experts[i], tuple(self.requests[lo:hi]))
+
+    def tail(self, start: int) -> List[RequestGroup]:
+        """Groups ``start`` on, in order."""
+        return [self.group(i) for i in range(start, len(self))]
 
     def no_wait_end(self, start_at: float) -> float:
         """When the last group would finish if none waited for a copy.
 
-        One left-to-right cumsum of every phase from ``start_at``: the
-        float additions :func:`drain` makes. A copy wait only raises a
-        begin time and IEEE addition is monotone, so the drained end is
-        never earlier.
+        One left-to-right cumsum of every phase (at the last
+        :meth:`price`) from ``start_at``: the float additions
+        :func:`drain` makes. A copy wait only raises a begin time and
+        IEEE addition is monotone, so the drained end is never earlier.
         """
         acc = np.empty(self.flat.size + 1, dtype=np.float64)
         acc[0] = start_at
@@ -321,59 +361,169 @@ class GroupColumns:
 
 
 def lower_queue(
-    engine: "ServingEngine", groups: Sequence["RequestGroup"]
+    engine: "ServingEngine", groups: Sequence[RequestGroup]
 ) -> GroupColumns:
-    """Lower ``groups`` into :class:`GroupColumns` for one drain.
-
-    Phase triples come from the engine's phase memo (seeded in bulk by
-    the vectorized ``precompute_phases``; any cold shape falls through
-    the same memoized scalar path the reference drain uses), looked up
-    once per distinct ``phase_key`` into a small per-shape table whose
-    rows each group then gathers. The slow factor is applied here once
-    per shape — it cannot change inside a drain event — and the no-op
-    stretch is skipped, since ``x * 1.0`` is bitwise ``x``.
-    """
+    """Lower queued ``groups`` into :class:`GroupColumns` for a
+    re-entered drain (admission builds them in :func:`admit_backlog`),
+    reading each distinct shape's phases once from the phase memo
+    (:meth:`NodeState.phase_times`; a cold shape takes the memoized
+    scalar path the reference drain uses)."""
     n = len(groups)
     keys = list(map(_PHASE_KEY, groups))
-    # distinct_shapes(groups), over the keys already read.
     shapes = dict(zip(keys, groups))
-    base_of = engine.state.phase_times
-    cache = engine.state.phase_cache
-    factor = engine.slow_factor
-    table = []
-    for key, group in shapes.items():
-        base = cache.get(key)
-        if base is None:
-            base = base_of(group)
-        if factor != 1.0:
-            base = (base[0] * factor, base[1] * factor, base[2] * factor)
-        table.append(base)
-    row_of = dict(zip(shapes, range(len(table))))
-    rows = np.fromiter(map(row_of.__getitem__, keys), dtype=np.intp, count=n)
+    row_of = dict(zip(shapes, range(len(shapes))))
     experts = list(map(_EXPERT, groups))
     requests = list(map(_REQUESTS, groups))
-    sizes = np.fromiter(map(len, requests), dtype=np.int64, count=n)
-    offsets = np.empty(n + 1, dtype=np.int64)
-    offsets[0] = 0
-    np.cumsum(sizes, out=offsets[1:])
-    flat_requests = list(chain.from_iterable(requests))
-    m = len(flat_requests)
+    table = list(chain.from_iterable(requests))
     return GroupColumns(
+        experts, list(map(_NAME, experts)),
+        list(map(engine.state.phase_times, shapes.values())),
+        np.fromiter(map(row_of.__getitem__, keys), np.intp, n),
+        np.fromiter(map(len, requests), np.int64, n), table,
+        np.fromiter(map(_ARRIVAL, table), np.float64, len(table)),
+        np.fromiter(map(_OUTPUT_TOKENS, table), np.int64, len(table)),
         groups=list(groups),
-        experts=experts,
-        names=list(map(_NAME, experts)),
-        table=table,
-        rows=rows,
-        flat=np.asarray(table, dtype=np.float64).reshape(-1, 3)[rows],
-        sizes=sizes,
-        offsets=offsets,
-        arrivals=np.fromiter(
-            map(_ARRIVAL, flat_requests), dtype=np.float64, count=m
-        ),
-        tokens=np.fromiter(
-            map(_OUTPUT_TOKENS, flat_requests), dtype=np.int64, count=m
-        ),
     )
+
+
+def _distinct_rows(*columns: np.ndarray) -> tuple:
+    """The first index of each distinct row of non-negative integer
+    ``columns``, and each row's id among them: over one int64 key,
+    mixed radix, when it fits (``np.unique(axis=0)`` sorts far slower).
+    """
+    key, span, axis = 0, 1, None
+    for column in columns:
+        radix = int(column.max(initial=0)) + 1
+        key, span = key * radix + column, span * radix
+    if span > 1 << 62:
+        key, axis = np.stack(columns, axis=1), 0
+    _, first, ids = np.unique(key, axis=axis, return_index=True,
+                              return_inverse=True)
+    return first, ids.reshape(-1)
+
+
+def admit_backlog(
+    engines: Sequence["ServingEngine"],
+    requests: Sequence,
+    policy: str,
+    window: int,
+    max_batch: int,
+    owner_of: Optional[Dict[str, int]] = None,
+    deadline_s: Optional[float] = None,
+    decisions: Optional["DecisionLog"] = None,
+    node_names: Sequence[str] = (),
+) -> Tuple[List["ServingEngine"], list, int]:
+    """Admit a t=0 backlog, in scheduler order, in arrays.
+
+    The batch form of ``coalesce_groups(node_order(requests, policy,
+    window), max_batch)`` then ``ClusterEngine._dispatch`` per group:
+    the window reorder and the ``max_batch`` cuts are the kernels those
+    functions wrap, ``phase_key`` maxima come from
+    ``np.maximum.reduceat``, and a group goes to its expert's owner in
+    ``owner_of`` (engine 0 without one). ``shard_experts`` places a
+    partition and replicas appear only once the clock runs, so at
+    admission every expert has one owner and routing is a lookup under
+    every cluster policy. Each engine's phase memo is seeded in bulk
+    with the shapes routed to it, and its admitted groups wait, in
+    admission order, as its ``_admitted`` columns for the t=0 drain.
+
+    With a ``deadline_s`` groups are admitted highest priority first
+    (``ClusterEngine._priority_order``) against a running per-engine
+    sum of ``_memo_exec_time`` floats from 0.0: bitwise the fresh queue
+    sums of the per-group path. Verdicts and the ``admission`` stream
+    (engine ``i`` is ``node_names[i]``) are :func:`admit`'s.
+
+    Returns the engines with admitted groups, in the order they received
+    their first, the shed requests in admission order, and the number of
+    groups formed.
+    """
+    n = len(requests)
+    codes, names = expert_codes(requests)
+    grouped = np.arange(n)  # grouped position -> row of ``requests``
+    if NodePolicy.coerce(policy) is not NodePolicy.FIFO:
+        grouped = window_order(codes, window)
+        codes = codes[grouped]
+
+    starts = group_starts(codes, max_batch)
+    sizes = np.diff(np.append(starts, n))
+    gcodes = codes[starts]
+
+    def column(getter, dtype=np.int64):
+        return np.fromiter(map(getter, requests), dtype, n)
+
+    def rows_of(groups: np.ndarray) -> np.ndarray:
+        """The rows of ``requests`` that ``groups`` hold, in order."""
+        lengths = sizes[groups]
+        skip = np.repeat(np.cumsum(lengths) - lengths - starts[groups],
+                         lengths)
+        return grouped[np.arange(int(lengths.sum())) - skip]
+
+    nodes = np.zeros(len(starts), dtype=np.intp)
+    if owner_of is not None:
+        try:
+            owners = [owner_of[name] for name in names]
+        except KeyError as exc:
+            raise KeyError(f"no node hosts expert {exc.args[0]!r}") from None
+        nodes = np.asarray(owners, dtype=np.intp)[gcodes]
+    tokens = column(_OUTPUT_TOKENS)
+    first_of, shape_of = _distinct_rows(
+        gcodes, sizes, np.maximum.reduceat(column(_PROMPT)[grouped], starts),
+        np.maximum.reduceat(tokens[grouped], starts),
+    )
+    base: list = [None] * len(first_of)
+    exec_s = [0.0] * len(first_of)
+    for index, engine in enumerate(engines):
+        mine = np.flatnonzero(nodes[first_of] == index)
+        reps = [RequestGroup(rows[0].expert, tuple(rows)) for rows in (
+            take(requests, rows_of(first_of[[k]])) for k in mine)]
+        engine.precompute_phases(reps)
+        for shape, rep in zip(mine.tolist(), reps):
+            base[shape] = engine.state.phase_times(rep)
+            if deadline_s is not None:
+                exec_s[shape] = engine._memo_exec_time(rep)
+    admitted = np.arange(len(starts))
+    if deadline_s is not None:
+        priority = np.maximum.reduceat(column(_PRIORITY)[grouped], starts)
+        admitted = np.argsort(-priority, kind="stable")
+    shed: List[int] = []
+    if deadline_s is not None or decisions is not None:
+        backlog = [0.0] * len(engines)
+        kept: List[int] = []
+        for k, node, code, batch, shape in zip(
+                admitted.tolist(), nodes[admitted].tolist(),
+                gcodes[admitted].tolist(), sizes[admitted].tolist(),
+                shape_of[admitted].tolist()):
+            if admit(names[code], batch, node_names[node], decisions,
+                     deadline_s, 0.0, backlog[node], exec_s[shape]):
+                backlog[node] += exec_s[shape]
+                kept.append(k)
+            else:
+                shed.append(k)
+        admitted = np.asarray(kept, dtype=np.intp)
+    # The admitted groups by engine, each in admission order.
+    by_node = np.argsort(nodes[admitted], kind="stable")
+    bounds = np.searchsorted(nodes[admitted][by_node],
+                             np.arange(len(engines) + 1)).tolist()
+    name_of = np.asarray(names, dtype=object)
+    arrivals = column(_ARRIVAL, np.float64)
+    for engine, lo, hi in zip(engines, bounds, bounds[1:]):
+        mine = admitted[by_node[lo:hi]]
+        if len(mine):
+            rows = rows_of(mine)
+            table = take(requests, rows)
+            shapes, local = np.unique(shape_of[mine], return_inverse=True)
+            heads = np.cumsum(sizes[mine]) - sizes[mine]
+            engine._admitted = GroupColumns(
+                list(map(_EXPERT, take(table, heads))),
+                name_of[gcodes[mine]].tolist(), take(base, shapes),
+                local.reshape(-1), sizes[mine], table, arrivals[rows],
+                tokens[rows],
+            )
+    roots = sorted((i for i in range(len(engines)) if bounds[i + 1] >
+                    bounds[i]), key=lambda i: by_node[bounds[i]])
+    return ([engines[i] for i in roots],
+            take(requests, rows_of(np.asarray(shed, dtype=np.intp))),
+            len(starts))
 
 
 #: The compute phases of a group, in execution order.
@@ -446,7 +596,7 @@ def drain(
     timeline = engine._sim.timeline
     overlap = engine.policy == "overlap"
     pipelining = state.pipeline_active
-    groups = cols.groups
+    cols.price(engine.slow_factor)
     names = cols.names
     experts = cols.experts
     table = cols.table
@@ -566,24 +716,22 @@ def drain(
                 lo = offsets[pos]
                 hi = offsets[pos + c]
                 log.extend_block(
-                    groups[pos:pos + c],
-                    run_names,
-                    acc[:3 * c + 1:3].copy(),
-                    cols.sizes[pos:pos + c],
-                    cols.arrivals[lo:hi],
-                    cols.tokens[lo:hi],
+                    cols.requests, cols.arrivals, cols.tokens,
+                    int(lo), int(hi), run_names,
+                    acc[:3 * c + 1:3].copy(), cols.sizes[pos:pos + c],
                 )
                 state.groups_done += c
             pos = run_end
             if c < m:
                 i = pos - 1
                 now = float(acc[3 * c])
-                current = (groups[i], now, table[rows[i]], first_index + i)
+                current = (cols.group(i), now, table[rows[i]],
+                           first_index + i)
                 break
             now = float(acc[-1])
         else:
             # --- decision point: the node's group step ---------------
-            group = groups[pos]
+            group = cols.group(pos)
             expert_name = names[pos]
             base = table[rows[pos]]
             index = first_index + pos

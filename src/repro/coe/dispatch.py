@@ -13,9 +13,8 @@ rules:
 
 - ``backlog_of(i)`` — the admission-logical backlog of node ``i``: the
   running float sum of every previously admitted group's execution
-  time, accumulated in admission order (the cluster engine's
-  ``_admission_backlog``; the live dispatcher's mirror of it). Never a
-  measured quantity.
+  time, accumulated in admission order (the cluster engine's queue or
+  admission sum; the live dispatcher's mirror of it). Never measured.
 - ``tail_of(i)`` — the expert name of the last group admitted to node
   ``i`` (the queue tail at admission time), or None.
 
@@ -34,7 +33,6 @@ from repro.systems.cluster import partition_experts
 if TYPE_CHECKING:
     from repro.coe.decisions import DecisionLog
     from repro.coe.expert import ExpertLibrary, ExpertProfile
-    from repro.coe.scheduling import RequestGroup
 
 
 def shard_experts(
@@ -95,7 +93,8 @@ def deadline_admits(eta: float, deadline_s: Optional[float]) -> bool:
 
 
 def admit(
-    group: "RequestGroup",
+    expert_name: str,
+    batch: int,
     node: str,
     decisions: Optional["DecisionLog"],
     deadline_s: Optional[float],
@@ -103,7 +102,8 @@ def admit(
     backlog_s: float,
     exec_s: float,
 ) -> bool:
-    """Whether ``group`` is admitted to the chosen ``node``.
+    """Whether a group of ``batch`` requests for ``expert_name`` is
+    admitted to the chosen ``node``.
 
     With a ``deadline_s`` its ETA (``now`` + the node's ``backlog_s`` +
     its ``exec_s``) must meet the deadline; without one those three are
@@ -113,7 +113,7 @@ def admit(
     math fails the cross-check) when there is a deadline, then
     ``dispatch`` for an admitted group.
     """
-    label = f"{group.expert.name}x{group.batch}"
+    label = f"{expert_name}x{batch}"
     if deadline_s is not None:
         eta = admission_eta(now, backlog_s, exec_s)
         admitted = deadline_admits(eta, deadline_s)

@@ -63,6 +63,7 @@ from repro.coe.columnar import (
     CompletedLog,
     CompletedRequest,  # re-exported: callers import it from this module
     GroupColumns,
+    admit_backlog,
     drain as _columnar_drain,
     lower_queue,
 )
@@ -75,7 +76,6 @@ from repro.coe.scheduling import (
     RequestGroup,
     SchedulerLike,
     coalesce_groups,
-    distinct_shapes,
     make_scheduler,
     node_order,
 )
@@ -245,6 +245,8 @@ class ServingEngine:
         #: queue itself was cleared when the drain started).
         self._drain_names: Optional[List[str]] = None
         self._drain_pos = 0
+        #: The t=0 backlog (:func:`admit_backlog`), until a drain reads it.
+        self._admitted: Optional[GroupColumns] = None
 
     def bind(self, simulator: EventSource) -> None:
         """Attach to a (possibly shared) event source, resetting state.
@@ -466,16 +468,28 @@ class ServingEngine:
         """Remove and return all unfinished groups (in-flight one first).
 
         Only meaningful on a halted engine: the cluster's recovery path
-        re-dispatches exactly these groups to surviving nodes.
+        re-dispatches exactly these groups to surviving nodes. A node
+        that crashed before the t=0 drain returns its admitted backlog.
         """
         orphans: List[RequestGroup] = []
         if self._current is not None:
             orphans.append(self._current[0])
             self._current = None
         orphans.extend(self._queue)
+        if self._admitted is not None:
+            orphans.extend(self._admitted.tail(0))
+            self._admitted = None
         self._queue.clear()
         self._queued = None
         return orphans
+
+    def _take_columns(self) -> GroupColumns:
+        """The admitted backlog, once, else the queue lowered."""
+        cols = self._admitted
+        if cols is None:
+            return lower_queue(self, list(self._queue))
+        self._admitted = None
+        return cols
 
     # ------------------------------------------------------------------
     def _group_phase_times(self, group: RequestGroup) -> Tuple[float, float, float]:
@@ -496,10 +510,9 @@ class ServingEngine:
         scalar ones, so seeding the memo this way cannot change a single
         simulated timestamp. Returns the number of shapes computed.
         """
-        pending = {
-            key: group for key, group in distinct_shapes(groups).items()
-            if key not in self.state.phase_cache
-        }
+        pending = {key: group
+                   for key, group in zip(map(_PHASE_KEY, groups), groups)
+                   if key not in self.state.phase_cache}
         if not pending:
             return 0
         platform = self.server.platform
@@ -556,9 +569,10 @@ class ServingEngine:
         )
 
     def _head_start(self, now: float) -> float:
-        """When the queue head can begin: ``now``, or once the pending
-        copy of its resident expert lands."""
-        head = self._queue[0].expert
+        """When the queue (or admitted) head can begin: ``now``, or once
+        the pending copy of its resident expert lands."""
+        head = (self._queue[0].expert if self._queue
+                else self._admitted.experts[0])
         if self.server.runtime.is_resident(head):
             return max(now, self.state.copy_done.get(head.name, now))
         return now
@@ -728,11 +742,11 @@ class ServingEngine:
             # horizon and stays on the clock.
             return [], lanes, count
         if cols is None:
-            cols = lower_queue(self, list(self._queue))
+            cols = self._take_columns()
         self._queue.clear()
         self._queued = None
         stop = _columnar_drain(self, cols, start, horizon, times, created)
-        self._queue.extend(islice(cols.groups, stop.begun, None))
+        self._queue.extend(cols.tail(stop.begun))
         self._groups_started += stop.begun
         done = stop.begun - (stop.current is not None)
         events: List[tuple] = []
@@ -791,20 +805,26 @@ class ServingEngine:
         if not requests:
             raise ValueError("empty request backlog")
         admitted = self.scheduler.order(requests)
-        groups = coalesce_groups(
-            node_order(admitted, self.policy, self.window), self.max_batch
-        )
         timeline = Timeline() if self.record_timeline else None
         sim = Simulator(timeline=timeline)
         self.bind(sim)
         try:
-            self.precompute_phases(groups)
-            self._queue.extend(groups)
             if self.drain_mode == DrainMode.COLUMNAR.value:
+                num_groups = admit_backlog(
+                    [self], admitted, self.policy, self.window,
+                    self.max_batch,
+                )[2]
                 sim.schedule_at(
                     0.0, lambda: _drain_to_horizon([self], held=True)
                 )
             else:
+                groups = coalesce_groups(
+                    node_order(admitted, self.policy, self.window),
+                    self.max_batch,
+                )
+                num_groups = len(groups)
+                self.precompute_phases(groups)
+                self._queue.extend(groups)
                 self._kick()
             makespan = sim.run()
             self.state.flush_speculation(makespan)
@@ -815,7 +835,7 @@ class ServingEngine:
             policy=self.policy,
             cluster_policy=None,
             scheduler=self.scheduler.name,
-            groups=len(groups),
+            groups=num_groups,
             events_run=sim.events_run,
             speculative_prefetches=self.speculative_prefetches,
         )
@@ -851,11 +871,18 @@ def _drain_to_horizon(
     rest to the event path.
 
     ``engines`` share one clock. A run's first drain is its one t=0
-    event, over the engines ``held`` at admission: each with a queued
-    backlog and its first begin held back (never scheduled), in the
-    order they received their first group. A cluster calls the drain
-    again after each cluster event that changes a queue or a cost input,
-    over all its engines, and each alive one starts from its events
+    event, over the engines ``held`` at admission: each with its
+    admitted backlog in columns (:func:`admit_backlog`; the queue
+    empty, no group built) and its first begin held back (never
+    scheduled), in the order they received their first group. The drain
+    reads those columns directly and prices them at the slow factor in
+    force when it starts; a node that crashed first keeps them for its
+    :meth:`ServingEngine.drain`. Groups are built only where one leaves
+    the columns: a decision point, and at a finite horizon the group in
+    flight and the unbegun tail, which go back to the queue. A cluster
+    calls the drain again after each cluster event that changes a queue
+    or a cost input, over all its engines; each alive one lowers its
+    queue (:func:`lower_queue`) and starts from its events
     pending on the clock: a begin due, or the finish (and perhaps the
     deferred prefetch) of its group in flight. Halted engines are
     skipped; their events are no-ops, a held begin too, which counts as
@@ -902,7 +929,8 @@ def _drain_to_horizon(
         # queue at a time is alive.
         for engine, events in due.items():
             start = engine._busy_until_s if engine._busy else events[0][0]
-            cols = lowered[engine] = lower_queue(engine, list(engine._queue))
+            cols = lowered[engine] = engine._take_columns()
+            cols.price(engine.slow_factor)
             horizon = min(horizon, cols.no_wait_end(start))
     if not held:
         # Keep what starts at or after the horizon on the clock, and the

@@ -111,7 +111,7 @@ class _LiveNode:
     #: the worker pops it at group *begin*.
     pending: Deque[RequestGroup]
     #: Admission-logical backlog: running sum of admitted groups'
-    #: execution times, the mirror of the sim's ``_admission_backlog``.
+    #: execution times, the mirror of the sim's per-node admission sum.
     backlog_s: float = 0.0
     #: Expert of the last admitted group (the sim's queue-tail expert).
     tail: Optional[str] = None
@@ -256,7 +256,7 @@ class LiveEngine:
         router, prefill, decode = node.state.phase_times(group)
         exec_s = router + prefill + decode
         if not admit(
-            group, node.name,
+            name, group.batch, node.name,
             self._decisions if self._record_admission else None,
             self.deadline_s, 0.0, node.backlog_s, exec_s,
         ):

@@ -8,10 +8,15 @@ architecture enables):
   group requests that need the same expert so one DDR->HBM copy serves
   several generations. The three-tier design makes switches cheap, but a
   hit is still free; affinity turns random arrival streams into runs of
-  hits. :func:`node_order` (:func:`affinity_schedule` unless ``fifo``)
-  and :func:`coalesce_groups` build the groups the sim engines run; the
-  live engine's streaming :class:`GroupAssembler` builds the same
-  groups through the same two functions, one window at a time.
+  hits. One grouping algorithm, as array kernels over expert codes
+  (:func:`expert_codes`): :func:`window_order` is the window reorder
+  and :func:`group_starts` the ``max_batch`` cuts. The sim's t=0
+  admission runs them on the whole backlog
+  (:func:`repro.coe.columnar.admit_backlog`); :func:`node_order`
+  (:func:`affinity_schedule` unless ``fifo``) and
+  :func:`coalesce_groups` wrap them to build :class:`RequestGroup`
+  lists for the reference drain and for the live engine's streaming
+  :class:`GroupAssembler`, one window at a time.
 - **Expert prediction** — :class:`ExpertPredictor` ranks the experts
   most likely to be routed next. Speculative prefetch itself is the
   engines' ``overlap`` node policy
@@ -21,13 +26,14 @@ architecture enables):
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
 from operator import attrgetter
 from typing import (
-    Dict, Iterator, KeysView, List, Optional, Sequence, Union,
+    Dict, Iterator, KeysView, List, Optional, Sequence, Tuple, Union,
 )
+
+import numpy as np
 
 from repro.coe.expert import ExpertProfile
 from repro.coe.policies import NodePolicy, SchedulerName, check_count
@@ -41,6 +47,11 @@ class Request:
     expert: ExpertProfile
 
 
+_PROMPT_TOKENS = attrgetter("prompt_tokens")
+_OUTPUT_TOKENS = attrgetter("output_tokens")
+_EXPERT_NAME = attrgetter("expert.name")
+
+
 def fifo_schedule(requests: Sequence[Request]) -> List[Request]:
     """The baseline: serve in arrival order."""
     return list(requests)
@@ -52,19 +63,51 @@ def affinity_schedule(requests: Sequence[Request], window: int = 16) -> List[Req
     Requests are taken ``window`` at a time; inside a window they are
     stably grouped by expert (groups ordered by first arrival), so no
     request is delayed by more than ``window - 1`` positions — a bounded
-    fairness guarantee.
+    fairness guarantee. The order comes from :func:`window_order`.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    scheduled: List[Request] = []
-    for start in range(0, len(requests), window):
-        chunk = requests[start : start + window]
-        groups: "OrderedDict[str, List[Request]]" = OrderedDict()
-        for request in chunk:
-            groups.setdefault(request.expert.name, []).append(request)
-        for group in groups.values():
-            scheduled.extend(group)
-    return scheduled
+    codes, _ = expert_codes(requests)
+    return take(requests, window_order(codes, window))
+
+
+def expert_codes(requests: Sequence[Request]) -> Tuple[np.ndarray, List[str]]:
+    """Each request's expert name as an integer code, and the name of
+    each code: codes number the distinct names in first-seen order."""
+    names = list(map(_EXPERT_NAME, requests))
+    code_of = {name: code for code, name in enumerate(dict.fromkeys(names))}
+    codes = np.fromiter(map(code_of.__getitem__, names), np.intp, len(names))
+    return codes, list(code_of)
+
+
+def window_order(codes: np.ndarray, window: int) -> np.ndarray:
+    """The permutation :func:`affinity_schedule` applies, from expert
+    codes: within each ``window``-sized chunk, a stable sort by the
+    position of the first request of the same expert in the chunk."""
+    n = len(codes)
+    # A stable sort by (chunk, code) makes each class contiguous, led by
+    # its first arrival.
+    key = np.arange(n) // window * (int(codes.max(initial=0)) + 1) + codes
+    by_key = np.argsort(key, kind="stable")
+    heads = np.flatnonzero(np.diff(key[by_key], prepend=-1))
+    first = np.empty(n, dtype=np.intp)
+    first[by_key] = np.repeat(by_key[heads], np.diff(np.append(heads, n)))
+    return np.argsort(first, kind="stable")
+
+
+def group_starts(codes: np.ndarray, max_batch: int) -> np.ndarray:
+    """Where each group :func:`coalesce_groups` cuts from a schedule
+    begins: every maximal same-code run splits into ``max_batch``-sized
+    groups, the last one partial. A group ends where the next begins."""
+    runs = np.flatnonzero(np.diff(codes, prepend=-1))
+    per_run = -(-np.diff(np.append(runs, len(codes))) // max_batch)
+    skip = np.repeat(np.cumsum(per_run) - per_run, per_run)
+    return np.repeat(runs, per_run) + (np.arange(len(skip)) - skip) * max_batch
+
+
+def take(items: Sequence, index: np.ndarray) -> list:
+    """``[items[i] for i in index]``, at C speed."""
+    return list(map(items.__getitem__, index.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -170,12 +213,6 @@ def make_scheduler(spec: SchedulerLike = None) -> Scheduler:
     )
 
 
-_PROMPT_TOKENS = attrgetter("prompt_tokens")
-_OUTPUT_TOKENS = attrgetter("output_tokens")
-_EXPERT_NAME = attrgetter("expert.name")
-_PHASE_KEY = attrgetter("phase_key")
-
-
 @dataclass(frozen=True)
 class RequestGroup:
     """A run of same-expert requests served as one batched generation.
@@ -241,18 +278,6 @@ def _phase_key(expert: ExpertProfile, requests: tuple) -> tuple:
     )
 
 
-def distinct_shapes(
-    groups: Sequence[RequestGroup],
-) -> Dict[tuple, RequestGroup]:
-    """One group per distinct ``phase_key``, keys in first-seen order.
-
-    One C-level pass: a repeated key keeps its first slot and takes the
-    later group as its value, which has the same shape, so it prices
-    the same.
-    """
-    return dict(zip(map(_PHASE_KEY, groups), groups))
-
-
 def coalesce_groups(
     schedule: Sequence[Request], max_batch: int = 8
 ) -> List[RequestGroup]:
@@ -263,21 +288,17 @@ def coalesce_groups(
     merge (reordering is the scheduler's job — see
     :func:`affinity_schedule`), and groups are capped at ``max_batch`` so
     the batched roofline stays within the platform's calibrated regime:
-    each maximal same-expert run splits into ``max_batch``-sized groups.
+    each maximal same-expert run splits into ``max_batch``-sized groups
+    (:func:`group_starts`).
     """
     if max_batch < 1:
         raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-    groups: List[RequestGroup] = []
-    append = groups.append
-    for _, same in groupby(schedule, _EXPERT_NAME):
-        run = tuple(same)
-        if len(run) <= max_batch:  # the common case: one group
-            append(RequestGroup(run[0].expert, run))
-            continue
-        for start in range(0, len(run), max_batch):
-            chunk = run[start:start + max_batch]
-            append(RequestGroup(chunk[0].expert, chunk))
-    return groups
+    codes, _ = expert_codes(schedule)
+    starts = group_starts(codes, max_batch).tolist()
+    return [
+        RequestGroup(schedule[lo].expert, tuple(schedule[lo:hi]))
+        for lo, hi in zip(starts, starts[1:] + [len(schedule)])
+    ]
 
 
 def node_order(

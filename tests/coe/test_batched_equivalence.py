@@ -19,6 +19,7 @@ Most timelines are compared per lane over sorted lane names
 ``spans()`` and the Chrome trace's thread ids follow.
 """
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -93,11 +94,12 @@ def test_engine_batched_equals_reference(policy, cache_policy):
 
 
 @pytest.mark.parametrize("policy", ["least_loaded", "affinity", "steal"])
-@pytest.mark.parametrize("num_nodes", [2, 4])
+@pytest.mark.parametrize("num_nodes", [2, 4, 80])
 def test_cluster_batched_equals_reference(policy, num_nodes):
     # ``steal`` drains each node on the columnar core only up to the
     # first instant a steal hook could act, then runs the hooks on the
-    # event path; that axis pins the handoff between the two.
+    # event path; that axis pins the handoff between the two. 80 nodes
+    # outnumber every library here: the empty shards are dropped.
     rng = random.Random(f"cluster:{policy}:{num_nodes}")
     library, requests = _random_workload(rng)
 
@@ -138,6 +140,46 @@ def test_cluster_deadline_shedding_batched_equals_reference():
     assert _timeline_lanes(fast.timeline) == _timeline_lanes(
         reference.timeline
     )
+
+
+def test_cluster_deadline_priorities_and_log_equal_reference():
+    """Array admission sheds and records as the per-group path does:
+    three ``least_loaded`` nodes, a deadline over mixed priorities and
+    lengths, and a decision log."""
+    rng = random.Random("deadline-priorities")
+    library, requests = _random_workload(rng)
+    requests = [
+        dataclasses.replace(
+            r, priority=rng.randrange(3),
+            prompt_tokens=rng.choice((128, 256, 512)),
+            output_tokens=rng.randrange(4, 32),
+        )
+        for r in requests
+    ]
+    makespan = run_cluster(
+        sn40l_platform, library, requests, num_nodes=3,
+        policy="least_loaded",
+    ).makespan_s
+
+    def run(drain_mode):
+        log = DecisionLog()
+        cluster = ClusterEngine(
+            sn40l_platform, library, 3, policy="least_loaded",
+            deadline_s=0.5 * makespan, decision_log=log,
+            drain_mode=drain_mode,
+        )
+        return cluster, cluster.serve(requests), log
+
+    (fast, fast_report, fast_log), (ref, ref_report, ref_log) = (
+        run("columnar"), run("reference"))
+    assert 0 < fast_report.rejected < len(requests)
+    assert len({r.priority for r in fast.rejected}) > 1
+    assert fast_report.to_dict() == ref_report.to_dict()
+    assert [r.request_id for r in fast.rejected] == [
+        r.request_id for r in ref.rejected]
+    assert fast_log.stream("admission") == ref_log.stream("admission")
+    assert fast_log == ref_log, fast_log.diff(ref_log)
+    assert fast.completed_requests() == ref.completed_requests()
 
 
 def test_cluster_untraced_batched_matches_traced_reference_metrics():

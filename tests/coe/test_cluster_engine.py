@@ -19,6 +19,7 @@ from repro.coe.engine import (
     zipf_request_stream,
 )
 from repro.coe.expert import ExpertProfile, build_samba_coe_library
+from repro.coe.scheduling import coalesce_groups, node_order
 from repro.systems.platforms import sn40l_platform
 
 
@@ -255,14 +256,9 @@ class TestAdmissionPhaseMemo:
             sn40l_platform, library, 4, policy="least_loaded",
             node_policy="affinity",
         )
-        admitted = []
         seeded = {}
         for node in cluster.nodes:
             engine = node.engine
-
-            def submit(group, inner=engine.submit):
-                admitted.append(group)
-                inner(group)
 
             def precompute(groups, inner=engine.precompute_phases,
                            engine=engine):
@@ -270,16 +266,20 @@ class TestAdmissionPhaseMemo:
                 seeded[engine] = set(engine.state.phase_cache)
                 return computed
 
-            engine.submit = submit
             engine.precompute_phases = precompute
         report = cluster.serve(requests)
         assert report.replications == 0 and report.steals == 0
-        assert sum(len(g.requests) for g in admitted) == len(requests)
+        # The groups admission forms, as the per-group path forms them.
+        admitted = coalesce_groups(
+            node_order(requests, "affinity", cluster.window),
+            cluster.max_batch,
+        )
+        assert report.groups == len(admitted)
         for node in cluster.nodes:
             hosted = {g.phase_key for g in admitted
                       if g.expert.name in node.hosted}
             assert len(hosted) > 1
-            # Seeded before the first dispatch, and nothing added since.
+            # Seeded at admission, and nothing added since.
             assert seeded[node.engine] == hosted
             assert set(node.engine.state.phase_cache) == hosted
 

@@ -49,9 +49,7 @@ from repro.coe.metrics import percentile, summarize_latencies
 from repro.coe.node import NodeState
 from repro.coe.policies import DrainMode
 from repro.coe.runtime import CoERuntime
-from repro.coe.scheduling import (
-    ExpertPredictor, RequestGroup, coalesce_groups, node_order,
-)
+from repro.coe.scheduling import ExpertPredictor, coalesce_groups, node_order
 from repro.sim.engine import Simulator
 from repro.systems.platforms import sn40l_platform
 
@@ -98,24 +96,26 @@ def _record(i, expert="e0", batch=1, arrival=0.0, start=1.0, end=2.0, tok=3):
 
 
 #: Materialized records take their expert name from the block's names
-#: column; the groups' expert only has to be a real profile.
+#: column; the requests' expert only has to be a real profile.
 _BLOCK_EXPERT = build_samba_coe_library(1).experts[0]
 
 
 def _block_records(first_id, names_sizes, start0):
-    """Build extend_block arguments plus the equivalent scalar records."""
+    """Build extend_block arguments plus the equivalent scalar records:
+    the block's request table holds one padding row on either side of
+    the rows it covers."""
     names = [n for n, _ in names_sizes]
     sizes = [s for _, s in names_sizes]
     bounds, cursor = [start0], start0
     for _ in names:
         cursor += 1.5
         bounds.append(cursor)
-    groups, arrivals, tokens, records = [], [], [], []
+    pad = EngineRequest(request_id=-1, expert=_BLOCK_EXPERT)
+    table, arrivals, tokens, records = [pad], [-1.0], [-1], []
     rid = first_id
     for k, (name, size) in enumerate(zip(names, sizes)):
-        requests = []
         for _ in range(size):
-            requests.append(EngineRequest(
+            table.append(EngineRequest(
                 request_id=rid, expert=_BLOCK_EXPERT,
                 output_tokens=rid + 10, arrival_s=0.25 * rid,
             ))
@@ -125,10 +125,10 @@ def _block_records(first_id, names_sizes, start0):
                 CompletedRequest(rid, name, size, 0.25 * rid, bounds[k],
                                  bounds[k + 1], rid + 10))
             rid += 1
-        groups.append(RequestGroup(_BLOCK_EXPERT, tuple(requests)))
     columns = (
-        groups, names, np.asarray(bounds), np.asarray(sizes, dtype=np.int64),
-        np.asarray(arrivals), np.asarray(tokens, dtype=np.int64),
+        table + [pad], np.asarray(arrivals + [-1.0]),
+        np.asarray(tokens + [-1], dtype=np.int64), 1, len(table), names,
+        np.asarray(bounds), np.asarray(sizes, dtype=np.int64),
     )
     return columns, records
 

@@ -2,10 +2,12 @@
 
 import random
 from collections import OrderedDict
+from itertools import groupby
 
 import pytest
 
-from repro.coe.engine import EngineRequest
+from repro.coe.columnar import admit_backlog
+from repro.coe.engine import EngineRequest, ServingEngine
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.policies import NodePolicy
 from repro.coe.scheduling import (
@@ -18,6 +20,8 @@ from repro.coe.scheduling import (
     fifo_schedule,
     node_order,
 )
+from repro.sim.engine import Simulator
+from repro.systems.platforms import sn40l_platform
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +151,93 @@ class _OracleAssembler:
         if self._run:
             out.append(self._close_run())
         return out
+
+
+def _oracle_affinity_schedule(requests, window):
+    """``affinity_schedule`` as the Python loop it was: per window, an
+    ordered dict of same-expert lists, emitted in first-arrival order."""
+    scheduled = []
+    for start in range(0, len(requests), window):
+        groups = OrderedDict()
+        for request in requests[start:start + window]:
+            groups.setdefault(request.expert.name, []).append(request)
+        for group in groups.values():
+            scheduled.extend(group)
+    return scheduled
+
+
+def _oracle_coalesce_groups(schedule, max_batch):
+    """``coalesce_groups`` as the Python loop it was: each maximal
+    same-expert run, cut into ``max_batch``-sized groups."""
+    groups = []
+    for _, same in groupby(schedule, lambda r: r.expert.name):
+        run = tuple(same)
+        for start in range(0, len(run), max_batch):
+            chunk = run[start:start + max_batch]
+            groups.append(RequestGroup(chunk[0].expert, chunk))
+    return groups
+
+
+class TestGroupingOracle:
+    """The array kernels behind ``affinity_schedule``/``coalesce_groups``
+    and the sim's t=0 admission form exactly the loops' groups."""
+
+    @staticmethod
+    def _stream(rng, experts, size, tokens):
+        reqs = []
+        while len(reqs) < size:
+            expert = rng.choice(experts)
+            for _ in range(rng.choice((1, 1, 2, 3, 6, 11))):
+                if tokens:
+                    reqs.append(EngineRequest(
+                        len(reqs), expert,
+                        prompt_tokens=rng.choice((64, 128, 256, 512)),
+                        output_tokens=rng.choice((1, 8, 20, 64)),
+                    ))
+                else:
+                    reqs.append(Request(len(reqs), expert))
+        return reqs[:size]
+
+    @pytest.mark.parametrize("tokens", [True, False],
+                             ids=["mixed-lengths", "shapeless"])
+    @pytest.mark.parametrize("policy", ["fifo", "affinity", "overlap"])
+    def test_wrappers_equal_the_loops(self, library, policy, tokens):
+        rng = random.Random(f"{policy}:{tokens}")
+        experts = library.experts[:rng.randint(1, 9)]
+        for window in range(1, 301):
+            for max_batch in range(1, 10):
+                reqs = self._stream(rng, experts, rng.randint(0, 60), tokens)
+                ordered = (list(reqs) if policy == "fifo"
+                           else _oracle_affinity_schedule(reqs, window))
+                assert node_order(reqs, policy, window) == ordered
+                groups = coalesce_groups(ordered, max_batch)
+                assert groups == _oracle_coalesce_groups(ordered, max_batch)
+                assert all(g.expert is g.requests[0].expert for g in groups)
+
+    @pytest.mark.parametrize("policy", ["fifo", "affinity", "overlap"])
+    def test_admission_columns_equal_the_loops(self, library, policy):
+        """One engine's admitted columns hold the loops' groups, phase
+        keys (``np.maximum.reduceat`` over mixed lengths) and phases."""
+        rng = random.Random(f"admit:{policy}")
+        experts = library.experts[:9]
+        for trial in range(40):
+            reqs = self._stream(rng, experts, rng.randint(1, 300), True)
+            window, max_batch = rng.randint(1, 300), rng.randint(1, 9)
+            ordered = (list(reqs) if policy == "fifo"
+                       else _oracle_affinity_schedule(reqs, window))
+            oracle = _oracle_coalesce_groups(ordered, max_batch)
+            engine = ServingEngine(sn40l_platform(), library, policy=policy,
+                                   simulator=Simulator())
+            roots, shed, count = admit_backlog(
+                [engine], reqs, policy, window, max_batch)
+            cols = engine._admitted
+            assert (roots, shed, count) == ([engine], [], len(oracle))
+            assert cols.tail(0) == oracle, trial
+            assert cols.names == [g.expert.name for g in oracle]
+            assert [cols.base[row] for row in cols.rows.tolist()] == [
+                engine.state.phase_times(g) for g in oracle]
+            assert {g.phase_key for g in oracle} == set(
+                engine.state.phase_cache)
 
 
 class TestGroupAssembler:

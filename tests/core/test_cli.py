@@ -101,3 +101,35 @@ class TestOneNodeCluster:
         events = json.loads(trace.read_text())["traceEvents"]
         assert any(e["ph"] == "X" for e in events)
         assert json.loads(summary.read_text())["num_spans"] > 0
+
+    def test_one_node_trace_names_only_the_tracks_it_used(self, tmp_path,
+                                                          capsys):
+        """A one-node run without faults is a single engine: its spans
+        sit on unprefixed lanes, and the trace names no empty track."""
+        import json
+
+        trace = tmp_path / "trace.json"
+        assert main(["trace", "--cluster", "--num-nodes", "1",
+                     "--experts", "16", "--requests", "64",
+                     "-o", str(trace)]) == 0
+        events = json.loads(trace.read_text())["traceEvents"]
+        named = {e["tid"]: e["args"]["name"] for e in events
+                 if e["ph"] == "M" and e["name"] == "thread_name"}
+        assert set(named) == {e["tid"] for e in events if e["ph"] == "X"}
+        assert [named[tid] for tid in sorted(named)] == ["compute", "switch"]
+
+    def test_cluster_bench_rows_name_their_sweep_policy(self, tmp_path,
+                                                        capsys):
+        """Each row carries its sweep's cluster policy under its own key;
+        the report's own field stays null on a one-node point."""
+        import json
+
+        path = tmp_path / "cluster.json"
+        assert main(["cluster-bench", "--num-nodes", "1,2", "--experts",
+                     "16", "--requests", "64", "-o", str(path)]) == 0
+        rows = json.loads(path.read_text())["results"]
+        policies = ["least_loaded", "affinity", "steal"]
+        assert [(r["num_nodes"], r["sweep_cluster_policy"]) for r in rows] \
+            == [(n, p) for p in policies for n in (1, 2)]
+        assert [r["cluster_policy"] for r in rows] == [
+            None if n == 1 else p for p in policies for n in (1, 2)]
