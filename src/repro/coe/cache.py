@@ -353,12 +353,12 @@ class LookaheadPolicy(CachePolicy):
     down the hierarchy, the same ranking drives both HBM evictions and
     DDR demotions.
 
-    The backlog supplier is attached by the owning engine
-    (:meth:`bind_backlog`): in sim mode it is the live view of the
-    engine's remaining queue, in live mode the node's pending-group
-    mirror — the cross-check pins that both views are identical at
-    every decision point. Standalone use without a backlog raises
-    :class:`LookaheadUnboundError`.
+    The backlog supplier is attached by the owning node
+    (:meth:`bind_backlog`): the queued expert names of its queue
+    (:attr:`repro.coe.node.NodeState.queue`), which the sim engines and
+    the live worker edit alike — the cross-check pins that both
+    backends see identical windows at every decision point. Standalone
+    use without a backlog raises :class:`LookaheadUnboundError`.
     """
 
     name = "lookahead"

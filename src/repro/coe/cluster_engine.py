@@ -377,7 +377,7 @@ class ClusterEngine:
         if deadline_s is not None or self._decisions is not None:
             exec_s = backlog_s = 0.0
             if deadline_s is not None:
-                exec_s = engine._memo_exec_time(group)
+                exec_s = engine._group_exec_time(group)
                 backlog_s = engine.estimated_backlog_s()
             if not admit(group.expert.name, group.batch, node.name,
                          self._decisions, deadline_s, now, backlog_s,
@@ -658,7 +658,7 @@ class ClusterEngine:
         """Drain the whole backlog across the cluster; one shared clock.
 
         Admission routes every group at t=0. A columnar cluster admits
-        the backlog in arrays, straight into each node's columns
+        the backlog in arrays, straight into each node's queue
         (:func:`repro.coe.columnar.admit_backlog`), then starts in one
         t=0 drain over the nodes, in the order they received their first
         group (:func:`repro.coe.engine._drain_to_horizon`), and drains
@@ -693,12 +693,11 @@ class ClusterEngine:
             )
             if self.faults.crashes:
                 self._schedule_beat(self.heartbeat_s)
-        ordered = self.scheduler.order(requests)
         if self.drain_mode == DrainMode.COLUMNAR.value:
             # Every expert has one owner until the clock runs.
             roots, shed, num_groups = admit_backlog(
-                [n.engine for n in self.nodes], ordered, self.node_policy,
-                self.window, self.max_batch,
+                [n.engine for n in self.nodes], requests, self.scheduler,
+                self.node_policy, self.window, self.max_batch,
                 owner_of={name: owners[0]
                           for name, owners in self._owners.items()},
                 deadline_s=self.deadline_s, decisions=self._decisions,
@@ -711,7 +710,8 @@ class ClusterEngine:
                 )
         else:
             groups = coalesce_groups(
-                node_order(ordered, self.node_policy, self.window),
+                node_order(self.scheduler.order(requests), self.node_policy,
+                           self.window),
                 self.max_batch,
             )
             num_groups = len(groups)

@@ -1,18 +1,21 @@
-"""Columnar (structure-of-arrays) drain core for the serving engines.
+"""Columnar (structure-of-arrays) queue and drain core for the serving
+engines.
 
 A whole-queue drain replaces the reference path's begin/finish event
 pair per group with work on a local clock; on a million-request run the
-per-group Python work *is* the cost. This module vectorizes it. A
-backlog lives as :class:`GroupColumns`, parallel arrays over a request
-table: per-group expert names, phase-time triples (read from the
-engine's phase memo, which :meth:`ServingEngine.precompute_phases`
-seeds through the vectorized ``perf.kernel_cost`` batch entry points),
-batch sizes, and per-request arrival/output-token columns. The t=0
-backlog is grouped, routed and admitted straight into those columns
-(:func:`admit_backlog`), so no :class:`RequestGroup` exists until a
-group leaves them; a re-entered drain lowers its queued groups
-(:func:`lower_queue`). The drain (:func:`drain`) segments the queue
-into **runs**:
+per-group Python work *is* the cost. This module vectorizes it. Each
+node's queue is one :class:`GroupColumns`, parallel arrays over a
+request table with a head cursor: per-group expert names, phase-time
+triples (read from the node's phase memo, which
+:meth:`ServingEngine.precompute_phases` seeds through the vectorized
+``perf.kernel_cost`` batch entry points), batch sizes, and per-request
+arrival/output-token columns. The t=0 backlog is grouped, routed and
+admitted straight into those columns (:func:`admit_backlog`); after
+that every reader and writer edits them in place (submits, steals, a
+crashed node's drain, event-path begins, the live worker), so no
+:class:`RequestGroup` exists until a group leaves them and no queue is
+ever rebuilt. The drain (:func:`drain`) reads the queue from its head
+and segments it into **runs**:
 
     a run is a maximal stretch of groups whose experts are all
     HBM-resident with no pending copy-done barrier — so no eviction,
@@ -36,8 +39,9 @@ the ``overlap`` policy a group whose prefetch is more than a
 speculative recency refresh of a resident successor. That keeps
 ``CoERuntime.activate`` the single cache-decision choke point the
 sim/live cross-check relies on. Pipelined promotions happen at run
-ends, and a ``lookahead`` policy reads the unconsumed tail of the
-lowered names (docs/PERFORMANCE.md, section 10).
+ends, and a ``lookahead`` policy reads the queue from its head, which
+the drain moves past a group before its step (docs/PERFORMANCE.md,
+section 10).
 
 A drain may also stop at a horizon, leaving the group that straddles
 it in flight: a ``steal`` cluster drains each node that way up to the
@@ -74,6 +78,8 @@ from repro.coe.scheduling import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.coe.decisions import DecisionLog
     from repro.coe.engine import ServingEngine
+    from repro.coe.expert import ExpertProfile
+    from repro.coe.scheduling import Scheduler
 
 __all__ = [
     "CompletedLog",
@@ -87,10 +93,7 @@ __all__ = [
     "token_total",
 ]
 
-_PHASE_KEY = attrgetter("phase_key")
 _EXPERT = attrgetter("expert")
-_REQUESTS = attrgetter("requests")
-_NAME = attrgetter("name")
 _ARRIVAL = attrgetter("arrival_s")
 _OUTPUT_TOKENS = attrgetter("output_tokens")
 _PROMPT = attrgetter("prompt_tokens")
@@ -280,110 +283,199 @@ def token_total(completed: CompletedLog) -> int:
 
 
 # ----------------------------------------------------------------------
-# Admission, lowering + the drain core
+# The queue, admission + the drain core
 # ----------------------------------------------------------------------
 
 
 class GroupColumns:
-    """A queued backlog as parallel arrays, one row per group, over a
-    request table: group ``i`` holds rows ``offsets[i]:offsets[i+1]`` of
-    :attr:`requests` and of their :attr:`arrivals`/:attr:`tokens`.
-    :meth:`group` builds a :class:`RequestGroup` only where one leaves
-    the columns, unless they were lowered from groups."""
+    """A node's queue: parallel arrays, one row per group, over a
+    request table, and a head cursor. Groups before :attr:`head` have
+    begun; the rest are queued, soonest first.
+
+    Group ``i`` holds rows ``offsets[i]:offsets[i+1]`` of
+    :attr:`requests` and of their :attr:`arrivals`/:attr:`tokens`: the
+    table holds the groups' rows back to back, in queue order.
+    Admission builds the columns in arrays (:func:`admit_backlog`), and
+    every other reader and writer edits them in place: the drain, an
+    event-path begin and the live worker move the head, ``submit`` appends
+    (:meth:`append`), steals and a crashed node's drain remove
+    (:meth:`remove`). Edits touch only the head and the rows after it,
+    so the completion blocks a drain logs, which read begun rows, stay
+    valid. A group leaves the columns (:meth:`group`) as the object it
+    was appended as; only an admitted group is built, where it leaves.
+    """
 
     __slots__ = (
-        "experts", "names", "base", "rows", "sizes", "offsets", "requests",
-        "arrivals", "tokens", "table", "flat", "_factor", "_groups",
+        "experts", "names", "base", "rows", "offsets", "requests",
+        "arrivals", "tokens", "head", "built", "table", "flat", "_exec",
+        "_factor", "_row_of",
     )
 
     def __init__(self, experts, names, base, rows, sizes, requests,
-                 arrivals, tokens, groups=None):
+                 arrivals, tokens):
         self.experts = experts
         self.names = names
-        #: Base (router, prefill, decode) triples, no slow factor, one
-        #: per distinct shape; group ``i``'s is ``base[rows[i]]``.
+        #: Distinct base (router, prefill, decode) triples, no slow
+        #: factor; group ``i``'s is ``base[rows[i]]``.
         self.base = base
+        self._row_of = dict(zip(base, range(len(base))))
         self.rows = rows
-        self.sizes = sizes
         self.offsets = np.concatenate(([0], np.cumsum(sizes)))
         self.requests = requests
         self.arrivals = arrivals
         self.tokens = tokens
+        self.head = 0
+        #: Group ``i`` as appended, None for an admitted one.
+        self.built: List[Optional[RequestGroup]] = [None] * len(names)
         #: Set by :meth:`price`: :attr:`base` at the slow factor as
         #: Python floats (the decision path computes its timestamps from
         #: ``table[rows[i]]`` so no ``np.float64`` leaks into engine
         #: state or records), and every group's triple as an (n, 3)
         #: float64 array (float -> float64 is exact) for the cumsum.
-        self.table = self.flat = self._factor = None
-        self._groups = groups
+        self.table = self.flat = self._exec = self._factor = None
+
+    @classmethod
+    def empty(cls) -> "GroupColumns":
+        ints = np.empty(0, dtype=np.int64)
+        return cls([], [], [], ints, ints.copy(), [], np.empty(0),
+                   ints.copy())
 
     def __len__(self) -> int:
-        return len(self.names)
+        """The number of queued (not yet begun) groups."""
+        return len(self.names) - self.head
+
+    def unbegun(self) -> Iterator[str]:
+        """Expert names of the queued groups, soonest first: the
+        lookahead policy's window at every eviction decision point."""
+        # Not islice(names, head, None): each ranking would re-skip head.
+        return map(self.names.__getitem__, range(self.head, len(self.names)))
+
+    def peek(self) -> Optional["ExpertProfile"]:
+        """The expert of the head group, or None when nothing is queued."""
+        return self.experts[self.head] if self.head < len(self.names) else None
+
+    def group(self, i: int) -> RequestGroup:
+        """Group ``i`` as a :class:`RequestGroup`: as appended, else
+        built from its rows."""
+        group = self.built[i]
+        if group is None:
+            lo, hi = self.offsets[i:i + 2].tolist()
+            group = RequestGroup(self.experts[i], tuple(self.requests[lo:hi]))
+        return group
+
+    def append(self, group: RequestGroup,
+               base: Tuple[float, float, float]) -> None:
+        """Queue ``group`` last, with its base phase triple ``base``."""
+        n = len(self.names)
+        requests = group.requests
+        lo = len(self.requests)
+        hi = lo + len(requests)
+        if n == len(self.rows) or hi > len(self.arrivals):
+            # Grow every column by an eighth, as a list grows (what lies
+            # past the live rows is scratch).
+            self.rows = np.resize(self.rows, n + (n >> 3) + 8)
+            self.offsets = np.resize(self.offsets, n + (n >> 3) + 9)
+            self.arrivals = np.resize(self.arrivals, hi + (hi >> 3) + 8)
+            self.tokens = np.resize(self.tokens, hi + (hi >> 3) + 8)
+        self.experts.append(group.expert)
+        self.names.append(group.expert.name)
+        self.built.append(group)
+        row = self._row_of.get(base)
+        if row is None:
+            row = self._row_of[base] = len(self.base)
+            self.base.append(base)
+        self.rows[n] = row
+        self.offsets[n + 1] = hi
+        self.requests += requests
+        if hi - lo == 1:
+            self.arrivals[lo] = requests[0].arrival_s
+            self.tokens[lo] = requests[0].output_tokens
+        else:
+            self.arrivals[lo:hi] = list(map(_ARRIVAL, requests))
+            self.tokens[lo:hi] = list(map(_OUTPUT_TOKENS, requests))
+        self.flat = None
+
+    def remove(self, positions: Sequence[int]) -> List[RequestGroup]:
+        """Take the queued groups at ``positions`` out of the queue and
+        return them, in that order; the groups and rows after each one
+        move up."""
+        taken = list(map(self.group, positions))
+        offsets = self.offsets
+        # Last first: a removal moves only what lies after it, so the
+        # earlier positions and their rows stay put (and the last group
+        # goes without moving anything).
+        for i in sorted(positions, reverse=True):
+            n = len(self.names)
+            lo, hi = offsets[i:i + 2].tolist()
+            del self.names[i], self.experts[i], self.built[i]
+            del self.requests[lo:hi]
+            end, size = len(self.requests), hi - lo
+            self.rows[i:n - 1] = self.rows[i + 1:n]
+            offsets[i + 1:n] = offsets[i + 2:n + 1] - size
+            self.arrivals[lo:end] = self.arrivals[hi:end + size]
+            self.tokens[lo:end] = self.tokens[hi:end + size]
+        self.flat = None
+        return taken
+
+    def _reprice(self, factor: float) -> None:
+        """Bring :attr:`table` and each base row's exec time up to date
+        at ``factor``."""
+        if factor != self._factor:
+            self._factor, self.table, self.flat = factor, [], None
+            self._exec = np.empty(0)
+        new = self.base[len(self.table):]
+        if new:
+            if factor != 1.0:  # x * 1.0 is bitwise x
+                new = [(r * factor, p * factor, d * factor)
+                       for r, p, d in new]
+            self.table += new
+            # Python float sums (float -> float64 is exact).
+            self._exec = np.array([r + p + d for r, p, d in self.table])
 
     def price(self, factor: float) -> None:
         """Set :attr:`table` and :attr:`flat` at slow factor ``factor``:
         when a drain starts, as a slow window can open between admission
-        and the t=0 drain (never inside a drain event)."""
-        if factor == self._factor:
-            return
-        table = self.base  # x * 1.0 is bitwise x
-        if factor != 1.0:
-            table = [(r * factor, p * factor, d * factor)
-                     for r, p, d in table]
-        self.table = table
-        self.flat = np.asarray(table, dtype=np.float64).reshape(-1, 3)[
-            self.rows]
-        self._factor = factor
+        and the t=0 drain (never inside a drain event), and after any
+        edit."""
+        self._reprice(factor)
+        if self.flat is None:
+            self.flat = np.asarray(self.table, dtype=np.float64).reshape(
+                -1, 3)[self.rows[:len(self.names)]]
 
-    def group(self, i: int) -> RequestGroup:
-        """Group ``i`` as a :class:`RequestGroup`."""
-        if self._groups is not None:
-            return self._groups[i]
-        lo, hi = self.offsets[i:i + 2].tolist()
-        return RequestGroup(self.experts[i], tuple(self.requests[lo:hi]))
-
-    def tail(self, start: int) -> List[RequestGroup]:
-        """Groups ``start`` on, in order."""
-        return [self.group(i) for i in range(start, len(self))]
+    def backlog_s(self, factor: float) -> float:
+        """The queued groups' exec times at ``factor`` summed in queue
+        order from the int 0: each the float
+        :meth:`ServingEngine._group_exec_time` returns, so the sum is
+        bitwise the per-group one."""
+        self._reprice(factor)
+        return sum(self._exec[self.rows[self.head:len(self.names)]].tolist())
 
     def no_wait_end(self, start_at: float) -> float:
-        """When the last group would finish if none waited for a copy.
+        """When the last queued group would finish if none waited for a
+        copy.
 
-        One left-to-right cumsum of every phase (at the last
+        One left-to-right cumsum of every queued phase (at the last
         :meth:`price`) from ``start_at``: the float additions
         :func:`drain` makes. A copy wait only raises a begin time and
         IEEE addition is monotone, so the drained end is never earlier.
         """
-        acc = np.empty(self.flat.size + 1, dtype=np.float64)
+        phases = self.flat[self.head:]
+        acc = np.empty(phases.size + 1, dtype=np.float64)
         acc[0] = start_at
-        acc[1:] = self.flat.reshape(-1)
+        acc[1:] = phases.reshape(-1)
         return float(np.cumsum(acc)[-1])
 
 
 def lower_queue(
     engine: "ServingEngine", groups: Sequence[RequestGroup]
 ) -> GroupColumns:
-    """Lower queued ``groups`` into :class:`GroupColumns` for a
-    re-entered drain (admission builds them in :func:`admit_backlog`),
-    reading each distinct shape's phases once from the phase memo
-    (:meth:`NodeState.phase_times`; a cold shape takes the memoized
-    scalar path the reference drain uses)."""
-    n = len(groups)
-    keys = list(map(_PHASE_KEY, groups))
-    shapes = dict(zip(keys, groups))
-    row_of = dict(zip(shapes, range(len(shapes))))
-    experts = list(map(_EXPERT, groups))
-    requests = list(map(_REQUESTS, groups))
-    table = list(chain.from_iterable(requests))
-    return GroupColumns(
-        experts, list(map(_NAME, experts)),
-        list(map(engine.state.phase_times, shapes.values())),
-        np.fromiter(map(row_of.__getitem__, keys), np.intp, n),
-        np.fromiter(map(len, requests), np.int64, n), table,
-        np.fromiter(map(_ARRIVAL, table), np.float64, len(table)),
-        np.fromiter(map(_OUTPUT_TOKENS, table), np.int64, len(table)),
-        groups=list(groups),
-    )
+    """``groups`` as a queue for ``engine``: a reference-drain run's
+    backlog (admission builds a columnar run's in arrays,
+    :func:`admit_backlog`)."""
+    queue = GroupColumns.empty()
+    for group in groups:
+        queue.append(group, engine.state.phase_times(group))
+    return queue
 
 
 def _distinct_rows(*columns: np.ndarray) -> tuple:
@@ -405,6 +497,7 @@ def _distinct_rows(*columns: np.ndarray) -> tuple:
 def admit_backlog(
     engines: Sequence["ServingEngine"],
     requests: Sequence,
+    scheduler: "Scheduler",
     policy: str,
     window: int,
     max_batch: int,
@@ -413,23 +506,25 @@ def admit_backlog(
     decisions: Optional["DecisionLog"] = None,
     node_names: Sequence[str] = (),
 ) -> Tuple[List["ServingEngine"], list, int]:
-    """Admit a t=0 backlog, in scheduler order, in arrays.
+    """Admit a t=0 backlog in arrays, in ``scheduler`` order.
 
-    The batch form of ``coalesce_groups(node_order(requests, policy,
-    window), max_batch)`` then ``ClusterEngine._dispatch`` per group:
-    the window reorder and the ``max_batch`` cuts are the kernels those
-    functions wrap, ``phase_key`` maxima come from
+    The batch form of ``coalesce_groups(node_order(scheduler.order(
+    requests), policy, window), max_batch)`` then
+    ``ClusterEngine._dispatch`` per group: the scheduler's
+    :meth:`~repro.coe.scheduling.Scheduler.permutation` of the expert
+    codes, the window reorder and the ``max_batch`` cuts are the kernels
+    those functions wrap, ``phase_key`` maxima come from
     ``np.maximum.reduceat``, and a group goes to its expert's owner in
     ``owner_of`` (engine 0 without one). ``shard_experts`` places a
     partition and replicas appear only once the clock runs, so at
     admission every expert has one owner and routing is a lookup under
     every cluster policy. Each engine's phase memo is seeded in bulk
-    with the shapes routed to it, and its admitted groups wait, in
-    admission order, as its ``_admitted`` columns for the t=0 drain.
+    with the shapes routed to it, and its admitted groups, in admission
+    order, become its queue (:attr:`NodeState.queue`).
 
     With a ``deadline_s`` groups are admitted highest priority first
     (``ClusterEngine._priority_order``) against a running per-engine
-    sum of ``_memo_exec_time`` floats from 0.0: bitwise the fresh queue
+    sum of ``_group_exec_time`` floats from 0.0: bitwise the fresh queue
     sums of the per-group path. Verdicts and the ``admission`` stream
     (engine ``i`` is ``node_names[i]``) are :func:`admit`'s.
 
@@ -439,10 +534,16 @@ def admit_backlog(
     """
     n = len(requests)
     codes, names = expert_codes(requests)
-    grouped = np.arange(n)  # grouped position -> row of ``requests``
-    if NodePolicy.coerce(policy) is not NodePolicy.FIFO:
-        grouped = window_order(codes, window)
+    # Grouped position -> row of ``requests``. Codes only name classes,
+    # so they carry through the scheduler's permutation unchanged.
+    grouped = scheduler.permutation(codes)
+    if grouped is None:
+        grouped = np.arange(n)
+    else:
         codes = codes[grouped]
+    if NodePolicy.coerce(policy) is not NodePolicy.FIFO:
+        order = window_order(codes, window)
+        grouped, codes = grouped[order], codes[order]
 
     starts = group_starts(codes, max_batch)
     sizes = np.diff(np.append(starts, n))
@@ -480,7 +581,7 @@ def admit_backlog(
         for shape, rep in zip(mine.tolist(), reps):
             base[shape] = engine.state.phase_times(rep)
             if deadline_s is not None:
-                exec_s[shape] = engine._memo_exec_time(rep)
+                exec_s[shape] = engine._group_exec_time(rep)
     admitted = np.arange(len(starts))
     if deadline_s is not None:
         priority = np.maximum.reduceat(column(_PRIORITY)[grouped], starts)
@@ -513,7 +614,7 @@ def admit_backlog(
             table = take(requests, rows)
             shapes, local = np.unique(shape_of[mine], return_inverse=True)
             heads = np.cumsum(sizes[mine]) - sizes[mine]
-            engine._admitted = GroupColumns(
+            engine.state.queue = GroupColumns(
                 list(map(_EXPERT, take(table, heads))),
                 name_of[gcodes[mine]].tolist(), take(base, shapes),
                 local.reshape(-1), sizes[mine], table, arrivals[rows],
@@ -533,7 +634,8 @@ _PHASES = ("router", "prefill", "decode")
 class DrainStop(NamedTuple):
     """Where :func:`drain` stopped: the end of the queue or its horizon."""
 
-    #: Groups begun, an in-flight one included.
+    #: Groups this drain began (it moved the head past them), an
+    #: in-flight one included.
     begun: int
     #: Prefetches run at their group's exec start, after its begin (each
     #: one is an extra event on the reference path).
@@ -557,7 +659,7 @@ def drain(
     times: Optional[List[float]] = None,
     created: Optional[List[tuple]] = None,
 ) -> DrainStop:
-    """Drain lowered columns on a local clock.
+    """Drain a node's queue from its head on a local clock.
 
     Runs of resident-expert groups are timestamped by one cumsum and
     their cache/predictor bookkeeping applied through the batch APIs;
@@ -604,7 +706,6 @@ def drain(
     flat = cols.flat
     offsets = cols.offsets
     n = len(names)
-    first_index = engine._groups_started
     if timeline is not None:
         lane = engine.lane("compute")
         span_names = {
@@ -627,11 +728,9 @@ def drain(
         created.extend((new, *key) for new in lanes[known:])
         known = len(lanes)
 
-    # The lookahead backlog view reads names[engine._drain_pos:].
-    engine._drain_names = names
     deferred = 0
     now = start_at
-    pos = 0
+    pos = first = cols.head
     current = None
     prefetch_due = False
     while pos < n and now < horizon:
@@ -680,10 +779,10 @@ def drain(
                 events = np.repeat(acc[:3 * m + 1:3], 2)[1:2 * m + 1]
                 times.extend(events[:2 * m - (c < m)].tolist())
             run_names = names[pos:pos + c]
+            sizes = np.diff(offsets[pos:pos + c + 1])
             if timeline is not None and c:
                 durations = flat[pos:pos + c]
                 times_c = acc[:3 * c + 1].tolist()
-                sizes = cols.sizes[pos:pos + c].tolist()
                 keep = (durations > 0).reshape(-1).tolist()
                 timeline.record_run(
                     lane,
@@ -695,8 +794,7 @@ def drain(
                     list(compress(
                         ({"group": index, "batch": batch}
                          for index, batch in zip(
-                             range(first_index + pos, first_index + pos + c),
-                             sizes)
+                             range(pos, pos + c), sizes.tolist())
                          for _ in _PHASES),
                         keep)),
                 )
@@ -708,25 +806,22 @@ def drain(
                 # is not a resident hit), at its begin time. Recording
                 # its spans first cannot reorder lane creation: HBM
                 # starts empty, so a decision point precedes any run.
-                engine._drain_pos = run_end
+                cols.head = run_end
                 state.promote_next(experts[run_end], float(acc[3 * m - 3]))
                 if track:
                     note(base_event + 2 * m - 2)
             if c:
-                lo = offsets[pos]
-                hi = offsets[pos + c]
                 log.extend_block(
                     cols.requests, cols.arrivals, cols.tokens,
-                    int(lo), int(hi), run_names,
-                    acc[:3 * c + 1:3].copy(), cols.sizes[pos:pos + c],
+                    int(offsets[pos]), int(offsets[pos + c]), run_names,
+                    acc[:3 * c + 1:3].copy(), sizes,
                 )
                 state.groups_done += c
             pos = run_end
             if c < m:
                 i = pos - 1
                 now = float(acc[3 * c])
-                current = (cols.group(i), now, table[rows[i]],
-                           first_index + i)
+                current = (cols.group(i), now, table[rows[i]], i)
                 break
             now = float(acc[-1])
         else:
@@ -734,9 +829,10 @@ def drain(
             group = cols.group(pos)
             expert_name = names[pos]
             base = table[rows[pos]]
-            index = first_index + pos
+            index = pos
             pos += 1
-            engine._drain_pos = pos
+            # A lookahead policy reads the queue from the head on.
+            cols.head = pos
             nxt = experts[pos] if pos < n else None
             if times is not None:
                 times.append(now)
@@ -772,6 +868,6 @@ def drain(
             done = copy_done.get(head_name)
             if done is not None and done > now and head_name in resident:
                 now = done
-    engine._drain_names = None
+    cols.head = pos
     engine._busy_until_s = now
-    return DrainStop(pos, deferred, now, current, prefetch_due)
+    return DrainStop(pos - first, deferred, now, current, prefetch_due)

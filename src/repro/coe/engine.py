@@ -34,7 +34,9 @@ the overlap of the switch lane with the compute lane, so the stat and
 the exported trace cannot disagree.
 
 The engine itself is incremental: groups are :meth:`ServingEngine.submit`-ted
-into a queue and drained by events on a simulator clock. A standalone
+into the node's queue (:attr:`NodeState.queue`, one
+:class:`~repro.coe.columnar.GroupColumns` that admission fills and every
+path edits in place) and drained by events on a simulator clock. A standalone
 :meth:`ServingEngine.run` creates a private clock and drains a whole
 backlog; the cluster engine (:mod:`repro.coe.cluster_engine`) instead
 constructs many engines over one *shared* simulator, each with a
@@ -49,20 +51,18 @@ which is what cluster-level work stealing and online replication drive.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, islice
 from operator import attrgetter, itemgetter
 from typing import (
-    AbstractSet, Callable, Dict, Iterator, List, Optional,
-    Sequence, Tuple, Union,
+    AbstractSet, Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
 from repro.coe.cache import CachePolicyLike
 from repro.coe.columnar import (
     CompletedLog,
     CompletedRequest,  # re-exported: callers import it from this module
-    GroupColumns,
     admit_backlog,
     drain as _columnar_drain,
     lower_queue,
@@ -173,11 +173,9 @@ class ServingEngine:
         #: report's timeline-derived switch stats then read 0.0.
         self.record_timeline = record_timeline
         #: The node's server, predictor, phase memo (seeded in bulk by
-        #: :meth:`precompute_phases`) and DMA state. A lookahead
-        #: policy reads the groups not yet begun, in scheduled order, as
-        #: its backlog window (:meth:`_backlog`).
+        #: :meth:`precompute_phases`), DMA state and queue.
         self.state = NodeState(
-            platform, library, self._backlog, lane_prefix=lane_prefix,
+            platform, library, lane_prefix=lane_prefix,
             reserved_hbm_bytes=reserved_hbm_bytes, cache_policy=cache_policy,
             tier_capacities=tier_capacities,
             pipeline_promotions=pipeline_promotions, decision_log=decision_log,
@@ -213,7 +211,6 @@ class ServingEngine:
         return f"{self.lane_prefix}{base}"
 
     def _reset_run_state(self) -> None:
-        self._queue: "deque[RequestGroup]" = deque()
         #: Expert name -> number of queued groups: the steal queries'
         #: index. Built on the first query and kept in step with every
         #: queue change after it, so an engine no steal hook asks never
@@ -222,12 +219,12 @@ class ServingEngine:
         self._busy = False
         self._begin_scheduled = False
         self._busy_until_s = 0.0
-        #: The executing group: (group, exec_start, phase times, index).
-        #: Compute spans are recorded retrospectively at group finish so a
-        #: crashed node's partial work truncates at the crash instead of
-        #: painting phantom compute past its death.
+        #: The executing group: (group, exec_start, phase times, index),
+        #: its index being its queue position. Compute spans are recorded
+        #: retrospectively at group finish so a crashed node's partial
+        #: work truncates at the crash instead of painting phantom
+        #: compute past its death.
         self._current: Optional[tuple] = None
-        self._groups_started = 0
         self.speculative_prefetches = 0
         #: Fail-stop flag: a halted engine ignores every already-scheduled
         #: simulator callback (crash semantics — see ``halt``).
@@ -235,18 +232,6 @@ class ServingEngine:
         #: Transient straggler multiplier (>= 1.0) applied to the phase
         #: times of every group *started* while it is raised.
         self.slow_factor = 1.0
-        #: phase_key -> :meth:`_group_exec_time` at ``_exec_memo_factor``;
-        #: :meth:`estimated_backlog_s` clears it when ``slow_factor``
-        #: has changed since it was filled.
-        self._exec_memo: Dict[Tuple[str, int, int, int], float] = {}
-        self._exec_memo_factor = 1.0
-        #: While a columnar drain runs: its lowered expert names, of
-        #: which those from ``_drain_pos`` on are not yet begun (the
-        #: queue itself was cleared when the drain started).
-        self._drain_names: Optional[List[str]] = None
-        self._drain_pos = 0
-        #: The t=0 backlog (:func:`admit_backlog`), until a drain reads it.
-        self._admitted: Optional[GroupColumns] = None
 
     def bind(self, simulator: EventSource) -> None:
         """Attach to a (possibly shared) event source, resetting state.
@@ -272,7 +257,16 @@ class ServingEngine:
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        return len(self._queue)
+        # len(queue) inlined: the steal hooks read every node's depth
+        # at each finish.
+        queue = self.state.queue
+        return len(queue.names) - queue.head
+
+    @property
+    def _queue(self) -> List[RequestGroup]:
+        """The queued groups, for inspection (:meth:`GroupColumns.group`)."""
+        queue = self.state.queue
+        return [queue.group(i) for i in range(queue.head, len(queue.names))]
 
     @property
     def busy(self) -> bool:
@@ -292,7 +286,8 @@ class ServingEngine:
     @property
     def last_queued_expert(self) -> Optional[str]:
         """Expert of the queue tail (affinity routing extends its run)."""
-        return self._queue[-1].expert.name if self._queue else None
+        queue = self.state.queue
+        return queue.names[-1] if queue else None
 
     def queued_expert_counts(self) -> Dict[str, int]:
         """Queued group count per expert name (replication signal)."""
@@ -301,7 +296,7 @@ class ServingEngine:
     def _queued_counts(self) -> Dict[str, int]:
         """The queue's index (``_queued``), built from the queue if absent."""
         if self._queued is None:
-            self._queued = dict(Counter(map(_EXPERT_NAME, self._queue)))
+            self._queued = dict(Counter(self.state.queue.unbegun()))
         return self._queued
 
     def _unqueue(self, groups: Sequence[RequestGroup]) -> None:
@@ -314,15 +309,6 @@ class ServingEngine:
             else:
                 del counts[name]
 
-    def _backlog(self) -> Iterator[str]:
-        """Expert names of the groups not yet begun, soonest first: the
-        lookahead policy's window at every eviction decision point."""
-        names = self._drain_names
-        if names is None:
-            return map(_EXPERT_NAME, self._queue)
-        # Not islice(names, pos, None): each ranking would re-skip pos.
-        return map(names.__getitem__, range(self._drain_pos, len(names)))
-
     def has_queued(self, names: AbstractSet[str]) -> bool:
         """Whether any queued group's expert is named in ``names``."""
         return not self._queued_counts().keys().isdisjoint(names)
@@ -330,48 +316,20 @@ class ServingEngine:
     def estimated_backlog_s(self) -> float:
         """Closed-form estimate of queued + in-flight work (routing cost).
 
-        Each queued group's exec time comes from a memo keyed by its
-        ``phase_key`` at the current ``slow_factor``: the same floats
-        :meth:`_group_exec_time` returns, summed in the same order from
-        the same int 0, so the result is bitwise the fresh sum.
+        The queue sums its groups' exec times at the current
+        ``slow_factor`` (:meth:`GroupColumns.backlog_s`): the floats
+        :meth:`_group_exec_time` returns, in queue order from the int 0,
+        so the result is bitwise the fresh sum.
         """
         now = self._sim.now if self._sim is not None else 0.0
         total = max(0.0, self._busy_until_s - now) if self._busy else 0.0
-        memo = self._current_exec_memo()
-        queue = self._queue
-        try:
-            queued = sum(map(memo.__getitem__, map(_PHASE_KEY, queue)))
-        except KeyError:
-            # A shape not yet seen at this factor: fill in, then re-sum.
-            for group in queue:
-                self._memo_exec_time(group)
-            queued = sum(map(memo.__getitem__, map(_PHASE_KEY, queue)))
-        return total + queued
-
-    def _current_exec_memo(self) -> Dict[Tuple[str, int, int, int], float]:
-        """The exec-time memo, emptied first if ``slow_factor`` has
-        changed since it was filled."""
-        if self._exec_memo_factor != self.slow_factor:
-            self._exec_memo.clear()
-            self._exec_memo_factor = self.slow_factor
-        return self._exec_memo
-
-    def _memo_exec_time(self, group: RequestGroup) -> float:
-        """:meth:`_group_exec_time` of ``group``, read from the memo
-        :meth:`estimated_backlog_s` sums (filled on a miss): the same
-        float, at the cost of one dict probe per known shape."""
-        memo = self._current_exec_memo()
-        key = group.phase_key
-        exec_s = memo.get(key)
-        if exec_s is None:
-            exec_s = memo[key] = self._group_exec_time(group)
-        return exec_s
+        return total + self.state.queue.backlog_s(self.slow_factor)
 
     def submit(self, group: RequestGroup) -> None:
         """Enqueue one group; starts it immediately if the engine is idle."""
         if self._halted:
             raise RuntimeError("cannot submit to a halted (crashed) engine")
-        self._queue.append(group)
+        self.state.queue.append(group, self.state.phase_times(group))
         counts = self._queued
         if counts is not None:
             name = group.expert.name
@@ -396,17 +354,15 @@ class ServingEngine:
         in ``names``: the groups, in the order, that ``count`` successive
         :meth:`steal` calls would return, found in one tail-to-head pass.
         """
-        queue = self._queue
-        floor = 0 if self._busy else 1
+        queue = self.state.queue
+        queued = queue.names
+        floor = queue.head + (0 if self._busy else 1)
         # Positions from the tail down to the floor, at C speed.
         taken = list(islice(compress(
-            range(len(queue) - 1, floor - 1, -1),
-            map(names.__contains__, map(_EXPERT_NAME, reversed(queue))),
+            range(len(queued) - 1, floor - 1, -1),
+            map(names.__contains__, reversed(queued)),
         ), count))
-        groups = [queue[i] for i in taken]
-        # Descending indices: each deletion leaves the later ones in place.
-        for i in taken:
-            del queue[i]
+        groups = queue.remove(taken)
         if self._queued is not None:
             self._unqueue(groups)
         return groups
@@ -425,7 +381,7 @@ class ServingEngine:
         runtime = self.server.runtime
         if runtime.is_resident(expert):
             return self._sim.now
-        needed = {g.expert.name for g in islice(self._queue, 2)}
+        needed = set(islice(self.state.queue.unbegun(), 2))
         if not needed.isdisjoint(runtime.would_evict(expert)):
             return None
         return self.state.demand_copy(expert, self._sim.now, speculative=True)
@@ -475,21 +431,10 @@ class ServingEngine:
         if self._current is not None:
             orphans.append(self._current[0])
             self._current = None
-        orphans.extend(self._queue)
-        if self._admitted is not None:
-            orphans.extend(self._admitted.tail(0))
-            self._admitted = None
-        self._queue.clear()
+        queue = self.state.queue
+        orphans.extend(queue.remove(range(queue.head, len(queue.names))))
         self._queued = None
         return orphans
-
-    def _take_columns(self) -> GroupColumns:
-        """The admitted backlog, once, else the queue lowered."""
-        cols = self._admitted
-        if cols is None:
-            return lower_queue(self, list(self._queue))
-        self._admitted = None
-        return cols
 
     # ------------------------------------------------------------------
     def _group_phase_times(self, group: RequestGroup) -> Tuple[float, float, float]:
@@ -561,18 +506,18 @@ class ServingEngine:
     def _kick(self) -> None:
         """Schedule the queue head's begin event if the engine is idle."""
         if (self._sim is None or self._halted or self._busy
-                or self._begin_scheduled or not self._queue):
+                or self._begin_scheduled):
             return
-        self._begin_scheduled = True
-        self._sim.schedule_at(
-            self._head_start(self._sim.now), self._begin_next
-        )
+        head = self.state.queue.peek()
+        if head is not None:
+            self._begin_scheduled = True
+            self._sim.schedule_at(
+                self._head_start(self._sim.now, head), self._begin_next
+            )
 
-    def _head_start(self, now: float) -> float:
-        """When the queue (or admitted) head can begin: ``now``, or once
-        the pending copy of its resident expert lands."""
-        head = (self._queue[0].expert if self._queue
-                else self._admitted.experts[0])
+    def _head_start(self, now: float, head: ExpertProfile) -> float:
+        """When the queue head, a group of ``head``, can begin: ``now``,
+        or once the pending copy of its resident expert lands."""
         if self.server.runtime.is_resident(head):
             return max(now, self.state.copy_done.get(head.name, now))
         return now
@@ -583,26 +528,25 @@ class ServingEngine:
         self._begin_scheduled = False
         if self._busy:
             return
-        if not self._queue:
+        queue = self.state.queue
+        index = queue.head
+        if not queue:
             self._notify_idle()
             return
+        queue.head += 1
+        group = queue.group(index)
         sim = self._sim
-        group = self._queue.popleft()
         if self._queued is not None:
             self._unqueue((group,))
         self._busy = True
-        index = self._groups_started
-        self._groups_started += 1
         router_s, prefill_s, decode_s = self._group_phase_times(group)
-        exec_start = self.state.begin(
-            group, self._queue[0].expert if self._queue else None, sim.now
-        )
-        if self.policy == "overlap" and self._queue:
+        nxt = queue.peek()
+        exec_start = self.state.begin(group, nxt, sim.now)
+        if self.policy == "overlap" and nxt is not None:
             # While this group executes, the DMA engines prefetch the
             # next queued expert (or speculate when it is already here).
             if exec_start <= sim.now:
-                self._prefetch(self._queue[0].expert, group.expert.name,
-                               sim.now)
+                self._prefetch(nxt, group.expert.name, sim.now)
             else:
                 sim.schedule_at(exec_start, self._prefetch_next)
         end = exec_start + router_s + prefill_s + decode_s
@@ -617,10 +561,11 @@ class ServingEngine:
         """The deferred :meth:`_prefetch` of the queue head, due at the
         exec start of the group in flight (``now``, by default the
         clock's)."""
-        if self._halted or not self._queue:
+        nxt = self.state.queue.peek()
+        if self._halted or nxt is None:
             return
         self._prefetch(
-            self._queue[0].expert, self._current[0].expert.name,
+            nxt, self._current[0].expert.name,
             self._sim.now if now is None else now,
         )
 
@@ -652,7 +597,7 @@ class ServingEngine:
                     None,
                 )
             if guess is not None:
-                event = runtime.activate(guess, span=False, speculative=True)
+                event = runtime.activate(guess, speculative=True)
                 state.spec_open.append(
                     (f"copy:{guess.name}", now, event.time_s)
                 )
@@ -667,7 +612,7 @@ class ServingEngine:
         group = self._complete_current(self._sim.now)
         if self.on_group_done is not None:
             self.on_group_done(self, group)
-        if self._queue:
+        if self.state.queue:
             self._kick()
         else:
             self._notify_idle()
@@ -684,7 +629,6 @@ class ServingEngine:
     def _drain_before(
         self,
         due: Sequence[tuple],
-        cols: Optional[GroupColumns],
         horizon: float,
         ordered: bool,
     ) -> Tuple[List[tuple], List[tuple], int]:
@@ -695,12 +639,12 @@ class ServingEngine:
         ``due`` holds its events that start the drain, in run order, as
         ``(time, rank, callback)``: the begin of its queue head, or the
         deferred prefetch and the finish of its group in flight. They
-        run first, then the lowered queue ``cols`` (lowered here when
-        None) from when its head can begin. The node is left exactly as
-        the reference path leaves it at the horizon: the unbegun groups
-        queued, and either a group in flight (its finish and, when its
-        exec start is at or after the horizon, its deferred prefetch
-        still to run) or the next begin due.
+        run first, then the queue from its head, from when the head can
+        begin; the drain moves the head past every group it begins. The
+        node is left exactly as the reference path leaves it at the
+        horizon: the unbegun groups queued, and either a group in flight
+        (its finish and, when its exec start is at or after the horizon,
+        its deferred prefetch still to run) or the next begin due.
 
         Returns the handed-off events as ``(key, time, callback)``, the
         lanes the drained events created as ``(key, lane)``, and the
@@ -709,6 +653,7 @@ class ServingEngine:
         (:func:`_tie_key`); otherwise a key is just its chain's rank.
         """
         timeline = self._sim.timeline
+        queue = self.state.queue
         times: Optional[List[float]] = [] if ordered else None
         track = ordered and timeline is not None
         created: Optional[List[tuple]] = [] if track else None
@@ -732,7 +677,9 @@ class ServingEngine:
                 self._complete_current(time)
                 if times is not None:
                     times.append(time)
-                start = self._head_start(time) if self._queue else time
+                head = queue.peek()
+                start = (time if head is None
+                         else self._head_start(time, head))
                 sub = 1
             if track:
                 lanes.extend(((time, -math.inf, rank, sub), lane)
@@ -741,13 +688,8 @@ class ServingEngine:
             # Only the prefetch was due; the finish is at or after the
             # horizon and stays on the clock.
             return [], lanes, count
-        if cols is None:
-            cols = self._take_columns()
-        self._queue.clear()
+        stop = _columnar_drain(self, queue, start, horizon, times, created)
         self._queued = None
-        stop = _columnar_drain(self, cols, start, horizon, times, created)
-        self._queue.extend(cols.tail(stop.begun))
-        self._groups_started += stop.begun
         done = stop.begun - (stop.current is not None)
         events: List[tuple] = []
         if stop.current is None:
@@ -762,7 +704,7 @@ class ServingEngine:
                 events.append((exec_start, self._prefetch_next, 0))
             events.append((self._busy_until_s, self._finish_group, 1))
         count += stop.begun + done + stop.deferred
-        if stop.current is None and not self._queue:
+        if stop.current is None and not queue:
             # Drained dry: the handed-off begin only replays the last
             # finish's idle notification, and lands the shared clock on
             # this node's end; it is no reference event of its own.
@@ -804,27 +746,27 @@ class ServingEngine:
         self._ran = True
         if not requests:
             raise ValueError("empty request backlog")
-        admitted = self.scheduler.order(requests)
         timeline = Timeline() if self.record_timeline else None
         sim = Simulator(timeline=timeline)
         self.bind(sim)
         try:
             if self.drain_mode == DrainMode.COLUMNAR.value:
                 num_groups = admit_backlog(
-                    [self], admitted, self.policy, self.window,
-                    self.max_batch,
+                    [self], requests, self.scheduler, self.policy,
+                    self.window, self.max_batch,
                 )[2]
                 sim.schedule_at(
                     0.0, lambda: _drain_to_horizon([self], held=True)
                 )
             else:
                 groups = coalesce_groups(
-                    node_order(admitted, self.policy, self.window),
+                    node_order(self.scheduler.order(requests), self.policy,
+                               self.window),
                     self.max_batch,
                 )
                 num_groups = len(groups)
                 self.precompute_phases(groups)
-                self._queue.extend(groups)
+                self.state.queue = lower_queue(self, groups)
                 self._kick()
             makespan = sim.run()
             self.state.flush_speculation(makespan)
@@ -872,21 +814,20 @@ def _drain_to_horizon(
 
     ``engines`` share one clock. A run's first drain is its one t=0
     event, over the engines ``held`` at admission: each with its
-    admitted backlog in columns (:func:`admit_backlog`; the queue
-    empty, no group built) and its first begin held back (never
-    scheduled), in the order they received their first group. The drain
-    reads those columns directly and prices them at the slow factor in
-    force when it starts; a node that crashed first keeps them for its
+    admitted backlog as its queue (:func:`admit_backlog`; no group
+    built) and its first begin held back (never scheduled), in the
+    order they received their first group. Every drain reads each
+    node's queue in place from its head, priced at the slow factor in
+    force when it starts, and leaves the unbegun groups queued behind
+    the head; a node that crashed first keeps its queue for its
     :meth:`ServingEngine.drain`. Groups are built only where one leaves
-    the columns: a decision point, and at a finite horizon the group in
-    flight and the unbegun tail, which go back to the queue. A cluster
-    calls the drain again after each cluster event that changes a queue
-    or a cost input, over all its engines; each alive one lowers its
-    queue (:func:`lower_queue`) and starts from its events
-    pending on the clock: a begin due, or the finish (and perhaps the
-    deferred prefetch) of its group in flight. Halted engines are
-    skipped; their events are no-ops, a held begin too, which counts as
-    the event it is on the reference path.
+    the queue: a decision point, and at a finite horizon the group in
+    flight. A cluster calls the drain again after each cluster event
+    that changes a queue or a cost input, over all its engines; each
+    alive one starts from its events pending on the clock: a begin due,
+    or the finish (and perhaps the deferred prefetch) of its group in
+    flight. Halted engines are skipped; their events are no-ops, a held
+    begin too, which counts as the event it is on the reference path.
 
     The horizon is the next pending event that is not these engines'
     own: a cluster event (a fault or a heartbeat). With no ``on_idle``
@@ -912,7 +853,8 @@ def _drain_to_horizon(
                 drained += 1
             else:
                 due[engine] = [
-                    (engine._head_start(sim.now), rank, engine._begin_next)
+                    (engine._head_start(sim.now, engine.state.queue.peek()),
+                     rank, engine._begin_next)
                 ]
     horizon = math.inf
     owner = {id(engine): engine for engine in engines}
@@ -922,22 +864,19 @@ def _drain_to_horizon(
             horizon = min(horizon, event[0])
         elif not engine._halted:
             due.setdefault(engine, []).append(event)
-    lowered: Dict[ServingEngine, GroupColumns] = {}
     if any(engine.on_idle is not None for engine in due):
-        # The horizon needs every queue lowered up front; without it each
-        # engine lowers its queue just before draining it, so one lowered
-        # queue at a time is alive.
+        # The horizon needs every queue priced up front.
         for engine, events in due.items():
             start = engine._busy_until_s if engine._busy else events[0][0]
-            cols = lowered[engine] = engine._take_columns()
-            cols.price(engine.slow_factor)
-            horizon = min(horizon, cols.no_wait_end(start))
+            queue = engine.state.queue
+            queue.price(engine.slow_factor)
+            horizon = min(horizon, queue.no_wait_end(start))
     if not held:
         # Keep what starts at or after the horizon on the clock, and the
         # begin of an engine with nothing queued (it only notifies idle).
         for engine in list(due):
             events = [e for e in due[engine] if e[0] < horizon]
-            if events and (engine._busy or engine._queue):
+            if events and (engine._busy or engine.state.queue):
                 due[engine] = events
             else:
                 del due[engine]
@@ -949,7 +888,7 @@ def _drain_to_horizon(
     lanes: List[tuple] = []
     for engine, events in due.items():
         events, created, count = engine._drain_before(
-            events, lowered.get(engine), horizon, ordered
+            events, horizon, ordered
         )
         handoffs.extend(events)
         lanes.extend(created)

@@ -53,17 +53,15 @@ trace smoke-tests in a fraction of a wall second.
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
-    Callable, Deque, List, NamedTuple, Optional, Sequence, Set,
-    TYPE_CHECKING,
+    Callable, List, NamedTuple, Optional, Sequence, Set, TYPE_CHECKING,
 )
 
 from repro.coe.decisions import DecisionLog
 from repro.coe.dispatch import admit, choose_node, shard_experts
-from repro.coe.engine import _EXPERT_NAME, EngineRequest
+from repro.coe.engine import EngineRequest
 from repro.coe.expert import ExpertLibrary
 from repro.coe.node import NodeState
 from repro.coe.report import ServeReport, ShedRequest, build_report
@@ -98,18 +96,13 @@ class TokenEvent(NamedTuple):
 
 @dataclass
 class _LiveNode:
-    """One live node: its :class:`NodeState` and its worker's queue."""
+    """One live node: its :class:`NodeState` and its worker's queue,
+    which carries :attr:`NodeState.queue`'s groups in the same order."""
 
     index: int
     name: str
     state: NodeState
     hosted: Set[str]
-    #: Mirror of the not-yet-begun groups in this node's queue, in
-    #: admission order — what the sim engine's ``_queue`` deque holds at
-    #: every group step. A lookahead cache policy reads it as its
-    #: backlog window, and the pipelined-promotion peek reads its head;
-    #: the worker pops it at group *begin*.
-    pending: Deque[RequestGroup]
     #: Admission-logical backlog: running sum of admitted groups'
     #: execution times, the mirror of the sim's per-node admission sum.
     backlog_s: float = 0.0
@@ -185,12 +178,10 @@ class LiveEngine:
         # itself, with the single-node-only reserved_hbm_bytes knob.
         shards, self._owners = shard_experts(library, config.num_nodes)
         for idx, shard in enumerate(shards):
-            pending: Deque[RequestGroup] = deque()
             state = NodeState(
                 factory(),
                 ExpertLibrary(experts=list(shard))
                 if config.wants_cluster else library,
-                lambda p=pending: map(_EXPERT_NAME, p),
                 lane_prefix=f"node{idx}/",
                 reserved_hbm_bytes=(
                     None if config.wants_cluster
@@ -206,7 +197,6 @@ class LiveEngine:
                 name=f"node{idx}",
                 state=state,
                 hosted={e.name for e in shard},
-                pending=pending,
             )
             state.reset(partial(self._book, node), self.timeline)
             self.nodes.append(node)
@@ -253,7 +243,8 @@ class LiveEngine:
             affinity=self.cluster_policy == "affinity",
         )
         node = self.nodes[index]
-        router, prefill, decode = node.state.phase_times(group)
+        phase_times = node.state.phase_times(group)
+        router, prefill, decode = phase_times
         exec_s = router + prefill + decode
         if not admit(
             name, group.batch, node.name,
@@ -267,10 +258,9 @@ class LiveEngine:
         except asyncio.QueueFull:
             self._shed(group, "backpressure")
         else:
-            # The pending mirror tracks the *work* queue only: a shed
-            # group never reaches the worker, so it must not appear in
-            # the lookahead/pipelining backlog window either.
-            node.pending.append(group)
+            # Only work the worker will run is queued: a shed group must
+            # not appear in the lookahead/pipelining backlog window.
+            node.state.queue.append(group, phase_times)
         node.backlog_s += exec_s
         node.tail = name
 
@@ -296,12 +286,12 @@ class LiveEngine:
         """Run one group: the node's group step plans it, and the worker
         sleeps to the plan's exec start, then streams its tokens."""
         clock = self.clock
-        # This group begins: drop it off the pending mirror so the
-        # lookahead backlog window and the pipelining peek see only the
-        # not-yet-begun groups, exactly like the sim's popped queue.
-        node.pending.popleft()
-        nxt = node.pending[0].expert if node.pending else None
         state = node.state
+        # This group, the queue head, begins: move the head past it so
+        # the lookahead backlog window and the pipelining peek see only
+        # the groups not yet begun, as the sim's begin does.
+        state.queue.head += 1
+        nxt = state.queue.peek()
         phase_times = state.phase_times(group)
         router_s, prefill_s, decode_s = phase_times
         await clock.sleep_until(state.begin(group, nxt, clock.now))

@@ -1,16 +1,19 @@
-"""One serving node's cache, DMA and completion state, shared by every
-serving path.
+"""One serving node's queue, cache, DMA and completion state, shared by
+every serving path.
 
 Each expert group a node serves goes through the same sequence: route,
 switch the expert into HBM over the DDR->HBM DMA, prefill and decode,
 finish. :class:`NodeState` holds the per-node half of it once for the
 reference drain, the columnar drain's decision points
 (:mod:`repro.coe.columnar`) and the live worker
-(:mod:`repro.coe.live_engine`): the node's :class:`ExpertServer` (cost
-model + expert cache) with its phase-time memo, its
-:class:`ExpertPredictor`, its single DMA path and its completion log.
-:meth:`NodeState.begin` starts a group and :meth:`NodeState.finish`
-ends it; columnar run blocks are the log's one other writer.
+(:mod:`repro.coe.live_engine`): the node's queue (one
+:class:`~repro.coe.columnar.GroupColumns`, which every path edits in
+place and a ``lookahead`` cache policy reads from its head), its
+:class:`ExpertServer` (cost model + expert cache) with its phase-time
+memo, its :class:`ExpertPredictor`, its single DMA path and its
+completion log. :meth:`NodeState.begin` starts a group and
+:meth:`NodeState.finish` ends it; columnar run blocks are the log's one
+other writer.
 
 It never reads a clock. Every step takes ``now`` from its caller and
 books its spans through what the caller installs with
@@ -22,10 +25,10 @@ reaches the span), phase spans on the run's timeline.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coe.cache import CachePolicyLike, LookaheadPolicy, PredictivePolicy
-from repro.coe.columnar import CompletedLog, CompletedRequest
+from repro.coe.columnar import CompletedLog, CompletedRequest, GroupColumns
 from repro.coe.decisions import DecisionLog
 from repro.coe.expert import ExpertLibrary, ExpertProfile
 from repro.coe.scheduling import ExpertPredictor, RequestGroup
@@ -37,11 +40,11 @@ __all__ = ["NodeState"]
 
 
 class NodeState:
-    """A node's server, predictor, phase memo, DMA state and completion
-    log, and its group step.
+    """A node's queue, server, predictor, phase memo, DMA state and
+    completion log, and its group step.
 
-    ``backlog`` supplies the expert names of the groups not yet begun,
-    soonest first: a ``lookahead`` cache policy reads it as its window.
+    A ``lookahead`` cache policy reads the queued groups' expert names,
+    soonest first, as its window (:meth:`GroupColumns.unbegun`).
     Decisions stream into ``decision_log`` under the node's name
     (``lane_prefix`` without its slash, ``"node0"`` when empty).
     """
@@ -50,7 +53,6 @@ class NodeState:
         self,
         platform: Platform,
         library: ExpertLibrary,
-        backlog: Callable[[], Iterable[str]],
         *,
         lane_prefix: str = "",
         reserved_hbm_bytes: Optional[int] = None,
@@ -76,7 +78,7 @@ class NodeState:
                 and runtime.policy.predictor is None):
             runtime.policy.predictor = self.predictor
         if isinstance(runtime.policy, LookaheadPolicy):
-            runtime.policy.bind_backlog(backlog)
+            runtime.policy.bind_backlog(lambda: self.queue.unbegun())
         self.lane_prefix = lane_prefix
         #: The CoServe-style promotion pipeline needs a bounded DDR tier
         #: (otherwise there is nothing to promote).
@@ -98,9 +100,9 @@ class NodeState:
         record_span: Optional[Callable[..., object]],
         timeline: Optional[Timeline],
     ) -> None:
-        """Clear the DMA state and the completion log; book DMA spans
-        through ``record_span`` and phase spans on ``timeline`` (none
-        without one).
+        """Empty the queue, clear the DMA state and the completion log;
+        book DMA spans through ``record_span`` and phase spans on
+        ``timeline`` (none without one).
 
         The sink takes :meth:`repro.sim.engine.Simulator.record_span`'s
         arguments (always with ``start_s``, ``end_s`` and ``args``). The
@@ -108,6 +110,9 @@ class NodeState:
         """
         self.record_span = record_span
         self.timeline = timeline
+        #: The node's queue: the groups begun, then those queued, behind
+        #: a head cursor. Admission may replace it with its columns.
+        self.queue = GroupColumns.empty()
         #: Per-request completion records, in completion order.
         self.completed = CompletedLog()
         #: Groups finished, columnar run blocks included.
@@ -264,9 +269,7 @@ class NodeState:
         """
         self.flush_speculation(now)
         start = max(now, self.dma_free_s)
-        event = self.server.runtime.activate(
-            expert, span=False, speculative=speculative
-        )
+        event = self.server.runtime.activate(expert, speculative=speculative)
         if self.copy_faults_armed > 0 and event.time_s > 0:
             self.copy_faults_armed -= 1
             self.copy_retries += 1

@@ -95,7 +95,7 @@ class DrainMode(PolicyEnum):
     - ``REFERENCE`` — one begin/finish simulator event pair per group,
       the seed-equivalent event-by-event execution.
     - ``COLUMNAR`` — the default: the whole queue drains in one
-      simulator event on a local clock. The queue is lowered to parallel
+      simulator event on a local clock. Each node's queue is parallel
       arrays (:mod:`repro.coe.columnar`) and maximal runs of resident-
       expert groups are timestamped with one ``numpy`` cumsum instead of
       a Python iteration each; only decision points (cache misses, and

@@ -34,7 +34,6 @@ from repro.coe.cache import CachePolicy, CachePolicyLike, make_policy
 from repro.coe.decisions import DecisionLog
 from repro.coe.expert import ExpertProfile
 from repro.memory.hierarchy import MemoryHierarchy, TierLike
-from repro.obs import Timeline
 
 
 class SwitchEvent(NamedTuple):
@@ -247,9 +246,6 @@ class CoERuntime:
         #: Demand access sequence (expert names, in order) — the trace a
         #: :class:`repro.coe.cache.BeladyPolicy` replays.
         self.demand_trace: List[str] = []
-        self._timeline: Optional[Timeline] = None
-        self._clock: Optional[Callable[[], float]] = None
-        self._span_lane = "dma"
         self._decisions: Optional[DecisionLog] = None
         self._decision_stream = "node0"
 
@@ -259,28 +255,6 @@ class CoERuntime:
     ) -> float:
         """Edge-based copy cost between two tiers of the hierarchy."""
         return self.hierarchy.transfer_time(src_tier, dst_tier, num_bytes)
-
-    # ------------------------------------------------------------------
-    def attach_timeline(
-        self,
-        timeline: Timeline,
-        clock: Callable[[], float],
-        lane: str = "dma",
-    ) -> None:
-        """Record each DDR->HBM copy as a span at ``clock()`` time.
-
-        ``clock`` supplies the caller's notion of "now" (a simulator's
-        clock in the serving engine; wall time in a driver); the copy
-        span runs from ``clock()`` for the modelled transfer duration.
-        """
-        self._timeline = timeline
-        self._clock = clock
-        self._span_lane = lane
-
-    def detach_timeline(self) -> None:
-        """Stop recording copy spans (e.g. when a sim's clock dies)."""
-        self._timeline = None
-        self._clock = None
 
     # ------------------------------------------------------------------
     def attach_decisions(self, log: DecisionLog, stream: str) -> None:
@@ -296,9 +270,6 @@ class CoERuntime:
         """
         self._decisions = log
         self._decision_stream = stream
-
-    def detach_decisions(self) -> None:
-        self._decisions = None
 
     # ------------------------------------------------------------------
     @property
@@ -492,7 +463,6 @@ class CoERuntime:
         self,
         expert: ExpertProfile,
         *,
-        span: bool = True,
         speculative: bool = False,
     ) -> SwitchEvent:
         """Make ``expert`` resident in HBM; returns the switch record.
@@ -506,10 +476,8 @@ class CoERuntime:
 
         ``speculative=True`` marks prefetcher traffic: it is accounted in
         the separate ``speculative_*`` counters and does not extend the
-        demand trace. With a timeline attached, each miss's copy is
-        recorded as a span; ``span=False`` suppresses that for callers
-        (the speculative prefetcher) that account for the copy's
-        occupancy themselves.
+        demand trace. The caller books the copy's span on its DMA
+        timeline (:meth:`repro.coe.node.NodeState.demand_copy`).
         """
         if speculative:
             self.stats.speculative_requests += 1
@@ -617,24 +585,6 @@ class CoERuntime:
                     self._decision_stream, "cache", expert.name, "miss",
                     detail=evicted,
                 )
-        if span and self._timeline is not None:
-            now = self._clock()
-            self._timeline.record(
-                f"copy:{expert.name}",
-                lane=self._span_lane,
-                category="switch",
-                start_s=now,
-                end_s=now + time_s,
-                args={
-                    "hit": False,
-                    "speculative": speculative,
-                    "policy": self.policy.name,
-                    "bytes_up": bytes_up,
-                    "bytes_down": bytes_down,
-                    "evicted": list(evicted),
-                    "evicted_why": list(evicted_why),
-                },
-            )
         return SwitchEvent(
             expert=expert.name,
             hit=False,

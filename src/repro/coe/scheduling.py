@@ -119,20 +119,29 @@ def take(items: Sequence, index: np.ndarray) -> list:
 class Scheduler:
     """Admission-time request reordering, applied to the whole backlog.
 
-    Runs *before* node scheduling: the engines hand the queued requests
-    to :meth:`order` once per run (or, live, once per admitted backlog)
-    and feed the result through the usual windowed node policy and group
-    coalescing. Schedulers are stateless — :meth:`order` is a pure
-    function of its input — which is what makes one instance safely
-    shareable across cluster nodes and across the sim and live engines
-    of a cross-check pair.
+    Runs *before* node scheduling, as a :meth:`permutation` of the
+    backlog's expert codes: array admission applies it to the codes it
+    computes anyway (:func:`repro.coe.columnar.admit_backlog`); the
+    reference drain and the live engine take :meth:`order`. Schedulers
+    are stateless — a pure function of their input — which is what makes
+    one instance safely shareable across cluster nodes and across the
+    sim and live engines of a cross-check pair.
     """
 
     #: Registry key; subclasses set it to a :class:`SchedulerName` value.
     name = "scheduler"
 
-    def order(self, requests: Sequence["Request"]) -> List["Request"]:
+    def permutation(self, codes: np.ndarray) -> Optional[np.ndarray]:
+        """The order to admit requests with expert codes ``codes`` in,
+        as indices into them, or None to keep arrival order. Codes only
+        name classes: any numbering of the same classes gives the same
+        permutation."""
         raise NotImplementedError
+
+    def order(self, requests: Sequence["Request"]) -> List["Request"]:
+        """``requests`` in admission order (:meth:`permutation`)."""
+        order = self.permutation(expert_codes(requests)[0])
+        return list(requests) if order is None else take(requests, order)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -143,14 +152,18 @@ class FifoScheduler(Scheduler):
 
     name = "fifo"
 
+    def permutation(self, codes: np.ndarray) -> None:
+        return None
+
     def order(self, requests: Sequence["Request"]) -> List["Request"]:
-        return list(requests)
+        return list(requests)  # no codes needed
 
 
 class ExpertReorderScheduler(Scheduler):
     """Batch the backlog by expert to amortize tier switches (CoServe).
 
-    :func:`affinity_schedule` with a long horizon: where the node
+    The :func:`affinity_schedule` reorder (:func:`window_order`) with
+    a long horizon: where the node
     policy's ``window`` bounds per-request delay (fairness), the
     admission horizon trades that fairness for switch amortization —
     under a constrained HBM (or DDR) budget, a run of same-expert
@@ -166,8 +179,8 @@ class ExpertReorderScheduler(Scheduler):
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.horizon = horizon
 
-    def order(self, requests: Sequence["Request"]) -> List["Request"]:
-        return affinity_schedule(requests, window=self.horizon)
+    def permutation(self, codes: np.ndarray) -> np.ndarray:
+        return window_order(codes, self.horizon)
 
     def __repr__(self) -> str:
         return f"ExpertReorderScheduler(horizon={self.horizon})"

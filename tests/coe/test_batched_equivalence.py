@@ -25,7 +25,9 @@ from collections import Counter
 
 import pytest
 
+from repro.coe import cluster_engine as cluster_module
 from repro.coe import engine as engine_module
+from repro.coe.cache import LookaheadPolicy
 from repro.coe.cluster_engine import ClusterEngine, run_cluster
 from repro.coe.decisions import DecisionLog
 from repro.coe.engine import EngineRequest, ServingEngine, zipf_request_stream
@@ -585,6 +587,37 @@ def test_queue_index_across_a_recovery(monkeypatch):
         assert min(times) < crash_at < detected < max(times)
 
 
+def test_recovery_drain_edits_each_survivors_queue_in_place(monkeypatch):
+    """Node 1 crashes while every node has work queued; the drain its
+    recovery re-enters reads each survivor's queue in place: the same
+    object before and after, with its head moved past the groups the
+    drain began."""
+    library = build_samba_coe_library(32)
+    requests = zipf_request_stream(library, 300, seed=5)
+    cluster = ClusterEngine(sn40l_platform, library, num_nodes=4,
+                            faults=["crash:node1:0.6"])
+    real = cluster_module._drain_to_horizon
+    drains = []
+
+    def spy(engines, held=False):
+        before = [(engine, engine.state.queue, engine.state.queue.head)
+                  for engine in engines if not engine.halted]
+        real(engines, held)
+        drains.append((cluster.sim.now, [
+            (engine.state.queue is queue, engine.state.queue.head - head)
+            for engine, queue, head in before
+        ]))
+
+    monkeypatch.setattr(cluster_module, "_drain_to_horizon", spy)
+    report = cluster.serve(requests)
+    assert report.redispatched_groups > 0
+    detected = cluster.nodes[1].detected_at
+    survivors = [moves for now, moves in drains if now == detected]
+    assert len(survivors) == 1 and len(survivors[0]) == 3
+    for same, advanced in survivors[0]:
+        assert same and advanced > 0
+
+
 @pytest.mark.parametrize("fault", [
     "crash:node1:0.0", "slow:node1:0.0:0.3:2.0", "copyfail:node1:0.0:2",
 ])
@@ -714,8 +747,8 @@ def test_engine_three_way_equivalence_tiered(cache_policy):
 def test_engine_three_way_equivalence_pipelined(cache_policy):
     """The reference == columnar identity holds with pipelined NVMe->DDR
     promotions on, traced (promotions happen at run boundaries), and
-    with the lookahead policy (its backlog window is the unconsumed tail
-    of the lowered queue)."""
+    with the lookahead policy (its backlog window is the queue from its
+    head)."""
     rng = random.Random(f"pipelined:{cache_policy}")
     library, requests = _random_workload(rng)
     caps = _tier_caps(library, hbm_frac=0.4, ddr_frac=0.55)
@@ -738,6 +771,35 @@ def test_engine_three_way_equivalence_pipelined(cache_policy):
     assert _timeline_lanes(report.timeline) == _timeline_lanes(
         reference.timeline
     )
+    assert log == reference_log, log.diff(reference_log)
+
+
+@pytest.mark.parametrize("horizon", [3, 8])
+@pytest.mark.parametrize("seed", range(4))
+def test_lookahead_window_at_run_ends(seed, horizon):
+    """A short lookahead horizon makes every entry of the window count:
+    a pipelined promotion at a run's end ranks its DDR victims from the
+    group after the run, as the reference path's begin sees it, so the
+    drain moves the queue's head past the run first."""
+    rng = random.Random(f"pipelined-horizon:{horizon}:{seed}")
+    library, requests = _random_workload(rng)
+    caps = _tier_caps(library, hbm_frac=0.4, ddr_frac=0.55)
+
+    def run(mode):
+        log = DecisionLog()
+        report = ServingEngine(
+            sn40l_platform(), library, policy="affinity",
+            cache_policy=lambda: LookaheadPolicy(horizon=horizon),
+            drain_mode=mode, scheduler="expert_reorder",
+            tier_capacities=caps, decision_log=log,
+            pipeline_promotions=True,
+        ).run(requests)
+        return report, log
+
+    reference, reference_log = run("reference")
+    assert reference.pipelined_promotions > 0
+    report, log = run("columnar")
+    assert report.to_dict() == reference.to_dict()
     assert log == reference_log, log.diff(reference_log)
 
 

@@ -359,9 +359,7 @@ class TestRunTimeline:
         group = RequestGroup(
             expert, (EngineRequest(0, expert), EngineRequest(1, expert))
         )
-        state = NodeState(
-            sn40l_platform(), library, lambda: (), lane_prefix="node0/"
-        )
+        state = NodeState(sn40l_platform(), library, lane_prefix="node0/")
         state.reset(None, Timeline())
         expected = Timeline()
         for exec_started in (0.0, 2.0):

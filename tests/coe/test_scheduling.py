@@ -12,6 +12,7 @@ from repro.coe.expert import build_samba_coe_library
 from repro.coe.policies import NodePolicy
 from repro.coe.scheduling import (
     ExpertPredictor,
+    FifoScheduler,
     GroupAssembler,
     Request,
     RequestGroup,
@@ -229,10 +230,10 @@ class TestGroupingOracle:
             engine = ServingEngine(sn40l_platform(), library, policy=policy,
                                    simulator=Simulator())
             roots, shed, count = admit_backlog(
-                [engine], reqs, policy, window, max_batch)
-            cols = engine._admitted
+                [engine], reqs, FifoScheduler(), policy, window, max_batch)
+            cols = engine.state.queue
             assert (roots, shed, count) == ([engine], [], len(oracle))
-            assert cols.tail(0) == oracle, trial
+            assert engine._queue == oracle, trial
             assert cols.names == [g.expert.name for g in oracle]
             assert [cols.base[row] for row in cols.rows.tolist()] == [
                 engine.state.phase_times(g) for g in oracle]
