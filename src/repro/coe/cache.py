@@ -46,10 +46,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import islice
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional,
-    Sequence, Union,
+    Sequence, Tuple, Union,
 )
 
 from repro.coe.expert import ExpertProfile
@@ -58,6 +57,10 @@ from repro.coe.policies import CachePolicyName
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime imports us)
     from repro.coe.runtime import CoERuntime
     from repro.coe.scheduling import ExpertPredictor
+
+#: A lookahead backlog view: each upcoming expert name's position of
+#: first use, and the position of the next group to begin.
+Backlog = Callable[[], Tuple[Mapping[str, int], int]]
 
 
 class CachePolicy:
@@ -353,12 +356,16 @@ class LookaheadPolicy(CachePolicy):
     down the hierarchy, the same ranking drives both HBM evictions and
     DDR demotions.
 
-    The backlog supplier is attached by the owning node
-    (:meth:`bind_backlog`): the queued expert names of its queue
-    (:attr:`repro.coe.node.NodeState.queue`), which the sim engines and
+    The backlog is attached by the owning node (:meth:`bind_backlog`):
+    the next-use index of its queue
+    (:meth:`repro.coe.columnar.GroupColumns.next_use` of
+    :attr:`repro.coe.node.NodeState.queue`), which the sim engines and
     the live worker edit alike — the cross-check pins that both
-    backends see identical windows at every decision point. Standalone
-    use without a backlog raises :class:`LookaheadUnboundError`.
+    backends see identical windows at every decision point. A ranking
+    reads each resident's first use from it, so it costs O(residents)
+    however long the backlog is. Standalone users bind a plain name
+    list through :func:`first_uses`; use without a backlog raises
+    :class:`LookaheadUnboundError`.
     """
 
     name = "lookahead"
@@ -372,69 +379,56 @@ class LookaheadPolicy(CachePolicy):
         if horizon <= 0:
             raise ValueError(f"lookahead horizon must be positive: {horizon}")
         self.horizon = horizon
-        self._backlog: Optional[Callable[[], Iterable[str]]] = None
-        #: The most recent ranking and its first-use distances, which
-        #: :meth:`why` reads back for the residents that ranking ranked.
-        self._ranked: List[str] = []
-        self._ranked_distances: Dict[str, int] = {}
+        self._backlog: Optional[Backlog] = None
 
-    def bind_backlog(self, supplier: Callable[[], Iterable[str]]) -> None:
+    def bind_backlog(self, supplier: Backlog) -> None:
         """Attach the engine's backlog view: a zero-arg callable returning
-        an iterable (typically a fresh iterator) of upcoming expert names
-        in scheduled order (soonest first)."""
+        each upcoming expert name's position of first use and the
+        position of the next group to begin (soonest first)."""
         self._backlog = supplier
 
-    def _distances(self, wanted: Iterable[str]) -> Dict[str, int]:
-        """Backlog index of the first use of each ``wanted`` name within
-        the horizon, in first-use order. The scan stops as soon as every
-        wanted name has been seen: later entries cannot change a
-        first-use distance."""
+    def eviction_order(self, resident: Mapping[str, ExpertProfile]) -> List[str]:
         if self._backlog is None:
             raise LookaheadUnboundError(
                 "the lookahead policy needs a scheduler backlog: serving "
                 "engines attach one automatically (bind_backlog); a bare "
                 "CoERuntime cannot rank victims by next-use distance"
             )
-        distances: Dict[str, int] = {}
-        pending = set(wanted)
-        if not pending:
-            return distances
-        for index, name in enumerate(islice(self._backlog(), self.horizon)):
-            if name in pending:
-                pending.remove(name)
-                distances[name] = index
-                if not pending:
-                    break
-        return distances
-
-    def eviction_order(self, resident: Mapping[str, ExpertProfile]) -> List[str]:
         # Residents unused within the horizon lead, least-recent first;
-        # the rest follow farthest-first, which is the reverse of the
-        # order the scan found them in (their distances are distinct).
-        distances = self._distances(resident)
+        # the rest follow farthest-first (first uses are distinct).
+        first, head = self._backlog()
+        limit = head + self.horizon
+        ahead: Dict[int, str] = {}
+        order: List[str] = []
+        for name in resident:
+            position = first.get(name, limit)
+            if position < limit:
+                ahead[position] = name
+            else:
+                order.append(name)
         last_access = self._last_access
-        order = sorted(
-            (n for n in resident if n not in distances),
-            key=lambda n: (last_access.get(n, 0), n),
-        )
-        order += reversed(distances)
-        self._ranked = order
-        self._ranked_distances = distances
+        order.sort(key=lambda n: (last_access.get(n, 0), n))
+        order += map(ahead.__getitem__, sorted(ahead, reverse=True))
         return order
 
     def why(self, name: str) -> str:
-        """Explains ``name``'s place in the most recent ranking when that
-        ranking included it (the runtime asks right after ranking, before
-        the backlog can move); otherwise scans the backlog afresh."""
         if self._backlog is None:
             return "lookahead: no backlog bound"
-        if name in self._ranked:
-            distance = self._ranked_distances.get(name)
-        else:
-            distance = self._distances((name,)).get(name)
-        if distance is None:
+        first, head = self._backlog()
+        distance = first.get(name, head + self.horizon) - head
+        if distance >= self.horizon:
             return f"lookahead: unused within horizon {self.horizon}"
         return f"lookahead: next use {distance} groups ahead"
+
+
+def first_uses(names: Iterable[str]) -> Tuple[Dict[str, int], int]:
+    """A plain backlog of expert names, soonest first, in the shape
+    :meth:`LookaheadPolicy.bind_backlog` suppliers return: each name's
+    first index, and head 0."""
+    first: Dict[str, int] = {}
+    for index, name in enumerate(names):
+        first.setdefault(name, index)
+    return first, 0
 
 
 class BeladyPolicy(CachePolicy):
@@ -567,5 +561,6 @@ __all__ = [
     "LookaheadPolicy",
     "LookaheadUnboundError",
     "PredictivePolicy",
+    "first_uses",
     "make_policy",
 ]

@@ -308,7 +308,7 @@ class GroupColumns:
     __slots__ = (
         "experts", "names", "base", "rows", "offsets", "requests",
         "arrivals", "tokens", "head", "built", "table", "flat", "_exec",
-        "_factor", "_row_of",
+        "_factor", "_row_of", "_first", "_next", "_last", "_indexed",
     )
 
     def __init__(self, experts, names, base, rows, sizes, requests,
@@ -333,6 +333,14 @@ class GroupColumns:
         #: state or records), and every group's triple as an (n, 3)
         #: float64 array (float -> float64 is exact) for the cumsum.
         self.table = self.flat = self._exec = self._factor = None
+        #: The next-use index (:meth:`next_use`), None until first read
+        #: and after a :meth:`remove`: each queued name's first position
+        #: at or after ``_indexed``, each group's next same-expert
+        #: position (None for its expert's last), each name's last.
+        self._first: Optional[Dict[str, int]] = None
+        self._next: List[Optional[int]] = []
+        self._last: Dict[str, int] = {}
+        self._indexed = 0
 
     @classmethod
     def empty(cls) -> "GroupColumns":
@@ -345,10 +353,44 @@ class GroupColumns:
         return len(self.names) - self.head
 
     def unbegun(self) -> Iterator[str]:
-        """Expert names of the queued groups, soonest first: the
-        lookahead policy's window at every eviction decision point."""
-        # Not islice(names, head, None): each ranking would re-skip head.
+        """Expert names of the queued groups, soonest first."""
+        # Not islice(names, head, None), which steps over the begun ones.
         return map(self.names.__getitem__, range(self.head, len(self.names)))
+
+    def next_use(self) -> Tuple[Dict[str, int], int]:
+        """Each queued expert name's first position at or after
+        :attr:`head`, and the head: the lookahead policy's window at
+        every eviction decision point.
+
+        Built on the first read in one backward pass from the head.
+        Afterwards a head move costs one assignment per group passed
+        (its expert's first use moves to the group's next same-expert
+        position), :meth:`append` extends the index and :meth:`remove`
+        drops it for the next read to rebuild.
+        """
+        first = self._first
+        head = self.head
+        if first is None:
+            names = self.names
+            nxt: List[Optional[int]] = [None] * len(names)
+            first, last = {}, {}
+            for p in range(len(names) - 1, head - 1, -1):
+                name = names[p]
+                later = nxt[p] = first.get(name)
+                if later is None:
+                    last[name] = p
+                first[name] = p
+            self._first, self._next, self._last = first, nxt, last
+        elif head > self._indexed:
+            names, nxt = self.names, self._next
+            for p in range(self._indexed, head):
+                later = nxt[p]
+                if later is None:
+                    del first[names[p]]
+                else:
+                    first[names[p]] = later
+        self._indexed = head
+        return first, head
 
     def peek(self) -> Optional["ExpertProfile"]:
         """The expert of the head group, or None when nothing is queued."""
@@ -377,9 +419,20 @@ class GroupColumns:
             self.offsets = np.resize(self.offsets, n + (n >> 3) + 9)
             self.arrivals = np.resize(self.arrivals, hi + (hi >> 3) + 8)
             self.tokens = np.resize(self.tokens, hi + (hi >> 3) + 8)
+        name = group.expert.name
         self.experts.append(group.expert)
-        self.names.append(group.expert.name)
+        self.names.append(name)
         self.built.append(group)
+        first = self._first
+        if first is not None:
+            # A name still in the index (the head may have passed its
+            # uses since the last read) gains a next use at ``n``.
+            self._next.append(None)
+            if name in first:
+                self._next[self._last[name]] = n
+            else:
+                first[name] = n
+            self._last[name] = n
         row = self._row_of.get(base)
         if row is None:
             row = self._row_of[base] = len(self.base)
@@ -397,15 +450,13 @@ class GroupColumns:
 
     def remove(self, positions: Sequence[int]) -> List[RequestGroup]:
         """Take the queued groups at ``positions`` out of the queue and
-        return them, in that order; the groups and rows after each one
-        move up."""
+        return them, in that order; the groups and rows after them move
+        up, in one pass however many are taken."""
         taken = list(map(self.group, positions))
         offsets = self.offsets
-        # Last first: a removal moves only what lies after it, so the
-        # earlier positions and their rows stay put (and the last group
-        # goes without moving anything).
-        for i in sorted(positions, reverse=True):
-            n = len(self.names)
+        n = len(self.names)
+        if len(positions) == 1:
+            i = positions[0]
             lo, hi = offsets[i:i + 2].tolist()
             del self.names[i], self.experts[i], self.built[i]
             del self.requests[lo:hi]
@@ -414,7 +465,26 @@ class GroupColumns:
             offsets[i + 1:n] = offsets[i + 2:n + 1] - size
             self.arrivals[lo:end] = self.arrivals[hi:end + size]
             self.tokens[lo:end] = self.tokens[hi:end + size]
-        self.flat = None
+        elif positions:
+            # Everything from the first removal on is compacted once:
+            # ``keep`` masks its groups, ``held`` their request rows.
+            start = min(positions)
+            keep = np.ones(n - start, dtype=bool)
+            keep[np.asarray(positions) - start] = False
+            sizes = np.diff(offsets[start:n + 1])
+            held = np.repeat(keep, sizes)
+            kept = keep.tolist()
+            for column in (self.names, self.experts, self.built):
+                column[start:] = compress(column[start:], kept)
+            lo, hi = offsets[[start, n]].tolist()
+            self.requests[lo:] = compress(self.requests[lo:], held.tolist())
+            end = len(self.requests)
+            self.rows[start:len(self.names)] = self.rows[start:n][keep]
+            offsets[start + 1:len(self.names) + 1] = lo + np.cumsum(
+                sizes[keep])
+            self.arrivals[lo:end] = self.arrivals[lo:hi][held]
+            self.tokens[lo:end] = self.tokens[lo:hi][held]
+        self.flat = self._first = None
         return taken
 
     def _reprice(self, factor: float) -> None:

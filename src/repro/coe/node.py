@@ -43,8 +43,8 @@ class NodeState:
     """A node's queue, server, predictor, phase memo, DMA state and
     completion log, and its group step.
 
-    A ``lookahead`` cache policy reads the queued groups' expert names,
-    soonest first, as its window (:meth:`GroupColumns.unbegun`).
+    A ``lookahead`` cache policy reads the queue's next-use index as its
+    window (:meth:`GroupColumns.next_use`).
     Decisions stream into ``decision_log`` under the node's name
     (``lane_prefix`` without its slash, ``"node0"`` when empty).
     """
@@ -78,7 +78,7 @@ class NodeState:
                 and runtime.policy.predictor is None):
             runtime.policy.predictor = self.predictor
         if isinstance(runtime.policy, LookaheadPolicy):
-            runtime.policy.bind_backlog(lambda: self.queue.unbegun())
+            runtime.policy.bind_backlog(lambda: self.queue.next_use())
         self.lane_prefix = lane_prefix
         #: The CoServe-style promotion pipeline needs a bounded DDR tier
         #: (otherwise there is nothing to promote).

@@ -20,8 +20,9 @@ same:
   latency plus *destination* latency plus the wire time — models the
   device tier stack. Do not substitute one for the other.
 
-This module is deliberately stateless: residency lives in the runtime
-(:class:`repro.coe.runtime.CoERuntime`), costs live here.
+This module holds no residency: that lives in the runtime
+(:class:`repro.coe.runtime.CoERuntime`), costs live here. Its only
+state is a memo of prices over :class:`EdgeCost` edges.
 """
 
 from __future__ import annotations
@@ -154,6 +155,9 @@ class MemoryHierarchy:
             if src_name == dst_name:
                 raise ValueError(f"self-edge on tier {src_name!r}")
             self._edges[(src_name, dst_name)] = cost
+        #: ``(src, dst, num_bytes)`` -> seconds, for paths made only of
+        #: :class:`EdgeCost` edges (a callable edge may keep state).
+        self._prices: Dict[Tuple[TierLike, TierLike, int], float] = {}
         for i in range(len(self._levels) - 1):
             upper, lower = self._levels[i].name, self._levels[i + 1].name
             for pair in ((lower, upper), (upper, lower)):
@@ -214,21 +218,29 @@ class MemoryHierarchy:
 
         Uses the direct ``(src, dst)`` edge when one exists, otherwise
         sums the adjacent-hop costs along the level order. Zero-length
-        paths (``src == dst``) cost nothing.
+        paths (``src == dst``) cost nothing. A price over
+        :class:`EdgeCost` edges only is memoized; a callable edge is
+        called on every transfer.
         """
         if num_bytes < 0:
             raise ValueError(f"negative transfer size: {num_bytes}")
+        key = (src, dst, num_bytes)
+        price = self._prices.get(key)
+        if price is not None:
+            return price
         src_name, dst_name = _tier_name(src), _tier_name(dst)
+        direct = self._edges.get((src_name, dst_name))
         if src_name == dst_name:
             self.index(src_name)  # still validate the tier exists
-            return 0.0
-        direct = self._edges.get((src_name, dst_name))
-        if direct is not None:
-            return _edge_time(direct, num_bytes)
-        return sum(
-            _edge_time(self._edges[hop], num_bytes)
-            for hop in self.path(src_name, dst_name)
-        )
+            edges, price = [], 0.0
+        elif direct is not None:
+            edges, price = [direct], _edge_time(direct, num_bytes)
+        else:
+            edges = [self._edges[hop] for hop in self.path(src_name, dst_name)]
+            price = sum(_edge_time(edge, num_bytes) for edge in edges)
+        if all(isinstance(edge, EdgeCost) for edge in edges):
+            self._prices[key] = price
+        return price
 
     def with_capacities(
         self, overrides: Mapping[TierLike, Optional[int]]

@@ -12,6 +12,7 @@ from repro.coe.cache import (
     LookaheadUnboundError,
     LRUPolicy,
     PredictivePolicy,
+    first_uses,
     make_policy,
 )
 from repro.coe.expert import ExpertProfile
@@ -228,7 +229,7 @@ class TestLookahead:
 
     def test_evicts_farthest_next_use_in_backlog(self):
         policy = LookaheadPolicy()
-        policy.bind_backlog(lambda: ["e1", "e0"])
+        policy.bind_backlog(lambda: first_uses(["e1", "e0"]))
         rt = _runtime(capacity_experts=2, policy=policy)
         rt.activate(_expert(0))
         rt.activate(_expert(1))
@@ -241,7 +242,7 @@ class TestLookahead:
 
     def test_absent_from_window_evicted_before_scheduled(self):
         policy = LookaheadPolicy()
-        policy.bind_backlog(lambda: ["e0"])
+        policy.bind_backlog(lambda: first_uses(["e0"]))
         rt = _runtime(capacity_experts=2, policy=policy)
         rt.activate(_expert(0))
         rt.activate(_expert(1))
@@ -255,7 +256,7 @@ class TestLookahead:
         policy = LookaheadPolicy(horizon=1)
         # e0 appears in the backlog but beyond the 1-group horizon:
         # invisible, so it ties with e1 as unused and least-recent wins.
-        policy.bind_backlog(lambda: ["e2", "e0"])
+        policy.bind_backlog(lambda: first_uses(["e2", "e0"]))
         rt = _runtime(capacity_experts=2, policy=policy)
         rt.activate(_expert(0))
         rt.activate(_expert(1))

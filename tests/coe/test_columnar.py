@@ -26,7 +26,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.coe.cache import BeladyPolicy, make_policy
+from repro.coe.cache import BeladyPolicy, first_uses, make_policy
 from repro.coe.cluster_engine import ClusterEngine
 from repro.coe.columnar import (
     CompletedLog,
@@ -269,7 +269,7 @@ def _overlap_policy(name, trace):
         return BeladyPolicy(trace)
     policy = make_policy(name)
     if name == "lookahead":
-        policy.bind_backlog(lambda: iter(trace))
+        policy.bind_backlog(lambda: first_uses(trace))
     return policy
 
 

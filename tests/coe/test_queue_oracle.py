@@ -7,9 +7,10 @@ node's ``drain()`` all edit in place. Random operation sequences run on
 one engine and on a plain ``deque[RequestGroup]`` oracle, from an
 empty queue or from one array admission filled; after every
 operation the queued groups, the steal index, the backlog estimate
-(bitwise) and the lookahead window must be the oracle's, a submitted
-group must leave the queue as the object it entered as, and every
-completion record must carry its own request's columns.
+(bitwise) and the lookahead window (the queue's next-use index) must
+be the oracle's, a submitted group must leave the queue as the object
+it entered as, and every completion record must carry its own
+request's columns.
 """
 
 import random
@@ -18,6 +19,7 @@ from collections import Counter, deque
 import pytest
 
 from repro.coe import engine as engine_module
+from repro.coe.cache import first_uses
 from repro.coe.columnar import admit_backlog
 from repro.coe.engine import EngineRequest, ServingEngine, _drain_to_horizon
 from repro.coe.expert import build_samba_coe_library
@@ -39,8 +41,9 @@ def _check(engine, oracle):
     busy = max(0.0, engine._busy_until_s - now) if engine.busy else 0.0
     want = busy + sum(engine._group_exec_time(group) for group in oracle)
     assert engine.estimated_backlog_s().hex() == want.hex()
-    backlog = engine.server.runtime.policy._backlog
-    assert list(backlog()) == [group.expert.name for group in oracle]
+    first, head = engine.server.runtime.policy._backlog()
+    want, _ = first_uses(group.expert.name for group in oracle)
+    assert {name: p - head for name, p in first.items()} == want
 
 
 def _same(got, expected, submitted):

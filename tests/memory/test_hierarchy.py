@@ -196,6 +196,75 @@ class TestTransferTime:
         assert h.transfer_time("hbm", "ddr", 1) == 7.0
 
 
+class TestPriceMemo:
+    """Prices over :class:`EdgeCost` edges are memoized per
+    ``(src, dst, num_bytes)``; callable edges are called every time."""
+
+    TIERS = ("hbm", "ddr", "nvme", TierKind.HBM, TierKind.DDR)
+    SIZES = (0, 1, 100, 12345, 7 * GB + 3)
+
+    def test_memoized_prices_equal_fresh_on_every_edge(self):
+        memo = three_tier()
+        for _ in range(2):  # the second pass reads the memo
+            for src in self.TIERS:
+                for dst in self.TIERS:
+                    for size in self.SIZES:
+                        got = memo.transfer_time(src, dst, size)
+                        fresh = three_tier().transfer_time(src, dst, size)
+                        assert got.hex() == fresh.hex(), (src, dst, size)
+
+    def test_memoized_direct_edge_equals_fresh(self):
+        def hierarchy():
+            return MemoryHierarchy(
+                (TierLevel("hbm"), TierLevel("ddr"), TierLevel("nvme")),
+                {
+                    ("ddr", "hbm"): EdgeCost(100.0, 0.5),
+                    ("hbm", "ddr"): EdgeCost(100.0),
+                    ("nvme", "ddr"): EdgeCost(10.0),
+                    ("ddr", "nvme"): EdgeCost(10.0),
+                    ("nvme", "hbm"): EdgeCost(20.0, 1e-4),
+                },
+            )
+
+        memo = hierarchy()
+        for size in self.SIZES * 2:
+            assert memo.transfer_time("nvme", "hbm", size).hex() == \
+                hierarchy().transfer_time("nvme", "hbm", size).hex()
+
+    def test_callable_edge_called_on_every_transfer(self):
+        calls = []
+
+        def upgrade(num_bytes):
+            calls.append(num_bytes)
+            return num_bytes / 1e9
+
+        h = MemoryHierarchy(
+            (TierLevel("hbm"), TierLevel("ddr"), TierLevel("nvme")),
+            {
+                ("ddr", "hbm"): upgrade,
+                ("hbm", "ddr"): EdgeCost(50.0),
+                ("nvme", "ddr"): EdgeCost(10.0),
+                ("ddr", "nvme"): EdgeCost(5.0),
+            },
+        )
+        for _ in range(3):
+            h.transfer_time("ddr", "hbm", 100)
+            h.transfer_time("nvme", "hbm", 100)  # a hop over the callable
+            h.transfer_time("nvme", "ddr", 100)  # EdgeCost only: memoized
+        assert calls == [100] * 6
+
+    def test_bad_sizes_and_tiers_raise_on_every_call(self):
+        h = three_tier()
+        h.transfer_time("ddr", "hbm", 1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="negative transfer size"):
+                h.transfer_time("ddr", "hbm", -1)
+            with pytest.raises(ValueError, match="unknown tier"):
+                h.transfer_time("sram", "hbm", 1)
+            with pytest.raises(ValueError, match="unknown tier"):
+                h.transfer_time("sram", "sram", 1)
+
+
 class TestWithCapacities:
     def test_overrides_selected_levels(self):
         h = three_tier(hbm=100, ddr=1000).with_capacities({"hbm": 50})
