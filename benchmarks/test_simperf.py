@@ -83,11 +83,11 @@ MEMWALL_DDR_FRAC = 0.35
 
 #: Columnar vs reference events/sec floor on the same grid. The
 #: original 10x bound dated from when the reference paid a quadratic
-#: per-route backlog scan at admission; the admission fast paths
-#: (single-owner routing, memoized exec estimates) are shared by every
-#: drain mode, so the reference's residual deficit is the event-by-event
-#: heap and the recorded timeline — about 3x at full size. The floor
-#: sits below that so machine variance never trips it.
+#: per-route backlog scan at admission; every drain mode now admits
+#: through the same array pass (``admit_backlog``), so the reference's
+#: residual deficit is the event-by-event heap and the recorded
+#: timeline. The floor sits below the measured ratio so machine
+#: variance never trips it.
 MIN_SPEEDUP = 2.0
 
 #: Committed events/sec baselines; current must stay >= 70% of them.
@@ -136,8 +136,8 @@ def _memwall_config(library) -> ServeConfig:
 def _simperf_point(point: SweepPoint) -> dict:
     """Run one timed configuration; module-level for the sweep runner.
 
-    ``reference`` is the seed-equivalent configuration: one heap event
-    per step, a recorded timeline, and fresh per-route backlog sums.
+    ``reference`` is the reference drain: one heap event per step and a
+    recorded timeline, after the array admission every mode shares.
     ``columnar`` is the fast drain with tracing off — what a sweep that
     only wants the report should use. The
     ``admission`` run is the columnar grid with deadline admission on:

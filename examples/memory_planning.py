@@ -16,7 +16,7 @@ Run:  python examples/memory_planning.py
 from repro.coe import CoERuntime, build_samba_coe_library
 from repro.core.compile import build_symbols
 from repro.dataflow import fusion
-from repro.memory import peak_live_bytes, plan_memory
+from repro.memory import MemoryHierarchy, peak_live_bytes, plan_memory
 from repro.memory.tiers import TierKind
 from repro.models import LLAMA2_7B, prefill_graph
 from repro.units import GiB, fmt_bytes
@@ -55,7 +55,7 @@ def main() -> None:
     library = build_samba_coe_library(6)
     runtime = CoERuntime(
         hbm_budget_bytes=3 * library.experts[0].weight_bytes,
-        upgrade_time=lambda b: b / 1.05e12,
+        hierarchy=MemoryHierarchy.from_edge_times(lambda b: b / 1.05e12),
     )
     print("CoE runtime: 3-expert HBM cache, 6 experts requested round-robin:")
     for expert in library.experts + library.experts[:2]:

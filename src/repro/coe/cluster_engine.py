@@ -28,6 +28,12 @@ strings in :data:`CLUSTER_POLICIES` still coerce):
   clock via :meth:`ServingEngine.warm` — replication is *not* free),
   and then pulls that expert's queued groups over.
 
+At t=0 every expert has exactly one owner (the sharding is a
+partition) and only ``steal`` replication adds owners, so admission
+routes by owner lookup under every policy; the backlog rule chooses
+among replicas only when a ``steal`` cluster re-dispatches a crashed
+node's groups.
+
 Under Zipf-skewed traffic the single-owner sharding of
 :func:`repro.systems.cluster.partition_experts` leaves most nodes idle
 while the hot expert's owner grinds through a long queue; online
@@ -85,16 +91,10 @@ from repro.coe.engine import (
     check_count,
     zipf_request_stream,
 )
-from repro.coe.expert import ExpertLibrary, ExpertProfile
+from repro.coe.expert import ExpertLibrary
 from repro.coe.policies import ClusterPolicy, DrainMode, NodePolicy
 from repro.coe.report import ServeReport, ShedRequest, build_report
-from repro.coe.scheduling import (
-    RequestGroup,
-    SchedulerLike,
-    coalesce_groups,
-    make_scheduler,
-    node_order,
-)
+from repro.coe.scheduling import RequestGroup, SchedulerLike, make_scheduler
 from repro.obs import Timeline
 from repro.sim.engine import Simulator
 from repro.sim.faults import (
@@ -250,17 +250,17 @@ class ClusterEngine:
         )
         self.sim = Simulator(timeline=self.timeline)
         self.faults = _coerce_faults(faults)
-        #: A columnar cluster admits the backlog in arrays
-        #: (:func:`repro.coe.columnar.admit_backlog`) and starts in one
-        #: t=0 drain of its nodes on the columnar core, up to the next
-        #: cluster event (a fault or a heartbeat) or, under ``steal``, the
-        #: first instant a steal hook could act. Each cluster event that
-        #: changes a queue or a cost input (recovery, a slow window
-        #: opening or closing, a copy fault) drains the alive nodes again
+        #: How the admitted queues drain. Both modes admit the backlog
+        #: in arrays (:func:`repro.coe.columnar.admit_backlog`). A
+        #: columnar cluster starts in one t=0 drain of its nodes on the
+        #: columnar core, up to the next cluster event (a fault or a
+        #: heartbeat) or, under ``steal``, the first instant a steal hook
+        #: could act. Each cluster event that changes a queue or a cost
+        #: input (recovery, a slow window opening or closing, a copy
+        #: fault) drains the alive nodes again
         #: (:func:`repro.coe.engine._drain_to_horizon`). The reference
-        #: mode (the seed-equivalent configuration the equivalence tests
-        #: and perf benchmarks compare against) routes and submits group
-        #: by group, summing each node's queue fresh per route.
+        #: mode (the oracle the equivalence tests and perf benchmarks
+        #: compare against) runs one begin/finish event pair per group.
         self.drain_mode = DrainMode.coerce(drain_mode).value
         #: Cross-check evidence: dispatch/admission verdicts land on the
         #: ``"admission"`` stream, each node runtime's cache decisions on
@@ -328,20 +328,14 @@ class ClusterEngine:
         return len(self.nodes)
 
     # ------------------------------------------------------------------
-    # Admission routing
+    # Runtime routing (re-dispatch after a crash)
     # ------------------------------------------------------------------
-    def _owner_nodes(self, expert: ExpertProfile) -> List[_Node]:
-        try:
-            return [self.nodes[i] for i in self._owners[expert.name]]
-        except KeyError:
-            raise KeyError(f"no node hosts expert {expert.name!r}") from None
-
     def _route(self, group: RequestGroup) -> _Node:
-        """Pick the owner node, through the shared pure dispatch core.
-
-        The decision math lives in :mod:`repro.coe.dispatch` so the
-        live backend makes the identical choice from its mirror of the
-        same state (admission backlog sums, queue-tail experts).
+        """Pick the owner node of a re-dispatched group, through
+        :func:`repro.coe.dispatch.choose_node` once replication has
+        given its expert several owners. (Admission at t=0, here and in
+        the live backend, routes by owner lookup: every expert has one
+        owner until the clock runs.)
         """
         name = group.expert.name
         owners = self._owners.get(name)
@@ -657,15 +651,15 @@ class ClusterEngine:
     def serve(self, requests: Sequence[EngineRequest]) -> ServeReport:
         """Drain the whole backlog across the cluster; one shared clock.
 
-        Admission routes every group at t=0. A columnar cluster admits
-        the backlog in arrays, straight into each node's queue
-        (:func:`repro.coe.columnar.admit_backlog`), then starts in one
-        t=0 drain over the nodes, in the order they received their first
-        group (:func:`repro.coe.engine._drain_to_horizon`), and drains
-        again after each recovery, slow window edge and copy fault; a
-        reference one dispatches group by group and begins each node's
-        queue head on its own event. Either way the shared clock ends at
-        the last event.
+        Admission routes every group at t=0, in arrays, straight into
+        each node's queue (:func:`repro.coe.columnar.admit_backlog`).
+        A columnar cluster then starts in one t=0 drain over the nodes,
+        in the order they received their first group
+        (:func:`repro.coe.engine._drain_to_horizon`), and drains again
+        after each recovery, slow window edge and copy fault; a
+        reference one begins each node's queue head on its own event, in
+        the same node order. Either way the shared clock ends at the
+        last event.
 
         Single-use, like :meth:`ServingEngine.run`: a second call raises
         :class:`EngineReentryError` — node cache/predictor state and the
@@ -693,32 +687,24 @@ class ClusterEngine:
             )
             if self.faults.crashes:
                 self._schedule_beat(self.heartbeat_s)
+        # Every expert has one owner until the clock runs.
+        roots, shed, num_groups = admit_backlog(
+            [n.engine for n in self.nodes], requests, self.scheduler,
+            self.node_policy, self.window, self.max_batch,
+            owner_of={name: owners[0]
+                      for name, owners in self._owners.items()},
+            deadline_s=self.deadline_s, decisions=self._decisions,
+            node_names=[n.name for n in self.nodes],
+        )
+        self.rejected.extend(shed)
         if self.drain_mode == DrainMode.COLUMNAR.value:
-            # Every expert has one owner until the clock runs.
-            roots, shed, num_groups = admit_backlog(
-                [n.engine for n in self.nodes], requests, self.scheduler,
-                self.node_policy, self.window, self.max_batch,
-                owner_of={name: owners[0]
-                          for name, owners in self._owners.items()},
-                deadline_s=self.deadline_s, decisions=self._decisions,
-                node_names=[n.name for n in self.nodes],
-            )
-            self.rejected.extend(shed)
             if roots:
                 self.sim.schedule_at(
                     self.sim.now, lambda: _drain_to_horizon(roots, held=True)
                 )
         else:
-            groups = coalesce_groups(
-                node_order(self.scheduler.order(requests), self.node_policy,
-                           self.window),
-                self.max_batch,
-            )
-            num_groups = len(groups)
-            if self.deadline_s is not None:
-                groups = self._priority_order(groups)
-            for group in groups:
-                self._dispatch(group, now=0.0)
+            for engine in roots:
+                engine._kick()
         end_clock = self.sim.run()
         for node in self.nodes:
             if not node.engine.halted:

@@ -539,9 +539,11 @@ class GroupColumns:
 def lower_queue(
     engine: "ServingEngine", groups: Sequence[RequestGroup]
 ) -> GroupColumns:
-    """``groups`` as a queue for ``engine``: a reference-drain run's
-    backlog (admission builds a columnar run's in arrays,
-    :func:`admit_backlog`)."""
+    """``groups`` as a queue for ``engine``, one append per group.
+
+    No serving path calls it: admission builds every run's queue in
+    arrays (:func:`admit_backlog`). It stays public for tests and for
+    the e2e harness, which binds it as a traced boundary."""
     queue = GroupColumns.empty()
     for group in groups:
         queue.append(group, engine.state.phase_times(group))
@@ -576,27 +578,28 @@ def admit_backlog(
     decisions: Optional["DecisionLog"] = None,
     node_names: Sequence[str] = (),
 ) -> Tuple[List["ServingEngine"], list, int]:
-    """Admit a t=0 backlog in arrays, in ``scheduler`` order.
+    """Admit a t=0 backlog in arrays, in ``scheduler`` order: the
+    simulator's one admission, whichever mode then drains the queues.
 
-    The batch form of ``coalesce_groups(node_order(scheduler.order(
-    requests), policy, window), max_batch)`` then
-    ``ClusterEngine._dispatch`` per group: the scheduler's
+    Groups form as ``coalesce_groups(node_order(scheduler.order(
+    requests), policy, window), max_batch)`` forms them: the scheduler's
     :meth:`~repro.coe.scheduling.Scheduler.permutation` of the expert
     codes, the window reorder and the ``max_batch`` cuts are the kernels
-    those functions wrap, ``phase_key`` maxima come from
-    ``np.maximum.reduceat``, and a group goes to its expert's owner in
+    those functions wrap, and ``phase_key`` maxima come from
+    ``np.maximum.reduceat``. A group goes to its expert's owner in
     ``owner_of`` (engine 0 without one). ``shard_experts`` places a
     partition and replicas appear only once the clock runs, so at
     admission every expert has one owner and routing is a lookup under
-    every cluster policy. Each engine's phase memo is seeded in bulk
-    with the shapes routed to it, and its admitted groups, in admission
-    order, become its queue (:attr:`NodeState.queue`).
+    every cluster policy. Each engine's phase memo is seeded in bulk with the shapes routed to
+    it, and its admitted groups, in admission order, become its queue
+    (:attr:`NodeState.queue`).
 
-    With a ``deadline_s`` groups are admitted highest priority first
-    (``ClusterEngine._priority_order``) against a running per-engine
-    sum of ``_group_exec_time`` floats from 0.0: bitwise the fresh queue
-    sums of the per-group path. Verdicts and the ``admission`` stream
-    (engine ``i`` is ``node_names[i]``) are :func:`admit`'s.
+    With a ``deadline_s`` groups are admitted highest priority first,
+    stably (``ClusterEngine._priority_order``), each against a running
+    per-engine sum of the ``_group_exec_time`` floats admitted before
+    it, from 0.0: bitwise a fresh left-to-right sum of the node's queue.
+    Verdicts and the ``admission`` stream (engine ``i`` is
+    ``node_names[i]``) are :func:`admit`'s.
 
     Returns the engines with admitted groups, in the order they received
     their first, the shed requests in admission order, and the number of

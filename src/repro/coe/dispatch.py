@@ -2,24 +2,26 @@
 
 :class:`repro.coe.cluster_engine.ClusterEngine` (discrete-event) and
 :class:`repro.coe.live_engine.LiveEngine` (asyncio wall clock) must make
-**byte-identical** dispatch and admission decisions for the same group
-sequence — that is the contract the sim/live cross-check enforces. The
-only way to guarantee that is to make the decision math a pure function
-of explicitly-passed policy state, with no clock in sight, kept in one
-copy: :func:`shard_experts` (placement and owner map), :func:`choose_node`
-(routing) and :func:`admit` (deadline verdict and ``admission``
-records). Both engines call them with state they maintain by identical
-rules:
+**byte-identical** admission decisions for the same group sequence —
+that is the contract the sim/live cross-check enforces. The only way to
+guarantee that is to make the decision math a pure function of
+explicitly-passed state, with no clock in sight, kept in one copy:
+:func:`shard_experts` (placement and owner map) and :func:`admit`
+(deadline verdict and ``admission`` records).
 
-- ``backlog_of(i)`` — the admission-logical backlog of node ``i``: the
-  running float sum of every previously admitted group's execution
-  time, accumulated in admission order (the cluster engine's queue or
-  admission sum; the live dispatcher's mirror of it). Never measured.
-- ``tail_of(i)`` — the expert name of the last group admitted to node
-  ``i`` (the queue tail at admission time), or None.
+The shards are a partition, so until the clock runs every expert has
+one owner and both backends route a group to it by lookup (the sim in
+:func:`repro.coe.columnar.admit_backlog`). The admission-logical
+``backlog_s`` of a node is the running float sum of every previously
+admitted group's execution time, accumulated in admission order (the
+sim's admission sum; the live dispatcher's mirror of it). Never
+measured. Floats flow through unchanged — same additions in the same
+order on both backends — so the ETAs agree bit for bit.
 
-Floats flow through unchanged — same additions in the same order on
-both backends — so even the tie-breaks agree bit for bit.
+:func:`choose_node` is the cluster's runtime routing only: a crashed
+node's groups re-dispatched once ``steal`` replication has given an
+expert several owners, where ``backlog_of(i)`` is node ``i``'s
+estimated backlog and ``tail_of(i)`` its queue-tail expert.
 """
 
 from __future__ import annotations

@@ -65,20 +65,13 @@ from repro.coe.columnar import (
     CompletedRequest,  # re-exported: callers import it from this module
     admit_backlog,
     drain as _columnar_drain,
-    lower_queue,
 )
 from repro.coe.decisions import DecisionLog
 from repro.coe.expert import ExpertLibrary, ExpertProfile
 from repro.coe.node import NodeState
 from repro.coe.policies import DrainMode, NodePolicy, check_count
 from repro.coe.report import ServeReport, build_report
-from repro.coe.scheduling import (
-    RequestGroup,
-    SchedulerLike,
-    coalesce_groups,
-    make_scheduler,
-    node_order,
-)
+from repro.coe.scheduling import RequestGroup, SchedulerLike, make_scheduler
 from repro.obs import Timeline
 from repro.sim.clock import EventSource
 from repro.sim.engine import Simulator
@@ -112,8 +105,11 @@ class EngineRequest:
     expert: ExpertProfile
     prompt_tokens: int = 256
     output_tokens: int = 20
-    #: All requests are queued at t=0 (saturated-server regime); a later
-    #: arrival only shrinks the reported queueing latency.
+    #: The simulator ignores it when scheduling: every request is
+    #: queued at t=0 (saturated-server regime), but latency is measured
+    #: from ``arrival_s``, so a request served before it arrives reports
+    #: a negative latency. Honouring arrivals on the sim clock is
+    #: ROADMAP item 1.
     arrival_s: float = 0.0
     #: Admission-control rank: under deadline pressure (node loss, SLO
     #: shedding) lower-priority requests are shed first.
@@ -750,23 +746,15 @@ class ServingEngine:
         sim = Simulator(timeline=timeline)
         self.bind(sim)
         try:
+            num_groups = admit_backlog(
+                [self], requests, self.scheduler, self.policy, self.window,
+                self.max_batch,
+            )[2]
             if self.drain_mode == DrainMode.COLUMNAR.value:
-                num_groups = admit_backlog(
-                    [self], requests, self.scheduler, self.policy,
-                    self.window, self.max_batch,
-                )[2]
                 sim.schedule_at(
                     0.0, lambda: _drain_to_horizon([self], held=True)
                 )
             else:
-                groups = coalesce_groups(
-                    node_order(self.scheduler.order(requests), self.policy,
-                               self.window),
-                    self.max_batch,
-                )
-                num_groups = len(groups)
-                self.precompute_phases(groups)
-                self.state.queue = lower_queue(self, groups)
                 self._kick()
             makespan = sim.run()
             self.state.flush_speculation(makespan)

@@ -12,15 +12,17 @@ decisions** to the sim backend for the same request stream:
   which closes each window through the sim's own
   ``coalesce_groups(node_order(...))`` and releases a group as soon as
   a later arrival closes it.
-- Sharding, node choice and deadline admission are the sim's own
-  functions (:func:`repro.coe.dispatch.shard_experts`,
-  :func:`~repro.coe.dispatch.choose_node`,
-  :func:`~repro.coe.dispatch.admit`), run over a mirror of the sim's
-  admission-logical state: monotone per-node backlog sums and queue-tail
-  experts, fed by the same :meth:`repro.coe.node.NodeState.phase_times`
-  floats. Like the sim (where every request is backlogged at t=0),
-  admission evaluates ETAs at logical ``now = 0.0`` — so the arithmetic
-  is bitwise-identical even though wall arrivals are spread in time.
+- Sharding and deadline admission are the sim's own functions
+  (:func:`repro.coe.dispatch.shard_experts`,
+  :func:`~repro.coe.dispatch.admit`), and routing is the owner lookup
+  of the sim's admission (:func:`repro.coe.columnar.admit_backlog`):
+  the shards partition the library, so every expert has one owner.
+  The verdicts run over a mirror of the sim's admission-logical state,
+  monotone per-node backlog sums fed by the same
+  :meth:`repro.coe.node.NodeState.phase_times` floats. Like the sim
+  (where every request is backlogged at t=0), admission evaluates ETAs
+  at logical ``now = 0.0`` — so the arithmetic is bitwise-identical
+  even though wall arrivals are spread in time.
 - Every group goes through :meth:`repro.coe.node.NodeState.begin`,
   the group step the sim's drains call too: predictor observe, the
   cache decision inside :meth:`repro.coe.runtime.CoERuntime.activate`,
@@ -60,7 +62,7 @@ from typing import (
 )
 
 from repro.coe.decisions import DecisionLog
-from repro.coe.dispatch import admit, choose_node, shard_experts
+from repro.coe.dispatch import admit, shard_experts
 from repro.coe.engine import EngineRequest
 from repro.coe.expert import ExpertLibrary
 from repro.coe.node import NodeState
@@ -106,8 +108,6 @@ class _LiveNode:
     #: Admission-logical backlog: running sum of admitted groups'
     #: execution times, the mirror of the sim's per-node admission sum.
     backlog_s: float = 0.0
-    #: Expert of the last admitted group (the sim's queue-tail expert).
-    tail: Optional[str] = None
     queue: Optional[asyncio.Queue] = None
     #: Copy spans the group step booked, as (name, lane, category,
     #: start_s, end_s, args); the worker records them once it has slept
@@ -217,32 +217,26 @@ class LiveEngine:
             )
 
     def _admit(self, group: RequestGroup) -> None:
-        """Route and admit one closed group — the sim's ``_dispatch``,
-        re-clocked.
+        """Route and admit one closed group — the sim's t=0 admission
+        (:func:`repro.coe.columnar.admit_backlog`), one group at a time.
 
-        Same functions (:func:`choose_node`, :func:`admit`), same
-        logical state; ETAs are evaluated at logical ``now = 0.0``
-        exactly like the sim's all-backlogged-at-t0 admission, so
-        ``repr(eta)`` matches bit for bit. A full queue sheds with
-        ``backpressure`` *after* the dispatch decision and still
-        advances the logical backlog and tail — the decision stream
-        stays sim-identical even under shed (the cache streams cannot,
-        which is why the cross-check pins ``max_queue`` high enough to
-        never shed).
+        The same owner lookup routes it (live mode never replicates, so
+        the expert's one owner), and the same :func:`admit` judges it
+        over the same logical state; ETAs are evaluated at logical
+        ``now = 0.0`` exactly like the sim's all-backlogged-at-t0
+        admission, so ``repr(eta)`` matches bit for bit. A full queue
+        sheds with ``backpressure`` *after* the admission decision and
+        still advances the logical backlog — the decision stream stays
+        sim-identical even under shed (the cache streams cannot, which
+        is why the cross-check pins ``max_queue`` high enough to never
+        shed).
         """
         self._groups += 1
         name = group.expert.name
-        owners = self._owners.get(name)
-        if not owners:
-            raise KeyError(f"no node hosts expert {name!r}")
-        index = choose_node(
-            owners,
-            name,
-            backlog_of=lambda i: self.nodes[i].backlog_s,
-            tail_of=lambda i: self.nodes[i].tail,
-            affinity=self.cluster_policy == "affinity",
-        )
-        node = self.nodes[index]
+        try:
+            node = self.nodes[self._owners[name][0]]
+        except KeyError:
+            raise KeyError(f"no node hosts expert {name!r}") from None
         phase_times = node.state.phase_times(group)
         router, prefill, decode = phase_times
         exec_s = router + prefill + decode
@@ -262,7 +256,6 @@ class LiveEngine:
             # not appear in the lookahead/pipelining backlog window.
             node.state.queue.append(group, phase_times)
         node.backlog_s += exec_s
-        node.tail = name
 
     async def _dispatch_all(self, requests: Sequence[EngineRequest]) -> None:
         """Open-loop admission: release each arrival at its model time."""

@@ -88,9 +88,11 @@ class ServeMode(PolicyEnum):
 class DrainMode(PolicyEnum):
     """How a :class:`ServingEngine` executes its queued groups.
 
-    Both modes are byte-identical in every simulated output (the
-    equivalence grid in ``tests/coe/test_batched_equivalence.py`` pins
-    it); they differ only in how much Python runs per group:
+    Only the drain differs: both modes admit the t=0 backlog through
+    the same array admission (:func:`repro.coe.columnar.admit_backlog`).
+    They are byte-identical in every simulated output (the equivalence
+    grid in ``tests/coe/test_batched_equivalence.py`` pins it) and
+    differ only in how much Python runs per group:
 
     - ``REFERENCE`` — one begin/finish simulator event pair per group,
       the seed-equivalent event-by-event execution.

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from repro.coe.cache import CachePolicy, CachePolicyLike, make_policy
 from repro.coe.decisions import DecisionLog
@@ -168,9 +168,9 @@ class CoERuntime:
     Copy costs come from a :class:`repro.memory.MemoryHierarchy` —
     ``hierarchy.transfer_time(src, dst, num_bytes)`` prices every edge,
     which is how the same code models both the SN40L node and the DGX
-    baselines. The legacy ``upgrade_time``/``downgrade_time`` callables
-    are still accepted (they become the DDR<->HBM edges of a two-level
-    hierarchy, bit for bit); pass one form or the other, not both.
+    baselines. Raw ``bytes -> seconds`` callables become the DDR<->HBM
+    edges of a two-level hierarchy through
+    :meth:`MemoryHierarchy.from_edge_times`, bit for bit.
 
     ``policy`` picks the eviction policy (see :mod:`repro.coe.cache`):
     a name (``"lru"``, ``"lfu"``, ``"gdsf"``, ``"predictive"``), a
@@ -190,28 +190,13 @@ class CoERuntime:
     def __init__(
         self,
         hbm_budget_bytes: int,
-        upgrade_time: Optional[Callable[[int], float]] = None,
-        downgrade_time: Optional[Callable[[int], float]] = None,
+        hierarchy: MemoryHierarchy,
         policy: CachePolicyLike = None,
-        hierarchy: Optional[MemoryHierarchy] = None,
         ddr_budget_bytes: Optional[int] = None,
         strict_tiers: bool = False,
     ) -> None:
         if hbm_budget_bytes < 0:
             raise ValueError(f"negative HBM budget: {hbm_budget_bytes}")
-        if hierarchy is not None and upgrade_time is not None:
-            raise ValueError(
-                "pass either a MemoryHierarchy or upgrade/downgrade "
-                "callables, not both"
-            )
-        if hierarchy is None:
-            if upgrade_time is None:
-                raise ValueError(
-                    "CoERuntime needs a hierarchy or an upgrade_time callable"
-                )
-            hierarchy = MemoryHierarchy.from_edge_times(
-                upgrade_time, downgrade_time
-            )
         self.hbm_budget_bytes = hbm_budget_bytes
         self.hierarchy = hierarchy
         if ddr_budget_bytes is not None:

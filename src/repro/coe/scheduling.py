@@ -10,13 +10,13 @@ architecture enables):
   hit is still free; affinity turns random arrival streams into runs of
   hits. One grouping algorithm, as array kernels over expert codes
   (:func:`expert_codes`): :func:`window_order` is the window reorder
-  and :func:`group_starts` the ``max_batch`` cuts. The sim's t=0
-  admission runs them on the whole backlog
+  and :func:`group_starts` the ``max_batch`` cuts. The sim's one t=0
+  admission, for both drain modes, runs them on the whole backlog
   (:func:`repro.coe.columnar.admit_backlog`); :func:`node_order`
   (:func:`affinity_schedule` unless ``fifo``) and
   :func:`coalesce_groups` wrap them to build :class:`RequestGroup`
-  lists for the reference drain and for the live engine's streaming
-  :class:`GroupAssembler`, one window at a time.
+  lists for the live engine's streaming :class:`GroupAssembler`, one
+  window at a time.
 - **Expert prediction** — :class:`ExpertPredictor` ranks the experts
   most likely to be routed next. Speculative prefetch itself is the
   engines' ``overlap`` node policy
@@ -120,9 +120,9 @@ class Scheduler:
     """Admission-time request reordering, applied to the whole backlog.
 
     Runs *before* node scheduling, as a :meth:`permutation` of the
-    backlog's expert codes: array admission applies it to the codes it
-    computes anyway (:func:`repro.coe.columnar.admit_backlog`); the
-    reference drain and the live engine take :meth:`order`. Schedulers
+    backlog's expert codes: the sim's admission applies it to the codes
+    it computes anyway (:func:`repro.coe.columnar.admit_backlog`, in
+    both drain modes); the live engine takes :meth:`order`. Schedulers
     are stateless — a pure function of their input — which is what makes
     one instance safely shareable across cluster nodes and across the
     sim and live engines of a cross-check pair.

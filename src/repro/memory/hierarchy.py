@@ -14,8 +14,7 @@ same:
 * :class:`EdgeCost` — ``latency_s + num_bytes / bandwidth`` — matches
   :meth:`repro.systems.platforms.Platform.switch_time` bitwise, which
   is what keeps the three-way drain equivalence and the sim/live
-  cross-check byte-identical when a hierarchy replaces the legacy
-  ``upgrade_time`` callable.
+  cross-check byte-identical over a platform's hierarchy.
 * :meth:`repro.memory.tiers.MemorySystem.transfer_time` — *source*
   latency plus *destination* latency plus the wire time — models the
   device tier stack. Do not substitute one for the other.
@@ -50,7 +49,8 @@ DEFAULT_NVME_LATENCY_S = 100e-6
 
 TierLike = Union[str, TierKind]
 #: An edge cost: either a declarative :class:`EdgeCost` or an opaque
-#: ``bytes -> seconds`` callable (the legacy ``upgrade_time`` shape).
+#: ``bytes -> seconds`` callable (what :meth:`MemoryHierarchy.from_edge_times`
+#: takes).
 EdgeLike = Union["EdgeCost", Callable[[int], float]]
 
 
@@ -303,12 +303,12 @@ class MemoryHierarchy:
         upgrade_time: Callable[[int], float],
         downgrade_time: Optional[Callable[[int], float]] = None,
     ) -> "MemoryHierarchy":
-        """The legacy two-level pair from raw cost callables.
+        """A two-level HBM/DDR hierarchy from raw cost callables.
 
-        This is how :class:`CoERuntime` adapts its deprecated
-        ``upgrade_time``/``downgrade_time`` constructor arguments: the
-        callables become the DDR↔HBM edges verbatim, so every historic
-        cost (including test doubles) is preserved bit for bit.
+        ``upgrade_time`` prices DDR→HBM copies and ``downgrade_time``
+        (default: the same callable) HBM→DDR copy-backs, verbatim, so a
+        plain ``bytes -> seconds`` cost model (a test double, say) gives
+        a :class:`CoERuntime` exactly the costs it returns.
         """
         levels = (TierLevel("hbm", None), TierLevel("ddr", None))
         edges = {

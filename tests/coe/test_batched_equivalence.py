@@ -145,9 +145,11 @@ def test_cluster_deadline_shedding_batched_equals_reference():
 
 
 def test_cluster_deadline_priorities_and_log_equal_reference():
-    """Array admission sheds and records as the per-group path does:
-    three ``least_loaded`` nodes, a deadline over mixed priorities and
-    lengths, and a decision log."""
+    """Both drains of a deadline run agree, after the same shedding and
+    records: three ``least_loaded`` nodes, a deadline over mixed
+    priorities and lengths, and a decision log. (Both modes admit
+    through ``admit_backlog``; ``TestAdmissionOracle`` in
+    test_scheduling.py checks it against the per-group path.)"""
     rng = random.Random("deadline-priorities")
     library, requests = _random_workload(rng)
     requests = [

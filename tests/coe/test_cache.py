@@ -19,6 +19,7 @@ from repro.coe.expert import ExpertProfile
 from repro.coe.policies import CachePolicyName
 from repro.coe.runtime import CoERuntime
 from repro.coe.scheduling import ExpertPredictor
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.transformer import TransformerConfig
 
 TINY = TransformerConfig("tiny", hidden=64, layers=2, heads=4, kv_heads=4,
@@ -35,7 +36,7 @@ def _expert(i, model=TINY):
 def _runtime(capacity_experts=2, policy=None):
     return CoERuntime(
         hbm_budget_bytes=capacity_experts * EXPERT_BYTES,
-        upgrade_time=lambda b: b / 1e9,
+        hierarchy=MemoryHierarchy.from_edge_times(lambda b: b / 1e9),
         policy=policy,
     )
 
@@ -163,7 +164,8 @@ class TestGDSF:
         # disproportionately expensive via a superlinear cost model.
         rt = CoERuntime(
             hbm_budget_bytes=TINY.weight_bytes + BIG.weight_bytes,
-            upgrade_time=lambda b: (b / 1e9) ** 2,
+            hierarchy=MemoryHierarchy.from_edge_times(
+                lambda b: (b / 1e9) ** 2),
             policy="gdsf",
         )
         small, big = _expert(0, TINY), _expert(1, BIG)

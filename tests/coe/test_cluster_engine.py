@@ -94,8 +94,8 @@ class TestConstruction:
         assert engine.num_nodes == 3
         assert [n.name for n in engine.nodes] == ["node0", "node1", "node2"]
         for expert in small.experts:
-            (owner,) = engine._owner_nodes(expert)
-            assert owner in engine.nodes
+            (owner,) = engine._owners[expert.name]
+            assert 0 <= owner < engine.num_nodes
 
     def test_nodes_share_one_simulator(self, library):
         engine = ClusterEngine(sn40l_platform, library, 4)

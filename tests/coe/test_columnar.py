@@ -50,6 +50,7 @@ from repro.coe.node import NodeState
 from repro.coe.policies import DrainMode
 from repro.coe.runtime import CoERuntime
 from repro.coe.scheduling import ExpertPredictor, coalesce_groups, node_order
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.engine import Simulator
 from repro.systems.platforms import sn40l_platform
 
@@ -230,7 +231,8 @@ def _hit_run(rng, experts, length):
 
 def _fresh_runtime(library, cache_policy):
     budget = sum(e.weight_bytes for e in library.experts) * 2
-    return CoERuntime(budget, lambda b: b * 1e-9, policy=cache_policy)
+    return CoERuntime(budget, MemoryHierarchy.from_edge_times(
+        lambda b: b * 1e-9), policy=cache_policy)
 
 
 @pytest.mark.parametrize("cache_policy", ["lru", "lfu", "gdsf"])
@@ -299,7 +301,8 @@ def test_touch_run_with_prefetches_equals_scalar_overlap_sequence(
     trace = [rng.choice(experts).name for _ in range(400)]
     budget = sum(e.weight_bytes for e in experts) * 2
     scalar, batched = (
-        CoERuntime(budget, lambda b: b * 1e-9,
+        CoERuntime(budget,
+                   MemoryHierarchy.from_edge_times(lambda b: b * 1e-9),
                    policy=_overlap_policy(cache_policy, trace))
         for _ in range(2)
     )

@@ -390,8 +390,9 @@ class TestRunTimeline:
 class TestReportEdgeCases:
     def test_zero_completions_report_has_no_division_error(self, library, stream):
         """A node that crashes before starting any group still reports."""
-        # Fault paths run event-by-event (batching is disabled under
-        # faults), so simulate the crash on the reference path.
+        # The reference drain runs each group's begin as its own event,
+        # so replacing ``_begin_next`` halts the node before its first
+        # group (the columnar drain begins groups without that hook).
         engine = ServingEngine(
             sn40l_platform(), library, policy="fifo", drain_mode="reference"
         )

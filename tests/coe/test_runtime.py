@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.coe.expert import ExpertProfile
 from repro.coe.runtime import CoERuntime
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.transformer import TransformerConfig
 
 TINY = TransformerConfig("tiny", hidden=64, layers=2, heads=4, kv_heads=4,
@@ -16,10 +17,11 @@ def _expert(i, mutable=0.0):
     return ExpertProfile(f"e{i}", "chat", model=TINY, mutable_fraction=mutable)
 
 
-def _runtime(capacity_experts=2, **kw):
+def _runtime(capacity_experts=2, downgrade_time=None, **kw):
     return CoERuntime(
         hbm_budget_bytes=capacity_experts * EXPERT_BYTES,
-        upgrade_time=lambda b: b / 1e9,
+        hierarchy=MemoryHierarchy.from_edge_times(
+            lambda b: b / 1e9, downgrade_time),
         **kw,
     )
 
@@ -59,13 +61,19 @@ class TestLRUSemantics:
         assert event.evicted == ("e1",)
 
     def test_oversized_expert_rejected(self):
-        rt = CoERuntime(hbm_budget_bytes=10, upgrade_time=lambda b: 0.0)
+        rt = CoERuntime(
+            hbm_budget_bytes=10,
+            hierarchy=MemoryHierarchy.from_edge_times(lambda b: 0.0),
+        )
         with pytest.raises(ValueError):
             rt.activate(_expert(0))
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
-            CoERuntime(hbm_budget_bytes=-1, upgrade_time=lambda b: 0.0)
+            CoERuntime(
+                hbm_budget_bytes=-1,
+                hierarchy=MemoryHierarchy.from_edge_times(lambda b: 0.0),
+            )
 
 
 class TestReadOnlyCopyback:
@@ -128,7 +136,7 @@ class TestFailureInjection:
     def test_failed_copy_preserves_residents(self):
         dma = self._FlakyDMA(fail_after=2)
         rt = CoERuntime(hbm_budget_bytes=2 * EXPERT_BYTES,
-                        upgrade_time=dma)
+                        hierarchy=MemoryHierarchy.from_edge_times(dma))
         e0, e1, e2 = _expert(0), _expert(1), _expert(2)
         rt.activate(e0)
         rt.activate(e1)
@@ -140,7 +148,8 @@ class TestFailureInjection:
 
     def test_failed_copy_preserves_lru_order(self):
         dma = self._FlakyDMA(fail_after=2)
-        rt = CoERuntime(hbm_budget_bytes=2 * EXPERT_BYTES, upgrade_time=dma)
+        rt = CoERuntime(hbm_budget_bytes=2 * EXPERT_BYTES,
+                        hierarchy=MemoryHierarchy.from_edge_times(dma))
         e0, e1, e2, e3 = (_expert(i) for i in range(4))
         rt.activate(e0)
         rt.activate(e1)
@@ -153,7 +162,8 @@ class TestFailureInjection:
 
     def test_failed_copy_rolls_back_eviction_stats(self):
         dma = self._FlakyDMA(fail_after=1)
-        rt = CoERuntime(hbm_budget_bytes=EXPERT_BYTES, upgrade_time=dma)
+        rt = CoERuntime(hbm_budget_bytes=EXPERT_BYTES,
+                        hierarchy=MemoryHierarchy.from_edge_times(dma))
         rt.activate(_expert(0))
         with pytest.raises(IOError):
             rt.activate(_expert(1))
@@ -161,7 +171,8 @@ class TestFailureInjection:
 
     def test_retry_after_failure_succeeds(self):
         dma = self._FlakyDMA(fail_after=1)
-        rt = CoERuntime(hbm_budget_bytes=EXPERT_BYTES, upgrade_time=dma)
+        rt = CoERuntime(hbm_budget_bytes=EXPERT_BYTES,
+                        hierarchy=MemoryHierarchy.from_edge_times(dma))
         rt.activate(_expert(0))
         with pytest.raises(IOError):
             rt.activate(_expert(1))
@@ -174,7 +185,8 @@ class TestFailureInjection:
         """Convention: a failed activate still counts as a request, gets a
         ``failures`` tick, and contributes nothing to the copy totals."""
         dma = self._FlakyDMA(fail_after=1)
-        rt = CoERuntime(hbm_budget_bytes=EXPERT_BYTES, upgrade_time=dma)
+        rt = CoERuntime(hbm_budget_bytes=EXPERT_BYTES,
+                        hierarchy=MemoryHierarchy.from_edge_times(dma))
         rt.activate(_expert(0))
         bytes_up_before = rt.stats.bytes_up
         switch_before = rt.stats.switch_time_s
@@ -190,7 +202,8 @@ class TestFailureInjection:
 
     def test_failure_restores_resident_byte_counter(self):
         dma = self._FlakyDMA(fail_after=2)
-        rt = CoERuntime(hbm_budget_bytes=2 * EXPERT_BYTES, upgrade_time=dma)
+        rt = CoERuntime(hbm_budget_bytes=2 * EXPERT_BYTES,
+                        hierarchy=MemoryHierarchy.from_edge_times(dma))
         rt.activate(_expert(0))
         rt.activate(_expert(1))
         with pytest.raises(IOError):

@@ -1,21 +1,29 @@
 """Affinity batching, group assembly and expert prediction."""
 
 import random
-from collections import OrderedDict
+import sys
+from collections import Counter, OrderedDict
 from itertools import groupby
 
 import pytest
 
+from repro.coe import cluster_engine as cluster_module
+from repro.coe import engine as engine_module
+from repro.coe.cluster_engine import ClusterEngine
 from repro.coe.columnar import admit_backlog
+from repro.coe.decisions import DecisionLog
+from repro.coe.dispatch import admit, shard_experts
 from repro.coe.engine import EngineRequest, ServingEngine
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.policies import NodePolicy
 from repro.coe.scheduling import (
     ExpertPredictor,
+    ExpertReorderScheduler,
     FifoScheduler,
     GroupAssembler,
     Request,
     RequestGroup,
+    Scheduler,
     affinity_schedule,
     coalesce_groups,
     fifo_schedule,
@@ -239,6 +247,150 @@ class TestGroupingOracle:
                 engine.state.phase_times(g) for g in oracle]
             assert {g.phase_key for g in oracle} == set(
                 engine.state.phase_cache)
+
+
+def _oracle_admit(engines, requests, scheduler, policy, window, max_batch,
+                  owner_of, deadline_s, decisions, node_names):
+    """``admit_backlog`` as the per-group path it replaced: the public
+    grouping wrappers, the stable highest-priority-first order under a
+    deadline, then per group :func:`admit` against a fresh left-to-right
+    sum of the node's queued ``_group_exec_time`` floats, and an append.
+    """
+    groups = coalesce_groups(
+        node_order(scheduler.order(requests), policy, window), max_batch)
+    admitted = groups
+    if deadline_s is not None:
+        admitted = sorted(groups, key=lambda g: -max(
+            r.priority for r in g.requests))
+    queued = [[] for _ in engines]
+    roots, shed = [], []
+    for group in admitted:
+        index = owner_of[group.expert.name]
+        engine = engines[index]
+        exec_s = backlog_s = 0.0
+        if deadline_s is not None:
+            exec_s = engine._group_exec_time(group)
+            for queued_s in queued[index]:
+                backlog_s += queued_s
+        if not admit(group.expert.name, group.batch, node_names[index],
+                     decisions, deadline_s, 0.0, backlog_s, exec_s):
+            shed.extend(group.requests)
+            continue
+        if engine not in roots:
+            roots.append(engine)
+        engine.state.queue.append(group, engine.state.phase_times(group))
+        queued[index].append(exec_s)
+    return roots, shed, len(groups)
+
+
+class TestAdmissionOracle:
+    """Array admission (:func:`admit_backlog`), the only t=0 admission
+    of both drain modes, equals the per-group path it replaced: queues,
+    shed requests, root order, group count and ``admission`` records."""
+
+    @staticmethod
+    def _backlog(rng, experts, size):
+        reqs = []
+        while len(reqs) < size:
+            expert = rng.choice(experts)
+            for _ in range(rng.choice((1, 1, 2, 3, 6, 11))):
+                reqs.append(EngineRequest(
+                    len(reqs), expert,
+                    prompt_tokens=rng.choice((64, 128, 256, 512)),
+                    output_tokens=rng.choice((1, 8, 20, 64)),
+                    priority=rng.randrange(3),
+                ))
+        return reqs[:size]
+
+    @staticmethod
+    def _engines(library, num_nodes, policy):
+        shards, owners = shard_experts(library, num_nodes)
+        engines = [ServingEngine(sn40l_platform(), library, policy=policy,
+                                 simulator=Simulator())
+                   for _ in shards]
+        return engines, {name: nodes[0] for name, nodes in owners.items()}
+
+    @pytest.mark.parametrize("scheduler", ["fifo", "expert_reorder"])
+    @pytest.mark.parametrize("policy", ["fifo", "affinity", "overlap"])
+    @pytest.mark.parametrize("num_nodes", [1, 3, 8])
+    def test_array_admission_equals_the_per_group_path(
+            self, library, num_nodes, policy, scheduler):
+        rng = random.Random(f"admission:{num_nodes}:{policy}:{scheduler}")
+        experts = library.experts[:rng.randint(12, 40)]
+        scheduler = (FifoScheduler() if scheduler == "fifo"
+                     else ExpertReorderScheduler(rng.choice((8, 64, 256))))
+        for trial in range(3):
+            reqs = self._backlog(rng, experts, rng.randint(60, 300))
+            window, max_batch = rng.randint(1, 64), rng.randint(1, 9)
+            engines, owner_of = self._engines(library, num_nodes, policy)
+            names = [f"node{i}" for i in range(len(engines))]
+            _oracle_admit(engines, reqs, scheduler, policy, window,
+                          max_batch, owner_of, None, None, names)
+            busiest = max(e.estimated_backlog_s() for e in engines)
+            for deadline_s in (None, rng.uniform(0.2, 0.6) * busiest):
+                for logged in (False, True):
+                    runs = []
+                    for admission in (admit_backlog, _oracle_admit):
+                        engines, _ = self._engines(library, num_nodes,
+                                                   policy)
+                        log = DecisionLog() if logged else None
+                        roots, shed, count = admission(
+                            engines, reqs, scheduler, policy, window,
+                            max_batch, owner_of=owner_of,
+                            deadline_s=deadline_s, decisions=log,
+                            node_names=names)
+                        runs.append((
+                            [e._queue for e in engines],
+                            [r.request_id for r in shed],
+                            [engines.index(e) for e in roots], count,
+                            log.stream("admission") if logged else None,
+                        ))
+                    fast, oracle = runs
+                    where = (trial, deadline_s, logged)
+                    assert fast[0] == oracle[0], where
+                    assert fast[1:] == oracle[1:], where
+                    assert bool(fast[1]) == (deadline_s is not None), where
+                    if deadline_s is None:
+                        assert (len(fast[2]) > 1) == (num_nodes > 1), where
+
+    def test_both_drain_modes_admit_through_the_arrays(
+            self, library, monkeypatch):
+        """A reference-drain run and a cluster serve each admit once
+        through :func:`admit_backlog`, never through the wrappers."""
+        calls = Counter()
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for module in (engine_module, cluster_module):
+            monkeypatch.setattr(module, "admit_backlog", spy(
+                "admit_backlog", module.admit_backlog))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and getattr(
+                    module, "coalesce_groups", None) is coalesce_groups:
+                monkeypatch.setattr(module, "coalesce_groups", spy(
+                    "coalesce_groups", coalesce_groups))
+        for cls in (Scheduler, FifoScheduler, ExpertReorderScheduler):
+            if "order" in vars(cls):
+                monkeypatch.setattr(cls, "order", spy("order", cls.order))
+        rng = random.Random("admission-spy")
+        reqs = self._backlog(rng, library.experts[:20], 200)
+        for scheduler in ("fifo", "expert_reorder"):
+            ServingEngine(sn40l_platform(), library, policy="affinity",
+                          drain_mode="reference",
+                          scheduler=scheduler).run(reqs)
+            assert calls == {"admit_backlog": 1}, scheduler
+            calls.clear()
+            for drain_mode in ("reference", "columnar"):
+                ClusterEngine(sn40l_platform, library, 3,
+                              policy="least_loaded", scheduler=scheduler,
+                              drain_mode=drain_mode,
+                              deadline_s=1.0).serve(reqs)
+                assert calls == {"admit_backlog": 1}, (scheduler, drain_mode)
+                calls.clear()
 
 
 class TestGroupAssembler:

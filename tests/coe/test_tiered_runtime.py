@@ -42,16 +42,8 @@ def _tiered(hbm_experts=2, ddr_experts=3, **kw):
 
 
 class TestConstruction:
-    def test_hierarchy_and_callables_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            CoERuntime(
-                hbm_budget_bytes=EXPERT_BYTES,
-                upgrade_time=lambda b: 0.0,
-                hierarchy=_hierarchy(),
-            )
-
     def test_one_cost_source_required(self):
-        with pytest.raises(ValueError, match="needs a hierarchy"):
+        with pytest.raises(TypeError, match="hierarchy"):
             CoERuntime(hbm_budget_bytes=EXPERT_BYTES)
 
     def test_ddr_budget_must_cover_hbm(self):
@@ -312,8 +304,10 @@ class TestLegacyEquivalence:
     """An unconstrained 3-tier runtime is bitwise the legacy 2-tier one."""
 
     def test_trace_identical_without_ddr_budget(self):
-        legacy = CoERuntime(hbm_budget_bytes=2 * EXPERT_BYTES,
-                            upgrade_time=lambda b: b / 1e9)
+        legacy = CoERuntime(
+            hbm_budget_bytes=2 * EXPERT_BYTES,
+            hierarchy=MemoryHierarchy.from_edge_times(lambda b: b / 1e9),
+        )
         tiered = CoERuntime(hbm_budget_bytes=2 * EXPERT_BYTES,
                             hierarchy=_hierarchy(hbm_experts=2))
         experts = [_expert(i) for i in range(4)]

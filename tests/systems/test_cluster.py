@@ -93,12 +93,13 @@ class TestHeterogeneousLibrary:
         from repro.coe.runtime import CoERuntime
         from repro.models.catalog import LLAMA2_7B, LLAMA2_13B
         from repro.coe.expert import ExpertProfile
+        from repro.memory.hierarchy import MemoryHierarchy
 
         small = [ExpertProfile(f"s{i}", "chat", LLAMA2_7B) for i in range(2)]
         big = ExpertProfile("big", "chat", LLAMA2_13B)
         runtime = CoERuntime(
             hbm_budget_bytes=2 * LLAMA2_7B.weight_bytes + 1,
-            upgrade_time=lambda b: 0.0,
+            hierarchy=MemoryHierarchy.from_edge_times(lambda b: 0.0),
         )
         for e in small:
             runtime.activate(e)
@@ -126,5 +127,5 @@ class TestReplicationIdempotence:
         assert [n.name for n in engine.nodes] == ["node0", "node1", "node2"]
         # Every expert's owner index points at a live node.
         for expert in small.experts:
-            (owner,) = engine._owner_nodes(expert)
-            assert owner in engine.nodes
+            (owner,) = engine._owners[expert.name]
+            assert 0 <= owner < engine.num_nodes
