@@ -17,9 +17,9 @@ strings in :data:`CLUSTER_POLICIES` still coerce):
 - ``least_loaded`` — static admission: each group goes to the owner
   replica with the smallest estimated backlog. The baseline: whatever
   skew the sharding creates, the nodes keep.
-- ``affinity`` — least-loaded, but an owner whose queue tail already
-  ends in the group's expert wins ties: extending a same-expert run
-  avoids a future switch on that node.
+- ``affinity`` — routes exactly as ``least_loaded``: a preference for
+  an owner whose queue tail already ends in the group's expert would
+  need several owners to choose among, and only ``steal`` adds owners.
 - ``steal`` — ``least_loaded`` admission plus *runtime* rebalancing:
   when a node drains, it steals queued groups whose expert it hosts
   from the deepest queue; when nothing is stealable and online
@@ -198,7 +198,6 @@ class ClusterEngine:
         node_policy: Union[str, NodePolicy] = "overlap",
         max_batch: int = 8,
         window: int = 16,
-        balanced: bool = True,
         online_replication: bool = True,
         replication_depth: int = 3,
         max_replicas: Optional[int] = None,
@@ -282,7 +281,7 @@ class ClusterEngine:
         #: Recovery copy ends, which the makespan covers.
         self._recovery_ends: List[float] = []
 
-        shards, owners = shard_experts(library, num_nodes, balanced)
+        shards, owners = shard_experts(library, num_nodes)
         #: Expert name -> indices of nodes hosting a replica.
         self._owners: Dict[str, List[int]] = owners
         self.nodes: List[_Node] = []
@@ -308,16 +307,11 @@ class ClusterEngine:
                 hosted={e.name for e in shard},
             )
             if self.policy == "steal":
-                # Only the steal policy reacts to these hooks
-                # (:meth:`_node_idle` is a no-op otherwise); leaving them
+                # Only the steal policy reacts to this hook
+                # (:meth:`_node_idle` is a no-op otherwise); leaving it
                 # uninstalled lets the other policies' nodes drain dry
                 # in the t=0 drain.
                 engine.on_idle = lambda _eng, n=node: self._node_idle(n)
-                engine.on_group_done = (
-                    lambda _eng, _group, n=node: self._node_idle(n)
-                    if not n.engine.busy
-                    else None
-                )
             self.nodes.append(node)
 
         self.faults.validate_for(len(self.nodes))
@@ -348,8 +342,6 @@ class ClusterEngine:
             owners,
             name,
             backlog_of=lambda i: self.nodes[i].engine.estimated_backlog_s(),
-            tail_of=lambda i: self.nodes[i].engine.last_queued_expert,
-            affinity=self.policy == "affinity",
         )
         return self.nodes[index]
 

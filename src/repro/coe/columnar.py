@@ -7,8 +7,8 @@ per-group Python work *is* the cost. This module vectorizes it. Each
 node's queue is one :class:`GroupColumns`, parallel arrays over a
 request table with a head cursor: per-group expert names, phase-time
 triples (read from the node's phase memo, which
-:meth:`ServingEngine.precompute_phases` seeds through the vectorized
-``perf.kernel_cost`` batch entry points), batch sizes, and per-request
+:meth:`ServingEngine.precompute_phases` seeds once per distinct group
+shape from the scalar platform formulas), batch sizes, and per-request
 arrival/output-token columns. The t=0 backlog is grouped, routed and
 admitted straight into those columns (:func:`admit_backlog`); after
 that every reader and writer edits them in place (submits, steals, a

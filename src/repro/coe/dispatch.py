@@ -21,7 +21,8 @@ order on both backends — so the ETAs agree bit for bit.
 :func:`choose_node` is the cluster's runtime routing only: a crashed
 node's groups re-dispatched once ``steal`` replication has given an
 expert several owners, where ``backlog_of(i)`` is node ``i``'s
-estimated backlog and ``tail_of(i)`` its queue-tail expert.
+estimated backlog. It is least-loaded under every cluster policy, so
+``affinity`` routes as ``least_loaded``.
 """
 
 from __future__ import annotations
@@ -38,14 +39,13 @@ if TYPE_CHECKING:
 
 
 def shard_experts(
-    library: "ExpertLibrary", num_nodes: int, balanced: bool = True
+    library: "ExpertLibrary", num_nodes: int
 ) -> Tuple[List[List["ExpertProfile"]], Dict[str, List[int]]]:
     """The non-empty shards of :func:`partition_experts` (node ``i``
     serves shard ``i``) and the owner map: expert name -> indices of the
     nodes hosting it."""
     shards = [
-        shard for shard in partition_experts(library, num_nodes, balanced)
-        if shard
+        shard for shard in partition_experts(library, num_nodes) if shard
     ]
     owners: Dict[str, List[int]] = {}
     for index, shard in enumerate(shards):
@@ -58,26 +58,12 @@ def choose_node(
     owner_indices: Sequence[int],
     expert_name: str,
     backlog_of: Callable[[int], float],
-    tail_of: Callable[[int], Optional[str]],
-    affinity: bool,
 ) -> int:
-    """Pick the owner node for a group of ``expert_name`` requests.
-
-    Least-loaded over ``owner_indices`` with index as the tie-break;
-    with ``affinity``, owners whose admission tail already ends in this
-    expert form the candidate pool first (extending a same-expert run
-    avoids a future switch on that node).
-    """
+    """Pick the owner node for a group of ``expert_name`` requests:
+    least-loaded over ``owner_indices``, with index as the tie-break."""
     if not owner_indices:
         raise ValueError(f"no node hosts expert {expert_name!r}")
-    pool = owner_indices
-    if affinity:
-        tail_match = [
-            i for i in owner_indices if tail_of(i) == expert_name
-        ]
-        if tail_match:
-            pool = tail_match
-    return min(pool, key=lambda i: (backlog_of(i), i))
+    return min(owner_indices, key=lambda i: (backlog_of(i), i))
 
 
 def admission_eta(now: float, backlog_s: float, exec_s: float) -> float:

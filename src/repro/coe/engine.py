@@ -81,7 +81,6 @@ from repro.systems.platforms import Platform
 #: the typed source of truth and coerces these (kept for back-compat).
 POLICIES = NodePolicy.values()
 
-_PHASE_KEY = attrgetter("phase_key")
 _EXPERT_NAME = attrgetter("expert.name")
 
 
@@ -124,8 +123,8 @@ class ServingEngine:
     ``lane_prefix``, then :meth:`submit` groups; a cluster-level policy
     may additionally :meth:`steal` queued groups, :meth:`host` a
     replicated expert, and :meth:`warm` its DDR->HBM copy. The ``on_idle``
-    and ``on_group_done`` hooks let that policy react to this engine
-    draining or finishing work, on the shared clock.
+    hook lets that policy react to this engine draining, on the shared
+    clock.
     """
 
     def __init__(
@@ -179,16 +178,11 @@ class ServingEngine:
         self.server = self.state.server
         self.cache_policy = self.server.runtime.policy.name
         self.pipeline_promotions = bool(pipeline_promotions)
-        #: Hooks a cluster-level scheduler installs: ``on_idle(engine)``
-        #: fires when the queue drains, ``on_group_done(engine, group)``
-        #: after every completed group. Both run on the simulator clock.
-        #: A columnar run drains up to the first instant ``on_idle``
-        #: could fire (:func:`_drain_to_horizon`); ``on_group_done`` is
-        #: not called for the groups it completes.
+        #: The hook a cluster-level scheduler installs: ``on_idle(engine)``
+        #: fires on the simulator clock when the queue drains. A columnar
+        #: run drains up to the first instant it could fire
+        #: (:func:`_drain_to_horizon`).
         self.on_idle: Optional[Callable[["ServingEngine"], None]] = None
-        self.on_group_done: Optional[
-            Callable[["ServingEngine", RequestGroup], None]
-        ] = None
         self._sim: Optional[EventSource] = None
         #: One-shot guard for :meth:`run` (see EngineReentryError): the
         #: runtime cache, policy bookkeeping and predictor survive a
@@ -278,12 +272,6 @@ class ServingEngine:
     def groups_done(self) -> int:
         """Groups this node has finished (:attr:`NodeState.groups_done`)."""
         return self.state.groups_done
-
-    @property
-    def last_queued_expert(self) -> Optional[str]:
-        """Expert of the queue tail (affinity routing extends its run)."""
-        queue = self.state.queue
-        return queue.names[-1] if queue else None
 
     def queued_expert_counts(self) -> Dict[str, int]:
         """Queued group count per expert name (replication signal)."""
@@ -442,54 +430,16 @@ class ServingEngine:
         return router * factor, prefill * factor, decode * factor
 
     def precompute_phases(self, groups: Sequence[RequestGroup]) -> int:
-        """Seed the phase memo for ``groups`` with vectorized cost math.
+        """Seed the phase memo with the shapes of ``groups`` it lacks.
 
-        One :meth:`Platform.prefill_time_batch` /
-        :meth:`Platform.decode_span_time_batch` call per distinct model
-        replaces four memoized scalar evaluations per distinct group
-        shape. The vectorized entry points are bitwise-equal to the
-        scalar ones, so seeding the memo this way cannot change a single
-        simulated timestamp. Returns the number of shapes computed.
+        Each new shape is priced once through :meth:`NodeState.phase_times`
+        (the scalar, memoized platform formulas). Returns the number of
+        shapes computed.
         """
-        pending = {key: group
-                   for key, group in zip(map(_PHASE_KEY, groups), groups)
-                   if key not in self.state.phase_cache}
-        if not pending:
-            return 0
-        platform = self.server.platform
-        router_model = self.server.router.model
-        keys = list(pending)
-        batches = [k[1] for k in keys]
-        prompts = [k[2] for k in keys]
-        outputs = [k[3] for k in keys]
-        router_s = (
-            platform.prefill_time_batch(router_model, batches, prompts)
-            + platform.decode_token_time_batch(router_model, batches, prompts)
-        )
-        # Expert phases vectorize per distinct model architecture.
-        prefill_s = [0.0] * len(keys)
-        decode_s = [0.0] * len(keys)
-        by_model: Dict[object, List[int]] = {}
-        for i, key in enumerate(keys):
-            by_model.setdefault(pending[key].expert.model, []).append(i)
-        for model, idxs in by_model.items():
-            pre = platform.prefill_time_batch(
-                model, [batches[i] for i in idxs], [prompts[i] for i in idxs]
-            )
-            dec = platform.decode_span_time_batch(
-                model,
-                [outputs[i] for i in idxs],
-                [batches[i] for i in idxs],
-                [prompts[i] for i in idxs],
-            )
-            for j, i in enumerate(idxs):
-                prefill_s[i] = float(pre[j])
-                decode_s[i] = float(dec[j])
-        for i, key in enumerate(keys):
-            self.state.phase_cache[key] = (
-                float(router_s[i]), prefill_s[i], decode_s[i]
-            )
-        return len(keys)
+        before = len(self.state.phase_cache)
+        for group in groups:
+            self.state.phase_times(group)
+        return len(self.state.phase_cache) - before
 
     def _group_exec_time(self, group: RequestGroup) -> float:
         """Batched router + prefill + closed-form decode for one group."""
@@ -605,22 +555,19 @@ class ServingEngine:
         """Finish the executing group, then begin the next one."""
         if self._halted or self._current is None:
             return
-        group = self._complete_current(self._sim.now)
-        if self.on_group_done is not None:
-            self.on_group_done(self, group)
+        self._complete_current(self._sim.now)
         if self.state.queue:
             self._kick()
         else:
             self._notify_idle()
 
-    def _complete_current(self, finish_s: float) -> RequestGroup:
+    def _complete_current(self, finish_s: float) -> None:
         """Finish the executing group at ``finish_s``
         (:meth:`NodeState.finish`)."""
         group, exec_started, phase_times, index = self._current
         self._current = None
         self.state.finish(group, exec_started, phase_times, finish_s, index)
         self._busy = False
-        return group
 
     def _drain_before(
         self,

@@ -63,7 +63,12 @@ class NodePolicy(PolicyEnum):
 
 
 class ClusterPolicy(PolicyEnum):
-    """Cross-node dispatch policy of :class:`ClusterEngine`."""
+    """Cross-node dispatch policy of :class:`ClusterEngine`.
+
+    ``AFFINITY`` routes exactly as ``LEAST_LOADED``: every expert has one
+    owner unless ``STEAL`` replication adds more, and its queue-tail
+    preference could only choose among several.
+    """
 
     LEAST_LOADED = "least_loaded"
     AFFINITY = "affinity"

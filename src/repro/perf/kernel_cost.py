@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional
 
 from repro.arch.config import NodeConfig, SocketConfig
 from repro.dataflow.fusion import FusionPlan, Kernel
@@ -237,73 +235,6 @@ def cost_kernel(
     )
 
 
-def cost_kernels_batch(
-    kernels: Sequence[Kernel],
-    target: ExecutionTarget,
-    pipelined: Sequence[bool],
-    orchestration: Orchestration,
-    traffic_model: TrafficModel = SN40L_STREAMING,
-) -> List[KernelCost]:
-    """Vectorized :func:`cost_kernel` over a whole kernel list.
-
-    Gathers flops/traffic/comm into arrays and computes each phase with
-    one :class:`~repro.perf.roofline.Roofline` batch call per kernel
-    class (pipelined kernels and phase-serial kernels derate against
-    different rooflines), instead of four scalar divisions per kernel.
-    The arithmetic is elementwise-identical to :func:`cost_kernel`, so
-    the per-kernel costs compare equal — asserted by
-    ``tests/perf/test_kernel_cost.py``.
-    """
-    if len(kernels) != len(pipelined):
-        raise ValueError(
-            f"{len(kernels)} kernels but {len(pipelined)} pipelined flags"
-        )
-    if not kernels:
-        return []
-    cal = target.calibration
-    flops = np.array([k.flops for k in kernels], dtype=np.float64)
-    traffic = np.array(
-        [kernel_traffic_bytes(k, traffic_model) for k in kernels],
-        dtype=np.int64,
-    )
-    pipelined_mask = np.array(pipelined, dtype=bool)
-
-    compute_s = np.zeros(len(kernels))
-    memory_s = np.zeros(len(kernels))
-    for is_pipelined in (True, False):
-        mask = pipelined_mask if is_pipelined else ~pipelined_mask
-        if not mask.any():
-            continue
-        roofline = target.roofline(is_pipelined)
-        compute_s[mask] = roofline.compute_time_batch(flops[mask])
-        memory_s[mask] = roofline.memory_time_batch(traffic[mask])
-
-    costs: List[KernelCost] = []
-    for i, kernel in enumerate(kernels):
-        comm_s = 0.0
-        if kernel.comm_bytes > 0:
-            num_collectives = sum(1 for op in kernel.ops if op.comm_bytes > 0)
-            comm_s = (
-                kernel.comm_bytes / target.p2p_bandwidth
-                + num_collectives * cal.p2p_latency_s
-            )
-        if orchestration is Orchestration.HARDWARE:
-            launch_s = cal.hw_launch_s
-        else:
-            num_args = len(kernel.external_inputs) + len(kernel.external_outputs)
-            launch_s = cal.sw_launch_overhead(num_args)
-        costs.append(KernelCost(
-            kernel_name=kernel.name,
-            num_ops=kernel.num_ops,
-            pipelined=bool(pipelined_mask[i]),
-            compute_s=float(compute_s[i]),
-            memory_s=float(memory_s[i]),
-            comm_s=comm_s,
-            launch_s=launch_s,
-        ))
-    return costs
-
-
 def cost_plan(
     plan: FusionPlan,
     target: ExecutionTarget,
@@ -313,8 +244,7 @@ def cost_plan(
     """Estimate total execution time of a fusion plan.
 
     Fused (streaming/conventional) kernels run as pipelines; single-op
-    kernels from the unfused baseline run phase-serial. Roofline phases
-    for the whole plan are computed in one vectorized batch.
+    kernels from the unfused baseline run phase-serial.
     """
     result = PlanCost(
         plan_policy=plan.policy,
@@ -324,10 +254,11 @@ def cost_plan(
     pipelined_plan = plan.policy != "unfused"
     # Even in a fused plan, a kernel that ended up with a single op has
     # no pipeline to exploit.
-    pipelined = [pipelined_plan and k.num_ops > 1 for k in plan.kernels]
-    result.kernels.extend(cost_kernels_batch(
-        plan.kernels, target, pipelined, orchestration, traffic_model
-    ))
+    result.kernels.extend(
+        cost_kernel(kernel, target, pipelined_plan and kernel.num_ops > 1,
+                    orchestration, traffic_model)
+        for kernel in plan.kernels
+    )
     return result
 
 

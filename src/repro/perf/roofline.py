@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Roofline:
@@ -92,39 +90,3 @@ class Roofline:
         Models an unfused kernel that cannot overlap its memory phases with
         compute (no cross-operator pipeline)."""
         return self.compute_time(flops) + self.memory_time(traffic_bytes)
-
-    # ------------------------------------------------------------------
-    # Vectorized entry points (array-in / array-out)
-    # ------------------------------------------------------------------
-    # The scalar methods stay the single source of the *formulas*; these
-    # apply the identical arithmetic elementwise over numpy arrays so hot
-    # loops (per-request cost batches, sweep grids) pay one call instead
-    # of N. Division and max of float64 arrays are IEEE-754 operations —
-    # bitwise-equal to the scalar path, which the vectorized-cost tests
-    # assert.
-
-    def compute_time_batch(self, flops) -> np.ndarray:
-        """Elementwise :meth:`compute_time` over an array of FLOP counts."""
-        flops = np.asarray(flops, dtype=np.float64)
-        if np.any(flops < 0):
-            raise ValueError("negative flops in batch")
-        return flops / self.peak_flops
-
-    def memory_time_batch(self, traffic_bytes) -> np.ndarray:
-        """Elementwise :meth:`memory_time` over an array of byte counts."""
-        traffic = np.asarray(traffic_bytes, dtype=np.float64)
-        if np.any(traffic < 0):
-            raise ValueError("negative traffic in batch")
-        return traffic / self.mem_bandwidth
-
-    def time_batch(self, flops, traffic_bytes) -> np.ndarray:
-        """Elementwise :meth:`time` (overlapped bound) over arrays."""
-        return np.maximum(
-            self.compute_time_batch(flops), self.memory_time_batch(traffic_bytes)
-        )
-
-    def serial_time_batch(self, flops, traffic_bytes) -> np.ndarray:
-        """Elementwise :meth:`serial_time` (summed phases) over arrays."""
-        return self.compute_time_batch(flops) + self.memory_time_batch(
-            traffic_bytes
-        )

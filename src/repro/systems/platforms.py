@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from repro.arch.config import sn40l_node
 from repro.models.transformer import TransformerConfig
 from repro.perf.calibration import DEFAULT_CALIBRATION, Calibration
@@ -232,139 +230,6 @@ class Platform:
             raise ValueError(f"negative output_tokens: {output_tokens}")
         return self.prefill_time(model, batch, prompt) + self.decode_span_time(
             model, output_tokens, batch, prompt
-        )
-
-    # ------------------------------------------------------------------
-    # Vectorized timing (array-in / array-out)
-    # ------------------------------------------------------------------
-    # Same formulas as the memoized scalar methods above, evaluated
-    # elementwise over whole request batches in one numpy call. The op
-    # order mirrors the scalar expressions and all integer intermediates
-    # stay below 2**53, so int64->float64 conversion and float64
-    # division round identically to the scalar path — the results are
-    # bitwise-equal, which ``tests/systems/test_vectorized_costs.py``
-    # asserts against the scalar methods.
-
-    def prefill_time_batch(
-        self, model: TransformerConfig, batch, seq
-    ) -> np.ndarray:
-        """Elementwise :meth:`prefill_time` over batch/seq arrays."""
-        batch = np.asarray(batch, dtype=np.int64)
-        seq = np.asarray(seq, dtype=np.int64)
-        if np.any(batch < 1) or np.any(seq < 1):
-            raise ValueError("batch and seq must be >= 1")
-        flops = 2.0 * model.param_count * batch * seq
-        roofline = self.roofline()
-        return (
-            np.maximum(
-                flops / roofline.peak_flops,
-                model.weight_bytes / roofline.mem_bandwidth,
-            )
-            + model.layers * self.launch_overhead_s
-        )
-
-    def decode_token_time_batch(
-        self, model: TransformerConfig, batch, context
-    ) -> np.ndarray:
-        """Elementwise :meth:`decode_token_time` over batch/context arrays."""
-        batch = np.asarray(batch, dtype=np.int64)
-        context = np.asarray(context, dtype=np.int64)
-        if np.any(batch < 1) or np.any(context < 0):
-            raise ValueError("batch must be >= 1 and context >= 0")
-        roofline = self.roofline()
-        traffic = model.weight_bytes + batch * context * model.kv_bytes_per_token()
-        return (
-            np.maximum(
-                2.0 * model.param_count * batch / roofline.peak_flops,
-                traffic / roofline.mem_bandwidth,
-            )
-            + self.step_overhead_s(model.layers)
-        )
-
-    def decode_span_time_batch(
-        self, model: TransformerConfig, output_tokens, batch, prompt
-    ) -> np.ndarray:
-        """Elementwise :meth:`decode_span_time` over request arrays.
-
-        The scalar method finds the compute/memory crossover step by
-        binary search on the float memory-time expression. Here the
-        crossover is seeded algebraically (one division) and corrected by
-        a monotone fix-up loop on the *same float predicate*, so every
-        element lands on exactly the step the binary search would find —
-        usually in zero or one iteration, since the algebraic seed is off
-        by at most a few ulps of rounding.
-        """
-        output_tokens = np.asarray(output_tokens, dtype=np.int64)
-        batch = np.asarray(batch, dtype=np.int64)
-        prompt = np.asarray(prompt, dtype=np.int64)
-        if np.any(output_tokens < 0):
-            raise ValueError("negative output_tokens in batch")
-        if np.any(batch < 1) or np.any(prompt < 0):
-            raise ValueError("batch must be >= 1 and prompt >= 0")
-        output_tokens, batch, prompt = np.broadcast_arrays(
-            output_tokens, batch, prompt
-        )
-        roofline = self.roofline()
-        bw = roofline.mem_bandwidth
-        weight_traffic = model.weight_bytes
-        kv_per_token = batch * model.kv_bytes_per_token()
-        compute_s = 2.0 * model.param_count * batch / roofline.peak_flops
-        overhead_s = self.step_overhead_s(model.layers)
-
-        def memory_reaches_compute(step: np.ndarray) -> np.ndarray:
-            # Bit-identical to the scalar search predicate.
-            return (
-                weight_traffic + (prompt + step) * kv_per_token
-            ) / bw >= compute_s
-
-        # Algebraic seed for the first memory-bound step, then fix up
-        # against the float predicate (monotone in step, so each loop
-        # terminates; in practice the seed is off by <= 1).
-        with np.errstate(invalid="ignore"):
-            seed = np.ceil(
-                (compute_s * bw - weight_traffic) / np.maximum(kv_per_token, 1)
-                - prompt
-            )
-        crossover = np.clip(
-            np.nan_to_num(seed, nan=0.0, posinf=0.0, neginf=0.0),
-            0,
-            output_tokens,
-        ).astype(np.int64)
-        while True:
-            down = (crossover > 0) & memory_reaches_compute(crossover - 1)
-            if not down.any():
-                break
-            crossover = np.where(down, crossover - 1, crossover)
-        while True:
-            up = (crossover < output_tokens) & ~memory_reaches_compute(crossover)
-            if not up.any():
-                break
-            crossover = np.where(up, crossover + 1, crossover)
-
-        compute_steps = crossover
-        total = compute_steps * compute_s
-        memory_steps = output_tokens - compute_steps
-        first = prompt + compute_steps
-        last = prompt + output_tokens - 1
-        context_sum = (first + last) * memory_steps // 2  # exact int
-        total = total + np.where(
-            memory_steps > 0,
-            (memory_steps * weight_traffic + context_sum * kv_per_token) / bw,
-            0.0,
-        )
-        return np.where(
-            output_tokens > 0, total + output_tokens * overhead_s, 0.0
-        )
-
-    def switch_time_batch(self, weight_bytes) -> np.ndarray:
-        """Elementwise :meth:`switch_time` over an array of weight sizes."""
-        weight_bytes = np.asarray(weight_bytes, dtype=np.int64)
-        if np.any(weight_bytes < 0):
-            raise ValueError("negative weight bytes in batch")
-        return np.where(
-            weight_bytes == 0,
-            0.0,
-            self.switch_latency_s + weight_bytes / self.switch_bandwidth,
         )
 
 

@@ -284,6 +284,29 @@ class TestAdmissionPhaseMemo:
             assert set(node.engine.state.phase_cache) == hosted
 
 
+class TestAffinityPolicy:
+    @pytest.mark.parametrize("faults", [(), ("crash:node1:0.5",)])
+    def test_affinity_routes_as_least_loaded(self, faults):
+        """Every expert has one owner unless ``steal`` replicates it, so
+        the queue-tail rule never has a choice to make: ``affinity`` and
+        ``least_loaded`` runs differ only in their policy label, a
+        crash's re-dispatch and promotions included."""
+        library = build_samba_coe_library(48)
+        requests = zipf_request_stream(library, 3_000, seed=7)
+        affinity, least_loaded = (
+            run_cluster(sn40l_platform, library, requests, num_nodes=4,
+                        policy=policy, faults=faults)
+            for policy in ("affinity", "least_loaded")
+        )
+        if faults:
+            assert affinity.redispatched_groups > 0
+        assert affinity.cluster_policy == "affinity"
+        assert dataclasses.replace(
+            affinity, cluster_policy="least_loaded"
+        ) == least_loaded
+        assert affinity.completed == least_loaded.completed
+
+
 class TestReporting:
     def test_to_dict_json_round_trip(self, steal_report):
         payload = json.loads(json.dumps(steal_report.to_dict()))

@@ -26,9 +26,9 @@ def _oracle_backlog_s(engine: ServingEngine) -> float:
 
 
 def test_backlog_memo_matches_fresh_sum_across_slow_window():
-    # The reference drain runs every group on events, so the hook below
+    # The reference drain runs every group on events, so the probe below
     # sees every finish, those inside the slow window included; the
-    # columnar drain would run the window on its core, hook-free.
+    # columnar drain would run the window on its core.
     library = build_samba_coe_library(48)
     requests = zipf_request_stream(library, 3_000, seed=7)
     server = ClusterEngine(
@@ -39,19 +39,19 @@ def test_backlog_memo_matches_fresh_sum_across_slow_window():
     factors = set()
     checks = 0
 
-    def checked(hook):
-        def on_group_done(engine, group):
+    def checked(finish):
+        def probe(*args):
             nonlocal checks
+            finish(*args)
             for other in engines:
                 assert other.estimated_backlog_s() == _oracle_backlog_s(other)
                 if other is engines[1] and other.queue_depth:
                     factors.add(other.slow_factor)
                 checks += 1
-            hook(engine, group)
-        return on_group_done
+        return probe
 
     for engine in engines:
-        engine.on_group_done = checked(engine.on_group_done)
+        engine.state.finish = checked(engine.state.finish)
     report = server.serve(requests)
     assert report.steals > 0 and report.replications > 0
     assert checks > 1_000

@@ -102,32 +102,3 @@ class TestReporting:
         empty = dataclasses.replace(cost, kernels=[])
         with pytest.raises(ValueError):
             speedup(cost, empty)
-
-
-class TestBatchedKernelCosts:
-    def test_batch_matches_scalar_loop_exactly(self, target, monarch):
-        from repro.perf.kernel_cost import cost_kernels_batch
-
-        for policy in (fusion.streaming_fusion, fusion.unfused):
-            plan = policy(monarch)
-            pipelined = [plan.policy != "unfused" and k.num_ops > 1
-                         for k in plan.kernels]
-            batched = cost_kernels_batch(
-                plan.kernels, target, pipelined, Orchestration.SOFTWARE
-            )
-            for kernel, flag, got in zip(plan.kernels, pipelined, batched):
-                assert got == cost_kernel(
-                    kernel, target, flag, Orchestration.SOFTWARE
-                )
-
-    def test_empty_batch(self, target):
-        from repro.perf.kernel_cost import cost_kernels_batch
-
-        assert cost_kernels_batch([], target, [], Orchestration.HARDWARE) == []
-
-    def test_mismatched_flags_rejected(self, target, monarch):
-        from repro.perf.kernel_cost import cost_kernels_batch
-
-        kernels = fusion.unfused(monarch).kernels
-        with pytest.raises(ValueError):
-            cost_kernels_batch(kernels, target, [True], Orchestration.HARDWARE)

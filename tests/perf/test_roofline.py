@@ -40,32 +40,3 @@ class TestRoofline:
     def test_degenerate_machine_rejected(self):
         with pytest.raises(ValueError):
             Roofline("bad", peak_flops=0, mem_bandwidth=1)
-
-
-class TestBatchEntryPoints:
-    def test_batch_matches_scalar_exactly(self):
-        import numpy as np
-
-        from repro.perf.roofline import Roofline
-
-        roof = Roofline(name="t", peak_flops=1e12, mem_bandwidth=1e11)
-        flops = np.array([0.0, 1e9, 3e12, 7.5e13])
-        traffic = np.array([0.0, 5e8, 1e10, 2e12])
-        for i in range(len(flops)):
-            f, t = float(flops[i]), float(traffic[i])
-            assert roof.compute_time_batch(flops)[i] == roof.compute_time(f)
-            assert roof.memory_time_batch(traffic)[i] == roof.memory_time(t)
-            assert roof.time_batch(flops, traffic)[i] == roof.time(f, t)
-            assert (roof.serial_time_batch(flops, traffic)[i]
-                    == roof.serial_time(f, t))
-
-    def test_negative_batches_rejected(self):
-        import pytest
-
-        from repro.perf.roofline import Roofline
-
-        roof = Roofline(name="t", peak_flops=1e12, mem_bandwidth=1e11)
-        with pytest.raises(ValueError):
-            roof.compute_time_batch([-1.0])
-        with pytest.raises(ValueError):
-            roof.memory_time_batch([-1.0])

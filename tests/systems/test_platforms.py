@@ -4,6 +4,9 @@ import pytest
 
 from repro.models.catalog import LLAMA2_7B
 from repro.systems.platforms import (
+    Platform,
+    clear_cost_caches,
+    cost_cache_info,
     dgx_a100_platform,
     dgx_h100_platform,
     gh200_capacity_bytes,
@@ -89,3 +92,27 @@ class TestValidation:
             sn.generate_time(LLAMA2_7B, output_tokens=-1)
         with pytest.raises(ValueError):
             sn.hbm_expert_slots(0)
+
+
+class TestBoundedCaches:
+    def test_caches_have_explicit_bounds(self):
+        for name, info in cost_cache_info().items():
+            assert info.maxsize is not None, f"{name} cache is unbounded"
+
+    def test_cache_stays_within_bound_under_churn(self):
+        clear_cost_caches()
+        platform = sn40l_platform()
+        model = LLAMA2_7B
+        for context in range(500):
+            platform.decode_token_time(model, 1, context)
+        info = Platform.decode_token_time.cache_info()
+        assert info.currsize <= info.maxsize
+
+    def test_clear_cost_caches_empties_everything(self):
+        platform = sn40l_platform()
+        model = LLAMA2_7B
+        platform.prefill_time(model, 1, 128)
+        platform.decode_span_time(model, 16, 1, 128)
+        clear_cost_caches()
+        for name, info in cost_cache_info().items():
+            assert info.currsize == 0, f"{name} cache survived the clear"
