@@ -256,7 +256,7 @@ class ClusterEngine:
         #: heartbeat) or, under ``steal``, the first instant a steal hook
         #: could act. Each cluster event that changes a queue or a cost
         #: input (recovery, a slow window opening or closing, a copy
-        #: fault) drains the alive nodes again
+        #: fault, an online replication) drains the alive nodes again
         #: (:func:`repro.coe.engine._drain_to_horizon`). The reference
         #: mode (the oracle the equivalence tests and perf benchmarks
         #: compare against) runs one begin/finish event pair per group.
@@ -386,14 +386,18 @@ class ClusterEngine:
     # Runtime rebalancing (the ``steal`` policy)
     # ------------------------------------------------------------------
     def _node_idle(self, node: _Node) -> None:
+        """The ``steal`` hook of a node that found its queue empty: steal
+        one group, else replicate an expert, move its groups here and
+        drain again. A single steal stays on the event path: re-entering
+        costs more than its few groups (docs/PERFORMANCE.md, section 11)."""
         if self.policy != "steal" or not node.alive:
             return
         if node.engine.queue_depth > 0:
             return
         if self._steal_into(node):
             return
-        if self.online_replication:
-            self._replicate_into(node)
+        if self.online_replication and self._replicate_into(node):
+            self._redrain()
 
     def _steal_into(self, node: _Node) -> bool:
         """Pull one queued group this node can serve off the deepest queue."""
@@ -451,11 +455,11 @@ class ClusterEngine:
                 node.engine.warm(expert)
                 # Move roughly half the victim's queued groups of this
                 # expert; the owner keeps the rest so both replicas work.
-                move = max(1, counts[name] // 2)
-                for group in victim.engine.steal_many({name}, move):
-                    self.steals += 1
-                    node.steals_in += 1
-                    node.engine.submit(group)
+                moved = victim.engine.steal_many(
+                    {name}, max(1, counts[name] // 2))
+                self.steals += len(moved)
+                node.steals_in += len(moved)
+                node.engine.submit(*moved)
                 return True
         return False
 
@@ -648,10 +652,10 @@ class ClusterEngine:
         A columnar cluster then starts in one t=0 drain over the nodes,
         in the order they received their first group
         (:func:`repro.coe.engine._drain_to_horizon`), and drains again
-        after each recovery, slow window edge and copy fault; a
-        reference one begins each node's queue head on its own event, in
-        the same node order. Either way the shared clock ends at the
-        last event.
+        after each recovery, slow window edge, copy fault and online
+        replication; a reference one begins each node's queue head on
+        its own event, in the same node order. Either way the shared
+        clock ends at the last event.
 
         Single-use, like :meth:`ServingEngine.run`: a second call raises
         :class:`EngineReentryError` — node cache/predictor state and the

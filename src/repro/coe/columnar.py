@@ -60,7 +60,8 @@ arrays is elementwise-bitwise-equal to the scalar property).
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, islice
+from functools import lru_cache
+from itertools import chain, compress, count, islice
 from operator import attrgetter
 from typing import (
     Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
@@ -98,6 +99,7 @@ _ARRIVAL = attrgetter("arrival_s")
 _OUTPUT_TOKENS = attrgetter("output_tokens")
 _PROMPT = attrgetter("prompt_tokens")
 _PRIORITY = attrgetter("priority")
+_REQUESTS = attrgetter("requests")
 
 
 class CompletedRequest(NamedTuple):
@@ -298,7 +300,7 @@ class GroupColumns:
     Admission builds the columns in arrays (:func:`admit_backlog`), and
     every other reader and writer edits them in place: the drain, an
     event-path begin and the live worker move the head, ``submit`` appends
-    (:meth:`append`), steals and a crashed node's drain remove
+    (:meth:`extend`), steals and a crashed node's drain remove
     (:meth:`remove`). Edits touch only the head and the rows after it,
     so the completion blocks a drain logs, which read begun rows, stay
     valid. A group leaves the columns (:meth:`group`) as the object it
@@ -330,8 +332,9 @@ class GroupColumns:
         #: Set by :meth:`price`: :attr:`base` at the slow factor as
         #: Python floats (the decision path computes its timestamps from
         #: ``table[rows[i]]`` so no ``np.float64`` leaks into engine
-        #: state or records), and every group's triple as an (n, 3)
-        #: float64 array (float -> float64 is exact) for the cumsum.
+        #: state or records), and every group's triple as a float64
+        #: array over :attr:`rows` (float -> float64 is exact) for the
+        #: cumsum, which every edit keeps current once built.
         self.table = self.flat = self._exec = self._factor = None
         #: The next-use index (:meth:`next_use`), None until first read
         #: and after a :meth:`remove`: each queued name's first position
@@ -408,45 +411,58 @@ class GroupColumns:
     def append(self, group: RequestGroup,
                base: Tuple[float, float, float]) -> None:
         """Queue ``group`` last, with its base phase triple ``base``."""
+        self.extend((group,), (base,))
+
+    def extend(self, groups: Sequence[RequestGroup],
+               bases: Sequence[Tuple[float, float, float]]) -> None:
+        """Queue ``groups`` last, in order, each with its base phase
+        triple in ``bases``: one resize and one write per request
+        column, however many groups."""
+        if not groups:
+            return
         n = len(self.names)
-        requests = group.requests
+        k = len(groups)
         lo = len(self.requests)
-        hi = lo + len(requests)
-        if n == len(self.rows) or hi > len(self.arrivals):
+        self.requests += chain.from_iterable(map(_REQUESTS, groups))
+        hi = len(self.requests)
+        if n + k > len(self.rows) or hi > len(self.arrivals):
             # Grow every column by an eighth, as a list grows (what lies
             # past the live rows is scratch).
-            self.rows = np.resize(self.rows, n + (n >> 3) + 8)
-            self.offsets = np.resize(self.offsets, n + (n >> 3) + 9)
+            size = n + k + ((n + k) >> 3) + 8
+            self.rows = np.resize(self.rows, size)
+            self.offsets = np.resize(self.offsets, size + 1)
+            if self.flat is not None:
+                self.flat = np.resize(self.flat, (size, 3))
             self.arrivals = np.resize(self.arrivals, hi + (hi >> 3) + 8)
             self.tokens = np.resize(self.tokens, hi + (hi >> 3) + 8)
-        name = group.expert.name
-        self.experts.append(group.expert)
-        self.names.append(name)
-        self.built.append(group)
-        first = self._first
-        if first is not None:
-            # A name still in the index (the head may have passed its
-            # uses since the last read) gains a next use at ``n``.
-            self._next.append(None)
-            if name in first:
-                self._next[self._last[name]] = n
-            else:
-                first[name] = n
-            self._last[name] = n
-        row = self._row_of.get(base)
-        if row is None:
-            row = self._row_of[base] = len(self.base)
-            self.base.append(base)
-        self.rows[n] = row
-        self.offsets[n + 1] = hi
-        self.requests += requests
-        if hi - lo == 1:
-            self.arrivals[lo] = requests[0].arrival_s
-            self.tokens[lo] = requests[0].output_tokens
-        else:
-            self.arrivals[lo:hi] = list(map(_ARRIVAL, requests))
-            self.tokens[lo:hi] = list(map(_OUTPUT_TOKENS, requests))
-        self.flat = None
+        requests = self.requests[lo:]
+        self.arrivals[lo:hi] = list(map(_ARRIVAL, requests))
+        self.tokens[lo:hi] = list(map(_OUTPUT_TOKENS, requests))
+        if self.flat is not None:
+            f = self._factor  # x * 1.0 is bitwise x
+            self.flat[n:n + k] = [(r * f, p * f, d * f) for r, p, d in bases]
+        self.built += groups
+        self.experts += map(_EXPERT, groups)
+        first, row_of = self._first, self._row_of
+        for p, group, base in zip(count(n), groups, bases):
+            name = group.expert.name
+            self.names.append(name)
+            if first is not None:
+                # A name still in the index (the head may have passed
+                # its uses since the last read) gains a next use here.
+                self._next.append(None)
+                if name in first:
+                    self._next[self._last[name]] = p
+                else:
+                    first[name] = p
+                self._last[name] = p
+            row = row_of.get(base)
+            if row is None:
+                row = row_of[base] = len(self.base)
+                self.base.append(base)
+            self.rows[p] = row
+            lo += len(group.requests)
+            self.offsets[p + 1] = lo
 
     def remove(self, positions: Sequence[int]) -> List[RequestGroup]:
         """Take the queued groups at ``positions`` out of the queue and
@@ -455,6 +471,7 @@ class GroupColumns:
         taken = list(map(self.group, positions))
         offsets = self.offsets
         n = len(self.names)
+        flat = self.flat
         if len(positions) == 1:
             i = positions[0]
             lo, hi = offsets[i:i + 2].tolist()
@@ -462,6 +479,8 @@ class GroupColumns:
             del self.requests[lo:hi]
             end, size = len(self.requests), hi - lo
             self.rows[i:n - 1] = self.rows[i + 1:n]
+            if flat is not None:
+                flat[i:n - 1] = flat[i + 1:n]
             offsets[i + 1:n] = offsets[i + 2:n + 1] - size
             self.arrivals[lo:end] = self.arrivals[hi:end + size]
             self.tokens[lo:end] = self.tokens[hi:end + size]
@@ -479,17 +498,21 @@ class GroupColumns:
             lo, hi = offsets[[start, n]].tolist()
             self.requests[lo:] = compress(self.requests[lo:], held.tolist())
             end = len(self.requests)
-            self.rows[start:len(self.names)] = self.rows[start:n][keep]
-            offsets[start + 1:len(self.names) + 1] = lo + np.cumsum(
-                sizes[keep])
+            left = len(self.names)
+            self.rows[start:left] = self.rows[start:n][keep]
+            if flat is not None:
+                flat[start:left] = flat[start:n][keep]
+            offsets[start + 1:left + 1] = lo + np.cumsum(sizes[keep])
             self.arrivals[lo:end] = self.arrivals[lo:hi][held]
             self.tokens[lo:end] = self.tokens[lo:hi][held]
-        self.flat = self._first = None
+        self._first = None
         return taken
 
-    def _reprice(self, factor: float) -> None:
-        """Bring :attr:`table` and each base row's exec time up to date
-        at ``factor``."""
+    def price(self, factor: float) -> None:
+        """Bring :attr:`table`, each base row's exec time and
+        :attr:`flat` up to date at slow factor ``factor``. Only the first
+        call and a new factor (a slow window opening or closing) build
+        :attr:`flat`: :meth:`extend` and :meth:`remove` keep it current."""
         if factor != self._factor:
             self._factor, self.table, self.flat = factor, [], None
             self._exec = np.empty(0)
@@ -501,35 +524,29 @@ class GroupColumns:
             self.table += new
             # Python float sums (float -> float64 is exact).
             self._exec = np.array([r + p + d for r, p, d in self.table])
-
-    def price(self, factor: float) -> None:
-        """Set :attr:`table` and :attr:`flat` at slow factor ``factor``:
-        when a drain starts, as a slow window can open between admission
-        and the t=0 drain (never inside a drain event), and after any
-        edit."""
-        self._reprice(factor)
         if self.flat is None:
+            # Over the scratch rows too, so it grows with :attr:`rows`.
             self.flat = np.asarray(self.table, dtype=np.float64).reshape(
-                -1, 3)[self.rows[:len(self.names)]]
+                -1, 3)[self.rows]
 
     def backlog_s(self, factor: float) -> float:
         """The queued groups' exec times at ``factor`` summed in queue
         order from the int 0: each the float
         :meth:`ServingEngine._group_exec_time` returns, so the sum is
         bitwise the per-group one."""
-        self._reprice(factor)
+        self.price(factor)
         return sum(self._exec[self.rows[self.head:len(self.names)]].tolist())
 
-    def no_wait_end(self, start_at: float) -> float:
-        """When the last queued group would finish if none waited for a
-        copy.
+    def no_wait_end(self, start_at: float, lo: int, hi: int) -> float:
+        """When group ``hi - 1`` would finish if the groups from ``lo``
+        on waited for no copy.
 
-        One left-to-right cumsum of every queued phase (at the last
+        One left-to-right cumsum of their phases (at the last
         :meth:`price`) from ``start_at``: the float additions
         :func:`drain` makes. A copy wait only raises a begin time and
         IEEE addition is monotone, so the drained end is never earlier.
         """
-        phases = self.flat[self.head:]
+        phases = self.flat[lo:hi]
         acc = np.empty(phases.size + 1, dtype=np.float64)
         acc[0] = start_at
         acc[1:] = phases.reshape(-1)
@@ -539,14 +556,13 @@ class GroupColumns:
 def lower_queue(
     engine: "ServingEngine", groups: Sequence[RequestGroup]
 ) -> GroupColumns:
-    """``groups`` as a queue for ``engine``, one append per group.
+    """``groups`` as a queue for ``engine``, in one extend.
 
     No serving path calls it: admission builds every run's queue in
     arrays (:func:`admit_backlog`). It stays public for tests and for
     the e2e harness, which binds it as a traced boundary."""
     queue = GroupColumns.empty()
-    for group in groups:
-        queue.append(group, engine.state.phase_times(group))
+    queue.extend(groups, list(map(engine.state.phase_times, groups)))
     return queue
 
 
@@ -704,6 +720,12 @@ def admit_backlog(
 _PHASES = ("router", "prefill", "decode")
 
 
+@lru_cache(maxsize=None)
+def _span_names(name: str) -> Tuple[str, ...]:
+    """The phase span names of a group of expert ``name``."""
+    return tuple(f"{phase}:{name}" for phase in _PHASES)
+
+
 class DrainStop(NamedTuple):
     """Where :func:`drain` stopped: the end of the queue or its horizon."""
 
@@ -781,10 +803,6 @@ def drain(
     n = len(names)
     if timeline is not None:
         lane = engine.lane("compute")
-        span_names = {
-            name: tuple(f"{phase}:{name}" for phase in _PHASES)
-            for name in set(names)
-        }
     track = created is not None and timeline is not None
     known = len(timeline.lanes) if track else 0
 
@@ -811,7 +829,14 @@ def drain(
         run_end = pos
         if not overlap or (not state.spec_open
                            and predictor.known_names <= resident.keys()):
+            # Scan no further than the run must: before a finite horizon
+            # the reach doubles until the run ends or passes it.
+            reach = n if horizon == math.inf else min(n, pos + 8)
             while run_end < n:
+                if run_end == reach:
+                    if cols.no_wait_end(now, pos, reach) >= horizon:
+                        break
+                    reach = min(n, 2 * reach - pos)
                 name = names[run_end]
                 if name not in resident:
                     break
@@ -860,7 +885,7 @@ def drain(
                 timeline.record_run(
                     lane,
                     list(compress(chain.from_iterable(
-                        map(span_names.__getitem__, run_names)), keep)),
+                        map(_span_names, run_names)), keep)),
                     list(compress(_PHASES * c, keep)),
                     list(compress(times_c, keep)),
                     list(compress(islice(times_c, 1, None), keep)),

@@ -56,7 +56,8 @@ from dataclasses import dataclass
 from itertools import chain, compress, islice
 from operator import attrgetter, itemgetter
 from typing import (
-    AbstractSet, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+    AbstractSet, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 from repro.coe.cache import CachePolicyLike
@@ -203,8 +204,9 @@ class ServingEngine:
     def _reset_run_state(self) -> None:
         #: Expert name -> number of queued groups: the steal queries'
         #: index. Built on the first query and kept in step with every
-        #: queue change after it, so an engine no steal hook asks never
-        #: pays for it; ``None`` until then and after a bulk change.
+        #: queue change after it (a drain takes out the names it began),
+        #: so an engine no steal hook asks never pays for it; ``None``
+        #: until then and after a crashed node's :meth:`drain`.
         self._queued: Optional[Dict[str, int]] = None
         self._busy = False
         self._begin_scheduled = False
@@ -283,10 +285,10 @@ class ServingEngine:
             self._queued = dict(Counter(self.state.queue.unbegun()))
         return self._queued
 
-    def _unqueue(self, groups: Sequence[RequestGroup]) -> None:
-        """Take ``groups``, just removed from the queue, out of its index."""
+    def _unqueue(self, names: Iterable[str]) -> None:
+        """Take groups of ``names``, begun or removed, out of the index."""
         counts = self._queued
-        for name in map(_EXPERT_NAME, groups):
+        for name in names:
             left = counts[name] - 1
             if left:
                 counts[name] = left
@@ -309,15 +311,17 @@ class ServingEngine:
         total = max(0.0, self._busy_until_s - now) if self._busy else 0.0
         return total + self.state.queue.backlog_s(self.slow_factor)
 
-    def submit(self, group: RequestGroup) -> None:
-        """Enqueue one group; starts it immediately if the engine is idle."""
+    def submit(self, *groups: RequestGroup) -> None:
+        """Enqueue ``groups`` last, in order, in one queue extend; starts
+        the first immediately if the engine is idle."""
         if self._halted:
             raise RuntimeError("cannot submit to a halted (crashed) engine")
-        self.state.queue.append(group, self.state.phase_times(group))
+        self.state.queue.extend(
+            groups, list(map(self.state.phase_times, groups)))
         counts = self._queued
         if counts is not None:
-            name = group.expert.name
-            counts[name] = counts.get(name, 0) + 1
+            for name in map(_EXPERT_NAME, groups):
+                counts[name] = counts.get(name, 0) + 1
         self._kick()
 
     def steal(self, names: AbstractSet[str]) -> Optional[RequestGroup]:
@@ -348,7 +352,7 @@ class ServingEngine:
         ), count))
         groups = queue.remove(taken)
         if self._queued is not None:
-            self._unqueue(groups)
+            self._unqueue(map(_EXPERT_NAME, groups))
         return groups
 
     def host(self, expert: ExpertProfile) -> None:
@@ -483,7 +487,7 @@ class ServingEngine:
         group = queue.group(index)
         sim = self._sim
         if self._queued is not None:
-            self._unqueue((group,))
+            self._unqueue((queue.names[index],))
         self._busy = True
         router_s, prefill_s, decode_s = self._group_phase_times(group)
         nxt = queue.peek()
@@ -631,8 +635,10 @@ class ServingEngine:
             # Only the prefetch was due; the finish is at or after the
             # horizon and stays on the clock.
             return [], lanes, count
+        head = queue.head
         stop = _columnar_drain(self, queue, start, horizon, times, created)
-        self._queued = None
+        if self._queued is not None:
+            self._unqueue(islice(queue.names, head, queue.head))
         done = stop.begun - (stop.current is not None)
         events: List[tuple] = []
         if stop.current is None:
@@ -758,11 +764,14 @@ def _drain_to_horizon(
     :meth:`ServingEngine.drain`. Groups are built only where one leaves
     the queue: a decision point, and at a finite horizon the group in
     flight. A cluster calls the drain again after each cluster event
-    that changes a queue or a cost input, over all its engines; each
-    alive one starts from its events pending on the clock: a begin due,
-    or the finish (and perhaps the deferred prefetch) of its group in
-    flight. Halted engines are skipped; their events are no-ops, a held
-    begin too, which counts as the event it is on the reference path.
+    that changes a queue or a cost input, and from a steal hook after
+    each online replication, over all its engines; each alive one
+    starts from its events pending on the clock: a begin due, or the
+    finish (and perhaps the deferred prefetch) of its group in flight.
+    The calling hook's node starts from the begin its submit scheduled,
+    and a drain never runs a hook itself. Halted engines are skipped;
+    their events are no-ops, a held begin too, which counts as the
+    event it is on the reference path.
 
     The horizon is the next pending event that is not these engines'
     own: a cluster event (a fault or a heartbeat). With no ``on_idle``
@@ -805,7 +814,8 @@ def _drain_to_horizon(
             start = engine._busy_until_s if engine._busy else events[0][0]
             queue = engine.state.queue
             queue.price(engine.slow_factor)
-            horizon = min(horizon, queue.no_wait_end(start))
+            horizon = min(horizon, queue.no_wait_end(
+                start, queue.head, len(queue.names)))
     if not held:
         # Keep what starts at or after the horizon on the clock, and the
         # begin of an engine with nothing queued (it only notifies idle).

@@ -302,7 +302,7 @@ def _check_queue_index(cluster):
 
 
 def _cluster_pair(monkeypatch, library, requests, policy="steal",
-                  clocks=None, indexed=None, **kwargs):
+                  clocks=None, indexed=None, reentered=None, **kwargs):
     """The same cluster run columnar and reference, each with its
     engine, report and DecisionLog; also returns the columnar run's
     per-node ``DrainStop`` records. ``clocks``, when given, collects
@@ -310,7 +310,9 @@ def _cluster_pair(monkeypatch, library, requests, policy="steal",
 
     Both runs check every engine's queue index around each steal hook
     and after ``serve``; ``indexed``, when given, collects the drain
-    mode and clock time of each hook that found an index built."""
+    mode and clock time of each hook that found an index built, and
+    ``reentered`` the clock time of each hook that replicated an
+    expert and re-entered the columnar drain."""
     stops = []
     real = engine_module._columnar_drain
     real_idle = ClusterEngine._node_idle
@@ -324,10 +326,14 @@ def _cluster_pair(monkeypatch, library, requests, policy="steal",
 
     def idle_spy(cluster, node):
         built = _check_queue_index(cluster)
+        replications, drains = cluster.replications, len(stops)
         real_idle(cluster, node)
         built += _check_queue_index(cluster)
         if indexed is not None and built:
             indexed.append((cluster.drain_mode, cluster.sim.now))
+        if (reentered is not None and cluster.replications > replications
+                and len(stops) > drains):
+            reentered.append(cluster.sim.now)
 
     monkeypatch.setattr(engine_module, "_columnar_drain", spy)
     monkeypatch.setattr(ClusterEngine, "_node_idle", idle_spy)
@@ -390,9 +396,10 @@ def _cluster_fuzz(monkeypatch, policy, node_policy, cache_policy, record):
     the columnar run's ``DrainStop`` records."""
     rng = random.Random(f"{policy}:{node_policy}:{cache_policy}:{record}")
     library, requests = _mixed_workload(rng)
-    indexed = []
+    indexed, reentered = [], []
     fast, reference, stops = _cluster_pair(
         monkeypatch, library, requests, policy=policy, indexed=indexed,
+        reentered=reentered,
         num_nodes=rng.randrange(2, 5), node_policy=node_policy,
         cache_policy=cache_policy, record_timeline=record,
         max_batch=rng.randrange(1, 12), window=rng.randrange(1, 32),
@@ -402,6 +409,9 @@ def _cluster_fuzz(monkeypatch, policy, node_policy, cache_policy, record):
     if policy == "steal":
         assert {mode for mode, _ in indexed} == set(DRAIN_MODES), \
             "a drain mode never checked a built queue index"
+        assert reentered, "no replication re-entered the columnar drain"
+    else:
+        assert not reentered
     return stops
 
 
@@ -410,9 +420,10 @@ def _cluster_fuzz(monkeypatch, policy, node_policy, cache_policy, record):
 @pytest.mark.parametrize("record", [True, False], ids=["traced", "untraced"])
 def test_steal_horizon_drain_fuzz(monkeypatch, node_policy, cache_policy,
                                   record):
-    """A ``steal`` cluster's t=0 horizon drain plus its event-path tail
-    is the reference run, across node and cache policies, traced and
-    untraced, on 2-4 nodes with seeded workloads."""
+    """A ``steal`` cluster's t=0 horizon drain, its event-path tail and
+    the drains each online replication re-enters are the reference run,
+    across node and cache policies, traced and untraced, on 2-4 nodes
+    with seeded workloads."""
     _cluster_fuzz(monkeypatch, "steal", node_policy, cache_policy, record)
 
 
@@ -488,7 +499,8 @@ def test_steal_horizon_before_a_copy_lands(monkeypatch):
 def test_steal_while_a_handed_off_group_runs(monkeypatch):
     """One node's long first group is still running, handed off in
     flight, when another node runs dry: the victim ranking must see it
-    busy, with its remaining time in its backlog estimate."""
+    busy, with its remaining time in its backlog estimate, and the
+    drain the replication re-enters must hand it off again."""
     library = build_samba_coe_library(3)
     short, long_, deep = library.experts
     requests = [
@@ -500,12 +512,14 @@ def test_steal_while_a_handed_off_group_runs(monkeypatch):
                  for i in range(5)]
     requests += [EngineRequest(20 + i, deep, output_tokens=4)
                  for i in range(9)]
+    reentered = []
     fast, reference, stops = _cluster_pair(
         monkeypatch, library, requests, num_nodes=3, max_batch=1,
+        reentered=reentered,
     )
     assert any(stop.current is not None and stop.current[0].requests[0]
                .output_tokens == 4000 for stop in stops)
-    assert reference[1].replications > 0
+    assert reference[1].replications > 0 and reentered
     _assert_same_run(fast, reference)
 
 
@@ -513,7 +527,7 @@ def _fault_fuzz(monkeypatch, seed, policy, record):
     """One seeded cluster workload under a random fault schedule (at
     least one crash, maybe slow windows and copy faults), columnar
     against reference; returns whether a drain re-entered at a crash's
-    recovery."""
+    recovery, and whether one re-entered after an online replication."""
     rng = random.Random(f"faults:{seed}:{policy}:{record}")
     library, requests = _mixed_workload(rng)
     num_nodes = rng.randrange(2, 5)
@@ -530,16 +544,16 @@ def _fault_fuzz(monkeypatch, seed, policy, record):
         crashes=rng.randrange(1, num_nodes), slow_nodes=rng.randrange(3),
         copy_faults=rng.randrange(3), slow_multiplier=rng.choice((1.5, 3.0)),
     )
-    clocks = []
+    clocks, reentered = [], []
     fast, reference, stops = _cluster_pair(
         monkeypatch, library, requests, clocks=clocks, faults=faults,
         heartbeat_s=rng.choice((0.05, clean.makespan_s / 7)),
-        record_timeline=record, **kwargs,
+        record_timeline=record, reentered=reentered, **kwargs,
     )
     assert _drained(stops) > 0, "no group went through the columnar core"
     _assert_same_run(fast, reference)
     recovered = {n.detected_at for n in fast[0].nodes} - {None}
-    return not recovered.isdisjoint(clocks)
+    return not recovered.isdisjoint(clocks), bool(reentered)
 
 
 @pytest.mark.parametrize("policy", ["steal", "least_loaded", "affinity"])
@@ -547,11 +561,14 @@ def _fault_fuzz(monkeypatch, seed, policy, record):
 def test_fault_schedule_drain_fuzz(monkeypatch, policy, record):
     """Crashes, slow windows and copy faults on the columnar core: the
     t=0 drain stops at the first cluster event, and each recovery, slow
-    window edge and copy fault drains the alive nodes again. Every
-    observable is the reference run's, and recoveries re-enter."""
-    reentered = [_fault_fuzz(monkeypatch, seed, policy, record)
-                 for seed in range(4)]
-    assert any(reentered), "no drain re-entered after a recovery"
+    window edge and copy fault drains the alive nodes again, as does
+    each online replication under ``steal``. Every observable is the
+    reference run's, and recoveries (and replications) re-enter."""
+    recovered, replicated = zip(*(
+        _fault_fuzz(monkeypatch, seed, policy, record) for seed in range(4)))
+    assert any(recovered), "no drain re-entered after a recovery"
+    assert any(replicated) == (policy == "steal"), \
+        "a steal cluster's replications never re-entered the drain"
 
 
 def _fault_pair(monkeypatch, faults, **kwargs):

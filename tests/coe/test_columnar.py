@@ -16,7 +16,8 @@ points at the broken piece rather than at "some report byte differs":
   send every group through the columnar drain (no fallback loop),
 - ``overlap`` groups join runs, but only while their prefetch is a plain
   recency refresh,
-- a drain stops strictly before its horizon,
+- a drain stops strictly before its horizon, and its run scan reads
+  what it drains, not the whole queue,
 - engines reject re-entry instead of leaking prior run state.
 """
 
@@ -49,7 +50,9 @@ from repro.coe.metrics import percentile, summarize_latencies
 from repro.coe.node import NodeState
 from repro.coe.policies import DrainMode
 from repro.coe.runtime import CoERuntime
-from repro.coe.scheduling import ExpertPredictor, coalesce_groups, node_order
+from repro.coe.scheduling import (
+    ExpertPredictor, RequestGroup, coalesce_groups, node_order,
+)
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.engine import Simulator
 from repro.systems.platforms import sn40l_platform
@@ -575,6 +578,43 @@ def test_drain_stops_strictly_before_its_horizon(which):
     assert stop.begun == index + 1
     assert stop.current[0] is groups[index]
     assert len(engine.completed) == sum(len(g.requests) for g in groups[:index])
+
+
+class _CountingDict(dict):
+    """A dict that counts its ``get`` calls."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def test_drain_scan_reads_what_it_drains():
+    """Draining a long all-resident queue to a horizon two groups in
+    reads O(drained) names: the run scan stops once the run's no-wait
+    end passes the horizon instead of walking to the end of the run."""
+    library = build_samba_coe_library(1)
+    expert = library.experts[0]
+    groups = [RequestGroup(expert, (EngineRequest(i, expert),))
+              for i in range(2_000)]
+
+    def drain(horizon):
+        engine = ServingEngine(sn40l_platform(), library, policy="fifo",
+                               simulator=Simulator())
+        engine.state.copy_done = _CountingDict()
+        stop = columnar_drain(engine, lower_queue(engine, groups), 0.0,
+                              horizon)
+        return engine, stop
+
+    whole, _ = drain(math.inf)
+    # The first group copies its expert in; the rest are one run.
+    assert whole.state.copy_done.reads >= len(groups)
+    ends = [c.finish_s for c in whole.completed]
+    engine, stop = drain(ends[2])
+    assert stop.begun == 3 and stop.current[0] is groups[2]
+    assert list(engine.completed) == list(whole.completed)[:2]
+    assert engine.state.copy_done.reads <= 32
 
 
 def test_serving_engine_rejects_reentry():

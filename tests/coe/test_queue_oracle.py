@@ -31,8 +31,18 @@ from repro.systems.platforms import sn40l_platform
 
 
 def _check(engine, oracle):
-    """Every view of the engine's queue is the oracle's."""
+    """Every view of the engine's queue is the oracle's, and the phase
+    rows it keeps through edits (``flat``) are a fresh ``price()``
+    rebuild's, bit for bit."""
     assert engine._queue == list(oracle)
+    queue = engine.state.queue
+    if queue.flat is not None:
+        kept, live = queue.flat, slice(0, len(queue.names))
+        assert len(kept) == len(queue.rows)
+        queue.flat = None
+        queue.price(queue._factor)
+        assert queue.flat[live].tobytes() == kept[live].tobytes()
+        queue.flat = kept
     assert engine.queue_depth == len(oracle)
     fresh = Counter(group.expert.name for group in oracle)
     if engine._queued is not None:
@@ -40,6 +50,7 @@ def _check(engine, oracle):
     now = engine._sim.now
     busy = max(0.0, engine._busy_until_s - now) if engine.busy else 0.0
     want = busy + sum(engine._group_exec_time(group) for group in oracle)
+    # The backlog sum prices the queue: from here on it keeps ``flat``.
     assert engine.estimated_backlog_s().hex() == want.hex()
     first, head = engine.server.runtime.policy._backlog()
     want, _ = first_uses(group.expert.name for group in oracle)
@@ -129,14 +140,18 @@ def _run_sequence(seed, monkeypatch, admitted):
                          "drain", "factor", "index"])
         kinds[op] += 1
         if op == "submit":
-            expert = rng.choice(experts)
-            requests = _requests(rng, expert, next_id)
-            next_id += len(requests)
-            group = RequestGroup(expert, tuple(requests))
-            submitted.update((r.request_id, (group, r)) for r in requests)
-            objects.add(id(group))
-            engine.submit(group)
-            oracle.append(group)
+            # One group, or several in one submit (a replication's move).
+            groups = []
+            for _ in range(rng.choice((1, 1, rng.randint(2, 6)))):
+                expert = rng.choice(experts)
+                requests = _requests(rng, expert, next_id)
+                next_id += len(requests)
+                groups.append(RequestGroup(expert, tuple(requests)))
+                submitted.update((r.request_id, (groups[-1], r))
+                                 for r in requests)
+                objects.add(id(groups[-1]))
+            engine.submit(*groups)
+            oracle.extend(groups)
         elif op == "begin":
             # Run the events due next: a begin takes the head.
             if sim.peek_next_time() is not None:
