@@ -21,7 +21,6 @@ from repro.coe.scheduling import (
     ExpertPredictor,
     ExpertReorderScheduler,
     FifoScheduler,
-    GroupAssembler,
     Request,
     RequestGroup,
     Scheduler,
@@ -103,7 +102,7 @@ __all__ = [
     "SCHEDULERS", "Scheduler", "SchedulerName", "FifoScheduler",
     "ExpertReorderScheduler", "make_scheduler",
     "ServeConfig", "Server", "build_server", "serve",
-    "ServeMode", "ServeModeError", "GroupAssembler",
+    "ServeMode", "ServeModeError",
     "Decision", "DecisionLog",
     "admission_eta", "choose_node", "deadline_admits",
     "LiveEngine", "ShedRequest", "TokenEvent",

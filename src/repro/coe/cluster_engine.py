@@ -79,7 +79,7 @@ from typing import (
 )
 
 from repro.coe.cache import CachePolicy, CachePolicyLike
-from repro.coe.columnar import admit_backlog
+from repro.coe.columnar import admit_backlog, group_backlog
 from repro.coe.decisions import DecisionLog
 from repro.coe.dispatch import admit, choose_node, shard_experts
 from repro.coe.engine import (
@@ -684,15 +684,18 @@ class ClusterEngine:
             if self.faults.crashes:
                 self._schedule_beat(self.heartbeat_s)
         # Every expert has one owner until the clock runs.
-        roots, shed, num_groups = admit_backlog(
-            [n.engine for n in self.nodes], requests, self.scheduler,
-            self.node_policy, self.window, self.max_batch,
+        backlog = group_backlog(requests, self.scheduler, self.node_policy,
+                                self.window, self.max_batch)
+        roots, shed = admit_backlog(
+            [n.engine for n in self.nodes], backlog,
             owner_of={name: owners[0]
                       for name, owners in self._owners.items()},
             deadline_s=self.deadline_s, decisions=self._decisions,
             node_names=[n.name for n in self.nodes],
         )
         self.rejected.extend(shed)
+        num_groups = len(backlog.starts)
+        del backlog  # its arrays need not live through the run
         if self.drain_mode == DrainMode.COLUMNAR.value:
             if roots:
                 self.sim.schedule_at(

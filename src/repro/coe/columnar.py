@@ -9,12 +9,13 @@ request table with a head cursor: per-group expert names, phase-time
 triples (read from the node's phase memo, which
 :meth:`ServingEngine.precompute_phases` seeds once per distinct group
 shape from the scalar platform formulas), batch sizes, and per-request
-arrival/output-token columns. The t=0 backlog is grouped, routed and
-admitted straight into those columns (:func:`admit_backlog`); after
-that every reader and writer edits them in place (submits, steals, a
-crashed node's drain, event-path begins, the live worker), so no
-:class:`RequestGroup` exists until a group leaves them and no queue is
-ever rebuilt. The drain (:func:`drain`) reads the queue from its head
+arrival/output-token columns. A trace is grouped once
+(:func:`group_backlog`) and routed and admitted straight into those
+columns (:func:`admit_backlog`: the sim's t=0 backlog at once, the live
+engine's groups as they are released); every other reader and writer
+edits them in place (submits, steals, a crashed node's drain,
+event-path begins, the live worker), so no :class:`RequestGroup`
+exists until a group leaves them and no queue is ever rebuilt. The drain (:func:`drain`) reads the queue from its head
 and segments it into **runs**:
 
     a run is a maximal stretch of groups whose experts are all
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter
 from typing import (
     Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
@@ -71,7 +72,7 @@ from typing import (
 import numpy as np
 
 from repro.coe.dispatch import admit
-from repro.coe.policies import NodePolicy
+from repro.coe.policies import NodePolicy, check_count
 from repro.coe.scheduling import (
     RequestGroup, expert_codes, group_starts, take, window_order,
 )
@@ -87,8 +88,10 @@ __all__ = [
     "CompletedRequest",
     "DrainStop",
     "GroupColumns",
+    "Grouping",
     "admit_backlog",
     "drain",
+    "group_backlog",
     "latency_values",
     "lower_queue",
     "token_total",
@@ -299,11 +302,11 @@ class GroupColumns:
     table holds the groups' rows back to back, in queue order.
     Admission builds the columns in arrays (:func:`admit_backlog`), and
     every other reader and writer edits them in place: the drain, an
-    event-path begin and the live worker move the head, ``submit`` appends
-    (:meth:`extend`), steals and a crashed node's drain remove
-    (:meth:`remove`). Edits touch only the head and the rows after it,
-    so the completion blocks a drain logs, which read begun rows, stay
-    valid. A group leaves the columns (:meth:`group`) as the object it
+    event-path begin and the live worker move the head, ``submit`` and
+    a later admission append (:meth:`extend`), steals, a crashed node's
+    drain and a live backpressure shed remove (:meth:`remove`). Edits
+    touch only the head and the rows after it, so the completion blocks
+    a drain logs, which read begun rows, stay valid. A group leaves the columns (:meth:`group`) as the object it
     was appended as; only an admitted group is built, where it leaves.
     """
 
@@ -368,7 +371,7 @@ class GroupColumns:
         Built on the first read in one backward pass from the head.
         Afterwards a head move costs one assignment per group passed
         (its expert's first use moves to the group's next same-expert
-        position), :meth:`append` extends the index and :meth:`remove`
+        position), :meth:`extend` extends the index and :meth:`remove`
         drops it for the next read to rebuild.
         """
         first = self._first
@@ -407,11 +410,6 @@ class GroupColumns:
             lo, hi = self.offsets[i:i + 2].tolist()
             group = RequestGroup(self.experts[i], tuple(self.requests[lo:hi]))
         return group
-
-    def append(self, group: RequestGroup,
-               base: Tuple[float, float, float]) -> None:
-        """Queue ``group`` last, with its base phase triple ``base``."""
-        self.extend((group,), (base,))
 
     def extend(self, groups: Sequence[RequestGroup],
                bases: Sequence[Tuple[float, float, float]]) -> None:
@@ -582,49 +580,49 @@ def _distinct_rows(*columns: np.ndarray) -> tuple:
     return first, ids.reshape(-1)
 
 
-def admit_backlog(
-    engines: Sequence["ServingEngine"],
-    requests: Sequence,
-    scheduler: "Scheduler",
-    policy: str,
-    window: int,
-    max_batch: int,
-    owner_of: Optional[Dict[str, int]] = None,
-    deadline_s: Optional[float] = None,
-    decisions: Optional["DecisionLog"] = None,
-    node_names: Sequence[str] = (),
-) -> Tuple[List["ServingEngine"], list, int]:
-    """Admit a t=0 backlog in arrays, in ``scheduler`` order: the
-    simulator's one admission, whichever mode then drains the queues.
+class Grouping(NamedTuple):
+    """A trace grouped for admission (:func:`group_backlog`): its groups
+    in admission order, as arrays over its requests."""
 
-    Groups form as ``coalesce_groups(node_order(scheduler.order(
-    requests), policy, window), max_batch)`` forms them: the scheduler's
-    :meth:`~repro.coe.scheduling.Scheduler.permutation` of the expert
-    codes, the window reorder and the ``max_batch`` cuts are the kernels
-    those functions wrap, and ``phase_key`` maxima come from
-    ``np.maximum.reduceat``. A group goes to its expert's owner in
-    ``owner_of`` (engine 0 without one). ``shard_experts`` places a
-    partition and replicas appear only once the clock runs, so at
-    admission every expert has one owner and routing is a lookup under
-    every cluster policy. Each engine's phase memo is seeded in bulk with the shapes routed to
-    it, and its admitted groups, in admission order, become its queue
-    (:attr:`NodeState.queue`).
+    requests: Sequence
+    names: List[str]  # of each expert code
+    grouped: np.ndarray  # grouped position -> row of ``requests``
+    # Per group: first grouped position, size, expert code, and longest
+    # prompt and output.
+    starts: np.ndarray
+    sizes: np.ndarray
+    codes: np.ndarray
+    prompts: np.ndarray
+    outputs: np.ndarray
+    # Per request row: ``arrival_s`` and ``output_tokens``.
+    arrivals: np.ndarray
+    tokens: np.ndarray
 
-    With a ``deadline_s`` groups are admitted highest priority first,
-    stably (``ClusterEngine._priority_order``), each against a running
-    per-engine sum of the ``_group_exec_time`` floats admitted before
-    it, from 0.0: bitwise a fresh left-to-right sum of the node's queue.
-    Verdicts and the ``admission`` stream (engine ``i`` is
-    ``node_names[i]``) are :func:`admit`'s.
+    def rows_of(self, groups: np.ndarray) -> np.ndarray:
+        """The rows of :attr:`requests` that ``groups`` hold, in order."""
+        lengths = self.sizes[groups]
+        skip = np.repeat(np.cumsum(lengths) - lengths - self.starts[groups],
+                         lengths)
+        return self.grouped[np.arange(int(lengths.sum())) - skip]
 
-    Returns the engines with admitted groups, in the order they received
-    their first, the shed requests in admission order, and the number of
-    groups formed.
-    """
+
+def _column(requests: Sequence, getter, dtype=np.int64) -> np.ndarray:
+    return np.fromiter(map(getter, requests), dtype, len(requests))
+
+
+def group_backlog(requests: Sequence, scheduler: "Scheduler", policy: str,
+                  window: int, max_batch: int) -> Grouping:
+    """Group a whole trace for admission, once: the groups
+    ``coalesce_groups(affinity_schedule(scheduler.order(requests),
+    window), max_batch)`` forms (no window reorder under ``fifo``), from
+    the kernels those wrap, with ``phase_key`` maxima from
+    ``np.maximum.reduceat``."""
+    check_count("window", window)
+    check_count("max_batch", max_batch)
     n = len(requests)
     codes, names = expert_codes(requests)
-    # Grouped position -> row of ``requests``. Codes only name classes,
-    # so they carry through the scheduler's permutation unchanged.
+    # Codes only name classes, so they carry through the scheduler's
+    # permutation unchanged.
     grouped = scheduler.permutation(codes)
     if grouped is None:
         grouped = np.arange(n)
@@ -633,59 +631,94 @@ def admit_backlog(
     if NodePolicy.coerce(policy) is not NodePolicy.FIFO:
         order = window_order(codes, window)
         grouped, codes = grouped[order], codes[order]
-
     starts = group_starts(codes, max_batch)
-    sizes = np.diff(np.append(starts, n))
-    gcodes = codes[starts]
+    tokens = _column(requests, _OUTPUT_TOKENS)
+    return Grouping(
+        requests, names, grouped, starts, np.diff(np.append(starts, n)),
+        codes[starts],
+        np.maximum.reduceat(_column(requests, _PROMPT)[grouped], starts),
+        np.maximum.reduceat(tokens[grouped], starts),
+        _column(requests, _ARRIVAL, np.float64), tokens,
+    )
 
-    def column(getter, dtype=np.int64):
-        return np.fromiter(map(getter, requests), dtype, n)
 
-    def rows_of(groups: np.ndarray) -> np.ndarray:
-        """The rows of ``requests`` that ``groups`` hold, in order."""
-        lengths = sizes[groups]
-        skip = np.repeat(np.cumsum(lengths) - lengths - starts[groups],
-                         lengths)
-        return grouped[np.arange(int(lengths.sum())) - skip]
+def admit_backlog(
+    engines: Sequence["ServingEngine"],
+    backlog: Grouping,
+    lo: int = 0,
+    hi: Optional[int] = None,
+    owner_of: Optional[Dict[str, int]] = None,
+    deadline_s: Optional[float] = None,
+    decisions: Optional["DecisionLog"] = None,
+    node_names: Sequence[str] = (),
+) -> Tuple[List["ServingEngine"], list]:
+    """Admit groups ``lo:hi`` of ``backlog`` (all of them by default),
+    in arrays: both clocks' one admission. The sim admits the whole
+    backlog at t=0; the live engine the groups each release frees.
 
-    nodes = np.zeros(len(starts), dtype=np.intp)
+    ``engines`` have a :class:`~repro.coe.node.NodeState` ``state`` and
+    a ``precompute_phases`` returning each group's base phase triple. A
+    group goes to its expert's owner in ``owner_of`` (engine 0 without
+    one): ``shard_experts`` places a partition and only the sim's clock
+    replicates, so at admission routing is a lookup. Each engine's phase
+    memo is seeded with the shapes routed to it, and its admitted groups
+    join its queue in admission order: as its columns when it holds no
+    group yet, else through :meth:`GroupColumns.extend`.
+
+    With a ``deadline_s`` the groups are admitted highest priority
+    first, stably (``ClusterEngine._priority_order``), each against its
+    node's :attr:`~repro.coe.node.NodeState.admitted_s` at logical
+    ``now = 0.0``: for the sim, bitwise a fresh left-to-right sum of
+    the node's queue. Verdicts and the ``admission`` stream (engine
+    ``i`` is ``node_names[i]``) are :func:`admit`'s.
+
+    Returns the engines with admitted groups, in the order they received
+    their first, and the shed requests in admission order.
+    """
+    hi = len(backlog.starts) if hi is None else hi
+    requests = backlog.requests
+    codes, sizes = backlog.codes[lo:hi], backlog.sizes[lo:hi]
+    nodes = np.zeros(hi - lo, dtype=np.intp)
     if owner_of is not None:
         try:
-            owners = [owner_of[name] for name in names]
+            owners = [owner_of[name] for name in backlog.names]
         except KeyError as exc:
             raise KeyError(f"no node hosts expert {exc.args[0]!r}") from None
-        nodes = np.asarray(owners, dtype=np.intp)[gcodes]
-    tokens = column(_OUTPUT_TOKENS)
+        nodes = np.asarray(owners, dtype=np.intp)[codes]
     first_of, shape_of = _distinct_rows(
-        gcodes, sizes, np.maximum.reduceat(column(_PROMPT)[grouped], starts),
-        np.maximum.reduceat(tokens[grouped], starts),
-    )
+        codes, sizes, backlog.prompts[lo:hi], backlog.outputs[lo:hi])
     base: list = [None] * len(first_of)
     exec_s = [0.0] * len(first_of)
+    # One representative group per shape, each seeded on its node.
+    table = take(requests, backlog.rows_of(lo + first_of))
+    lengths = sizes[first_of].tolist()
+    heads = np.cumsum([0] + lengths).tolist()
+    reps = [RequestGroup(table[head].expert, tuple(table[head:head + size]))
+            for head, size in zip(heads, lengths)]
     for index, engine in enumerate(engines):
         mine = np.flatnonzero(nodes[first_of] == index)
-        reps = [RequestGroup(rows[0].expert, tuple(rows)) for rows in (
-            take(requests, rows_of(first_of[[k]])) for k in mine)]
-        engine.precompute_phases(reps)
-        for shape, rep in zip(mine.tolist(), reps):
-            base[shape] = engine.state.phase_times(rep)
-            if deadline_s is not None:
-                exec_s[shape] = engine._group_exec_time(rep)
-    admitted = np.arange(len(starts))
+        for shape, triple in zip(mine.tolist(),
+                                 engine.precompute_phases(take(reps, mine))):
+            router, prefill, decode = base[shape] = triple
+            exec_s[shape] = router + prefill + decode
+    admitted = np.arange(hi - lo)
     if deadline_s is not None:
-        priority = np.maximum.reduceat(column(_PRIORITY)[grouped], starts)
+        priority = np.maximum.reduceat(
+            _column(take(requests, backlog.rows_of(lo + admitted)),
+                    _PRIORITY),
+            np.cumsum(sizes) - sizes)
         admitted = np.argsort(-priority, kind="stable")
     shed: List[int] = []
     if deadline_s is not None or decisions is not None:
-        backlog = [0.0] * len(engines)
         kept: List[int] = []
         for k, node, code, batch, shape in zip(
                 admitted.tolist(), nodes[admitted].tolist(),
-                gcodes[admitted].tolist(), sizes[admitted].tolist(),
+                codes[admitted].tolist(), sizes[admitted].tolist(),
                 shape_of[admitted].tolist()):
-            if admit(names[code], batch, node_names[node], decisions,
-                     deadline_s, 0.0, backlog[node], exec_s[shape]):
-                backlog[node] += exec_s[shape]
+            state = engines[node].state
+            if admit(backlog.names[code], batch, node_names[node], decisions,
+                     deadline_s, 0.0, state.admitted_s, exec_s[shape]):
+                state.admitted_s += exec_s[shape]
                 kept.append(k)
             else:
                 shed.append(k)
@@ -694,26 +727,34 @@ def admit_backlog(
     by_node = np.argsort(nodes[admitted], kind="stable")
     bounds = np.searchsorted(nodes[admitted][by_node],
                              np.arange(len(engines) + 1)).tolist()
-    name_of = np.asarray(names, dtype=object)
-    arrivals = column(_ARRIVAL, np.float64)
-    for engine, lo, hi in zip(engines, bounds, bounds[1:]):
-        mine = admitted[by_node[lo:hi]]
-        if len(mine):
-            rows = rows_of(mine)
-            table = take(requests, rows)
+    for engine, start, stop in zip(engines, bounds, bounds[1:]):
+        mine = admitted[by_node[start:stop]]
+        if not len(mine):
+            continue
+        rows = backlog.rows_of(lo + mine)
+        table = take(requests, rows)
+        lengths = sizes[mine]
+        heads = np.cumsum(lengths) - lengths
+        experts = list(map(_EXPERT, take(table, heads)))
+        queue = engine.state.queue
+        if queue.names:
+            queue.extend(
+                [RequestGroup(expert, tuple(table[head:head + size]))
+                 for expert, head, size in zip(
+                     experts, heads.tolist(), lengths.tolist())],
+                take(base, shape_of[mine]))
+        else:
             shapes, local = np.unique(shape_of[mine], return_inverse=True)
-            heads = np.cumsum(sizes[mine]) - sizes[mine]
             engine.state.queue = GroupColumns(
-                list(map(_EXPERT, take(table, heads))),
-                name_of[gcodes[mine]].tolist(), take(base, shapes),
-                local.reshape(-1), sizes[mine], table, arrivals[rows],
-                tokens[rows],
+                experts, take(backlog.names, codes[mine]),
+                take(base, shapes), local.reshape(-1), lengths, table,
+                backlog.arrivals[rows], backlog.tokens[rows],
             )
     roots = sorted((i for i in range(len(engines)) if bounds[i + 1] >
                     bounds[i]), key=lambda i: by_node[bounds[i]])
     return ([engines[i] for i in roots],
-            take(requests, rows_of(np.asarray(shed, dtype=np.intp))),
-            len(starts))
+            take(requests, backlog.rows_of(
+                lo + np.asarray(shed, dtype=np.intp))))
 
 
 #: The compute phases of a group, in execution order.
@@ -889,11 +930,11 @@ def drain(
                     list(compress(_PHASES * c, keep)),
                     list(compress(times_c, keep)),
                     list(compress(islice(times_c, 1, None), keep)),
-                    list(compress(
-                        ({"group": index, "batch": batch}
-                         for index, batch in zip(
-                             range(pos, pos + c), sizes.tolist())
-                         for _ in _PHASES),
+                    # One args dict per group, shared by its spans.
+                    list(compress(chain.from_iterable(
+                        repeat({"group": index, "batch": batch}, 3)
+                        for index, batch in zip(
+                            range(pos, pos + c), sizes.tolist())),
                         keep)),
                 )
                 if track and True in keep:

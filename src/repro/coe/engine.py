@@ -66,6 +66,7 @@ from repro.coe.columnar import (
     CompletedRequest,  # re-exported: callers import it from this module
     admit_backlog,
     drain as _columnar_drain,
+    group_backlog,
 )
 from repro.coe.decisions import DecisionLog
 from repro.coe.expert import ExpertLibrary, ExpertProfile
@@ -433,17 +434,12 @@ class ServingEngine:
         factor = self.slow_factor
         return router * factor, prefill * factor, decode * factor
 
-    def precompute_phases(self, groups: Sequence[RequestGroup]) -> int:
-        """Seed the phase memo with the shapes of ``groups`` it lacks.
-
-        Each new shape is priced once through :meth:`NodeState.phase_times`
-        (the scalar, memoized platform formulas). Returns the number of
-        shapes computed.
-        """
-        before = len(self.state.phase_cache)
-        for group in groups:
-            self.state.phase_times(group)
-        return len(self.state.phase_cache) - before
+    def precompute_phases(
+        self, groups: Sequence[RequestGroup]
+    ) -> List[Tuple[float, float, float]]:
+        """Each group's base phase triple, seeding the phase memo with
+        the shapes it lacks (:meth:`NodeState.precompute_phases`)."""
+        return self.state.precompute_phases(groups)
 
     def _group_exec_time(self, group: RequestGroup) -> float:
         """Batched router + prefill + closed-form decode for one group."""
@@ -699,10 +695,11 @@ class ServingEngine:
         sim = Simulator(timeline=timeline)
         self.bind(sim)
         try:
-            num_groups = admit_backlog(
-                [self], requests, self.scheduler, self.policy, self.window,
-                self.max_batch,
-            )[2]
+            backlog = group_backlog(requests, self.scheduler, self.policy,
+                                    self.window, self.max_batch)
+            admit_backlog([self], backlog)
+            num_groups = len(backlog.starts)
+            del backlog  # its arrays need not live through the run
             if self.drain_mode == DrainMode.COLUMNAR.value:
                 sim.schedule_at(
                     0.0, lambda: _drain_to_horizon([self], held=True)

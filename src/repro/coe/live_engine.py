@@ -8,21 +8,20 @@ backpressure shedding, streamed token callbacks as decode steps complete,
 and a graceful drain on shutdown — while making **byte-identical policy
 decisions** to the sim backend for the same request stream:
 
-- Grouping goes through :class:`repro.coe.scheduling.GroupAssembler`,
-  which closes each window through the sim's own
-  ``coalesce_groups(node_order(...))`` and releases a group as soon as
-  a later arrival closes it.
-- Sharding and deadline admission are the sim's own functions
-  (:func:`repro.coe.dispatch.shard_experts`,
-  :func:`~repro.coe.dispatch.admit`), and routing is the owner lookup
-  of the sim's admission (:func:`repro.coe.columnar.admit_backlog`):
-  the shards partition the library, so every expert has one owner.
-  The verdicts run over a mirror of the sim's admission-logical state,
-  monotone per-node backlog sums fed by the same
-  :meth:`repro.coe.node.NodeState.phase_times` floats. Like the sim
-  (where every request is backlogged at t=0), admission evaluates ETAs
-  at logical ``now = 0.0`` — so the arithmetic is bitwise-identical
-  even though wall arrivals are spread in time.
+- Admission is the sim's own code. The dispatcher groups the whole
+  trace once (:func:`repro.coe.columnar.group_backlog`, the sim's
+  grouping) and sleeps to each distinct release instant
+  (:func:`repro.coe.scheduling.release_times`: when the arrivals that
+  close a group are in). There it admits that instant's groups in one
+  :func:`repro.coe.columnar.admit_backlog` call, the sim's admission:
+  the same owner lookup routes them (the shards of
+  :func:`repro.coe.dispatch.shard_experts` partition the library), the
+  same :func:`~repro.coe.dispatch.admit` judges them against the same
+  per-node admission sum (:attr:`repro.coe.node.NodeState.admitted_s`)
+  at logical ``now = 0.0``, and they join the node's queue columns.
+  So the ETAs are bitwise the sim's even though wall arrivals are
+  spread in time, and a trace that arrives at one instant is admitted
+  in one call, priority order included, as the sim admits it.
 - Every group goes through :meth:`repro.coe.node.NodeState.begin`,
   the group step the sim's drains call too: predictor observe, the
   cache decision inside :meth:`repro.coe.runtime.CoERuntime.activate`,
@@ -57,17 +56,22 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import (
-    Callable, List, NamedTuple, Optional, Sequence, Set, TYPE_CHECKING,
+    Callable, Iterable, List, NamedTuple, Optional, Sequence, Set,
+    TYPE_CHECKING,
 )
 
+import numpy as np
+
+from repro.coe.columnar import Grouping, admit_backlog, group_backlog
 from repro.coe.decisions import DecisionLog
-from repro.coe.dispatch import admit, shard_experts
+from repro.coe.dispatch import shard_experts
 from repro.coe.engine import EngineRequest
 from repro.coe.expert import ExpertLibrary
 from repro.coe.node import NodeState
 from repro.coe.report import ServeReport, ShedRequest, build_report
-from repro.coe.scheduling import GroupAssembler, RequestGroup, make_scheduler
+from repro.coe.scheduling import RequestGroup, make_scheduler, release_times
 from repro.obs import Timeline
 from repro.sim.clock import WallClock
 
@@ -105,14 +109,15 @@ class _LiveNode:
     name: str
     state: NodeState
     hosted: Set[str]
-    #: Admission-logical backlog: running sum of admitted groups'
-    #: execution times, the mirror of the sim's per-node admission sum.
-    backlog_s: float = 0.0
     queue: Optional[asyncio.Queue] = None
     #: Copy spans the group step booked, as (name, lane, category,
     #: start_s, end_s, args); the worker records them once it has slept
     #: to the group's exec start.
     booked: List[tuple] = field(default_factory=list)
+
+    def precompute_phases(self, groups):
+        """Admission's phase seeding (:func:`admit_backlog`)."""
+        return self.state.precompute_phases(groups)
 
 
 class LiveEngine:
@@ -176,7 +181,8 @@ class LiveEngine:
         self.nodes: List[_LiveNode] = []
         # ClusterEngine's sharding; a single node serves the library
         # itself, with the single-node-only reserved_hbm_bytes knob.
-        shards, self._owners = shard_experts(library, config.num_nodes)
+        shards, owners = shard_experts(library, config.num_nodes)
+        self._owner_of = {name: nodes[0] for name, nodes in owners.items()}
         for idx, shard in enumerate(shards):
             state = NodeState(
                 factory(),
@@ -209,68 +215,56 @@ class LiveEngine:
     # ------------------------------------------------------------------
     # Admission (the dispatcher task)
     # ------------------------------------------------------------------
-    def _shed(self, group: RequestGroup, reason: str) -> None:
-        name = group.expert.name
-        for req in group.requests:
-            self.shed.append(
-                ShedRequest(req.request_id, name, reason, req.output_tokens)
-            )
+    def _shed(self, requests: Iterable[EngineRequest], reason: str) -> None:
+        self.shed.extend(
+            ShedRequest(req.request_id, req.expert.name, reason,
+                        req.output_tokens)
+            for req in requests
+        )
 
-    def _admit(self, group: RequestGroup) -> None:
-        """Route and admit one closed group — the sim's t=0 admission
-        (:func:`repro.coe.columnar.admit_backlog`), one group at a time.
+    def _admit(self, backlog: Grouping, lo: int, hi: int) -> None:
+        """Admit groups ``lo:hi`` of ``backlog`` in one
+        :func:`admit_backlog` call, then put each node's new groups on
+        its worker's queue in queue order.
 
-        The same owner lookup routes it (live mode never replicates, so
-        the expert's one owner), and the same :func:`admit` judges it
-        over the same logical state; ETAs are evaluated at logical
-        ``now = 0.0`` exactly like the sim's all-backlogged-at-t0
-        admission, so ``repr(eta)`` matches bit for bit. A full queue
-        sheds with ``backpressure`` *after* the admission decision and
-        still advances the logical backlog — the decision stream stays
-        sim-identical even under shed (the cache streams cannot, which
-        is why the cross-check pins ``max_queue`` high enough to never
-        shed).
+        A full worker queue sheds with ``backpressure`` after the
+        verdict: the group leaves the node's queue columns but stays in
+        its admission sum, so the decision stream stays sim-identical
+        (the cache streams cannot: the cross-check never sheds).
         """
-        self._groups += 1
-        name = group.expert.name
-        try:
-            node = self.nodes[self._owners[name][0]]
-        except KeyError:
-            raise KeyError(f"no node hosts expert {name!r}") from None
-        phase_times = node.state.phase_times(group)
-        router, prefill, decode = phase_times
-        exec_s = router + prefill + decode
-        if not admit(
-            name, group.batch, node.name,
+        queued = [len(node.state.queue.names) for node in self.nodes]
+        _, shed = admit_backlog(
+            self.nodes, backlog, lo, hi, self._owner_of, self.deadline_s,
             self._decisions if self._record_admission else None,
-            self.deadline_s, 0.0, node.backlog_s, exec_s,
-        ):
-            self._shed(group, "deadline")
-            return
-        try:
-            node.queue.put_nowait(group)
-        except asyncio.QueueFull:
-            self._shed(group, "backpressure")
-        else:
-            # Only work the worker will run is queued: a shed group must
-            # not appear in the lookahead/pipelining backlog window.
-            node.state.queue.append(group, phase_times)
-        node.backlog_s += exec_s
+            [node.name for node in self.nodes],
+        )
+        self._shed(shed, "deadline")
+        for node, start in zip(self.nodes, queued):
+            cols = node.state.queue
+            for i in range(start, len(cols.names)):
+                try:
+                    node.queue.put_nowait(cols.group(i))
+                except asyncio.QueueFull:
+                    # Nothing yields here, so the rest cannot fit either.
+                    self._shed(chain.from_iterable(
+                        group.requests for group in cols.remove(
+                            range(i, len(cols.names)))), "backpressure")
+                    break
 
     async def _dispatch_all(self, requests: Sequence[EngineRequest]) -> None:
-        """Open-loop admission: release each arrival at its model time."""
-        assembler = GroupAssembler(
-            policy=self.policy,
-            window=self.config.window,
-            max_batch=self.config.max_batch,
-        )
-        clock = self.clock
-        for request in requests:
-            await clock.sleep_until(request.arrival_s)
-            for group in assembler.push(request):
-                self._admit(group)
-        for group in assembler.flush():
-            self._admit(group)
+        """Open-loop admission: admit each group at its release instant."""
+        config = self.config
+        backlog = group_backlog(requests, self.scheduler, self.policy,
+                                config.window, config.max_batch)
+        self._groups = len(backlog.starts)
+        release = release_times(backlog.arrivals[backlog.grouped],
+                                backlog.starts, self.policy, config.window)
+        # Release instants are monotone: admit each run of equal ones.
+        bounds = np.flatnonzero(np.diff(release)) + 1
+        for lo, hi in zip([0, *bounds.tolist()],
+                          [*bounds.tolist(), self._groups]):
+            await self.clock.sleep_until(float(release[lo]))
+            self._admit(backlog, lo, hi)
 
     # ------------------------------------------------------------------
     # Execution (one worker task per node)
@@ -356,14 +350,7 @@ class LiveEngine:
         """Serve the stream inside the caller's event loop."""
         if not requests:
             raise ValueError("empty request backlog")
-        # Admission-time reordering over the known backlog, same as the
-        # sim engines. Dispatch still honours each request's arrival
-        # time (``sleep_until`` treats past deadlines as a no-op), so
-        # for an all-at-t0 backlog — the cross-check precondition — the
-        # live group stream matches the sim's exactly.
-        requests = self.scheduler.order(list(requests))
         self._tokens_streamed = 0
-        self._groups = 0
         self._promo_spans: List[tuple] = []
         self.clock.start()
         for node in self.nodes:

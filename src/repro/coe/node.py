@@ -25,7 +25,7 @@ reaches the span), phase spans on the run's timeline.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.coe.cache import CachePolicyLike, LookaheadPolicy, PredictivePolicy
 from repro.coe.columnar import CompletedLog, CompletedRequest, GroupColumns
@@ -117,6 +117,9 @@ class NodeState:
         self.completed = CompletedLog()
         #: Groups finished, columnar run blocks included.
         self.groups_done = 0
+        #: Admission-logical backlog: the exec times of the groups
+        #: admitted here, summed in admission order; never measured.
+        self.admitted_s = 0.0
         #: When the (single) DMA path next frees up: demand copies and
         #: pipelined promotions queue behind each other on it.
         self.dma_free_s = 0.0
@@ -154,6 +157,13 @@ class NodeState:
             )
             base = self.phase_cache[key] = (router, prefill, decode)
         return base
+
+    def precompute_phases(
+        self, groups: Sequence[RequestGroup]
+    ) -> List[Tuple[float, float, float]]:
+        """Each group's base phase triple (:meth:`phase_times`), seeding
+        the memo with the shapes it lacks."""
+        return list(map(self.phase_times, groups))
 
     def inject_copy_faults(self, count: int = 1) -> None:
         """Arm ``count`` one-shot DDR->HBM demand-copy failures."""
@@ -218,7 +228,7 @@ class NodeState:
                 ["router", "prefill", "decode"],
                 [exec_start, prefill_at, decode_at],
                 [prefill_at, decode_at, decode_at + decode],
-                [args, args.copy(), args.copy()],
+                [args, args, args],
             )
             if not (router > 0 and prefill > 0 and decode > 0):
                 keep = [router > 0, prefill > 0, decode > 0]

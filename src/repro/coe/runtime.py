@@ -26,7 +26,7 @@ access sequence the Belady oracle replays.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
@@ -80,18 +80,6 @@ class PromotionEvent(NamedTuple):
     demoted: tuple = ()
 
 
-class TierOverrunError(RuntimeError):
-    """A bounded DDR tier cannot be brought back under its budget.
-
-    Raised (only with ``strict_tiers=True``) before any mutation when a
-    promotion needs room but every demotion candidate is HBM-pinned, or
-    the incoming expert alone exceeds the DDR budget. The default
-    runtime clamps instead: it commits the promotion, counts the event
-    in :attr:`RuntimeStats.tier_overruns`, and lets the tier run
-    transiently oversubscribed until HBM pins lift.
-    """
-
-
 @dataclass
 class RuntimeStats:
     """Cumulative cache behaviour, demand and speculative separated.
@@ -138,9 +126,7 @@ class RuntimeStats:
     #: demotion candidate was HBM-pinned (or the incoming expert alone
     #: exceeds the budget). The default behaviour is a documented clamp:
     #: residency is committed anyway, the overrun is counted here, and
-    #: the tier runs transiently oversubscribed until pins lift. A
-    #: runtime built with ``strict_tiers=True`` raises
-    #: :class:`TierOverrunError` instead, before any mutation.
+    #: the tier runs transiently oversubscribed until pins lift.
     tier_overruns: int = 0
     #: Promotions started ahead of demand by the pipelined prefetch path
     #: (:meth:`CoERuntime.promote_to_ddr`) — kept separate from the
@@ -193,7 +179,6 @@ class CoERuntime:
         hierarchy: MemoryHierarchy,
         policy: CachePolicyLike = None,
         ddr_budget_bytes: Optional[int] = None,
-        strict_tiers: bool = False,
     ) -> None:
         if hbm_budget_bytes < 0:
             raise ValueError(f"negative HBM budget: {hbm_budget_bytes}")
@@ -214,7 +199,6 @@ class CoERuntime:
                     f"into; hierarchy levels are {hierarchy.names}"
                 )
         self.ddr_budget_bytes = ddr_budget_bytes
-        self.strict_tiers = strict_tiers
         self.policy: CachePolicy = make_policy(policy)
         self.policy.bind_runtime(self)
         #: name -> expert, in recency order (least recently used first).
@@ -397,12 +381,6 @@ class CoERuntime:
             return PromotionEvent(expert.name, 0.0, 0, 0)
         pinned = frozenset(self._resident) | {expert.name}
         victims, overrun = self._plan_ddr_demotions(expert, pinned)
-        if overrun and self.strict_tiers:
-            raise TierOverrunError(
-                f"pipelined promotion of {expert.name} "
-                f"({expert.weight_bytes} B) cannot bring DDR back under its "
-                f"budget ({self.ddr_budget_bytes} B)"
-            )
         bytes_read = expert.weight_bytes
         bytes_written = sum(v.weight_bytes for v in victims)
         time_s = self.hierarchy.transfer_time("nvme", "ddr", bytes_read)
@@ -507,8 +485,7 @@ class CoERuntime:
         overrun = False
         if src_tier == "nvme":
             # Plan the DDR demotions *before* anything mutates, so a
-            # failed copy (or a strict-mode overrun) leaves every tier
-            # untouched. Pinned: HBM residents that survive this
+            # failed copy leaves every tier untouched. Pinned: HBM residents that survive this
             # activation (same-call HBM victims ARE demotable — their
             # copy-back already happened by the time the hole opens) and
             # the incoming expert's own new DDR home.
@@ -518,13 +495,6 @@ class CoERuntime:
             demote_victims, overrun = self._plan_ddr_demotions(expert, pinned)
             demote_bytes = sum(v.weight_bytes for v in demote_victims)
         try:
-            if overrun and self.strict_tiers:
-                raise TierOverrunError(
-                    f"promoting {expert.name} ({expert.weight_bytes} B) "
-                    f"cannot bring DDR back under its budget "
-                    f"({self.ddr_budget_bytes} B): every demotion candidate "
-                    "is HBM-pinned or the expert alone exceeds the budget"
-                )
             time_s = self.hierarchy.transfer_time(src_tier, "hbm", bytes_up)
             if bytes_down:
                 time_s += self.hierarchy.transfer_time("hbm", "ddr", bytes_down)

@@ -10,13 +10,13 @@ architecture enables):
   hit is still free; affinity turns random arrival streams into runs of
   hits. One grouping algorithm, as array kernels over expert codes
   (:func:`expert_codes`): :func:`window_order` is the window reorder
-  and :func:`group_starts` the ``max_batch`` cuts. The sim's one t=0
-  admission, for both drain modes, runs them on the whole backlog
-  (:func:`repro.coe.columnar.admit_backlog`); :func:`node_order`
-  (:func:`affinity_schedule` unless ``fifo``) and
-  :func:`coalesce_groups` wrap them to build :class:`RequestGroup`
-  lists for the live engine's streaming :class:`GroupAssembler`, one
-  window at a time.
+  and :func:`group_starts` the ``max_batch`` cuts. Both clocks group a
+  whole trace with them once (:func:`repro.coe.columnar.group_backlog`)
+  and admit the groups through one function
+  (:func:`repro.coe.columnar.admit_backlog`): the sim all at t=0, the
+  live engine each group once the arrivals that close it are in
+  (:func:`release_times`). :func:`affinity_schedule` and
+  :func:`coalesce_groups` wrap the kernels for :class:`Request` lists.
 - **Expert prediction** — :class:`ExpertPredictor` ranks the experts
   most likely to be routed next. Speculative prefetch itself is the
   engines' ``overlap`` node policy
@@ -36,7 +36,7 @@ from typing import (
 import numpy as np
 
 from repro.coe.expert import ExpertProfile
-from repro.coe.policies import NodePolicy, SchedulerName, check_count
+from repro.coe.policies import NodePolicy, SchedulerName
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,10 @@ class Scheduler:
     """Admission-time request reordering, applied to the whole backlog.
 
     Runs *before* node scheduling, as a :meth:`permutation` of the
-    backlog's expert codes: the sim's admission applies it to the codes
-    it computes anyway (:func:`repro.coe.columnar.admit_backlog`, in
-    both drain modes); the live engine takes :meth:`order`. Schedulers
-    are stateless — a pure function of their input — which is what makes
+    backlog's expert codes: both clocks' grouping applies it to the
+    codes it computes anyway (:func:`repro.coe.columnar.group_backlog`);
+    :meth:`order` applies it to a request list. Schedulers are
+    stateless — a pure function of their input — which is what makes
     one instance safely shareable across cluster nodes and across the
     sim and live engines of a cross-check pair.
     """
@@ -154,9 +154,6 @@ class FifoScheduler(Scheduler):
 
     def permutation(self, codes: np.ndarray) -> None:
         return None
-
-    def order(self, requests: Sequence["Request"]) -> List["Request"]:
-        return list(requests)  # no codes needed
 
 
 class ExpertReorderScheduler(Scheduler):
@@ -314,68 +311,24 @@ def coalesce_groups(
     ]
 
 
-def node_order(
-    requests: Sequence[Request], policy: Union[str, NodePolicy], window: int
-) -> List[Request]:
-    """The order a node policy serves ``requests`` in.
+def release_times(arrivals: np.ndarray, starts: np.ndarray,
+                  policy: Union[str, NodePolicy], window: int) -> np.ndarray:
+    """When each group's requests have arrived and no later request can
+    join it: the live engine's admission instants.
 
-    Arrival order under ``fifo`` (:func:`affinity_schedule` with a
-    window of one, without building a chunk per request), else
-    :func:`affinity_schedule` over ``window``-sized chunks.
+    ``arrivals`` are ``arrival_s`` in grouped order and ``starts`` where
+    each group begins (:func:`group_starts`). The window reorder acts
+    within chunks of ``R = window`` requests (``R = 1`` under ``fifo``),
+    so a group ending (exclusively) at ``e`` of ``n`` is final once the
+    chunk holding ``e`` is in: the first ``min(ceil((e + 1) / R) * R,
+    n)`` requests, the same in either order. It is released at the latest of
+    their arrivals, as a clock that never runs backwards reaches it.
     """
-    if NodePolicy.coerce(policy) is NodePolicy.FIFO:
-        return list(requests)
-    return affinity_schedule(requests, window=window)
-
-
-class GroupAssembler:
-    """Streaming form of ``coalesce_groups(node_order(...))``, for a
-    front end that sees requests one at a time (the live engine).
-
-    :func:`node_order` only reorders within one ``window``-sized chunk
-    and :func:`coalesce_groups` is a left-to-right scan whose only state
-    is the open run. So the assembler buffers one window (one request
-    under ``fifo``) and, when it fills, groups the open run plus the
-    window with those two functions: every group but the last is
-    closed, and the last, which may still grow, is the new open run.
-    The batch pipeline's groups come out, each once an arrival closes it.
-
-    ``policy`` is a :class:`repro.coe.policies.NodePolicy` member or
-    value (anything else raises ``ValueError``).
-    """
-
-    def __init__(
-        self,
-        policy: Union[str, NodePolicy] = "affinity",
-        window: int = 16,
-        max_batch: int = 8,
-    ) -> None:
-        self.policy = NodePolicy.coerce(policy).value
-        self.window = check_count("window", window)
-        self.max_batch = check_count("max_batch", max_batch)
-        #: Arrivals per release: fifo reorders nothing.
-        self._release_at = 1 if self.policy == "fifo" else window
-        self._pending: List[Request] = []  # the filling window
-        self._run: List[Request] = []  # the open run, maybe across windows
-
-    def push(self, request: Request) -> List[RequestGroup]:
-        """Ingest one request; returns the groups this arrival closed."""
-        self._pending.append(request)
-        if len(self._pending) < self._release_at:
-            return []
-        groups = self.flush()
-        self._run = list(groups.pop().requests)
-        return groups
-
-    def flush(self) -> List[RequestGroup]:
-        """End of stream: group the partial window and the open run."""
-        groups = coalesce_groups(
-            self._run + node_order(self._pending, self.policy, self.window),
-            self.max_batch,
-        )
-        self._pending = []
-        self._run = []
-        return groups
+    n = len(arrivals)
+    chunk = 1 if NodePolicy.coerce(policy) is NodePolicy.FIFO else window
+    ends = np.append(starts[1:], n)
+    pushes = np.minimum(-(-(ends + 1) // chunk) * chunk, n)
+    return np.maximum.accumulate(arrivals)[pushes - 1]
 
 
 # ----------------------------------------------------------------------

@@ -19,8 +19,9 @@ from repro.coe.engine import (
     zipf_request_stream,
 )
 from repro.coe.expert import ExpertProfile, build_samba_coe_library
-from repro.coe.scheduling import coalesce_groups, node_order
+from repro.coe.scheduling import coalesce_groups
 from repro.systems.platforms import sn40l_platform
+from tests.coe.grouping import node_order
 
 
 @pytest.fixture(scope="module")

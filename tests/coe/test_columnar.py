@@ -51,11 +51,12 @@ from repro.coe.node import NodeState
 from repro.coe.policies import DrainMode
 from repro.coe.runtime import CoERuntime
 from repro.coe.scheduling import (
-    ExpertPredictor, RequestGroup, coalesce_groups, node_order,
+    ExpertPredictor, RequestGroup, coalesce_groups,
 )
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.engine import Simulator
 from repro.systems.platforms import sn40l_platform
+from tests.coe.grouping import node_order
 
 
 # ---------------------------------------------------------------------------

@@ -163,10 +163,25 @@ class TestPreconditions:
         expert = library.experts[0]
         reqs = [
             EngineRequest(0, expert, priority=0),
-            EngineRequest(1, expert, priority=1),
+            EngineRequest(1, expert, priority=1, arrival_s=1.0),
         ]
         with pytest.raises(ValueError, match="uniform request priorities"):
             cross_check(sn40l_platform, library, reqs)
+
+    def test_mixed_priorities_at_one_instant_match(self, library, requests):
+        # Every arrival at t=0: each clock admits the whole trace in one
+        # admission call, highest priority first, so a deadline sheds
+        # the same groups and the node queues hold the same order.
+        reqs = [dataclasses.replace(r, arrival_s=0.0, priority=i % 3)
+                for i, r in enumerate(requests)]
+        config = ServeConfig(mode="live", policy="affinity", num_nodes=3,
+                             cluster_policy="least_loaded", deadline_s=0.5)
+        result = cross_check(sn40l_platform, library, reqs, config)
+        assert result.match, result.mismatch
+        verdicts = [record for record in result.sim_log.stream("admission")
+                    if record.kind == "admit"]
+        assert {record.choice for record in verdicts} == {"admit", "shed"}
+        assert result.live_report.shed_deadline > 0
 
 
 class TestTamperDetection:

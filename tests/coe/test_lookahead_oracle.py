@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.coe.cache import LookaheadPolicy, LookaheadUnboundError, first_uses
-from repro.coe.columnar import GroupColumns, admit_backlog
+from repro.coe.columnar import GroupColumns, admit_backlog, group_backlog
 from repro.coe.engine import EngineRequest, ServingEngine
 from repro.coe.expert import ExpertProfile, build_samba_coe_library
 from repro.coe.scheduling import FifoScheduler, RequestGroup
@@ -116,11 +116,12 @@ def _queue(rng, admitted):
     if not admitted or not groups:
         queue = GroupColumns.empty()
         for group in groups:
-            queue.append(group, (0.1, 0.2, 0.3))
+            queue.extend((group,), ((0.1, 0.2, 0.3),))
         return queue
     engine = ServingEngine(sn40l_platform(), LIBRARY, policy="fifo")
-    admit_backlog([engine], [r for g in groups for r in g.requests],
-                  FifoScheduler(), "fifo", 1, 3)
+    admit_backlog([engine], group_backlog(
+        [r for g in groups for r in g.requests], FifoScheduler(), "fifo", 1,
+        3))
     return engine.state.queue
 
 
@@ -130,7 +131,7 @@ def _edit(rng, queue, next_id):
     op = rng.choice(["append", "append", "head", "remove"])
     if op == "append":
         for _ in range(rng.randint(1, 5)):
-            queue.append(_group(rng, next_id), (0.1, 0.2, 0.3))
+            queue.extend((_group(rng, next_id),), ((0.1, 0.2, 0.3),))
             next_id += 10
     elif op == "head":
         queue.head += rng.randint(0, min(len(queue), 40))
@@ -216,7 +217,7 @@ def test_ranking_never_iterates_the_backlog():
     rng = random.Random(7)
     queue = GroupColumns.empty()
     for k in range(100):
-        queue.append(_group(rng, 10 * k), (0.1, 0.2, 0.3))
+        queue.extend((_group(rng, 10 * k),), ((0.1, 0.2, 0.3),))
     queue.names = _Names(queue.names)
     policy = LookaheadPolicy()
     policy.bind_backlog(queue.next_use)

@@ -20,14 +20,15 @@ import pytest
 
 from repro.coe import engine as engine_module
 from repro.coe.cache import first_uses
-from repro.coe.columnar import admit_backlog
+from repro.coe.columnar import admit_backlog, group_backlog
 from repro.coe.engine import EngineRequest, ServingEngine, _drain_to_horizon
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.scheduling import (
-    FifoScheduler, RequestGroup, coalesce_groups, node_order,
+    FifoScheduler, RequestGroup, coalesce_groups,
 )
 from repro.sim.engine import Simulator
 from repro.systems.platforms import sn40l_platform
+from tests.coe.grouping import node_order
 
 
 def _check(engine, oracle):
@@ -106,8 +107,9 @@ def _run_sequence(seed, monkeypatch, admitted):
         backlog = []
         while len(backlog) < rng.randrange(1, 200):
             backlog += _requests(rng, rng.choice(experts), len(backlog))
-        admit_backlog([engine], backlog, FifoScheduler(), engine.policy,
-                      engine.window, engine.max_batch)
+        admit_backlog([engine], group_backlog(
+            backlog, FifoScheduler(), engine.policy, engine.window,
+            engine.max_batch))
         oracle.extend(coalesce_groups(
             node_order(backlog, engine.policy, engine.window),
             engine.max_batch,

@@ -1,36 +1,41 @@
-"""Affinity batching, group assembly and expert prediction."""
+"""Affinity batching, grouping, admission and expert prediction."""
 
 import random
 import sys
 from collections import Counter, OrderedDict
 from itertools import groupby
 
+import numpy as np
 import pytest
 
 from repro.coe import cluster_engine as cluster_module
 from repro.coe import engine as engine_module
+from repro.coe import live_engine as live_module
+from repro.coe.api import ServeConfig
 from repro.coe.cluster_engine import ClusterEngine
-from repro.coe.columnar import admit_backlog
+from repro.coe.columnar import admit_backlog, group_backlog
 from repro.coe.decisions import DecisionLog
 from repro.coe.dispatch import admit, shard_experts
 from repro.coe.engine import EngineRequest, ServingEngine
 from repro.coe.expert import build_samba_coe_library
+from repro.coe.live_engine import LiveEngine
 from repro.coe.policies import NodePolicy
 from repro.coe.scheduling import (
     ExpertPredictor,
     ExpertReorderScheduler,
     FifoScheduler,
-    GroupAssembler,
     Request,
     RequestGroup,
     Scheduler,
     affinity_schedule,
     coalesce_groups,
     fifo_schedule,
-    node_order,
+    make_scheduler,
+    release_times,
 )
 from repro.sim.engine import Simulator
 from repro.systems.platforms import sn40l_platform
+from tests.coe.grouping import node_order
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +242,7 @@ class TestGroupingOracle:
             oracle = _oracle_coalesce_groups(ordered, max_batch)
             engine = ServingEngine(sn40l_platform(), library, policy=policy,
                                    simulator=Simulator())
-            roots, shed, count = admit_backlog(
+            roots, shed, count = _array_admit(
                 [engine], reqs, FifoScheduler(), policy, window, max_batch)
             cols = engine.state.queue
             assert (roots, shed, count) == ([engine], [], len(oracle))
@@ -247,6 +252,14 @@ class TestGroupingOracle:
                 engine.state.phase_times(g) for g in oracle]
             assert {g.phase_key for g in oracle} == set(
                 engine.state.phase_cache)
+
+
+def _array_admit(engines, requests, scheduler, policy, window, max_batch,
+                 **kwargs):
+    """The sim's admission: group the whole backlog once, then admit
+    every group in one :func:`admit_backlog` call."""
+    backlog = group_backlog(requests, scheduler, policy, window, max_batch)
+    return (*admit_backlog(engines, backlog, **kwargs), len(backlog.starts))
 
 
 def _oracle_admit(engines, requests, scheduler, policy, window, max_batch,
@@ -278,7 +291,7 @@ def _oracle_admit(engines, requests, scheduler, policy, window, max_batch,
             continue
         if engine not in roots:
             roots.append(engine)
-        engine.state.queue.append(group, engine.state.phase_times(group))
+        engine.state.queue.extend((group,), (engine.state.phase_times(group),))
         queued[index].append(exec_s)
     return roots, shed, len(groups)
 
@@ -330,7 +343,7 @@ class TestAdmissionOracle:
             for deadline_s in (None, rng.uniform(0.2, 0.6) * busiest):
                 for logged in (False, True):
                     runs = []
-                    for admission in (admit_backlog, _oracle_admit):
+                    for admission in (_array_admit, _oracle_admit):
                         engines, _ = self._engines(library, num_nodes,
                                                    policy)
                         log = DecisionLog() if logged else None
@@ -353,10 +366,50 @@ class TestAdmissionOracle:
                     if deadline_s is None:
                         assert (len(fast[2]) > 1) == (num_nodes > 1), where
 
+    @pytest.mark.parametrize("policy", ["fifo", "affinity"])
+    def test_admission_in_batches_equals_one_call(self, library, policy):
+        """Admitting a grouping's groups in several ``lo:hi`` calls, as
+        the live engine does, fills the same queues and takes the same
+        verdicts as one call: later calls extend the queues and carry
+        each node's admission sum. Priorities are uniform, so no call
+        reorders its groups."""
+        rng = random.Random(f"batches:{policy}")
+        experts = library.experts[:30]
+        for trial in range(4):
+            reqs = [EngineRequest(r.request_id, r.expert,
+                                  prompt_tokens=r.prompt_tokens,
+                                  output_tokens=r.output_tokens)
+                    for r in self._backlog(rng, experts, 200)]
+            grouping = group_backlog(reqs, FifoScheduler(), policy,
+                                     rng.randint(1, 32), rng.randint(1, 9))
+            engines, owner_of = self._engines(library, 3, policy)
+            names = [f"node{i}" for i in range(3)]
+            admit_backlog(engines, grouping, owner_of=owner_of,
+                          decisions=DecisionLog(), node_names=names)
+            deadline_s = 0.5 * max(e.state.admitted_s for e in engines)
+            count = len(grouping.starts)
+            cuts = sorted(rng.sample(range(1, count), min(5, count - 1)))
+            runs = []
+            for bounds in ([0, count], [0, *cuts, count]):
+                engines, _ = self._engines(library, 3, policy)
+                log = DecisionLog()
+                shed = []
+                for lo, hi in zip(bounds, bounds[1:]):
+                    shed += admit_backlog(
+                        engines, grouping, lo, hi, owner_of, deadline_s,
+                        log, names)[1]
+                runs.append(([e._queue for e in engines],
+                             [e.state.admitted_s for e in engines],
+                             [r.request_id for r in shed],
+                             log.stream("admission")))
+            assert runs[0] == runs[1], trial
+            assert runs[0][2], trial  # the deadline shed something
+
     def test_both_drain_modes_admit_through_the_arrays(
             self, library, monkeypatch):
         """A reference-drain run and a cluster serve each admit once
-        through :func:`admit_backlog`, never through the wrappers."""
+        through :func:`admit_backlog`, and a live serve once per release
+        instant, never through the wrappers."""
         calls = Counter()
 
         def spy(name, fn):
@@ -365,7 +418,7 @@ class TestAdmissionOracle:
                 return fn(*args, **kwargs)
             return counted
 
-        for module in (engine_module, cluster_module):
+        for module in (engine_module, cluster_module, live_module):
             monkeypatch.setattr(module, "admit_backlog", spy(
                 "admit_backlog", module.admit_backlog))
         for name, module in list(sys.modules.items()):
@@ -391,14 +444,88 @@ class TestAdmissionOracle:
                               deadline_s=1.0).serve(reqs)
                 assert calls == {"admit_backlog": 1}, (scheduler, drain_mode)
                 calls.clear()
+            spread = [EngineRequest(r.request_id, r.expert,
+                                    arrival_s=r.request_id // 40 * 1e-3)
+                      for r in reqs]
+            LiveEngine(sn40l_platform(), library, ServeConfig(
+                mode="live", policy="fifo", num_nodes=3,
+                cluster_policy="least_loaded", scheduler=scheduler,
+                time_scale=1e-3)).serve(spread)
+            # Five arrival instants; expert_reorder may pull a later
+            # arrival into an earlier window and merge instants.
+            assert set(calls) == {"admit_backlog"}, scheduler
+            assert calls["admit_backlog"] == 5 or scheduler != "fifo"
+            calls.clear()
+
+
+class _StreamingAssembler:
+    """The live engine's grouping before it admitted through
+    :func:`group_backlog` and :func:`release_times`: a front end that
+    sees requests one at a time buffers one window (one request under
+    ``fifo``) and, when it fills, groups the open run plus the window
+    with ``coalesce_groups(node_order(...))``. Every group but the last
+    is closed and released; the last, which may still grow, is the new
+    open run."""
+
+    def __init__(self, policy, window, max_batch):
+        self.policy = NodePolicy.coerce(policy).value
+        self.window = window
+        self.max_batch = max_batch
+        self._release_at = 1 if self.policy == "fifo" else window
+        self._pending = []
+        self._run = []
+
+    def push(self, request):
+        """Ingest one request; returns the groups this arrival closed."""
+        self._pending.append(request)
+        if len(self._pending) < self._release_at:
+            return []
+        groups = self.flush()
+        self._run = list(groups.pop().requests)
+        return groups
+
+    def flush(self):
+        """End of stream: group the partial window and the open run."""
+        groups = coalesce_groups(
+            self._run + node_order(self._pending, self.policy, self.window),
+            self.max_batch,
+        )
+        self._pending = []
+        self._run = []
+        return groups
+
+    def stream(self, requests):
+        """Each group released over ``requests`` and the number of
+        requests pushed when it was."""
+        released = [(group, pushed)
+                    for pushed, request in enumerate(requests, 1)
+                    for group in self.push(request)]
+        return released + [(group, len(requests)) for group in self.flush()]
+
+
+def _grouped(requests, policy, window, max_batch, scheduler=None):
+    """The groups :func:`group_backlog` forms, as :class:`RequestGroup`
+    objects, and the backlog."""
+    backlog = group_backlog(requests, make_scheduler(scheduler), policy,
+                            window, max_batch)
+    ordered = [requests[row] for row in backlog.grouped.tolist()]
+    bounds = backlog.starts.tolist() + [len(requests)]
+    return [RequestGroup(ordered[lo].expert, tuple(ordered[lo:hi]))
+            for lo, hi in zip(bounds, bounds[1:])], backlog
+
+
+def _ids(groups):
+    return [(g.expert.name, tuple(r.request_id for r in g.requests))
+            for g in groups]
 
 
 class TestGroupAssembler:
-    """The streaming/batch equivalence property behind sim/live parity."""
+    """The one grouping (:func:`group_backlog`) and its release schedule
+    (:func:`release_times`) against the streaming assembler the live
+    engine used before (:class:`_StreamingAssembler`): the same groups,
+    each released after the same arrival."""
 
     def _streams(self, library, seed, tokens=True):
-        import random
-
         rng = random.Random(seed)
         experts = library.experts[:9]
         reqs = []
@@ -439,22 +566,15 @@ class TestGroupAssembler:
             batch = coalesce_groups(
                 affinity_schedule(reqs, window=window), max_batch=max_batch
             )
-            assembler = GroupAssembler(
-                policy="affinity", window=window, max_batch=max_batch
-            )
-            streamed = [g for r in reqs for g in assembler.push(r)]
-            streamed += assembler.flush()
-            assert [
-                (g.expert.name, tuple(r.request_id for r in g.requests))
-                for g in streamed
-            ] == [
-                (g.expert.name, tuple(r.request_id for r in g.requests))
-                for g in batch
-            ], (window, max_batch, seed)
-            # Both builders key every group by its own requests: single
+            assembler = _StreamingAssembler("affinity", window, max_batch)
+            streamed = [g for g, _ in assembler.stream(reqs)]
+            grouped, _ = _grouped(reqs, "affinity", window, max_batch)
+            assert _ids(streamed) == _ids(batch) == _ids(grouped), (
+                window, max_batch, seed)
+            # Every builder keys every group by its own requests: single
             # requests, mixed lengths and max_batch splits alike.
             self._assert_phase_keys(batch)
-            self._assert_phase_keys(streamed)
+            self._assert_phase_keys(grouped)
 
     @pytest.mark.parametrize("policy", ["fifo", "affinity"])
     def test_phase_keys_of_singles_mixed_lengths_and_splits(
@@ -468,55 +588,66 @@ class TestGroupAssembler:
             EngineRequest(3, b, prompt_tokens=256, output_tokens=20),
         ]
         batch = coalesce_groups(reqs, max_batch=2)
-        assembler = GroupAssembler(policy=policy, window=4, max_batch=2)
-        streamed = [g for r in reqs for g in assembler.push(r)]
-        streamed += assembler.flush()
+        assembler = _StreamingAssembler(policy, 4, 2)
+        streamed = [g for g, _ in assembler.stream(reqs)]
+        grouped, backlog = _grouped(reqs, policy, 4, 2)
         # a's run of three splits at max_batch into a mixed-length pair
         # and a single; b is a single.
         expected = [(a.name, 2, 512, 8), (a.name, 1, 128, 64),
                     (b.name, 1, 256, 20)]
         assert [g.phase_key for g in batch] == expected
         assert [g.phase_key for g in streamed] == expected
+        assert [g.phase_key for g in grouped] == expected
+        # The backlog's own maxima, which admission keys shapes by.
+        assert (backlog.sizes.tolist(), backlog.prompts.tolist(),
+                backlog.outputs.tolist()) == ([2, 1, 1], [512, 128, 256],
+                                              [8, 64, 20])
 
     def test_token_less_groups_fail_on_phase_key(self, library):
         reqs = self._streams(library, 5, tokens=False)
         batch = coalesce_groups(affinity_schedule(reqs, window=4), max_batch=3)
-        assembler = GroupAssembler(policy="affinity", window=4, max_batch=3)
-        streamed = [g for r in reqs for g in assembler.push(r)]
-        streamed += assembler.flush()
+        assembler = _StreamingAssembler("affinity", 4, 3)
+        streamed = [g for g, _ in assembler.stream(reqs)]
         assert {len(g.requests) for g in batch} == {1, 2, 3}
         for group in batch + streamed:
             with pytest.raises(AttributeError, match="prompt_tokens"):
                 group.phase_key
+        # Admission needs the lengths: a shapeless trace cannot group.
+        with pytest.raises(AttributeError, match="_tokens"):
+            _grouped(reqs, "affinity", 4, 3)
 
     @pytest.mark.parametrize("max_batch", [1, 3, 8])
     def test_fifo_streaming_equals_batch_pipeline(self, library, max_batch):
         reqs = self._streams(library, 11)
         batch = coalesce_groups(fifo_schedule(reqs), max_batch=max_batch)
-        assembler = GroupAssembler(policy="fifo", max_batch=max_batch)
-        streamed = [g for r in reqs for g in assembler.push(r)]
-        streamed += assembler.flush()
-        assert [tuple(r.request_id for r in g.requests) for g in streamed] \
-            == [tuple(r.request_id for r in g.requests) for g in batch]
+        assembler = _StreamingAssembler("fifo", 16, max_batch)
+        streamed = [g for g, _ in assembler.stream(reqs)]
+        grouped, _ = _grouped(reqs, "fifo", 16, max_batch)
+        assert _ids(streamed) == _ids(batch) == _ids(grouped)
 
     def test_partial_window_only_emits_on_flush(self, library):
         expert = library.experts[0]
-        assembler = GroupAssembler(policy="affinity", window=16, max_batch=8)
-        emitted = []
-        for rid in range(5):  # never fills the window
-            emitted += assembler.push(Request(rid, expert))
-        assert emitted == []
-        flushed = assembler.flush()
-        assert [len(g.requests) for g in flushed] == [5]
-        assert assembler.flush() == []  # idempotent once drained
+        reqs = [EngineRequest(rid, expert, arrival_s=float(rid))
+                for rid in range(5)]  # never fills the window
+        assembler = _StreamingAssembler("affinity", 16, 8)
+        assert [assembler.push(r) for r in reqs] == [[]] * 5
+        assert [len(g.requests) for g in assembler.flush()] == [5]
+        # The one group is released once the last arrival is in.
+        _, backlog = _grouped(reqs, "affinity", 16, 8)
+        release = release_times(backlog.arrivals[backlog.grouped],
+                                backlog.starts, "affinity", 16)
+        assert release.tolist() == [4.0]
 
     @pytest.mark.parametrize("policy", ["fifo", "affinity", "overlap"])
     def test_every_push_matches_the_oracle(self, library, policy):
-        """Each push and flush releases the oracle's groups, in its order:
-        when a group is released is when live admission sees it."""
+        """The release schedule is the streaming assembler's: each
+        group, in order, released after the same push, at the latest
+        arrival pushed by then, under either scheduler's order and with
+        arrivals out of order; the assembler itself matches the loop
+        oracle push by push."""
         rng = random.Random(policy)
         experts = library.experts[:7]
-        windows = (1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 64, 150, 300)
+        windows = (1, 2, 3, 4, 5, 7, 8, 13, 16, 19, 31, 64, 150, 300)
         for trial in range(40):
             reqs = []
             size = rng.randint(1, 400)
@@ -527,17 +658,41 @@ class TestGroupAssembler:
                         len(reqs), expert,
                         prompt_tokens=rng.choice((64, 256)),
                         output_tokens=rng.choice((1, 20)),
+                        arrival_s=rng.uniform(0.0, 5.0),
                     ))
             window = rng.choice(windows)
             max_batch = rng.randint(1, 9)
-            assembler = GroupAssembler(policy, window, max_batch)
+            scheduler = rng.choice((FifoScheduler(), ExpertReorderScheduler(
+                rng.choice((8, 64, 256)))))
+            ordered = scheduler.order(reqs)
+            where = (trial, window, max_batch, scheduler)
+            assembler = _StreamingAssembler(policy, window, max_batch)
             oracle = _OracleAssembler(policy, window, max_batch)
-            for request in reqs:
-                assert assembler.push(request) == oracle.push(request), (
-                    trial, window, max_batch, request.request_id)
-            assert assembler.flush() == oracle.flush(), (
-                trial, window, max_batch)
-            assert assembler.flush() == oracle.flush() == []
+            released = []
+            for pushed, request in enumerate(ordered, 1):
+                groups = assembler.push(request)
+                assert groups == oracle.push(request), (*where, pushed)
+                released += [(g, pushed) for g in groups]
+            groups = assembler.flush()
+            assert groups == oracle.flush(), where
+            released += [(g, len(ordered)) for g in groups]
+
+            grouped, backlog = _grouped(reqs, policy, window, max_batch,
+                                        scheduler)
+            assert grouped == [g for g, _ in released], where
+            arrivals = backlog.arrivals[backlog.grouped]
+            latest = np.maximum.accumulate([r.arrival_s for r in ordered])
+            assert release_times(
+                arrivals, backlog.starts, policy, window).tolist() == [
+                latest[pushed - 1] for _, pushed in released], where
+            # With each request arriving at its push index, the release
+            # instant names the push itself.
+            position = {r.request_id: float(i) for i, r in enumerate(ordered)}
+            pushes = release_times(
+                np.array([position[reqs[row].request_id]
+                          for row in backlog.grouped.tolist()]),
+                backlog.starts, policy, window)
+            assert (pushes + 1).tolist() == [p for _, p in released], where
 
     def test_node_order_is_affinity_unless_fifo(self, library):
         reqs = self._streams(library, 2)
@@ -550,18 +705,26 @@ class TestGroupAssembler:
         assert node_order(reqs, "fifo", 16) == affinity_schedule(
             reqs, window=1)
 
-    def test_validation(self):
+    def test_validation(self, library):
+        reqs = self._streams(library, 3)
         with pytest.raises(ValueError, match="window"):
-            GroupAssembler(window=0)
+            _grouped(reqs, "affinity", 0, 8)
         with pytest.raises(ValueError, match="max_batch"):
-            GroupAssembler(max_batch=0)
-        # Counts are integers, refused at construction, not at a push.
+            _grouped(reqs, "affinity", 16, 0)
+        # Counts are integers, refused before any grouping.
         for bad in (2.5, True):
             with pytest.raises(ValueError, match="window must be an integer"):
-                GroupAssembler(window=bad)
+                _grouped(reqs, "affinity", bad, 8)
 
-    def test_policy_is_coerced_at_construction(self):
+    def test_policy_is_coerced_at_construction(self, library):
+        reqs = self._streams(library, 4)
         with pytest.raises(ValueError, match="unknown NodePolicy 'overlapp'"):
-            GroupAssembler(policy="overlapp")
-        assert GroupAssembler(policy=NodePolicy.FIFO).policy == "fifo"
-        assert GroupAssembler(policy="overlap").policy == "overlap"
+            _grouped(reqs, "overlapp", 16, 8)
+        _, backlog = _grouped(reqs, "fifo", 16, 8)
+        with pytest.raises(ValueError, match="unknown NodePolicy 'overlapp'"):
+            release_times(backlog.arrivals, backlog.starts, "overlapp", 16)
+        for fifo in ("fifo", NodePolicy.FIFO):
+            assert _ids(_grouped(reqs, fifo, 16, 8)[0]) == _ids(
+                coalesce_groups(reqs, 8))
+        assert _ids(_grouped(reqs, "overlap", 16, 8)[0]) == _ids(
+            _grouped(reqs, NodePolicy.AFFINITY, 16, 8)[0])

@@ -195,21 +195,6 @@ class TestTierOverruns:
         assert rt.stats.tier_overruns == 1
         assert "e2" in rt.ddr_resident_experts  # clamped, oversubscribed
 
-    def test_all_candidates_pinned_strict_raises(self):
-        from repro.coe.runtime import TierOverrunError
-        experts = [_expert(i) for i in range(3)]
-        rt = _tiered(hbm_experts=2, ddr_experts=2, strict_tiers=True)
-        rt.place(experts)
-        rt.activate(experts[0])
-        rt.activate(experts[1])
-        ddr_before = rt.ddr_resident_experts
-        with pytest.raises(TierOverrunError):
-            rt.promote_to_ddr(experts[2])
-        # Strict mode mutates nothing.
-        assert rt.ddr_resident_experts == ddr_before
-        assert rt.stats.tier_overruns == 0
-        assert rt.stats.pipelined_promotions == 0
-
     def test_expert_larger_than_ddr_budget_clamps(self):
         # ddr_budget >= hbm_budget is enforced and activate() rejects
         # experts above the HBM budget, so the only route an oversized
