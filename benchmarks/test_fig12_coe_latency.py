@@ -19,6 +19,7 @@ import pytest
 from benchmarks.conftest import fmt_ms, print_table
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.serving import ExpertServer
+from repro.memory import CapacityError
 from repro.systems.platforms import (
     dgx_a100_platform,
     dgx_h100_platform,
@@ -35,15 +36,13 @@ def mean_latency(platform, library, batch, rng):
 
     The cache is warmed by touching every expert once (so the measured
     window reflects steady-state residency, not cold start), then REQUESTS
-    uniform-random requests are served and averaged.
+    uniform-random requests are served and averaged. None when the
+    library does not fit on the node (the runtime's OOM).
     """
-    max_hosted = platform.max_hosted_experts(
-        library.experts[0].weight_bytes,
-        reserved_bytes=library.experts[0].weight_bytes,
-    )
-    if len(library) > max_hosted:
-        return None  # OOM: this expert count does not fit on the node
-    server = ExpertServer(platform, library)
+    try:
+        server = ExpertServer(platform, library)
+    except CapacityError:
+        return None
     for expert in library.experts:
         server.runtime.activate(expert)
     totals = []

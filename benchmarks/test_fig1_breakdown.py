@@ -34,8 +34,13 @@ def breakdown_for(platform, library):
     }
 
 
+#: More experts than a DGX's HBM holds (~45), so experts overflow to host
+#: DRAM, and fewer than its OOM point (147 at the server's reserve).
+NUM_EXPERTS = 100
+
+
 def run_breakdown():
-    library = build_samba_coe_library(150)
+    library = build_samba_coe_library(NUM_EXPERTS)
     return [
         breakdown_for(p, library)
         for p in (sn40l_platform(), dgx_h100_platform(), dgx_a100_platform())

@@ -53,9 +53,10 @@ def main() -> None:
     print(f"  extra DDR traffic: {fmt_bytes(tight.spill_traffic_bytes)}\n")
 
     library = build_samba_coe_library(6)
+    hierarchy = MemoryHierarchy.from_edge_times(lambda b: b / 1.05e12)
     runtime = CoERuntime(
-        hbm_budget_bytes=3 * library.experts[0].weight_bytes,
-        hierarchy=MemoryHierarchy.from_edge_times(lambda b: b / 1.05e12),
+        library.experts,
+        hierarchy.with_capacities({"hbm": 3 * library.experts[0].weight_bytes}),
     )
     print("CoE runtime: 3-expert HBM cache, 6 experts requested round-robin:")
     for expert in library.experts + library.experts[:2]:

@@ -33,6 +33,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.memory import CapacityError
 from repro.units import fmt_bandwidth, fmt_bytes, fmt_time
 
 
@@ -115,14 +116,11 @@ def _cmd_coe(args: argparse.Namespace) -> int:
           f"{library.total_params / 1e12:.2f}T parameters")
     baseline = None
     for platform in (sn40l_platform(), dgx_h100_platform(), dgx_a100_platform()):
-        hosted = platform.max_hosted_experts(
-            library.experts[0].weight_bytes,
-            reserved_bytes=library.experts[0].weight_bytes,
-        )
-        if len(library) > hosted:
-            print(f"  {platform.name:<12s}: OOM ({hosted} experts max)")
+        try:
+            server = ExpertServer(platform, library)
+        except CapacityError as exc:
+            print(f"  {platform.name:<12s}: OOM ({exc})")
             continue
-        server = ExpertServer(platform, library)
         experts = library.experts[: args.batch]
         result = server.serve_experts(experts, output_tokens=args.tokens)
         note = ""
@@ -228,13 +226,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     results = []
     for name in selected:
         platform = platforms[name]()
-        hosted = platform.max_hosted_experts(
-            library.experts[0].weight_bytes,
-            reserved_bytes=library.experts[0].weight_bytes,
-        )
-        if len(library) > hosted:
-            print(f"{platform.name:<12s} OOM ({hosted} experts max)")
-            continue
         for policy in policies:
             try:
                 config = ServeConfig(policy=policy, max_batch=args.max_batch,
@@ -250,6 +241,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                                            requests, config)
                 else:
                     report = serve(platform, library, requests, config)
+            except CapacityError as exc:
+                # The library does not fit this platform under any policy.
+                print(f"{platform.name:<12s} OOM ({exc})")
+                break
             except ValueError as exc:
                 print(exc, file=sys.stderr)
                 return 2
@@ -871,7 +866,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CapacityError as exc:
+        # A library a platform cannot hold, raised when its engine is
+        # built: one line and exit 2, as for any other bad argument.
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -116,25 +116,27 @@ class ServeConfig:
     #: reordered backlog shows an upcoming NVMe-resident expert, its
     #: NVMe->DDR promotion starts on the prefetch lane while the current
     #: group decodes, so the demand miss pays only the DDR->HBM hop.
-    #: Needs a bounded ``tier_capacities['ddr']`` to have any effect;
+    #: Only NVMe residents are promoted, so it has an effect only when
+    #: ``tier_capacities['ddr']`` puts part of the library on NVMe;
     #: incompatible with the ``overlap`` node policy (both claim the
     #: idle DMA). Valid in both modes — live runs cancel in-flight
     #: promotions wall-clock-legally at shutdown.
     pipeline_promotions: bool = False
-    #: Byte budgets per memory tier (``{"hbm": ..., "ddr": ...}``),
-    #: overriding the platform defaults — the constrained-memory ladder's
-    #: knob. ``"hbm"`` sizes the expert region directly (mutually
-    #: exclusive with ``reserved_hbm_bytes``); a bounded ``"ddr"`` turns
-    #: on NVMe backing with multi-hop promotion. ``None`` = platform
-    #: capacities, bitwise-identical to the legacy two-tier behaviour.
+    #: Byte budgets per memory tier (``{"hbm": ..., "ddr": ...,
+    #: "nvme": ...}``), overriding the platform defaults — the
+    #: constrained-memory ladder's knob. ``"hbm"`` sizes the expert
+    #: region directly (mutually exclusive with ``reserved_hbm_bytes``);
+    #: ``"ddr"`` caps the capacity tier and puts an NVMe backing tier
+    #: below it, unbounded unless ``"nvme"`` caps it too. ``None`` =
+    #: the platform's HBM and second tier and no NVMe. A library the
+    #: budgets cannot hold raises :class:`repro.memory.CapacityError`
+    #: when the engine is built.
     tier_capacities: Optional[dict] = None
     num_nodes: int = 1
     max_batch: int = 8
     window: int = 16
     online_replication: bool = True
-    replication_depth: int = 3
-    max_replicas: Optional[int] = None
-    #: Single-node only: HBM reserved for router + KV cache.
+    #: HBM reserved for router + KV cache on every node.
     reserved_hbm_bytes: Optional[int] = None
     #: Deterministic fault schedule (forces the cluster engine).
     faults: FaultSchedule = field(default_factory=FaultSchedule)
@@ -199,8 +201,7 @@ class ServeConfig:
         check_count("max_batch", self.max_batch)
         check_count("window", self.window)
         _check_cluster_limits(
-            self.num_nodes, self.replication_depth, self.max_replicas,
-            self.heartbeat_s, self.deadline_s,
+            self.num_nodes, self.heartbeat_s, self.deadline_s
         )
         object.__setattr__(self, "mode", ServeMode.coerce(self.mode))
         if self.load is not None and not isinstance(self.load, ArrivalSpec):
@@ -285,8 +286,6 @@ class ServeConfig:
             "max_batch": self.max_batch,
             "window": self.window,
             "online_replication": self.online_replication,
-            "replication_depth": self.replication_depth,
-            "max_replicas": self.max_replicas,
             "reserved_hbm_bytes": self.reserved_hbm_bytes,
             "faults": self.faults.specs(),
             "heartbeat_s": self.heartbeat_s,
@@ -355,8 +354,7 @@ def build_server(
             max_batch=config.max_batch,
             window=config.window,
             online_replication=config.online_replication,
-            replication_depth=config.replication_depth,
-            max_replicas=config.max_replicas,
+            reserved_hbm_bytes=config.reserved_hbm_bytes,
             faults=config.faults,
             heartbeat_s=config.heartbeat_s,
             deadline_s=config.deadline_s,

@@ -112,6 +112,10 @@ CLUSTER_POLICIES = ClusterPolicy.values()
 #: Per-node lane bases, in the order traces should display them.
 NODE_LANES = ("compute", "switch", "prefetch", "faults")
 
+#: The queue depth from which a node's hot experts may be replicated
+#: onto an idle node (the ``steal`` policy's online replication).
+REPLICATION_DEPTH = 3
+
 #: What the constructor accepts as a fault schedule.
 FaultsLike = Union[FaultSchedule, Iterable]
 
@@ -125,22 +129,16 @@ def cluster_lanes(num_nodes: int) -> List[str]:
 
 def _check_cluster_limits(
     num_nodes: int,
-    replication_depth: int,
-    max_replicas: Optional[int],
     heartbeat_s: float,
     deadline_s: Optional[float],
 ) -> None:
     """Raise ``ValueError`` for a cluster setting no run can honour.
 
-    Counts must be integers >= 1 (:func:`check_count`). A NaN deadline
-    would shed every request and a zero replica cap would silently
-    disable replication, so both fail here, at construction, as a
-    non-finite heartbeat period does.
+    The node count must be an integer >= 1 (:func:`check_count`). A NaN
+    deadline would shed every request, so it fails here, at
+    construction, as a non-finite heartbeat period does.
     """
     check_count("num_nodes", num_nodes)
-    check_count("replication_depth", replication_depth)
-    if max_replicas is not None:
-        check_count("max_replicas", max_replicas)
     if not (math.isfinite(heartbeat_s) and heartbeat_s > 0):
         raise ValueError(
             f"heartbeat_s must be finite and > 0, got {heartbeat_s}"
@@ -199,8 +197,7 @@ class ClusterEngine:
         max_batch: int = 8,
         window: int = 16,
         online_replication: bool = True,
-        replication_depth: int = 3,
-        max_replicas: Optional[int] = None,
+        reserved_hbm_bytes: Optional[int] = None,
         faults: Optional[FaultsLike] = None,
         heartbeat_s: float = 0.05,
         deadline_s: Optional[float] = None,
@@ -212,10 +209,7 @@ class ClusterEngine:
         tier_capacities: Optional[Dict[str, int]] = None,
         pipeline_promotions: bool = False,
     ) -> None:
-        _check_cluster_limits(
-            num_nodes, replication_depth, max_replicas, heartbeat_s,
-            deadline_s,
-        )
+        _check_cluster_limits(num_nodes, heartbeat_s, deadline_s)
         self.policy = ClusterPolicy.coerce(policy).value
         self.node_policy = NodePolicy.coerce(node_policy).value
         #: Admission-time backlog reordering, applied once in
@@ -223,7 +217,6 @@ class ClusterEngine:
         #: runs stay contiguous through per-node routing. Schedulers are
         #: stateless order functions, safe to share across nodes.
         self.scheduler = make_scheduler(scheduler)
-        self.tier_capacities = tier_capacities
         if isinstance(cache_policy, CachePolicy) and num_nodes > 1:
             # A policy instance carries per-cache mutable state; sharing
             # one across nodes would corrupt every node's bookkeeping.
@@ -237,12 +230,9 @@ class ClusterEngine:
         self.max_batch = max_batch
         self.window = window
         self.online_replication = online_replication
-        self.replication_depth = replication_depth
-        self.max_replicas = num_nodes if max_replicas is None else max_replicas
         self.heartbeat_s = heartbeat_s
         self.deadline_s = deadline_s
         self.cache_policy_spec = cache_policy
-        self.pipeline_promotions = bool(pipeline_promotions)
         self.record_timeline = record_timeline
         self.timeline: Optional[Timeline] = (
             Timeline() if record_timeline else None
@@ -297,6 +287,7 @@ class ClusterEngine:
                 cache_policy=cache_policy,
                 drain_mode=self.drain_mode,
                 decision_log=decision_log,
+                reserved_hbm_bytes=reserved_hbm_bytes,
                 tier_capacities=tier_capacities,
                 pipeline_promotions=pipeline_promotions,
             )
@@ -430,7 +421,7 @@ class ClusterEngine:
             (
                 v for v in self.nodes
                 if v is not node and v.alive
-                and v.engine.queue_depth >= self.replication_depth
+                and v.engine.queue_depth >= REPLICATION_DEPTH
             ),
             key=lambda v: -v.engine.estimated_backlog_s(),
         )
@@ -438,10 +429,9 @@ class ClusterEngine:
             counts = victim.engine.queued_expert_counts()
             candidates = sorted(
                 (
+                    # One replica per node: the node count caps replicas.
                     name for name, count in counts.items()
-                    if count >= 2
-                    and name not in node.hosted
-                    and len(self._owners.get(name, ())) < self.max_replicas
+                    if count >= 2 and name not in node.hosted
                 ),
                 key=lambda name: (-counts[name], name),
             )

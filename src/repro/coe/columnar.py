@@ -833,7 +833,7 @@ def drain(
     log = state.completed
     timeline = engine._sim.timeline
     overlap = engine.policy == "overlap"
-    pipelining = state.pipeline_active
+    pipelining = state.pipeline_promotions
     cols.price(engine.slow_factor)
     names = cols.names
     experts = cols.experts

@@ -179,7 +179,6 @@ class ServingEngine:
         )
         self.server = self.state.server
         self.cache_policy = self.server.runtime.policy.name
-        self.pipeline_promotions = bool(pipeline_promotions)
         #: The hook a cluster-level scheduler installs: ``on_idle(engine)``
         #: fires on the simulator clock when the queue drains. A columnar
         #: run drains up to the first instant it could fire
@@ -357,8 +356,10 @@ class ServingEngine:
         return groups
 
     def host(self, expert: ExpertProfile) -> None:
-        """Add a replicated expert to this node's library."""
+        """Add a replicated or promoted expert to this node's library and
+        tiers (:meth:`CoERuntime.host`, which never raises)."""
         self.server.library.add(expert)
+        self.server.runtime.host(expert)
 
     def warm(self, expert: ExpertProfile) -> Optional[float]:
         """Pay the DDR->HBM copy for a replicated expert on this node.

@@ -180,7 +180,7 @@ class LiveEngine:
         factory = platform if callable(platform) else (lambda: platform)
         self.nodes: List[_LiveNode] = []
         # ClusterEngine's sharding; a single node serves the library
-        # itself, with the single-node-only reserved_hbm_bytes knob.
+        # itself.
         shards, owners = shard_experts(library, config.num_nodes)
         self._owner_of = {name: nodes[0] for name, nodes in owners.items()}
         for idx, shard in enumerate(shards):
@@ -189,10 +189,7 @@ class LiveEngine:
                 ExpertLibrary(experts=list(shard))
                 if config.wants_cluster else library,
                 lane_prefix=f"node{idx}/",
-                reserved_hbm_bytes=(
-                    None if config.wants_cluster
-                    else config.reserved_hbm_bytes
-                ),
+                reserved_hbm_bytes=config.reserved_hbm_bytes,
                 cache_policy=config.cache_policy.value,
                 tier_capacities=config.tier_capacities,
                 pipeline_promotions=config.pipeline_promotions,

@@ -80,11 +80,8 @@ class NodeState:
         if isinstance(runtime.policy, LookaheadPolicy):
             runtime.policy.bind_backlog(lambda: self.queue.next_use())
         self.lane_prefix = lane_prefix
-        #: The CoServe-style promotion pipeline needs a bounded DDR tier
-        #: (otherwise there is nothing to promote).
-        self.pipeline_active = (
-            bool(pipeline_promotions) and runtime.ddr_budget_bytes is not None
-        )
+        #: The CoServe-style promotion pipeline (:meth:`promote_next`).
+        self.pipeline_promotions = bool(pipeline_promotions)
         if decision_log is not None:
             runtime.attach_decisions(
                 decision_log, lane_prefix.rstrip("/") or "node0"
@@ -197,7 +194,7 @@ class NodeState:
             exec_start = max(now, self.copy_done.get(expert.name, now))
         else:
             exec_start = self.demand_copy(expert, now)
-        if self.pipeline_active and next_expert is not None:
+        if self.pipeline_promotions and next_expert is not None:
             self.promote_next(next_expert, now)
         return exec_start
 

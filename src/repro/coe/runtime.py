@@ -5,7 +5,8 @@ Reproduces paper Section V-B:
 - every expert is an independently compiled artifact whose HBM and DDR
   requirements are known ahead of time,
 - all experts initially live in the capacity tier (DDR on the SN40L, host
-  DRAM on a DGX); a region of HBM acts as a software-managed cache,
+  DRAM on a DGX), placed at construction (a library that does not fit is
+  the paper's "DGX OOM"); a region of HBM acts as a software-managed cache,
 - on request, the runtime "activates" the expert by copying its
   HBM-destined segments up; if HBM is full, resident experts are evicted
   first — **least recently used** by default (the paper's policy), or
@@ -25,6 +26,7 @@ access sequence the Belady oracle replays.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
@@ -34,6 +36,8 @@ from repro.coe.cache import CachePolicy, CachePolicyLike, make_policy
 from repro.coe.decisions import DecisionLog
 from repro.coe.expert import ExpertProfile
 from repro.memory.hierarchy import MemoryHierarchy, TierLike
+from repro.memory.tiers import CapacityError
+from repro.units import fmt_bytes
 
 
 class SwitchEvent(NamedTuple):
@@ -110,8 +114,8 @@ class RuntimeStats:
     speculative_bytes_up: int = 0
     speculative_bytes_down: int = 0
     speculative_switch_time_s: float = 0.0
-    #: Multi-tier traffic (zero unless the runtime has a bounded DDR
-    #: tier): NVMe->DDR promotions riding a miss, DDR->NVMe demotions
+    #: Multi-tier traffic (zero unless part of the library lives on
+    #: NVMe): NVMe->DDR promotions riding a miss, DDR->NVMe demotions
     #: forced by the DDR budget, and the bytes moved to/from NVMe.
     #: Demotions are **priced**: each demoted victim pays the
     #: ``ddr -> nvme`` write-back edge, folded into the same switch time
@@ -122,11 +126,12 @@ class RuntimeStats:
     tier_demotions: int = 0
     nvme_bytes_read: int = 0
     nvme_bytes_written: int = 0
-    #: Times a bounded DDR tier could not reach its budget because every
-    #: demotion candidate was HBM-pinned (or the incoming expert alone
-    #: exceeds the budget). The default behaviour is a documented clamp:
-    #: residency is committed anyway, the overrun is counted here, and
-    #: the tier runs transiently oversubscribed until pins lift.
+    #: Times the DDR tier could not reach its budget because every
+    #: demotion candidate was HBM-pinned, the incoming expert alone
+    #: exceeds the budget, or an expert hosted mid-run
+    #: (:meth:`CoERuntime.host`) fit in no tier. The behaviour is a
+    #: documented clamp: residency is committed anyway, the overrun is
+    #: counted here, and the tier runs oversubscribed.
     tier_overruns: int = 0
     #: Promotions started ahead of demand by the pipelined prefetch path
     #: (:meth:`CoERuntime.promote_to_ddr`) — kept separate from the
@@ -149,7 +154,7 @@ class RuntimeStats:
 
 
 class CoERuntime:
-    """Policy-driven expert cache over a fixed HBM byte budget.
+    """Policy-driven expert cache over the tier budgets of a hierarchy.
 
     Copy costs come from a :class:`repro.memory.MemoryHierarchy` —
     ``hierarchy.transfer_time(src, dst, num_bytes)`` prices every edge,
@@ -158,47 +163,44 @@ class CoERuntime:
     edges of a two-level hierarchy through
     :meth:`MemoryHierarchy.from_edge_times`, bit for bit.
 
+    The hierarchy's level capacities are the only budgets: ``hbm`` the
+    expert cache region, ``ddr`` the capacity tier, ``nvme`` the backing
+    tier of the CoServe scenario (arXiv:2503.02354); no capacity means
+    unbounded, no ``nvme`` level means no NVMe tier. ``experts`` are
+    placed at construction: DDR in the given order, the overflow on NVMe
+    up to its capacity (later tier moves swap homes without rechecking
+    it); a library that does not fit raises
+    :class:`~repro.memory.CapacityError`. The hierarchy is *inclusive*:
+    an HBM-resident expert keeps its DDR home copy (the copy-back
+    target), so the DDR budget must cover the HBM expert region and HBM
+    residents are never demotion victims.
+
     ``policy`` picks the eviction policy (see :mod:`repro.coe.cache`):
     a name (``"lru"``, ``"lfu"``, ``"gdsf"``, ``"predictive"``), a
     :class:`CachePolicy` instance, or a zero-arg factory; unset means
     LRU, bit-identical to the historical hard-coded behaviour.
-
-    ``ddr_budget_bytes`` turns on the constrained-memory mode of the
-    CoServe scenario (arXiv:2503.02354): DDR holds only a bounded slice
-    of the library, the rest lives on the hierarchy's ``nvme`` backing
-    tier, and a miss on an NVMe-resident expert pays the multi-hop
-    promotion. The hierarchy is *inclusive*: an HBM-resident expert
-    keeps its DDR home copy (that's the copy-back target), so the DDR
-    budget must cover the HBM expert region and HBM residents are never
-    demotion victims.
     """
 
     def __init__(
         self,
-        hbm_budget_bytes: int,
+        experts: Sequence[ExpertProfile],
         hierarchy: MemoryHierarchy,
         policy: CachePolicyLike = None,
-        ddr_budget_bytes: Optional[int] = None,
     ) -> None:
-        if hbm_budget_bytes < 0:
-            raise ValueError(f"negative HBM budget: {hbm_budget_bytes}")
-        self.hbm_budget_bytes = hbm_budget_bytes
+        def budget(tier: str) -> float:
+            cap = hierarchy.capacity_bytes(tier) if tier in hierarchy else 0
+            return math.inf if cap is None else cap
+
+        self.hbm_budget = budget("hbm")
+        self.ddr_budget = budget("ddr")
+        self.nvme_budget = budget("nvme")
+        if self.ddr_budget < self.hbm_budget:
+            raise ValueError(
+                f"DDR budget ({self.ddr_budget} B) must cover the HBM "
+                f"expert region ({self.hbm_budget} B): the hierarchy is "
+                "inclusive — every HBM resident keeps its DDR home copy"
+            )
         self.hierarchy = hierarchy
-        if ddr_budget_bytes is not None:
-            if ddr_budget_bytes < 0:
-                raise ValueError(f"negative DDR budget: {ddr_budget_bytes}")
-            if ddr_budget_bytes < hbm_budget_bytes:
-                raise ValueError(
-                    f"DDR budget ({ddr_budget_bytes} B) must cover the HBM "
-                    f"expert region ({hbm_budget_bytes} B): the hierarchy is "
-                    "inclusive — every HBM resident keeps its DDR home copy"
-                )
-            if "nvme" not in hierarchy:
-                raise ValueError(
-                    "a DDR budget needs an 'nvme' backing tier to demote "
-                    f"into; hierarchy levels are {hierarchy.names}"
-                )
-        self.ddr_budget_bytes = ddr_budget_bytes
         self.policy: CachePolicy = make_policy(policy)
         self.policy.bind_runtime(self)
         #: name -> expert, in recency order (least recently used first).
@@ -206,17 +208,26 @@ class CoERuntime:
         #: Running sum of resident weight bytes, maintained on insert and
         #: evict so the eviction loop is O(victims), not O(residents²).
         self._resident_bytes = 0
-        #: DDR residency, recency-ordered — only consulted when the DDR
-        #: tier is bounded (``ddr_budget_bytes`` set). Unbounded DDR
-        #: means every non-HBM expert is DDR-resident, no bookkeeping.
+        #: The lower-tier homes of every placed expert: DDR residents in
+        #: recency order (the demotion ranking reads it), NVMe residents.
         self._ddr_resident: "OrderedDict[str, ExpertProfile]" = OrderedDict()
         self._ddr_bytes = 0
+        self._nvme_resident: Dict[str, ExpertProfile] = {}
+        self._nvme_bytes = 0
         self.stats = RuntimeStats()
         #: Demand access sequence (expert names, in order) — the trace a
         #: :class:`repro.coe.cache.BeladyPolicy` replays.
         self.demand_trace: List[str] = []
         self._decisions: Optional[DecisionLog] = None
         self._decision_stream = "node0"
+        placed = sum(map(self._seat, experts))
+        if placed < len(experts):
+            # Both budgets are finite here: an unbounded tier fits all.
+            raise CapacityError(
+                f"{placed} of {len(experts)} experts fit in DDR "
+                f"({fmt_bytes(self.ddr_budget)}) + NVMe "
+                f"({fmt_bytes(self.nvme_budget)})"
+            )
 
     # ------------------------------------------------------------------
     def transfer_time(
@@ -266,14 +277,16 @@ class CoERuntime:
     # ------------------------------------------------------------------
     @property
     def ddr_resident_experts(self) -> List[str]:
-        """DDR residents when the DDR tier is bounded (else empty)."""
+        """DDR residents, in DDR recency order."""
         return list(self._ddr_resident)
 
     def _backing_tier(self, name: str) -> str:
-        """Where a non-HBM-resident expert currently lives."""
-        if self.ddr_budget_bytes is None or name in self._ddr_resident:
+        """Where a placed expert's lower-tier home is right now."""
+        if name in self._ddr_resident:
             return "ddr"
-        return "nvme"
+        if name in self._nvme_resident:
+            return "nvme"
+        raise KeyError(f"expert {name!r} is not placed on this runtime")
 
     def tier_of(self, name: str) -> str:
         """The fastest tier holding ``name`` right now."""
@@ -281,28 +294,30 @@ class CoERuntime:
             return "hbm"
         return self._backing_tier(name)
 
-    def place(self, experts: Sequence[ExpertProfile]) -> Dict[str, str]:
-        """Initial lower-tier placement; returns name -> tier.
+    def _seat(self, expert: ExpertProfile) -> bool:
+        """Give ``expert`` a lower-tier home, DDR when it has room, else
+        NVMe; False, with nothing changed, when neither has."""
+        size = expert.weight_bytes
+        if self._ddr_bytes + size <= self.ddr_budget:
+            self._ddr_resident[expert.name] = expert
+            self._ddr_bytes += size
+            return True
+        if self._nvme_bytes + size <= self.nvme_budget:
+            self._nvme_resident[expert.name] = expert
+            self._nvme_bytes += size
+            return True
+        return False
 
-        With an unbounded DDR tier this is the legacy world: everything
-        is DDR-resident and nothing is recorded. With a bounded one,
-        DDR fills in the given order and the overflow lands on NVMe —
-        the cold-start state of the constrained-memory scenario.
-        """
-        if self.ddr_budget_bytes is None:
-            return {e.name: "ddr" for e in experts}
-        placement: Dict[str, str] = {}
-        for expert in experts:
-            if expert.name in self._ddr_resident:
-                placement[expert.name] = "ddr"
-                continue
-            if self._ddr_bytes + expert.weight_bytes <= self.ddr_budget_bytes:
-                self._ddr_resident[expert.name] = expert
-                self._ddr_bytes += expert.weight_bytes
-                placement[expert.name] = "ddr"
-            else:
-                placement[expert.name] = "nvme"
-        return placement
+    def host(self, expert: ExpertProfile) -> None:
+        """Place one more expert mid-run (a replica, a promoted orphan)
+        as construction does, but never raise: a run in progress cannot
+        refuse the expert it recovers or rebalances onto, so one that
+        fits in no tier is seated in DDR under the tier clamp and
+        counted in ``stats.tier_overruns``."""
+        if not self._seat(expert):
+            self._ddr_resident[expert.name] = expert
+            self._ddr_bytes += expert.weight_bytes
+            self.stats.tier_overruns += 1
 
     def _plan_ddr_demotions(
         self, expert: ExpertProfile, pinned: frozenset
@@ -321,10 +336,10 @@ class CoERuntime:
         nothing — no amount of demotion could make it fit.
         """
         victims: List[ExpertProfile] = []
-        if expert.weight_bytes > self.ddr_budget_bytes:
+        if expert.weight_bytes > self.ddr_budget:
             return victims, True
         projected = self._ddr_bytes + expert.weight_bytes
-        if projected <= self.ddr_budget_bytes:
+        if projected <= self.ddr_budget:
             return victims, False
         # Materialize the order first: eviction_order may lazily iterate
         # the mapping the commit step will pop from.
@@ -334,7 +349,7 @@ class CoERuntime:
             victim = self._ddr_resident[name]
             victims.append(victim)
             projected -= victim.weight_bytes
-            if projected <= self.ddr_budget_bytes:
+            if projected <= self.ddr_budget:
                 return victims, False
         return victims, True
 
@@ -348,7 +363,11 @@ class CoERuntime:
         for victim in victims:
             del self._ddr_resident[victim.name]
             self._ddr_bytes -= victim.weight_bytes
+            self._nvme_resident[victim.name] = victim
+            self._nvme_bytes += victim.weight_bytes
             self.stats.tier_demotions += 1
+        del self._nvme_resident[expert.name]
+        self._nvme_bytes -= expert.weight_bytes
         self._ddr_resident[expert.name] = expert
         self._ddr_bytes += expert.weight_bytes
         if overrun:
@@ -371,12 +390,8 @@ class CoERuntime:
         stay identical with pipelining on or off.
 
         No-op (zero-cost event) if the expert already has a DDR home or
-        is HBM-resident; raises unless the DDR tier is bounded.
+        is HBM-resident.
         """
-        if self.ddr_budget_bytes is None:
-            raise ValueError(
-                "promote_to_ddr needs a bounded DDR tier (ddr_budget_bytes)"
-            )
         if expert.name in self._ddr_resident or expert.name in self._resident:
             return PromotionEvent(expert.name, 0.0, 0, 0)
         pinned = frozenset(self._resident) | {expert.name}
@@ -400,7 +415,7 @@ class CoERuntime:
         """The residents activating ``expert`` would evict, in policy
         order. Pure — no mutation, no stats."""
         victims: List[ExpertProfile] = []
-        free = self.hbm_budget_bytes - self._resident_bytes
+        free = self.hbm_budget - self._resident_bytes
         if free >= expert.weight_bytes:
             return victims
         for name in self.policy.eviction_order(self._resident):
@@ -464,14 +479,14 @@ class CoERuntime:
                 time_s=0.0, policy=self.policy.name, speculative=speculative,
             )
 
-        if expert.weight_bytes > self.hbm_budget_bytes:
+        if expert.weight_bytes > self.hbm_budget:
             raise ValueError(
                 f"expert {expert.name} ({expert.weight_bytes} B) exceeds the "
-                f"HBM budget ({self.hbm_budget_bytes} B)"
+                f"HBM budget ({self.hbm_budget} B)"
             )
 
         src_tier = self._backing_tier(expert.name)
-        if self.ddr_budget_bytes is not None and src_tier == "ddr":
+        if src_tier == "ddr":
             # A DDR hit-on-the-way-up refreshes DDR recency so the
             # policy's demotion ranking sees real reuse order.
             self._ddr_resident.move_to_end(expert.name)

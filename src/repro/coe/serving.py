@@ -123,11 +123,12 @@ class ExpertServer:
     ``"predictive"``), a :class:`~repro.coe.cache.CachePolicy` instance,
     or a zero-arg factory; unset means the paper-faithful LRU.
 
-    ``tier_capacities`` overrides hierarchy byte budgets by tier name:
+    ``tier_capacities`` overrides the node's tier budgets by name:
     ``"hbm"`` sizes the expert region directly (mutually exclusive with
     ``reserved_hbm_bytes``, which sizes it by subtraction), ``"ddr"``
-    bounds the capacity tier and turns on NVMe backing — the
-    constrained-memory ladder of the CoServe scenario sweeps both.
+    bounds the capacity tier and puts NVMe below it, unbounded unless
+    ``"nvme"`` caps it too. A library the budgets cannot hold raises
+    :class:`~repro.memory.CapacityError` at construction.
     """
 
     def __init__(
@@ -143,7 +144,6 @@ class ExpertServer:
         self.library = library
         self.router = router or Router(library)
         caps = validate_tier_capacities(tier_capacities) or {}
-        self.tier_capacities = caps or None
         hbm_override = caps.get("hbm")
         if hbm_override is not None:
             if reserved_hbm_bytes is not None:
@@ -171,25 +171,21 @@ class ExpertServer:
                     "exceeds HBM"
                 )
         self.reserved_hbm_bytes = reserved_hbm_bytes
-        ddr_budget = caps.get("ddr")
-        if ddr_budget is not None and ddr_budget < budget:
-            raise ValueError(
-                f"tier_capacities['ddr'] ({ddr_budget}) must cover the HBM "
-                f"expert region ({budget})"
-            )
-        self.hierarchy = MemoryHierarchy.from_platform(platform)
-        if caps:
-            self.hierarchy = self.hierarchy.with_capacities(caps)
+        # The runtime's DDR is inclusive (HBM residents keep their home
+        # copies there) where the platform's second tier is exclusive, so
+        # the default DDR budget is the region plus the second tier: the
+        # inclusive form of the HBM + second-tier sum that
+        # Platform.max_hosted_experts counts.
+        ddr = caps.get("ddr", budget + platform.second_tier_capacity_bytes)
+        # NVMe backs a capped DDR, unbounded unless it is capped too; with
+        # neither cap the node has no NVMe tier.
+        nvme = caps.get("nvme", None if "ddr" in caps else 0)
+        self.hierarchy = MemoryHierarchy.from_platform(
+            platform
+        ).with_capacities({"hbm": budget, "ddr": ddr, "nvme": nvme})
         self.runtime = CoERuntime(
-            hbm_budget_bytes=budget,
-            policy=cache_policy,
-            hierarchy=self.hierarchy,
-            ddr_budget_bytes=ddr_budget,
+            library.experts, self.hierarchy, policy=cache_policy
         )
-        if ddr_budget is not None:
-            # Cold start: DDR fills in library order, the overflow is
-            # NVMe-resident until first demand promotes it.
-            self.runtime.place(library.experts)
 
     # ------------------------------------------------------------------
     def router_time(self, batch: int, prompt_tokens: int) -> float:

@@ -91,7 +91,6 @@ class TestServeConfig:
         {"num_nodes": 0},
         {"max_batch": 0},
         {"window": 0},
-        {"replication_depth": 0},
         {"heartbeat_s": 0.0},
         {"deadline_s": 0.0},
         # Counts are integers: a bool or a non-integral value is refused.
@@ -100,8 +99,6 @@ class TestServeConfig:
         {"num_nodes": True},
         {"max_batch": 2.5},
         {"window": True},
-        {"replication_depth": 2.5},
-        {"max_replicas": 1.5},
     ])
     def test_bad_numbers_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -112,9 +109,6 @@ class TestServeConfig:
         ({"deadline_s": float("nan")}, "deadline_s"),
         ({"heartbeat_s": float("nan")}, "heartbeat_s"),
         ({"heartbeat_s": float("inf")}, "heartbeat_s"),
-        # A cap below one replica would silently disable replication.
-        ({"max_replicas": 0}, "max_replicas"),
-        ({"max_replicas": -1}, "max_replicas"),
     ])
     def test_non_finite_and_empty_limits_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -167,7 +161,6 @@ class TestServeConfigSerialization:
         ServeConfig(policy="fifo", cluster_policy="affinity",
                     cache_policy="gdsf", num_nodes=4, max_batch=4,
                     window=8, online_replication=False,
-                    replication_depth=2, max_replicas=3,
                     reserved_hbm_bytes=1 << 30,
                     faults=["node1:0.5", "slow:0:1.0:2.0"],
                     heartbeat_s=0.1, deadline_s=5.0),

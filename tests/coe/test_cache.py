@@ -33,10 +33,15 @@ def _expert(i, model=TINY):
     return ExpertProfile(f"e{i}", "chat", model=model)
 
 
+#: Every expert the tests activate, placed by each runtime.
+LIBRARY = [_expert(i) for i in range(30)]
+
+
 def _runtime(capacity_experts=2, policy=None):
     return CoERuntime(
-        hbm_budget_bytes=capacity_experts * EXPERT_BYTES,
-        hierarchy=MemoryHierarchy.from_edge_times(lambda b: b / 1e9),
+        LIBRARY,
+        MemoryHierarchy.from_edge_times(lambda b: b / 1e9)
+        .with_capacities({"hbm": capacity_experts * EXPERT_BYTES}),
         policy=policy,
     )
 
@@ -163,9 +168,9 @@ class TestGDSF:
         # cost/size is constant, so make the big expert's copy
         # disproportionately expensive via a superlinear cost model.
         rt = CoERuntime(
-            hbm_budget_bytes=TINY.weight_bytes + BIG.weight_bytes,
-            hierarchy=MemoryHierarchy.from_edge_times(
-                lambda b: (b / 1e9) ** 2),
+            LIBRARY,
+            MemoryHierarchy.from_edge_times(lambda b: (b / 1e9) ** 2)
+            .with_capacities({"hbm": TINY.weight_bytes + BIG.weight_bytes}),
             policy="gdsf",
         )
         small, big = _expert(0, TINY), _expert(1, BIG)

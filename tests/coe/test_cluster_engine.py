@@ -52,19 +52,13 @@ class TestConstruction:
             with pytest.raises(ValueError, match="num_nodes"):
                 ClusterEngine(sn40l_platform, library, bad)
 
-    def test_rejects_bad_replication_depth(self, library):
-        for bad in (0, 2.5):
-            with pytest.raises(ValueError, match="replication_depth"):
-                ClusterEngine(sn40l_platform, library, 2,
-                              replication_depth=bad)
-
     @pytest.mark.parametrize("kwargs, match", [
         ({"deadline_s": float("nan")}, "deadline_s"),
         ({"heartbeat_s": float("nan")}, "heartbeat_s"),
         ({"heartbeat_s": float("inf")}, "heartbeat_s"),
-        ({"max_replicas": 0}, "max_replicas"),
-        ({"max_replicas": -1}, "max_replicas"),
-        ({"max_replicas": True}, "max_replicas"),
+        ({"max_batch": 0}, "max_batch"),
+        ({"max_batch": -1}, "max_batch"),
+        ({"max_batch": True}, "max_batch"),
         ({"max_batch": 2.5}, "max_batch"),
         ({"window": True}, "window"),
     ])

@@ -235,8 +235,12 @@ def _hit_run(rng, experts, length):
 
 def _fresh_runtime(library, cache_policy):
     budget = sum(e.weight_bytes for e in library.experts) * 2
-    return CoERuntime(budget, MemoryHierarchy.from_edge_times(
-        lambda b: b * 1e-9), policy=cache_policy)
+    return CoERuntime(
+        library.experts,
+        MemoryHierarchy.from_edge_times(lambda b: b * 1e-9)
+        .with_capacities({"hbm": budget}),
+        policy=cache_policy,
+    )
 
 
 @pytest.mark.parametrize("cache_policy", ["lru", "lfu", "gdsf"])
@@ -305,8 +309,9 @@ def test_touch_run_with_prefetches_equals_scalar_overlap_sequence(
     trace = [rng.choice(experts).name for _ in range(400)]
     budget = sum(e.weight_bytes for e in experts) * 2
     scalar, batched = (
-        CoERuntime(budget,
-                   MemoryHierarchy.from_edge_times(lambda b: b * 1e-9),
+        CoERuntime(experts,
+                   MemoryHierarchy.from_edge_times(lambda b: b * 1e-9)
+                   .with_capacities({"hbm": budget}),
                    policy=_overlap_policy(cache_policy, trace))
         for _ in range(2)
     )

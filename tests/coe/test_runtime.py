@@ -17,12 +17,19 @@ def _expert(i, mutable=0.0):
     return ExpertProfile(f"e{i}", "chat", model=TINY, mutable_fraction=mutable)
 
 
-def _runtime(capacity_experts=2, downgrade_time=None, **kw):
-    return CoERuntime(
-        hbm_budget_bytes=capacity_experts * EXPERT_BYTES,
-        hierarchy=MemoryHierarchy.from_edge_times(
-            lambda b: b / 1e9, downgrade_time),
-        **kw,
+#: Every expert the tests activate, placed by each runtime.
+LIBRARY = [_expert(i) for i in range(10)]
+
+
+def _capped(hierarchy, hbm_bytes):
+    """A runtime over ``hierarchy`` with an ``hbm_bytes`` expert region."""
+    return CoERuntime(LIBRARY, hierarchy.with_capacities({"hbm": hbm_bytes}))
+
+
+def _runtime(capacity_experts=2, downgrade_time=None):
+    return _capped(
+        MemoryHierarchy.from_edge_times(lambda b: b / 1e9, downgrade_time),
+        capacity_experts * EXPERT_BYTES,
     )
 
 
@@ -61,19 +68,13 @@ class TestLRUSemantics:
         assert event.evicted == ("e1",)
 
     def test_oversized_expert_rejected(self):
-        rt = CoERuntime(
-            hbm_budget_bytes=10,
-            hierarchy=MemoryHierarchy.from_edge_times(lambda b: 0.0),
-        )
+        rt = _capped(MemoryHierarchy.from_edge_times(lambda b: 0.0), 10)
         with pytest.raises(ValueError):
             rt.activate(_expert(0))
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
-            CoERuntime(
-                hbm_budget_bytes=-1,
-                hierarchy=MemoryHierarchy.from_edge_times(lambda b: 0.0),
-            )
+            _capped(MemoryHierarchy.from_edge_times(lambda b: 0.0), -1)
 
 
 class TestReadOnlyCopyback:
@@ -106,7 +107,7 @@ class TestInvariants:
         experts = [_expert(i) for i in range(10)]
         for idx in requests:
             rt.activate(experts[idx])
-            assert rt.resident_bytes <= rt.hbm_budget_bytes
+            assert rt.resident_bytes <= rt.hbm_budget
             assert len(rt.resident_experts) <= capacity
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
@@ -135,8 +136,7 @@ class TestFailureInjection:
 
     def test_failed_copy_preserves_residents(self):
         dma = self._FlakyDMA(fail_after=2)
-        rt = CoERuntime(hbm_budget_bytes=2 * EXPERT_BYTES,
-                        hierarchy=MemoryHierarchy.from_edge_times(dma))
+        rt = _capped(MemoryHierarchy.from_edge_times(dma), 2 * EXPERT_BYTES)
         e0, e1, e2 = _expert(0), _expert(1), _expert(2)
         rt.activate(e0)
         rt.activate(e1)
@@ -148,8 +148,7 @@ class TestFailureInjection:
 
     def test_failed_copy_preserves_lru_order(self):
         dma = self._FlakyDMA(fail_after=2)
-        rt = CoERuntime(hbm_budget_bytes=2 * EXPERT_BYTES,
-                        hierarchy=MemoryHierarchy.from_edge_times(dma))
+        rt = _capped(MemoryHierarchy.from_edge_times(dma), 2 * EXPERT_BYTES)
         e0, e1, e2, e3 = (_expert(i) for i in range(4))
         rt.activate(e0)
         rt.activate(e1)
@@ -162,8 +161,7 @@ class TestFailureInjection:
 
     def test_failed_copy_rolls_back_eviction_stats(self):
         dma = self._FlakyDMA(fail_after=1)
-        rt = CoERuntime(hbm_budget_bytes=EXPERT_BYTES,
-                        hierarchy=MemoryHierarchy.from_edge_times(dma))
+        rt = _capped(MemoryHierarchy.from_edge_times(dma), EXPERT_BYTES)
         rt.activate(_expert(0))
         with pytest.raises(IOError):
             rt.activate(_expert(1))
@@ -171,8 +169,7 @@ class TestFailureInjection:
 
     def test_retry_after_failure_succeeds(self):
         dma = self._FlakyDMA(fail_after=1)
-        rt = CoERuntime(hbm_budget_bytes=EXPERT_BYTES,
-                        hierarchy=MemoryHierarchy.from_edge_times(dma))
+        rt = _capped(MemoryHierarchy.from_edge_times(dma), EXPERT_BYTES)
         rt.activate(_expert(0))
         with pytest.raises(IOError):
             rt.activate(_expert(1))
@@ -185,8 +182,7 @@ class TestFailureInjection:
         """Convention: a failed activate still counts as a request, gets a
         ``failures`` tick, and contributes nothing to the copy totals."""
         dma = self._FlakyDMA(fail_after=1)
-        rt = CoERuntime(hbm_budget_bytes=EXPERT_BYTES,
-                        hierarchy=MemoryHierarchy.from_edge_times(dma))
+        rt = _capped(MemoryHierarchy.from_edge_times(dma), EXPERT_BYTES)
         rt.activate(_expert(0))
         bytes_up_before = rt.stats.bytes_up
         switch_before = rt.stats.switch_time_s
@@ -202,8 +198,7 @@ class TestFailureInjection:
 
     def test_failure_restores_resident_byte_counter(self):
         dma = self._FlakyDMA(fail_after=2)
-        rt = CoERuntime(hbm_budget_bytes=2 * EXPERT_BYTES,
-                        hierarchy=MemoryHierarchy.from_edge_times(dma))
+        rt = _capped(MemoryHierarchy.from_edge_times(dma), 2 * EXPERT_BYTES)
         rt.activate(_expert(0))
         rt.activate(_expert(1))
         with pytest.raises(IOError):

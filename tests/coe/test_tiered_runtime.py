@@ -4,6 +4,7 @@ import pytest
 
 from repro.coe.expert import ExpertProfile
 from repro.coe.runtime import CoERuntime
+from repro.memory import CapacityError
 from repro.memory.hierarchy import EdgeCost, MemoryHierarchy, TierLevel
 from repro.models.transformer import TransformerConfig
 
@@ -32,44 +33,50 @@ def _hierarchy(hbm_experts=2, ddr_experts=3):
     )
 
 
-def _tiered(hbm_experts=2, ddr_experts=3, **kw):
+def _tiered(experts=(), hbm_experts=2, ddr_experts=3, **kw):
     return CoERuntime(
-        hbm_budget_bytes=hbm_experts * EXPERT_BYTES,
-        hierarchy=_hierarchy(hbm_experts, ddr_experts),
-        ddr_budget_bytes=ddr_experts * EXPERT_BYTES,
-        **kw,
+        list(experts), _hierarchy(hbm_experts, ddr_experts), **kw
     )
 
 
 class TestConstruction:
     def test_one_cost_source_required(self):
         with pytest.raises(TypeError, match="hierarchy"):
-            CoERuntime(hbm_budget_bytes=EXPERT_BYTES)
+            CoERuntime([_expert(0)])
 
     def test_ddr_budget_must_cover_hbm(self):
         with pytest.raises(ValueError, match="inclusive"):
-            CoERuntime(
-                hbm_budget_bytes=2 * EXPERT_BYTES,
-                hierarchy=_hierarchy(),
-                ddr_budget_bytes=EXPERT_BYTES,
-            )
+            _tiered(hbm_experts=2, ddr_experts=1)
 
     def test_negative_ddr_budget_rejected(self):
-        with pytest.raises(ValueError, match="negative DDR budget"):
-            CoERuntime(
-                hbm_budget_bytes=0,
-                hierarchy=_hierarchy(),
-                ddr_budget_bytes=-1,
-            )
+        with pytest.raises(ValueError, match="negative capacity"):
+            _hierarchy(ddr_experts=-1)
 
     def test_ddr_budget_needs_nvme_tier(self):
+        # A capped DDR with no NVMe level below it holds what fits and
+        # refuses the rest before any request runs.
         two_level = MemoryHierarchy.from_edge_times(lambda b: 0.0)
-        with pytest.raises(ValueError, match="nvme"):
-            CoERuntime(
-                hbm_budget_bytes=EXPERT_BYTES,
-                hierarchy=two_level,
-                ddr_budget_bytes=EXPERT_BYTES,
-            )
+        capped = two_level.with_capacities(
+            {"hbm": EXPERT_BYTES, "ddr": 2 * EXPERT_BYTES}
+        )
+        CoERuntime([_expert(i) for i in range(2)], capped)
+        with pytest.raises(CapacityError, match="2 of 3 experts"):
+            CoERuntime([_expert(i) for i in range(3)], capped)
+
+    def test_nvme_capacity_bounds_placement(self):
+        hierarchy = _hierarchy(hbm_experts=1, ddr_experts=2).with_capacities(
+            {"nvme": 2 * EXPERT_BYTES}
+        )
+        rt = CoERuntime([_expert(i) for i in range(4)], hierarchy)
+        assert [rt.tier_of(f"e{i}") for i in range(4)] == \
+            ["ddr", "ddr", "nvme", "nvme"]
+        with pytest.raises(CapacityError, match="4 of 5 experts"):
+            CoERuntime([_expert(i) for i in range(5)], hierarchy)
+
+    def test_unplaced_expert_is_refused(self):
+        rt = _tiered([_expert(0)])
+        with pytest.raises(KeyError, match="e1"):
+            rt.activate(_expert(1))
 
 
 class TestDeprecatedShims:
@@ -82,34 +89,45 @@ class TestDeprecatedShims:
 
 class TestPlacement:
     def test_unbounded_ddr_places_everything_on_ddr(self):
-        rt = CoERuntime(hbm_budget_bytes=EXPERT_BYTES,
-                        hierarchy=_hierarchy())
-        experts = [_expert(i) for i in range(4)]
-        assert set(rt.place(experts).values()) == {"ddr"}
-        assert rt.ddr_resident_experts == []
+        rt = CoERuntime([_expert(i) for i in range(4)],
+                        _hierarchy().with_capacities({"ddr": None}))
+        assert {rt.tier_of(f"e{i}") for i in range(4)} == {"ddr"}
+        assert rt.ddr_resident_experts == ["e0", "e1", "e2", "e3"]
 
     def test_bounded_ddr_fills_in_order_then_spills(self):
-        rt = _tiered(hbm_experts=2, ddr_experts=3)
-        experts = [_expert(i) for i in range(5)]
-        placement = rt.place(experts)
-        assert [placement[f"e{i}"] for i in range(5)] == \
+        rt = _tiered([_expert(i) for i in range(5)],
+                     hbm_experts=2, ddr_experts=3)
+        assert [rt.tier_of(f"e{i}") for i in range(5)] == \
             ["ddr", "ddr", "ddr", "nvme", "nvme"]
         assert rt.ddr_resident_experts == ["e0", "e1", "e2"]
 
     def test_tier_of_tracks_residency(self):
-        rt = _tiered(hbm_experts=2, ddr_experts=3)
         experts = [_expert(i) for i in range(5)]
-        rt.place(experts)
+        rt = _tiered(experts, hbm_experts=2, ddr_experts=3)
         rt.activate(experts[0])
         assert rt.tier_of("e0") == "hbm"
         assert rt.tier_of("e1") == "ddr"
         assert rt.tier_of("e4") == "nvme"
 
 
+class TestHosting:
+    def test_host_places_like_construction_and_never_raises(self):
+        hierarchy = _hierarchy(hbm_experts=1, ddr_experts=2).with_capacities(
+            {"nvme": EXPERT_BYTES}
+        )
+        rt = CoERuntime([_expert(0)], hierarchy)
+        for i in (1, 2, 3):
+            rt.host(_expert(i))
+        assert [rt.tier_of(f"e{i}") for i in (1, 2, 3)] == \
+            ["ddr", "nvme", "ddr"]
+        # e3 fit nowhere: seated in DDR under the clamp, and counted.
+        assert rt.stats.tier_overruns == 1
+        assert rt.ddr_resident_experts == ["e0", "e1", "e3"]
+
+
 class TestMultiTierActivation:
     def test_ddr_miss_prices_single_hop(self):
-        rt = _tiered()
-        rt.place([_expert(i) for i in range(5)])
+        rt = _tiered([_expert(i) for i in range(5)])
         event = rt.activate(_expert(0))
         assert not event.hit
         assert event.src_tier == "ddr"
@@ -117,8 +135,8 @@ class TestMultiTierActivation:
         assert rt.stats.tier_promotions == 0
 
     def test_nvme_miss_prices_two_hops_and_promotes(self):
-        rt = _tiered(hbm_experts=2, ddr_experts=3)
-        rt.place([_expert(i) for i in range(5)])
+        rt = _tiered([_expert(i) for i in range(5)],
+                     hbm_experts=2, ddr_experts=3)
         event = rt.activate(_expert(4))
         assert event.src_tier == "nvme"
         # Promotion read (nvme->ddr + ddr->hbm) plus the demoted
@@ -138,9 +156,9 @@ class TestMultiTierActivation:
         assert rt.tier_of("e0") == "nvme"
 
     def test_hbm_residents_are_never_demotion_victims(self):
-        rt = _tiered(hbm_experts=2, ddr_experts=2)
         experts = [_expert(i) for i in range(4)]
-        rt.place(experts)  # e0, e1 on DDR; e2, e3 on NVMe
+        # e0, e1 on DDR; e2, e3 on NVMe
+        rt = _tiered(experts, hbm_experts=2, ddr_experts=2)
         rt.activate(experts[0])
         rt.activate(experts[1])
         rt.activate(experts[0])  # HBM hit: refreshes HBM recency only,
@@ -152,9 +170,8 @@ class TestMultiTierActivation:
         assert set(rt.ddr_resident_experts) == {"e0", "e2"}
 
     def test_second_access_after_promotion_is_ddr_sourced(self):
-        rt = _tiered(hbm_experts=1, ddr_experts=3)
         experts = [_expert(i) for i in range(5)]
-        rt.place(experts)
+        rt = _tiered(experts, hbm_experts=1, ddr_experts=3)
         assert rt.activate(experts[4]).src_tier == "nvme"
         rt.activate(experts[1])  # evicts e4 from HBM; its DDR home stays
         event = rt.activate(experts[4])
@@ -162,16 +179,14 @@ class TestMultiTierActivation:
         assert rt.stats.tier_promotions == 1
 
     def test_hit_reports_hbm_source(self):
-        rt = _tiered()
-        rt.place([_expert(0)])
+        rt = _tiered([_expert(0)])
         rt.activate(_expert(0))
         event = rt.activate(_expert(0))
         assert event.hit and event.src_tier == "hbm" and event.demoted == ()
 
     def test_ddr_recency_refreshed_on_way_up(self):
-        rt = _tiered(hbm_experts=1, ddr_experts=2)
         experts = [_expert(i) for i in range(4)]
-        rt.place(experts)  # e0, e1 on DDR
+        rt = _tiered(experts, hbm_experts=1, ddr_experts=2)  # e0, e1 on DDR
         rt.activate(experts[1])  # DDR hit-on-the-way-up: e1 refreshed
         rt.activate(experts[2])  # e2 promoted; e1 evicted from HBM but
         # the LRU DDR victim must be e0 (stale), not e1 (refreshed).
@@ -185,9 +200,9 @@ class TestTierOverruns:
         # is an HBM copy-back target, so a pipelined promotion (which,
         # unlike a demand miss, evicts nothing from HBM) has no demotion
         # candidates at all.
-        rt = _tiered(hbm_experts=2, ddr_experts=2)
         experts = [_expert(i) for i in range(3)]
-        rt.place(experts)  # e0, e1 on DDR; e2 on NVMe
+        # e0, e1 on DDR; e2 on NVMe
+        rt = _tiered(experts, hbm_experts=2, ddr_experts=2)
         rt.activate(experts[0])
         rt.activate(experts[1])  # HBM now holds e0, e1 — both DDR-pinned
         promo = rt.promote_to_ddr(experts[2])
@@ -205,8 +220,8 @@ class TestTierOverruns:
         )
         big = ExpertProfile("big", "chat", model=big_model)
         assert big.weight_bytes > EXPERT_BYTES
-        rt = _tiered(hbm_experts=1, ddr_experts=1)
-        assert rt.place([big]) == {"big": "nvme"}
+        rt = _tiered([big], hbm_experts=1, ddr_experts=1)
+        assert rt.tier_of("big") == "nvme"
         promo = rt.promote_to_ddr(big)
         # Nothing to demote — no amount of demotion makes it fit.
         assert promo.demoted == ()
@@ -217,9 +232,8 @@ class TestTierOverruns:
 
 class TestEdgeCases:
     def test_failed_copy_leaves_all_tiers_untouched(self):
-        rt = _tiered(hbm_experts=2, ddr_experts=3)
         experts = [_expert(i) for i in range(5)]
-        rt.place(experts)
+        rt = _tiered(experts, hbm_experts=2, ddr_experts=3)
         ddr_before = rt.ddr_resident_experts
 
         class ExplodingHierarchy:
@@ -244,9 +258,8 @@ class TestEdgeCases:
         assert rt.stats.nvme_bytes_written == 0
 
     def test_demote_then_repromote_same_expert_in_one_drain(self):
-        rt = _tiered(hbm_experts=1, ddr_experts=2)
         experts = [_expert(i) for i in range(4)]
-        rt.place(experts)  # e0, e1 on DDR
+        rt = _tiered(experts, hbm_experts=1, ddr_experts=2)  # e0, e1 on DDR
         rt.activate(experts[2])  # promotes e2, demotes e0 (LRU)
         assert rt.tier_of("e0") == "nvme"
         event = rt.activate(experts[0])  # immediately re-promote e0
@@ -259,9 +272,8 @@ class TestEdgeCases:
         assert rt.stats.tier_demotions == 2
 
     def test_pipelined_promotion_commits_and_prices(self):
-        rt = _tiered(hbm_experts=2, ddr_experts=3)
         experts = [_expert(i) for i in range(5)]
-        rt.place(experts)
+        rt = _tiered(experts, hbm_experts=2, ddr_experts=3)
         promo = rt.promote_to_ddr(experts[4])
         assert promo.time_s == pytest.approx(
             EXPERT_BYTES / 1e8 + EXPERT_BYTES / 1e8
@@ -278,25 +290,27 @@ class TestEdgeCases:
         assert rt.promote_to_ddr(experts[4]).time_s == 0.0
         assert rt.stats.pipelined_promotions == 1
 
-    def test_promote_to_ddr_requires_bounded_tier(self):
-        rt = CoERuntime(hbm_budget_bytes=EXPERT_BYTES,
-                        hierarchy=_hierarchy())
-        with pytest.raises(ValueError, match="bounded DDR"):
-            rt.promote_to_ddr(_expert(0))
+    def test_promote_to_ddr_of_ddr_resident_is_a_noop(self):
+        rt = CoERuntime([_expert(0)],
+                        _hierarchy().with_capacities({"ddr": None}))
+        assert rt.promote_to_ddr(_expert(0)) == ("e0", 0.0, 0, 0, ())
+        assert rt.stats.pipelined_promotions == 0
 
 
 class TestLegacyEquivalence:
     """An unconstrained 3-tier runtime is bitwise the legacy 2-tier one."""
 
     def test_trace_identical_without_ddr_budget(self):
-        legacy = CoERuntime(
-            hbm_budget_bytes=2 * EXPERT_BYTES,
-            hierarchy=MemoryHierarchy.from_edge_times(lambda b: b / 1e9),
-        )
-        tiered = CoERuntime(hbm_budget_bytes=2 * EXPERT_BYTES,
-                            hierarchy=_hierarchy(hbm_experts=2))
         experts = [_expert(i) for i in range(4)]
-        tiered.place(experts)
+        legacy = CoERuntime(
+            experts,
+            MemoryHierarchy.from_edge_times(lambda b: b / 1e9)
+            .with_capacities({"hbm": 2 * EXPERT_BYTES}),
+        )
+        tiered = CoERuntime(
+            experts,
+            _hierarchy(hbm_experts=2).with_capacities({"ddr": None}),
+        )
         pattern = [0, 1, 2, 0, 3, 1, 0, 2, 3, 1]
         for idx in pattern:
             a = legacy.activate(experts[idx])
@@ -306,9 +320,8 @@ class TestLegacyEquivalence:
         assert legacy.resident_experts == tiered.resident_experts
 
     def test_flush_preserves_lower_tier_placement(self):
-        rt = _tiered(hbm_experts=2, ddr_experts=3)
         experts = [_expert(i) for i in range(5)]
-        rt.place(experts)
+        rt = _tiered(experts, hbm_experts=2, ddr_experts=3)
         rt.activate(experts[4])
         homes = rt.ddr_resident_experts
         rt.flush()

@@ -37,7 +37,13 @@ class TestCLI:
     def test_coe_reports_oom(self, capsys):
         assert main(["coe", "--experts", "200", "--batch", "1",
                      "--tokens", "5"]) == 0
-        assert "OOM" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # One row per platform that cannot hold the library, each from
+        # the runtime's CapacityError.
+        oom = [line for line in out.splitlines() if "OOM" in line]
+        assert len(oom) == 2
+        assert all("147 of 200 experts fit" in line for line in oom)
+        assert "SN40L-Node" in out and "ms (" in out
 
     def test_footprint(self, capsys):
         assert main(["footprint", "--experts", "850"]) == 0
@@ -52,6 +58,32 @@ class TestCLI:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestCapacityErrors:
+    """A library a platform cannot hold: an OOM row where the command
+    compares platforms, else one line on stderr and exit 2."""
+
+    STREAM = ["--platform", "dgx-h100", "--experts", "150", "--policy",
+              "fifo", "--requests", "20"]
+
+    def test_serve_bench_prints_one_oom_row(self, capsys):
+        assert main(["serve-bench", "--platform", "all", "--experts", "150",
+                     "--requests", "20", "--policy", "all"]) == 0
+        out = capsys.readouterr().out
+        oom = [line for line in out.splitlines() if "OOM" in line]
+        assert [line.split()[0] for line in oom] == ["DGX-A100", "DGX-H100"]
+        assert all("147 of 150 experts fit" in line for line in oom)
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster-bench", "--num-nodes", "1"],
+        ["serve-live", "--duration", "1", "--rate", "5",
+         "--time-scale", "0.001"],
+    ], ids=["cluster-bench", "serve-live"])
+    def test_cluster_bench_and_serve_live_exit_2(self, argv, capsys):
+        assert main(argv + self.STREAM) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "147 of 150 experts fit in DDR (1.8 TiB) + NVMe (0.0 B)"
 
 
 class TestPlanAndTrace:

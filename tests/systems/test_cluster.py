@@ -98,8 +98,9 @@ class TestHeterogeneousLibrary:
         small = [ExpertProfile(f"s{i}", "chat", LLAMA2_7B) for i in range(2)]
         big = ExpertProfile("big", "chat", LLAMA2_13B)
         runtime = CoERuntime(
-            hbm_budget_bytes=2 * LLAMA2_7B.weight_bytes + 1,
-            hierarchy=MemoryHierarchy.from_edge_times(lambda b: 0.0),
+            small + [big],
+            MemoryHierarchy.from_edge_times(lambda b: 0.0)
+            .with_capacities({"hbm": 2 * LLAMA2_7B.weight_bytes + 1}),
         )
         for e in small:
             runtime.activate(e)
