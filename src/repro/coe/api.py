@@ -200,6 +200,8 @@ class ServeConfig:
             )
         check_count("max_batch", self.max_batch)
         check_count("window", self.window)
+        if self.reserved_hbm_bytes is not None:
+            check_count("reserved_hbm_bytes", self.reserved_hbm_bytes, 0)
         _check_cluster_limits(
             self.num_nodes, self.heartbeat_s, self.deadline_s
         )
@@ -397,8 +399,8 @@ def serve(
 
     ``requests`` may be omitted when ``config.load`` carries an
     :class:`repro.load.ArrivalSpec`: the open-loop trace is then
-    generated here (deterministically, from the spec's seed) and both
-    modes see the identical arrival stream.
+    generated here (deterministically, from the spec's seed). In sim mode
+    (every request served at t=0) ``arrival_s > 0`` raises ServeModeError.
     """
     config = config if config is not None else ServeConfig()
     if requests is None:
@@ -408,13 +410,13 @@ def serve(
                 "to generate them from"
             )
         requests = generate_trace(config.load, library).to_requests(library)
-    return build_server(
-        platform,
-        library,
-        config,
-        decision_log=decision_log,
-        token_callback=token_callback,
-    ).serve(requests)
+    server = build_server(platform, library, config, decision_log=decision_log,
+                          token_callback=token_callback)
+    if config.mode is ServeMode.SIM and any(
+            request.arrival_s > 0 for request in requests):
+        raise ServeModeError("the simulator serves every request at "
+                             "t=0; arrival_s > 0 needs mode='live'")
+    return server.serve(requests)
 
 
 __all__ = [

@@ -31,8 +31,7 @@ identical, not merely close (pinned by ``tests/coe/test_columnar.py``).
 Cache/predictor bookkeeping for a run goes through the batch APIs
 (:meth:`CoERuntime.touch_run`, :meth:`CachePolicy.on_access_run`,
 :meth:`ExpertPredictor.observe_run`), each an order-equivalent bulk form
-of its scalar path. A traced run records its phase spans with one
-:meth:`Timeline.record_run`. Only *decision points* run the per-group
+of its scalar path. Only *decision points* run the per-group
 step, :meth:`repro.coe.node.NodeState.begin` — the same call the
 reference drain and the live worker make for every group: a cache miss
 (victim selection + demand copy), a pending copy barrier, and under
@@ -49,13 +48,13 @@ it in flight: a ``steal`` cluster drains each node that way up to the
 first instant a steal hook could act, then hands the rest to the event
 path (docs/PERFORMANCE.md, section 11).
 
-Completions land in the node's :class:`CompletedLog`: run segments
-append whole blocks (row ranges of the request table), decision points finish
-through :meth:`repro.coe.node.NodeState.finish` (scalar
-:class:`CompletedRequest` records), and materialization back to the
-exact NamedTuples the report/consumer code sees is lazy. Latency and token
-aggregation read the columns directly (``finish - arrival`` over float64
-arrays is elementwise-bitwise-equal to the scalar property).
+Runs and decision points complete alike: a drain logs the groups it
+completed as one :class:`CompletedLog` block (each group's exec start and
+end) and records their phase spans in a few bulk :meth:`Timeline.record_run`
+calls. Materialization back to the exact NamedTuples the report/consumer
+code sees is lazy. Latency and token aggregation read the columns
+directly (``finish - arrival`` over float64 arrays is
+elementwise-bitwise-equal to the scalar property).
 """
 
 from __future__ import annotations
@@ -128,11 +127,10 @@ class CompletedRequest(NamedTuple):
 
 
 class _Block(NamedTuple):
-    """One drained run: the node's request table (``requests`` with its
-    ``arrivals``/``tokens`` columns) and the row range ``lo:hi`` its
-    groups hold, in order, their expert names, starts and ends
-    (``bounds[k]`` and ``bounds[k + 1]`` of a float64 array) and batch
-    ``sizes``."""
+    """The groups one drain completed: the node's request table
+    (``requests`` with its ``arrivals``/``tokens`` columns) and the row
+    range ``lo:hi`` its groups hold, in order, their expert names, exec
+    ``starts`` and ``ends`` (float64; copy waits leave gaps) and ``sizes``."""
 
     requests: list
     arrivals: np.ndarray
@@ -140,7 +138,8 @@ class _Block(NamedTuple):
     lo: int
     hi: int
     names: list
-    bounds: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
     sizes: np.ndarray
 
     def materialize(self) -> List["CompletedRequest"]:
@@ -151,7 +150,6 @@ class _Block(NamedTuple):
         converts float64 to float exactly), as the scalar path does, so
         no per-request number is allocated.
         """
-        bounds = self.bounds.tolist()
         rows = iter(self.requests[self.lo:self.hi])
         return [
             CompletedRequest(
@@ -159,13 +157,13 @@ class _Block(NamedTuple):
                 req.output_tokens,
             )
             for name, size, start, end in zip(
-                self.names, self.sizes.tolist(), bounds,
-                islice(bounds, 1, None))
+                self.names, self.sizes.tolist(), self.starts.tolist(),
+                self.ends.tolist())
             for req in islice(rows, size)
         ]
 
     def latency_values(self) -> List[float]:
-        finish = np.repeat(self.bounds[1:], self.sizes)
+        finish = np.repeat(self.ends, self.sizes)
         return (finish - self.arrivals[self.lo:self.hi]).tolist()
 
     def token_total(self) -> int:
@@ -175,9 +173,9 @@ class _Block(NamedTuple):
 class CompletedLog:
     """Completion store mixing scalar records and column blocks.
 
-    Ordered segments: plain ``CompletedRequest`` lists (decision points,
-    which append record by record) interleaved with :class:`_Block`
-    runs. :attr:`append` is the *bound* ``list.append`` of the current
+    Ordered segments: plain ``CompletedRequest`` lists (the event path,
+    which appends record by record) interleaved with :class:`_Block`
+    drains. :attr:`append` is the *bound* ``list.append`` of the current
     tail segment — the scalar paths pay zero dispatch overhead over
     appending to a bare list. ``len()`` is the running count of the
     closed segments plus the tail's length.
@@ -201,10 +199,10 @@ class CompletedLog:
         self._cache_len = -1
 
     def extend_block(self, requests, arrivals, tokens, lo, hi, names,
-                     bounds, sizes) -> None:
-        """Append one drained run (see :class:`_Block`)."""
-        block = _Block(requests, arrivals, tokens, lo, hi, names, bounds,
-                       sizes)
+                     starts, ends, sizes) -> None:
+        """Append the groups one drain completed (see :class:`_Block`)."""
+        block = _Block(requests, arrivals, tokens, lo, hi, names, starts,
+                       ends, sizes)
         self._closed += hi - lo
         if self._tail:
             self._closed += len(self._tail)
@@ -271,7 +269,7 @@ class CompletedLog:
         one: an engine completes its groups one after another."""
         for seg in reversed(self._segments):
             if isinstance(seg, _Block):
-                return float(seg.bounds[-1])
+                return float(seg.ends[-1])
             if seg:
                 return seg[-1].finish_s
         return 0.0
@@ -759,6 +757,8 @@ def admit_backlog(
 
 #: The compute phases of a group, in execution order.
 _PHASES = ("router", "prefill", "decode")
+#: Groups per bulk span record of a drain (bounds the lists' memory).
+_SPAN_CHUNK = 2048
 
 
 @lru_cache(maxsize=None)
@@ -830,7 +830,6 @@ def drain(
     resident = runtime.resident_map
     copy_done = state.copy_done
     predictor = state.predictor
-    log = state.completed
     timeline = engine._sim.timeline
     overlap = engine.policy == "overlap"
     pipelining = state.pipeline_promotions
@@ -842,10 +841,16 @@ def drain(
     flat = cols.flat
     offsets = cols.offsets
     n = len(names)
-    if timeline is not None:
-        lane = engine.lane("compute")
+    # Groups first:finished completed, at these exec starts and ends.
+    pos = first = finished = spanned = cols.head
+    starts, ends = np.empty(n), np.empty(n)
+    lane = engine.lane("compute")
+    # Lane creation order is observable: until the compute lane exists,
+    # each completion records its spans at once, the rest at the end.
+    fresh = timeline is not None and lane not in timeline.lanes
     track = created is not None and timeline is not None
     known = len(timeline.lanes) if track else 0
+    event0 = len(times or ())
 
     def note(event: int, prefetch_at: Optional[float] = None) -> None:
         """Attribute the lanes created since the last note to the begin
@@ -860,9 +865,52 @@ def drain(
         created.extend((new, *key) for new in lanes[known:])
         known = len(lanes)
 
+    def record_spans(lo: int, hi: int) -> None:
+        """Record completed groups ``lo:hi``'s compute spans in bulk."""
+        nonlocal fresh, spanned
+        # s0, s0 + router, ..., + decode: the group step's float additions.
+        edges = np.concatenate((starts[lo:hi, None], flat[lo:hi]), 1).cumsum(1)
+        # A group starting at its predecessor's end shares that float, and
+        # a span ends at the boundary after its start.
+        distinct = np.ones(edges.shape, dtype=bool)
+        distinct[1:, 0] = edges[1:, 0] != edges[:-1, 3]
+        keep = flat[lo:hi] > 0
+        at_start = np.concatenate((keep, np.zeros((hi - lo, 1), bool)), 1)
+        at_start[:-1, 3] = keep[1:, 0] & ~distinct[1:, 0]  # a shared s0
+        bounds = edges[distinct].tolist()
+        at_start = at_start[distinct].tolist()
+        kept = keep.reshape(-1).tolist()
+        timeline.record_run(
+            lane,
+            list(compress(chain.from_iterable(
+                map(_span_names, names[lo:hi])), kept)),
+            list(compress(_PHASES * (hi - lo), kept)),
+            list(compress(bounds, at_start)),
+            list(compress(islice(bounds, 1, None), at_start)),
+            # One args dict per group, shared by its spans.
+            list(compress(chain.from_iterable(
+                repeat({"group": index, "batch": batch}, 3)
+                for index, batch in zip(
+                    range(lo, hi), np.diff(offsets[lo:hi + 1]).tolist())),
+                kept)),
+        )
+        if fresh and lane in timeline.lanes:
+            # Earlier fresh records had only zero-length phases.
+            fresh, spanned = False, hi
+            if track:  # spans are recorded at their group's finish
+                note(event0 + 2 * (lo - first + kept.index(True) // 3) + 1)
+
+    def complete(c: int, begun, ended) -> None:
+        """Log ``c`` more completed groups' exec starts and ends."""
+        nonlocal finished
+        starts[finished:finished + c] = begun
+        ends[finished:finished + c] = ended
+        finished += c
+        if fresh:
+            record_spans(finished - c, finished)
+
     deferred = 0
     now = start_at
-    pos = first = cols.head
     current = None
     prefetch_due = False
     while pos < n and now < horizon:
@@ -914,32 +962,9 @@ def drain(
             if times is not None:
                 # Each group's begin and finish; an in-flight group's
                 # finish is not drained.
-                base_event = len(times)
                 events = np.repeat(acc[:3 * m + 1:3], 2)[1:2 * m + 1]
                 times.extend(events[:2 * m - (c < m)].tolist())
-            run_names = names[pos:pos + c]
-            sizes = np.diff(offsets[pos:pos + c + 1])
-            if timeline is not None and c:
-                durations = flat[pos:pos + c]
-                times_c = acc[:3 * c + 1].tolist()
-                keep = (durations > 0).reshape(-1).tolist()
-                timeline.record_run(
-                    lane,
-                    list(compress(chain.from_iterable(
-                        map(_span_names, run_names)), keep)),
-                    list(compress(_PHASES * c, keep)),
-                    list(compress(times_c, keep)),
-                    list(compress(islice(times_c, 1, None), keep)),
-                    # One args dict per group, shared by its spans.
-                    list(compress(chain.from_iterable(
-                        repeat({"group": index, "batch": batch}, 3)
-                        for index, batch in zip(
-                            range(pos, pos + c), sizes.tolist())),
-                        keep)),
-                )
-                if track and True in keep:
-                    # Spans are recorded at a group's finish.
-                    note(base_event + 2 * (keep.index(True) // 3) + 1)
+            complete(c, acc[:3 * c:3], acc[3:3 * c + 1:3])
             if pipelining and run_end < n:
                 # Only the run's last group can promote (its successor
                 # is not a resident hit), at its begin time. Recording
@@ -948,14 +973,7 @@ def drain(
                 cols.head = run_end
                 state.promote_next(experts[run_end], float(acc[3 * m - 3]))
                 if track:
-                    note(base_event + 2 * m - 2)
-            if c:
-                log.extend_block(
-                    cols.requests, cols.arrivals, cols.tokens,
-                    int(offsets[pos]), int(offsets[pos + c]), run_names,
-                    acc[:3 * c + 1:3].copy(), sizes,
-                )
-                state.groups_done += c
+                    note(event0 + 2 * (run_end - 1 - first))
             pos = run_end
             if c < m:
                 i = pos - 1
@@ -995,11 +1013,9 @@ def drain(
             if end >= horizon:
                 current = (group, exec_start, base, index)
                 break
-            state.finish(group, exec_start, base, end, index)
             if times is not None:
                 times.append(end)
-                if track:
-                    note(begin_event + 1)
+            complete(1, exec_start, end)
             now = end
         if pos < n:
             # The next group begins once its expert's pending copy lands.
@@ -1007,6 +1023,17 @@ def drain(
             done = copy_done.get(head_name)
             if done is not None and done > now and head_name in resident:
                 now = done
+    if finished > first:
+        # Log now: an in-flight group's later finish follows this block.
+        if timeline is not None:
+            for lo in range(spanned, finished, _SPAN_CHUNK):
+                record_spans(lo, min(lo + _SPAN_CHUNK, finished))
+        state.completed.extend_block(
+            cols.requests, cols.arrivals, cols.tokens, int(offsets[first]),
+            int(offsets[finished]), names[first:finished],
+            starts[first:finished].copy(), ends[first:finished].copy(),
+            np.diff(offsets[first:finished + 1]))
+        state.groups_done += finished - first
     cols.head = pos
     engine._busy_until_s = now
     return DrainStop(pos - first, deferred, now, current, prefetch_due)

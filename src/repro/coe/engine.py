@@ -108,9 +108,9 @@ class EngineRequest:
     output_tokens: int = 20
     #: The simulator ignores it when scheduling: every request is
     #: queued at t=0 (saturated-server regime), but latency is measured
-    #: from ``arrival_s``, so a request served before it arrives reports
-    #: a negative latency. Honouring arrivals on the sim clock is
-    #: ROADMAP item 1.
+    #: from ``arrival_s``, so :func:`repro.serve` rejects ``arrival_s > 0``
+    #: in ``mode='sim'`` (the engines take any, for the cross-check).
+    #: Honouring arrivals on the sim clock is ROADMAP item 1.
     arrival_s: float = 0.0
     #: Admission-control rank: under deadline pressure (node loss, SLO
     #: shedding) lower-priority requests are shed first.

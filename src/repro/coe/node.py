@@ -12,8 +12,8 @@ place and a ``lookahead`` cache policy reads from its head), its
 :class:`ExpertServer` (cost model + expert cache) with its phase-time
 memo, its :class:`ExpertPredictor`, its single DMA path and its
 completion log. :meth:`NodeState.begin` starts a group and
-:meth:`NodeState.finish` ends it; columnar run blocks are the log's one
-other writer.
+:meth:`NodeState.finish` ends it; a columnar drain logs the groups it
+completes as one block of its own.
 
 It never reads a clock. Every step takes ``now`` from its caller and
 books its spans through what the caller installs with

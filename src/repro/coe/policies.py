@@ -158,11 +158,11 @@ class SchedulerName(PolicyEnum):
     EXPERT_REORDER = "expert_reorder"
 
 
-def check_count(name: str, value: object) -> int:
+def check_count(name: str, value: object, minimum: int = 1) -> int:
     """Return ``value`` as an ``int`` count, or raise ``ValueError``.
 
     A count (nodes, batch size, window, replicas) must be an integer of
-    at least 1. ``bool`` is refused even though it is an ``int``
+    at least ``minimum``. ``bool`` is refused even though it is an ``int``
     (``num_nodes=True`` would quietly mean one node), as is anything
     :func:`operator.index` refuses (``2.5``, ``"2"``); numpy integers
     pass.
@@ -175,8 +175,8 @@ def check_count(name: str, value: object) -> int:
         raise ValueError(
             f"{name} must be an integer, got {value!r}"
         ) from None
-    if count < 1:
-        raise ValueError(f"{name} must be >= 1, got {count}")
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
     return count
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 from repro.coe.columnar import CompletedLog, latency_values, token_total
@@ -303,7 +304,7 @@ def build_report(
         num_nodes=n,
         requests=len(requests),
         completed_requests=sum(map(len, logs)),
-        output_tokens=sum(r.output_tokens for r in requests),
+        output_tokens=sum(map(attrgetter("output_tokens"), requests)),
         makespan_s=makespan_s,
         p50_s=summary.p50_s,
         p95_s=summary.p95_s,

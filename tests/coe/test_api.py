@@ -231,6 +231,14 @@ class TestSchedulerAndTierCapacities:
         with pytest.raises(ValueError, match="DDR"):
             ServeConfig(tier_capacities={"hbm": 1 << 30, "ddr": 1 << 20})
 
+    @pytest.mark.parametrize("bad", [-1, -10**12, 1.5, True, "big"])
+    def test_reserved_hbm_bytes_non_negative_int(self, bad):
+        # A negative reservation would grow the HBM expert region past
+        # the device's HBM.
+        with pytest.raises(ValueError, match="reserved_hbm_bytes"):
+            ServeConfig(reserved_hbm_bytes=bad)
+        assert ServeConfig(reserved_hbm_bytes=0).reserved_hbm_bytes == 0
+
     def test_hbm_override_conflicts_with_reserved_bytes(self):
         with pytest.raises(ValueError, match="reserved_hbm_bytes"):
             ServeConfig(reserved_hbm_bytes=1 << 20,
@@ -383,11 +391,27 @@ class TestServe:
         assert report.requests == len(stream)
 
     def test_generates_requests_from_config_load(self, library):
+        # Live mode: the simulator rejects arrivals after t=0 (below).
         spec = ArrivalSpec(rate_rps=40.0, duration_s=1.0, seed=5)
-        report = serve(sn40l_platform, library,
-                       config=ServeConfig(load=spec))
+        report = serve(sn40l_platform, library, config=ServeConfig(
+            load=spec, mode="live", policy="affinity",
+            cluster_policy="least_loaded", time_scale=0.01))
         assert isinstance(report, ServeReport)
         assert report.requests > 0
+
+    def test_sim_mode_rejects_later_arrivals(self, library, stream):
+        """The simulator serves a trace as one t=0 backlog, so an
+        ``arrival_s > 0`` would report a negative latency: typed error,
+        from given requests and from ``config.load`` alike."""
+        spec = ArrivalSpec(rate_rps=40.0, duration_s=1.0, seed=5)
+        with pytest.raises(ServeModeError, match="arrival_s"):
+            serve(sn40l_platform, library, config=ServeConfig(load=spec))
+        late = [dataclasses.replace(r, arrival_s=0.5) for r in stream[:2]]
+        for config in (ServeConfig(), ServeConfig(num_nodes=2)):
+            with pytest.raises(ServeModeError, match="arrival_s"):
+                serve(sn40l_platform, library, stream[2:] + late, config)
+        # A t=0 backlog still serves.
+        assert serve(sn40l_platform, library, stream).requests == len(stream)
 
     def test_requests_required_without_load(self, library):
         with pytest.raises(ValueError, match="requests"):

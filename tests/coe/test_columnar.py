@@ -27,6 +27,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.coe.api import build_server
 from repro.coe.cache import BeladyPolicy, first_uses, make_policy
 from repro.coe.cluster_engine import ClusterEngine
 from repro.coe.columnar import (
@@ -54,9 +55,11 @@ from repro.coe.scheduling import (
     ExpertPredictor, RequestGroup, coalesce_groups,
 )
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.obs import Timeline
 from repro.sim.engine import Simulator
 from repro.systems.platforms import sn40l_platform
 from tests.coe.grouping import node_order
+from tests.coe.test_tiered_golden import GOLDEN
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +108,19 @@ def _record(i, expert="e0", batch=1, arrival=0.0, start=1.0, end=2.0, tok=3):
 _BLOCK_EXPERT = build_samba_coe_library(1).experts[0]
 
 
-def _block_records(first_id, names_sizes, start0):
+def _block_records(first_id, names_sizes, start0, gap=0.0):
     """Build extend_block arguments plus the equivalent scalar records:
     the block's request table holds one padding row on either side of
-    the rows it covers."""
+    the rows it covers. Each group runs 1.5 s and the next one starts
+    ``gap`` after it ends, as after a copy wait."""
     names = [n for n, _ in names_sizes]
     sizes = [s for _, s in names_sizes]
-    bounds, cursor = [start0], start0
+    starts, ends, cursor = [], [], start0
     for _ in names:
+        starts.append(cursor)
         cursor += 1.5
-        bounds.append(cursor)
+        ends.append(cursor)
+        cursor += gap
     pad = EngineRequest(request_id=-1, expert=_BLOCK_EXPERT)
     table, arrivals, tokens, records = [pad], [-1.0], [-1], []
     rid = first_id
@@ -127,13 +133,14 @@ def _block_records(first_id, names_sizes, start0):
             arrivals.append(0.25 * rid)
             tokens.append(rid + 10)
             records.append(
-                CompletedRequest(rid, name, size, 0.25 * rid, bounds[k],
-                                 bounds[k + 1], rid + 10))
+                CompletedRequest(rid, name, size, 0.25 * rid, starts[k],
+                                 ends[k], rid + 10))
             rid += 1
     columns = (
         table + [pad], np.asarray(arrivals + [-1.0]),
         np.asarray(tokens + [-1], dtype=np.int64), 1, len(table), names,
-        np.asarray(bounds), np.asarray(sizes, dtype=np.int64),
+        np.asarray(starts), np.asarray(ends),
+        np.asarray(sizes, dtype=np.int64),
     )
     return columns, records
 
@@ -223,6 +230,24 @@ def test_completed_log_latency_and_tokens_match_scalar():
     assert latency_values(log) == want_latencies
     assert log.token_total() == sum(c.output_tokens for c in expected)
     assert token_total(log) == sum(c.output_tokens for c in expected)
+
+
+def test_completed_log_block_with_gaps_keeps_each_start():
+    """A copy wait leaves a gap between one group's end and the next
+    group's start: records, latencies and the last finish read each
+    group's own start and end."""
+    log = CompletedLog()
+    columns, records = _block_records(
+        0, [("a", 2), ("b", 1), ("c", 3)], start0=1.0, gap=0.75)
+    log.extend_block(*columns)
+    assert [(c.start_s, c.finish_s) for c in records] == [
+        (1.0, 2.5), (1.0, 2.5), (3.25, 4.75),
+        (5.5, 7.0), (5.5, 7.0), (5.5, 7.0)]
+    assert log.materialize() == records
+    assert log.latency_values() == [c.latency_s for c in records]
+    assert log.last_finish_s() == 7.0
+    log.append(_record(6, start=7.5, end=9.0))
+    assert log.last_finish_s() == 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +646,65 @@ def test_drain_scan_reads_what_it_drains():
     assert stop.begun == 3 and stop.current[0] is groups[2]
     assert list(engine.completed) == list(whole.completed)[:2]
     assert engine.state.copy_done.reads <= 32
+
+
+def test_columnar_lanes_and_spans_equal_reference():
+    """Spans of a drain are recorded in bulk once its compute lane
+    exists, and at each completion before: lane creation order (here
+    the switch lane, then compute, then prefetch once a promotion runs)
+    is what ``Timeline.lanes`` and cross-lane ties of ``spans()``
+    follow, and it matches the reference drain's."""
+    library = build_samba_coe_library(24)
+    requests = zipf_request_stream(library, 300, seed=1)
+    working_set = sum(e.weight_bytes for e in library.experts)
+    hbm = int(0.5 * working_set)
+    reports = [
+        ServingEngine(
+            sn40l_platform(), library, drain_mode=mode,
+            pipeline_promotions=True,
+            tier_capacities={"hbm": hbm, "ddr": hbm},
+        ).run(requests)
+        for mode in ("reference", "columnar")
+    ]
+    reference, columnar = (report.timeline for report in reports)
+    assert reference.lanes == ["switch", "compute", "prefetch"]
+    assert columnar.lanes == reference.lanes
+    assert columnar.spans() == reference.spans()
+    assert list(reports[1].completed) == list(reports[0].completed)
+    # Back-to-back spans share one boundary float (peak memory).
+    compute = columnar.spans(lane="compute")
+    assert all(a.end_s is b.start_s for a, b in zip(compute, compute[1:])
+               if a.end_s == b.start_s)
+
+
+def test_columnar_drain_completes_without_the_group_step(monkeypatch):
+    """On the memwall golden setup (decision points outnumber runs)
+    no group completes through ``NodeState.finish``: the drain logs one
+    block and records the compute spans in a few bulk calls."""
+    num_experts, num_requests, make_config = GOLDEN["memwall_1node"][:3]
+    library = build_samba_coe_library(num_experts)
+    requests = zipf_request_stream(library, num_requests, seed=11)
+    finishes, compute_runs = [], []
+    finish, record_run = NodeState.finish, Timeline.record_run
+
+    def spy_finish(self, *args):
+        finishes.append(args)
+        return finish(self, *args)
+
+    def spy_record_run(self, lane, *columns):
+        if lane == "compute":
+            compute_runs.append(len(columns[0]))
+        return record_run(self, lane, *columns)
+
+    monkeypatch.setattr(NodeState, "finish", spy_finish)
+    monkeypatch.setattr(Timeline, "record_run", spy_record_run)
+    server = build_server(sn40l_platform, library, make_config(library))
+    report = server.serve(requests)
+    assert report.groups > 1_000
+    assert finishes == []
+    assert len(compute_runs) <= 2 + report.groups // 2048
+    assert sum(compute_runs) == len(report.timeline.spans(lane="compute"))
+    assert len(server.completed._segments) == 2  # one block, empty tail
 
 
 def test_serving_engine_rejects_reentry():
