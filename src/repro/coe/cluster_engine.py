@@ -685,6 +685,7 @@ class ClusterEngine:
         )
         self.rejected.extend(shed)
         num_groups = len(backlog.starts)
+        output_tokens = int(backlog.tokens.sum())
         del backlog  # its arrays need not live through the run
         if self.drain_mode == DrainMode.COLUMNAR.value:
             if roots:
@@ -717,6 +718,7 @@ class ClusterEngine:
         return build_report(
             [n.engine.state for n in self.nodes], self.timeline, requests,
             makespan,
+            output_tokens=output_tokens,
             crashed_at=[n.crashed_at for n in self.nodes],
             steals_in=[n.steals_in for n in self.nodes],
             replicas_hosted=[n.replicas_hosted for n in self.nodes],

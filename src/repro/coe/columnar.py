@@ -29,15 +29,15 @@ left-to-right, so each partial sum performs the *same* float additions
 in the *same* order as the scalar loop — the timestamps are bitwise
 identical, not merely close (pinned by ``tests/coe/test_columnar.py``).
 Cache/predictor bookkeeping for a run goes through the batch APIs
-(:meth:`CoERuntime.touch_run`, :meth:`CachePolicy.on_access_run`,
-:meth:`ExpertPredictor.observe_run`), each an order-equivalent bulk form
-of its scalar path. Only *decision points* run the per-group
-step, :meth:`repro.coe.node.NodeState.begin` — the same call the
-reference drain and the live worker make for every group: a cache miss
-(victim selection + demand copy), a pending copy barrier, and under
-the ``overlap`` policy a group whose prefetch is more than a
-speculative recency refresh of a resident successor. That keeps
-``CoERuntime.activate`` the single cache-decision choke point the
+(:meth:`CoERuntime.touch_run`, :meth:`CachePolicy.on_access_run` and,
+on a node that keeps a predictor, :meth:`ExpertPredictor.observe_run`),
+each an order-equivalent bulk form of its scalar path. Only *decision
+points* run the per-group step, :meth:`repro.coe.node.NodeState.begin`
+— the same call the reference drain and the live worker make for every
+group: a cache miss (victim selection + demand copy), a pending copy
+barrier, and under the ``overlap`` policy a group whose prefetch is
+more than a speculative recency refresh of a resident successor. That
+keeps ``CoERuntime.activate`` the single cache-decision choke point the
 sim/live cross-check relies on. Pipelined promotions happen at run
 ends, and a ``lookahead`` policy reads the queue from its head, which
 the drain moves past a group before its step (docs/PERFORMANCE.md,
@@ -580,10 +580,16 @@ def _distinct_rows(*columns: np.ndarray) -> tuple:
 
 class Grouping(NamedTuple):
     """A trace grouped for admission (:func:`group_backlog`): its groups
-    in admission order, as arrays over its requests."""
+    in admission order, as arrays over its requests.
+
+    Each expert code has one name and one profile, the first request's
+    of that name in trace order, and every group of the code carries
+    that profile: a trace whose requests hold two distinct profiles
+    under one name groups them together, as one expert."""
 
     requests: Sequence
     names: List[str]  # of each expert code
+    experts: List["ExpertProfile"]  # of each expert code
     grouped: np.ndarray  # grouped position -> row of ``requests``
     # Per group: first grouped position, size, expert code, and longest
     # prompt and output.
@@ -619,6 +625,10 @@ def group_backlog(requests: Sequence, scheduler: "Scheduler", policy: str,
     check_count("max_batch", max_batch)
     n = len(requests)
     codes, names = expert_codes(requests)
+    # Codes number names first-seen, so a code's first request is where
+    # their running maximum rises.
+    firsts = np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))
+    experts = list(map(_EXPERT, take(requests, firsts)))
     # Codes only name classes, so they carry through the scheduler's
     # permutation unchanged.
     grouped = scheduler.permutation(codes)
@@ -632,8 +642,8 @@ def group_backlog(requests: Sequence, scheduler: "Scheduler", policy: str,
     starts = group_starts(codes, max_batch)
     tokens = _column(requests, _OUTPUT_TOKENS)
     return Grouping(
-        requests, names, grouped, starts, np.diff(np.append(starts, n)),
-        codes[starts],
+        requests, names, experts, grouped, starts,
+        np.diff(np.append(starts, n)), codes[starts],
         np.maximum.reduceat(_column(requests, _PROMPT)[grouped], starts),
         np.maximum.reduceat(tokens[grouped], starts),
         _column(requests, _ARRIVAL, np.float64), tokens,
@@ -691,8 +701,9 @@ def admit_backlog(
     table = take(requests, backlog.rows_of(lo + first_of))
     lengths = sizes[first_of].tolist()
     heads = np.cumsum([0] + lengths).tolist()
-    reps = [RequestGroup(table[head].expert, tuple(table[head:head + size]))
-            for head, size in zip(heads, lengths)]
+    reps = [RequestGroup(expert, tuple(table[head:head + size]))
+            for expert, head, size in zip(
+                take(backlog.experts, codes[first_of]), heads, lengths)]
     for index, engine in enumerate(engines):
         mine = np.flatnonzero(nodes[first_of] == index)
         for shape, triple in zip(mine.tolist(),
@@ -732,20 +743,23 @@ def admit_backlog(
         rows = backlog.rows_of(lo + mine)
         table = take(requests, rows)
         lengths = sizes[mine]
-        heads = np.cumsum(lengths) - lengths
-        experts = list(map(_EXPERT, take(table, heads)))
+        experts = take(backlog.experts, codes[mine])
         queue = engine.state.queue
         if queue.names:
+            heads = np.cumsum(lengths) - lengths
             queue.extend(
                 [RequestGroup(expert, tuple(table[head:head + size]))
                  for expert, head, size in zip(
                      experts, heads.tolist(), lengths.tolist())],
                 take(base, shape_of[mine]))
         else:
-            shapes, local = np.unique(shape_of[mine], return_inverse=True)
+            # The node's shapes, renumbered densely in shape order.
+            present = np.zeros(len(first_of), dtype=bool)
+            present[shape_of[mine]] = True
+            local = (np.cumsum(present) - 1)[shape_of[mine]]
             engine.state.queue = GroupColumns(
                 experts, take(backlog.names, codes[mine]),
-                take(base, shapes), local.reshape(-1), lengths, table,
+                take(base, np.flatnonzero(present)), local, lengths, table,
                 backlog.arrivals[rows], backlog.tokens[rows],
             )
     roots = sorted((i for i in range(len(engines)) if bounds[i + 1] >
@@ -954,7 +968,8 @@ def drain(
                 m = c + 1
                 run_end = pos + m
             run_experts = experts[pos:run_end]
-            predictor.observe_run(run_experts)
+            if predictor is not None:
+                predictor.observe_run(run_experts)
             if overlap:
                 runtime.touch_run(run_experts, experts[pos + 1:run_end + 1])
             else:

@@ -98,7 +98,7 @@ class EngineReentryError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EngineRequest:
     """One pre-routed request in the engine's backlog."""
 
@@ -173,6 +173,7 @@ class ServingEngine:
         #: :meth:`precompute_phases`), DMA state and queue.
         self.state = NodeState(
             platform, library, lane_prefix=lane_prefix,
+            node_policy=self.policy,
             reserved_hbm_bytes=reserved_hbm_bytes, cache_policy=cache_policy,
             tier_capacities=tier_capacities,
             pipeline_promotions=pipeline_promotions, decision_log=decision_log,
@@ -700,6 +701,7 @@ class ServingEngine:
                                     self.window, self.max_batch)
             admit_backlog([self], backlog)
             num_groups = len(backlog.starts)
+            output_tokens = int(backlog.tokens.sum())
             del backlog  # its arrays need not live through the run
             if self.drain_mode == DrainMode.COLUMNAR.value:
                 sim.schedule_at(
@@ -713,6 +715,7 @@ class ServingEngine:
             self.unbind()
         return build_report(
             [self.state], timeline, requests, makespan,
+            output_tokens=output_tokens,
             policy=self.policy,
             cluster_policy=None,
             scheduler=self.scheduler.name,

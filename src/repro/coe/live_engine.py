@@ -23,7 +23,8 @@ decisions** to the sim backend for the same request stream:
   spread in time, and a trace that arrives at one instant is admitted
   in one call, priority order included, as the sim admits it.
 - Every group goes through :meth:`repro.coe.node.NodeState.begin`,
-  the group step the sim's drains call too: predictor observe, the
+  the group step the sim's drains call too: the predictor's observe
+  (under a ``predictive`` cache, the only live policy that reads it), the
   cache decision inside :meth:`repro.coe.runtime.CoERuntime.activate`,
   the demand copy on the node's DMA cursor and the pipelined-promotion
   peek. The worker only sleeps to the step's planned exec start and
@@ -254,6 +255,7 @@ class LiveEngine:
         backlog = group_backlog(requests, self.scheduler, self.policy,
                                 config.window, config.max_batch)
         self._groups = len(backlog.starts)
+        self._output_tokens = int(backlog.tokens.sum())
         release = release_times(backlog.arrivals[backlog.grouped],
                                 backlog.starts, self.policy, config.window)
         # Release instants are monotone: admit each run of equal ones.
@@ -398,6 +400,7 @@ class LiveEngine:
             )
         return build_report(
             states, self.timeline, requests, makespan,
+            output_tokens=self._output_tokens,
             policy=self.policy,
             cluster_policy=self.cluster_policy,
             scheduler=self.scheduler.name,

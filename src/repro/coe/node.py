@@ -10,10 +10,10 @@ reference drain, the columnar drain's decision points
 :class:`~repro.coe.columnar.GroupColumns`, which every path edits in
 place and a ``lookahead`` cache policy reads from its head), its
 :class:`ExpertServer` (cost model + expert cache) with its phase-time
-memo, its :class:`ExpertPredictor`, its single DMA path and its
-completion log. :meth:`NodeState.begin` starts a group and
-:meth:`NodeState.finish` ends it; a columnar drain logs the groups it
-completes as one block of its own.
+memo, its :class:`ExpertPredictor` where a policy reads one, its
+single DMA path and its completion log. :meth:`NodeState.begin` starts
+a group and :meth:`NodeState.finish` ends it; a columnar drain logs the
+groups it completes as one block of its own.
 
 It never reads a clock. Every step takes ``now`` from its caller and
 books its spans through what the caller installs with
@@ -31,6 +31,7 @@ from repro.coe.cache import CachePolicyLike, LookaheadPolicy, PredictivePolicy
 from repro.coe.columnar import CompletedLog, CompletedRequest, GroupColumns
 from repro.coe.decisions import DecisionLog
 from repro.coe.expert import ExpertLibrary, ExpertProfile
+from repro.coe.policies import NodePolicy
 from repro.coe.scheduling import ExpertPredictor, RequestGroup
 from repro.coe.serving import ExpertServer
 from repro.obs import Timeline
@@ -44,7 +45,11 @@ class NodeState:
     completion log, and its group step.
 
     A ``lookahead`` cache policy reads the queue's next-use index as its
-    window (:meth:`GroupColumns.next_use`).
+    window (:meth:`GroupColumns.next_use`). The node keeps an
+    :class:`ExpertPredictor` (:attr:`predictor`) only when something
+    reads it: the ``overlap`` prefetcher (``node_policy``), or a
+    ``predictive`` cache policy without its own predictor, which the
+    node binds. Otherwise :attr:`predictor` is None and nothing observes.
     Decisions stream into ``decision_log`` under the node's name
     (``lane_prefix`` without its slash, ``"node0"`` when empty).
     """
@@ -55,6 +60,7 @@ class NodeState:
         library: ExpertLibrary,
         *,
         lane_prefix: str = "",
+        node_policy: str = "fifo",
         reserved_hbm_bytes: Optional[int] = None,
         cache_policy: CachePolicyLike = None,
         tier_capacities: Optional[Dict[str, int]] = None,
@@ -65,7 +71,6 @@ class NodeState:
             platform, library, reserved_hbm_bytes=reserved_hbm_bytes,
             cache_policy=cache_policy, tier_capacities=tier_capacities,
         )
-        self.predictor = ExpertPredictor()
         #: (expert name, batch, prompt, output) -> base (router_s,
         #: prefill_s, decode_s) with no slow factor applied (see
         #: :meth:`phase_times`).
@@ -74,8 +79,12 @@ class NodeState:
         runtime = self.server.runtime
         # A predictive cache policy without its own predictor reads the
         # node's — the same Markov model the overlap prefetcher uses.
-        if (isinstance(runtime.policy, PredictivePolicy)
-                and runtime.policy.predictor is None):
+        bind = (isinstance(runtime.policy, PredictivePolicy)
+                and runtime.policy.predictor is None)
+        self.predictor: Optional[ExpertPredictor] = None
+        if bind or NodePolicy.coerce(node_policy) is NodePolicy.OVERLAP:
+            self.predictor = ExpertPredictor()
+        if bind:
             runtime.policy.predictor = self.predictor
         if isinstance(runtime.policy, LookaheadPolicy):
             runtime.policy.bind_backlog(lambda: self.queue.next_use())
@@ -177,17 +186,19 @@ class NodeState:
     ) -> float:
         """The group step: make ``group``'s expert ready to execute.
 
-        In order: the predictor observes the demand stream (a predictive
-        cache policy needs it even when nothing prefetches); a resident
-        expert gets a free recency refresh and waits for its pending
-        copy, if any, while a non-resident one is copied in on the DMA
-        path (:meth:`demand_copy`); then, with promotion pipelining on,
+        In order: the predictor, if the node keeps one, observes the
+        demand stream (a predictive cache policy reads it even when
+        nothing prefetches); a resident expert gets a free recency
+        refresh and waits for its pending copy, if any, while a
+        non-resident one is copied in on the DMA path
+        (:meth:`demand_copy`); then, with promotion pipelining on,
         ``next_expert`` (the group up next, or None) starts its
         NVMe->DDR promotion (:meth:`promote_next`). Returns the time
         the group can start executing.
         """
         expert = group.expert
-        self.predictor.observe(expert)
+        if self.predictor is not None:
+            self.predictor.observe(expert)
         runtime = self.server.runtime
         if runtime.is_resident(expert):
             runtime.activate(expert)  # hit: free recency refresh

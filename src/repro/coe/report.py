@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
-from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 from repro.coe.columnar import CompletedLog, latency_values, token_total
@@ -260,7 +259,9 @@ def build_report(
     ``requests`` is the submitted backlog. ``crashed_at``,
     ``steals_in`` and ``replicas_hosted`` are per-node cluster tallies
     (empty: no node crashed, stole or hosted a replica); ``tallies`` are
-    the remaining :class:`ServeReport` fields the engine keeps itself.
+    the remaining :class:`ServeReport` fields the engine keeps itself,
+    ``output_tokens`` among them: the backlog's total, which the engine
+    sums from its grouping (:attr:`repro.coe.columnar.Grouping.tokens`).
     """
     n = len(states)
     crashed_at = list(crashed_at) or [None] * n
@@ -304,7 +305,6 @@ def build_report(
         num_nodes=n,
         requests=len(requests),
         completed_requests=sum(map(len, logs)),
-        output_tokens=sum(map(attrgetter("output_tokens"), requests)),
         makespan_s=makespan_s,
         p50_s=summary.p50_s,
         p95_s=summary.p95_s,

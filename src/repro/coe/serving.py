@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.coe.expert import ExpertLibrary, ExpertProfile
+from repro.coe.policies import check_count
 from repro.coe.router import Router, RoutingDecision
 from repro.coe.runtime import CoERuntime
 from repro.memory.hierarchy import MemoryHierarchy
@@ -143,6 +144,9 @@ class ExpertServer:
         self.platform = platform
         self.library = library
         self.router = router or Router(library)
+        if reserved_hbm_bytes is not None:
+            reserved_hbm_bytes = check_count(
+                "reserved_hbm_bytes", reserved_hbm_bytes, minimum=0)
         caps = validate_tier_capacities(tier_capacities) or {}
         hbm_override = caps.get("hbm")
         if hbm_override is not None:

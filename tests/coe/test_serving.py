@@ -63,6 +63,18 @@ class TestCrossPlatform:
             ExpertServer(sn40l_platform(), library,
                       reserved_hbm_bytes=10**15)
 
+    @pytest.mark.parametrize("bad", [-10**12, -1, 2.5, True])
+    def test_bad_reservation_rejected(self, bad):
+        # A negative reservation would size the HBM expert region past
+        # the HBM itself.
+        with pytest.raises(ValueError, match="reserved_hbm_bytes"):
+            ExpertServer(sn40l_platform(), build_samba_coe_library(4),
+                         reserved_hbm_bytes=bad)
+        assert ExpertServer(
+            sn40l_platform(), build_samba_coe_library(4),
+            reserved_hbm_bytes=0,
+        ).reserved_hbm_bytes == 0
+
 
 class TestTextServing:
     def test_prompts_route_and_serve(self, library):
