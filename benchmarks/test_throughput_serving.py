@@ -19,7 +19,8 @@ import pytest
 
 from benchmarks.conftest import fmt_ms, print_table
 from repro.bench.sweep import SweepPoint, run_sweep
-from repro.coe.engine import POLICIES, compare_policies, zipf_request_stream
+from repro.coe.engine import compare_policies, zipf_request_stream
+from repro.coe.policies import NodePolicy
 from repro.coe.expert import build_samba_coe_library
 from repro.models.catalog import LLAMA2_7B
 from repro.systems.platforms import (
@@ -155,7 +156,7 @@ def test_emit_bench_json(throughput_reports, microbench):
             "requests": NUM_REQUESTS,
             "output_tokens": OUTPUT_TOKENS,
             "zipf_alpha": ZIPF_ALPHA,
-            "policies": list(POLICIES),
+            "policies": list(NodePolicy.values()),
         },
         "serving": {
             platform: {policy: report.to_dict()

@@ -184,14 +184,6 @@ class MemoryTierSpec:
     bandwidth: float
     latency_s: float
 
-    def transfer_time(self, num_bytes: float) -> float:
-        """Time to move ``num_bytes`` at peak tier bandwidth."""
-        if num_bytes < 0:
-            raise ValueError(f"negative transfer size: {num_bytes}")
-        if num_bytes == 0:
-            return 0.0
-        return self.latency_s + num_bytes / self.bandwidth
-
 
 @dataclass(frozen=True)
 class SocketConfig:

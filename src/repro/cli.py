@@ -33,6 +33,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.coe.policies import FIELDS, ClusterPolicy, NodePolicy
 from repro.memory import CapacityError
 from repro.units import fmt_bandwidth, fmt_bytes, fmt_time
 
@@ -200,14 +201,14 @@ def _tier_caps_from_args(args, library):
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.coe.api import ServeConfig, serve
-    from repro.coe.engine import POLICIES
 
     platforms = _platform_factories()
     selected = list(platforms) if args.platform == "all" else [args.platform]
-    policies = list(POLICIES) if args.policy == "all" else [args.policy]
-    if args.inject_fault:
-        print("serve-bench is single-node; faults need cluster-bench or "
-              "trace --cluster", file=sys.stderr)
+    policies = (list(NodePolicy.values()) if args.policy == "all"
+                else [args.policy])
+    if args.inject_fault or args.deadline is not None:
+        print("serve-bench is single-node; faults and deadlines need "
+              "cluster-bench or trace --cluster", file=sys.stderr)
         return 2
     try:
         library, requests = _build_stream(args)
@@ -279,7 +280,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
 def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     from repro.coe.api import ServeConfig, serve
-    from repro.coe.cluster_engine import CLUSTER_POLICIES
 
     platforms = _platform_factories()
     if args.platform == "all":
@@ -288,7 +288,7 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         return 2
     if args.policy == "all":
         print("cluster-bench sweeps --cluster-policy; pick one node "
-              "--policy (fifo|affinity|overlap)", file=sys.stderr)
+              f"--policy ({'|'.join(NodePolicy.values())})", file=sys.stderr)
         return 2
     try:
         node_counts = _parse_node_counts(args.num_nodes)
@@ -297,7 +297,7 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    policies = (list(CLUSTER_POLICIES) if args.cluster_policy == "all"
+    policies = (list(ClusterPolicy.values()) if args.cluster_policy == "all"
                 else [args.cluster_policy])
     replication = not args.no_replication
     print(f"{args.requests} requests over {len(library)} experts "
@@ -583,9 +583,9 @@ def _trace_serve(args: argparse.Namespace) -> int:
         print("trace runs one configuration; pick a single --platform "
               "and --policy", file=sys.stderr)
         return 2
-    if args.inject_fault:
-        print("faults need per-node recovery; use trace --cluster",
-              file=sys.stderr)
+    if args.inject_fault or args.deadline is not None:
+        print("faults and deadlines need the cluster engine; use trace "
+              "--cluster", file=sys.stderr)
         return 2
     try:
         library, requests = _build_stream(args)
@@ -687,6 +687,11 @@ def build_parser() -> argparse.ArgumentParser:
     coe_p.add_argument("--tokens", type=int, default=20)
     coe_p.set_defaults(fn=_cmd_coe)
 
+    def knob(name):
+        """A ServeConfig field's declared default, as a flag value."""
+        domain = FIELDS[name]
+        return domain.encode(domain.default)
+
     # One parent-parser definition for every serving-path subcommand so
     # serve-bench, cluster-bench and trace accept identical flag
     # spellings. Built fresh per subcommand (a factory, not one shared
@@ -699,23 +704,23 @@ def build_parser() -> argparse.ArgumentParser:
             "--platform", default="sn40l",
             choices=["sn40l", "dgx-a100", "dgx-h100", "all"])
         p.add_argument(
-            "--policy", default="overlap",
-            choices=["fifo", "affinity", "overlap", "all"],
+            "--policy", default=knob("policy"),
+            choices=FIELDS["policy"].choices + ("all",),
             help="node scheduling policy")
         p.add_argument(
-            "--cluster-policy", default="steal",
-            choices=["least_loaded", "affinity", "steal", "all"],
+            "--cluster-policy", default=knob("cluster_policy"),
+            choices=FIELDS["cluster_policy"].choices + ("all",),
             help="cross-node dispatch policy (cluster paths)")
         p.add_argument(
-            "--cache-policy", default="lru",
-            choices=["lru", "lfu", "gdsf", "predictive", "lookahead"],
+            "--cache-policy", default=knob("cache_policy"),
+            choices=FIELDS["cache_policy"].choices,
             help="HBM expert-cache eviction policy (belady is offline-"
                  "only; see benchmarks/test_cache_policies.py; lookahead "
                  "ranks victims by next-use distance in the scheduler's "
                  "reordered backlog)")
         p.add_argument(
-            "--scheduler", default="fifo",
-            choices=["fifo", "expert_reorder"],
+            "--scheduler", default=knob("scheduler"),
+            choices=FIELDS["scheduler"].choices,
             help="admission-time request reordering applied before node "
                  "dispatch (expert_reorder groups by expert to cut "
                  "switch traffic under constrained memory)")
@@ -743,8 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--requests", type=int, default=256)
         p.add_argument("--tokens", type=int, default=20)
         p.add_argument("--prompt", type=int, default=256)
-        p.add_argument("--max-batch", type=int, default=8)
-        p.add_argument("--window", type=int, default=16)
+        p.add_argument("--max-batch", type=int, default=knob("max_batch"))
+        p.add_argument("--window", type=int, default=knob("window"))
         p.add_argument("--zipf", type=float, default=1.1)
         p.add_argument("--seed", type=int, default=1234)
         p.add_argument(
@@ -753,7 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "crashes the node at T; also crash:NODE:T, "
                  "slow:NODE:T:DURATION[:MULT], copyfail:NODE:T[:COUNT]")
         p.add_argument(
-            "--deadline", type=float, default=None, metavar="SECONDS",
+            "--deadline", type=float, default=knob("deadline_s"),
+            metavar="SECONDS",
             help="SLO deadline; work that cannot meet it is shed "
                  "lowest-priority first and reported as rejected")
         p.add_argument("-o", "--output", metavar="FILE",
@@ -773,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-node scaling curve: tokens/s and load imbalance vs nodes",
     )
     cluster_p.add_argument("--node-policy", dest="policy",
-                           choices=["fifo", "affinity", "overlap"],
+                           choices=FIELDS["policy"].choices,
                            help=argparse.SUPPRESS)  # legacy alias of --policy
     cluster_p.add_argument("--no-replication", action="store_true",
                            help="disable online hot-expert replication")
@@ -797,11 +803,14 @@ def build_parser() -> argparse.ArgumentParser:
     live_p.add_argument("--duration", type=float, default=10.0,
                         help="trace duration in model seconds")
     live_p.add_argument(
-        "--time-scale", type=float, default=None, metavar="S",
-        help="wall seconds per model second (1.0 = real time; small "
-             "values fast-forward the trace)")
-    live_p.add_argument("--max-queue", type=int, default=None, metavar="N",
-                        help="per-node admission queue bound (backpressure)")
+        "--time-scale", type=float, default=knob("time_scale"), metavar="S",
+        help=f"wall seconds per model second (default "
+             f"{FIELDS['time_scale'].unset:g} = real time; small values "
+             f"fast-forward the trace)")
+    live_p.add_argument(
+        "--max-queue", type=int, default=knob("max_queue"), metavar="N",
+        help=f"per-node admission queue bound (backpressure; default "
+             f"{FIELDS['max_queue'].unset})")
     live_p.add_argument("--record-trace", metavar="FILE",
                         help="save the generated arrival trace as JSON")
     live_p.add_argument("--replay-trace", metavar="FILE",

@@ -30,7 +30,6 @@ from repro.coe.scheduling import (
     make_scheduler,
 )
 from repro.coe.engine import (
-    POLICIES,
     CompletedRequest,
     EngineReentryError,
     EngineRequest,
@@ -39,7 +38,6 @@ from repro.coe.engine import (
     zipf_request_stream,
 )
 from repro.coe.cluster_engine import (
-    CLUSTER_POLICIES,
     ClusterEngine,
     cluster_lanes,
     run_cluster,
@@ -89,11 +87,11 @@ __all__ = [
     "RequestLatency", "ServeResult", "ExpertPredictor", "Request",
     "affinity_schedule", "fifo_schedule",
     "ServingMetrics", "compute_metrics", "metrics_of",
-    "RequestGroup", "coalesce_groups", "POLICIES", "CompletedRequest",
+    "RequestGroup", "coalesce_groups", "CompletedRequest",
     "CompletedLog", "LatencySummary", "summarize_latencies",
     "EngineReentryError", "EngineRequest", "ServingEngine",
     "compare_policies",
-    "zipf_request_stream", "CLUSTER_POLICIES", "ClusterEngine",
+    "zipf_request_stream", "ClusterEngine",
     "NodeSummary", "ServeReport", "cluster_lanes", "run_cluster",
     "ClusterPolicy", "DrainMode", "NodePolicy", "PolicyEnum",
     "CACHE_POLICIES", "BeladyPolicy", "CachePolicy", "CachePolicyName",

@@ -1,18 +1,12 @@
 """The unified serving facade: one config, one entry point, two engines.
 
-Historically each serving layer had its own front door — the latency
-path's :class:`repro.coe.serving.ExpertServer`, the
-single-node :class:`repro.coe.engine.ServingEngine`, and the scale-out
-:class:`repro.coe.cluster_engine.ClusterEngine` — with overlapping but
-differently-spelled knobs. This module is the one surface callers use:
+This module is the one surface callers use:
 
 - :class:`Server` — the protocol both engines satisfy (``serve(requests)
   -> report``), so schedulers, benchmarks and the CLI can hold either.
 - :class:`ServeConfig` — every serving knob in one validated, frozen
-  dataclass: typed policies (:class:`repro.coe.policies.NodePolicy`,
-  :class:`~repro.coe.policies.ClusterPolicy` — legacy strings coerce),
-  batching/prefetch, cluster shape, and the fault/SLO surface
-  (:class:`repro.sim.faults.FaultSchedule`, heartbeat, deadline).
+  dataclass, each field's domain declared in
+  :data:`repro.coe.policies.FIELDS`.
 - :func:`serve` — ``repro.serve(platform, library, requests, config)``:
   builds the right engine for the config and drains the backlog.
 
@@ -29,30 +23,25 @@ serves the batch-of-one latency path; see ``docs/SERVING_API.md``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Protocol, Sequence, Union, runtime_checkable
 
-from repro.coe.cluster_engine import (
-    ClusterEngine, _check_cluster_limits, _coerce_faults,
-)
+from repro.coe.cluster_engine import ClusterEngine
 from repro.coe.decisions import DecisionLog
-from repro.coe.engine import EngineRequest, ServingEngine, check_count
+from repro.coe.engine import EngineRequest, ServingEngine
 from repro.coe.expert import ExpertLibrary
 from repro.coe.policies import (
+    FIELDS,
     CachePolicyName,
     ClusterPolicy,
     NodePolicy,
     SchedulerName,
     ServeMode,
+    ServeModeError,
+    validate,
 )
 from repro.coe.report import ServeReport
-from repro.coe.serving import (
-    ExpertServer,
-    RequestLatency,
-    ServeResult,
-    validate_tier_capacities,
-)
+from repro.coe.serving import ExpertServer, RequestLatency, ServeResult
 from repro.load import ArrivalSpec, generate_trace
 from repro.sim.faults import FaultSchedule
 from repro.systems.platforms import Platform
@@ -60,15 +49,6 @@ from repro.systems.platforms import Platform
 #: A platform instance, or a zero-arg factory of them (cluster nodes
 #: each get their own instance when a factory is given).
 PlatformLike = Union[Platform, Callable[[], Platform]]
-
-
-class ServeModeError(ValueError):
-    """A config option was used in the wrong :class:`ServeMode`.
-
-    Raised instead of silently ignoring the option, matching the
-    belady-by-name rejection pattern: a knob that cannot take effect in
-    the requested mode is a caller bug, not a default to paper over.
-    """
 
 
 @runtime_checkable
@@ -89,29 +69,27 @@ class Server(Protocol):
 class ServeConfig:
     """Every serving knob, validated once, in one place.
 
-    Policies accept enum members or their legacy string values
-    (coerced through :meth:`repro.coe.policies.PolicyEnum.coerce`, which
-    raises a :class:`ValueError` naming the valid members). ``faults``
-    accepts a :class:`FaultSchedule`, an iterable of fault events, or an
-    iterable of spec strings (``"node3:2.5"``, ``"slow:1:0.5:2"``...).
+    Each field's type, bounds, default and mode are declared once, in
+    :data:`repro.coe.policies.FIELDS`; construction checks every field
+    there and applies :data:`repro.coe.policies.RULES`, the rules that
+    relate fields. Policies accept enum members or their value strings;
+    ``faults`` accepts a :class:`FaultSchedule`, fault events, or spec
+    strings (``"node3:2.5"``, ``"slow:1:0.5:2"``...).
     """
 
     #: Single-node scheduling policy (also each cluster node's).
-    policy: NodePolicy = NodePolicy.OVERLAP
+    policy: NodePolicy = FIELDS["policy"].default
     #: Cross-node dispatch policy (ignored on one node).
-    cluster_policy: ClusterPolicy = ClusterPolicy.STEAL
-    #: HBM expert-cache eviction policy (every node's runtime). The
-    #: offline ``belady`` oracle needs a recorded trace and cannot be
-    #: configured by name — build a
-    #: :class:`repro.coe.cache.BeladyPolicy` and pass it to the engine
-    #: directly instead.
-    cache_policy: CachePolicyName = CachePolicyName.LRU
+    cluster_policy: ClusterPolicy = FIELDS["cluster_policy"].default
+    #: HBM expert-cache eviction policy (every node's runtime); the
+    #: offline ``belady`` oracle is refused by name.
+    cache_policy: CachePolicyName = FIELDS["cache_policy"].default
     #: Admission-time request reordering applied to the queued backlog
     #: before node scheduling (:class:`repro.coe.policies.SchedulerName`;
     #: implementations in :mod:`repro.coe.scheduling`). ``fifo`` is the
     #: historical arrival order; ``expert_reorder`` batches the backlog
     #: by expert to amortize tier switches. Valid in both modes.
-    scheduler: SchedulerName = SchedulerName.FIFO
+    scheduler: SchedulerName = FIELDS["scheduler"].default
     #: CoServe-style promotion pipelining: when the scheduler's
     #: reordered backlog shows an upcoming NVMe-resident expert, its
     #: NVMe->DDR promotion starts on the prefetch lane while the current
@@ -121,7 +99,7 @@ class ServeConfig:
     #: incompatible with the ``overlap`` node policy (both claim the
     #: idle DMA). Valid in both modes — live runs cancel in-flight
     #: promotions wall-clock-legally at shutdown.
-    pipeline_promotions: bool = False
+    pipeline_promotions: bool = FIELDS["pipeline_promotions"].default
     #: Byte budgets per memory tier (``{"hbm": ..., "ddr": ...,
     #: "nvme": ...}``), overriding the platform defaults — the
     #: constrained-memory ladder's knob. ``"hbm"`` sizes the expert
@@ -131,132 +109,40 @@ class ServeConfig:
     #: the platform's HBM and second tier and no NVMe. A library the
     #: budgets cannot hold raises :class:`repro.memory.CapacityError`
     #: when the engine is built.
-    tier_capacities: Optional[dict] = None
-    num_nodes: int = 1
-    max_batch: int = 8
-    window: int = 16
-    online_replication: bool = True
+    tier_capacities: Optional[dict] = FIELDS["tier_capacities"].default
+    num_nodes: int = FIELDS["num_nodes"].default
+    max_batch: int = FIELDS["max_batch"].default
+    window: int = FIELDS["window"].default
+    online_replication: bool = FIELDS["online_replication"].default
     #: HBM reserved for router + KV cache on every node.
-    reserved_hbm_bytes: Optional[int] = None
+    reserved_hbm_bytes: Optional[int] = FIELDS["reserved_hbm_bytes"].default
     #: Deterministic fault schedule (forces the cluster engine).
-    faults: FaultSchedule = field(default_factory=FaultSchedule)
+    faults: FaultSchedule = FIELDS["faults"].default
     #: Crash-detection sweep period (bounds detection latency).
-    heartbeat_s: float = 0.05
+    heartbeat_s: float = FIELDS["heartbeat_s"].default
     #: SLO deadline; admission sheds work that cannot meet it
     #: (lowest priority first, reported as ``rejected``).
-    deadline_s: Optional[float] = None
+    deadline_s: Optional[float] = FIELDS["deadline_s"].default
     #: Which clock drives the run: the discrete-event simulator
     #: (``"sim"``, the default) or the asyncio wall clock (``"live"``).
-    mode: ServeMode = ServeMode.SIM
+    mode: ServeMode = FIELDS["mode"].default
     #: Open-loop arrival workload (:class:`repro.load.ArrivalSpec` or
     #: its dict form); lets :func:`serve` generate the request stream
     #: itself (``requests=None``). Valid in both modes.
-    load: Optional[ArrivalSpec] = None
+    load: Optional[ArrivalSpec] = FIELDS["load"].default
     #: Live only — per-node admission queue bound; a full queue sheds
     #: with a typed backpressure result instead of buffering unboundedly.
-    max_queue: Optional[int] = None
+    max_queue: Optional[int] = FIELDS["max_queue"].default
     #: Live only — wall seconds per model second (1.0 = real time;
     #: small values compress a long trace into a quick wall run).
-    time_scale: Optional[float] = None
+    time_scale: Optional[float] = FIELDS["time_scale"].default
     #: Live only — wall-second budget for graceful drain at shutdown.
-    drain_timeout_s: Optional[float] = None
+    drain_timeout_s: Optional[float] = FIELDS["drain_timeout_s"].default
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "policy", NodePolicy.coerce(self.policy))
-        object.__setattr__(
-            self, "cluster_policy", ClusterPolicy.coerce(self.cluster_policy)
-        )
-        object.__setattr__(
-            self, "cache_policy", CachePolicyName.coerce(self.cache_policy)
-        )
-        if self.cache_policy is CachePolicyName.BELADY:
-            raise ValueError(
-                "cache_policy 'belady' is the offline oracle and needs a "
-                "recorded trace; build a repro.coe.cache.BeladyPolicy and "
-                "pass it to the engine directly"
-            )
-        object.__setattr__(
-            self, "scheduler", SchedulerName.coerce(self.scheduler)
-        )
-        object.__setattr__(
-            self,
-            "tier_capacities",
-            validate_tier_capacities(self.tier_capacities),
-        )
-        if (self.tier_capacities is not None
-                and "hbm" in self.tier_capacities
-                and self.reserved_hbm_bytes is not None):
-            raise ValueError(
-                "reserved_hbm_bytes and tier_capacities['hbm'] both size "
-                "the HBM expert region; pass one or the other"
-            )
-        object.__setattr__(self, "faults", _coerce_faults(self.faults))
-        if self.pipeline_promotions and self.policy is NodePolicy.OVERLAP:
-            raise ValueError(
-                "pipeline_promotions is incompatible with policy 'overlap': "
-                "overlap's speculative prefetches start at 'now' regardless "
-                "of DMA occupancy, so sharing the prefetch lane with "
-                "pipelined NVMe promotions would double-book the DMA"
-            )
-        check_count("max_batch", self.max_batch)
-        check_count("window", self.window)
-        if self.reserved_hbm_bytes is not None:
-            check_count("reserved_hbm_bytes", self.reserved_hbm_bytes, 0)
-        _check_cluster_limits(
-            self.num_nodes, self.heartbeat_s, self.deadline_s
-        )
-        object.__setattr__(self, "mode", ServeMode.coerce(self.mode))
-        if self.load is not None and not isinstance(self.load, ArrivalSpec):
-            object.__setattr__(
-                self, "load", ArrivalSpec.from_dict(dict(self.load))
-            )
-        if self.max_queue is not None:
-            check_count("max_queue", self.max_queue)
-        # Both checks are written so that NaN fails them.
-        if self.time_scale is not None and not (
-            math.isfinite(self.time_scale) and self.time_scale > 0
-        ):
-            raise ValueError(
-                f"time_scale must be finite and > 0, got {self.time_scale}"
-            )
-        if self.drain_timeout_s is not None and not self.drain_timeout_s > 0:
-            raise ValueError(
-                f"drain_timeout_s must be > 0, got {self.drain_timeout_s}"
-            )
-        if self.mode is ServeMode.SIM:
-            live_only = [
-                name for name, value in (
-                    ("max_queue", self.max_queue),
-                    ("time_scale", self.time_scale),
-                    ("drain_timeout_s", self.drain_timeout_s),
-                ) if value is not None
-            ]
-            if live_only:
-                raise ServeModeError(
-                    f"{', '.join(live_only)} only take effect in "
-                    f"mode='live'; they would be silently ignored by the "
-                    f"simulator — drop them or set mode='live'"
-                )
-        else:
-            if self.faults:
-                raise ServeModeError(
-                    "fault injection is a sim-clock feature (deterministic "
-                    "crash/slow/copyfail events need the discrete-event "
-                    "schedule); drop faults or set mode='sim'"
-                )
-            if self.policy is NodePolicy.OVERLAP:
-                raise ServeModeError(
-                    "policy 'overlap' (speculative prefetch on the modelled "
-                    "DMA clock) is sim-only; use 'fifo' or 'affinity' in "
-                    "mode='live'"
-                )
-            if (self.cluster_policy is ClusterPolicy.STEAL
-                    and self.num_nodes > 1):
-                raise ServeModeError(
-                    "cluster_policy 'steal' (runtime queue rebalancing on "
-                    "the sim clock) is sim-only; use 'least_loaded' or "
-                    "'affinity' in mode='live'"
-                )
+        checked = validate(**{name: getattr(self, name) for name in FIELDS})
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @property
     def wants_cluster(self) -> bool:
@@ -274,30 +160,8 @@ class ServeConfig:
 
     def to_dict(self) -> dict:
         """JSON-serializable view (CLI/benchmark provenance)."""
-        return {
-            "policy": self.policy.value,
-            "cluster_policy": self.cluster_policy.value,
-            "cache_policy": self.cache_policy.value,
-            "scheduler": self.scheduler.value,
-            "pipeline_promotions": self.pipeline_promotions,
-            "tier_capacities": (
-                dict(self.tier_capacities)
-                if self.tier_capacities is not None else None
-            ),
-            "num_nodes": self.num_nodes,
-            "max_batch": self.max_batch,
-            "window": self.window,
-            "online_replication": self.online_replication,
-            "reserved_hbm_bytes": self.reserved_hbm_bytes,
-            "faults": self.faults.specs(),
-            "heartbeat_s": self.heartbeat_s,
-            "deadline_s": self.deadline_s,
-            "mode": self.mode.value,
-            "load": self.load.to_dict() if self.load is not None else None,
-            "max_queue": self.max_queue,
-            "time_scale": self.time_scale,
-            "drain_timeout_s": self.drain_timeout_s,
-        }
+        return {name: domain.encode(getattr(self, name))
+                for name, domain in FIELDS.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServeConfig":
@@ -345,41 +209,26 @@ def build_server(
             "takes effect in mode='live'; the simulator has no token "
             "stream to subscribe to"
         )
+    # The knobs every node's engine takes, on one node or many.
+    node = dict(
+        max_batch=config.max_batch, window=config.window,
+        reserved_hbm_bytes=config.reserved_hbm_bytes,
+        cache_policy=config.cache_policy, scheduler=config.scheduler,
+        tier_capacities=config.tier_capacities,
+        pipeline_promotions=config.pipeline_promotions,
+        decision_log=decision_log,
+    )
     if config.wants_cluster:
         factory = platform if callable(platform) else (lambda: platform)
         return ClusterEngine(
-            factory,
-            library,
-            config.num_nodes,
-            policy=config.cluster_policy,
-            node_policy=config.policy,
-            max_batch=config.max_batch,
-            window=config.window,
+            factory, library, config.num_nodes,
+            policy=config.cluster_policy, node_policy=config.policy,
             online_replication=config.online_replication,
-            reserved_hbm_bytes=config.reserved_hbm_bytes,
-            faults=config.faults,
-            heartbeat_s=config.heartbeat_s,
-            deadline_s=config.deadline_s,
-            cache_policy=config.cache_policy.value,
-            decision_log=decision_log,
-            scheduler=config.scheduler.value,
-            tier_capacities=config.tier_capacities,
-            pipeline_promotions=config.pipeline_promotions,
+            faults=config.faults, heartbeat_s=config.heartbeat_s,
+            deadline_s=config.deadline_s, **node,
         )
     instance = platform() if callable(platform) else platform
-    return ServingEngine(
-        instance,
-        library,
-        policy=config.policy,
-        max_batch=config.max_batch,
-        window=config.window,
-        reserved_hbm_bytes=config.reserved_hbm_bytes,
-        cache_policy=config.cache_policy.value,
-        decision_log=decision_log,
-        scheduler=config.scheduler.value,
-        tier_capacities=config.tier_capacities,
-        pipeline_promotions=config.pipeline_promotions,
-    )
+    return ServingEngine(instance, library, policy=config.policy, **node)
 
 
 def serve(

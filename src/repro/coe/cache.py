@@ -52,7 +52,7 @@ from typing import (
 )
 
 from repro.coe.expert import ExpertProfile
-from repro.coe.policies import CachePolicyName
+from repro.coe.policies import FIELDS, CachePolicyName
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime imports us)
     from repro.coe.runtime import CoERuntime
@@ -503,9 +503,7 @@ CachePolicyLike = Union[
 
 #: The by-name-configurable policies (belady is offline-only and needs a
 #: trace, so it is constructable but not nameable — see make_policy).
-CACHE_POLICIES = tuple(
-    m.value for m in CachePolicyName if m is not CachePolicyName.BELADY
-)
+CACHE_POLICIES = FIELDS["cache_policy"].choices
 
 _FACTORIES: Dict[str, Callable[[], CachePolicy]] = {
     CachePolicyName.LRU.value: LRUPolicy,
@@ -531,14 +529,8 @@ def make_policy(spec: CachePolicyLike = None) -> CachePolicy:
     if isinstance(spec, CachePolicy):
         return spec
     if isinstance(spec, (str, CachePolicyName)):
-        name = CachePolicyName.coerce(spec).value
-        if name == CachePolicyName.BELADY.value:
-            raise ValueError(
-                "the belady oracle needs a recorded trace; construct "
-                "BeladyPolicy(trace) (e.g. BeladyPolicy.from_runtime of a "
-                "prior run) and pass the instance"
-            )
-        return _FACTORIES[name]()
+        name = FIELDS["cache_policy"].check("cache_policy", spec)
+        return _FACTORIES[name.value]()
     if callable(spec):
         policy = spec()
         if not isinstance(policy, CachePolicy):

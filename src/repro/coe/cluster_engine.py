@@ -11,8 +11,8 @@ of a single :class:`repro.obs.Timeline` — so a Perfetto trace shows
 cross-node overlap directly, and the scaling curve is derived from the
 same spans.
 
-Cluster policies (:class:`repro.coe.policies.ClusterPolicy`; the legacy
-strings in :data:`CLUSTER_POLICIES` still coerce):
+Cluster policies (:class:`repro.coe.policies.ClusterPolicy`; its value
+strings coerce):
 
 - ``least_loaded`` — static admission: each group goes to the owner
   replica with the smallest estimated backlog. The baseline: whatever
@@ -72,7 +72,6 @@ trace exports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
@@ -88,11 +87,10 @@ from repro.coe.engine import (
     EngineRequest,
     ServingEngine,
     _drain_to_horizon,
-    check_count,
     zipf_request_stream,
 )
 from repro.coe.expert import ExpertLibrary
-from repro.coe.policies import ClusterPolicy, DrainMode, NodePolicy
+from repro.coe.policies import ClusterPolicy, DrainMode, NodePolicy, validate
 from repro.coe.report import ServeReport, ShedRequest, build_report
 from repro.coe.scheduling import RequestGroup, SchedulerLike, make_scheduler
 from repro.obs import Timeline
@@ -104,10 +102,6 @@ from repro.sim.faults import (
     NodeCrash,
     SlowNode,
 )
-
-#: Legacy value-string tuple; :class:`repro.coe.policies.ClusterPolicy`
-#: is the typed source of truth and coerces these (kept for back-compat).
-CLUSTER_POLICIES = ClusterPolicy.values()
 
 #: Per-node lane bases, in the order traces should display them.
 NODE_LANES = ("compute", "switch", "prefetch", "faults")
@@ -125,37 +119,6 @@ def cluster_lanes(num_nodes: int) -> List[str]:
     return [
         f"node{idx}/{base}" for idx in range(num_nodes) for base in NODE_LANES
     ]
-
-
-def _check_cluster_limits(
-    num_nodes: int,
-    heartbeat_s: float,
-    deadline_s: Optional[float],
-) -> None:
-    """Raise ``ValueError`` for a cluster setting no run can honour.
-
-    The node count must be an integer >= 1 (:func:`check_count`). A NaN
-    deadline would shed every request, so it fails here, at
-    construction, as a non-finite heartbeat period does.
-    """
-    check_count("num_nodes", num_nodes)
-    if not (math.isfinite(heartbeat_s) and heartbeat_s > 0):
-        raise ValueError(
-            f"heartbeat_s must be finite and > 0, got {heartbeat_s}"
-        )
-    if deadline_s is not None and not deadline_s > 0:  # NaN fails too
-        raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
-
-
-def _coerce_faults(faults: Optional[FaultsLike]) -> FaultSchedule:
-    if faults is None:
-        return FaultSchedule()
-    if isinstance(faults, FaultSchedule):
-        return faults
-    items = tuple(faults)
-    if all(isinstance(item, str) for item in items):
-        return FaultSchedule.from_specs(items)
-    return FaultSchedule(faults=items)
 
 
 @dataclass
@@ -209,9 +172,15 @@ class ClusterEngine:
         tier_capacities: Optional[Dict[str, int]] = None,
         pipeline_promotions: bool = False,
     ) -> None:
-        _check_cluster_limits(num_nodes, heartbeat_s, deadline_s)
-        self.policy = ClusterPolicy.coerce(policy).value
-        self.node_policy = NodePolicy.coerce(node_policy).value
+        checked = validate(
+            num_nodes=num_nodes, cluster_policy=policy, policy=node_policy,
+            max_batch=max_batch, window=window,
+            online_replication=online_replication, faults=faults,
+            heartbeat_s=heartbeat_s, deadline_s=deadline_s,
+        )
+        num_nodes = checked["num_nodes"]
+        self.policy = checked["cluster_policy"].value
+        self.node_policy = checked["policy"].value
         #: Admission-time backlog reordering, applied once in
         #: :meth:`serve` before dispatch — cluster-global, so same-expert
         #: runs stay contiguous through per-node routing. Schedulers are
@@ -227,18 +196,16 @@ class ClusterEngine:
                 "stateful policy object"
             )
         self.library = library
-        self.max_batch = max_batch
-        self.window = window
-        self.online_replication = online_replication
-        self.heartbeat_s = heartbeat_s
-        self.deadline_s = deadline_s
-        self.cache_policy_spec = cache_policy
-        self.record_timeline = record_timeline
+        self.max_batch = checked["max_batch"]
+        self.window = checked["window"]
+        self.online_replication = checked["online_replication"]
+        self.heartbeat_s = checked["heartbeat_s"]
+        self.deadline_s = checked["deadline_s"]
         self.timeline: Optional[Timeline] = (
             Timeline() if record_timeline else None
         )
         self.sim = Simulator(timeline=self.timeline)
-        self.faults = _coerce_faults(faults)
+        self.faults = checked["faults"]
         #: How the admitted queues drain. Both modes admit the backlog
         #: in arrays (:func:`repro.coe.columnar.admit_backlog`). A
         #: columnar cluster starts in one t=0 drain of its nodes on the
@@ -768,46 +735,16 @@ def run_cluster(
     library: ExpertLibrary,
     requests: Sequence[EngineRequest],
     num_nodes: int,
-    policy: Union[str, ClusterPolicy] = "steal",
-    node_policy: Union[str, NodePolicy] = "overlap",
-    max_batch: int = 8,
-    window: int = 16,
-    online_replication: bool = True,
-    faults: Optional[FaultsLike] = None,
-    heartbeat_s: float = 0.05,
-    deadline_s: Optional[float] = None,
-    cache_policy: CachePolicyLike = None,
-    record_timeline: bool = True,
-    drain_mode: Union[str, DrainMode] = DrainMode.COLUMNAR,
-    scheduler: SchedulerLike = None,
-    tier_capacities: Optional[Dict[str, int]] = None,
-    pipeline_promotions: bool = False,
+    **options,
 ) -> ServeReport:
-    """One cluster run over a fresh engine (fresh timeline, fresh clock)."""
-    engine = ClusterEngine(
-        platform_factory,
-        library,
-        num_nodes,
-        policy=policy,
-        node_policy=node_policy,
-        max_batch=max_batch,
-        window=window,
-        online_replication=online_replication,
-        faults=faults,
-        heartbeat_s=heartbeat_s,
-        deadline_s=deadline_s,
-        cache_policy=cache_policy,
-        record_timeline=record_timeline,
-        drain_mode=drain_mode,
-        scheduler=scheduler,
-        tier_capacities=tier_capacities,
-        pipeline_promotions=pipeline_promotions,
-    )
-    return engine.serve(requests)
+    """One cluster run over a fresh engine (fresh timeline, fresh clock);
+    ``options`` are :class:`ClusterEngine`'s keywords."""
+    return ClusterEngine(
+        platform_factory, library, num_nodes, **options
+    ).serve(requests)
 
 
 __all__ = [
-    "CLUSTER_POLICIES",
     "NODE_LANES",
     "ClusterEngine",
     "cluster_lanes",

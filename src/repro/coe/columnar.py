@@ -71,7 +71,7 @@ from typing import (
 import numpy as np
 
 from repro.coe.dispatch import admit
-from repro.coe.policies import NodePolicy, check_count
+from repro.coe.policies import NodePolicy
 from repro.coe.scheduling import (
     RequestGroup, expert_codes, group_starts, take, window_order,
 )
@@ -620,9 +620,8 @@ def group_backlog(requests: Sequence, scheduler: "Scheduler", policy: str,
     ``coalesce_groups(affinity_schedule(scheduler.order(requests),
     window), max_batch)`` forms (no window reorder under ``fifo``), from
     the kernels those wrap, with ``phase_key`` maxima from
-    ``np.maximum.reduceat``."""
-    check_count("window", window)
-    check_count("max_batch", max_batch)
+    ``np.maximum.reduceat``. ``window`` and ``max_batch`` are an engine's,
+    validated when it was built (:func:`repro.coe.policies.validate`)."""
     n = len(requests)
     codes, names = expert_codes(requests)
     # Codes number names first-seen, so a code's first request is where

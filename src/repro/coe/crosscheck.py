@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 from repro.coe.decisions import DecisionLog
 from repro.coe.engine import EngineRequest
 from repro.coe.expert import ExpertLibrary
+from repro.coe.policies import LIVE_ONLY
 
 #: Fast-forward time_scale (wall seconds per model second) the check
 #: runs live mode at when the caller did not pin one: a multi-second
@@ -96,10 +97,7 @@ def cross_check(
             "request arrives at one instant: live admits spread arrivals "
             "in several priority-sorted calls, the sim in one"
         )
-    sim_config = config.with_(
-        mode=ServeMode.SIM,
-        max_queue=None, time_scale=None, drain_timeout_s=None,
-    )
+    sim_config = config.with_(mode=ServeMode.SIM, **dict.fromkeys(LIVE_ONLY))
     live_config = config.with_(
         mode=ServeMode.LIVE,
         # Never backpressure-shed: a shed group skips its cache activity

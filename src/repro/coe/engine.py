@@ -71,17 +71,13 @@ from repro.coe.columnar import (
 from repro.coe.decisions import DecisionLog
 from repro.coe.expert import ExpertLibrary, ExpertProfile
 from repro.coe.node import NodeState
-from repro.coe.policies import DrainMode, NodePolicy, check_count
+from repro.coe.policies import DrainMode, NodePolicy, validate
 from repro.coe.report import ServeReport, build_report
 from repro.coe.scheduling import RequestGroup, SchedulerLike, make_scheduler
 from repro.obs import Timeline
 from repro.sim.clock import EventSource
 from repro.sim.engine import Simulator
 from repro.systems.platforms import Platform
-
-#: Legacy value-string tuple; :class:`repro.coe.policies.NodePolicy` is
-#: the typed source of truth and coerces these (kept for back-compat).
-POLICIES = NodePolicy.values()
 
 _EXPERT_NAME = attrgetter("expert.name")
 
@@ -147,21 +143,14 @@ class ServingEngine:
         tier_capacities: Optional[Dict[str, int]] = None,
         pipeline_promotions: bool = False,
     ) -> None:
-        max_batch = check_count("max_batch", max_batch)
-        window = check_count("window", window)
-        self.policy = NodePolicy.coerce(policy).value
-        if pipeline_promotions and self.policy == "overlap":
-            raise ValueError(
-                "pipeline_promotions is incompatible with the 'overlap' "
-                "policy: overlap's speculative prefetches start at 'now' "
-                "regardless of DMA occupancy, so sharing the prefetch lane "
-                "with pipelined NVMe promotions would double-book the DMA"
-            )
+        checked = validate(policy=policy, max_batch=max_batch, window=window,
+                           pipeline_promotions=pipeline_promotions)
+        self.policy = checked["policy"].value
         #: Admission-time backlog reordering (:mod:`repro.coe.scheduling`)
         #: — applied once in :meth:`run`, before the windowed node policy.
         self.scheduler = make_scheduler(scheduler)
-        self.max_batch = max_batch
-        self.window = window
+        self.max_batch = checked["max_batch"]
+        self.window = checked["window"]
         self.lane_prefix = lane_prefix
         #: How queued groups execute (:class:`DrainMode`) — both modes
         #: byte-identical, see docs/PERFORMANCE.md.
@@ -891,15 +880,9 @@ def compare_policies(
     platform: Platform,
     library: ExpertLibrary,
     requests: Sequence[EngineRequest],
-    policies: Sequence[str] = POLICIES,
-    max_batch: int = 8,
-    window: int = 16,
 ) -> Dict[str, ServeReport]:
-    """Run the same backlog under each policy on a fresh engine."""
-    reports: Dict[str, ServeReport] = {}
-    for policy in policies:
-        engine = ServingEngine(
-            platform, library, policy=policy, max_batch=max_batch, window=window
-        )
-        reports[policy] = engine.run(requests)
-    return reports
+    """Run the same backlog under each node policy on a fresh engine."""
+    return {
+        policy: ServingEngine(platform, library, policy=policy).run(requests)
+        for policy in NodePolicy.values()
+    }

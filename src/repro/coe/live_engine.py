@@ -44,7 +44,7 @@ streams — the correctness artifact for the whole policy/clock split.
 What live mode deliberately does *not* model: speculative prefetch
 (``overlap``), runtime stealing, and fault injection are sim-clock
 features; :class:`repro.coe.api.ServeConfig` rejects them with a typed
-:class:`~repro.coe.api.ServeModeError` rather than silently diverging.
+:class:`~repro.coe.policies.ServeModeError` rather than silently diverging.
 
 Timestamps: everything is **model seconds** (``time_scale`` wall seconds
 each — see :class:`~repro.sim.clock.WallClock`), so a live timeline's
@@ -71,6 +71,7 @@ from repro.coe.dispatch import shard_experts
 from repro.coe.engine import EngineRequest
 from repro.coe.expert import ExpertLibrary
 from repro.coe.node import NodeState
+from repro.coe.policies import FIELDS, ServeMode, ServeModeError
 from repro.coe.report import ServeReport, ShedRequest, build_report
 from repro.coe.scheduling import RequestGroup, make_scheduler, release_times
 from repro.obs import Timeline
@@ -78,12 +79,6 @@ from repro.sim.clock import WallClock
 
 if TYPE_CHECKING:  # avoid the api <-> live_engine import cycle
     from repro.coe.api import PlatformLike, ServeConfig
-
-#: Live defaults, applied here so :class:`ServeConfig` can keep ``None``
-#: (= "not set") and reject the knobs in sim mode.
-DEFAULT_MAX_QUEUE = 64
-DEFAULT_TIME_SCALE = 1.0
-DEFAULT_DRAIN_TIMEOUT_S = 30.0
 
 #: Shed reasons a :class:`ShedRequest` can carry.
 SHED_REASONS = ("deadline", "backpressure")
@@ -141,8 +136,6 @@ class LiveEngine:
         decision_log: Optional[DecisionLog] = None,
         token_callback: Optional[Callable[[TokenEvent], None]] = None,
     ) -> None:
-        from repro.coe.api import ServeMode, ServeModeError
-
         if config.mode is not ServeMode.LIVE:
             raise ServeModeError(
                 "LiveEngine needs a mode='live' ServeConfig; use "
@@ -154,17 +147,10 @@ class LiveEngine:
         self.cluster_policy = config.cluster_policy.value
         self.scheduler = make_scheduler(config.scheduler)
         self.deadline_s = config.deadline_s
-        self.max_queue = (
-            config.max_queue if config.max_queue is not None
-            else DEFAULT_MAX_QUEUE
-        )
-        self.time_scale = (
-            config.time_scale if config.time_scale is not None
-            else DEFAULT_TIME_SCALE
-        )
-        self.drain_timeout_s = (
-            config.drain_timeout_s if config.drain_timeout_s is not None
-            else DEFAULT_DRAIN_TIMEOUT_S
+        # An unset live knob means its declared ``unset`` value.
+        self.max_queue, self.time_scale, self.drain_timeout_s = (
+            FIELDS[name].resolve(getattr(config, name))
+            for name in ("max_queue", "time_scale", "drain_timeout_s")
         )
         self._decisions = decision_log
         #: The sim backend records admission decisions only when the
@@ -419,9 +405,6 @@ class LiveEngine:
 
 
 __all__ = [
-    "DEFAULT_DRAIN_TIMEOUT_S",
-    "DEFAULT_MAX_QUEUE",
-    "DEFAULT_TIME_SCALE",
     "LiveEngine",
     "SHED_REASONS",
     "ShedRequest",

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.coe.expert import ExpertLibrary, ExpertProfile
-from repro.coe.policies import check_count
+from repro.coe.policies import validate
 from repro.coe.router import Router, RoutingDecision
 from repro.coe.runtime import CoERuntime
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.models.catalog import LLAMA2_7B
 from repro.systems.platforms import Platform
 from repro.units import GiB
 
@@ -80,42 +79,6 @@ class ServeResult:
         return self.switch_s / self.total_s if self.total_s > 0 else 0.0
 
 
-#: Tier names a ``tier_capacities`` override may size.
-TIER_CAPACITY_KEYS = ("hbm", "ddr", "nvme")
-
-
-def validate_tier_capacities(tier_capacities) -> Optional[Dict[str, int]]:
-    """Normalize/validate a ``tier_capacities`` mapping; None passes through.
-
-    Keys must be drawn from :data:`TIER_CAPACITY_KEYS`, values must be
-    positive integers, and a bounded DDR tier must cover the HBM region
-    (the hierarchy is inclusive — HBM residents keep DDR home copies).
-    """
-    if tier_capacities is None:
-        return None
-    caps = dict(tier_capacities)
-    unknown = set(caps) - set(TIER_CAPACITY_KEYS)
-    if unknown:
-        raise ValueError(
-            f"unknown tier_capacities keys {sorted(unknown)}; "
-            f"expected a subset of {TIER_CAPACITY_KEYS}"
-        )
-    for name, value in caps.items():
-        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-            raise ValueError(
-                f"tier_capacities[{name!r}] must be a positive byte count, "
-                f"got {value!r}"
-            )
-    hbm, ddr = caps.get("hbm"), caps.get("ddr")
-    if hbm is not None and ddr is not None and ddr < hbm:
-        raise ValueError(
-            f"tier_capacities['ddr'] ({ddr}) must be >= the HBM expert "
-            f"region ({hbm}): the hierarchy is inclusive — every HBM "
-            "resident keeps its DDR home copy"
-        )
-    return caps
-
-
 class ExpertServer:
     """Serves a CoE on one platform with a policy-cached HBM expert region.
 
@@ -144,17 +107,12 @@ class ExpertServer:
         self.platform = platform
         self.library = library
         self.router = router or Router(library)
-        if reserved_hbm_bytes is not None:
-            reserved_hbm_bytes = check_count(
-                "reserved_hbm_bytes", reserved_hbm_bytes, minimum=0)
-        caps = validate_tier_capacities(tier_capacities) or {}
+        checked = validate(reserved_hbm_bytes=reserved_hbm_bytes,
+                           tier_capacities=tier_capacities)
+        reserved_hbm_bytes = checked["reserved_hbm_bytes"]
+        caps = checked["tier_capacities"] or {}
         hbm_override = caps.get("hbm")
         if hbm_override is not None:
-            if reserved_hbm_bytes is not None:
-                raise ValueError(
-                    "reserved_hbm_bytes and tier_capacities['hbm'] both size "
-                    "the HBM expert region; pass one or the other"
-                )
             # The ladder sweeps capacities independent of the concrete
             # platform (a what-if region may exceed physical HBM), so the
             # implied reservation just floors at zero.

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.arch.config import (
-    MemoryTierSpec,
     NodeConfig,
     PCUConfig,
     PMUConfig,
@@ -69,21 +68,6 @@ class TestPMUConfig:
         cfg = PMUConfig()
         assert cfg.read_bandwidth > 0
         assert cfg.write_bandwidth > 0
-
-
-class TestMemoryTierSpec:
-    def test_transfer_time_includes_latency(self):
-        spec = MemoryTierSpec("X", 100, bandwidth=100.0, latency_s=1.0)
-        assert spec.transfer_time(100) == pytest.approx(2.0)
-
-    def test_zero_transfer_is_free(self):
-        spec = MemoryTierSpec("X", 100, bandwidth=100.0, latency_s=1.0)
-        assert spec.transfer_time(0) == 0.0
-
-    def test_negative_transfer_rejected(self):
-        spec = MemoryTierSpec("X", 100, bandwidth=100.0, latency_s=1.0)
-        with pytest.raises(ValueError):
-            spec.transfer_time(-1)
 
 
 class TestAblationConfigs:

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.coe.cluster_engine import (
-    CLUSTER_POLICIES,
     ClusterEngine,
     cluster_lanes,
     run_cluster,
@@ -19,6 +18,7 @@ from repro.coe.engine import (
     zipf_request_stream,
 )
 from repro.coe.expert import ExpertProfile, build_samba_coe_library
+from repro.coe.policies import ClusterPolicy
 from repro.coe.scheduling import coalesce_groups
 from repro.systems.platforms import sn40l_platform
 from tests.coe.grouping import node_order
@@ -102,7 +102,7 @@ class TestConstruction:
 
 class TestCompletion:
     def test_every_request_completes_exactly_once(self, library, stream):
-        for policy in CLUSTER_POLICIES:
+        for policy in ClusterPolicy.values():
             report = run_cluster(
                 sn40l_platform, library, stream, num_nodes=4, policy=policy
             )

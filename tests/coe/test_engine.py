@@ -3,7 +3,6 @@
 import pytest
 
 from repro.coe.engine import (
-    POLICIES,
     EngineRequest,
     ServingEngine,
     compare_policies,
@@ -11,6 +10,7 @@ from repro.coe.engine import (
 )
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.node import NodeState
+from repro.coe.policies import NodePolicy
 from repro.coe.scheduling import (
     Request, RequestGroup, coalesce_groups,
 )
@@ -61,7 +61,7 @@ class TestGroupCoalescing:
 
 class TestEngineBasics:
     def test_every_request_completes_exactly_once(self, library, stream):
-        for policy in POLICIES:
+        for policy in NodePolicy.values():
             engine = ServingEngine(sn40l_platform(), library, policy=policy)
             report = engine.run(stream)
             assert report.requests == len(stream)
@@ -255,7 +255,7 @@ class TestRunTimeline:
     """The span timeline every run records (see docs/OBSERVABILITY.md)."""
 
     def test_every_policy_attaches_a_timeline(self, library, stream):
-        for policy in POLICIES:
+        for policy in NodePolicy.values():
             report = ServingEngine(
                 sn40l_platform(), library, policy=policy
             ).run(stream)
@@ -280,7 +280,7 @@ class TestRunTimeline:
     def test_switch_stats_are_timeline_derived(self, library, stream):
         """Satellite: the reported switch-hidden stat equals the timeline
         overlap query on a seeded workload, to well within 1e-9."""
-        for policy in POLICIES:
+        for policy in NodePolicy.values():
             report = ServingEngine(
                 sn40l_platform(), library, policy=policy
             ).run(stream)
@@ -427,7 +427,7 @@ class TestDemandAccounting:
     def test_one_demand_activation_per_group(self, library, stream):
         """Prefetches and warms are speculative: the runtime's demand
         request count is exactly the number of groups served."""
-        for policy in POLICIES:
+        for policy in NodePolicy.values():
             engine = ServingEngine(sn40l_platform(), library, policy=policy)
             report = engine.run(stream)
             stats = engine.server.runtime.stats

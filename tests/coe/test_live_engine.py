@@ -10,12 +10,12 @@ from repro.coe.crosscheck import CHECK_TIME_SCALE
 from repro.coe.engine import EngineRequest, ServingEngine
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.live_engine import (
-    DEFAULT_MAX_QUEUE,
     LiveEngine,
     ShedRequest,
     TokenEvent,
 )
 from repro.coe.node import NodeState
+from repro.coe.policies import FIELDS
 from repro.coe.report import ServeReport
 from repro.coe.runtime import CoERuntime
 from repro.load import ArrivalSpec, generate_trace
@@ -84,7 +84,7 @@ class TestLiveServe:
     def test_build_server_returns_live_engine(self, platform, library):
         server = build_server(platform, library, live_config())
         assert isinstance(server, LiveEngine)
-        assert server.max_queue == DEFAULT_MAX_QUEUE
+        assert server.max_queue == FIELDS["max_queue"].unset
 
     def test_rejects_sim_config(self, platform, library):
         with pytest.raises(ServeModeError, match="live"):

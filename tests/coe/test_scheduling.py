@@ -706,15 +706,16 @@ class TestGroupAssembler:
             reqs, window=1)
 
     def test_validation(self, library):
-        reqs = self._streams(library, 3)
+        # group_backlog groups with an engine's window and max_batch,
+        # which the engine's constructor validated.
         with pytest.raises(ValueError, match="window"):
-            _grouped(reqs, "affinity", 0, 8)
+            ServingEngine(sn40l_platform(), library, window=0)
         with pytest.raises(ValueError, match="max_batch"):
-            _grouped(reqs, "affinity", 16, 0)
+            ServingEngine(sn40l_platform(), library, max_batch=0)
         # Counts are integers, refused before any grouping.
         for bad in (2.5, True):
             with pytest.raises(ValueError, match="window must be an integer"):
-                _grouped(reqs, "affinity", bad, 8)
+                ServingEngine(sn40l_platform(), library, window=bad)
 
     def test_policy_is_coerced_at_construction(self, library):
         reqs = self._streams(library, 4)

@@ -18,11 +18,12 @@ from repro.coe.cache import CACHE_POLICIES, PredictivePolicy
 from repro.coe.cluster_engine import ClusterEngine
 from repro.coe.columnar import admit_backlog, group_backlog
 from repro.coe.engine import (
-    POLICIES, EngineRequest, ServingEngine, zipf_request_stream,
+    EngineRequest, ServingEngine, zipf_request_stream,
 )
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.live_engine import LiveEngine
 from repro.coe.node import NodeState
+from repro.coe.policies import NodePolicy
 from repro.coe.scheduling import ExpertPredictor
 from repro.systems.platforms import sn40l_platform
 
@@ -42,7 +43,7 @@ def _stream(library, n=96, seed=5):
 
 class TestPredictorOnlyWhereRead:
     @pytest.mark.parametrize("cache", CACHE_POLICIES)
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", NodePolicy.values())
     def test_matrix(self, library, policy, cache):
         engine = ServingEngine(sn40l_platform(), library, policy=policy,
                                cache_policy=cache)

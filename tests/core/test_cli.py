@@ -165,3 +165,47 @@ class TestOneNodeCluster:
             == [(n, p) for p in policies for n in (1, 2)]
         assert [r["cluster_policy"] for r in rows] == [
             None if n == 1 else p for p in policies for n in (1, 2)]
+
+
+class TestSingleNodeFlags:
+    """A single-node command refuses the cluster-only flags instead of
+    serving as if they were not given: one stderr line, exit 2."""
+
+    STREAM = ["--platform", "sn40l", "--policy", "fifo", "--experts", "8",
+              "--requests", "8"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["serve-bench", "--deadline", "-1"], "deadlines"),
+        (["serve-bench", "--deadline", "5"], "deadlines"),
+        (["serve-bench", "--inject-fault", "node1:0.5"], "faults"),
+        (["trace", "--serve", "--deadline", "5"], "deadlines"),
+    ], ids=["serve-bench-negative-deadline", "serve-bench-deadline",
+            "serve-bench-fault", "trace-serve-deadline"])
+    def test_cluster_flags_rejected(self, argv, flag, tmp_path, capsys):
+        out = ["-o", str(tmp_path / "out.json")]
+        assert main(argv + self.STREAM + out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert flag in line and "--cluster" in line
+
+
+class TestFlagsFromTheFieldTable:
+    def test_choices_and_defaults_are_declared_once(self):
+        from repro.cli import build_parser
+        from repro.coe.policies import FIELDS
+
+        parser = build_parser()
+        live = parser.parse_args(["serve-live"])
+        assert (live.max_batch, live.window, live.cache_policy,
+                live.scheduler, live.deadline, live.max_queue,
+                live.time_scale) == (8, 16, "lru", "fifo", None, None, None)
+        trace = parser.parse_args(["trace", "--serve"])
+        assert (trace.policy, trace.cluster_policy) == ("overlap", "steal")
+        for flag, name in (("--cache-policy", "cache_policy"),
+                           ("--scheduler", "scheduler")):
+            for value in FIELDS[name].choices:
+                assert getattr(parser.parse_args(
+                    ["serve-live", flag, value]), name) == value
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve-live", "--cache-policy", "belady"])
